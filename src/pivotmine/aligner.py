@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .corpus import MultiCorpus
 from .errors import DataError
+from .textio import read_lines, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -227,12 +228,6 @@ class PairLinkStats:
     target_word_links: Counter = field(default_factory=Counter)
     total_links: int = 0
 
-    def absorb(self, other: "PairLinkStats") -> None:
-        self.source_word_to_target.update(other.source_word_to_target)
-        self.source_word_links += other.source_word_links
-        self.target_word_links.update(other.target_word_links)
-        self.total_links += other.total_links
-
 
 def _verse_pairs(corpus: MultiCorpus, src_id: str, tgt_id: str):
     """Aligned (source, target) token lists over the selected verses."""
@@ -279,16 +274,15 @@ def save_lex_table(lex: LexTable, path: Path, key: str) -> None:
         sname = NULL_SURFACE if src is None else src
         for tgt, p in row.items():
             lines.append(f"{sname}\t{tgt}\t{p!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def load_lex_table(path: Path, key: str) -> LexTable | None:
     """Load a cached table, or None when missing, stale, or corrupt."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
+        lines = read_lines(path)
+    except DataError:
         return None
-    lines = text.splitlines()
     if not lines or lines[0] != f"# {CACHE_FORMAT} key={key}":
         return None
     t: dict[str | None, dict[str, float]] = {}
@@ -382,15 +376,3 @@ def link_counts(
                     stats.source_word_links += 1
         out[tgt_id] = stats
     return out
-
-
-def merge_by_iso3(
-    stats: dict[str, PairLinkStats], corpus: MultiCorpus
-) -> dict[str, PairLinkStats]:
-    """Pool per-translation link stats by target language."""
-    merged: dict[str, PairLinkStats] = {}
-    for tgt_id in sorted(stats):
-        iso3 = corpus.translations[tgt_id].iso3
-        bucket = merged.setdefault(iso3, PairLinkStats(stats[tgt_id].source_word))
-        bucket.absorb(stats[tgt_id])
-    return merged

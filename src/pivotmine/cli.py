@@ -2,6 +2,9 @@
 
 Each subcommand runs one pipeline stage into an output directory and
 writes a manifest there; `pipeline` chains the stages for one feature.
+All of them go through run_command, which loads the config, records the
+input files, times each stage and writes the manifest around the
+subcommand's own body.
 Exit codes: 0 success, 2 configuration problems, 3 data problems.
 """
 
@@ -11,64 +14,35 @@ import argparse
 import json
 import logging
 import sys
-import time
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .aligner import AlignerConfig
 from .cluster import (
-    evaluate_family_prediction,
-    language_distance,
-    marker_distance_matrix,
-    marker_label,
-    read_distance_tsv,
-    to_newick,
-    upgma,
-    write_distance_tsv,
+    evaluate_family_prediction, language_distance, marker_distance_matrix, marker_label,
+    read_distance_tsv, to_newick, upgma, write_distance_tsv,
 )
 from .config import RunConfig, load_config
-from .corpus import (
-    MultiCorpus,
-    load_corpus,
-    read_families,
-    write_coverage_report,
-)
+from .corpus import MultiCorpus, load_corpus, read_families, write_coverage_report
 from .errors import ConfigError, DataError
 from .evaluation import mrr, mrr_table, read_gold
 from .manifest import RunRecorder
 from .maps import (
-    project_cluster,
-    select_splitting_pivots,
-    signature_clusters,
-    write_cluster_summary,
-    write_cluster_verses,
-    write_projection,
-    write_splitters_tsv,
+    project_cluster, select_splitting_pivots, signature_clusters, write_cluster_summary,
+    write_cluster_verses, write_projection, write_splitters_tsv,
 )
 from .ngrams import mine_ngrams, pivot_relative_positions, read_ngrams_tsv, write_ngrams_tsv
 from .pivots import (
-    Candidate,
-    Pivot,
-    PivotSet,
-    expand_pivots,
-    find_head_pivot,
-    pivot_presence_matrix,
-    presence_vector,
-    rank_pivot_candidates,
-    read_allowlist,
-    read_pivots_tsv,
-    read_queries,
-    write_pivots_tsv,
+    Pivot, PivotSet, expand_pivots, find_head_pivot, pivot_presence_matrix, presence_vector,
+    rank_pivot_candidates, read_allowlist, read_pivots_tsv, read_queries, read_ranking_tsv,
+    top_markers_by_language, write_pivots_tsv,
 )
-from .stats import ContingencyTable
-from .synth import PRESETS, spec_from_json, write_synth
+from .synth import PRESETS, SynthSpec, spec_from_json, write_synth
+from .textio import read_lines, read_text, write_lines, write_text
+# perfbench/tracing.py times artifact writes by wrapping cli._write_json
+from .textio import write_json as _write_json
 
 logger = logging.getLogger("pivotmine")
-
-
-def _write_json(path: Path, obj) -> Path:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
 
 
 def _prepare_corpus(cfg: RunConfig, corpus_dir: str | None = None) -> MultiCorpus:
@@ -102,10 +76,10 @@ def _query_for(cfg: RunConfig, feature: str):
 
 def _head_from_json(corpus: MultiCorpus, path: str | Path) -> Pivot:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(read_text(path))
         iso3, tid, surface = doc["iso3"], doc["translation_id"], doc["surface"]
         score = float(doc["score"])
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"cannot read head pivot from {path}: {exc}") from exc
     if tid not in corpus.translations:
         raise DataError(f"head pivot references unknown translation {tid!r}")
@@ -113,44 +87,17 @@ def _head_from_json(corpus: MultiCorpus, path: str | Path) -> Pivot:
     return Pivot(iso3, tid, surface, score, presence, missing)
 
 
-def _ranking_from_tsv(path: str | Path) -> list[Candidate]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("rank\t"):
-        raise DataError(f"not a ranking TSV: {path}")
-    out = []
-    for raw in lines[1:]:
-        if not raw:
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 5:
-            raise DataError(f"malformed ranking line: {raw!r}")
-        _, iso3, tid, surface, score = parts
-        out.append(
-            Candidate(iso3, tid, surface, float(score), ContingencyTable(0, 0, 0, 0))
-        )
-    return out
-
-
-def _write_ranking_tsv(ranking: list[Candidate], path: Path) -> Path:
-    lines = ["rank\tiso3\ttranslation\tsurface\tchi2"]
-    for rank, c in enumerate(ranking, start=1):
-        lines.append(
-            f"{rank}\t{c.iso3}\t{c.translation_id}\t{c.surface}\t"
-            f"{format(c.score, '.10g')}"
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
-
-
 # --- stages -----------------------------------------------------------------
 
 
+def stage_synth(spec: SynthSpec, out: Path) -> tuple[MultiCorpus, list[Path]]:
+    corpus, _ = write_synth(spec, out)
+    return corpus, [p for p in out.rglob("*") if p.is_file()]
+
+
 def stage_ingest(cfg: RunConfig, corpus: MultiCorpus, out: Path) -> list[Path]:
-    out.mkdir(parents=True, exist_ok=True)
-    coverage = out / "coverage.tsv"
-    write_coverage_report(corpus, coverage)
-    selection = out / "selection.txt"
-    selection.write_text("\n".join(corpus.selected_verses) + "\n", encoding="utf-8")
+    coverage = write_coverage_report(corpus, out / "coverage.tsv")
+    selection = write_lines(out / "selection.txt", corpus.selected_verses)
     stats = {
         "n_translations": len(corpus.translations),
         "n_languages": len(corpus.languages()),
@@ -164,7 +111,6 @@ def stage_ingest(cfg: RunConfig, corpus: MultiCorpus, out: Path) -> list[Path]:
 def stage_head(
     cfg: RunConfig, corpus: MultiCorpus, feature: str, out: Path
 ) -> tuple[Pivot, list[Path]]:
-    out.mkdir(parents=True, exist_ok=True)
     query = _query_for(cfg, feature)
     if not cfg.allowlist:
         raise ConfigError("no allowlist file configured")
@@ -185,15 +131,14 @@ def stage_head(
 def stage_expand(
     cfg: RunConfig, corpus: MultiCorpus, feature: str, head: Pivot, out: Path
 ) -> tuple[PivotSet, list[Path]]:
-    out.mkdir(parents=True, exist_ok=True)
     ranking = rank_pivot_candidates(
         corpus, head, cfg.aligner(), cfg.min_count, cfg.cache_dir
     )
     pivot_set = expand_pivots(corpus, feature, head, cfg.k, ranking)
-    pivots_path = out / "pivots.tsv"
-    write_pivots_tsv(pivot_set, pivots_path)
-    ranking_path = _write_ranking_tsv(ranking, out / "ranking.tsv")
-    return pivot_set, [pivots_path, ranking_path]
+    return pivot_set, [
+        write_pivots_tsv(pivot_set.members, out / "pivots.tsv"),
+        write_pivots_tsv(ranking, out / "ranking.tsv"),
+    ]
 
 
 def stage_mine(
@@ -213,18 +158,10 @@ def stage_mine(
     summary = {}
     for tid in sorted(targets):
         result = mine_ngrams(
-            corpus,
-            tid,
-            pivot_set,
-            sigma=cfg.sigma,
-            w=cfg.window,
-            n_range=(cfg.n_min, cfg.n_max),
-            top=cfg.top,
-            relative_positions=rels,
+            corpus, tid, pivot_set, sigma=cfg.sigma, w=cfg.window,
+            n_range=(cfg.n_min, cfg.n_max), top=cfg.top, relative_positions=rels,
         )
-        path = ngram_dir / f"{tid}.tsv"
-        write_ngrams_tsv(result, path)
-        written.append(path)
+        written.append(write_ngrams_tsv(result, ngram_dir / f"{tid}.tsv"))
         summary[tid] = {
             "verses_scored": result.verses_scored,
             "verses_positive": result.verses_positive,
@@ -237,23 +174,18 @@ def stage_mine(
 def stage_cluster_markers(
     cfg: RunConfig, corpus: MultiCorpus, pivot_set: PivotSet, out: Path
 ) -> list[Path]:
-    out.mkdir(parents=True, exist_ok=True)
     matrix = pivot_presence_matrix(corpus, pivot_set)
     dm = marker_distance_matrix(matrix)
-    dist_path = out / "markers_distance.tsv"
-    write_distance_tsv(dm, dist_path)
-    tree_path = out / "markers.nwk"
-    tree_path.write_text(to_newick(upgma(dm)) + "\n", encoding="utf-8")
-    written = [dist_path, tree_path]
-    families = dict(corpus.families)
-    if cfg.families:
-        families = read_families(cfg.families)
-    if families:
+    written = [
+        write_distance_tsv(dm, out / "markers_distance.tsv"),
+        write_text(out / "markers.nwk", to_newick(upgma(dm)) + "\n"),
+    ]
+    if corpus.families:
         # marker labels inherit the family of their language
         marker_families = {
-            marker_label(p): families[p.iso3]
+            marker_label(p): corpus.families[p.iso3]
             for p in pivot_set.members
-            if p.iso3 in families
+            if p.iso3 in corpus.families
         }
         if len(marker_families) >= 2:
             metrics = evaluate_family_prediction(
@@ -272,32 +204,39 @@ def stage_map(
     head: Pivot,
     out: Path,
 ) -> list[Path]:
-    out.mkdir(parents=True, exist_ok=True)
     matrix = pivot_presence_matrix(corpus, pivot_set)
     chosen, choices = select_splitting_pivots(
         matrix, head, cfg.map_rounds, cfg.map_policy
     )
-    splitters = out / "splitters.tsv"
-    write_splitters_tsv(chosen, choices, splitters)
+    written = [write_splitters_tsv(chosen, choices, out / "splitters.tsv")]
     clusters = signature_clusters(matrix, chosen)
-    summary = out / "clusters.tsv"
-    write_cluster_summary(clusters, summary)
+    written.append(write_cluster_summary(clusters, out / "clusters.tsv"))
     cluster_dir = out / "clusters"
     write_cluster_verses(clusters, cluster_dir)
-    written = [splitters, summary]
-    written.extend(sorted(cluster_dir.glob("*.txt")))
-    return written
+    return written + sorted(cluster_dir.glob("*.txt"))
+
+
+def stage_project(
+    corpus: MultiCorpus, verse_ids: list[str], translation_id: str, out: Path
+) -> list[Path]:
+    projected = project_cluster(corpus, verse_ids, translation_id)
+    missing = sum(1 for _, text in projected if text is None)
+    if missing:
+        logger.warning(
+            "%d of %d verses missing from %s", missing, len(projected), translation_id
+        )
+    return [write_projection(projected, out / "projection.tsv")]
 
 
 def stage_eval_mrr(
-    cfg: RunConfig, features: list[str], from_dir: Path, out: Path
+    cfg: RunConfig, ngram_dirs: list[tuple[str, Path]], out: Path
 ) -> list[Path]:
+    """Score each feature's mined n-grams, read from its (feature, dir) pair."""
     if not cfg.gold:
         raise ConfigError("no gold file configured")
     gold = read_gold(cfg.gold)
     results = []
-    for feature in features:
-        ngram_dir = from_dir / feature / "ngrams"
+    for feature, ngram_dir in ngram_dirs:
         if not ngram_dir.is_dir():
             raise DataError(f"no mined n-grams under {ngram_dir}")
         ranked = {
@@ -306,7 +245,6 @@ def stage_eval_mrr(
         if not ranked:
             raise DataError(f"no n-gram TSVs in {ngram_dir}")
         results.append(mrr(ranked, gold, feature, cfg.match_mode))
-    out.mkdir(parents=True, exist_ok=True)
     return [_write_json(out / "mrr.json", mrr_table(results))]
 
 
@@ -317,63 +255,116 @@ def stage_cluster_languages(
     from_dir: Path,
     out: Path,
 ) -> list[Path]:
-    from .pivots import top_markers_by_language
-
-    out.mkdir(parents=True, exist_ok=True)
     markers_by_feature = {}
     head_translations = {}
     for feature in features:
         fdir = from_dir / feature
         head = _head_from_json(corpus, fdir / "head.json")
-        ranking = _ranking_from_tsv(fdir / "ranking.tsv")
+        ranking = read_ranking_tsv(fdir / "ranking.tsv")
         markers_by_feature[feature] = top_markers_by_language(ranking, head)
         head_translations[feature] = head.translation_id
     dm, report = language_distance(
         corpus, markers_by_feature, cfg.min_shared_verses, head_translations
     )
-    dist_path = out / "languages_distance.tsv"
-    write_distance_tsv(dm, dist_path)
-    tree_path = out / "languages.nwk"
-    tree_path.write_text(to_newick(upgma(dm)) + "\n", encoding="utf-8")
-    report_doc = {
-        "features": report.features,
-        "languages": report.languages,
-        "excluded": report.excluded,
-        "zero_support_pairs": report.zero_support_pairs,
-    }
     written = [
-        dist_path,
-        tree_path,
-        _write_json(out / "language_report.json", report_doc),
+        write_distance_tsv(dm, out / "languages_distance.tsv"),
+        write_text(out / "languages.nwk", to_newick(upgma(dm)) + "\n"),
+        _write_json(out / "language_report.json", asdict(report)),
     ]
-    families = dict(corpus.families)
-    if cfg.families:
-        families = read_families(cfg.families)
-    if families:
-        metrics = evaluate_family_prediction(dm, families, cfg.jsd_threshold)
+    if corpus.families:
+        metrics = evaluate_family_prediction(dm, corpus.families, cfg.jsd_threshold)
         written.append(_write_json(out / "family_metrics.json", metrics))
     return written
 
 
-# --- subcommand runners -------------------------------------------------------
+def stage_eval_family(cfg: RunConfig, distances: str, out: Path) -> list[Path]:
+    if not cfg.families:
+        raise ConfigError("no families file configured")
+    families = read_families(cfg.families)
+    dm = read_distance_tsv(distances)
+    metrics = evaluate_family_prediction(dm, families, cfg.jsd_threshold)
+    return [_write_json(out / "family_metrics.json", metrics)]
 
 
-def _recorder(args, cfg: RunConfig, command: str) -> RunRecorder:
-    rec = RunRecorder(command, cfg.to_dict(), cfg.sha256())
-    for attr in ("corpus_dir", "queries", "allowlist", "gold", "families"):
-        rec.add_input(getattr(cfg, attr))
-    return rec
+# --- the command runner -------------------------------------------------------
 
 
-def _out_dir(args, cfg: RunConfig) -> Path:
+@dataclass
+class Run:
+    """One subcommand invocation, as its body sees it."""
+
+    args: argparse.Namespace
+    cfg: RunConfig | None  # None for synth, which takes no config file
+    rec: RunRecorder
+    out: Path
+
+    def stage(self, name: str, fn, *fn_args):
+        """Call fn under the manifest timer `name`; record the files it wrote.
+
+        The output directory exists when fn runs. fn returns the paths it
+        wrote, or a (value, paths) pair whose value is passed back.
+        """
+        with self.rec.time_stage(name):
+            self.out.mkdir(parents=True, exist_ok=True)
+            result = fn(*fn_args)
+        value, written = result if isinstance(result, tuple) else (None, result)
+        self.rec.add_outputs(written)
+        return value
+
+
+def _out_dir(args, cfg: RunConfig | None) -> Path:
     if args.out:
         return Path(args.out)
-    if cfg.out_dir:
+    if cfg is not None and cfg.out_dir:
         return Path(cfg.out_dir)
     raise ConfigError("no output directory: pass --out or set out_dir in the config")
 
 
-def cmd_synth(args) -> int:
+def run_command(args: argparse.Namespace) -> int:
+    """Run one subcommand and write its manifest.
+
+    Loads the config, records the hashes of the input files, resolves the
+    output directory, runs the subcommand's body (which times its stages
+    through Run.stage) and writes the manifest.
+    """
+    if "config" in args:
+        cfg = load_config(args.config)
+        rec = RunRecorder(args.command, cfg.to_dict(), cfg.sha256())
+        for path in (cfg.corpus_dir, cfg.queries, cfg.allowlist, cfg.gold, cfg.families):
+            rec.add_input(path)
+    else:  # synth: its preset or spec is its whole configuration
+        cfg = None
+        rec = RunRecorder(args.command, {"preset": args.preset, "spec": args.spec}, "")
+    for name in ("pivots", "verses", "distances"):
+        rec.add_input(getattr(args, name, None))
+    run = Run(args, cfg, rec, _out_dir(args, cfg))
+    args.body(run)
+    rec.write(run.out)
+    return 0
+
+
+# --- subcommand bodies --------------------------------------------------------
+
+
+def _features(args) -> list[str]:
+    features = [f for f in args.features.split(",") if f]
+    if not features:
+        raise ConfigError("no features given")
+    return features
+
+
+def _load_pivot_set(run: Run) -> tuple[MultiCorpus, PivotSet]:
+    """The selected corpus and the --pivots set, its head marked by --head."""
+    corpus = _prepare_corpus(run.cfg)
+    head_key = None
+    if run.args.head:
+        head = _head_from_json(corpus, run.args.head)
+        head_key = (head.translation_id, head.surface)
+    return corpus, read_pivots_tsv(corpus, run.args.feature, run.args.pivots, head_key)
+
+
+def cmd_synth(run: Run) -> None:
+    args = run.args
     if bool(args.preset) == bool(args.spec):
         raise ConfigError("pass exactly one of --preset or --spec")
     if args.preset:
@@ -384,240 +375,88 @@ def cmd_synth(args) -> int:
         spec = PRESETS[args.preset](args.seed) if args.seed is not None else PRESETS[args.preset]()
     else:
         spec = spec_from_json(args.spec)
-    out = Path(args.out)
-    started = time.time()
-    rec = RunRecorder("synth", {"preset": args.preset, "spec": args.spec}, "")
-    corpus, _ = write_synth(spec, out)
-    rec.time_stage("synth", started)
-    rec.add_outputs(p for p in out.rglob("*") if p.is_file())
-    rec.write(out)
+    corpus = run.stage("synth", stage_synth, spec, run.out)
     logger.info(
         "wrote %d translations, %d verses to %s",
         len(corpus.translations),
         len(corpus.verse_universe),
-        out,
+        run.out,
     )
-    return 0
 
 
-def cmd_ingest(args) -> int:
-    cfg = load_config(args.config)
-    rec = _recorder(args, cfg, "ingest")
-    corpus = _prepare_corpus(cfg, args.corpus)
-    out = _out_dir(args, cfg)
-    started = time.time()
-    rec.add_outputs(stage_ingest(cfg, corpus, out))
-    rec.time_stage("ingest", started)
-    rec.write(out)
-    return 0
+def cmd_ingest(run: Run) -> None:
+    corpus = _prepare_corpus(run.cfg, run.args.corpus)
+    run.stage("ingest", stage_ingest, run.cfg, corpus, run.out)
 
 
-def cmd_head_pivot(args) -> int:
-    cfg = load_config(args.config)
-    rec = _recorder(args, cfg, "head-pivot")
-    corpus = _prepare_corpus(cfg)
-    out = _out_dir(args, cfg)
-    started = time.time()
-    head, written = stage_head(cfg, corpus, args.feature, out)
-    rec.add_outputs(written)
-    rec.time_stage("head-pivot", started)
-    rec.write(out)
-    return 0
+def cmd_head_pivot(run: Run) -> None:
+    corpus = _prepare_corpus(run.cfg)
+    run.stage("head-pivot", stage_head, run.cfg, corpus, run.args.feature, run.out)
 
 
-def cmd_expand_pivots(args) -> int:
-    cfg = load_config(args.config)
-    rec = _recorder(args, cfg, "expand-pivots")
-    corpus = _prepare_corpus(cfg)
-    head = _head_from_json(corpus, args.head)
-    out = _out_dir(args, cfg)
-    started = time.time()
-    _, written = stage_expand(cfg, corpus, args.feature, head, out)
-    rec.add_outputs(written)
-    rec.time_stage("expand-pivots", started)
-    rec.write(out)
-    return 0
-
-
-def _pivot_set_from_args(cfg, corpus, args) -> PivotSet:
-    head_key = None
-    if args.head:
-        head = _head_from_json(corpus, args.head)
-        head_key = (head.translation_id, head.surface)
-    return read_pivots_tsv(corpus, args.feature, args.pivots, head_key)
-
-
-def cmd_mine_ngrams(args) -> int:
-    cfg = load_config(args.config)
-    rec = _recorder(args, cfg, "mine-ngrams")
-    rec.add_input(args.pivots)
-    corpus = _prepare_corpus(cfg)
-    pivot_set = _pivot_set_from_args(cfg, corpus, args)
-    targets = args.targets.split(",") if args.targets else None
-    out = _out_dir(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    started = time.time()
-    rec.add_outputs(stage_mine(cfg, corpus, pivot_set, out, targets))
-    rec.time_stage("mine-ngrams", started)
-    rec.write(out)
-    return 0
-
-
-def cmd_cluster_markers(args) -> int:
-    cfg = load_config(args.config)
-    rec = _recorder(args, cfg, "cluster-markers")
-    rec.add_input(args.pivots)
-    corpus = _prepare_corpus(cfg)
-    pivot_set = _pivot_set_from_args(cfg, corpus, args)
-    out = _out_dir(args, cfg)
-    started = time.time()
-    rec.add_outputs(stage_cluster_markers(cfg, corpus, pivot_set, out))
-    rec.time_stage("cluster-markers", started)
-    rec.write(out)
-    return 0
-
-
-def cmd_cluster_languages(args) -> int:
-    cfg = load_config(args.config)
-    rec = _recorder(args, cfg, "cluster-languages")
-    corpus = _prepare_corpus(cfg)
-    features = [f for f in args.features.split(",") if f]
-    if not features:
-        raise ConfigError("no features given")
-    out = _out_dir(args, cfg)
-    started = time.time()
-    rec.add_outputs(
-        stage_cluster_languages(cfg, corpus, features, Path(args.from_dir), out)
+def cmd_expand_pivots(run: Run) -> None:
+    corpus = _prepare_corpus(run.cfg)
+    head = _head_from_json(corpus, run.args.head)
+    run.stage(
+        "expand-pivots", stage_expand, run.cfg, corpus, run.args.feature, head, run.out
     )
-    rec.time_stage("cluster-languages", started)
-    rec.write(out)
-    return 0
 
 
-def cmd_map(args) -> int:
-    cfg = load_config(args.config)
-    rec = _recorder(args, cfg, "map")
-    rec.add_input(args.pivots)
-    corpus = _prepare_corpus(cfg)
-    pivot_set = _pivot_set_from_args(cfg, corpus, args)
-    head = _head_from_json(corpus, args.head) if args.head else pivot_set.head
-    out = _out_dir(args, cfg)
-    started = time.time()
-    rec.add_outputs(stage_map(cfg, corpus, pivot_set, head, out))
-    rec.time_stage("map", started)
-    rec.write(out)
-    return 0
+def cmd_mine_ngrams(run: Run) -> None:
+    corpus, pivot_set = _load_pivot_set(run)
+    targets = run.args.targets.split(",") if run.args.targets else None
+    run.stage("mine-ngrams", stage_mine, run.cfg, corpus, pivot_set, run.out, targets)
 
 
-def cmd_project(args) -> int:
-    cfg = load_config(args.config)
-    rec = _recorder(args, cfg, "project")
-    rec.add_input(args.verses)
-    corpus = _prepare_corpus(cfg)
-    verse_ids = [
-        line.strip()
-        for line in Path(args.verses).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
-    projected = project_cluster(corpus, verse_ids, args.translation)
-    missing = sum(1 for _, text in projected if text is None)
-    if missing:
-        logger.warning(
-            "%d of %d verses missing from %s", missing, len(projected), args.translation
-        )
-    out = _out_dir(args, cfg)
-    started = time.time()
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "projection.tsv"
-    write_projection(projected, path)
-    rec.add_outputs([path])
-    rec.time_stage("project", started)
-    rec.write(out)
-    return 0
+def cmd_cluster_markers(run: Run) -> None:
+    corpus, pivot_set = _load_pivot_set(run)
+    run.stage("cluster-markers", stage_cluster_markers, run.cfg, corpus, pivot_set, run.out)
 
 
-def cmd_eval_mrr(args) -> int:
-    cfg = load_config(args.config)
-    rec = _recorder(args, cfg, "eval-mrr")
-    features = [f for f in args.features.split(",") if f]
-    if not features:
-        raise ConfigError("no features given")
-    out = _out_dir(args, cfg)
-    started = time.time()
-    rec.add_outputs(stage_eval_mrr(cfg, features, Path(args.from_dir), out))
-    rec.time_stage("eval-mrr", started)
-    rec.write(out)
-    return 0
+def cmd_cluster_languages(run: Run) -> None:
+    corpus = _prepare_corpus(run.cfg)
+    features = _features(run.args)
+    run.stage(
+        "cluster-languages", stage_cluster_languages,
+        run.cfg, corpus, features, Path(run.args.from_dir), run.out,
+    )
 
 
-def cmd_eval_family(args) -> int:
-    cfg = load_config(args.config)
-    rec = _recorder(args, cfg, "eval-family")
-    rec.add_input(args.distances)
-    if not cfg.families:
-        raise ConfigError("no families file configured")
-    families = read_families(cfg.families)
-    dm = read_distance_tsv(args.distances)
-    metrics = evaluate_family_prediction(dm, families, cfg.jsd_threshold)
-    out = _out_dir(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    started = time.time()
-    rec.add_outputs([_write_json(out / "family_metrics.json", metrics)])
-    rec.time_stage("eval-family", started)
-    rec.write(out)
-    return 0
+def cmd_map(run: Run) -> None:
+    corpus, pivot_set = _load_pivot_set(run)
+    head = _head_from_json(corpus, run.args.head) if run.args.head else pivot_set.head
+    run.stage("map", stage_map, run.cfg, corpus, pivot_set, head, run.out)
 
 
-def cmd_pipeline(args) -> int:
-    cfg = load_config(args.config)
-    rec = _recorder(args, cfg, "pipeline")
-    out = _out_dir(args, cfg)
-    feature = args.feature
+def cmd_project(run: Run) -> None:
+    corpus = _prepare_corpus(run.cfg)
+    verse_ids = [line.strip() for line in read_lines(run.args.verses) if line.strip()]
+    run.stage("project", stage_project, corpus, verse_ids, run.args.translation, run.out)
 
-    t0 = time.time()
-    corpus = _prepare_corpus(cfg)
-    rec.time_stage("load", t0)
 
-    t0 = time.time()
-    rec.add_outputs(stage_ingest(cfg, corpus, out))
-    rec.time_stage("ingest", t0)
+def cmd_eval_mrr(run: Run) -> None:
+    from_dir = Path(run.args.from_dir)
+    ngram_dirs = [(f, from_dir / f / "ngrams") for f in _features(run.args)]
+    run.stage("eval-mrr", stage_eval_mrr, run.cfg, ngram_dirs, run.out)
 
-    t0 = time.time()
-    head, written = stage_head(cfg, corpus, feature, out)
-    rec.add_outputs(written)
-    rec.time_stage("head-pivot", t0)
 
-    t0 = time.time()
-    pivot_set, written = stage_expand(cfg, corpus, feature, head, out)
-    rec.add_outputs(written)
-    rec.time_stage("expand-pivots", t0)
+def cmd_eval_family(run: Run) -> None:
+    run.stage("eval-family", stage_eval_family, run.cfg, run.args.distances, run.out)
 
-    t0 = time.time()
-    rec.add_outputs(stage_mine(cfg, corpus, pivot_set, out))
-    rec.time_stage("mine-ngrams", t0)
 
-    t0 = time.time()
-    rec.add_outputs(stage_cluster_markers(cfg, corpus, pivot_set, out))
-    rec.time_stage("cluster-markers", t0)
-
-    t0 = time.time()
-    rec.add_outputs(stage_map(cfg, corpus, pivot_set, head, out))
-    rec.time_stage("map", t0)
-
+def cmd_pipeline(run: Run) -> None:
+    cfg, out, feature = run.cfg, run.out, run.args.feature
+    with run.rec.time_stage("load"):
+        corpus = _prepare_corpus(cfg)
+    run.stage("ingest", stage_ingest, cfg, corpus, out)
+    head = run.stage("head-pivot", stage_head, cfg, corpus, feature, out)
+    pivot_set = run.stage("expand-pivots", stage_expand, cfg, corpus, feature, head, out)
+    run.stage("mine-ngrams", stage_mine, cfg, corpus, pivot_set, out)
+    run.stage("cluster-markers", stage_cluster_markers, cfg, corpus, pivot_set, out)
+    run.stage("map", stage_map, cfg, corpus, pivot_set, head, out)
     if cfg.gold:
-        t0 = time.time()
-        gold = read_gold(cfg.gold)
-        ngram_dir = out / "ngrams"
-        ranked = {
-            p.stem: read_ngrams_tsv(p) for p in sorted(ngram_dir.glob("*.tsv"))
-        }
-        result = mrr(ranked, gold, feature, cfg.match_mode)
-        rec.add_outputs([_write_json(out / "mrr.json", mrr_table([result]))])
-        rec.time_stage("eval-mrr", t0)
-
-    rec.write(out)
+        run.stage("eval-mrr", stage_eval_mrr, cfg, [(feature, out / "ngrams")], out)
     logger.info("pipeline for %r finished in %s", feature, out)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -630,93 +469,71 @@ def build_parser() -> argparse.ArgumentParser:
         "--verbose", action="store_true", help="log at DEBUG instead of INFO"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True)
+    common.add_argument("--out", help="output directory (default: config out_dir)")
+    pivot_input = argparse.ArgumentParser(add_help=False, parents=[common])
+    pivot_input.add_argument("--feature", required=True)
+    pivot_input.add_argument("--pivots", required=True, help="pivots.tsv from expand-pivots")
+    pivot_input.add_argument("--head", help="head.json (marks the head member)")
 
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn)
+    def add(name, body, help_text, parents=(common,)):
+        p = sub.add_parser(name, help=help_text, parents=list(parents))
+        p.set_defaults(body=body)
         return p
 
-    p = add("synth", cmd_synth, "generate a synthetic corpus with planted markers")
+    p = add("synth", cmd_synth, "generate a synthetic corpus with planted markers", ())
     p.add_argument("--preset", help=f"one of: {', '.join(sorted(PRESETS))}")
     p.add_argument("--spec", help="path to a synth spec JSON")
     p.add_argument("--seed", type=int, default=None, help="override the preset seed")
     p.add_argument("--out", required=True, help="output directory")
 
     p = add("ingest", cmd_ingest, "load a corpus and report verse coverage")
-    p.add_argument("--config", required=True)
     p.add_argument("--corpus", help="override the configured corpus directory")
-    p.add_argument("--out", help="output directory (default: config out_dir)")
 
     p = add("head-pivot", cmd_head_pivot, "find the head pivot for a feature")
-    p.add_argument("--config", required=True)
     p.add_argument("--feature", required=True)
-    p.add_argument("--out", help="output directory (default: config out_dir)")
 
     p = add("expand-pivots", cmd_expand_pivots, "grow the k-pivot set from a head")
-    p.add_argument("--config", required=True)
     p.add_argument("--feature", required=True)
     p.add_argument("--head", required=True, help="head.json from head-pivot")
-    p.add_argument("--out", help="output directory (default: config out_dir)")
 
-    p = add("mine-ngrams", cmd_mine_ngrams, "mine marker n-grams per translation")
-    p.add_argument("--config", required=True)
-    p.add_argument("--feature", required=True)
-    p.add_argument("--pivots", required=True, help="pivots.tsv from expand-pivots")
-    p.add_argument("--head", help="head.json (marks the head member)")
+    p = add(
+        "mine-ngrams", cmd_mine_ngrams, "mine marker n-grams per translation", [pivot_input]
+    )
     p.add_argument("--targets", help="comma-separated translation ids")
-    p.add_argument("--out", help="output directory (default: config out_dir)")
 
-    p = add("cluster-markers", cmd_cluster_markers, "cluster pivot markers by JSD")
-    p.add_argument("--config", required=True)
-    p.add_argument("--feature", required=True)
-    p.add_argument("--pivots", required=True)
-    p.add_argument("--head", help="head.json (marks the head member)")
-    p.add_argument("--out", help="output directory (default: config out_dir)")
+    add("cluster-markers", cmd_cluster_markers, "cluster pivot markers by JSD", [pivot_input])
 
     p = add(
         "cluster-languages",
         cmd_cluster_languages,
         "cluster languages from per-feature rankings",
     )
-    p.add_argument("--config", required=True)
     p.add_argument("--features", required=True, help="comma-separated feature names")
     p.add_argument(
         "--from", dest="from_dir", required=True,
         help="directory holding <feature>/head.json and <feature>/ranking.tsv",
     )
-    p.add_argument("--out", help="output directory (default: config out_dir)")
 
-    p = add("map", cmd_map, "partition verses by splitting-pivot signatures")
-    p.add_argument("--config", required=True)
-    p.add_argument("--feature", required=True)
-    p.add_argument("--pivots", required=True)
-    p.add_argument("--head", help="head.json (marks the head member)")
-    p.add_argument("--out", help="output directory (default: config out_dir)")
+    add("map", cmd_map, "partition verses by splitting-pivot signatures", [pivot_input])
 
     p = add("project", cmd_project, "project a verse cluster into a translation")
-    p.add_argument("--config", required=True)
     p.add_argument("--verses", required=True, help="file with one verse id per line")
     p.add_argument("--translation", required=True)
-    p.add_argument("--out", help="output directory (default: config out_dir)")
 
     p = add("eval-mrr", cmd_eval_mrr, "score mined n-grams against gold markers")
-    p.add_argument("--config", required=True)
     p.add_argument("--features", required=True, help="comma-separated feature names")
     p.add_argument(
         "--from", dest="from_dir", required=True,
         help="directory holding <feature>/ngrams/*.tsv",
     )
-    p.add_argument("--out", help="output directory (default: config out_dir)")
 
     p = add("eval-family", cmd_eval_family, "same-family prediction from distances")
-    p.add_argument("--config", required=True)
     p.add_argument("--distances", required=True, help="distance matrix TSV")
-    p.add_argument("--out", help="output directory (default: config out_dir)")
 
     p = add("pipeline", cmd_pipeline, "run every stage for one feature")
-    p.add_argument("--config", required=True)
     p.add_argument("--feature", required=True)
-    p.add_argument("--out", help="output directory (default: config out_dir)")
 
     return parser
 
@@ -729,7 +546,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.fn(args)
+        return run_command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ from .corpus import MultiCorpus
 from .errors import DataError
 from .pivots import Candidate, Pivot, PresenceMatrix, presence_vector
 from .stats import jsd, normalize
+from .textio import read_lines, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -189,17 +190,17 @@ def to_newick(root: DendroNode) -> str:
     return f"({render(left, root.height)},{render(right, root.height)});"
 
 
-def write_distance_tsv(dm: DistanceMatrix, path: str | Path) -> None:
+def write_distance_tsv(dm: DistanceMatrix, path: str | Path) -> Path:
     """Square matrix TSV with a label header row and column."""
     lines = ["\t".join(["label"] + dm.labels)]
     for i, lb in enumerate(dm.labels):
         row = [lb] + [format(v, ".10g") for v in dm.values[i]]
         lines.append("\t".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return write_lines(path, lines)
 
 
 def read_distance_tsv(path: str | Path) -> DistanceMatrix:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_lines(path)
     if not lines or not lines[0].startswith("label\t"):
         raise DataError(f"not a distance TSV: {path}")
     labels = lines[0].split("\t")[1:]

@@ -13,7 +13,12 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .aligner import AlignerConfig
-from .errors import ConfigError
+from .errors import ConfigError, DataError
+from .evaluation import MATCH_MODES
+from .maps import SPLIT_POLICIES
+from .textio import read_text
+
+_TYPE_NOUNS = {float: "a number", int: "an integer", str: "a string"}
 
 
 @dataclass
@@ -56,12 +61,10 @@ class RunConfig:
             raise ConfigError("top must be >= 1")
         if self.min_count < 1:
             raise ConfigError("min_count must be >= 1")
-        if self.em_iterations < 1:
-            raise ConfigError("em_iterations must be >= 1")
-        if self.diagonal_tension < 0:
-            raise ConfigError("diagonal_tension must be >= 0")
-        if not 0 <= self.null_prob < 1:
-            raise ConfigError("null_prob must lie in [0, 1)")
+        try:
+            self.aligner().validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.coverage_target < 1:
             raise ConfigError("coverage_target must be >= 1")
         if self.min_shared_verses < 0:
@@ -70,9 +73,9 @@ class RunConfig:
             raise ConfigError("jsd_threshold must lie in [0, 1]")
         if self.map_rounds < 0:
             raise ConfigError("map_rounds must be >= 0")
-        if self.map_policy not in ("largest", "head-containing-chain"):
+        if self.map_policy not in SPLIT_POLICIES:
             raise ConfigError(f"unknown map_policy {self.map_policy!r}")
-        if self.match_mode not in ("both", "gold_in_gram", "gram_in_gold"):
+        if self.match_mode not in MATCH_MODES:
             raise ConfigError(f"unknown match_mode {self.match_mode!r}")
 
     def aligner(self) -> AlignerConfig:
@@ -91,11 +94,16 @@ class RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Read a JSON config; unknown keys or bad values raise ConfigError."""
+    """Read a JSON config; unknown keys or bad values raise ConfigError.
+
+    Each field's expected type comes from its default: float fields take
+    any number (stored as float), int fields an integer, str fields a
+    string, and fields defaulting to None a string or null.
+    """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raw = json.loads(read_text(path))
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -110,31 +118,13 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"bad config: {exc}") from exc
     for f in fields(RunConfig):
         value = getattr(cfg, f.name)
-        if value is None:
+        if value is None and f.default is None:
             continue
-        if f.name in ("sigma", "diagonal_tension", "null_prob", "jsd_threshold"):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"{f.name} must be a number")
+        kind = str if f.default is None else type(f.default)
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ConfigError(f"{f.name} must be {_TYPE_NOUNS[kind]}")
+        if kind is float:
             setattr(cfg, f.name, float(value))
-        elif f.name in (
-            "window", "k", "n_min", "n_max", "top", "min_count",
-            "em_iterations", "coverage_target", "min_shared_verses",
-            "map_rounds", "seed",
-        ):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{f.name} must be an integer")
-        elif f.name in (
-            "map_policy", "match_mode", "corpus_dir", "queries", "allowlist",
-            "gold", "families", "cache_dir", "out_dir",
-        ):
-            if not isinstance(value, str):
-                raise ConfigError(f"{f.name} must be a string")
     cfg.validate()
     return cfg
-
-
-def save_config(cfg: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )

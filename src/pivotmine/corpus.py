@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import DataError
+from .textio import read_lines, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -103,7 +104,10 @@ class MultiCorpus:
 
     selected_verses is the ordered subset downstream stages iterate over;
     it is empty until select() is applied. Tokenization is cached per
-    translation and shared across derived copies that keep the same texts.
+    translation, in one cache shared by every copy derived through
+    select() or with_translation(). Each entry remembers the Translation
+    it was made from, so a copy holding a different translation under the
+    same id tokenizes its own.
     """
 
     translations: dict[str, Translation]
@@ -113,7 +117,7 @@ class MultiCorpus:
     policy_overrides: dict[str, TokenizerPolicy] = field(default_factory=dict)
     families: dict[str, str] = field(default_factory=dict)
     malformed_lines: int = 0
-    _token_cache: dict[str, dict[str, TokenizedVerse]] = field(
+    _token_cache: dict[str, tuple[Translation, dict[str, TokenizedVerse]]] = field(
         default_factory=dict, repr=False, compare=False
     )
 
@@ -122,13 +126,13 @@ class MultiCorpus:
 
     def tokenized(self, translation_id: str) -> dict[str, TokenizedVerse]:
         """Tokenization of every verse of one translation, cached."""
-        cached = self._token_cache.get(translation_id)
-        if cached is not None:
-            return cached
         trans = self.translations[translation_id]
+        cached = self._token_cache.get(translation_id)
+        if cached is not None and cached[0] is trans:
+            return cached[1]
         pol = self.policy_for(translation_id)
         out = {vid: tokenize_verse(text, pol) for vid, text in trans.verses.items()}
-        self._token_cache[translation_id] = out
+        self._token_cache[translation_id] = (trans, out)
         return out
 
     def token_frequencies(self, translation_id: str, selected_only: bool = True) -> Counter:
@@ -160,10 +164,7 @@ class MultiCorpus:
         translations[trans.translation_id] = trans
         universe = sorted(set(self.verse_universe) | set(trans.verses))
         return replace(
-            self,
-            translations=translations,
-            verse_universe=tuple(universe),
-            _token_cache={},
+            self, translations=translations, verse_universe=tuple(universe)
         )
 
 
@@ -195,7 +196,7 @@ def load_corpus(
         translation_id = path.stem
         verses: dict[str, str] = {}
         duplicates = 0
-        for raw in path.read_text(encoding="utf-8").splitlines():
+        for raw in read_lines(path):
             if not raw:
                 continue
             vid, sep, text = raw.partition("\t")
@@ -235,7 +236,7 @@ def load_corpus(
 def read_families(path: str | Path) -> dict[str, str]:
     """Read an ``iso3<TAB>family`` metadata file."""
     out: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -274,11 +275,11 @@ def select_covered_verses(corpus: MultiCorpus, target_count: int) -> list[str]:
     return sorted(ranked[:target_count])
 
 
-def write_coverage_report(corpus: MultiCorpus, path: str | Path) -> None:
+def write_coverage_report(corpus: MultiCorpus, path: str | Path) -> Path:
     """Write ``verse_id<TAB>coverage`` for the whole universe, id-sorted."""
     counts = coverage_counts(corpus)
-    lines = [f"{vid}\t{counts[vid]}" for vid in corpus.verse_universe]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = (f"{vid}\t{counts[vid]}" for vid in corpus.verse_universe)
+    return write_lines(path, lines)
 
 
 def apply_query_merge(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError
+from .textio import read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -23,7 +24,7 @@ MATCH_MODES = ("both", "gold_in_gram", "gram_in_gold")
 def read_gold(path: str | Path) -> dict[tuple[str, str], set[str]]:
     """Read ``translation_id<TAB>feature<TAB>gold1,gold2,...`` lines."""
     out: dict[tuple[str, str], set[str]] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_lines(path):
         line = raw.rstrip("\n")
         if not line.strip() or line.startswith("#"):
             continue

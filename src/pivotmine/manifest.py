@@ -1,19 +1,21 @@
 """Run manifests: what ran, on which inputs, producing which bytes.
 
 The manifest is the one artifact allowed to differ between reruns (it
-records wall-clock timings); every other output of a stage is
-byte-reproducible given the same config and inputs.
+records start and finish times and stage durations); every other output
+of a stage is byte-reproducible given the same config and inputs.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import platform
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy
+
+from .textio import write_json
 
 MANIFEST_NAME = "manifest.json"
 
@@ -52,8 +54,12 @@ class RunRecorder:
     def add_outputs(self, paths) -> None:
         self.outputs.extend(Path(p) for p in paths)
 
-    def time_stage(self, name: str, started_at: float) -> None:
-        self.timings[name] = round(time.time() - started_at, 6)
+    @contextmanager
+    def time_stage(self, name: str):
+        """Record the monotonic duration of the with-block as timing name."""
+        started = time.perf_counter()
+        yield
+        self.timings[name] = round(time.perf_counter() - started, 6)
 
     def write(self, out_dir: str | Path) -> Path:
         from . import __version__
@@ -85,8 +91,4 @@ class RunRecorder:
                 "pivotmine": __version__,
             },
         }
-        path = out_dir / MANIFEST_NAME
-        path.write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        return path
+        return write_json(out_dir / MANIFEST_NAME, doc)

@@ -19,6 +19,7 @@ import numpy as np
 from .corpus import MultiCorpus
 from .errors import DataError
 from .pivots import Pivot, PresenceMatrix
+from .textio import write_lines, write_text
 
 logger = logging.getLogger(__name__)
 
@@ -176,7 +177,7 @@ def project_cluster(
 
 def write_splitters_tsv(
     chosen: list[Pivot], choices: list[SplitChoice], path: str | Path
-) -> None:
+) -> Path:
     """Head first, then one row per round with its split diagnostics."""
     lines = ["round\tiso3\ttranslation\tsurface\tcluster_size\tfraction"]
     head = chosen[0]
@@ -187,30 +188,28 @@ def write_splitters_tsv(
             f"{rnd}\t{p.iso3}\t{p.translation_id}\t{p.surface}\t"
             f"{choice.cluster_size}\t{format(choice.fraction, '.6g')}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return write_lines(path, lines)
 
 
-def write_cluster_summary(clusters: list[SignatureCluster], path: str | Path) -> None:
+def write_cluster_summary(clusters: list[SignatureCluster], path: str | Path) -> Path:
     lines = ["signature\tsize"]
     for c in clusters:
         lines.append(f"{c.key}\t{c.size}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return write_lines(path, lines)
 
 
 def write_cluster_verses(clusters: list[SignatureCluster], out_dir: str | Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for c in clusters:
-        (out_dir / f"{c.key}.txt").write_text(
-            "\n".join(c.verse_ids) + ("\n" if c.verse_ids else ""),
-            encoding="utf-8",
-        )
+        write_text(out_dir / f"{c.key}.txt", "".join(f"{v}\n" for v in c.verse_ids))
 
 
 def write_projection(
     projected: list[tuple[str, str | None]], path: str | Path
-) -> None:
+) -> Path:
     """``verse_id<TAB>text`` rows; verses missing from the translation are
     written with an empty text field."""
-    lines = [f"{vid}\t{'' if text is None else text}" for vid, text in projected]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return write_lines(
+        path, (f"{vid}\t{'' if text is None else text}" for vid, text in projected)
+    )

@@ -21,6 +21,7 @@ from .corpus import MultiCorpus
 from .errors import DataError
 from .pivots import PivotSet
 from .stats import ContingencyTable, chi2, gaussian_kernel
+from .textio import read_lines, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -126,16 +127,6 @@ class MiningResult:
 
     def top_grams(self, n: int) -> list[str]:
         return [c.gram for c in self.by_n.get(n, [])]
-
-
-def ngram_occurrences(text: str, n: int) -> list[tuple[str, int]]:
-    """All length-n character substrings with start offsets.
-
-    No tokenization: spaces are characters, grams cross token boundaries.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return [(text[s : s + n], s) for s in range(len(text) - n + 1)]
 
 
 def _window_gram_counts(
@@ -263,7 +254,7 @@ def unescape_gram(cell: str) -> str:
     return cell.replace("\\t", "\t").replace(GRAM_SPACE_ESCAPE, " ")
 
 
-def write_ngrams_tsv(result: MiningResult, path: str | Path) -> None:
+def write_ngrams_tsv(result: MiningResult, path: str | Path) -> Path:
     """Write ``n rank gram pos neg chi2`` rows for every ranked gram."""
     lines = ["n\trank\tgram\tpos\tneg\tchi2"]
     for n in sorted(result.by_n):
@@ -272,12 +263,12 @@ def write_ngrams_tsv(result: MiningResult, path: str | Path) -> None:
                 f"{n}\t{cand.rank}\t{escape_gram(cand.gram)}\t"
                 f"{cand.pos_count}\t{cand.neg_count}\t{format(cand.score, '.10g')}"
             )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return write_lines(path, lines)
 
 
 def read_ngrams_tsv(path: str | Path) -> dict[int, list[str]]:
     """Ranked gram lists per n, as written by write_ngrams_tsv."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_lines(path)
     if not lines or not lines[0].startswith("n\t"):
         raise DataError(f"not an n-gram TSV: {path}")
     out: dict[int, list[str]] = {}

@@ -20,6 +20,7 @@ from .aligner import AlignerConfig, PairLinkStats, link_counts
 from .corpus import MultiCorpus, apply_query_merge
 from .errors import DataError
 from .stats import ContingencyTable, chi2
+from .textio import read_lines, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -83,9 +84,6 @@ class PivotSet:
     head: Pivot
     members: list[Pivot]
     k: int
-
-    def surfaces(self) -> list[tuple[str, str, str]]:
-        return [(p.iso3, p.translation_id, p.surface) for p in self.members]
 
 
 def presence_vector(
@@ -288,9 +286,6 @@ class PresenceMatrix:
     matrix: np.ndarray  # uint8, verses x pivots
     missing: np.ndarray  # bool, verses x pivots
 
-    def column(self, idx: int) -> np.ndarray:
-        return self.matrix[:, idx]
-
 
 def pivot_presence_matrix(corpus: MultiCorpus, pivot_set: PivotSet) -> PresenceMatrix:
     """Stack member presence vectors over the selected verses."""
@@ -319,7 +314,7 @@ def pivot_presence_matrix(corpus: MultiCorpus, pivot_set: PivotSet) -> PresenceM
 def read_queries(path: str | Path) -> list[Query]:
     """Read ``feature<TAB>translation_id<TAB>form1,form2,...`` lines."""
     out = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -336,21 +331,53 @@ def read_queries(path: str | Path) -> list[Query]:
 def read_allowlist(path: str | Path) -> set[str]:
     """Read one iso3 code per line; # comments and blanks ignored."""
     out = set()
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_lines(path):
         line = raw.strip()
         if line and not line.startswith("#"):
             out.add(line)
     return out
 
 
-def write_pivots_tsv(pivot_set: PivotSet, path: str | Path) -> None:
-    """Write ``rank iso3 translation surface chi2`` for the member list."""
+def write_pivots_tsv(rows: list[Pivot] | list[Candidate], path: str | Path) -> Path:
+    """Write ``rank iso3 translation surface chi2``, one line per row.
+
+    rows, in rank order, are Pivots or Candidates: anything with iso3,
+    translation_id, surface and score. Pivot sets and candidate rankings
+    share this format.
+    """
     lines = ["rank\tiso3\ttranslation\tsurface\tchi2"]
-    for rank, p in enumerate(pivot_set.members, start=1):
+    for rank, p in enumerate(rows, start=1):
         lines.append(
             f"{rank}\t{p.iso3}\t{p.translation_id}\t{p.surface}\t{format(p.score, '.10g')}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return write_lines(path, lines)
+
+
+def _read_rank_tsv(path: str | Path) -> list[tuple[str, str, str, float]]:
+    """(iso3, translation_id, surface, score) rows written by write_pivots_tsv."""
+    lines = read_lines(path)
+    if not lines or not lines[0].startswith("rank\t"):
+        raise DataError(f"not a rank TSV: {path}")
+    rows = []
+    for raw in lines[1:]:
+        if not raw:
+            continue
+        parts = raw.split("\t")
+        if len(parts) != 5:
+            raise DataError(f"malformed rank line: {raw!r}")
+        _, iso3, tid, surface, score = parts
+        try:
+            rows.append((iso3, tid, surface, float(score)))
+        except ValueError:
+            raise DataError(f"malformed rank line: {raw!r}") from None
+    return rows
+
+
+def read_ranking_tsv(path: str | Path) -> list[Candidate]:
+    """Candidates in rank order; their contingency tables are not stored."""
+    return [
+        Candidate(*row, ContingencyTable(0, 0, 0, 0)) for row in _read_rank_tsv(path)
+    ]
 
 
 def read_pivots_tsv(
@@ -366,21 +393,12 @@ def read_pivots_tsv(
     against the head live on different scales. Without head_key the
     top-ranked member is used.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("rank\t"):
-        raise DataError(f"not a pivots TSV: {path}")
     members = []
-    for raw in lines[1:]:
-        if not raw:
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 5:
-            raise DataError(f"malformed pivot line: {raw!r}")
-        _, iso3, tid, surface, score = parts
+    for iso3, tid, surface, score in _read_rank_tsv(path):
         if tid not in corpus.translations:
             raise DataError(f"pivot references unknown translation {tid!r}")
         presence, missing = presence_vector(corpus, tid, surface)
-        members.append(Pivot(iso3, tid, surface, float(score), presence, missing))
+        members.append(Pivot(iso3, tid, surface, score, presence, missing))
     if not members:
         raise DataError(f"empty pivots TSV: {path}")
     head = members[0]

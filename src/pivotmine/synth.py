@@ -17,11 +17,12 @@ import json
 import logging
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .corpus import MultiCorpus, Translation
-from .errors import ConfigError
+from .errors import ConfigError, DataError
+from .textio import read_text, write_json, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -317,28 +318,24 @@ def write_synth(spec: SynthSpec, out_dir: str | Path) -> tuple[MultiCorpus, dict
     corpus_dir.mkdir(parents=True, exist_ok=True)
     for tid in sorted(corpus.translations):
         trans = corpus.translations[tid]
-        lines = [f"{vid}\t{trans.verses[vid]}" for vid in sorted(trans.verses)]
-        (corpus_dir / f"{tid}.txt").write_text(
-            "\n".join(lines) + "\n", encoding="utf-8"
+        write_lines(
+            corpus_dir / f"{tid}.txt",
+            (f"{vid}\t{trans.verses[vid]}" for vid in sorted(trans.verses)),
         )
-    (out_dir / "ground_truth.json").write_text(
-        json.dumps(truth, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out_dir / "ground_truth.json", truth)
     feature_names = [f for f, _ in spec.features]
     query = truth["query"]
     qlines = [
         f"{f}\t{query['translation_id']}\t{','.join(query['forms'][f])}"
         for f in feature_names
     ]
-    (out_dir / "queries.tsv").write_text("\n".join(qlines) + "\n", encoding="utf-8")
+    write_lines(out_dir / "queries.tsv", qlines)
     allow = [
         l.iso3
         for l in spec.languages
         if l.style == "particle" and l.iso3 != spec.query_iso3
     ]
-    (out_dir / "allowlist.txt").write_text(
-        "\n".join(allow) + "\n", encoding="utf-8"
-    )
+    write_lines(out_dir / "allowlist.txt", allow)
     glines = []
     for lang in spec.languages:
         info = truth["languages"][lang.iso3]
@@ -346,9 +343,9 @@ def write_synth(spec: SynthSpec, out_dir: str | Path) -> tuple[MultiCorpus, dict
             forms = info["markers"].get(f)
             if forms:
                 glines.append(f"{info['translation_id']}\t{f}\t{','.join(forms)}")
-    (out_dir / "gold.tsv").write_text("\n".join(glines) + "\n", encoding="utf-8")
+    write_lines(out_dir / "gold.tsv", glines)
     flines = [f"{l.iso3}\t{l.family}" for l in spec.languages]
-    (out_dir / "families.tsv").write_text("\n".join(flines) + "\n", encoding="utf-8")
+    write_lines(out_dir / "families.tsv", flines)
     return corpus, truth
 
 
@@ -445,56 +442,34 @@ PRESETS = {
 
 
 def spec_from_json(path: str | Path) -> SynthSpec:
-    """Load a SynthSpec from JSON; unknown keys are a config error."""
+    """Load a SynthSpec from JSON; unknown keys are a config error.
+
+    Known keys are the fields of SynthSpec and LanguageSpec; omitted
+    optional keys take those fields' defaults.
+    """
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        raw = json.loads(read_text(path))
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
+    except json.JSONDecodeError as exc:
         raise ConfigError(f"cannot read synth spec {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("synth spec must be a JSON object")
-    known_lang = {"iso3", "style", "family", "vocabulary_size", "markers"}
     langs = []
-    for entry in raw.get("languages", []):
-        extra = set(entry) - known_lang
-        if extra:
-            raise ConfigError(f"unknown language keys: {sorted(extra)}")
-        markers = entry.get("markers")
-        if markers is not None:
-            markers = tuple(
-                (f, tuple(v)) for f, v in sorted(markers.items())
-            )
-        langs.append(
-            LanguageSpec(
-                entry["iso3"],
-                entry["style"],
-                entry["family"],
-                entry.get("vocabulary_size", 60),
-                markers,
-            )
-        )
-    known = {
-        "n_verses", "features", "languages", "query_iso3", "query_forms",
-        "marker_drop", "jitter", "family_keep", "verse_missing",
-        "min_words", "max_words", "seed",
-    }
-    extra = set(raw) - known
-    if extra:
-        raise ConfigError(f"unknown synth spec keys: {sorted(extra)}")
     try:
-        spec = SynthSpec(
-            n_verses=raw["n_verses"],
-            features=tuple((f, float(p)) for f, p in raw["features"]),
-            languages=tuple(langs),
-            query_iso3=raw["query_iso3"],
-            query_forms=raw.get("query_forms", 2),
-            marker_drop=raw.get("marker_drop", 0.0),
-            jitter=raw.get("jitter", 1.0),
-            family_keep=raw.get("family_keep", 1.0),
-            verse_missing=raw.get("verse_missing", 0.0),
-            min_words=raw.get("min_words", 5),
-            max_words=raw.get("max_words", 9),
-            seed=raw.get("seed", 0),
-        )
+        for entry in raw.get("languages", []):
+            extra = set(entry) - {f.name for f in fields(LanguageSpec)}
+            if extra:
+                raise ConfigError(f"unknown language keys: {sorted(extra)}")
+            markers = entry.get("markers")
+            if markers is not None:
+                markers = tuple((f, tuple(v)) for f, v in sorted(markers.items()))
+            langs.append(LanguageSpec(**{**entry, "markers": markers}))
+        extra = set(raw) - {f.name for f in fields(SynthSpec)}
+        if extra:
+            raise ConfigError(f"unknown synth spec keys: {sorted(extra)}")
+        features = tuple((f, float(p)) for f, p in raw["features"])
+        spec = SynthSpec(**{**raw, "features": features, "languages": tuple(langs)})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad synth spec: {exc}") from exc
     spec.validate()

@@ -1,0 +1,59 @@
+"""Text file I/O shared by every reader and writer of the package.
+
+Reads turn a missing or undecodable file into DataError, so a bad input
+path is a data problem (exit code 3) rather than a traceback. Writes go to
+a temporary file in the destination directory that is then renamed over
+the destination, so a reader never sees a partly written file. Each file
+format keeps its own parse loop; only the file access lives here.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
+
+from .errors import DataError
+
+
+def read_text(path: str | Path) -> str:
+    """Whole UTF-8 file; DataError when it cannot be opened or decoded."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """Lines of a UTF-8 file without their line endings."""
+    return read_text(path).splitlines()
+
+
+def write_text(path: str | Path, text: str) -> Path:
+    """Atomically replace path with text (UTF-8).
+
+    The temporary name carries the process id, so two processes writing
+    the same path (say, runs sharing an alignment cache) never write into
+    one temporary file. It is opened with plain open() so the result gets
+    the usual umask-derived permissions.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def write_lines(path: str | Path, lines) -> Path:
+    """Write lines joined by newlines, with a final newline."""
+    return write_text(path, "\n".join(lines) + "\n")
+
+
+def write_json(path: str | Path, obj) -> Path:
+    """Write obj as indented, key-sorted JSON with a final newline."""
+    return write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")

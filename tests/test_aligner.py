@@ -12,7 +12,6 @@ from pivotmine.aligner import (
     diagonal_prior,
     link_counts,
     load_lex_table,
-    merge_by_iso3,
     save_lex_table,
     train_alignment,
     train_pair,
@@ -220,17 +219,3 @@ class TestLinkCounts:
     def test_unknown_translation(self, pair_corpus):
         with pytest.raises(DataError):
             link_counts(pair_corpus, "zzz_nope", "x")
-
-    def test_merge_by_iso3_pools_translations(self, pair_corpus):
-        extra = pair_corpus.with_translation(
-            pair_corpus.translations["bbb_tgt"].__class__(
-                "bbb_other", "bbb", dict(pair_corpus.translations["bbb_tgt"].verses)
-            )
-        ).select(40)
-        stats = link_counts(extra, "aaa_src", "src0")
-        merged = merge_by_iso3(stats, extra)
-        assert set(merged) == {"bbb"}
-        assert (
-            merged["bbb"].total_links
-            == stats["bbb_tgt"].total_links + stats["bbb_other"].total_links
-        )

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from pivotmine.cli import main
-from pivotmine.config import RunConfig, load_config, save_config
+from pivotmine.config import RunConfig, load_config
 from pivotmine.errors import ConfigError
 from pivotmine.synth import LanguageSpec, SynthSpec, write_synth
 
@@ -14,7 +14,7 @@ class TestConfig:
     def test_save_load_round_trip(self, tmp_path):
         cfg = RunConfig(k=7, sigma=4.5, corpus_dir="/tmp/x", map_policy="largest")
         path = tmp_path / "cfg.json"
-        save_config(cfg, path)
+        path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
         assert load_config(path) == cfg
 
     def test_unknown_key(self, tmp_path):
@@ -29,6 +29,7 @@ class TestConfig:
             '{"top": true}',
             '{"sigma": "6"}',
             '{"corpus_dir": 5}',
+            '{"k": null}',
             '[1, 2]',
             'not json',
         ):
@@ -150,6 +151,30 @@ class TestExitCodes:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"corpus_dir": str(empty)}), encoding="utf-8")
         code = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 3
+
+    @pytest.mark.parametrize(
+        "config_key, argv",
+        [
+            ("queries", ["head-pivot", "--feature", "past"]),
+            ("allowlist", ["head-pivot", "--feature", "past"]),
+            ("families", ["ingest"]),
+            ("gold", ["eval-mrr", "--features", "past", "--from", "."]),
+            (None, ["mine-ngrams", "--feature", "past", "--pivots", "{missing}"]),
+            (None, ["eval-family", "--distances", "{missing}"]),
+            (None, ["project", "--verses", "{missing}", "--translation", "naa_synth"]),
+        ],
+        ids=["queries", "allowlist", "families", "gold", "pivots", "distances", "verses"],
+    )
+    def test_missing_data_file_is_data_error(self, workspace, tmp_path, config_key, argv):
+        _, _, config, _ = workspace
+        missing = str(tmp_path / "absent.tsv")
+        if config_key:
+            config = dict(config, **{config_key: missing})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        argv = [missing if a == "{missing}" else a for a in argv]
+        code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 3
 
     def test_no_out_anywhere(self, workspace):

@@ -294,3 +294,18 @@ class TestCorpusMethods:
         corpus = make_corpus({"aaa_t": {"00000001": "a b"}}, select=False)
         first = corpus.tokenized("aaa_t")
         assert corpus.tokenized("aaa_t") is first
+
+    def test_with_translation_shares_cache_but_not_replaced_entry(self):
+        corpus = make_corpus(
+            {"aaa_t": {"00000001": "a b"}, "bbb_t": {"00000001": "c d"}}, select=False
+        )
+        original = corpus.tokenized("aaa_t")
+        copy = corpus.with_translation(Translation("aaa_t", "aaa", {"00000001": "x y"}))
+        # a tokenization made on one copy is reused by the other
+        kept = copy.tokenized("bbb_t")
+        assert corpus.tokenized("bbb_t") is kept
+        # the replaced translation is tokenized afresh on each side
+        assert copy.tokenized("aaa_t")["00000001"].surfaces == ["x", "y"]
+        again = corpus.tokenized("aaa_t")
+        assert again["00000001"].surfaces == ["a", "b"]
+        assert again == original

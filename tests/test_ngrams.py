@@ -13,7 +13,6 @@ from pivotmine.ngrams import (
     accumulate_profile,
     escape_gram,
     mine_ngrams,
-    ngram_occurrences,
     pivot_relative_positions,
     position_profile,
     read_ngrams_tsv,
@@ -24,6 +23,17 @@ from pivotmine.pivots import Pivot, PivotSet, presence_vector
 from pivotmine.synth import generate, preset_tiny8
 
 PEAK = 1.0 / (6.0 * math.sqrt(2.0 * math.pi))
+
+
+def ngram_occurrences(text: str, n: int) -> list[tuple[str, int]]:
+    """All length-n character substrings with start offsets.
+
+    No tokenization: spaces are characters, grams cross token boundaries.
+    Brute-force oracle for the windowed counting in _window_gram_counts.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return [(text[s : s + n], s) for s in range(len(text) - n + 1)]
 
 
 class TestOccurrences:

@@ -287,7 +287,7 @@ class TestFiles:
         other = Pivot("aaa", "aaa_t", "ti", 9.0, pa, ma)
         ps = PivotSet("past", head, [other, head], 2)
         path = tmp_path / "pivots.tsv"
-        write_pivots_tsv(ps, path)
+        write_pivots_tsv(ps.members, path)
         text = path.read_text()
         assert text.startswith("rank\tiso3\ttranslation\tsurface\tchi2\n")
         assert "1\taaa\taaa_t\tti\t9\n" in text

@@ -1,0 +1,42 @@
+"""Shared text I/O: data errors on read, atomic replacement on write."""
+
+import os
+
+import pytest
+
+from pivotmine.errors import DataError
+from pivotmine.textio import read_lines, write_lines, write_text
+
+
+class TestRead:
+    def test_missing_and_undecodable_files_are_data_errors(self, tmp_path):
+        with pytest.raises(DataError):
+            read_lines(tmp_path / "absent.txt")
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("caf\xe9\n".encode("latin-1"))
+        with pytest.raises(DataError):
+            read_lines(latin1)
+
+
+class TestAtomicWrite:
+    def test_failed_replace_keeps_old_file_and_leaves_no_temp(
+        self, tmp_path, monkeypatch
+    ):
+        path = write_lines(tmp_path / "artifact.tsv", ["old"])
+
+        def fail(src, dst):
+            raise OSError("simulated failure")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            write_text(path, "new\n")
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.tsv"]
+
+    def test_permissions_follow_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            path = write_text(tmp_path / "artifact.txt", "x")
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == 0o640
