@@ -5,17 +5,26 @@ a diagonal position prior (relative-position mismatch penalized by a fixed
 tension, plus a fixed null-alignment mass), then decoded with a one-best
 link per target token. The pipeline only consumes aggregate link counts,
 so that is the main entry point here.
+
+Both EM and decoding run on one array encoding of a pair's verses (see
+PairEncoding): every co-occurring (source word, target word) pair is a
+cell with an int32 id, and verse pairs of the same shape form one block
+that shares one prior matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .corpus import MultiCorpus
 from .errors import DataError
@@ -28,7 +37,10 @@ logger = logging.getLogger(__name__)
 # in-memory we key the null row by None.
 NULL_SURFACE = ""
 
-CACHE_FORMAT = "lex-tsv-1"
+CACHE_FORMAT = "lex-tsv-2"
+
+# A cached table whose rows do not sum to 1 within this is corrupt.
+ROW_SUM_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -81,17 +93,19 @@ def diagonal_prior(
     return [w * scale for w in ws]
 
 
-_PRIOR_CACHE: dict[tuple, list[list[float]]] = {}
+@functools.lru_cache(maxsize=1024)
+def _prior_matrix(src_len: int, tgt_len: int, cfg: AlignerConfig) -> np.ndarray:
+    """Read-only (tgt_len, src_len + 1) prior of one verse shape.
 
-
-def _prior_matrix(src_len: int, tgt_len: int, cfg: AlignerConfig) -> list[list[float]]:
-    """Rows of diagonal_prior for every target position, memoized."""
-    key = (src_len, tgt_len, cfg.diagonal_tension, cfg.null_prob)
-    cached = _PRIOR_CACHE.get(key)
-    if cached is None:
-        cached = [diagonal_prior(src_len, tgt_len, j, cfg) for j in range(tgt_len)]
-        _PRIOR_CACHE[key] = cached
-    return cached
+    Column 0 is null_prob; columns 1.. of row j are diagonal_prior for
+    target position j, value for value.
+    """
+    m = np.empty((tgt_len, src_len + 1))
+    m[:, 0] = cfg.null_prob
+    for j in range(tgt_len):
+        m[j, 1:] = diagonal_prior(src_len, tgt_len, j, cfg)
+    m.setflags(write=False)
+    return m
 
 
 def _surfaces(verse) -> list[str]:
@@ -100,85 +114,168 @@ def _surfaces(verse) -> list[str]:
     return list(verse)
 
 
+@dataclass(frozen=True)
+class PairEncoding:
+    """Verse pairs as int32 cell ids, in blocks of one verse shape.
+
+    Source word ids start at 1; id 0 is the null word. Word ids follow
+    first occurrence, and cells (co-occurring source and target ids,
+    null included) are numbered in (source id, target id) order. The
+    block of shape (src_len, tgt_len) holding n verse pairs is an
+    (n, tgt_len, src_len + 1) slice of cells: entry [v, j, 0] is the cell
+    of (null, target token j) and entry [v, j, i + 1] the cell of
+    (source token i, target token j) in the block's verse pair v.
+    """
+
+    src_words: list[str | None]
+    tgt_words: list[str]
+    cell_src: np.ndarray
+    cell_tgt: np.ndarray
+    cells: np.ndarray
+    blocks: list[tuple[int, int, int, int]]  # (offset, n, src_len, tgt_len)
+
+    def views(self, values: np.ndarray):
+        """(src_len, tgt_len, block) for each block of a per-entry array."""
+        for offset, n, s, t in self.blocks:
+            size = n * t * (s + 1)
+            yield s, t, values[offset : offset + size].reshape(n, t, s + 1)
+
+
+def _word_ids(verses: list[list[str]], first: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """Words in first-occurrence order, with the id (from first) of every
+    token and the start of every verse in the flat token array."""
+    flat = list(chain.from_iterable(verses))
+    words = list(dict.fromkeys(flat))
+    index = {w: i for i, w in enumerate(words, first)}
+    ids = np.fromiter(map(index.__getitem__, flat), np.int64, len(flat))
+    lengths = np.fromiter(map(len, verses), np.int64, len(verses))
+    return words, ids, np.cumsum(lengths) - lengths
+
+
+def encode_pairs(pairs) -> PairEncoding:
+    """Encode (source, target) verse pairs; pairs with an empty side are
+    skipped, and DataError is raised if none remains."""
+    srcs: list[list[str]] = []
+    tgts: list[list[str]] = []
+    skipped = 0
+    for src, tgt in pairs:
+        s = _surfaces(src)
+        t = _surfaces(tgt)
+        if s and t:
+            srcs.append(s)
+            tgts.append(t)
+        else:
+            skipped += 1
+    if not srcs:
+        raise DataError("no non-empty verse pairs to train on")
+    if skipped:
+        logger.debug("alignment training skipped %d empty pairs", skipped)
+    src_words, src_ids, src_start = _word_ids(srcs, 1)
+    tgt_words, tgt_ids, tgt_start = _word_ids(tgts, 0)
+    n_tgt = len(tgt_words)
+
+    shape = np.array([(len(s), len(t)) for s, t in zip(srcs, tgts)])
+    order = np.lexsort((shape[:, 1], shape[:, 0]))
+    cuts = np.flatnonzero(np.any(np.diff(shape[order], axis=0), axis=1)) + 1
+    keys = []
+    blocks = []
+    offset = 0
+    for rows in np.split(order, cuts):
+        s_len, t_len = shape[rows[0]].tolist()
+        src = np.zeros((len(rows), s_len + 1), dtype=np.int64)
+        src[:, 1:] = src_ids[src_start[rows, None] + np.arange(s_len)]
+        tgt = tgt_ids[tgt_start[rows, None] + np.arange(t_len)]
+        key = (src[:, None, :] * n_tgt + tgt[:, :, None]).ravel()
+        keys.append(key)
+        blocks.append((offset, len(rows), s_len, t_len))
+        offset += key.size
+    uniq, cells = np.unique(np.concatenate(keys), return_inverse=True)
+    return PairEncoding(
+        src_words=[None, *src_words],
+        tgt_words=tgt_words,
+        cell_src=(uniq // n_tgt).astype(np.int32),
+        cell_tgt=(uniq % n_tgt).astype(np.int32),
+        cells=cells.astype(np.int32).ravel(),
+        blocks=blocks,
+    )
+
+
+def _em(enc: PairEncoding, cfg: AlignerConfig) -> tuple[np.ndarray, list[float]]:
+    """Per-cell probabilities after EM, and the log-likelihood at the
+    start of each iteration."""
+    n_cells = len(enc.cell_src)
+    # Uniform init over the target words co-occurring with each source word.
+    table = 1.0 / np.bincount(enc.cell_src)[enc.cell_src]
+    priors = [_prior_matrix(s, t, cfg) for _, _, s, t in enc.blocks]
+    w = np.empty(len(enc.cells))
+    lls: list[float] = []
+    for _ in range(cfg.em_iterations):
+        np.take(table, enc.cells, out=w)
+        ll = 0.0
+        for prior, (_, _, block) in zip(priors, enc.views(w)):
+            block *= prior
+            denom = block.sum(axis=2)
+            ll += float(np.log(denom).sum())
+            block *= (1.0 / denom)[..., None]
+        lls.append(ll)
+        counts = np.bincount(enc.cells, w, minlength=n_cells)
+        totals = np.bincount(enc.cell_src, counts)[enc.cell_src]
+        # A row without posterior mass keeps its previous probabilities.
+        filled = totals > 0
+        table[filled] = counts[filled] * (1.0 / totals[filled])
+    return table, lls
+
+
+def _lex_table(enc: PairEncoding, probs: np.ndarray, lls: list[float]) -> LexTable:
+    t: dict[str | None, dict[str, float]] = {word: {} for word in enc.src_words}
+    for e, f, p in zip(enc.cell_src.tolist(), enc.cell_tgt.tolist(), probs.tolist()):
+        t[enc.src_words[e]][enc.tgt_words[f]] = p
+    return LexTable(t, lls)
+
+
+def _cell_probs(enc: PairEncoding, lex: LexTable) -> np.ndarray:
+    """Probability of every cell under lex; 0 where lex lacks the cell."""
+    rows = [lex.t.get(word, {}) for word in enc.src_words]
+    tgt_words = enc.tgt_words
+    return np.array(
+        [
+            rows[e].get(tgt_words[f], 0.0)
+            for e, f in zip(enc.cell_src.tolist(), enc.cell_tgt.tolist())
+        ],
+        dtype=float,
+    )
+
+
 def train_alignment(pairs, cfg: AlignerConfig | None = None) -> LexTable:
     """EM-train a lexical table from (source, target) verse pairs.
 
     Each pair is a TokenizedVerse pair or a plain pair of token lists.
     Pairs with an empty side are skipped; raises DataError if nothing
     remains. The null source word co-occurs with every target word.
+    pairs may also be their PairEncoding.
     """
     cfg = cfg or AlignerConfig()
     cfg.validate()
-    src_ids: dict[str, int] = {}
-    tgt_ids: dict[str, int] = {}
-    id_pairs: list[tuple[list[int], list[int]]] = []
-    skipped = 0
-    for src, tgt in pairs:
-        s = _surfaces(src)
-        t = _surfaces(tgt)
-        if not s or not t:
-            skipped += 1
-            continue
-        id_pairs.append(
-            (
-                [src_ids.setdefault(w, len(src_ids) + 1) for w in s],
-                [tgt_ids.setdefault(w, len(tgt_ids)) for w in t],
-            )
-        )
-    if not id_pairs:
-        raise DataError("no non-empty verse pairs to train on")
-    if skipped:
-        logger.debug("alignment training skipped %d empty pairs", skipped)
+    enc = pairs if isinstance(pairs, PairEncoding) else encode_pairs(pairs)
+    return _lex_table(enc, *_em(enc, cfg))
 
-    n_src = len(src_ids) + 1  # id 0 is the null word
-    # Uniform init over the target words co-occurring with each source word.
-    cooc: list[set[int]] = [set() for _ in range(n_src)]
-    for s_ids, t_ids in id_pairs:
-        for f in t_ids:
-            cooc[0].add(f)
-            for e in s_ids:
-                cooc[e].add(f)
-    table: list[dict[int, float]] = []
-    for e in range(n_src):
-        u = 1.0 / len(cooc[e]) if cooc[e] else 0.0
-        table.append({f: u for f in sorted(cooc[e])})
 
-    null_p = cfg.null_prob
-    lls: list[float] = []
-    for _ in range(cfg.em_iterations):
-        counts: list[dict[int, float]] = [dict() for _ in range(n_src)]
-        ll = 0.0
-        for s_ids, t_ids in id_pairs:
-            priors = _prior_matrix(len(s_ids), len(t_ids), cfg)
-            null_row = table[0]
-            for j, f in enumerate(t_ids):
-                pr = priors[j]
-                w_null = null_p * null_row.get(f, 0.0)
-                ws = [pr[i] * table[e].get(f, 0.0) for i, e in enumerate(s_ids)]
-                denom = w_null + sum(ws)
-                ll += math.log(denom)
-                inv = 1.0 / denom
-                c0 = counts[0]
-                c0[f] = c0.get(f, 0.0) + w_null * inv
-                for i, e in enumerate(s_ids):
-                    ce = counts[e]
-                    ce[f] = ce.get(f, 0.0) + ws[i] * inv
-        lls.append(ll)
-        for e in range(n_src):
-            total = sum(counts[e].values())
-            if total > 0:
-                row = table[e]
-                inv = 1.0 / total
-                for f in row:
-                    row[f] = counts[e].get(f, 0.0) * inv
+def _viterbi(enc: PairEncoding, probs: np.ndarray, cfg: AlignerConfig) -> list[np.ndarray]:
+    """Per block, the (n, tgt_len) source position linked to each target
+    token, or -1 for no link.
 
-    tgt_names = {i: w for w, i in tgt_ids.items()}
-    src_names: dict[int, str | None] = {i: w for w, i in src_ids.items()}
-    src_names[0] = None
-    out: dict[str | None, dict[str, float]] = {}
-    for e in range(n_src):
-        out[src_names[e]] = {tgt_names[f]: p for f, p in table[e].items()}
-    return LexTable(out, lls)
+    Each target token takes its best source position under prior * t,
+    the leftmost on a tie, and links only when that weight strictly
+    exceeds the null word's.
+    """
+    w = probs[enc.cells]
+    out = []
+    for s, t, block in enc.views(w):
+        block *= _prior_matrix(s, t, cfg)
+        best = block[..., 1:].argmax(axis=2)
+        w_best = np.take_along_axis(block, best[..., None] + 1, axis=2)[..., 0]
+        out.append(np.where(w_best > block[..., 0], best, -1))
+    return out
 
 
 def viterbi_align(lex: LexTable, source, target, cfg: AlignerConfig | None = None):
@@ -191,26 +288,11 @@ def viterbi_align(lex: LexTable, source, target, cfg: AlignerConfig | None = Non
     to the leftmost.
     """
     cfg = cfg or AlignerConfig()
-    src = _surfaces(source)
-    tgt = _surfaces(target)
-    links: list[tuple[int, int]] = []
-    if not src or not tgt:
-        return links
-    null_row = lex.t.get(None, {})
-    rows = [lex.t.get(e, {}) for e in src]
-    priors = _prior_matrix(len(src), len(tgt), cfg)
-    for j, f in enumerate(tgt):
-        pr = priors[j]
-        best = cfg.null_prob * null_row.get(f, 0.0)
-        best_i = -1
-        for i, row in enumerate(rows):
-            w = pr[i] * row.get(f, 0.0)
-            if w > best:
-                best = w
-                best_i = i
-        if best_i >= 0:
-            links.append((best_i, j))
-    return links
+    if not _surfaces(source) or not _surfaces(target):
+        return []
+    enc = encode_pairs([(source, target)])
+    (positions,) = _viterbi(enc, _cell_probs(enc, lex), cfg)
+    return [(i, j) for j, i in enumerate(positions[0].tolist()) if i >= 0]
 
 
 @dataclass
@@ -227,6 +309,36 @@ class PairLinkStats:
     source_word_links: int = 0
     target_word_links: Counter = field(default_factory=Counter)
     total_links: int = 0
+
+
+def _link_stats(
+    enc: PairEncoding, probs: np.ndarray, cfg: AlignerConfig, source_word: str
+) -> PairLinkStats:
+    """Tally the Viterbi links of every verse pair of enc."""
+    linked = [
+        np.take_along_axis(block, positions[..., None] + 1, axis=2)[positions >= 0, 0]
+        for positions, (_, _, block) in zip(_viterbi(enc, probs, cfg), enc.views(enc.cells))
+    ]
+    link_cells = np.concatenate(linked)
+    tgt = enc.cell_tgt[link_cells]
+    n_tgt = len(enc.tgt_words)
+    all_links = np.bincount(tgt, minlength=n_tgt)
+    try:
+        word_id = enc.src_words.index(source_word, 1)
+    except ValueError:
+        word_id = -1
+    from_word = np.bincount(tgt[enc.cell_src[link_cells] == word_id], minlength=n_tgt)
+
+    def counter(counts: np.ndarray) -> Counter:
+        return Counter({enc.tgt_words[f]: c for f, c in enumerate(counts.tolist()) if c})
+
+    return PairLinkStats(
+        source_word,
+        counter(from_word),
+        int(from_word.sum()),
+        counter(all_links),
+        len(link_cells),
+    )
 
 
 def _verse_pairs(corpus: MultiCorpus, src_id: str, tgt_id: str):
@@ -269,36 +381,53 @@ def _pair_cache_key(
 
 
 def save_lex_table(lex: LexTable, path: Path, key: str) -> None:
-    lines = [f"# {CACHE_FORMAT} key={key}"]
+    """Write the table: a header with the key and the EM log-likelihoods,
+    one ``source<TAB>target<TAB>p`` line per cell, and a footer with the
+    cell count."""
+    lls = ",".join(repr(x) for x in lex.log_likelihoods)
+    lines = [f"# {CACHE_FORMAT} key={key} lls={lls}"]
     for src, row in lex.t.items():
         sname = NULL_SURFACE if src is None else src
         for tgt, p in row.items():
             lines.append(f"{sname}\t{tgt}\t{p!r}")
+    lines.append(f"# cells={len(lines) - 1}")
     write_lines(path, lines)
 
 
 def load_lex_table(path: Path, key: str) -> LexTable | None:
-    """Load a cached table, or None when missing, stale, or corrupt."""
+    """Load a cached table, or None when missing, stale, or corrupt.
+
+    A file is corrupt (and a warning logged) when a line does not parse,
+    the footer's cell count is missing or wrong, or a row does not sum
+    to 1.
+    """
     try:
         lines = read_lines(path)
     except DataError:
         return None
-    if not lines or lines[0] != f"# {CACHE_FORMAT} key={key}":
+    prefix = f"# {CACHE_FORMAT} key={key} lls="
+    if not lines or not lines[0].startswith(prefix):
         return None
     t: dict[str | None, dict[str, float]] = {}
     try:
-        for line in lines[1:]:
-            if not line:
-                continue
+        lls_text = lines[0][len(prefix) :]
+        lls = [float(x) for x in lls_text.split(",")] if lls_text else []
+        body = [line for line in lines[1:] if line]
+        if not body or body[-1] != f"# cells={len(body) - 1}":
+            raise ValueError("cell count footer missing or wrong")
+        for line in body[:-1]:
             sname, tgt, p = line.split("\t")
             src = None if sname == NULL_SURFACE else sname
             t.setdefault(src, {})[tgt] = float(p)
-    except ValueError:
-        logger.warning("corrupt alignment cache %s, recomputing", path)
+        for src, row in t.items():
+            if abs(sum(row.values()) - 1.0) > ROW_SUM_TOLERANCE:
+                raise ValueError(f"row {src!r} does not sum to 1")
+    except ValueError as exc:
+        logger.warning("corrupt alignment cache %s (%s), recomputing", path, exc)
         return None
     if not t:
         return None
-    return LexTable(t)
+    return LexTable(t, lls)
 
 
 def train_pair(
@@ -307,10 +436,16 @@ def train_pair(
     tgt_id: str,
     cfg: AlignerConfig,
     cache_dir: str | Path | None = None,
+    encoding: PairEncoding | None = None,
 ) -> LexTable:
-    """Train (or load from cache) the lexical table for one pair."""
+    """Train (or load from cache) the lexical table for one pair.
+
+    encoding, when given, is the PairEncoding of the pair's verse pairs,
+    so that training need not encode them again.
+    """
+    pairs = encoding if encoding is not None else _verse_pairs(corpus, src_id, tgt_id)
     if cache_dir is None:
-        return train_alignment(_verse_pairs(corpus, src_id, tgt_id), cfg)
+        return train_alignment(pairs, cfg)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     key = _pair_cache_key(corpus, src_id, tgt_id, cfg)
@@ -318,7 +453,7 @@ def train_pair(
     cached = load_lex_table(path, key)
     if cached is not None:
         return cached
-    lex = train_alignment(_verse_pairs(corpus, src_id, tgt_id), cfg)
+    lex = train_alignment(pairs, cfg)
     save_lex_table(lex, path, key)
     return lex
 
@@ -364,15 +499,7 @@ def link_counts(
                 tgt_id,
             )
             continue
-        lex = train_pair(corpus, source_translation_id, tgt_id, cfg, cache_dir)
-        stats = PairLinkStats(source_word)
-        for src, tgt in pairs:
-            for i, j in viterbi_align(lex, src, tgt, cfg):
-                f = tgt[j]
-                stats.target_word_links[f] += 1
-                stats.total_links += 1
-                if src[i] == source_word:
-                    stats.source_word_to_target[f] += 1
-                    stats.source_word_links += 1
-        out[tgt_id] = stats
+        enc = encode_pairs(pairs)
+        lex = train_pair(corpus, source_translation_id, tgt_id, cfg, cache_dir, enc)
+        out[tgt_id] = _link_stats(enc, _cell_probs(enc, lex), cfg, source_word)
     return out

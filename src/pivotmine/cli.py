@@ -91,8 +91,8 @@ def _head_from_json(corpus: MultiCorpus, path: str | Path) -> Pivot:
 
 
 def stage_synth(spec: SynthSpec, out: Path) -> tuple[MultiCorpus, list[Path]]:
-    corpus, _ = write_synth(spec, out)
-    return corpus, [p for p in out.rglob("*") if p.is_file()]
+    corpus, _, written = write_synth(spec, out)
+    return corpus, written
 
 
 def stage_ingest(cfg: RunConfig, corpus: MultiCorpus, out: Path) -> list[Path]:

@@ -209,7 +209,10 @@ def read_distance_tsv(path: str | Path) -> DistanceMatrix:
         parts = raw.split("\t")
         if len(parts) != len(labels) + 1:
             raise DataError(f"malformed distance row: {raw!r}")
-        rows.append([float(x) for x in parts[1:]])
+        try:
+            rows.append([float(x) for x in parts[1:]])
+        except ValueError:
+            raise DataError(f"malformed distance row: {raw!r}") from None
     return DistanceMatrix(labels, np.array(rows))
 
 

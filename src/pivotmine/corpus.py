@@ -38,7 +38,7 @@ class TokenizerPolicy:
     lowercase: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """A token surface with its character span in the original verse text.
 
@@ -51,7 +51,7 @@ class Token:
     end: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenizedVerse:
     tokens: tuple[Token, ...]
     text_len: int

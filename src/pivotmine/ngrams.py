@@ -278,6 +278,9 @@ def read_ngrams_tsv(path: str | Path) -> dict[int, list[str]]:
         parts = raw.split("\t")
         if len(parts) != 6:
             raise DataError(f"malformed n-gram line: {raw!r}")
-        n = int(parts[0])
+        try:
+            n = int(parts[0])
+        except ValueError:
+            raise DataError(f"malformed n-gram line: {raw!r}") from None
         out.setdefault(n, []).append(unescape_gram(parts[2]))
     return out

@@ -160,9 +160,10 @@ def find_head_pivot(
     """Find the best-associated allowlisted word for a feature query.
 
     Multi-form queries are first merged into one synthetic token in the
-    query translation. Raises DataError when no allowlisted candidate has
-    a positive score; the error lists the top-scoring candidates overall
-    so the allowlist can be revisited.
+    query translation, which is aligned against the allowlisted
+    translations only. Raises DataError when no allowlisted candidate has
+    a positive score; the error then aligns every translation and lists
+    the top-scoring candidates overall so the allowlist can be revisited.
     """
     if not allowlist:
         raise DataError("head pivot search needs a non-empty language allowlist")
@@ -175,14 +176,22 @@ def find_head_pivot(
         trans, forms, synthetic, corpus.policy_for(query.translation_id)
     )
     work = corpus.with_translation(merged)
-    stats = link_counts(work, query.translation_id, synthetic, cfg, cache_dir=cache_dir)
-    candidates = score_candidates(work, stats, min_count)
-    allowed = [
-        c for c in candidates if c.iso3 in allowlist and c.score > 0
+
+    def candidates_in(targets: list[str] | None) -> list[Candidate]:
+        stats = link_counts(
+            work, query.translation_id, synthetic, cfg, targets, cache_dir
+        )
+        return score_candidates(work, stats, min_count)
+
+    # Each target is scored on its own, so aligning only the allowlisted
+    # ones finds the same head.
+    allowed_targets = [
+        tid for tid, t in work.translations.items() if t.iso3 in allowlist
     ]
+    allowed = [c for c in candidates_in(allowed_targets) if c.score > 0]
     if not allowed:
         preview = ", ".join(
-            f"{c.iso3}:{c.surface}({c.score:.1f})" for c in candidates[:10]
+            f"{c.iso3}:{c.surface}({c.score:.1f})" for c in candidates_in(None)[:10]
         )
         raise DataError(
             f"no allowlisted head pivot for feature {query.feature!r}; "

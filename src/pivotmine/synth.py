@@ -305,37 +305,41 @@ def generate(spec: SynthSpec) -> tuple[MultiCorpus, dict]:
 # --- on-disk form ----------------------------------------------------------
 
 
-def write_synth(spec: SynthSpec, out_dir: str | Path) -> tuple[MultiCorpus, dict]:
+def write_synth(
+    spec: SynthSpec, out_dir: str | Path
+) -> tuple[MultiCorpus, dict, list[Path]]:
     """Generate and write corpus plus companion files under out_dir.
 
     Layout: corpus/{iso3}_synth.txt, ground_truth.json, queries.tsv,
     allowlist.txt (non-query particle languages), gold.tsv (planted
     marker forms per marking translation and feature), families.tsv.
+    Returns the corpus, its ground truth and the paths written.
     """
     corpus, truth = generate(spec)
     out_dir = Path(out_dir)
     corpus_dir = out_dir / "corpus"
     corpus_dir.mkdir(parents=True, exist_ok=True)
+    written = []
     for tid in sorted(corpus.translations):
         trans = corpus.translations[tid]
-        write_lines(
+        written.append(write_lines(
             corpus_dir / f"{tid}.txt",
             (f"{vid}\t{trans.verses[vid]}" for vid in sorted(trans.verses)),
-        )
-    write_json(out_dir / "ground_truth.json", truth)
+        ))
+    written.append(write_json(out_dir / "ground_truth.json", truth))
     feature_names = [f for f, _ in spec.features]
     query = truth["query"]
     qlines = [
         f"{f}\t{query['translation_id']}\t{','.join(query['forms'][f])}"
         for f in feature_names
     ]
-    write_lines(out_dir / "queries.tsv", qlines)
+    written.append(write_lines(out_dir / "queries.tsv", qlines))
     allow = [
         l.iso3
         for l in spec.languages
         if l.style == "particle" and l.iso3 != spec.query_iso3
     ]
-    write_lines(out_dir / "allowlist.txt", allow)
+    written.append(write_lines(out_dir / "allowlist.txt", allow))
     glines = []
     for lang in spec.languages:
         info = truth["languages"][lang.iso3]
@@ -343,10 +347,10 @@ def write_synth(spec: SynthSpec, out_dir: str | Path) -> tuple[MultiCorpus, dict
             forms = info["markers"].get(f)
             if forms:
                 glines.append(f"{info['translation_id']}\t{f}\t{','.join(forms)}")
-    write_lines(out_dir / "gold.tsv", glines)
+    written.append(write_lines(out_dir / "gold.tsv", glines))
     flines = [f"{l.iso3}\t{l.family}" for l in spec.languages]
-    write_lines(out_dir / "families.tsv", flines)
-    return corpus, truth
+    written.append(write_lines(out_dir / "families.tsv", flines))
+    return corpus, truth, written
 
 
 def _iso_series(letter: str, count: int) -> list[str]:

@@ -2,14 +2,27 @@
 
 import logging
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import aligner_oracle as oracle
 from helpers import make_corpus
 from pivotmine.aligner import (
+    CACHE_FORMAT,
     AlignerConfig,
     LexTable,
+    PairLinkStats,
+    _cell_probs,
+    _pair_cache_key,
+    _prior_matrix,
+    _verse_pairs,
+    _viterbi,
     diagonal_prior,
+    encode_pairs,
     link_counts,
     load_lex_table,
     save_lex_table,
@@ -18,6 +31,7 @@ from pivotmine.aligner import (
     viterbi_align,
 )
 from pivotmine.errors import DataError
+from pivotmine.synth import generate, preset_marking24, preset_tiny8
 
 TOY_PAIRS = [
     (["the", "house"], ["la", "maison"]),
@@ -56,6 +70,23 @@ class TestDiagonalPrior:
     def test_zero_tension_is_uniform(self):
         ws = diagonal_prior(4, 6, 3, AlignerConfig(diagonal_tension=0.0))
         assert ws == pytest.approx([ws[0]] * 4)
+
+
+class TestPriorMatrix:
+    def test_rows_equal_diagonal_prior_exactly(self):
+        cfg = AlignerConfig()
+        for src_len, tgt_len in [(1, 1), (5, 7), (12, 4)]:
+            m = _prior_matrix(src_len, tgt_len, cfg)
+            assert m.shape == (tgt_len, src_len + 1)
+            for j in range(tgt_len):
+                assert m[j, 0] == cfg.null_prob
+                assert m[j, 1:].tolist() == diagonal_prior(src_len, tgt_len, j, cfg)
+
+    def test_read_only_and_bounded(self):
+        m = _prior_matrix(3, 4, AlignerConfig())
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+        assert _prior_matrix.cache_info().maxsize is not None
 
 
 class TestTrainAlignment:
@@ -157,6 +188,65 @@ class TestCache:
         assert loaded is not None
         assert loaded.t == lex.t
 
+    def test_round_trip_keeps_log_likelihoods_and_ends_with_cell_count(self, tmp_path):
+        lex = train_alignment(TOY_PAIRS)
+        path = tmp_path / "pair.lex.tsv"
+        save_lex_table(lex, path, "k1")
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith(f"# {CACHE_FORMAT} key=k1 lls=")
+        assert lines[-1] == f"# cells={sum(len(row) for row in lex.t.values())}"
+        loaded = load_lex_table(path, "k1")
+        assert loaded.log_likelihoods == lex.log_likelihoods
+
+    def test_earlier_format_is_a_silent_miss(self, tmp_path, caplog):
+        path = tmp_path / "pair.lex.tsv"
+        path.write_text("# lex-tsv-1 key=k1\n\tla\t1.0\nthe\tla\t1.0\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            assert load_lex_table(path, "k1") is None
+        assert caplog.text == ""
+
+    @pytest.mark.parametrize("damage", ["cut-mid-number", "cut-at-line", "digits-dropped"])
+    def test_damaged_cache_recomputed_with_warning(
+        self, pair_corpus, tmp_path, caplog, damage
+    ):
+        cfg = AlignerConfig()
+        first = train_pair(pair_corpus, "aaa_src", "bbb_tgt", cfg, tmp_path)
+        (path,) = tmp_path.glob("*.lex.tsv")
+        good = path.read_text()
+        lines = good.splitlines(keepends=True)
+        # a row line whose value changes by more than the row-sum
+        # tolerance when cut to its first four characters, like 0.012346
+        # read as 0.01
+        values = [line.rstrip("\n").split("\t")[2] for line in lines[1:-1]]
+        k = 1 + next(
+            k
+            for k, v in enumerate(values)
+            if v.startswith("0.") and "e" not in v and abs(float(v[:4]) - float(v)) > 1e-6
+        )
+        src, tgt, value = lines[k].rstrip("\n").split("\t")
+        cut_line = f"{src}\t{tgt}\t{value[:4]}"
+        # a cut between two source rows leaves every row summing to 1;
+        # only the cell count shows it
+        row_start = next(
+            m
+            for m in range(len(lines) // 2, len(lines) - 1)
+            if lines[m].split("\t")[0] != lines[m - 1].split("\t")[0]
+        )
+        damaged = {
+            "cut-mid-number": "".join(lines[:k]) + cut_line,
+            "cut-at-line": "".join(lines[:row_start]),
+            "digits-dropped": "".join(lines[:k]) + cut_line + "\n" + "".join(lines[k + 1 :]),
+        }[damage]
+        path.write_text(damaged, encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            key = _pair_cache_key(pair_corpus, "aaa_src", "bbb_tgt", cfg)
+            assert load_lex_table(path, key) is None
+            again = train_pair(pair_corpus, "aaa_src", "bbb_tgt", cfg, tmp_path)
+        assert "corrupt" in caplog.text
+        assert again.t == first.t
+        assert again.log_likelihoods == first.log_likelihoods
+        assert path.read_text() == good
+
     def test_stale_key_misses(self, tmp_path):
         lex = train_alignment(TOY_PAIRS)
         path = tmp_path / "pair.lex.tsv"
@@ -187,6 +277,7 @@ class TestCache:
         hit = train_pair(pair_corpus, "aaa_src", "bbb_tgt", cfg, tmp_path)
         assert warm.t == fresh.t
         assert hit.t == fresh.t
+        assert hit.log_likelihoods == fresh.log_likelihoods
 
 
 class TestLinkCounts:
@@ -219,3 +310,166 @@ class TestLinkCounts:
     def test_unknown_translation(self, pair_corpus):
         with pytest.raises(DataError):
             link_counts(pair_corpus, "zzz_nope", "x")
+
+
+# --- agreement with the dict-of-dicts oracle ----------------------------------
+
+ORACLE_CONFIGS = [
+    AlignerConfig(),
+    AlignerConfig(diagonal_tension=0.0),
+    AlignerConfig(null_prob=0.0),
+    AlignerConfig(em_iterations=3, diagonal_tension=0.0, null_prob=0.0),
+]
+
+
+def random_pairs(seed: int, n: int = 80) -> list[tuple[list[str], list[str]]]:
+    """Verse pairs over small vocabularies, with repeated words (so that
+    source positions tie) and lengths from 1 to 7."""
+    rng = random.Random(seed)
+    src_vocab = [f"s{i}" for i in range(rng.randint(2, 12))]
+    tgt_vocab = [f"t{i}" for i in range(rng.randint(2, 12))]
+    return [
+        (
+            rng.choices(src_vocab, k=rng.randint(1, 7)),
+            rng.choices(tgt_vocab, k=rng.randint(1, 7)),
+        )
+        for _ in range(n)
+    ]
+
+
+def assert_tables_agree(lex: LexTable, ref: LexTable) -> None:
+    """Identical keys, cells within 1e-9, log-likelihoods within 1e-9
+    relative: the two EMs sum in different orders."""
+    assert list(lex.t) == list(ref.t)
+    for src, row in ref.t.items():
+        assert list(lex.t[src]) == list(row)
+        for tgt, p in row.items():
+            assert abs(lex.t[src][tgt] - p) <= 1e-9, (src, tgt)
+    assert len(lex.log_likelihoods) == len(ref.log_likelihoods)
+    for a, b in zip(lex.log_likelihoods, ref.log_likelihoods):
+        assert abs(a - b) <= 1e-9 * abs(b)
+
+
+def batched_links(lex: LexTable, pairs, cfg: AlignerConfig) -> list[list[tuple[int, int]]]:
+    """Per-verse links of the batched decoder, back in input order.
+
+    Blocks hold verse pairs by (src_len, tgt_len) in sorted order, each
+    block in input order.
+    """
+    enc = encode_pairs(pairs)
+    positions = _viterbi(enc, _cell_probs(enc, lex), cfg)
+    rows = [row for block in positions for row in block.tolist()]
+    order = sorted(range(len(pairs)), key=lambda k: (len(pairs[k][0]), len(pairs[k][1])))
+    out: list = [None] * len(pairs)
+    for k, row in zip(order, rows):
+        out[k] = [(i, j) for j, i in enumerate(row) if i >= 0]
+    return out
+
+
+def oracle_link_stats(lex, pairs, source_word, cfg) -> PairLinkStats:
+    stats = PairLinkStats(source_word)
+    for src, tgt in pairs:
+        for i, j in oracle.viterbi_align(lex, src, tgt, cfg):
+            stats.target_word_links[tgt[j]] += 1
+            stats.total_links += 1
+            if src[i] == source_word:
+                stats.source_word_to_target[tgt[j]] += 1
+                stats.source_word_links += 1
+    return stats
+
+
+class TestOracleAgreement:
+    @pytest.mark.parametrize("cfg", ORACLE_CONFIGS, ids=["default", "tension0", "null0", "both0"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_pairs(self, seed, cfg):
+        pairs = random_pairs(seed)
+        lex = train_alignment(pairs, cfg)
+        assert_tables_agree(lex, oracle.train_alignment(pairs, cfg))
+        expected = [oracle.viterbi_align(lex, s, t, cfg) for s, t in pairs]
+        assert batched_links(lex, pairs, cfg) == expected
+        assert [viterbi_align(lex, s, t, cfg) for s, t in pairs] == expected
+
+    def test_ties_and_null_on_a_handmade_table(self):
+        # "e" at positions 0 and 2 weighs the same (tension 0) and the
+        # leftmost wins; "x" onto "f" and "e" onto "g" tie the null word
+        # exactly and stay unlinked
+        cfg = AlignerConfig(diagonal_tension=0.0, null_prob=0.5)
+        lex = LexTable({None: {"f": 0.1, "g": 0.25}, "e": {"f": 0.5, "g": 0.25}, "x": {"f": 0.1}})
+        pairs = [(["e", "x", "e"], ["f", "g"]), (["x"], ["f"]), (["e"], ["g", "f"])]
+        expected = [oracle.viterbi_align(lex, s, t, cfg) for s, t in pairs]
+        assert expected == [[(0, 0)], [], [(0, 1)]]
+        assert batched_links(lex, pairs, cfg) == expected
+
+    @pytest.mark.parametrize(
+        "preset, targets",
+        [
+            (preset_tiny8, None),
+            (preset_marking24, ["paa_synth", "saa_synth"]),
+        ],
+        ids=["tiny8", "marking24"],
+    )
+    def test_synthetic_corpora(self, preset, targets):
+        corpus, truth = generate(preset())
+        corpus = corpus.select(len(corpus.verse_universe))
+        query = truth["query"]["translation_id"]
+        word = max(corpus.token_frequencies(query).items(), key=lambda kv: (kv[1], kv[0]))[0]
+        targets = targets or sorted(t for t in corpus.translations if t != query)
+        cfg = AlignerConfig()
+        stats = link_counts(corpus, query, word, cfg, targets)
+        assert sorted(stats) == targets
+        for tgt in targets:
+            pairs = _verse_pairs(corpus, query, tgt)
+            lex = train_alignment(pairs, cfg)
+            ref = oracle.train_alignment(pairs, cfg)
+            assert_tables_agree(lex, ref)
+            expected = [oracle.viterbi_align(ref, s, t, cfg) for s, t in pairs]
+            assert batched_links(lex, pairs, cfg) == expected
+            assert stats[tgt] == oracle_link_stats(ref, pairs, word, cfg)
+
+
+# --- properties -----------------------------------------------------------------
+
+def random_corpus(seed: int, n_targets: int):
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(rng.randint(3, 8))]
+    tids = ["aaa_src"] + [f"t{k:02d}_tgt" for k in range(n_targets)]
+    verses = {tid: {} for tid in tids}
+    for v in range(1, rng.randint(3, 25)):
+        vid = f"{v:08d}"
+        for tid in tids:
+            if tid == "aaa_src" or rng.random() < 0.9:
+                verses[tid][vid] = " ".join(rng.choices(vocab, k=rng.randint(1, 6)))
+    # one verse every translation shares, holding the tracked word "w0"
+    for tid in tids:
+        verses[tid]["00000000"] = "w0" if tid == "aaa_src" else rng.choice(vocab)
+    return make_corpus(verses)
+
+
+class TestProperties:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_cache_hit_equals_fresh_run(self, seed):
+        corpus = random_corpus(seed, 1)
+        cfg = AlignerConfig()
+        fresh = train_pair(corpus, "aaa_src", "t00_tgt", cfg)
+        with tempfile.TemporaryDirectory() as cache:
+            train_pair(corpus, "aaa_src", "t00_tgt", cfg, cache)
+            (path,) = Path(cache).glob("*.lex.tsv")
+            hit = load_lex_table(path, _pair_cache_key(corpus, "aaa_src", "t00_tgt", cfg))
+            assert hit is not None
+            assert hit.t == fresh.t
+            assert hit.log_likelihoods == fresh.log_likelihoods
+            stats = link_counts(corpus, "aaa_src", "w0", cfg, cache_dir=cache)
+        assert stats == link_counts(corpus, "aaa_src", "w0", cfg)
+
+    @given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+    @settings(max_examples=25, deadline=None)
+    def test_link_counts_ignore_target_order(self, seed, rnd):
+        corpus = random_corpus(seed, 4)
+        targets = sorted(t for t in corpus.translations if t != "aaa_src")
+        shuffled = list(targets)
+        rnd.shuffle(shuffled)
+        cfg = AlignerConfig()
+        assert link_counts(corpus, "aaa_src", "w0", cfg, shuffled) == link_counts(
+            corpus, "aaa_src", "w0", cfg, targets
+        )

@@ -1,6 +1,7 @@
 """CLI plumbing: config files, subcommands, stage handoffs, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -87,7 +88,7 @@ def cli_spec() -> SynthSpec:
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     data = root / "data"
-    _, truth = write_synth(cli_spec(), data)
+    _, truth, _ = write_synth(cli_spec(), data)
     config = {
         "corpus_dir": str(data / "corpus"),
         "queries": str(data / "queries.tsv"),
@@ -123,6 +124,16 @@ class TestSynthCommand:
         fa = (a / "corpus" / "qaa_synth.txt").read_text()
         fb = (b / "corpus" / "qaa_synth.txt").read_text()
         assert fa != fb
+
+    def test_rerun_lists_only_its_own_outputs(self, tmp_path):
+        out = tmp_path / "synth"
+        for _ in range(2):
+            assert main(["synth", "--preset", "tiny8", "--out", str(out)]) == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        names = {Path(p).name for p in outputs}
+        assert "manifest.json" not in names
+        assert "ground_truth.json" in names
+        assert len(names) == 8 + 5
 
     def test_source_argument_errors(self, tmp_path):
         out = str(tmp_path / "x")
@@ -175,6 +186,31 @@ class TestExitCodes:
         cfg.write_text(json.dumps(config), encoding="utf-8")
         argv = [missing if a == "{missing}" else a for a in argv]
         code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 3
+
+    @pytest.mark.parametrize(
+        "name, text, argv",
+        [
+            (
+                "from/past/ngrams/naa_synth.tsv",
+                "n\trank\tgram\tpos\tneg\tchi2\nx\t1\tab\t3\t1\t2.5\n",
+                ["eval-mrr", "--features", "past", "--from", "{dir}/from"],
+            ),
+            (
+                "distances.tsv",
+                "label\tA\tB\nA\t0\tzz\nB\t0.5\t0\n",
+                ["eval-family", "--distances", "{dir}/distances.tsv"],
+            ),
+        ],
+        ids=["ngrams", "distances"],
+    )
+    def test_malformed_number_is_data_error(self, workspace, tmp_path, name, text, argv):
+        _, cfg_path, _, _ = workspace
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+        argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+        code = main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 3
 
     def test_no_out_anywhere(self, workspace):

@@ -7,7 +7,8 @@ import pytest
 
 from helpers import make_corpus
 from pivotmine.aligner import PairLinkStats, link_counts
-from pivotmine.corpus import Translation
+from pivotmine import pivots as pivots_module
+from pivotmine.corpus import Translation, apply_query_merge
 from pivotmine.errors import DataError
 from pivotmine.pivots import (
     Candidate,
@@ -165,6 +166,38 @@ class TestHeadPivot:
         assert head.iso3 in allow
         assert head.surface in truth["languages"][head.iso3]["markers"]["past"]
         assert head.score > 0
+
+    def test_aligns_only_allowlisted_targets(self, planted, monkeypatch):
+        corpus, truth = planted
+        q = truth["query"]
+        allow = {"pba", "pca", "pda"}
+        query = Query("past", q["translation_id"], frozenset(q["forms"]["past"]))
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("targets", args[4] if len(args) > 4 else None))
+            return link_counts(*args, **kwargs)
+
+        monkeypatch.setattr(pivots_module, "link_counts", spy)
+        head = find_head_pivot(corpus, query, allow)
+        assert [sorted(t) for t in seen] == [["pba_synth", "pca_synth", "pda_synth"]]
+
+        # the head is the one found by aligning every translation
+        merged = apply_query_merge(
+            corpus.translations[q["translation_id"]],
+            set(query.forms),
+            synthetic_query_token("past"),
+        )
+        work = corpus.with_translation(merged)
+        stats = link_counts(work, q["translation_id"], synthetic_query_token("past"))
+        best = next(
+            c for c in score_candidates(work, stats) if c.iso3 in allow and c.score > 0
+        )
+        assert (head.translation_id, head.surface, head.score) == (
+            best.translation_id,
+            best.surface,
+            best.score,
+        )
 
     def test_no_positive_candidate_lists_alternatives(self, planted):
         corpus, truth = planted

@@ -249,7 +249,8 @@ class TestPresets:
 class TestOnDisk:
     def test_write_synth_round_trips_through_loaders(self, tmp_path):
         spec = small_spec()
-        corpus, truth = write_synth(spec, tmp_path)
+        corpus, truth, written = write_synth(spec, tmp_path)
+        assert sorted(written) == sorted(p for p in tmp_path.rglob("*") if p.is_file())
         loaded = load_corpus(tmp_path / "corpus")
         assert set(loaded.translations) == set(corpus.translations)
         for tid, trans in corpus.translations.items():
