@@ -108,12 +108,6 @@ def _prior_matrix(src_len: int, tgt_len: int, cfg: AlignerConfig) -> np.ndarray:
     return m
 
 
-def _surfaces(verse) -> list[str]:
-    if hasattr(verse, "surfaces"):
-        return verse.surfaces
-    return list(verse)
-
-
 @dataclass(frozen=True)
 class PairEncoding:
     """Verse pairs as int32 cell ids, in blocks of one verse shape.
@@ -158,9 +152,7 @@ def encode_pairs(pairs) -> PairEncoding:
     srcs: list[list[str]] = []
     tgts: list[list[str]] = []
     skipped = 0
-    for src, tgt in pairs:
-        s = _surfaces(src)
-        t = _surfaces(tgt)
+    for s, t in pairs:
         if s and t:
             srcs.append(s)
             tgts.append(t)
@@ -249,7 +241,7 @@ def _cell_probs(enc: PairEncoding, lex: LexTable) -> np.ndarray:
 def train_alignment(pairs, cfg: AlignerConfig | None = None) -> LexTable:
     """EM-train a lexical table from (source, target) verse pairs.
 
-    Each pair is a TokenizedVerse pair or a plain pair of token lists.
+    Each pair is a (source, target) pair of token surface lists.
     Pairs with an empty side are skipped; raises DataError if nothing
     remains. The null source word co-occurs with every target word.
     pairs may also be their PairEncoding.
@@ -288,7 +280,7 @@ def viterbi_align(lex: LexTable, source, target, cfg: AlignerConfig | None = Non
     to the leftmost.
     """
     cfg = cfg or AlignerConfig()
-    if not _surfaces(source) or not _surfaces(target):
+    if not source or not target:
         return []
     enc = encode_pairs([(source, target)])
     (positions,) = _viterbi(enc, _cell_probs(enc, lex), cfg)
@@ -347,11 +339,10 @@ def _verse_pairs(corpus: MultiCorpus, src_id: str, tgt_id: str):
     tgt_tok = corpus.tokenized(tgt_id)
     pairs = []
     for vid in corpus.selected_verses:
-        sv = src_tok.get(vid)
-        tv = tgt_tok.get(vid)
-        if sv is None or tv is None or not sv.tokens or not tv.tokens:
-            continue
-        pairs.append((sv.surfaces, tv.surfaces))
+        src = src_tok.get(vid)
+        tgt = tgt_tok.get(vid)
+        if src and tgt:
+            pairs.append(([t.surface for t in src], [t.surface for t in tgt]))
     return pairs
 
 

@@ -33,8 +33,8 @@ from .maps import (
 )
 from .ngrams import mine_ngrams, pivot_relative_positions, read_ngrams_tsv, write_ngrams_tsv
 from .pivots import (
-    Pivot, PivotSet, expand_pivots, find_head_pivot, pivot_presence_matrix, presence_vector,
-    rank_pivot_candidates, read_allowlist, read_pivots_tsv, read_queries, read_ranking_tsv,
+    Pivot, PivotSet, expand_pivots, find_head_pivot, pivot_presence_matrix,
+    rank_pivot_candidates, read_allowlist, read_pivots_tsv, read_queries,
     top_markers_by_language, write_pivots_tsv,
 )
 from .synth import PRESETS, SynthSpec, spec_from_json, write_synth
@@ -83,8 +83,7 @@ def _head_from_json(corpus: MultiCorpus, path: str | Path) -> Pivot:
         raise DataError(f"cannot read head pivot from {path}: {exc}") from exc
     if tid not in corpus.translations:
         raise DataError(f"head pivot references unknown translation {tid!r}")
-    presence, missing = presence_vector(corpus, tid, surface)
-    return Pivot(iso3, tid, surface, score, presence, missing)
+    return Pivot(iso3, tid, surface, score)
 
 
 # --- stages -----------------------------------------------------------------
@@ -198,15 +197,11 @@ def stage_cluster_markers(
 
 
 def stage_map(
-    cfg: RunConfig,
-    corpus: MultiCorpus,
-    pivot_set: PivotSet,
-    head: Pivot,
-    out: Path,
+    cfg: RunConfig, corpus: MultiCorpus, pivot_set: PivotSet, out: Path
 ) -> list[Path]:
     matrix = pivot_presence_matrix(corpus, pivot_set)
     chosen, choices = select_splitting_pivots(
-        matrix, head, cfg.map_rounds, cfg.map_policy
+        matrix, pivot_set.head, cfg.map_rounds, cfg.map_policy
     )
     written = [write_splitters_tsv(chosen, choices, out / "splitters.tsv")]
     clusters = signature_clusters(matrix, chosen)
@@ -260,7 +255,7 @@ def stage_cluster_languages(
     for feature in features:
         fdir = from_dir / feature
         head = _head_from_json(corpus, fdir / "head.json")
-        ranking = read_ranking_tsv(fdir / "ranking.tsv")
+        ranking = read_pivots_tsv(corpus, fdir / "ranking.tsv")
         markers_by_feature[feature] = top_markers_by_language(ranking, head)
         head_translations[feature] = head.translation_id
     dm, report = language_distance(
@@ -354,13 +349,25 @@ def _features(args) -> list[str]:
 
 
 def _load_pivot_set(run: Run) -> tuple[MultiCorpus, PivotSet]:
-    """The selected corpus and the --pivots set, its head marked by --head."""
+    """The selected corpus and the --pivots set.
+
+    --head names the head member; member order does not encode it, because
+    scores against the query and against the head live on different
+    scales. Without --head the top-ranked member is the head.
+    """
     corpus = _prepare_corpus(run.cfg)
-    head_key = None
-    if run.args.head:
-        head = _head_from_json(corpus, run.args.head)
-        head_key = (head.translation_id, head.surface)
-    return corpus, read_pivots_tsv(corpus, run.args.feature, run.args.pivots, head_key)
+    path = run.args.pivots
+    members = read_pivots_tsv(corpus, path)
+    if not members:
+        raise DataError(f"empty pivots TSV: {path}")
+    if not run.args.head:
+        return corpus, PivotSet(members[0], members)
+    head = _head_from_json(corpus, run.args.head)
+    key = (head.translation_id, head.surface)
+    for p in members:
+        if (p.translation_id, p.surface) == key:
+            return corpus, PivotSet(p, members)
+    raise DataError(f"head {key!r} not among pivots in {path}")
 
 
 def cmd_synth(run: Run) -> None:
@@ -424,8 +431,7 @@ def cmd_cluster_languages(run: Run) -> None:
 
 def cmd_map(run: Run) -> None:
     corpus, pivot_set = _load_pivot_set(run)
-    head = _head_from_json(corpus, run.args.head) if run.args.head else pivot_set.head
-    run.stage("map", stage_map, run.cfg, corpus, pivot_set, head, run.out)
+    run.stage("map", stage_map, run.cfg, corpus, pivot_set, run.out)
 
 
 def cmd_project(run: Run) -> None:
@@ -453,7 +459,7 @@ def cmd_pipeline(run: Run) -> None:
     pivot_set = run.stage("expand-pivots", stage_expand, cfg, corpus, feature, head, out)
     run.stage("mine-ngrams", stage_mine, cfg, corpus, pivot_set, out)
     run.stage("cluster-markers", stage_cluster_markers, cfg, corpus, pivot_set, out)
-    run.stage("map", stage_map, cfg, corpus, pivot_set, head, out)
+    run.stage("map", stage_map, cfg, corpus, pivot_set, out)
     if cfg.gold:
         run.stage("eval-mrr", stage_eval_mrr, cfg, [(feature, out / "ngrams")], out)
     logger.info("pipeline for %r finished in %s", feature, out)

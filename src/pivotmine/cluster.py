@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import MultiCorpus
 from .errors import DataError
-from .pivots import Candidate, Pivot, PresenceMatrix, presence_vector
+from .pivots import Pivot, PresenceMatrix, presence_vector
 from .stats import jsd, normalize
 from .textio import read_lines, write_lines
 
@@ -231,13 +231,13 @@ class LanguageDistanceReport:
 
 def language_distance(
     corpus: MultiCorpus,
-    markers_by_feature: dict[str, dict[str, Candidate]],
+    markers_by_feature: dict[str, dict[str, Pivot]],
     min_shared_verses: int = DEFAULT_MIN_SHARED_VERSES,
     head_translations: dict[str, str] | None = None,
 ) -> tuple[DistanceMatrix, LanguageDistanceReport]:
     """Mean per-feature JSD between languages' top markers.
 
-    markers_by_feature maps feature -> iso3 -> top marker candidate. A
+    markers_by_feature maps feature -> iso3 -> top marker pivot. A
     language participates only when it has a marker for every feature and
     its marker translations each share at least min_shared_verses selected
     verses with that feature's head translation. Distances for one pair

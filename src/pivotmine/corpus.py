@@ -22,28 +22,21 @@ logger = logging.getLogger(__name__)
 VERSE_ID_RE = re.compile(r"^[0-9]{8}$")
 FILENAME_RE = re.compile(r"^(?P<iso3>[a-z]{3})_(?P<name>.+)\.txt$")
 
-# Whitespace plus the punctuation stripped around tokens by default.
-DEFAULT_DELIMITERS = " \t\r\n\f\v.,;:!?()[]\"'"
+# Whitespace plus the punctuation stripped around tokens.
+DELIMITERS = " \t\r\n\f\v.,;:!?()[]\"'"
+_TOKEN_RE = re.compile(f"[^{re.escape(DELIMITERS)}]+")
 
 
 def is_verse_id(value: str) -> bool:
     return bool(VERSE_ID_RE.match(value))
 
 
-@dataclass(frozen=True)
-class TokenizerPolicy:
-    """Delimiter-splitting policy; lowercase folding is on by default."""
-
-    delimiters: str = DEFAULT_DELIMITERS
-    lowercase: bool = True
-
-
 @dataclass(frozen=True, slots=True)
 class Token:
-    """A token surface with its character span in the original verse text.
+    """A lowercased token surface with its character span in the verse.
 
-    surface is case-folded per policy; start/end index the raw text, so
-    text[start:end] recovers the original spelling.
+    start/end index the raw text, so text[start:end] recovers the
+    original spelling.
     """
 
     surface: str
@@ -51,39 +44,11 @@ class Token:
     end: int
 
 
-@dataclass(frozen=True, slots=True)
-class TokenizedVerse:
-    tokens: tuple[Token, ...]
-    text_len: int
-
-    @property
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
-
-
-def tokenize_verse(text: str, policy: TokenizerPolicy | None = None) -> TokenizedVerse:
-    """Split text into maximal delimiter-free runs, keeping offsets."""
-    pol = policy or TokenizerPolicy()
-    delims = set(pol.delimiters)
-    tokens: list[Token] = []
-    start = None
-    for i, ch in enumerate(text):
-        if ch in delims:
-            if start is not None:
-                tokens.append(_make_token(text, start, i, pol))
-                start = None
-        elif start is None:
-            start = i
-    if start is not None:
-        tokens.append(_make_token(text, start, len(text), pol))
-    return TokenizedVerse(tuple(tokens), len(text))
-
-
-def _make_token(text: str, start: int, end: int, pol: TokenizerPolicy) -> Token:
-    surface = text[start:end]
-    if pol.lowercase:
-        surface = surface.lower()
-    return Token(surface, start, end)
+def tokenize_verse(text: str) -> tuple[Token, ...]:
+    """Maximal runs of non-delimiter characters, lowercased, with offsets."""
+    return tuple(
+        Token(m.group().lower(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)
+    )
 
 
 @dataclass(frozen=True)
@@ -113,25 +78,19 @@ class MultiCorpus:
     translations: dict[str, Translation]
     verse_universe: tuple[str, ...]
     selected_verses: tuple[str, ...] = ()
-    default_policy: TokenizerPolicy = TokenizerPolicy()
-    policy_overrides: dict[str, TokenizerPolicy] = field(default_factory=dict)
     families: dict[str, str] = field(default_factory=dict)
     malformed_lines: int = 0
-    _token_cache: dict[str, tuple[Translation, dict[str, TokenizedVerse]]] = field(
+    _token_cache: dict[str, tuple[Translation, dict[str, tuple[Token, ...]]]] = field(
         default_factory=dict, repr=False, compare=False
     )
 
-    def policy_for(self, translation_id: str) -> TokenizerPolicy:
-        return self.policy_overrides.get(translation_id, self.default_policy)
-
-    def tokenized(self, translation_id: str) -> dict[str, TokenizedVerse]:
-        """Tokenization of every verse of one translation, cached."""
+    def tokenized(self, translation_id: str) -> dict[str, tuple[Token, ...]]:
+        """Tokens of every verse of one translation, cached."""
         trans = self.translations[translation_id]
         cached = self._token_cache.get(translation_id)
         if cached is not None and cached[0] is trans:
             return cached[1]
-        pol = self.policy_for(translation_id)
-        out = {vid: tokenize_verse(text, pol) for vid, text in trans.verses.items()}
+        out = {vid: tokenize_verse(text) for vid, text in trans.verses.items()}
         self._token_cache[translation_id] = (trans, out)
         return out
 
@@ -141,9 +100,9 @@ class MultiCorpus:
         verse_ids = self.selected_verses if selected_only else tuple(toks)
         freqs: Counter = Counter()
         for vid in verse_ids:
-            tv = toks.get(vid)
-            if tv is not None:
-                freqs.update(t.surface for t in tv.tokens)
+            tokens = toks.get(vid)
+            if tokens is not None:
+                freqs.update(t.surface for t in tokens)
         return freqs
 
     def languages(self) -> list[str]:
@@ -171,8 +130,6 @@ class MultiCorpus:
 def load_corpus(
     root: str | Path,
     iso_metadata: str | Path | None = None,
-    policy: TokenizerPolicy | None = None,
-    policy_overrides: dict[str, TokenizerPolicy] | None = None,
 ) -> MultiCorpus:
     """Load every well-formed translation file under root.
 
@@ -226,8 +183,6 @@ def load_corpus(
     return MultiCorpus(
         translations=translations,
         verse_universe=tuple(sorted(universe)),
-        default_policy=policy or TokenizerPolicy(),
-        policy_overrides=dict(policy_overrides or {}),
         families=families,
         malformed_lines=malformed,
     )
@@ -286,30 +241,28 @@ def apply_query_merge(
     trans: Translation,
     forms: set[str] | frozenset[str],
     synthetic: str,
-    policy: TokenizerPolicy | None = None,
 ) -> Translation:
     """Replace every token matching one of forms with a synthetic token.
 
     Used to turn a multi-form query (say three present-tense copulas) into
-    one alignable surface before training. forms are compared after the
-    policy's case folding. Raises ValueError if the synthetic token would
-    be split by the tokenizer, and DataError if it already occurs as a
-    token of this translation (the merge would be ambiguous).
+    one alignable surface before training. forms are compared lowercased.
+    Raises ValueError if the synthetic token would be split by the
+    tokenizer, and DataError if it already occurs as a token of this
+    translation (the merge would be ambiguous).
     """
-    pol = policy or TokenizerPolicy()
-    if any(ch in set(pol.delimiters) for ch in synthetic):
+    if any(ch in DELIMITERS for ch in synthetic):
         raise ValueError(f"synthetic token {synthetic!r} contains a delimiter")
     if not synthetic:
         raise ValueError("synthetic token must be non-empty")
-    target = synthetic.lower() if pol.lowercase else synthetic
-    norm_forms = {f.lower() if pol.lowercase else f for f in forms}
+    target = synthetic.lower()
+    norm_forms = {f.lower() for f in forms}
     if not norm_forms:
         raise ValueError("query forms must be non-empty")
     new_verses: dict[str, str] = {}
     replaced = 0
     for vid, text in trans.verses.items():
-        tv = tokenize_verse(text, pol)
-        for tok in tv.tokens:
+        tokens = tokenize_verse(text)
+        for tok in tokens:
             if tok.surface == target:
                 raise DataError(
                     f"synthetic token {synthetic!r} already occurs in "
@@ -317,7 +270,7 @@ def apply_query_merge(
                 )
         parts: list[str] = []
         prev = 0
-        for tok in tv.tokens:
+        for tok in tokens:
             if tok.surface in norm_forms:
                 parts.append(text[prev : tok.start])
                 parts.append(synthetic)

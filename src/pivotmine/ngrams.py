@@ -55,15 +55,17 @@ def pivot_relative_positions(
     """
     rels: dict[str, list[float]] = {}
     for pivot in pivot_set.members:
+        verses = corpus.translations[pivot.translation_id].verses
         toks = corpus.tokenized(pivot.translation_id)
         for vid in corpus.selected_verses:
-            tv = toks.get(vid)
-            if tv is None or tv.text_len == 0:
+            tokens = toks.get(vid)
+            if not tokens:
                 continue
-            for tok in tv.tokens:
+            length = len(verses[vid])
+            for tok in tokens:
                 if tok.surface == pivot.surface:
                     mid = (tok.start + tok.end) / 2.0
-                    rels.setdefault(vid, []).append(mid / tv.text_len)
+                    rels.setdefault(vid, []).append(mid / length)
     return rels
 
 

@@ -10,7 +10,6 @@ other translation and ranking aligned words by chi-square association.
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,44 +45,28 @@ def synthetic_query_token(feature: str) -> str:
 
 
 @dataclass(frozen=True)
-class Candidate:
-    """A scored pivot candidate in one target translation."""
-
-    iso3: str
-    translation_id: str
-    surface: str
-    score: float
-    table: ContingencyTable
-
-
-@dataclass
 class Pivot:
-    """A selected pivot with its presence profile over selected verses.
+    """A word of one translation scored as a marker of a feature.
 
-    presence[r] is 1 when the pivot token occurs in selected verse r of its
-    translation; missing[r] flags verses absent from that translation.
+    Scored candidates, pivot-set members and head pivots are all Pivots;
+    score is the chi-square association the word was ranked by.
     """
 
     iso3: str
     translation_id: str
     surface: str
     score: float
-    presence: np.ndarray
-    missing: np.ndarray
 
 
 @dataclass
 class PivotSet:
     """Head pivot plus expansion, ordered by descending score.
 
-    At most one pivot per language; k is the requested size (the actual
-    member count may be smaller when candidates run out).
+    At most one pivot per language.
     """
 
-    feature: str
     head: Pivot
     members: list[Pivot]
-    k: int
 
 
 def presence_vector(
@@ -95,10 +78,10 @@ def presence_vector(
     presence = np.zeros(n, dtype=np.uint8)
     missing = np.zeros(n, dtype=bool)
     for r, vid in enumerate(corpus.selected_verses):
-        tv = toks.get(vid)
-        if tv is None:
+        tokens = toks.get(vid)
+        if tokens is None:
             missing[r] = True
-        elif any(t.surface == surface for t in tv.tokens):
+        elif any(t.surface == surface for t in tokens):
             presence[r] = 1
     return presence, missing
 
@@ -121,14 +104,14 @@ def score_candidates(
     corpus: MultiCorpus,
     stats_by_translation: dict[str, PairLinkStats],
     min_count: int = DEFAULT_MIN_COUNT,
-) -> list[Candidate]:
+) -> list[Pivot]:
     """Score every sufficiently frequent aligned word in every target.
 
     Words whose token frequency over the selected verses is below
     min_count are skipped. Returns candidates sorted by descending score,
     then iso3, surface, and translation id.
     """
-    out: list[Candidate] = []
+    out: list[Pivot] = []
     for tgt_id in sorted(stats_by_translation):
         stats = stats_by_translation[tgt_id]
         iso3 = corpus.translations[tgt_id].iso3
@@ -136,17 +119,10 @@ def score_candidates(
         for word in stats.source_word_to_target:
             if freq.get(word, 0) < min_count:
                 continue
-            table = contingency_from_links(stats, word)
-            out.append(Candidate(iso3, tgt_id, word, chi2(table), table))
+            score = chi2(contingency_from_links(stats, word))
+            out.append(Pivot(iso3, tgt_id, word, score))
     out.sort(key=lambda c: (-c.score, c.iso3, c.surface, c.translation_id))
     return out
-
-
-def _pivot_from_candidate(corpus: MultiCorpus, cand: Candidate) -> Pivot:
-    presence, missing = presence_vector(corpus, cand.translation_id, cand.surface)
-    return Pivot(
-        cand.iso3, cand.translation_id, cand.surface, cand.score, presence, missing
-    )
 
 
 def find_head_pivot(
@@ -172,12 +148,10 @@ def find_head_pivot(
     trans = corpus.translations[query.translation_id]
     forms = set(query.forms)
     synthetic = synthetic_query_token(query.feature)
-    merged = apply_query_merge(
-        trans, forms, synthetic, corpus.policy_for(query.translation_id)
-    )
+    merged = apply_query_merge(trans, forms, synthetic)
     work = corpus.with_translation(merged)
 
-    def candidates_in(targets: list[str] | None) -> list[Candidate]:
+    def candidates_in(targets: list[str] | None) -> list[Pivot]:
         stats = link_counts(
             work, query.translation_id, synthetic, cfg, targets, cache_dir
         )
@@ -206,9 +180,7 @@ def find_head_pivot(
         best.translation_id,
         best.score,
     )
-    # Presence is computed on the original corpus; only the query
-    # translation was rewritten, never the candidate's.
-    return _pivot_from_candidate(corpus, best)
+    return best
 
 
 def rank_pivot_candidates(
@@ -217,7 +189,7 @@ def rank_pivot_candidates(
     cfg: AlignerConfig | None = None,
     min_count: int = DEFAULT_MIN_COUNT,
     cache_dir: str | Path | None = None,
-) -> list[Candidate]:
+) -> list[Pivot]:
     """Score candidates in every translation against the head pivot."""
     stats = link_counts(
         corpus, head.translation_id, head.surface, cfg, cache_dir=cache_dir
@@ -230,7 +202,7 @@ def expand_pivots(
     feature: str,
     head: Pivot,
     k: int,
-    ranking: list[Candidate] | None = None,
+    ranking: list[Pivot] | None = None,
     cfg: AlignerConfig | None = None,
     min_count: int = DEFAULT_MIN_COUNT,
     cache_dir: str | Path | None = None,
@@ -251,33 +223,27 @@ def expand_pivots(
             break
         if cand.iso3 in taken or cand.score <= 0:
             continue
-        members.append(_pivot_from_candidate(corpus, cand))
+        members.append(cand)
         taken.add(cand.iso3)
     if len(members) < k:
         logger.warning(
             "pivot set for %s stopped at %d of %d requested", feature, len(members), k
         )
     members.sort(key=lambda p: (-p.score, p.iso3, p.surface, p.translation_id))
-    return PivotSet(feature, head, members, k)
+    return PivotSet(head, members)
 
 
 def top_markers_by_language(
-    ranking: list[Candidate], head: Pivot | None = None
-) -> dict[str, Candidate]:
+    ranking: list[Pivot], head: Pivot | None = None
+) -> dict[str, Pivot]:
     """Best positively scored candidate per language.
 
     When the head pivot is given it represents its own language (it has no
     score against itself in the ranking).
     """
-    out: dict[str, Candidate] = {}
+    out: dict[str, Pivot] = {}
     if head is not None:
-        out[head.iso3] = Candidate(
-            head.iso3,
-            head.translation_id,
-            head.surface,
-            head.score,
-            ContingencyTable(0, 0, 0, 0),
-        )
+        out[head.iso3] = head
     for cand in ranking:
         if cand.score <= 0:
             continue
@@ -300,19 +266,13 @@ def pivot_presence_matrix(corpus: MultiCorpus, pivot_set: PivotSet) -> PresenceM
     """Stack member presence vectors over the selected verses."""
     if not corpus.selected_verses:
         raise DataError("presence matrix needs a verse selection")
-    cols = [p.presence for p in pivot_set.members]
-    miss = [p.missing for p in pivot_set.members]
-    n = len(corpus.selected_verses)
-    for p in pivot_set.members:
-        if len(p.presence) != n:
-            raise DataError(
-                f"pivot {p.iso3}:{p.surface} presence length {len(p.presence)} "
-                f"does not match selection {n}"
-            )
+    cols, miss = zip(
+        *(presence_vector(corpus, p.translation_id, p.surface) for p in pivot_set.members)
+    )
     return PresenceMatrix(
         tuple(corpus.selected_verses),
         list(pivot_set.members),
-        np.column_stack(cols).astype(np.uint8),
+        np.column_stack(cols),
         np.column_stack(miss),
     )
 
@@ -347,12 +307,10 @@ def read_allowlist(path: str | Path) -> set[str]:
     return out
 
 
-def write_pivots_tsv(rows: list[Pivot] | list[Candidate], path: str | Path) -> Path:
-    """Write ``rank iso3 translation surface chi2``, one line per row.
+def write_pivots_tsv(rows: list[Pivot], path: str | Path) -> Path:
+    """Write ``rank iso3 translation surface chi2``, one line per pivot.
 
-    rows, in rank order, are Pivots or Candidates: anything with iso3,
-    translation_id, surface and score. Pivot sets and candidate rankings
-    share this format.
+    Pivot sets and candidate rankings share this format.
     """
     lines = ["rank\tiso3\ttranslation\tsurface\tchi2"]
     for rank, p in enumerate(rows, start=1):
@@ -362,12 +320,16 @@ def write_pivots_tsv(rows: list[Pivot] | list[Candidate], path: str | Path) -> P
     return write_lines(path, lines)
 
 
-def _read_rank_tsv(path: str | Path) -> list[tuple[str, str, str, float]]:
-    """(iso3, translation_id, surface, score) rows written by write_pivots_tsv."""
+def read_pivots_tsv(corpus: MultiCorpus, path: str | Path) -> list[Pivot]:
+    """Pivots in rank order, as written by write_pivots_tsv.
+
+    Raises DataError for a malformed file or a translation the corpus
+    lacks.
+    """
     lines = read_lines(path)
     if not lines or not lines[0].startswith("rank\t"):
         raise DataError(f"not a rank TSV: {path}")
-    rows = []
+    pivots = []
     for raw in lines[1:]:
         if not raw:
             continue
@@ -375,47 +337,10 @@ def _read_rank_tsv(path: str | Path) -> list[tuple[str, str, str, float]]:
         if len(parts) != 5:
             raise DataError(f"malformed rank line: {raw!r}")
         _, iso3, tid, surface, score = parts
+        if tid not in corpus.translations:
+            raise DataError(f"pivot references unknown translation {tid!r} in {path}")
         try:
-            rows.append((iso3, tid, surface, float(score)))
+            pivots.append(Pivot(iso3, tid, surface, float(score)))
         except ValueError:
             raise DataError(f"malformed rank line: {raw!r}") from None
-    return rows
-
-
-def read_ranking_tsv(path: str | Path) -> list[Candidate]:
-    """Candidates in rank order; their contingency tables are not stored."""
-    return [
-        Candidate(*row, ContingencyTable(0, 0, 0, 0)) for row in _read_rank_tsv(path)
-    ]
-
-
-def read_pivots_tsv(
-    corpus: MultiCorpus,
-    feature: str,
-    path: str | Path,
-    head_key: tuple[str, str] | None = None,
-) -> PivotSet:
-    """Rebuild a PivotSet from its TSV.
-
-    head_key, a (translation_id, surface) pair, names the head member;
-    member order does not encode it because scores against the query and
-    against the head live on different scales. Without head_key the
-    top-ranked member is used.
-    """
-    members = []
-    for iso3, tid, surface, score in _read_rank_tsv(path):
-        if tid not in corpus.translations:
-            raise DataError(f"pivot references unknown translation {tid!r}")
-        presence, missing = presence_vector(corpus, tid, surface)
-        members.append(Pivot(iso3, tid, surface, score, presence, missing))
-    if not members:
-        raise DataError(f"empty pivots TSV: {path}")
-    head = members[0]
-    if head_key is not None:
-        matches = [
-            p for p in members if (p.translation_id, p.surface) == tuple(head_key)
-        ]
-        if not matches:
-            raise DataError(f"head {head_key!r} not among pivots in {path}")
-        head = matches[0]
-    return PivotSet(feature, head, members, len(members))
+    return pivots

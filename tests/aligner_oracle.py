@@ -13,12 +13,6 @@ from pivotmine.aligner import AlignerConfig, LexTable, diagonal_prior
 from pivotmine.errors import DataError
 
 
-def _surfaces(verse) -> list[str]:
-    if hasattr(verse, "surfaces"):
-        return verse.surfaces
-    return list(verse)
-
-
 def _prior_rows(src_len: int, tgt_len: int, cfg: AlignerConfig) -> list[list[float]]:
     return [diagonal_prior(src_len, tgt_len, j, cfg) for j in range(tgt_len)]
 
@@ -30,9 +24,7 @@ def train_alignment(pairs, cfg: AlignerConfig | None = None) -> LexTable:
     src_ids: dict[str, int] = {}
     tgt_ids: dict[str, int] = {}
     id_pairs: list[tuple[list[int], list[int]]] = []
-    for src, tgt in pairs:
-        s = _surfaces(src)
-        t = _surfaces(tgt)
+    for s, t in pairs:
         if not s or not t:
             continue
         id_pairs.append(
@@ -98,8 +90,8 @@ def viterbi_align(lex: LexTable, source, target, cfg: AlignerConfig | None = Non
     """Links (source_index, target_index): leftmost best source position
     per target token, kept only when it strictly beats the null word."""
     cfg = cfg or AlignerConfig()
-    src = _surfaces(source)
-    tgt = _surfaces(target)
+    src = list(source)
+    tgt = list(target)
     links: list[tuple[int, int]] = []
     if not src or not tgt:
         return links

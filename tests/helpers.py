@@ -187,6 +187,27 @@ def newick_leaf_depths(root: dict) -> dict[str, float]:
     return depths
 
 
+def tokenize_reference(text: str) -> list[tuple[str, int, int]]:
+    """(surface, start, end) of each maximal run of non-delimiters.
+
+    The character loop that the package's regex tokenizer replaced: runs
+    are lowercased, and start/end index the raw text.
+    """
+    delims = set(" \t\r\n\f\v.,;:!?()[]\"'")
+    tokens = []
+    start = None
+    for i, ch in enumerate(text):
+        if ch in delims:
+            if start is not None:
+                tokens.append((text[start:i].lower(), start, i))
+                start = None
+        elif start is None:
+            start = i
+    if start is not None:
+        tokens.append((text[start:].lower(), start, len(text)))
+    return tokens
+
+
 def make_corpus(verses_by_tid: dict[str, dict[str, str]], iso3=None, select=True):
     """Assemble a MultiCorpus from {translation_id: {verse_id: text}}.
 

@@ -29,7 +29,6 @@ from pivotmine.manifest import MANIFEST_NAME, file_sha256
 from pivotmine.maps import select_splitting_pivots, signature_clusters
 from pivotmine.ngrams import mine_ngrams, pivot_relative_positions
 from pivotmine.pivots import (
-    Candidate,
     Pivot,
     PresenceMatrix,
     Query,
@@ -338,12 +337,8 @@ def test_family_prediction_beats_base_rate():
     markers = {feature: {} for feature in features}
     for iso, info in truth["languages"].items():
         for feature in features:
-            markers[feature][iso] = Candidate(
-                iso,
-                info["translation_id"],
-                info["markers"][feature][0],
-                1.0,
-                ContingencyTable(0, 0, 0, 0),
+            markers[feature][iso] = Pivot(
+                iso, info["translation_id"], info["markers"][feature][0], 1.0
             )
     heads = {feature: truth["query"]["translation_id"] for feature in features}
     dm, report = language_distance(
@@ -432,9 +427,7 @@ def _planted_matrix():
     pivots = []
     cols = []
     for iso, surface, bits, score in spec:
-        pivots.append(
-            Pivot(iso, f"{iso}_t", surface, score, bits, np.zeros(n, dtype=bool))
-        )
+        pivots.append(Pivot(iso, f"{iso}_t", surface, score))
         cols.append(bits)
     matrix = PresenceMatrix(
         tuple(f"v{i:04d}" for i in range(n)),

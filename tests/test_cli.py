@@ -1,13 +1,16 @@
 """CLI plumbing: config files, subcommands, stage handoffs, exit codes."""
 
+import argparse
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from pivotmine.cli import main
+from pivotmine.cli import Run, _load_pivot_set, main
 from pivotmine.config import RunConfig, load_config
-from pivotmine.errors import ConfigError
+from pivotmine.errors import ConfigError, DataError
+from pivotmine.pivots import read_pivots_tsv
 from pivotmine.synth import LanguageSpec, SynthSpec, write_synth
 
 
@@ -104,6 +107,17 @@ def workspace(tmp_path_factory):
     cfg_path = root / "config.json"
     cfg_path.write_text(json.dumps(config, indent=2), encoding="utf-8")
     return root, cfg_path, config, truth
+
+
+@pytest.fixture(scope="module")
+def expanded(workspace):
+    """head.json, pivots.tsv and ranking.tsv of the workspace's past feature."""
+    root, cfg_path, _, _ = workspace
+    past = root / "expanded"
+    cfg = ["--config", str(cfg_path), "--feature", "past", "--out", str(past)]
+    assert main(["head-pivot", *cfg]) == 0
+    assert main(["expand-pivots", *cfg, "--head", str(past / "head.json")]) == 0
+    return past
 
 
 class TestSynthCommand:
@@ -213,6 +227,43 @@ class TestExitCodes:
         code = main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "command, edit",
+        [
+            ("mine-ngrams", "unknown-translation"),
+            ("cluster-markers", "unknown-translation"),
+            ("map", "unknown-translation"),
+            ("mine-ngrams", "empty"),
+            ("map", "foreign-head"),
+            ("mine-ngrams", "foreign-head"),
+            ("cluster-languages", "unknown-translation"),
+        ],
+    )
+    def test_bad_pivot_input_is_data_error(
+        self, workspace, expanded, tmp_path, command, edit
+    ):
+        _, cfg_path, _, _ = workspace
+        past = tmp_path / "from" / "past"
+        shutil.copytree(expanded, past)
+        pivots, ranking, head = (
+            past / name for name in ("pivots.tsv", "ranking.tsv", "head.json")
+        )
+        if edit == "unknown-translation":
+            for path in (pivots, ranking):
+                with path.open("a", encoding="utf-8") as f:
+                    f.write("99\tzzz\tzzz_none\tko\t3\n")
+        elif edit == "empty":
+            pivots.write_text("rank\tiso3\ttranslation\tsurface\tchi2\n", encoding="utf-8")
+        else:
+            doc = json.loads(head.read_text(encoding="utf-8"))
+            head.write_text(json.dumps(dict(doc, surface="nope")), encoding="utf-8")
+        if command == "cluster-languages":
+            argv = [command, "--features", "past", "--from", str(tmp_path / "from")]
+        else:
+            argv = [command, "--feature", "past", "--pivots", str(pivots), "--head", str(head)]
+        code = main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 3
+
     def test_no_out_anywhere(self, workspace):
         _, cfg_path, _, _ = workspace
         assert main(["ingest", "--config", str(cfg_path)]) == 2
@@ -243,6 +294,39 @@ class TestOutDirFallback:
         assert main(["ingest", "--config", str(cfg), "--out", str(chosen)]) == 0
         assert (chosen / "coverage.tsv").is_file()
         assert not (tmp_path / "ignored").exists()
+
+
+class TestPivotSetHead:
+    """--head picks the head member of --pivots; without it, rank 1 is the head."""
+
+    def load(self, workspace, pivots, head):
+        _, cfg_path, _, _ = workspace
+        args = argparse.Namespace(pivots=str(pivots), head=head and str(head))
+        return _load_pivot_set(Run(args, load_config(cfg_path), None, Path()))
+
+    def test_head_member_need_not_be_rank_one(self, workspace, expanded, tmp_path):
+        corpus, ps = self.load(workspace, expanded / "pivots.tsv", None)
+        members = read_pivots_tsv(corpus, expanded / "pivots.tsv")
+        assert len(members) >= 2
+        assert ps.members == members
+        assert ps.head is ps.members[0]
+
+        second = members[1]
+        head = tmp_path / "head.json"
+        head.write_text(json.dumps({
+            "iso3": second.iso3, "translation_id": second.translation_id,
+            "surface": second.surface, "score": 0.5,
+        }), encoding="utf-8")
+        _, ps = self.load(workspace, expanded / "pivots.tsv", head)
+        assert ps.members == members
+        assert ps.head is ps.members[1]
+
+    def test_head_outside_the_set_rejected(self, workspace, expanded, tmp_path):
+        doc = json.loads((expanded / "head.json").read_text(encoding="utf-8"))
+        head = tmp_path / "head.json"
+        head.write_text(json.dumps(dict(doc, surface="nope")), encoding="utf-8")
+        with pytest.raises(DataError):
+            self.load(workspace, expanded / "pivots.tsv", head)
 
 
 class TestPipeline:

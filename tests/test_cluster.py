@@ -23,12 +23,7 @@ from pivotmine.cluster import (
     write_distance_tsv,
 )
 from pivotmine.errors import DataError
-from pivotmine.pivots import Candidate, Pivot, PresenceMatrix
-from pivotmine.stats import ContingencyTable
-
-
-def zero_table() -> ContingencyTable:
-    return ContingencyTable(0, 0, 0, 0)
+from pivotmine.pivots import Pivot, PresenceMatrix
 
 
 class TestMarkerDistribution:
@@ -68,10 +63,7 @@ class TestMarkerDistanceMatrix:
         mat = np.zeros((n, len(cols)), dtype=np.uint8)
         miss = np.zeros((n, len(cols)), dtype=bool)
         for idx, (name, col) in enumerate(cols):
-            pivots.append(
-                Pivot(name[:3], f"{name[:3]}_t", name[4:], 1.0,
-                      np.array(col, np.uint8), np.zeros(n, bool))
-            )
+            pivots.append(Pivot(name[:3], f"{name[:3]}_t", name[4:], 1.0))
             mat[:, idx] = col
             if missing and name in missing:
                 miss[missing[name], idx] = True
@@ -260,7 +252,7 @@ def lang_corpus():
 
 
 def cand(iso3, surface):
-    return Candidate(iso3, f"{iso3}_t", surface, 1.0, zero_table())
+    return Pivot(iso3, f"{iso3}_t", surface, 1.0)
 
 
 class TestLanguageDistance:
@@ -388,5 +380,5 @@ class TestFamilyPrediction:
 
 
 def test_marker_label():
-    pivot = Pivot("aaa", "aaa_t", "ka", 1.0, np.zeros(1, np.uint8), np.zeros(1, bool))
+    pivot = Pivot("aaa", "aaa_t", "ka", 1.0)
     assert marker_label(pivot) == "aaa_ka"

@@ -2,15 +2,16 @@
 
 import logging
 import random
+import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_corpus
+from helpers import make_corpus, tokenize_reference
 from pivotmine.corpus import (
+    DELIMITERS,
     MultiCorpus,
-    TokenizerPolicy,
     Translation,
     apply_query_merge,
     coverage_counts,
@@ -24,44 +25,46 @@ from pivotmine.corpus import (
 from pivotmine.errors import DataError
 
 
+def surfaces(tokens) -> list[str]:
+    return [t.surface for t in tokens]
+
+
 class TestTokenize:
     def test_standard_delimiters(self):
-        tv = tokenize_verse("Met! Manz en pe.")
-        assert tv.surfaces == ["met", "manz", "en", "pe"]
+        assert surfaces(tokenize_verse("Met! Manz en pe.")) == ["met", "manz", "en", "pe"]
 
     def test_offsets_skip_delimiter_runs(self):
-        tv = tokenize_verse("a  b")
-        assert [(t.start, t.end) for t in tv.tokens] == [(0, 1), (3, 4)]
+        tokens = tokenize_verse("a  b")
+        assert [(t.start, t.end) for t in tokens] == [(0, 1), (3, 4)]
 
     def test_offsets_index_original_text(self):
         text = "Say: YES, twice."
-        tv = tokenize_verse(text)
-        for tok in tv.tokens:
+        for tok in tokenize_verse(text):
             assert tok.surface == text[tok.start : tok.end].lower()
 
     def test_empty_text(self):
-        tv = tokenize_verse("")
-        assert len(tv.tokens) == 0 and tv.text_len == 0
+        assert tokenize_verse("") == ()
 
     def test_all_delimiters(self):
-        assert len(tokenize_verse("... !?  ").tokens) == 0
+        assert tokenize_verse("... !?  ") == ()
 
-    def test_lowercase_flag(self):
-        pol = TokenizerPolicy(lowercase=False)
-        assert tokenize_verse("Met ok", pol).surfaces == ["Met", "ok"]
+    def test_tokens_are_slotted_and_in_a_tuple(self):
+        tokens = tokenize_verse("a b")
+        assert isinstance(tokens, tuple)
+        assert not hasattr(tokens[0], "__dict__")
 
-    def test_custom_delimiters(self):
-        pol = TokenizerPolicy(delimiters="|")
-        assert tokenize_verse("a b|c", pol).surfaces == ["a b", "c"]
+    @given(st.text(alphabet=DELIMITERS + string.ascii_uppercase + "İßΣé", max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_character_loop_oracle(self, text):
+        got = [(t.surface, t.start, t.end) for t in tokenize_verse(text)]
+        assert got == tokenize_reference(text)
 
     @given(st.text(alphabet="ab .,!", max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_tokens_are_maximal_delimiter_free_runs(self, text):
-        pol = TokenizerPolicy()
-        delims = set(pol.delimiters)
-        tv = tokenize_verse(text, pol)
+        delims = set(DELIMITERS)
         covered = set()
-        for tok in tv.tokens:
+        for tok in tokenize_verse(text):
             span = text[tok.start : tok.end]
             assert span and not (set(span) & delims)
             # maximality: neighbours are delimiters or edges
@@ -305,7 +308,7 @@ class TestCorpusMethods:
         kept = copy.tokenized("bbb_t")
         assert corpus.tokenized("bbb_t") is kept
         # the replaced translation is tokenized afresh on each side
-        assert copy.tokenized("aaa_t")["00000001"].surfaces == ["x", "y"]
+        assert surfaces(copy.tokenized("aaa_t")["00000001"]) == ["x", "y"]
         again = corpus.tokenized("aaa_t")
-        assert again["00000001"].surfaces == ["a", "b"]
+        assert surfaces(again["00000001"]) == ["a", "b"]
         assert again == original

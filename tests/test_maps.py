@@ -28,10 +28,7 @@ def make_pm(columns, scores=None):
     for idx, (iso3, surface, bits) in enumerate(columns):
         score = scores[idx] if scores else 1.0
         mat[:, idx] = bits
-        pivots.append(
-            Pivot(iso3, f"{iso3}_t", surface, score,
-                  np.array(bits, np.uint8), np.zeros(n, bool))
-        )
+        pivots.append(Pivot(iso3, f"{iso3}_t", surface, score))
     vids = tuple(f"{i + 1:08d}" for i in range(n))
     return PresenceMatrix(vids, pivots, mat, np.zeros((n, len(columns)), bool))
 
@@ -119,9 +116,7 @@ class TestSelection:
         with pytest.raises(ValueError):
             select_splitting_pivots(pm, pm.pivots[0], policy="nope")
         assert set(SPLIT_POLICIES) == {"largest", "head-containing-chain"}
-        stranger = Pivot(
-            "zzz", "zzz_t", "q", 1.0, np.zeros(4, np.uint8), np.zeros(4, bool)
-        )
+        stranger = Pivot("zzz", "zzz_t", "q", 1.0)
         with pytest.raises(DataError):
             select_splitting_pivots(pm, stranger)
 

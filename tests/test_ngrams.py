@@ -3,7 +3,6 @@
 import logging
 import math
 
-import numpy as np
 import pytest
 
 from helpers import make_corpus
@@ -19,7 +18,7 @@ from pivotmine.ngrams import (
     unescape_gram,
     write_ngrams_tsv,
 )
-from pivotmine.pivots import Pivot, PivotSet, presence_vector
+from pivotmine.pivots import Pivot, PivotSet
 from pivotmine.synth import generate, preset_tiny8
 
 PEAK = 1.0 / (6.0 * math.sqrt(2.0 * math.pi))
@@ -123,17 +122,15 @@ class TestWindowCounts:
 class TestRelativePositions:
     def test_token_midpoints(self):
         corpus = make_corpus({"paa_t": {"00000001": "aa ko bb"}})
-        presence, missing = presence_vector(corpus, "paa_t", "ko")
-        pivot = Pivot("paa", "paa_t", "ko", 1.0, presence, missing)
-        ps = PivotSet("past", pivot, [pivot], 1)
+        pivot = Pivot("paa", "paa_t", "ko", 1.0)
+        ps = PivotSet(pivot, [pivot])
         rels = pivot_relative_positions(corpus, ps)
         assert rels == {"00000001": [0.5]}
 
     def test_repeated_token_counts_twice(self):
         corpus = make_corpus({"paa_t": {"00000001": "ko ko"}})
-        presence, missing = presence_vector(corpus, "paa_t", "ko")
-        pivot = Pivot("paa", "paa_t", "ko", 1.0, presence, missing)
-        rels = pivot_relative_positions(corpus, PivotSet("past", pivot, [pivot], 1))
+        pivot = Pivot("paa", "paa_t", "ko", 1.0)
+        rels = pivot_relative_positions(corpus, PivotSet(pivot, [pivot]))
         assert rels == {"00000001": [0.2, 0.8]}
 
 
@@ -146,9 +143,8 @@ def tiny():
 def particle_pivot_set(corpus, truth, feature: str) -> PivotSet:
     info = truth["languages"]["paa"]
     surface = info["markers"][feature][0]
-    presence, missing = presence_vector(corpus, info["translation_id"], surface)
-    pivot = Pivot("paa", info["translation_id"], surface, 1.0, presence, missing)
-    return PivotSet(feature, pivot, [pivot], 1)
+    pivot = Pivot("paa", info["translation_id"], surface, 1.0)
+    return PivotSet(pivot, [pivot])
 
 
 class TestMining:
@@ -187,9 +183,8 @@ class TestMining:
         corpus = make_corpus(
             {"paa_t": {"00000001": "aa ko bb"}, "tgt_t": {}}
         )
-        presence, missing = presence_vector(corpus, "paa_t", "ko")
-        pivot = Pivot("paa", "paa_t", "ko", 1.0, presence, missing)
-        ps = PivotSet("past", pivot, [pivot], 1)
+        pivot = Pivot("paa", "paa_t", "ko", 1.0)
+        ps = PivotSet(pivot, [pivot])
         with caplog.at_level(logging.WARNING):
             result = mine_ngrams(corpus, "tgt_t", ps)
         assert result.verses_scored == 0
@@ -203,10 +198,8 @@ class TestMining:
                 "tgt_t": {"00000001": "xx yy", "00000002": "zz ww"},
             }
         )
-        pivot = Pivot(
-            "paa", "paa_t", "ko", 1.0, np.zeros(2, np.uint8), np.zeros(2, bool)
-        )
-        ps = PivotSet("past", pivot, [pivot], 1)
+        pivot = Pivot("paa", "paa_t", "ko", 1.0)
+        ps = PivotSet(pivot, [pivot])
         with caplog.at_level(logging.WARNING):
             result = mine_ngrams(corpus, "tgt_t", ps)
         assert result.verses_positive == 0

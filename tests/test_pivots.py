@@ -11,7 +11,6 @@ from pivotmine import pivots as pivots_module
 from pivotmine.corpus import Translation, apply_query_merge
 from pivotmine.errors import DataError
 from pivotmine.pivots import (
-    Candidate,
     Pivot,
     PivotSet,
     Query,
@@ -29,7 +28,6 @@ from pivotmine.pivots import (
     top_markers_by_language,
     write_pivots_tsv,
 )
-from pivotmine.stats import ContingencyTable
 from pivotmine.synth import LanguageSpec, SynthSpec, generate
 
 
@@ -120,24 +118,25 @@ class TestPresence:
 
     def test_matrix_requires_selection(self):
         corpus = make_corpus({"aaa_t": {"00000001": "ti"}}, select=False)
-        pivot = Pivot("aaa", "aaa_t", "ti", 1.0, np.array([1], np.uint8), np.array([False]))
-        ps = PivotSet("past", pivot, [pivot], 1)
+        pivot = Pivot("aaa", "aaa_t", "ti", 1.0)
         with pytest.raises(DataError):
-            pivot_presence_matrix(corpus, ps)
+            pivot_presence_matrix(corpus, PivotSet(pivot, [pivot]))
 
-    def test_matrix_shape_and_mismatch(self):
+    def test_matrix_shape_and_missing_rows(self):
         corpus = make_corpus(
-            {"aaa_t": {"00000001": "ti", "00000002": "ko"}}
+            {
+                "aaa_t": {"00000001": "ti", "00000002": "ko"},
+                "bbb_t": {"00000002": "x ti"},
+            }
         )
-        presence, missing = presence_vector(corpus, "aaa_t", "ti")
-        pivot = Pivot("aaa", "aaa_t", "ti", 1.0, presence, missing)
-        ps = PivotSet("past", pivot, [pivot], 1)
-        mat = pivot_presence_matrix(corpus, ps)
-        assert mat.matrix.shape == (2, 1)
+        a = Pivot("aaa", "aaa_t", "ti", 2.0)
+        b = Pivot("bbb", "bbb_t", "x", 1.0)
+        mat = pivot_presence_matrix(corpus, PivotSet(a, [a, b]))
         assert mat.verse_ids == ("00000001", "00000002")
-        bad = Pivot("bbb", "bbb_t", "x", 1.0, np.zeros(5, np.uint8), np.zeros(5, bool))
-        with pytest.raises(DataError):
-            pivot_presence_matrix(corpus, PivotSet("past", bad, [bad], 1))
+        assert mat.pivots == [a, b]
+        assert mat.matrix.dtype == np.uint8
+        assert mat.matrix.tolist() == [[1, 0], [0, 1]]
+        assert mat.missing.tolist() == [[False, True], [False, False]]
 
 
 class TestHeadPivot:
@@ -249,7 +248,7 @@ class TestExpansion:
         twin = Translation("zza_twin", twin_source.iso3, dict(twin_source.verses))
         bigger = corpus.with_translation(twin).select(len(corpus.verse_universe))
         doubled = ranking + [
-            Candidate(c.iso3, "zza_twin", c.surface, c.score, c.table)
+            Pivot(c.iso3, "zza_twin", c.surface, c.score)
             for c in ranking
             if c.translation_id == twin_source.translation_id
         ]
@@ -275,7 +274,7 @@ class TestExpansion:
     def test_top_markers_by_language(self, head_and_ranking):
         head, ranking = head_and_ranking
         top = top_markers_by_language(ranking, head)
-        assert top[head.iso3].surface == head.surface
+        assert top[head.iso3] == head
         seen = {}
         for cand in ranking:
             if cand.score > 0 and cand.iso3 not in seen:
@@ -314,31 +313,25 @@ class TestFiles:
                 "bbb_t": {"00000001": "ka so", "00000002": "so"},
             }
         )
-        pa, ma = presence_vector(corpus, "aaa_t", "ti")
-        pb, mb = presence_vector(corpus, "bbb_t", "ka")
-        head = Pivot("bbb", "bbb_t", "ka", 5.0, pb, mb)
-        other = Pivot("aaa", "aaa_t", "ti", 9.0, pa, ma)
-        ps = PivotSet("past", head, [other, head], 2)
+        pivots = [Pivot("aaa", "aaa_t", "ti", 9.0), Pivot("bbb", "bbb_t", "ka", 5.0)]
         path = tmp_path / "pivots.tsv"
-        write_pivots_tsv(ps.members, path)
+        write_pivots_tsv(pivots, path)
         text = path.read_text()
         assert text.startswith("rank\tiso3\ttranslation\tsurface\tchi2\n")
         assert "1\taaa\taaa_t\tti\t9\n" in text
-
-        loaded = read_pivots_tsv(corpus, "past", path, head_key=("bbb_t", "ka"))
-        assert loaded.head.surface == "ka"
-        assert [p.surface for p in loaded.members] == ["ti", "ka"]
-        assert loaded.members[0].presence.tolist() == pa.tolist()
-
-        default_head = read_pivots_tsv(corpus, "past", path)
-        assert default_head.head.surface == "ti"
-
-        with pytest.raises(DataError):
-            read_pivots_tsv(corpus, "past", path, head_key=("bbb_t", "nope"))
+        assert read_pivots_tsv(corpus, path) == pivots
 
     def test_pivots_tsv_rejects_garbage(self, tmp_path):
         corpus = make_corpus({"aaa_t": {"00000001": "x"}})
         bad = tmp_path / "bad.tsv"
         bad.write_text("not a header\n", encoding="utf-8")
         with pytest.raises(DataError):
-            read_pivots_tsv(corpus, "past", bad)
+            read_pivots_tsv(corpus, bad)
+        header = "rank\tiso3\ttranslation\tsurface\tchi2\n"
+        for row in ("1\taaa\taaa_t\tx\tmany\n", "1\taaa\taaa_t\tx\n",
+                    "1\tzzz\tzzz_none\tx\t3\n"):
+            bad.write_text(header + row, encoding="utf-8")
+            with pytest.raises(DataError):
+                read_pivots_tsv(corpus, bad)
+        bad.write_text(header, encoding="utf-8")
+        assert read_pivots_tsv(corpus, bad) == []
