@@ -333,16 +333,30 @@ def _link_stats(
     )
 
 
-def _verse_pairs(corpus: MultiCorpus, src_id: str, tgt_id: str):
-    """Aligned (source, target) token lists over the selected verses."""
-    src_tok = corpus.tokenized(src_id)
+def _surface_lists(corpus: MultiCorpus, translation_id: str) -> dict[str, list[str]]:
+    """Token surfaces of each selected verse that has tokens, in
+    selection order."""
+    toks = corpus.tokenized(translation_id)
+    out = {}
+    for vid in corpus.selected_verses:
+        tokens = toks.get(vid)
+        if tokens:
+            out[vid] = [t.surface for t in tokens]
+    return out
+
+
+def _verse_pairs(corpus: MultiCorpus, src_lists: dict[str, list[str]], tgt_id: str):
+    """Aligned (source, target) token lists over the selected verses.
+
+    src_lists is _surface_lists of the source; the lists are shared, not
+    copied, so one source aligned against many targets builds them once.
+    """
     tgt_tok = corpus.tokenized(tgt_id)
     pairs = []
-    for vid in corpus.selected_verses:
-        src = src_tok.get(vid)
+    for vid, src in src_lists.items():
         tgt = tgt_tok.get(vid)
-        if src and tgt:
-            pairs.append(([t.surface for t in src], [t.surface for t in tgt]))
+        if tgt:
+            pairs.append((src, [t.surface for t in tgt]))
     return pairs
 
 
@@ -434,7 +448,9 @@ def train_pair(
     encoding, when given, is the PairEncoding of the pair's verse pairs,
     so that training need not encode them again.
     """
-    pairs = encoding if encoding is not None else _verse_pairs(corpus, src_id, tgt_id)
+    pairs = encoding
+    if pairs is None:
+        pairs = _verse_pairs(corpus, _surface_lists(corpus, src_id), tgt_id)
     if cache_dir is None:
         return train_alignment(pairs, cfg)
     cache_dir = Path(cache_dir)
@@ -478,11 +494,12 @@ def link_counts(
         return {}
     if targets is None:
         targets = [t for t in corpus.translations if t != source_translation_id]
+    src_lists = _surface_lists(corpus, source_translation_id)
     out: dict[str, PairLinkStats] = {}
     for tgt_id in sorted(targets):
         if tgt_id == source_translation_id:
             continue
-        pairs = _verse_pairs(corpus, source_translation_id, tgt_id)
+        pairs = _verse_pairs(corpus, src_lists, tgt_id)
         if not pairs:
             logger.warning(
                 "no shared selected verses between %s and %s",

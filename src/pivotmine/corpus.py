@@ -94,6 +94,28 @@ class MultiCorpus:
         self._token_cache[translation_id] = (trans, out)
         return out
 
+    def surface_spans(
+        self, translation_id: str, surface: str
+    ) -> list[list[tuple[int, int]] | None]:
+        """Per selected verse, the spans of the tokens whose surface is
+        surface, or None where the translation lacks the verse.
+
+        Scans the raw text and adds nothing to the token cache. Each token
+        is lowercased on its own, as tokenize_verse does: lowercasing the
+        whole verse can differ (a final sigma depends on what follows).
+        """
+        verses = self.translations[translation_id].verses
+        out: list[list[tuple[int, int]] | None] = []
+        for vid in self.selected_verses:
+            text = verses.get(vid)
+            if text is None:
+                out.append(None)
+            else:
+                out.append([
+                    m.span() for m in _TOKEN_RE.finditer(text) if m.group().lower() == surface
+                ])
+        return out
+
     def token_frequencies(self, translation_id: str, selected_only: bool = True) -> Counter:
         """Token counts for one translation, by default over selected verses."""
         toks = self.tokenized(translation_id)

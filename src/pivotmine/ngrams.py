@@ -11,7 +11,7 @@ counted inside windows around the profile's peak (positive) and trough
 from __future__ import annotations
 
 import logging
-from collections import Counter
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,36 +51,63 @@ def pivot_relative_positions(
 
     For each selected verse, every occurrence of every pivot token in its
     own translation contributes midpoint / text length. Pivots iterate in
-    member order so results are reproducible.
+    member order so results are reproducible. The lookup scans the pivot
+    translations and caches no tokens.
     """
     rels: dict[str, list[float]] = {}
     for pivot in pivot_set.members:
         verses = corpus.translations[pivot.translation_id].verses
-        toks = corpus.tokenized(pivot.translation_id)
-        for vid in corpus.selected_verses:
-            tokens = toks.get(vid)
-            if not tokens:
+        spans = corpus.surface_spans(pivot.translation_id, pivot.surface)
+        for vid, found in zip(corpus.selected_verses, spans):
+            if not found:
                 continue
             length = len(verses[vid])
-            for tok in tokens:
-                if tok.surface == pivot.surface:
-                    mid = (tok.start + tok.end) / 2.0
-                    rels.setdefault(vid, []).append(mid / length)
+            for start, end in found:
+                mid = (start + end) / 2.0
+                rels.setdefault(vid, []).append(mid / length)
     return rels
 
 
-def accumulate_profile(length: int, centers: list[int], sigma: float) -> np.ndarray:
-    """Sum one truncated Gaussian bell per center over [0, length)."""
-    scores = np.zeros(length, dtype=float)
-    if length == 0:
-        return scores
+def _profiles(
+    lengths: np.ndarray, relative_positions: list[list[float]], sigma: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Profiles of several non-empty verses laid end to end.
+
+    Verse i has length lengths[i] and one bell per entry of
+    relative_positions[i], centered at int(rel * length + 0.5) and clamped
+    into the verse. The j-th bell of every verse is added in round j, so
+    each position sums its bells in the order a verse-at-a-time loop would,
+    and the sums are bit-identical to it. Returns the flat scores and each
+    verse's leftmost argmax and argmin.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    offsets = np.cumsum(lengths) - lengths
+    counts = np.array([len(r) for r in relative_positions], dtype=np.int64)
+    rels = np.array([x for r in relative_positions for x in r], dtype=float)
+    owner = np.repeat(np.arange(len(lengths)), counts)
+    nth = np.arange(len(rels)) - np.repeat(np.cumsum(counts) - counts, counts)
+    centers = (rels * lengths[owner] + 0.5).astype(np.int64)
+    centers = np.clip(centers, 0, lengths[owner] - 1)
     radius, kernel = gaussian_kernel(sigma)
-    for c in centers:
-        c = min(max(c, 0), length - 1)
-        lo = max(0, c - radius)
-        hi = min(length - 1, c + radius)
-        scores[lo : hi + 1] += kernel[lo - c + radius : hi - c + radius + 1]
-    return scores
+    spread = np.arange(-radius, radius + 1)
+    scores = np.zeros(int(lengths.sum()))
+    for j in range(int(counts.max(initial=0))):
+        bell = nth == j
+        verse = owner[bell]
+        pos = centers[bell, None] + spread
+        inside = (pos >= 0) & (pos < lengths[verse, None])
+        # One bell per verse per round, so no index repeats within a round.
+        at = (pos + offsets[verse, None])[inside]
+        scores[at] += np.broadcast_to(kernel, pos.shape)[inside]
+    segment = np.repeat(np.arange(len(lengths)), lengths)
+
+    def leftmost(extreme: np.ndarray) -> np.ndarray:
+        hits = np.flatnonzero(scores == extreme[segment])
+        return hits[np.searchsorted(segment[hits], np.arange(len(lengths)))] - offsets
+
+    x_max = leftmost(np.maximum.reduceat(scores, offsets))
+    x_min = leftmost(np.minimum.reduceat(scores, offsets))
+    return scores, x_max, x_min
 
 
 def position_profile(
@@ -97,14 +124,10 @@ def position_profile(
     length = len(target_text)
     if length == 0:
         return PositionProfile(verse_id, np.zeros(0), 0, 0, len(relative_positions))
-    centers = [int(rel * length + 0.5) for rel in relative_positions]
-    scores = accumulate_profile(length, centers, sigma)
-    if centers:
-        x_max = int(np.argmax(scores))
-        x_min = int(np.argmin(scores))
-    else:
-        x_max = x_min = 0
-    return PositionProfile(verse_id, scores, x_max, x_min, len(centers))
+    scores, x_max, x_min = _profiles(np.array([length]), [relative_positions], sigma)
+    return PositionProfile(
+        verse_id, scores, int(x_max[0]), int(x_min[0]), len(relative_positions)
+    )
 
 
 @dataclass(frozen=True)
@@ -131,26 +154,30 @@ class MiningResult:
         return [c.gram for c in self.by_n.get(n, [])]
 
 
-def _window_gram_counts(
-    text: str, center: int, w: int, n_range: tuple[int, int], sink: dict[int, Counter]
-) -> dict[int, int]:
-    """Count grams whose character span overlaps [center - w, center + w].
+def _gram_keys(text: str, ns: range):
+    """Yield (n, keys) for each n in ns; keys[s] stands for text[s:s + n].
 
-    Returns the number of gram occurrences added per n.
+    Keys compare like the grams themselves. Each character becomes its rank
+    in the text's sorted alphabet, and the keys of length n roll from those
+    of length n - 1: key_n = key_{n-1}[:-1] * alpha + rank[n - 1:]. When
+    that product could overflow int64, the keys are first compacted to
+    dense ranks, which keeps their order.
     """
-    length = len(text)
-    added: dict[int, int] = {}
-    for n in range(n_range[0], n_range[1] + 1):
-        if n > length:
-            added[n] = 0
-            continue
-        lo = max(0, center - w - n + 1)
-        hi = min(length - n, center + w)
-        counter = sink[n]
-        for s in range(lo, hi + 1):
-            counter[text[s : s + n]] += 1
-        added[n] = hi - lo + 1
-    return added
+    alphabet, rank = np.unique(
+        np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32),
+        return_inverse=True,
+    )
+    alpha = max(len(alphabet), 1)
+    limit = (np.iinfo(np.int64).max - alpha + 1) // alpha
+    keys = rank.astype(np.int64)
+    for n in range(1, ns.stop):
+        if n > 1:
+            if keys.size and keys.max() > limit:
+                keys = np.unique(keys, return_inverse=True)[1].astype(np.int64)
+            keys = keys[:-1] * alpha
+            keys += rank[n - 1 :]
+        if n in ns:
+            yield n, keys
 
 
 def mine_ngrams(
@@ -167,9 +194,11 @@ def mine_ngrams(
 
     Verses with at least one projected pivot contribute window counts
     around x_max (positive) and x_min (negative); verses none of the
-    pivots mark count entirely as negative. Per n, candidates are ranked
-    by chi-square of (positive window count vs negative window count)
-    against the respective totals, ties broken lexicographically.
+    pivots mark count entirely as negative. A window around x counts the
+    grams whose span overlaps [x - w, x + w] within the verse. Per n,
+    candidates are ranked by chi-square of (positive window count vs
+    negative window count) against the respective totals, ties broken
+    lexicographically.
     """
     if n_range[0] < 1 or n_range[1] < n_range[0]:
         raise ValueError(f"bad n-gram range {n_range!r}")
@@ -180,41 +209,30 @@ def mine_ngrams(
     if relative_positions is None:
         relative_positions = pivot_relative_positions(corpus, pivot_set)
     verses = corpus.translations[translation_id].verses
-    ns = range(n_range[0], n_range[1] + 1)
-    pos_counts: dict[int, Counter] = {n: Counter() for n in ns}
-    neg_counts: dict[int, Counter] = {n: Counter() for n in ns}
-    pos_totals = {n: 0 for n in ns}
-    neg_totals = {n: 0 for n in ns}
-    result = MiningResult(translation_id)
+    texts: list[str] = []
+    rels: list[list[float]] = []
     for vid in corpus.selected_verses:
         text = verses.get(vid)
-        if text is None or not text:
-            continue
-        result.verses_scored += 1
-        rels = relative_positions.get(vid, [])
-        if rels:
-            profile = position_profile(vid, text, rels, sigma)
-            result.verses_positive += 1
-            if abs(profile.x_max - profile.x_min) <= 2 * w:
-                result.overlap_flagged += 1
-            added = _window_gram_counts(text, profile.x_max, w, n_range, pos_counts)
-            for n, cnt in added.items():
-                pos_totals[n] += cnt
-            added = _window_gram_counts(text, profile.x_min, w, n_range, neg_counts)
-            for n, cnt in added.items():
-                neg_totals[n] += cnt
-        else:
-            for n in ns:
-                if n > len(text):
-                    continue
-                neg_counts[n].update(text[s : s + n] for s in range(len(text) - n + 1))
-                neg_totals[n] += len(text) - n + 1
-    if result.verses_scored == 0:
+        if text:
+            texts.append(text)
+            rels.append(relative_positions.get(vid, []))
+    result = MiningResult(translation_id, verses_scored=len(texts))
+    if not texts:
         logger.warning(
             "%s shares no selected verses with the corpus; empty mining result",
             translation_id,
         )
         return result
+    lengths = np.array([len(t) for t in texts], dtype=np.int64)
+    positive = np.array([bool(r) for r in rels])
+    x_max = np.zeros(len(texts), dtype=np.int64)
+    x_min = np.zeros(len(texts), dtype=np.int64)
+    if positive.any():
+        _, x_max[positive], x_min[positive] = _profiles(
+            lengths[positive], [r for r in rels if r], sigma
+        )
+    result.verses_positive = int(positive.sum())
+    result.overlap_flagged = int((positive & (np.abs(x_max - x_min) <= 2 * w)).sum())
     if result.verses_positive == 0:
         logger.warning(
             "no pivot coverage overlaps %s; all verses counted negative",
@@ -227,33 +245,77 @@ def mine_ngrams(
             result.overlap_flagged,
             result.verses_positive,
         )
-    for n in ns:
-        scored = []
-        for gram, a in pos_counts[n].items():
-            table = ContingencyTable(
-                a,
-                pos_totals[n] - a,
-                neg_counts[n].get(gram, 0),
-                neg_totals[n] - neg_counts[n].get(gram, 0),
+    joined = "".join(texts)
+    # Per character, in int32: the room left in its verse, and its offsets
+    # from the verse's positive and negative centers. A gram of length n
+    # may start where room >= n; a start past that would cross into the
+    # next verse.
+    room = np.repeat(np.cumsum(lengths, dtype=np.int32), lengths)
+    room -= np.arange(len(joined), dtype=np.int32)
+    from_max = np.repeat((lengths - x_max).astype(np.int32), lengths) - room
+    from_min = np.repeat((lengths - x_min).astype(np.int32), lengths) - room
+    marked = np.repeat(positive, lengths)
+    for n, keys in _gram_keys(joined, range(n_range[0], n_range[1] + 1)):
+        k = len(keys)
+        fits = room[:k] >= n
+        in_pos = (from_max[:k] >= 1 - n - w) & (from_max[:k] <= w)
+        in_neg = (from_min[:k] >= 1 - n - w) & (from_min[:k] <= w)
+        pos_starts = np.flatnonzero(fits & marked[:k] & in_pos)
+        # An unmarked verse is negative throughout.
+        neg_keys = keys[fits & (in_neg | ~marked[:k])]
+        neg_keys.sort()
+        grams, first, pos_counts = np.unique(
+            keys[pos_starts], return_index=True, return_counts=True
+        )
+        # Only the positive grams are scored, so only they are counted
+        # among the negatives.
+        neg_counts = np.searchsorted(neg_keys, grams, "right") - np.searchsorted(
+            neg_keys, grams, "left"
+        )
+        pos_total, neg_total = len(pos_starts), len(neg_keys)
+        scores = [
+            chi2(ContingencyTable(a, pos_total - a, c, neg_total - c))
+            for a, c in zip(pos_counts.tolist(), neg_counts.tolist())
+        ]
+        # grams is sorted by key, that is lexicographically, so a stable
+        # sort on the score alone breaks ties by gram.
+        ranked = np.argsort(-np.array(scores), kind="stable")[:top].tolist()
+        result.by_n[n] = [
+            NgramCandidate(
+                joined[pos_starts[first[i]] : pos_starts[first[i]] + n],
+                n,
+                rank,
+                int(pos_counts[i]),
+                int(neg_counts[i]),
+                scores[i],
             )
-            scored.append((chi2(table), gram, a))
-        scored.sort(key=lambda t: (-t[0], t[1]))
-        ranked = []
-        for rank, (score, gram, a) in enumerate(scored[:top], start=1):
-            ranked.append(
-                NgramCandidate(gram, n, rank, a, neg_counts[n].get(gram, 0), score)
-            )
-        result.by_n[n] = ranked
+            for rank, i in enumerate(ranked, start=1)
+        ]
     return result
 
 
+_GRAM_ESCAPES = str.maketrans({
+    " ": GRAM_SPACE_ESCAPE,
+    "\t": "\\t",
+    "\\": "\\\\",
+    GRAM_SPACE_ESCAPE: "\\" + GRAM_SPACE_ESCAPE,
+})
+_UNESCAPES = {"t": "\t", "\\": "\\", GRAM_SPACE_ESCAPE: GRAM_SPACE_ESCAPE, None: " "}
+_ESCAPED_RE = re.compile(rf"\\([\\t{GRAM_SPACE_ESCAPE}])|{GRAM_SPACE_ESCAPE}")
+
+
 def escape_gram(gram: str) -> str:
-    """Make a gram safe for a TSV cell (spaces and tabs made visible)."""
-    return gram.replace(" ", GRAM_SPACE_ESCAPE).replace("\t", "\\t")
+    """Make a gram safe for a TSV cell (spaces and tabs made visible).
+
+    A space becomes ``␣`` and a tab ``\\t``; a literal backslash or ``␣``
+    is escaped with a backslash, so every cell reads back to its gram.
+    """
+    return gram.translate(_GRAM_ESCAPES)
 
 
 def unescape_gram(cell: str) -> str:
-    return cell.replace("\\t", "\t").replace(GRAM_SPACE_ESCAPE, " ")
+    """Invert escape_gram; a backslash before any other character stays."""
+    return _ESCAPED_RE.sub(lambda m: _UNESCAPES[m.group(1)], cell)
 
 
 def write_ngrams_tsv(result: MiningResult, path: str | Path) -> Path:

@@ -73,16 +73,9 @@ def presence_vector(
     corpus: MultiCorpus, translation_id: str, surface: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Presence/missing indicator arrays over corpus.selected_verses."""
-    toks = corpus.tokenized(translation_id)
-    n = len(corpus.selected_verses)
-    presence = np.zeros(n, dtype=np.uint8)
-    missing = np.zeros(n, dtype=bool)
-    for r, vid in enumerate(corpus.selected_verses):
-        tokens = toks.get(vid)
-        if tokens is None:
-            missing[r] = True
-        elif any(t.surface == surface for t in tokens):
-            presence[r] = 1
+    spans = corpus.surface_spans(translation_id, surface)
+    presence = np.array([bool(s) for s in spans], dtype=np.uint8)
+    missing = np.array([s is None for s in spans], dtype=bool)
     return presence, missing
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import aligner_oracle as oracle
 from helpers import make_corpus
+from pivotmine import aligner as aligner_module
 from pivotmine.aligner import (
     CACHE_FORMAT,
     AlignerConfig,
@@ -19,6 +20,7 @@ from pivotmine.aligner import (
     _cell_probs,
     _pair_cache_key,
     _prior_matrix,
+    _surface_lists,
     _verse_pairs,
     _viterbi,
     diagonal_prior,
@@ -311,6 +313,36 @@ class TestLinkCounts:
         with pytest.raises(DataError):
             link_counts(pair_corpus, "zzz_nope", "x")
 
+    def test_verse_pairs_keep_verses_with_tokens_on_both_sides(self):
+        corpus = make_corpus(
+            {
+                "aaa_src": {
+                    "00000001": "A b",
+                    "00000002": "...",
+                    "00000003": "c",
+                    "00000004": "E",
+                    "00000005": "d",
+                },
+                "bbb_tgt": {"00000001": "x", "00000002": "y", "00000003": "Z z", "00000004": "w"},
+            }
+        )
+        pairs = _verse_pairs(corpus, _surface_lists(corpus, "aaa_src"), "bbb_tgt")
+        assert pairs == [(["a", "b"], ["x"]), (["c"], ["z", "z"]), (["e"], ["w"])]
+
+    def test_source_lists_built_once_per_call(self, monkeypatch):
+        corpus = random_corpus(3, 4)
+        built = []
+        real = aligner_module._surface_lists
+
+        def spy(corpus, translation_id):
+            built.append(translation_id)
+            return real(corpus, translation_id)
+
+        monkeypatch.setattr(aligner_module, "_surface_lists", spy)
+        stats = link_counts(corpus, "aaa_src", "w0")
+        assert len(stats) == 4
+        assert built == ["aaa_src"]
+
 
 # --- agreement with the dict-of-dicts oracle ----------------------------------
 
@@ -418,7 +450,7 @@ class TestOracleAgreement:
         stats = link_counts(corpus, query, word, cfg, targets)
         assert sorted(stats) == targets
         for tgt in targets:
-            pairs = _verse_pairs(corpus, query, tgt)
+            pairs = _verse_pairs(corpus, _surface_lists(corpus, query), tgt)
             lex = train_alignment(pairs, cfg)
             ref = oracle.train_alignment(pairs, cfg)
             assert_tables_agree(lex, ref)

@@ -262,6 +262,45 @@ class TestQueryMerge:
         assert merged.verses["00000001"] == "QTOK QTOK QTOK"
 
 
+SCAN_ALPHABET = DELIMITERS + string.ascii_uppercase + "abİiΣσςé"
+
+
+class TestSurfaceSpans:
+    """The token-free scan against the cached tokens."""
+
+    def test_tokens_lowercased_one_at_a_time(self):
+        # Lowercasing "ΑΣ'Α" as a whole gives "ασ'α"; the token ΑΣ is "ας".
+        corpus = make_corpus({"ell_t": {"00000001": "ΑΣ'Α ασ", "00000002": "ΑΣΑ"}})
+        assert corpus.surface_spans("ell_t", "ας") == [[(0, 2)], []]
+        assert corpus.surface_spans("ell_t", "ασ") == [[(5, 7)], []]
+        assert not corpus._token_cache
+
+    def test_missing_verse_is_none(self):
+        corpus = make_corpus(
+            {"aaa_t": {"00000001": "x", "00000003": ""}, "bbb_t": {"00000002": "y"}}
+        )
+        assert corpus.surface_spans("aaa_t", "x") == [[(0, 1)], None, []]
+
+    @given(
+        st.lists(st.text(alphabet=SCAN_ALPHABET, max_size=40), min_size=1, max_size=4),
+        st.sampled_from(["a", "b", "ab", "i̇", "σ", "ς", "aς", "é"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_cached_tokens(self, texts, surface):
+        verses = {f"{i:08d}": t for i, t in enumerate(texts, 1)}
+        corpus = make_corpus({"aaa_t": verses, "bbb_t": {"00000009": "z"}})
+        spans = corpus.surface_spans("aaa_t", surface)
+        assert not corpus._token_cache
+        toks = corpus.tokenized("aaa_t")
+        expected = [
+            None
+            if vid not in toks
+            else [(t.start, t.end) for t in toks[vid] if t.surface == surface]
+            for vid in corpus.selected_verses
+        ]
+        assert spans == expected
+
+
 class TestCorpusMethods:
     def test_token_frequencies_selected_only(self):
         corpus = make_corpus(

@@ -1,15 +1,25 @@
-"""Positional profiles, windowed gram counting, and mining."""
+"""Positional profiles, gram keys, mining against its oracle, and TSV cells."""
 
 import logging
 import math
+import random
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ngrams_oracle as oracle
 from helpers import make_corpus
+from pivotmine.corpus import DELIMITERS
 from pivotmine.errors import DataError
 from pivotmine.ngrams import (
-    _window_gram_counts,
-    accumulate_profile,
+    GRAM_SPACE_ESCAPE,
+    MiningResult,
+    NgramCandidate,
+    _gram_keys,
+    _profiles,
     escape_gram,
     mine_ngrams,
     pivot_relative_positions,
@@ -28,7 +38,8 @@ def ngram_occurrences(text: str, n: int) -> list[tuple[str, int]]:
     """All length-n character substrings with start offsets.
 
     No tokenization: spaces are characters, grams cross token boundaries.
-    Brute-force oracle for the windowed counting in _window_gram_counts.
+    Brute-force oracle for the windowed counting in the oracle's
+    _window_gram_counts.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -76,33 +87,53 @@ class TestProfile:
         assert profile.pivot_hits == 1
 
     def test_mass_preserved_away_from_edges(self):
-        scores = accumulate_profile(200, [100], 6.0)
+        scores = position_profile("v", "x" * 200, [0.5]).scores
         assert scores.sum() == pytest.approx(1.0, abs=1e-3)
 
     def test_two_centers_double_mass(self):
-        scores = accumulate_profile(400, [100, 300], 6.0)
+        scores = position_profile("v", "x" * 400, [0.25, 0.75]).scores
         assert scores.sum() == pytest.approx(2.0, abs=2e-3)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 90),
+                st.lists(st.floats(-0.1, 1.1, allow_nan=False), max_size=6),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.sampled_from([0.3, 1.5, 6.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_batch_is_bit_identical_to_one_verse_at_a_time(self, verses, sigma):
+        lengths = [length for length, _ in verses]
+        scores, x_max, x_min = _profiles(np.array(lengths), [r for _, r in verses], sigma)
+        offset = 0
+        for i, (length, rels) in enumerate(verses):
+            ref = oracle.position_profile("v", "x" * length, rels, sigma)
+            assert scores[offset : offset + length].tobytes() == ref.scores.tobytes()
+            assert (x_max[i], x_min[i]) == (ref.x_max, ref.x_min)
+            offset += length
 
 
 class TestWindowCounts:
+    """The oracle's window counting against the window definition."""
+
     def test_overlap_bounds(self):
         # spans [s, s+n) overlapping [center-w, center+w] means
         # s in [center-w-n+1, center+w]
-        from collections import Counter
-
         sink = {2: Counter()}
-        added = _window_gram_counts("abcdefghij", 4, 1, (2, 2), sink)
+        added = oracle._window_gram_counts("abcdefghij", 4, 1, (2, 2), sink)
         assert added == {2: 4}
         assert sorted(sink[2]) == ["cd", "de", "ef", "fg"]
 
     def test_agrees_with_brute_force(self):
-        from collections import Counter
-
         text = "the quick brown fox"
         center, w = 8, 3
         for n in (1, 2, 3, 4):
             sink = {n: Counter()}
-            _window_gram_counts(text, center, w, (n, n), sink)
+            oracle._window_gram_counts(text, center, w, (n, n), sink)
             expected = Counter(
                 g
                 for g, s in ngram_occurrences(text, n)
@@ -111,12 +142,46 @@ class TestWindowCounts:
             assert sink[n] == expected
 
     def test_n_longer_than_text(self):
-        from collections import Counter
-
         sink = {5: Counter()}
-        added = _window_gram_counts("abc", 1, 2, (5, 5), sink)
+        added = oracle._window_gram_counts("abc", 1, 2, (5, 5), sink)
         assert added == {5: 0}
         assert not sink[5]
+
+
+# 1,600 code points, so that keys of 12-grams over the ones a text uses
+# need compaction to stay within int64.
+WIDE_ALPHABET = "".join(chr(c) for c in range(0x4E00, 0x4E00 + 1600))
+
+
+def assert_keys_order_like_grams(text: str, n_max: int) -> None:
+    for n, keys in _gram_keys(text, range(1, n_max + 1)):
+        grams = [text[s : s + n] for s in range(len(text) - n + 1)]
+        assert len(keys) == len(grams)
+        assert keys.dtype == np.int64
+        order = sorted(range(len(grams)), key=lambda i: (grams[i], i))
+        assert np.argsort(keys, kind="stable").tolist() == order
+        for i, j in zip(order, order[1:]):
+            assert (keys[i] == keys[j]) == (grams[i] == grams[j])
+
+
+class TestGramKeys:
+    def test_keys_order_like_grams(self):
+        assert_keys_order_like_grams("abracadabra cab", 6)
+
+    def test_wide_alphabet_compacts_without_overflow(self):
+        rng = random.Random(5)
+        text = "".join(rng.choice(WIDE_ALPHABET[:1550]) for _ in range(3000))
+        text += text[:500]  # repeated 12-grams
+        assert len(set(text)) ** 12 > 2**63
+        assert_keys_order_like_grams(text, 12)
+
+    def test_only_requested_lengths(self):
+        assert [n for n, _ in _gram_keys("abcd", range(2, 4))] == [2, 3]
+
+    @given(st.text(alphabet="ab Σς\t\u0100" + chr(0x10FFFF), max_size=40), st.integers(1, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_keys_order_like_grams_property(self, text, n_max):
+        assert_keys_order_like_grams(text, n_max)
 
 
 class TestRelativePositions:
@@ -132,6 +197,46 @@ class TestRelativePositions:
         pivot = Pivot("paa", "paa_t", "ko", 1.0)
         rels = pivot_relative_positions(corpus, PivotSet(pivot, [pivot]))
         assert rels == {"00000001": [0.2, 0.8]}
+
+    def test_matches_token_cache_and_caches_nothing(self):
+        corpus = make_corpus(
+            {
+                "paa_t": {
+                    "00000001": "ΑΣ'Α ας, Ας! ασ",
+                    "00000002": "İki İKİ iki\tİki",
+                    "00000003": "",
+                },
+                "pbb_t": {"00000001": "Don't DON'T don (t) don t", "00000004": "x"},
+            }
+        )
+        members = [
+            Pivot("paa", "paa_t", "ας", 1.0),
+            Pivot("paa", "paa_t", "i̇ki", 1.0),
+            Pivot("pbb", "pbb_t", "don", 1.0),
+            Pivot("pbb", "pbb_t", "t", 1.0),
+        ]
+        ps = PivotSet(members[0], members)
+        rels = pivot_relative_positions(corpus, ps)
+        assert not corpus._token_cache
+        assert rels == oracle.token_relative_positions(corpus, ps)
+        assert len(rels["00000001"]) == 3 + 4 + 4
+        assert len(rels["00000002"]) == 2
+
+    @given(
+        st.lists(
+            st.text(alphabet=DELIMITERS + "abAB'İΣσςé", max_size=30), min_size=1, max_size=5
+        ),
+        st.sampled_from(["a", "ab", "σ", "ς", "aς", "i̇", "é"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_token_cache_property(self, texts, surface):
+        verses = {f"{i:08d}": t for i, t in enumerate(texts, 1)}
+        corpus = make_corpus({"paa_t": verses, "pbb_t": {"00000009": "x"}})
+        pivot = Pivot("paa", "paa_t", surface, 1.0)
+        ps = PivotSet(pivot, [pivot])
+        assert pivot_relative_positions(corpus, ps) == oracle.token_relative_positions(
+            corpus, ps
+        )
 
 
 @pytest.fixture(scope="module")
@@ -219,11 +324,180 @@ class TestMining:
             mine_ngrams(corpus, "nope_t", ps)
 
 
+def assert_mining_agrees(corpus, tid, ps, **kw):
+    got = mine_ngrams(corpus, tid, ps, **kw)
+    ref = oracle.mine_ngrams(corpus, tid, ps, **kw)
+    assert got.by_n == ref.by_n
+    assert (got.verses_scored, got.verses_positive, got.overlap_flagged) == (
+        ref.verses_scored,
+        ref.verses_positive,
+        ref.overlap_flagged,
+    )
+    return got
+
+
+def random_corpus(rng: random.Random, alphabet: str, n_verses: int, max_len: int):
+    """A target translation plus a pivot translation whose pivot word marks
+    about half the verses; some target verses are empty or missing."""
+    target, pivot = {}, {}
+    for i in range(1, n_verses + 1):
+        vid = f"{i:08d}"
+        roll = rng.random()
+        if roll < 0.05:
+            target[vid] = ""
+        elif roll >= 0.1:
+            target[vid] = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, max_len)))
+        words = [rng.choice(["ab", "ba", "aa"]) for _ in range(rng.randint(1, 8))]
+        if rng.random() < 0.5:
+            words.insert(rng.randrange(len(words) + 1), "Piv")
+        if rng.random() < 0.2:
+            words.append("piv")
+        pivot[vid] = " ".join(words)
+    corpus = make_corpus({"paa_p": pivot, "tgt_t": target})
+    p = Pivot("paa", "paa_p", "piv", 1.0)
+    return corpus, PivotSet(p, [p])
+
+
+MINING_SETTINGS = [
+    {},
+    {"w": 0},
+    {"w": 3, "sigma": 1.0, "n_range": (1, 4)},
+    {"n_range": (3, 12), "top": 10_000},
+    {"w": 50, "n_range": (1, 2), "top": 1},
+    {"w": 10**12, "n_range": (1, 3)},
+]
+
+
+class TestOracleAgreement:
+    """The array miner equals the Counter oracle in tests/ngrams_oracle.py."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("settings_", MINING_SETTINGS, ids=str)
+    def test_random_corpora(self, seed, settings_):
+        rng = random.Random(seed)
+        alphabet = ["ab ", "abcdeΣς ", "abcdefghijklmnopqrstuvwxyz .,"][seed % 3]
+        corpus, ps = random_corpus(rng, alphabet, 60, 40)
+        assert_mining_agrees(corpus, "tgt_t", ps, **settings_)
+
+    def test_wide_alphabet_at_n_max_12(self):
+        rng = random.Random(11)
+        corpus, ps = random_corpus(rng, WIDE_ALPHABET, 300, 60)
+        target = corpus.translations["tgt_t"].verses
+        assert len(set("".join(target.values()))) > 1500
+        got = assert_mining_agrees(corpus, "tgt_t", ps, n_range=(1, 12), top=50)
+        assert len(got.by_n[12]) == 50
+
+    def test_texts_shorter_than_n_and_empty_or_missing_verses(self):
+        corpus = make_corpus(
+            {
+                "paa_p": {f"0000000{i}": "piv x" for i in range(1, 7)},
+                "tgt_t": {
+                    "00000001": "ab",
+                    "00000002": "",
+                    "00000003": "abcde",
+                    "00000004": "a",
+                    "00000006": "abcdefghijklmnop",
+                },
+            }
+        )
+        p = Pivot("paa", "paa_p", "piv", 1.0)
+        ps = PivotSet(p, [p])
+        for w, (n_min, n_max) in ((0, (1, 8)), (2, (3, 20))):
+            got = assert_mining_agrees(corpus, "tgt_t", ps, w=w, n_range=(n_min, n_max))
+            assert got.verses_scored == 4
+            assert set(got.by_n) == set(range(n_min, n_max + 1))
+        assert got.by_n[20] == []
+
+    def test_top_larger_than_gram_count(self):
+        corpus = make_corpus({"paa_p": {"00000001": "piv"}, "tgt_t": {"00000001": "abcabc"}})
+        p = Pivot("paa", "paa_p", "piv", 1.0)
+        got = assert_mining_agrees(corpus, "tgt_t", PivotSet(p, [p]), n_range=(2, 3), top=100)
+        assert [c.gram for c in got.by_n[2]] == ["ab", "bc", "ca"]
+
+    def test_planted_ties_break_by_gram(self):
+        # Every marked verse holds the same letters in another order, so
+        # many grams share their counts and their chi-square.
+        verses, pivots = {}, {}
+        rng = random.Random(3)
+        for i in range(1, 41):
+            vid = f"{i:08d}"
+            letters = list("zyxwvut")
+            rng.shuffle(letters)
+            if i % 2:
+                verses[vid] = "".join(letters) + " " + "q" * 30
+                pivots[vid] = "piv y y y y y"
+            else:
+                verses[vid] = "q" * 30 + " " + "".join(letters)
+                pivots[vid] = "y y y y y y"
+        corpus = make_corpus({"paa_p": pivots, "tgt_t": verses})
+        p = Pivot("paa", "paa_p", "piv", 1.0)
+        got = assert_mining_agrees(corpus, "tgt_t", PivotSet(p, [p]), w=3, n_range=(1, 3), top=50)
+        scores = [c.score for c in got.by_n[1]]
+        assert len(set(scores)) < len(scores)
+        for cands in got.by_n.values():
+            keys = [(-c.score, c.gram) for c in cands]
+            assert keys == sorted(keys)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.none(),
+                st.tuples(
+                    st.text(alphabet="ab ␣\\tΣ", max_size=25),
+                    st.lists(st.floats(0.0, 1.0, allow_nan=False), max_size=3),
+                ),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        st.integers(0, 6),
+        st.integers(1, 4),
+        st.integers(0, 4),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_on_generated_verses(self, verses, w, n_min, n_extra, top):
+        texts, rels = {}, {}
+        for i, verse in enumerate(verses, 1):
+            vid = f"{i:08d}"
+            if verse is not None:
+                texts[vid], found = verse
+                if found:
+                    rels[vid] = found
+        corpus = make_corpus({"tgt_t": texts, "zzz_t": {f"{i:08d}": "x" for i in range(1, 11)}})
+        ps = PivotSet(Pivot("zzz", "zzz_t", "y", 1.0), [])
+        assert_mining_agrees(
+            corpus, "tgt_t", ps, w=w, n_range=(n_min, n_min + n_extra), top=top,
+            sigma=2.0, relative_positions=rels,
+        )
+
+
 class TestSerialization:
     def test_escape_round_trip(self):
         gram = "a b\tc"
         assert escape_gram(gram) == "a␣b\\tc"
         assert unescape_gram(escape_gram(gram)) == gram
+
+    def test_backslash_t_and_literal_box_read_back(self, tmp_path):
+        grams = ["x\\ty", "a␣b", "\\", "a b\tc"]
+        assert [unescape_gram(escape_gram(g)) for g in grams] == grams
+        result = MiningResult(
+            "t", by_n={4: [NgramCandidate(g, 4, r, 1, 0, 1.0) for r, g in enumerate(grams, 1)]}
+        )
+        path = write_ngrams_tsv(result, tmp_path / "grams.tsv")
+        assert read_ngrams_tsv(path) == {4: grams}
+
+    @given(st.text(alphabet=["\\", "t", GRAM_SPACE_ESCAPE, " ", "\t"], max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_escape_round_trip_property(self, gram):
+        cell = escape_gram(gram)
+        assert " " not in cell and "\t" not in cell
+        assert unescape_gram(cell) == gram
+
+    @given(st.text(alphabet=["a", "t", " ", "\t", "Σ"], max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_cells_unchanged_without_backslash_or_box(self, gram):
+        assert escape_gram(gram) == gram.replace(" ", GRAM_SPACE_ESCAPE).replace("\t", "\\t")
 
     def test_tsv_round_trip(self, tiny, tmp_path):
         corpus, truth = tiny

@@ -5,6 +5,7 @@ import logging
 import numpy as np
 import pytest
 
+import ngrams_oracle as oracle
 from helpers import make_corpus
 from pivotmine.aligner import PairLinkStats, link_counts
 from pivotmine import pivots as pivots_module
@@ -115,6 +116,35 @@ class TestPresence:
         presence, missing = presence_vector(corpus, "aaa_t", "ti")
         assert presence.tolist() == [1, 0, 0]
         assert missing.tolist() == [False, False, True]
+
+    def test_matches_token_cache_and_caches_nothing(self):
+        corpus = make_corpus(
+            {
+                "ell_t": {
+                    "00000001": "ΑΣ'Α",
+                    "00000002": "ασ ΑΣΑ",
+                    "00000003": "(Ας)",
+                    "00000004": "",
+                },
+                "tur_t": {"00000001": "İki\fİKİ", "00000005": "DON'T, don't"},
+            }
+        )
+        lookups = [
+            ("ell_t", "ας"),
+            ("ell_t", "ασ"),
+            ("tur_t", "i̇ki"),
+            ("tur_t", "don"),
+            ("tur_t", "t"),
+        ]
+        for tid, surface in lookups:
+            presence, missing = presence_vector(corpus, tid, surface)
+            assert not corpus._token_cache
+            ref_presence, ref_missing = oracle.token_presence_vector(corpus, tid, surface)
+            corpus._token_cache.clear()
+            assert presence.dtype == ref_presence.dtype and missing.dtype == ref_missing.dtype
+            assert presence.tolist() == ref_presence.tolist()
+            assert missing.tolist() == ref_missing.tolist()
+        assert presence_vector(corpus, "ell_t", "ας")[0].tolist() == [1, 0, 1, 0, 0]
 
     def test_matrix_requires_selection(self):
         corpus = make_corpus({"aaa_t": {"00000001": "ti"}}, select=False)
