@@ -21,12 +21,11 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import MultiCorpus
+from .corpus import MultiCorpus, TranslationEncoding, encode_surfaces
 from .errors import DataError
 from .textio import read_lines, write_lines
 
@@ -135,38 +134,36 @@ class PairEncoding:
             yield s, t, values[offset : offset + size].reshape(n, t, s + 1)
 
 
-def _word_ids(verses: list[list[str]], first: int) -> tuple[list, np.ndarray, np.ndarray]:
-    """Words in first-occurrence order, with the id (from first) of every
-    token and the start of every verse in the flat token array."""
-    flat = list(chain.from_iterable(verses))
-    words = list(dict.fromkeys(flat))
-    index = {w: i for i, w in enumerate(words, first)}
-    ids = np.fromiter(map(index.__getitem__, flat), np.int64, len(flat))
-    lengths = np.fromiter(map(len, verses), np.int64, len(verses))
-    return words, ids, np.cumsum(lengths) - lengths
+def _first_occurrence(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ids in first-occurrence order, and the index
+    of each entry's value among them."""
+    uniq, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return uniq[order], rank[inverse.ravel()]
 
 
-def encode_pairs(pairs) -> PairEncoding:
-    """Encode (source, target) verse pairs; pairs with an empty side are
-    skipped, and DataError is raised if none remains."""
-    srcs: list[list[str]] = []
-    tgts: list[list[str]] = []
-    skipped = 0
-    for s, t in pairs:
-        if s and t:
-            srcs.append(s)
-            tgts.append(t)
-        else:
-            skipped += 1
-    if not srcs:
+def encode_pairs(src: TranslationEncoding, tgt: TranslationEncoding) -> PairEncoding:
+    """Encode the verse pairs of two encodings over the same rows.
+
+    Rows where either side has no token are skipped, and DataError is
+    raised if none remains. Each side's ids are renumbered in first
+    occurrence over the kept rows, source ids from 1.
+    """
+    src_len = np.diff(src.offsets)
+    tgt_len = np.diff(tgt.offsets)
+    keep = (src_len > 0) & (tgt_len > 0)
+    if not keep.any():
         raise DataError("no non-empty verse pairs to train on")
-    if skipped:
-        logger.debug("alignment training skipped %d empty pairs", skipped)
-    src_words, src_ids, src_start = _word_ids(srcs, 1)
-    tgt_words, tgt_ids, tgt_start = _word_ids(tgts, 0)
-    n_tgt = len(tgt_words)
+    src_vocab, src_ids = _first_occurrence(src.ids[np.repeat(keep, src_len)])
+    tgt_vocab, tgt_ids = _first_occurrence(tgt.ids[np.repeat(keep, tgt_len)])
+    src_ids += 1
+    n_tgt = len(tgt_vocab)
+    shape = np.column_stack((src_len[keep], tgt_len[keep])).astype(np.int64)
+    src_start = np.cumsum(shape[:, 0]) - shape[:, 0]
+    tgt_start = np.cumsum(shape[:, 1]) - shape[:, 1]
 
-    shape = np.array([(len(s), len(t)) for s, t in zip(srcs, tgts)])
     order = np.lexsort((shape[:, 1], shape[:, 0]))
     cuts = np.flatnonzero(np.any(np.diff(shape[order], axis=0), axis=1)) + 1
     keys = []
@@ -174,21 +171,29 @@ def encode_pairs(pairs) -> PairEncoding:
     offset = 0
     for rows in np.split(order, cuts):
         s_len, t_len = shape[rows[0]].tolist()
-        src = np.zeros((len(rows), s_len + 1), dtype=np.int64)
-        src[:, 1:] = src_ids[src_start[rows, None] + np.arange(s_len)]
-        tgt = tgt_ids[tgt_start[rows, None] + np.arange(t_len)]
-        key = (src[:, None, :] * n_tgt + tgt[:, :, None]).ravel()
+        block_src = np.zeros((len(rows), s_len + 1), dtype=np.int64)
+        block_src[:, 1:] = src_ids[src_start[rows, None] + np.arange(s_len)]
+        block_tgt = tgt_ids[tgt_start[rows, None] + np.arange(t_len)]
+        key = (block_src[:, None, :] * n_tgt + block_tgt[:, :, None]).ravel()
         keys.append(key)
         blocks.append((offset, len(rows), s_len, t_len))
         offset += key.size
     uniq, cells = np.unique(np.concatenate(keys), return_inverse=True)
     return PairEncoding(
-        src_words=[None, *src_words],
-        tgt_words=tgt_words,
+        src_words=[None, *(src.vocab[i] for i in src_vocab.tolist())],
+        tgt_words=[tgt.vocab[i] for i in tgt_vocab.tolist()],
         cell_src=(uniq // n_tgt).astype(np.int32),
         cell_tgt=(uniq % n_tgt).astype(np.int32),
         cells=cells.astype(np.int32).ravel(),
         blocks=blocks,
+    )
+
+
+def encode_surface_pairs(pairs) -> PairEncoding:
+    """encode_pairs of (source, target) token surface lists, one row each."""
+    pairs = list(pairs)
+    return encode_pairs(
+        encode_surfaces([s for s, _ in pairs]), encode_surfaces([t for _, t in pairs])
     )
 
 
@@ -248,7 +253,7 @@ def train_alignment(pairs, cfg: AlignerConfig | None = None) -> LexTable:
     """
     cfg = cfg or AlignerConfig()
     cfg.validate()
-    enc = pairs if isinstance(pairs, PairEncoding) else encode_pairs(pairs)
+    enc = pairs if isinstance(pairs, PairEncoding) else encode_surface_pairs(pairs)
     return _lex_table(enc, *_em(enc, cfg))
 
 
@@ -270,30 +275,15 @@ def _viterbi(enc: PairEncoding, probs: np.ndarray, cfg: AlignerConfig) -> list[n
     return out
 
 
-def viterbi_align(lex: LexTable, source, target, cfg: AlignerConfig | None = None):
-    """One-best alignment links (source_index, target_index) for a pair.
-
-    Each target token takes its single best source position under
-    prior * t, or the null word when nothing beats the null score; null
-    and out-of-vocabulary tokens produce no link. A source token must
-    strictly exceed the null score, and ties between source positions go
-    to the leftmost.
-    """
-    cfg = cfg or AlignerConfig()
-    if not source or not target:
-        return []
-    enc = encode_pairs([(source, target)])
-    (positions,) = _viterbi(enc, _cell_probs(enc, lex), cfg)
-    return [(i, j) for j, i in enumerate(positions[0].tolist()) if i >= 0]
-
-
 @dataclass
 class PairLinkStats:
     """Aggregate link counts between one source translation and one target.
 
     source_word_to_target counts links from the tracked source word to each
     target word; target_word_links counts all links onto each target word
-    regardless of source.
+    regardless of source. target_frequencies is the token count, over the
+    target's selected verses, of each word in source_word_to_target; it is
+    not a link count and takes no part in comparisons.
     """
 
     source_word: str
@@ -301,6 +291,7 @@ class PairLinkStats:
     source_word_links: int = 0
     target_word_links: Counter = field(default_factory=Counter)
     total_links: int = 0
+    target_frequencies: dict[str, int] = field(default_factory=dict, compare=False)
 
 
 def _link_stats(
@@ -331,33 +322,6 @@ def _link_stats(
         counter(all_links),
         len(link_cells),
     )
-
-
-def _surface_lists(corpus: MultiCorpus, translation_id: str) -> dict[str, list[str]]:
-    """Token surfaces of each selected verse that has tokens, in
-    selection order."""
-    toks = corpus.tokenized(translation_id)
-    out = {}
-    for vid in corpus.selected_verses:
-        tokens = toks.get(vid)
-        if tokens:
-            out[vid] = [t.surface for t in tokens]
-    return out
-
-
-def _verse_pairs(corpus: MultiCorpus, src_lists: dict[str, list[str]], tgt_id: str):
-    """Aligned (source, target) token lists over the selected verses.
-
-    src_lists is _surface_lists of the source; the lists are shared, not
-    copied, so one source aligned against many targets builds them once.
-    """
-    tgt_tok = corpus.tokenized(tgt_id)
-    pairs = []
-    for vid, src in src_lists.items():
-        tgt = tgt_tok.get(vid)
-        if tgt:
-            pairs.append((src, [t.surface for t in tgt]))
-    return pairs
 
 
 def _pair_cache_key(
@@ -448,11 +412,10 @@ def train_pair(
     encoding, when given, is the PairEncoding of the pair's verse pairs,
     so that training need not encode them again.
     """
-    pairs = encoding
-    if pairs is None:
-        pairs = _verse_pairs(corpus, _surface_lists(corpus, src_id), tgt_id)
+    if encoding is None:
+        encoding = encode_pairs(corpus.encode(src_id), corpus.encode(tgt_id))
     if cache_dir is None:
-        return train_alignment(pairs, cfg)
+        return train_alignment(encoding, cfg)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     key = _pair_cache_key(corpus, src_id, tgt_id, cfg)
@@ -460,7 +423,7 @@ def train_pair(
     cached = load_lex_table(path, key)
     if cached is not None:
         return cached
-    lex = train_alignment(pairs, cfg)
+    lex = train_alignment(encoding, cfg)
     save_lex_table(lex, path, key)
     return lex
 
@@ -484,8 +447,8 @@ def link_counts(
     cfg.validate()
     if source_translation_id not in corpus.translations:
         raise DataError(f"unknown translation {source_translation_id!r}")
-    freq = corpus.token_frequencies(source_translation_id)
-    if freq.get(source_word, 0) == 0:
+    src = corpus.encode(source_translation_id)
+    if source_word not in src.vocab:
         logger.warning(
             "source word %r absent from selected verses of %s",
             source_word,
@@ -494,20 +457,23 @@ def link_counts(
         return {}
     if targets is None:
         targets = [t for t in corpus.translations if t != source_translation_id]
-    src_lists = _surface_lists(corpus, source_translation_id)
     out: dict[str, PairLinkStats] = {}
     for tgt_id in sorted(targets):
         if tgt_id == source_translation_id:
             continue
-        pairs = _verse_pairs(corpus, src_lists, tgt_id)
-        if not pairs:
+        tgt = corpus.encode(tgt_id)
+        try:
+            enc = encode_pairs(src, tgt)
+        except DataError:
             logger.warning(
                 "no shared selected verses between %s and %s",
                 source_translation_id,
                 tgt_id,
             )
             continue
-        enc = encode_pairs(pairs)
         lex = train_pair(corpus, source_translation_id, tgt_id, cfg, cache_dir, enc)
-        out[tgt_id] = _link_stats(enc, _cell_probs(enc, lex), cfg, source_word)
+        stats = _link_stats(enc, _cell_probs(enc, lex), cfg, source_word)
+        freq = tgt.frequencies()
+        stats.target_frequencies = {w: freq[w] for w in stats.source_word_to_target}
+        out[tgt_id] = stats
     return out

@@ -349,7 +349,7 @@ def _features(args) -> list[str]:
 
 
 def _load_pivot_set(run: Run) -> tuple[MultiCorpus, PivotSet]:
-    """The selected corpus and the --pivots set.
+    """The selected corpus and the --pivots set, its members scanned once.
 
     --head names the head member; member order does not encode it, because
     scores against the query and against the head live on different
@@ -361,12 +361,12 @@ def _load_pivot_set(run: Run) -> tuple[MultiCorpus, PivotSet]:
     if not members:
         raise DataError(f"empty pivots TSV: {path}")
     if not run.args.head:
-        return corpus, PivotSet(members[0], members)
+        return corpus, PivotSet.scan(corpus, members[0], members)
     head = _head_from_json(corpus, run.args.head)
     key = (head.translation_id, head.surface)
     for p in members:
         if (p.translation_id, p.surface) == key:
-            return corpus, PivotSet(p, members)
+            return corpus, PivotSet.scan(corpus, p, members)
     raise DataError(f"head {key!r} not among pivots in {path}")
 
 

@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import logging
 import re
-from collections import Counter
+from collections import Counter, defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DataError
 from .textio import read_lines, write_lines
@@ -31,24 +35,70 @@ def is_verse_id(value: str) -> bool:
     return bool(VERSE_ID_RE.match(value))
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
-    """A lowercased token surface with its character span in the verse.
+def tokenize_verse(text: str) -> tuple[list[str], list[int], list[int]]:
+    """The tokens of one verse: maximal runs of non-delimiter characters.
 
-    start/end index the raw text, so text[start:end] recovers the
-    original spelling.
+    Returns their surfaces and their start and end offsets in text, so
+    text[start:end] recovers the original spelling. Each surface is
+    lowercased on its own: lowercasing the whole verse can differ, because
+    a final sigma depends on what follows.
+    """
+    matches = list(_TOKEN_RE.finditer(text))
+    return (
+        [m.group().lower() for m in matches],
+        [m.start() for m in matches],
+        [m.end() for m in matches],
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class TranslationEncoding:
+    """The tokens of one translation over a run of verses, as int32 arrays.
+
+    Row r holds the tokens ids[offsets[r]:offsets[r + 1]]; an id indexes
+    vocab, which lists the surfaces in first-occurrence order. has_verse is
+    False on the rows of verses the translation lacks, so a missing verse
+    and an empty one stay different. starts and ends are each token's
+    character offsets in its verse, or None for an encoding of surface
+    lists, which have no text.
     """
 
-    surface: str
-    start: int
-    end: int
+    vocab: list[str]
+    ids: np.ndarray
+    offsets: np.ndarray
+    has_verse: np.ndarray
+    starts: np.ndarray | None = None
+    ends: np.ndarray | None = None
+
+    def frequencies(self) -> dict[str, int]:
+        """Token count of every surface."""
+        counts = np.bincount(self.ids, minlength=len(self.vocab))
+        return dict(zip(self.vocab, counts.tolist()))
+
+    def find(self, surface: str) -> np.ndarray:
+        """Indices of the tokens whose surface is surface, in order."""
+        try:
+            word = self.vocab.index(surface)
+        except ValueError:
+            return np.zeros(0, dtype=np.int64)
+        return np.flatnonzero(self.ids == word)
 
 
-def tokenize_verse(text: str) -> tuple[Token, ...]:
-    """Maximal runs of non-delimiter characters, lowercased, with offsets."""
-    return tuple(
-        Token(m.group().lower(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)
-    )
+def _vocabulary() -> defaultdict[str, int]:
+    """A map from surface to id that gives a new surface the next id when
+    it is first looked up, so ids follow first occurrence."""
+    index: defaultdict[str, int] = defaultdict()
+    index.default_factory = index.__len__
+    return index
+
+
+def encode_surfaces(rows: Sequence[Sequence[str]]) -> TranslationEncoding:
+    """Encode rows of token surfaces, one row per list; every row is present."""
+    index = _vocabulary()
+    ids = np.fromiter(map(index.__getitem__, chain.from_iterable(rows)), np.int32)
+    offsets = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum([len(r) for r in rows], out=offsets[1:])
+    return TranslationEncoding(list(index), ids, offsets, np.ones(len(rows), dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -68,11 +118,8 @@ class MultiCorpus:
     """All loaded translations plus the working verse selection.
 
     selected_verses is the ordered subset downstream stages iterate over;
-    it is empty until select() is applied. Tokenization is cached per
-    translation, in one cache shared by every copy derived through
-    select() or with_translation(). Each entry remembers the Translation
-    it was made from, so a copy holding a different translation under the
-    same id tokenizes its own.
+    it is empty until select() is applied. Tokens are not cached: encode()
+    tokenizes a translation each time it is called.
     """
 
     translations: dict[str, Translation]
@@ -80,60 +127,36 @@ class MultiCorpus:
     selected_verses: tuple[str, ...] = ()
     families: dict[str, str] = field(default_factory=dict)
     malformed_lines: int = 0
-    _token_cache: dict[str, tuple[Translation, dict[str, tuple[Token, ...]]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
-    def tokenized(self, translation_id: str) -> dict[str, tuple[Token, ...]]:
-        """Tokens of every verse of one translation, cached."""
-        trans = self.translations[translation_id]
-        cached = self._token_cache.get(translation_id)
-        if cached is not None and cached[0] is trans:
-            return cached[1]
-        out = {vid: tokenize_verse(text) for vid, text in trans.verses.items()}
-        self._token_cache[translation_id] = (trans, out)
-        return out
-
-    def surface_spans(
-        self, translation_id: str, surface: str
-    ) -> list[list[tuple[int, int]] | None]:
-        """Per selected verse, the spans of the tokens whose surface is
-        surface, or None where the translation lacks the verse.
-
-        Scans the raw text and adds nothing to the token cache. Each token
-        is lowercased on its own, as tokenize_verse does: lowercasing the
-        whole verse can differ (a final sigma depends on what follows).
-        """
+    def encode(self, translation_id: str) -> TranslationEncoding:
+        """The TranslationEncoding of one translation, one row per selected verse."""
         verses = self.translations[translation_id].verses
-        out: list[list[tuple[int, int]] | None] = []
+        index = _vocabulary()
+        ids: list[int] = []
+        starts: list[int] = []
+        ends: list[int] = []
+        offsets = [0]
+        has_verse = []
         for vid in self.selected_verses:
             text = verses.get(vid)
-            if text is None:
-                out.append(None)
-            else:
-                out.append([
-                    m.span() for m in _TOKEN_RE.finditer(text) if m.group().lower() == surface
-                ])
-        return out
-
-    def token_frequencies(self, translation_id: str, selected_only: bool = True) -> Counter:
-        """Token counts for one translation, by default over selected verses."""
-        toks = self.tokenized(translation_id)
-        verse_ids = self.selected_verses if selected_only else tuple(toks)
-        freqs: Counter = Counter()
-        for vid in verse_ids:
-            tokens = toks.get(vid)
-            if tokens is not None:
-                freqs.update(t.surface for t in tokens)
-        return freqs
+            has_verse.append(text is not None)
+            if text is not None:
+                surfaces, a, b = tokenize_verse(text)
+                ids += map(index.__getitem__, surfaces)
+                starts += a
+                ends += b
+            offsets.append(len(ids))
+        return TranslationEncoding(
+            list(index),
+            np.array(ids, dtype=np.int32),
+            np.array(offsets, dtype=np.int32),
+            np.array(has_verse, dtype=bool),
+            np.array(starts, dtype=np.int32),
+            np.array(ends, dtype=np.int32),
+        )
 
     def languages(self) -> list[str]:
         return sorted({t.iso3 for t in self.translations.values()})
-
-    def translations_for(self, iso3: str) -> list[str]:
-        return sorted(
-            tid for tid, t in self.translations.items() if t.iso3 == iso3
-        )
 
     def select(self, target_count: int) -> "MultiCorpus":
         chosen = select_covered_verses(self, target_count)
@@ -283,20 +306,19 @@ def apply_query_merge(
     new_verses: dict[str, str] = {}
     replaced = 0
     for vid, text in trans.verses.items():
-        tokens = tokenize_verse(text)
-        for tok in tokens:
-            if tok.surface == target:
-                raise DataError(
-                    f"synthetic token {synthetic!r} already occurs in "
-                    f"{trans.translation_id} verse {vid}"
-                )
+        surfaces, starts, ends = tokenize_verse(text)
+        if target in surfaces:
+            raise DataError(
+                f"synthetic token {synthetic!r} already occurs in "
+                f"{trans.translation_id} verse {vid}"
+            )
         parts: list[str] = []
         prev = 0
-        for tok in tokens:
-            if tok.surface in norm_forms:
-                parts.append(text[prev : tok.start])
+        for surface, start, end in zip(surfaces, starts, ends):
+            if surface in norm_forms:
+                parts.append(text[prev:start])
                 parts.append(synthetic)
-                prev = tok.end
+                prev = end
                 replaced += 1
         parts.append(text[prev:])
         new_verses[vid] = "".join(parts)

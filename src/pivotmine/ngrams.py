@@ -33,17 +33,6 @@ DEFAULT_N_RANGE = (2, 6)
 GRAM_SPACE_ESCAPE = "␣"  # open box, stands in for a literal space
 
 
-@dataclass
-class PositionProfile:
-    """Summed pivot bells over one verse's character positions."""
-
-    verse_id: str
-    scores: np.ndarray
-    x_max: int
-    x_min: int
-    pivot_hits: int
-
-
 def pivot_relative_positions(
     corpus: MultiCorpus, pivot_set: PivotSet
 ) -> dict[str, list[float]]:
@@ -51,20 +40,13 @@ def pivot_relative_positions(
 
     For each selected verse, every occurrence of every pivot token in its
     own translation contributes midpoint / text length. Pivots iterate in
-    member order so results are reproducible. The lookup scans the pivot
-    translations and caches no tokens.
+    member order so results are reproducible. The occurrences are the
+    pivot set's own, found when it was built.
     """
     rels: dict[str, list[float]] = {}
-    for pivot in pivot_set.members:
-        verses = corpus.translations[pivot.translation_id].verses
-        spans = corpus.surface_spans(pivot.translation_id, pivot.surface)
-        for vid, found in zip(corpus.selected_verses, spans):
-            if not found:
-                continue
-            length = len(verses[vid])
-            for start, end in found:
-                mid = (start + end) / 2.0
-                rels.setdefault(vid, []).append(mid / length)
+    for occ in pivot_set.occurrences:
+        for row, rel in zip(occ.rows.tolist(), occ.rel.tolist()):
+            rels.setdefault(corpus.selected_verses[row], []).append(rel)
     return rels
 
 
@@ -108,26 +90,6 @@ def _profiles(
     x_max = leftmost(np.maximum.reduceat(scores, offsets))
     x_min = leftmost(np.minimum.reduceat(scores, offsets))
     return scores, x_max, x_min
-
-
-def position_profile(
-    verse_id: str,
-    target_text: str,
-    relative_positions: list[float],
-    sigma: float = DEFAULT_SIGMA,
-) -> PositionProfile:
-    """Project pivot positions onto one target verse and profile it.
-
-    x_max / x_min are the leftmost argmax / argmin of the summed bells.
-    With no pivot hits the profile is flat zero and x_max = x_min = 0.
-    """
-    length = len(target_text)
-    if length == 0:
-        return PositionProfile(verse_id, np.zeros(0), 0, 0, len(relative_positions))
-    scores, x_max, x_min = _profiles(np.array([length]), [relative_positions], sigma)
-    return PositionProfile(
-        verse_id, scores, int(x_max[0]), int(x_min[0]), len(relative_positions)
-    )
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .aligner import AlignerConfig, PairLinkStats, link_counts
-from .corpus import MultiCorpus, apply_query_merge
+from .corpus import DELIMITERS, MultiCorpus, apply_query_merge
 from .errors import DataError
 from .stats import ContingencyTable, chi2
 from .textio import read_lines, write_lines
@@ -58,25 +58,68 @@ class Pivot:
     score: float
 
 
-@dataclass
-class PivotSet:
-    """Head pivot plus expansion, ordered by descending score.
+@dataclass(frozen=True, eq=False)
+class Occurrences:
+    """The tokens of one surface in one translation, over the selected
+    verses.
 
-    At most one pivot per language.
+    rows is the selected-verse index of each occurrence and rel its
+    relative character midpoint (midpoint / verse length), in verse order
+    and then text order; missing marks the selected verses the translation
+    lacks.
     """
 
-    head: Pivot
-    members: list[Pivot]
+    rows: np.ndarray
+    rel: np.ndarray
+    missing: np.ndarray
+
+    def presence(self) -> np.ndarray:
+        """uint8 indicator of the selected verses holding the surface."""
+        out = np.zeros(len(self.missing), dtype=np.uint8)
+        out[self.rows] = 1
+        return out
+
+
+def find_occurrences(corpus: MultiCorpus, translation_id: str, surface: str) -> Occurrences:
+    """Scan one translation's encoding for one surface."""
+    enc = corpus.encode(translation_id)
+    hits = enc.find(surface)
+    rows = np.searchsorted(enc.offsets, hits, side="right") - 1
+    verses = corpus.translations[translation_id].verses
+    lengths = [len(verses[corpus.selected_verses[r]]) for r in rows.tolist()]
+    rel = (enc.starts[hits] + enc.ends[hits]) / 2.0 / np.array(lengths, dtype=np.int64)
+    return Occurrences(rows, rel, ~enc.has_verse)
 
 
 def presence_vector(
     corpus: MultiCorpus, translation_id: str, surface: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Presence/missing indicator arrays over corpus.selected_verses."""
-    spans = corpus.surface_spans(translation_id, surface)
-    presence = np.array([bool(s) for s in spans], dtype=np.uint8)
-    missing = np.array([s is None for s in spans], dtype=bool)
-    return presence, missing
+    occ = find_occurrences(corpus, translation_id, surface)
+    return occ.presence(), occ.missing
+
+
+@dataclass
+class PivotSet:
+    """Head pivot plus expansion, ordered by descending score.
+
+    At most one pivot per language. occurrences holds each member's
+    Occurrences over the selected verses of the corpus the set was built
+    on, so that mining, marker clustering and maps share one scan.
+    """
+
+    head: Pivot
+    members: list[Pivot]
+    occurrences: list[Occurrences]
+
+    @classmethod
+    def scan(cls, corpus: MultiCorpus, head: Pivot, members: list[Pivot]) -> "PivotSet":
+        """The set of members, with each member's occurrences found once."""
+        return cls(
+            head,
+            list(members),
+            [find_occurrences(corpus, p.translation_id, p.surface) for p in members],
+        )
 
 
 def contingency_from_links(stats: PairLinkStats, target_word: str) -> ContingencyTable:
@@ -100,15 +143,15 @@ def score_candidates(
 ) -> list[Pivot]:
     """Score every sufficiently frequent aligned word in every target.
 
-    Words whose token frequency over the selected verses is below
-    min_count are skipped. Returns candidates sorted by descending score,
-    then iso3, surface, and translation id.
+    Words whose token frequency over the selected verses (the stats'
+    target_frequencies) is below min_count are skipped. Returns candidates
+    sorted by descending score, then iso3, surface, and translation id.
     """
     out: list[Pivot] = []
     for tgt_id in sorted(stats_by_translation):
         stats = stats_by_translation[tgt_id]
         iso3 = corpus.translations[tgt_id].iso3
-        freq = corpus.token_frequencies(tgt_id)
+        freq = stats.target_frequencies
         for word in stats.source_word_to_target:
             if freq.get(word, 0) < min_count:
                 continue
@@ -203,7 +246,8 @@ def expand_pivots(
     """Grow the pivot set to k members (head included), one per language.
 
     Walks the ranking in order, skipping languages already represented and
-    zero scores; warns when fewer than k members are reachable.
+    zero scores; warns when fewer than k members are reachable. The set
+    comes with each member's occurrences (see PivotSet.scan).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -223,7 +267,7 @@ def expand_pivots(
             "pivot set for %s stopped at %d of %d requested", feature, len(members), k
         )
     members.sort(key=lambda p: (-p.score, p.iso3, p.surface, p.translation_id))
-    return PivotSet(head, members)
+    return PivotSet.scan(corpus, head, members)
 
 
 def top_markers_by_language(
@@ -259,14 +303,12 @@ def pivot_presence_matrix(corpus: MultiCorpus, pivot_set: PivotSet) -> PresenceM
     """Stack member presence vectors over the selected verses."""
     if not corpus.selected_verses:
         raise DataError("presence matrix needs a verse selection")
-    cols, miss = zip(
-        *(presence_vector(corpus, p.translation_id, p.surface) for p in pivot_set.members)
-    )
+    occurrences = pivot_set.occurrences
     return PresenceMatrix(
         tuple(corpus.selected_verses),
         list(pivot_set.members),
-        np.column_stack(cols),
-        np.column_stack(miss),
+        np.column_stack([occ.presence() for occ in occurrences]),
+        np.column_stack([occ.missing for occ in occurrences]),
     )
 
 
@@ -274,7 +316,11 @@ def pivot_presence_matrix(corpus: MultiCorpus, pivot_set: PivotSet) -> PresenceM
 
 
 def read_queries(path: str | Path) -> list[Query]:
-    """Read ``feature<TAB>translation_id<TAB>form1,form2,...`` lines."""
+    """Read ``feature<TAB>translation_id<TAB>form1,form2,...`` lines.
+
+    Raises DataError for a line without three fields, without a form, or
+    whose feature would put a delimiter into its synthetic query token.
+    """
     out = []
     for raw in read_lines(path):
         line = raw.strip()
@@ -284,9 +330,12 @@ def read_queries(path: str | Path) -> list[Query]:
         if len(parts) != 3:
             raise DataError(f"malformed query line: {raw!r}")
         feature, tid, forms = parts
-        out.append(
-            Query(feature, tid, frozenset(f for f in forms.split(",") if f))
-        )
+        form_set = frozenset(f for f in forms.split(",") if f)
+        if not form_set:
+            raise DataError(f"query line has no forms: {raw!r}")
+        if any(ch in DELIMITERS for ch in synthetic_query_token(feature)):
+            raise DataError(f"query feature {feature!r} contains a token delimiter")
+        out.append(Query(feature, tid, form_set))
     return out
 
 

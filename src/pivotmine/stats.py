@@ -9,7 +9,7 @@ shared support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,8 +17,7 @@ import numpy as np
 TRUNCATION_SIGMAS = 4.0
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
+class ContingencyTable(NamedTuple):
     """Counts for a 2x2 association test between a condition and an item.
 
     a: condition holds, item present    b: condition holds, item absent
@@ -43,7 +42,7 @@ def chi2(table: ContingencyTable, positive_only: bool = True) -> float:
     also yields 0.0, so rankings never surface anti-correlated items.
     Raises ValueError if the table is empty or has negative counts.
     """
-    a, b, c, d = table.a, table.b, table.c, table.d
+    a, b, c, d = table
     if min(a, b, c, d) < 0:
         raise ValueError("contingency counts must be non-negative")
     n = a + b + c + d

@@ -1,18 +1,20 @@
 """Counter-based reference for the array n-gram miner and the pivot scans.
 
-The oracle that pivotmine.ngrams.mine_ngrams, position_profile,
+The oracle that pivotmine.ngrams.mine_ngrams, ngrams._profiles,
 pivot_relative_positions and pivots.presence_vector are tested against:
 one profile per verse with its bells added one at a time, one Counter per
-n fed a string slice per gram, and pivot lookups through the corpus token
-cache.
+n fed a string slice per gram, and pivot lookups through the character
+loop tokenizer of helpers.tokenize_reference.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
+from helpers import tokenize_reference
 from pivotmine.corpus import MultiCorpus
 from pivotmine.errors import DataError
 from pivotmine.ngrams import (
@@ -22,25 +24,35 @@ from pivotmine.ngrams import (
     DEFAULT_WINDOW,
     MiningResult,
     NgramCandidate,
-    PositionProfile,
 )
 from pivotmine.pivots import PivotSet
 from pivotmine.stats import ContingencyTable, chi2, gaussian_kernel
 
 
+@dataclass
+class PositionProfile:
+    """Summed pivot bells over one verse's character positions."""
+
+    verse_id: str
+    scores: np.ndarray
+    x_max: int
+    x_min: int
+    pivot_hits: int
+
+
 def token_presence_vector(
     corpus: MultiCorpus, translation_id: str, surface: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Presence/missing indicator arrays from the cached tokens."""
-    toks = corpus.tokenized(translation_id)
+    """Presence/missing indicator arrays from the reference tokenizer."""
+    verses = corpus.translations[translation_id].verses
     n = len(corpus.selected_verses)
     presence = np.zeros(n, dtype=np.uint8)
     missing = np.zeros(n, dtype=bool)
     for r, vid in enumerate(corpus.selected_verses):
-        tokens = toks.get(vid)
-        if tokens is None:
+        text = verses.get(vid)
+        if text is None:
             missing[r] = True
-        elif any(t.surface == surface for t in tokens):
+        elif any(tok == surface for tok, _, _ in tokenize_reference(text)):
             presence[r] = 1
     return presence, missing
 
@@ -48,20 +60,18 @@ def token_presence_vector(
 def token_relative_positions(
     corpus: MultiCorpus, pivot_set: PivotSet
 ) -> dict[str, list[float]]:
-    """Relative midpoints of pivot occurrences, from the cached tokens."""
+    """Relative midpoints of pivot occurrences, from the reference tokenizer."""
     rels: dict[str, list[float]] = {}
     for pivot in pivot_set.members:
         verses = corpus.translations[pivot.translation_id].verses
-        toks = corpus.tokenized(pivot.translation_id)
         for vid in corpus.selected_verses:
-            tokens = toks.get(vid)
-            if not tokens:
+            text = verses.get(vid)
+            if not text:
                 continue
-            length = len(verses[vid])
-            for tok in tokens:
-                if tok.surface == pivot.surface:
-                    mid = (tok.start + tok.end) / 2.0
-                    rels.setdefault(vid, []).append(mid / length)
+            for tok, start, end in tokenize_reference(text):
+                if tok == pivot.surface:
+                    mid = (start + end) / 2.0
+                    rels.setdefault(vid, []).append(mid / len(text))
     return rels
 
 

@@ -10,28 +10,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aligner_oracle as oracle
-from helpers import make_corpus
-from pivotmine import aligner as aligner_module
+from helpers import make_corpus, tokenize_reference
 from pivotmine.aligner import (
     CACHE_FORMAT,
     AlignerConfig,
     LexTable,
+    PairEncoding,
     PairLinkStats,
     _cell_probs,
     _pair_cache_key,
     _prior_matrix,
-    _surface_lists,
-    _verse_pairs,
     _viterbi,
     diagonal_prior,
     encode_pairs,
+    encode_surface_pairs,
     link_counts,
     load_lex_table,
     save_lex_table,
     train_alignment,
     train_pair,
-    viterbi_align,
 )
+from pivotmine.corpus import MultiCorpus
 from pivotmine.errors import DataError
 from pivotmine.synth import generate, preset_marking24, preset_tiny8
 
@@ -133,37 +132,50 @@ class TestTrainAlignment:
             train_alignment([([], []), (["a"], [])])
 
 
+def viterbi_links(lex: LexTable, source, target, cfg: AlignerConfig | None = None):
+    """Links (source index, target index) of one verse pair, decoded
+    through encode_surface_pairs and _viterbi."""
+    (links,) = batched_links(lex, [(source, target)], cfg or AlignerConfig())
+    return links
+
+
 class TestViterbi:
     def test_toy_links(self):
         lex = train_alignment(TOY_PAIRS)
-        links = viterbi_align(lex, ["the", "house"], ["la", "maison"])
+        links = viterbi_links(lex, ["the", "house"], ["la", "maison"])
         assert set(links) == {(0, 0), (1, 1)}
 
     def test_oov_target_unlinked(self):
         lex = train_alignment(TOY_PAIRS)
-        links = viterbi_align(lex, ["the", "house"], ["la", "inconnu"])
+        links = viterbi_links(lex, ["the", "house"], ["la", "inconnu"])
         assert links == [(0, 0)]
 
     def test_empty_sides(self):
+        # a pair with an empty side is not encoded, so it has no links
         lex = train_alignment(TOY_PAIRS)
-        assert viterbi_align(lex, [], ["la"]) == []
-        assert viterbi_align(lex, ["the"], []) == []
+        pairs = [([], ["la"]), (["the"], []), (["the", "house"], ["la", "maison"])]
+        assert [n for _, n, _, _ in encode_surface_pairs(pairs).blocks] == [1]
+        links = batched_links(lex, pairs, AlignerConfig())
+        assert links[:2] == [[], []]
+        assert set(links[2]) == {(0, 0), (1, 1)}
+        with pytest.raises(DataError):
+            viterbi_links(lex, [], ["la"])
 
     def test_null_absorbs_weak_tokens(self):
         lex = LexTable({None: {"f": 0.9}, "e": {"f": 1e-9}})
-        assert viterbi_align(lex, ["e"], ["f"]) == []
+        assert viterbi_links(lex, ["e"], ["f"]) == []
 
     def test_must_strictly_beat_null(self):
         # single source position: prior = 1 - p0 = 0.92; with
         # t(e,f) = 0.08 and t(null,f) = 0.92 both weights are exactly
         # 0.92 * 0.08, and the tie goes to the null word
         lex = LexTable({None: {"f": 0.92}, "e": {"f": 0.08}})
-        assert viterbi_align(lex, ["e"], ["f"]) == []
+        assert viterbi_links(lex, ["e"], ["f"]) == []
 
     def test_position_tie_goes_leftmost(self):
         cfg = AlignerConfig(diagonal_tension=0.0)
         lex = LexTable({None: {}, "e": {"f": 1.0}})
-        links = viterbi_align(lex, ["e", "e", "e"], ["f"], cfg)
+        links = viterbi_links(lex, ["e", "e", "e"], ["f"], cfg)
         assert links == [(0, 0)]
 
 
@@ -326,22 +338,29 @@ class TestLinkCounts:
                 "bbb_tgt": {"00000001": "x", "00000002": "y", "00000003": "Z z", "00000004": "w"},
             }
         )
-        pairs = _verse_pairs(corpus, _surface_lists(corpus, "aaa_src"), "bbb_tgt")
-        assert pairs == [(["a", "b"], ["x"]), (["c"], ["z", "z"]), (["e"], ["w"])]
+        enc = encode_pairs(corpus.encode("aaa_src"), corpus.encode("bbb_tgt"))
+        pairs = [(["a", "b"], ["x"]), (["c"], ["z", "z"]), (["e"], ["w"])]
+        assert_encodings_equal(enc, encode_surface_pairs(pairs))
 
     def test_source_lists_built_once_per_call(self, monkeypatch):
+        # the source is encoded once per call, each target once
         corpus = random_corpus(3, 4)
         built = []
-        real = aligner_module._surface_lists
+        real = MultiCorpus.encode
 
-        def spy(corpus, translation_id):
+        def spy(self, translation_id):
             built.append(translation_id)
-            return real(corpus, translation_id)
+            return real(self, translation_id)
 
-        monkeypatch.setattr(aligner_module, "_surface_lists", spy)
+        monkeypatch.setattr(MultiCorpus, "encode", spy)
         stats = link_counts(corpus, "aaa_src", "w0")
         assert len(stats) == 4
-        assert built == ["aaa_src"]
+        assert built == ["aaa_src", *sorted(stats)]
+
+    def test_target_frequencies_count_linked_words(self, pair_corpus):
+        stats = link_counts(pair_corpus, "aaa_src", "src0")["bbb_tgt"]
+        freq = pair_corpus.encode("bbb_tgt").frequencies()
+        assert stats.target_frequencies == {w: freq[w] for w in stats.source_word_to_target}
 
 
 # --- agreement with the dict-of-dicts oracle ----------------------------------
@@ -386,16 +405,41 @@ def batched_links(lex: LexTable, pairs, cfg: AlignerConfig) -> list[list[tuple[i
     """Per-verse links of the batched decoder, back in input order.
 
     Blocks hold verse pairs by (src_len, tgt_len) in sorted order, each
-    block in input order.
+    block in input order. A pair with an empty side is not encoded and
+    gets no links.
     """
-    enc = encode_pairs(pairs)
+    enc = encode_surface_pairs(pairs)
     positions = _viterbi(enc, _cell_probs(enc, lex), cfg)
     rows = [row for block in positions for row in block.tolist()]
-    order = sorted(range(len(pairs)), key=lambda k: (len(pairs[k][0]), len(pairs[k][1])))
-    out: list = [None] * len(pairs)
+    kept = [k for k, (s, t) in enumerate(pairs) if s and t]
+    order = sorted(kept, key=lambda k: (len(pairs[k][0]), len(pairs[k][1])))
+    out: list = [[] for _ in pairs]
     for k, row in zip(order, rows):
         out[k] = [(i, j) for j, i in enumerate(row) if i >= 0]
     return out
+
+
+def assert_encodings_equal(got: PairEncoding, want: PairEncoding) -> None:
+    assert got.src_words == want.src_words
+    assert got.tgt_words == want.tgt_words
+    for name in ("cell_src", "cell_tgt", "cells"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+    assert got.blocks == want.blocks
+
+
+def reference_pairs(corpus, src_id: str, tgt_id: str):
+    """Surface lists of the selected verses both translations hold with a
+    token, from the reference tokenizer."""
+    src = corpus.translations[src_id].verses
+    tgt = corpus.translations[tgt_id].verses
+    pairs = []
+    for vid in corpus.selected_verses:
+        s = [tok for tok, _, _ in tokenize_reference(src.get(vid, ""))]
+        t = [tok for tok, _, _ in tokenize_reference(tgt.get(vid, ""))]
+        if s and t:
+            pairs.append((s, t))
+    return pairs
 
 
 def oracle_link_stats(lex, pairs, source_word, cfg) -> PairLinkStats:
@@ -419,7 +463,6 @@ class TestOracleAgreement:
         assert_tables_agree(lex, oracle.train_alignment(pairs, cfg))
         expected = [oracle.viterbi_align(lex, s, t, cfg) for s, t in pairs]
         assert batched_links(lex, pairs, cfg) == expected
-        assert [viterbi_align(lex, s, t, cfg) for s, t in pairs] == expected
 
     def test_ties_and_null_on_a_handmade_table(self):
         # "e" at positions 0 and 2 weighs the same (tension 0) and the
@@ -444,13 +487,16 @@ class TestOracleAgreement:
         corpus, truth = generate(preset())
         corpus = corpus.select(len(corpus.verse_universe))
         query = truth["query"]["translation_id"]
-        word = max(corpus.token_frequencies(query).items(), key=lambda kv: (kv[1], kv[0]))[0]
+        freq = corpus.encode(query).frequencies()
+        word = max(freq.items(), key=lambda kv: (kv[1], kv[0]))[0]
         targets = targets or sorted(t for t in corpus.translations if t != query)
         cfg = AlignerConfig()
         stats = link_counts(corpus, query, word, cfg, targets)
         assert sorted(stats) == targets
         for tgt in targets:
-            pairs = _verse_pairs(corpus, _surface_lists(corpus, query), tgt)
+            pairs = reference_pairs(corpus, query, tgt)
+            enc = encode_pairs(corpus.encode(query), corpus.encode(tgt))
+            assert_encodings_equal(enc, encode_surface_pairs(pairs))
             lex = train_alignment(pairs, cfg)
             ref = oracle.train_alignment(pairs, cfg)
             assert_tables_agree(lex, ref)
@@ -505,3 +551,48 @@ class TestProperties:
         assert link_counts(corpus, "aaa_src", "w0", cfg, shuffled) == link_counts(
             corpus, "aaa_src", "w0", cfg, targets
         )
+
+
+VERSE_TEXT = st.one_of(st.none(), st.text(alphabet="abcAB .,'Σσς", max_size=16))
+
+
+class TestEncodePairs:
+    """encode_pairs over two translation encodings against the encoding of
+    the same pairs as surface lists."""
+
+    @given(st.lists(st.tuples(VERSE_TEXT, VERSE_TEXT), min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_translation_encodings_match_surface_lists(self, rows):
+        # None is a verse the translation lacks; a third translation holds
+        # every verse, so each one is selected
+        verses = {"aaa_src": {}, "bbb_tgt": {}, "ccc_all": {}}
+        for i, (s, t) in enumerate(rows, 1):
+            vid = f"{i:08d}"
+            verses["ccc_all"][vid] = "x"
+            if s is not None:
+                verses["aaa_src"][vid] = s
+            if t is not None:
+                verses["bbb_tgt"][vid] = t
+        corpus = make_corpus(verses)
+        pairs = reference_pairs(corpus, "aaa_src", "bbb_tgt")
+        src, tgt = corpus.encode("aaa_src"), corpus.encode("bbb_tgt")
+        if not pairs:
+            with pytest.raises(DataError):
+                encode_pairs(src, tgt)
+            return
+        assert_encodings_equal(encode_pairs(src, tgt), encode_surface_pairs(pairs))
+
+    def test_ids_follow_first_occurrence_within_the_pair(self):
+        # "b" and "q" come first in their translations, but in verses the
+        # other side lacks, so within the pair they follow "a" and "p"
+        corpus = make_corpus(
+            {
+                "aaa_src": {"00000001": "b", "00000003": "a b", "00000004": "c"},
+                "bbb_tgt": {"00000002": "q", "00000003": "p q", "00000004": ""},
+            }
+        )
+        assert corpus.encode("aaa_src").vocab == ["b", "a", "c"]
+        assert corpus.encode("bbb_tgt").vocab == ["q", "p"]
+        enc = encode_pairs(corpus.encode("aaa_src"), corpus.encode("bbb_tgt"))
+        assert enc.src_words == [None, "a", "b"]
+        assert enc.tgt_words == ["p", "q"]

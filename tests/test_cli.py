@@ -9,6 +9,7 @@ import pytest
 
 from pivotmine.cli import Run, _load_pivot_set, main
 from pivotmine.config import RunConfig, load_config
+from pivotmine import pivots as pivots_module
 from pivotmine.errors import ConfigError, DataError
 from pivotmine.pivots import read_pivots_tsv
 from pivotmine.synth import LanguageSpec, SynthSpec, write_synth
@@ -264,6 +265,20 @@ class TestExitCodes:
         code = main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "feature, line",
+        [("past", "past\tqaa_synth\t,"), ("past tense", "past tense\tqaa_synth\tti")],
+        ids=["no-forms", "delimiter-in-feature"],
+    )
+    def test_bad_query_line_is_data_error(self, workspace, tmp_path, feature, line):
+        _, _, config, _ = workspace
+        queries = tmp_path / "queries.tsv"
+        queries.write_text(line + "\n", encoding="utf-8")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(config, queries=str(queries))), encoding="utf-8")
+        argv = ["head-pivot", "--feature", feature, "--config", str(cfg)]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 3
+
     def test_no_out_anywhere(self, workspace):
         _, cfg_path, _, _ = workspace
         assert main(["ingest", "--config", str(cfg_path)]) == 2
@@ -423,3 +438,46 @@ class TestStagewiseFlow:
         assert metrics["n_pairs"] == len(report["languages"]) * (
             len(report["languages"]) - 1
         ) // 2
+
+
+class TestPivotScans:
+    """Each pivot member is scanned once per process, when its pivot set is
+    built, and mining, marker clustering and maps share that scan."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        real = pivots_module.find_occurrences
+
+        def spy(corpus, translation_id, surface):
+            calls.append((translation_id, surface))
+            return real(corpus, translation_id, surface)
+
+        monkeypatch.setattr(pivots_module, "find_occurrences", spy)
+        return calls
+
+    def test_pipeline_scans_each_member_once(self, workspace, tmp_path, scans):
+        _, cfg_path, _, _ = workspace
+        out = tmp_path / "run"
+        argv = ["pipeline", "--config", str(cfg_path), "--feature", "past", "--out", str(out)]
+        assert main(argv) == 0
+        for name in ("mining_summary.json", "markers_distance.tsv", "splitters.tsv"):
+            assert (out / name).is_file()
+        members = pivot_keys(out / "pivots.tsv")
+        assert sorted(scans) == sorted(members)
+
+    @pytest.mark.parametrize("command", ["mine-ngrams", "cluster-markers", "map"])
+    def test_subcommand_scans_each_member_once(
+        self, workspace, expanded, tmp_path, scans, command
+    ):
+        _, cfg_path, _, _ = workspace
+        argv = [command, "--feature", "past", "--pivots", str(expanded / "pivots.tsv"),
+                "--head", str(expanded / "head.json")]
+        assert main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
+        assert sorted(scans) == sorted(pivot_keys(expanded / "pivots.tsv"))
+
+
+def pivot_keys(path: Path) -> list[tuple[str, str]]:
+    """(translation, surface) of each row of a rank TSV."""
+    rows = path.read_text(encoding="utf-8").splitlines()[1:]
+    return [tuple(row.split("\t")[2:4]) for row in rows if row]

@@ -1,9 +1,10 @@
-"""Corpus loading, tokenization, verse selection, query merging."""
+"""Corpus loading, tokenization and encoding, verse selection, query merging."""
 
 import logging
 import random
 import string
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from pivotmine.corpus import (
     is_verse_id,
     load_corpus,
     read_families,
+    encode_surfaces,
     select_covered_verses,
     tokenize_verse,
     write_coverage_report,
@@ -25,52 +27,46 @@ from pivotmine.corpus import (
 from pivotmine.errors import DataError
 
 
-def surfaces(tokens) -> list[str]:
-    return [t.surface for t in tokens]
+def tokens(text: str) -> list[tuple[str, int, int]]:
+    """(surface, start, end) of each token of tokenize_verse."""
+    return list(zip(*tokenize_verse(text)))
 
 
 class TestTokenize:
     def test_standard_delimiters(self):
-        assert surfaces(tokenize_verse("Met! Manz en pe.")) == ["met", "manz", "en", "pe"]
+        assert tokenize_verse("Met! Manz en pe.")[0] == ["met", "manz", "en", "pe"]
 
     def test_offsets_skip_delimiter_runs(self):
-        tokens = tokenize_verse("a  b")
-        assert [(t.start, t.end) for t in tokens] == [(0, 1), (3, 4)]
+        assert [(a, b) for _, a, b in tokens("a  b")] == [(0, 1), (3, 4)]
 
     def test_offsets_index_original_text(self):
         text = "Say: YES, twice."
-        for tok in tokenize_verse(text):
-            assert tok.surface == text[tok.start : tok.end].lower()
+        for surface, start, end in tokens(text):
+            assert surface == text[start:end].lower()
 
     def test_empty_text(self):
-        assert tokenize_verse("") == ()
+        assert tokenize_verse("") == ([], [], [])
 
     def test_all_delimiters(self):
-        assert tokenize_verse("... !?  ") == ()
-
-    def test_tokens_are_slotted_and_in_a_tuple(self):
-        tokens = tokenize_verse("a b")
-        assert isinstance(tokens, tuple)
-        assert not hasattr(tokens[0], "__dict__")
+        assert tokenize_verse("... !?  ") == ([], [], [])
 
     @given(st.text(alphabet=DELIMITERS + string.ascii_uppercase + "İßΣé", max_size=60))
     @settings(max_examples=300, deadline=None)
     def test_matches_character_loop_oracle(self, text):
-        got = [(t.surface, t.start, t.end) for t in tokenize_verse(text)]
-        assert got == tokenize_reference(text)
+        assert tokens(text) == tokenize_reference(text)
 
     @given(st.text(alphabet="ab .,!", max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_tokens_are_maximal_delimiter_free_runs(self, text):
         delims = set(DELIMITERS)
         covered = set()
-        for tok in tokenize_verse(text):
-            span = text[tok.start : tok.end]
+        for _, start, end in tokens(text):
+            span = text[start:end]
             assert span and not (set(span) & delims)
             # maximality: neighbours are delimiters or edges
-            assert tok.start == 0 or text[tok.start - 1] in delims
-            assert tok.end == len(text) or text[tok.end] in delims
-            covered.update(range(tok.start, tok.end))
+            assert start == 0 or text[start - 1] in delims
+            assert end == len(text) or text[end] in delims
+            covered.update(range(start, end))
         for i, ch in enumerate(text):
             assert (i in covered) == (ch not in delims)
 
@@ -265,21 +261,96 @@ class TestQueryMerge:
 SCAN_ALPHABET = DELIMITERS + string.ascii_uppercase + "abİiΣσςé"
 
 
+def decoded(corpus, translation_id: str) -> list[list[tuple[str, int, int]] | None]:
+    """Per selected verse, (surface, start, end) of each token of the
+    translation's encoding, or None where the translation lacks the verse."""
+    enc = corpus.encode(translation_id)
+    out = []
+    for r in range(len(corpus.selected_verses)):
+        lo, hi = enc.offsets[r], enc.offsets[r + 1]
+        rows = zip(enc.ids[lo:hi].tolist(), enc.starts[lo:hi].tolist(), enc.ends[lo:hi].tolist())
+        out.append([(enc.vocab[i], a, b) for i, a, b in rows] if enc.has_verse[r] else None)
+    return out
+
+
+def surface_spans(corpus, translation_id: str, surface: str):
+    """Per selected verse, the spans of one surface's tokens, or None
+    where the translation lacks the verse."""
+    return [
+        None if row is None else [(a, b) for tok, a, b in row if tok == surface]
+        for row in decoded(corpus, translation_id)
+    ]
+
+
+class TestEncoding:
+    @given(
+        st.lists(
+            st.one_of(
+                st.none(),
+                st.text(alphabet=SCAN_ALPHABET + "ßΑ", max_size=40),
+                st.sampled_from(["", "ΑΣ'Α", "İßΣé ΑΣ'Α"]),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_tokenizer(self, texts):
+        # None is a verse the translation lacks; another translation holds
+        # every verse, so each one is selected
+        verses = {f"{i:08d}": t for i, t in enumerate(texts, 1) if t is not None}
+        other = {f"{i:08d}": "z" for i in range(1, len(texts) + 1)}
+        corpus = make_corpus({"aaa_t": verses, "bbb_t": other})
+        expected = [None if t is None else tokenize_reference(t) for t in texts]
+        assert decoded(corpus, "aaa_t") == expected
+        enc = corpus.encode("aaa_t")
+        assert enc.has_verse.tolist() == [t is not None for t in texts]
+        # the vocabulary lists each surface once, in first-occurrence order
+        flat = [tok for row in expected if row for tok, _, _ in row]
+        assert enc.vocab == list(dict.fromkeys(flat))
+
+    def test_empty_and_missing_verses_differ(self):
+        corpus = make_corpus(
+            {"aaa_t": {"00000001": "", "00000003": "x"}, "bbb_t": {"00000002": "y"}}
+        )
+        enc = corpus.encode("aaa_t")
+        assert enc.offsets.tolist() == [0, 0, 0, 1]
+        assert enc.has_verse.tolist() == [True, False, True]
+
+    def test_encoding_arrays_are_int32(self):
+        enc = make_corpus({"aaa_t": {"00000001": "a b a"}}).encode("aaa_t")
+        for arr in (enc.ids, enc.offsets, enc.starts, enc.ends):
+            assert arr.dtype == np.int32
+        assert enc.ids.tolist() == [0, 1, 0]
+
+    def test_surface_lists(self):
+        enc = encode_surfaces([["a", "B"], [], ["B", "c"]])
+        assert enc.vocab == ["a", "B", "c"]
+        assert enc.ids.tolist() == [0, 1, 1, 2]
+        assert enc.offsets.tolist() == [0, 2, 2, 4]
+        assert enc.has_verse.tolist() == [True, True, True]
+        assert enc.starts is None and enc.ends is None
+
+
 class TestSurfaceSpans:
-    """The token-free scan against the cached tokens."""
+    """One surface's spans, found in the encoding, against the reference
+    tokenizer."""
 
     def test_tokens_lowercased_one_at_a_time(self):
         # Lowercasing "ΑΣ'Α" as a whole gives "ασ'α"; the token ΑΣ is "ας".
         corpus = make_corpus({"ell_t": {"00000001": "ΑΣ'Α ασ", "00000002": "ΑΣΑ"}})
-        assert corpus.surface_spans("ell_t", "ας") == [[(0, 2)], []]
-        assert corpus.surface_spans("ell_t", "ασ") == [[(5, 7)], []]
-        assert not corpus._token_cache
+        assert surface_spans(corpus, "ell_t", "ας") == [[(0, 2)], []]
+        assert surface_spans(corpus, "ell_t", "ασ") == [[(5, 7)], []]
+        enc = corpus.encode("ell_t")
+        assert enc.find("ας").tolist() == [0]
+        assert enc.find("ασ").tolist() == [2]
+        assert enc.find("absent").tolist() == []
 
     def test_missing_verse_is_none(self):
         corpus = make_corpus(
             {"aaa_t": {"00000001": "x", "00000003": ""}, "bbb_t": {"00000002": "y"}}
         )
-        assert corpus.surface_spans("aaa_t", "x") == [[(0, 1)], None, []]
+        assert surface_spans(corpus, "aaa_t", "x") == [[(0, 1)], None, []]
 
     @given(
         st.lists(st.text(alphabet=SCAN_ALPHABET, max_size=40), min_size=1, max_size=4),
@@ -289,16 +360,13 @@ class TestSurfaceSpans:
     def test_matches_cached_tokens(self, texts, surface):
         verses = {f"{i:08d}": t for i, t in enumerate(texts, 1)}
         corpus = make_corpus({"aaa_t": verses, "bbb_t": {"00000009": "z"}})
-        spans = corpus.surface_spans("aaa_t", surface)
-        assert not corpus._token_cache
-        toks = corpus.tokenized("aaa_t")
         expected = [
             None
-            if vid not in toks
-            else [(t.start, t.end) for t in toks[vid] if t.surface == surface]
+            if vid not in verses
+            else [(a, b) for tok, a, b in tokenize_reference(verses[vid]) if tok == surface]
             for vid in corpus.selected_verses
         ]
-        assert spans == expected
+        assert surface_spans(corpus, "aaa_t", surface) == expected
 
 
 class TestCorpusMethods:
@@ -306,13 +374,11 @@ class TestCorpusMethods:
         corpus = make_corpus(
             {"aaa_t": {"00000001": "a b a", "00000002": "c"}}, select=False
         )
-        corpus = corpus.select(1)
-        freqs = corpus.token_frequencies("aaa_t")
-        assert freqs == {"a": 2, "b": 1}
-        full = corpus.token_frequencies("aaa_t", selected_only=False)
+        assert corpus.select(1).encode("aaa_t").frequencies() == {"a": 2, "b": 1}
+        full = corpus.select(2).encode("aaa_t").frequencies()
         assert full == {"a": 2, "b": 1, "c": 1}
 
-    def test_languages_and_translations_for(self):
+    def test_languages(self):
         corpus = make_corpus(
             {
                 "aaa_one": {"00000001": "x"},
@@ -322,7 +388,6 @@ class TestCorpusMethods:
             select=False,
         )
         assert corpus.languages() == ["aaa", "bbb"]
-        assert corpus.translations_for("aaa") == ["aaa_one", "aaa_two"]
 
     def test_with_translation_extends_universe(self):
         corpus = make_corpus({"aaa_t": {"00000001": "x"}}, select=False)
@@ -332,22 +397,8 @@ class TestCorpusMethods:
         assert newer.verse_universe == ("00000001", "00000002")
         assert "bbb_t" in newer.translations
 
-    def test_tokenized_cache_survives_reuse(self):
-        corpus = make_corpus({"aaa_t": {"00000001": "a b"}}, select=False)
-        first = corpus.tokenized("aaa_t")
-        assert corpus.tokenized("aaa_t") is first
-
-    def test_with_translation_shares_cache_but_not_replaced_entry(self):
-        corpus = make_corpus(
-            {"aaa_t": {"00000001": "a b"}, "bbb_t": {"00000001": "c d"}}, select=False
-        )
-        original = corpus.tokenized("aaa_t")
+    def test_encode_reads_the_current_translation(self):
+        corpus = make_corpus({"aaa_t": {"00000001": "a b"}, "bbb_t": {"00000001": "c d"}})
         copy = corpus.with_translation(Translation("aaa_t", "aaa", {"00000001": "x y"}))
-        # a tokenization made on one copy is reused by the other
-        kept = copy.tokenized("bbb_t")
-        assert corpus.tokenized("bbb_t") is kept
-        # the replaced translation is tokenized afresh on each side
-        assert surfaces(copy.tokenized("aaa_t")["00000001"]) == ["x", "y"]
-        again = corpus.tokenized("aaa_t")
-        assert surfaces(again["00000001"]) == ["a", "b"]
-        assert again == original
+        assert copy.encode("aaa_t").vocab == ["x", "y"]
+        assert corpus.encode("aaa_t").vocab == ["a", "b"]

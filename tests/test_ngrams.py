@@ -1,5 +1,6 @@
 """Positional profiles, gram keys, mining against its oracle, and TSV cells."""
 
+import copy
 import logging
 import math
 import random
@@ -23,7 +24,6 @@ from pivotmine.ngrams import (
     escape_gram,
     mine_ngrams,
     pivot_relative_positions,
-    position_profile,
     read_ngrams_tsv,
     unescape_gram,
     write_ngrams_tsv,
@@ -61,37 +61,49 @@ class TestOccurrences:
             ngram_occurrences("abc", 0)
 
 
+def profile(length: int, rels: list[float], sigma: float = 6.0):
+    """(scores, x_max, x_min) of one verse of the given length."""
+    scores, x_max, x_min = _profiles(np.array([length]), [rels], sigma)
+    return scores, int(x_max[0]), int(x_min[0])
+
+
 class TestProfile:
     def test_center_and_peak(self):
-        profile = position_profile("v", "x" * 100, [0.62])
-        assert profile.x_max == 62
-        assert profile.scores[62] == pytest.approx(PEAK, abs=1e-4)
-        assert profile.pivot_hits == 1
+        scores, x_max, _ = profile(100, [0.62])
+        assert x_max == 62
+        assert scores[62] == pytest.approx(PEAK, abs=1e-4)
 
     def test_leftmost_argmax_of_equal_bells(self):
-        profile = position_profile("v", "x" * 100, [0.2, 0.8])
-        assert profile.x_max == 20
+        assert profile(100, [0.2, 0.8])[1] == 20
 
     def test_center_clamped_into_text(self):
-        profile = position_profile("v", "x" * 10, [0.999])
-        assert profile.x_max == 9
+        assert profile(10, [0.999])[1] == 9
 
     def test_no_hits_flat_zero(self):
-        profile = position_profile("v", "x" * 30, [])
-        assert profile.x_max == 0 and profile.x_min == 0
-        assert not profile.scores.any()
+        scores, x_max, x_min = profile(30, [])
+        assert x_max == 0 and x_min == 0
+        assert not scores.any()
 
     def test_empty_text(self):
-        profile = position_profile("v", "", [0.5])
-        assert profile.scores.shape == (0,)
-        assert profile.pivot_hits == 1
+        # an empty verse is never profiled: mining scores only verses with
+        # text, even where a pivot marks the empty one
+        corpus = make_corpus(
+            {
+                "paa_t": {"00000001": "ko", "00000002": "ko"},
+                "tgt_t": {"00000001": "", "00000002": "ab"},
+            }
+        )
+        pivot = Pivot("paa", "paa_t", "ko", 1.0)
+        ps = PivotSet.scan(corpus, pivot, [pivot])
+        result = mine_ngrams(corpus, "tgt_t", ps, n_range=(1, 1))
+        assert (result.verses_scored, result.verses_positive) == (1, 1)
 
     def test_mass_preserved_away_from_edges(self):
-        scores = position_profile("v", "x" * 200, [0.5]).scores
+        scores = profile(200, [0.5])[0]
         assert scores.sum() == pytest.approx(1.0, abs=1e-3)
 
     def test_two_centers_double_mass(self):
-        scores = position_profile("v", "x" * 400, [0.25, 0.75]).scores
+        scores = profile(400, [0.25, 0.75])[0]
         assert scores.sum() == pytest.approx(2.0, abs=2e-3)
 
     @given(
@@ -188,14 +200,14 @@ class TestRelativePositions:
     def test_token_midpoints(self):
         corpus = make_corpus({"paa_t": {"00000001": "aa ko bb"}})
         pivot = Pivot("paa", "paa_t", "ko", 1.0)
-        ps = PivotSet(pivot, [pivot])
+        ps = PivotSet.scan(corpus, pivot, [pivot])
         rels = pivot_relative_positions(corpus, ps)
         assert rels == {"00000001": [0.5]}
 
     def test_repeated_token_counts_twice(self):
         corpus = make_corpus({"paa_t": {"00000001": "ko ko"}})
         pivot = Pivot("paa", "paa_t", "ko", 1.0)
-        rels = pivot_relative_positions(corpus, PivotSet(pivot, [pivot]))
+        rels = pivot_relative_positions(corpus, PivotSet.scan(corpus, pivot, [pivot]))
         assert rels == {"00000001": [0.2, 0.8]}
 
     def test_matches_token_cache_and_caches_nothing(self):
@@ -215,9 +227,10 @@ class TestRelativePositions:
             Pivot("pbb", "pbb_t", "don", 1.0),
             Pivot("pbb", "pbb_t", "t", 1.0),
         ]
-        ps = PivotSet(members[0], members)
+        ps = PivotSet.scan(corpus, members[0], members)
+        before = copy.deepcopy(vars(corpus))
         rels = pivot_relative_positions(corpus, ps)
-        assert not corpus._token_cache
+        assert vars(corpus) == before
         assert rels == oracle.token_relative_positions(corpus, ps)
         assert len(rels["00000001"]) == 3 + 4 + 4
         assert len(rels["00000002"]) == 2
@@ -233,7 +246,7 @@ class TestRelativePositions:
         verses = {f"{i:08d}": t for i, t in enumerate(texts, 1)}
         corpus = make_corpus({"paa_t": verses, "pbb_t": {"00000009": "x"}})
         pivot = Pivot("paa", "paa_t", surface, 1.0)
-        ps = PivotSet(pivot, [pivot])
+        ps = PivotSet.scan(corpus, pivot, [pivot])
         assert pivot_relative_positions(corpus, ps) == oracle.token_relative_positions(
             corpus, ps
         )
@@ -249,7 +262,7 @@ def particle_pivot_set(corpus, truth, feature: str) -> PivotSet:
     info = truth["languages"]["paa"]
     surface = info["markers"][feature][0]
     pivot = Pivot("paa", info["translation_id"], surface, 1.0)
-    return PivotSet(pivot, [pivot])
+    return PivotSet.scan(corpus, pivot, [pivot])
 
 
 class TestMining:
@@ -289,7 +302,7 @@ class TestMining:
             {"paa_t": {"00000001": "aa ko bb"}, "tgt_t": {}}
         )
         pivot = Pivot("paa", "paa_t", "ko", 1.0)
-        ps = PivotSet(pivot, [pivot])
+        ps = PivotSet.scan(corpus, pivot, [pivot])
         with caplog.at_level(logging.WARNING):
             result = mine_ngrams(corpus, "tgt_t", ps)
         assert result.verses_scored == 0
@@ -304,7 +317,7 @@ class TestMining:
             }
         )
         pivot = Pivot("paa", "paa_t", "ko", 1.0)
-        ps = PivotSet(pivot, [pivot])
+        ps = PivotSet.scan(corpus, pivot, [pivot])
         with caplog.at_level(logging.WARNING):
             result = mine_ngrams(corpus, "tgt_t", ps)
         assert result.verses_positive == 0
@@ -355,7 +368,7 @@ def random_corpus(rng: random.Random, alphabet: str, n_verses: int, max_len: int
         pivot[vid] = " ".join(words)
     corpus = make_corpus({"paa_p": pivot, "tgt_t": target})
     p = Pivot("paa", "paa_p", "piv", 1.0)
-    return corpus, PivotSet(p, [p])
+    return corpus, PivotSet.scan(corpus, p, [p])
 
 
 MINING_SETTINGS = [
@@ -401,7 +414,7 @@ class TestOracleAgreement:
             }
         )
         p = Pivot("paa", "paa_p", "piv", 1.0)
-        ps = PivotSet(p, [p])
+        ps = PivotSet.scan(corpus, p, [p])
         for w, (n_min, n_max) in ((0, (1, 8)), (2, (3, 20))):
             got = assert_mining_agrees(corpus, "tgt_t", ps, w=w, n_range=(n_min, n_max))
             assert got.verses_scored == 4
@@ -411,7 +424,8 @@ class TestOracleAgreement:
     def test_top_larger_than_gram_count(self):
         corpus = make_corpus({"paa_p": {"00000001": "piv"}, "tgt_t": {"00000001": "abcabc"}})
         p = Pivot("paa", "paa_p", "piv", 1.0)
-        got = assert_mining_agrees(corpus, "tgt_t", PivotSet(p, [p]), n_range=(2, 3), top=100)
+        ps = PivotSet.scan(corpus, p, [p])
+        got = assert_mining_agrees(corpus, "tgt_t", ps, n_range=(2, 3), top=100)
         assert [c.gram for c in got.by_n[2]] == ["ab", "bc", "ca"]
 
     def test_planted_ties_break_by_gram(self):
@@ -431,7 +445,8 @@ class TestOracleAgreement:
                 pivots[vid] = "y y y y y y"
         corpus = make_corpus({"paa_p": pivots, "tgt_t": verses})
         p = Pivot("paa", "paa_p", "piv", 1.0)
-        got = assert_mining_agrees(corpus, "tgt_t", PivotSet(p, [p]), w=3, n_range=(1, 3), top=50)
+        ps = PivotSet.scan(corpus, p, [p])
+        got = assert_mining_agrees(corpus, "tgt_t", ps, w=3, n_range=(1, 3), top=50)
         scores = [c.score for c in got.by_n[1]]
         assert len(set(scores)) < len(scores)
         for cands in got.by_n.values():
@@ -465,7 +480,7 @@ class TestOracleAgreement:
                 if found:
                     rels[vid] = found
         corpus = make_corpus({"tgt_t": texts, "zzz_t": {f"{i:08d}": "x" for i in range(1, 11)}})
-        ps = PivotSet(Pivot("zzz", "zzz_t", "y", 1.0), [])
+        ps = PivotSet.scan(corpus, Pivot("zzz", "zzz_t", "y", 1.0), [])
         assert_mining_agrees(
             corpus, "tgt_t", ps, w=w, n_range=(n_min, n_min + n_extra), top=top,
             sigma=2.0, relative_positions=rels,

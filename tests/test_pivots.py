@@ -1,5 +1,6 @@
 """Pivot discovery: head search, expansion, presence, serialization."""
 
+import copy
 import logging
 
 import numpy as np
@@ -77,7 +78,10 @@ class TestBasics:
 
 
 class TestScoreCandidates:
-    def make_stats(self):
+    def make_stats(self, corpus):
+        """Link counts onto bbb_t, with its token frequencies as
+        link_counts hands them over."""
+        freq = corpus.encode("bbb_t").frequencies()
         return {
             "bbb_t": PairLinkStats(
                 "src",
@@ -85,6 +89,7 @@ class TestScoreCandidates:
                 source_word_links=120,
                 target_word_links={"hi": 45, "lo": 80, "rare": 41},
                 total_links=400,
+                target_frequencies={w: freq[w] for w in ("hi", "lo", "rare")},
             )
         }
 
@@ -97,12 +102,12 @@ class TestScoreCandidates:
 
     def test_min_count_filters(self):
         corpus = self.corpus_with_freqs()
-        cands = score_candidates(corpus, self.make_stats(), min_count=10)
+        cands = score_candidates(corpus, self.make_stats(corpus), min_count=10)
         assert {c.surface for c in cands} == {"hi", "lo"}
 
     def test_sorted_by_score_then_ties(self):
         corpus = self.corpus_with_freqs()
-        cands = score_candidates(corpus, self.make_stats(), min_count=1)
+        cands = score_candidates(corpus, self.make_stats(corpus), min_count=1)
         scores = [c.score for c in cands]
         assert scores == sorted(scores, reverse=True)
         assert cands[0].surface == "rare"
@@ -136,11 +141,11 @@ class TestPresence:
             ("tur_t", "don"),
             ("tur_t", "t"),
         ]
+        before = copy.deepcopy(vars(corpus))
         for tid, surface in lookups:
             presence, missing = presence_vector(corpus, tid, surface)
-            assert not corpus._token_cache
+            assert vars(corpus) == before
             ref_presence, ref_missing = oracle.token_presence_vector(corpus, tid, surface)
-            corpus._token_cache.clear()
             assert presence.dtype == ref_presence.dtype and missing.dtype == ref_missing.dtype
             assert presence.tolist() == ref_presence.tolist()
             assert missing.tolist() == ref_missing.tolist()
@@ -150,7 +155,7 @@ class TestPresence:
         corpus = make_corpus({"aaa_t": {"00000001": "ti"}}, select=False)
         pivot = Pivot("aaa", "aaa_t", "ti", 1.0)
         with pytest.raises(DataError):
-            pivot_presence_matrix(corpus, PivotSet(pivot, [pivot]))
+            pivot_presence_matrix(corpus, PivotSet.scan(corpus, pivot, [pivot]))
 
     def test_matrix_shape_and_missing_rows(self):
         corpus = make_corpus(
@@ -161,7 +166,7 @@ class TestPresence:
         )
         a = Pivot("aaa", "aaa_t", "ti", 2.0)
         b = Pivot("bbb", "bbb_t", "x", 1.0)
-        mat = pivot_presence_matrix(corpus, PivotSet(a, [a, b]))
+        mat = pivot_presence_matrix(corpus, PivotSet.scan(corpus, a, [a, b]))
         assert mat.verse_ids == ("00000001", "00000002")
         assert mat.pivots == [a, b]
         assert mat.matrix.dtype == np.uint8
@@ -328,6 +333,15 @@ class TestFiles:
     def test_queries_malformed(self, tmp_path):
         path = tmp_path / "queries.tsv"
         path.write_text("past only_two_fields\n", encoding="utf-8")
+        with pytest.raises(DataError):
+            read_queries(path)
+
+    @pytest.mark.parametrize(
+        "line", ["past\tqaa_synth\t,", "past tense\tqaa_synth\tti", "past.\tqaa_synth\tti"]
+    )
+    def test_queries_without_forms_or_with_delimiters_rejected(self, tmp_path, line):
+        path = tmp_path / "queries.tsv"
+        path.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(DataError):
             read_queries(path)
 

@@ -101,8 +101,7 @@ class TestPlantedMarkers:
         for iso3, info in truth["languages"].items():
             marks = {m for forms in info["markers"].values() for m in forms}
             for text in corpus.translations[info["translation_id"]].verses.values():
-                for tok in tokenize_verse(text):
-                    word = tok.surface
+                for word in tokenize_verse(text)[0]:
                     if info["style"] == "suffix":
                         for m in marks:
                             if word.endswith(m):
