@@ -134,14 +134,32 @@ class PairEncoding:
             yield s, t, values[offset : offset + size].reshape(n, t, s + 1)
 
 
-def _first_occurrence(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of ids in first-occurrence order, and the index
-    of each entry's value among them."""
-    uniq, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    return uniq[order], rank[inverse.ravel()]
+def _first_occurrence(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ids, which lie in [0, size), in first-occurrence
+    order, and the index of each entry's value among them."""
+    first = np.full(size, len(ids))
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    is_first = np.zeros(len(ids), dtype=bool)
+    is_first[first[first < len(ids)]] = True
+    distinct = ids[is_first]
+    rank = np.empty(size, dtype=np.int64)
+    rank[distinct] = np.arange(len(distinct))
+    return distinct, rank[ids]
+
+
+def _dense_cells(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct keys, which lie in [0, space), and the index of
+    each key among them, read from a presence table over the key space."""
+    present = np.zeros(space, dtype=bool)
+    present[keys] = True
+    index = np.cumsum(present, dtype=np.int32) - 1
+    return np.flatnonzero(present), index[keys]
+
+
+def _sorted_cells(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_dense_cells by sorting, for a key space larger than keys."""
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    return uniq, inverse.astype(np.int32).ravel()
 
 
 def encode_pairs(src: TranslationEncoding, tgt: TranslationEncoding) -> PairEncoding:
@@ -156,8 +174,8 @@ def encode_pairs(src: TranslationEncoding, tgt: TranslationEncoding) -> PairEnco
     keep = (src_len > 0) & (tgt_len > 0)
     if not keep.any():
         raise DataError("no non-empty verse pairs to train on")
-    src_vocab, src_ids = _first_occurrence(src.ids[np.repeat(keep, src_len)])
-    tgt_vocab, tgt_ids = _first_occurrence(tgt.ids[np.repeat(keep, tgt_len)])
+    src_vocab, src_ids = _first_occurrence(src.ids[np.repeat(keep, src_len)], len(src.vocab))
+    tgt_vocab, tgt_ids = _first_occurrence(tgt.ids[np.repeat(keep, tgt_len)], len(tgt.vocab))
     src_ids += 1
     n_tgt = len(tgt_vocab)
     shape = np.column_stack((src_len[keep], tgt_len[keep])).astype(np.int64)
@@ -166,25 +184,32 @@ def encode_pairs(src: TranslationEncoding, tgt: TranslationEncoding) -> PairEnco
 
     order = np.lexsort((shape[:, 1], shape[:, 0]))
     cuts = np.flatnonzero(np.any(np.diff(shape[order], axis=0), axis=1)) + 1
-    keys = []
+    keys = np.empty(int((shape[:, 1] * (shape[:, 0] + 1)).sum()), dtype=np.int64)
     blocks = []
     offset = 0
     for rows in np.split(order, cuts):
         s_len, t_len = shape[rows[0]].tolist()
+        size = len(rows) * t_len * (s_len + 1)
         block_src = np.zeros((len(rows), s_len + 1), dtype=np.int64)
         block_src[:, 1:] = src_ids[src_start[rows, None] + np.arange(s_len)]
         block_tgt = tgt_ids[tgt_start[rows, None] + np.arange(t_len)]
-        key = (block_src[:, None, :] * n_tgt + block_tgt[:, :, None]).ravel()
-        keys.append(key)
+        np.add(
+            block_src[:, None, :] * n_tgt,
+            block_tgt[:, :, None],
+            out=keys[offset : offset + size].reshape(len(rows), t_len, s_len + 1),
+        )
         blocks.append((offset, len(rows), s_len, t_len))
-        offset += key.size
-    uniq, cells = np.unique(np.concatenate(keys), return_inverse=True)
+        offset += size
+    # Cells are numbered in key order: from a table over the key space
+    # when it is no larger than the keys, else by sorting the keys.
+    space = (len(src_vocab) + 1) * n_tgt
+    uniq, cells = _dense_cells(keys, space) if space <= keys.size else _sorted_cells(keys)
     return PairEncoding(
         src_words=[None, *(src.vocab[i] for i in src_vocab.tolist())],
         tgt_words=[tgt.vocab[i] for i in tgt_vocab.tolist()],
         cell_src=(uniq // n_tgt).astype(np.int32),
         cell_tgt=(uniq % n_tgt).astype(np.int32),
-        cells=cells.astype(np.int32).ravel(),
+        cells=cells,
         blocks=blocks,
     )
 
@@ -334,18 +359,15 @@ def _pair_cache_key(
             [src_id, tgt_id, cfg.em_iterations, cfg.diagonal_tension, cfg.null_prob]
         ).encode()
     )
-    src_tok = corpus.translations[src_id].verses
-    tgt_tok = corpus.translations[tgt_id].verses
+    src_text = corpus.translations[src_id].verses
+    tgt_text = corpus.translations[tgt_id].verses
+    parts: list[str] = []
     for vid in corpus.selected_verses:
-        s = src_tok.get(vid)
-        t = tgt_tok.get(vid)
-        if s is None or t is None:
-            continue
-        h.update(vid.encode())
-        h.update(s.encode())
-        h.update(b"\x00")
-        h.update(t.encode())
-        h.update(b"\x01")
+        s = src_text.get(vid)
+        t = tgt_text.get(vid)
+        if s is not None and t is not None:
+            parts += (vid, s, "\x00", t, "\x01")
+    h.update("".join(parts).encode())
     return h.hexdigest()
 
 

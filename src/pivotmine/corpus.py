@@ -28,27 +28,57 @@ FILENAME_RE = re.compile(r"^(?P<iso3>[a-z]{3})_(?P<name>.+)\.txt$")
 
 # Whitespace plus the punctuation stripped around tokens.
 DELIMITERS = " \t\r\n\f\v.,;:!?()[]\"'"
-_TOKEN_RE = re.compile(f"[^{re.escape(DELIMITERS)}]+")
+_TO_SPACE = str.maketrans(DELIMITERS, " " * len(DELIMITERS))
+# Verses tokenized in one pass: enough to spread the per-pass array work,
+# few enough to keep the joined text small.
+BLOCK_VERSES = 256
 
 
 def is_verse_id(value: str) -> bool:
     return bool(VERSE_ID_RE.match(value))
 
 
-def tokenize_verse(text: str) -> tuple[list[str], list[int], list[int]]:
-    """The tokens of one verse: maximal runs of non-delimiter characters.
+def tokenize_block(
+    texts: Sequence[str],
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """The tokens of several verses: maximal runs of non-delimiter characters.
 
-    Returns their surfaces and their start and end offsets in text, so
-    text[start:end] recovers the original spelling. Each surface is
-    lowercased on its own: lowercasing the whole verse can differ, because
-    a final sigma depends on what follows.
+    Returns the lowercased surfaces of every token in order, the int32
+    start and end offsets of each in its own verse (so text[start:end]
+    recovers the original spelling), and the int32 token count of each
+    verse.
+
+    The verses are joined with spaces and every delimiter is mapped to a
+    space, so a token is a maximal run of non-spaces in that string; the
+    offsets come from its code points. The surfaces come from lowercasing
+    the whole string and splitting it at spaces. That equals lowercasing
+    each token on its own: the one context-dependent rule of str.lower,
+    the final sigma, only looks past case-ignorable characters, and the
+    space that bounds every token is neither cased nor case-ignorable.
     """
-    matches = list(_TOKEN_RE.finditer(text))
+    spaced = " ".join(texts).translate(_TO_SPACE)
+    code = np.frombuffer(spaced.encode("utf-32-le", "surrogatepass"), "<u4")
+    space = np.ones(len(code) + 2, dtype=bool)
+    np.equal(code, ord(" "), out=space[1:-1])
+    edge = np.diff(space.view(np.int8))
+    start = np.flatnonzero(edge == -1)
+    end = np.flatnonzero(edge == 1)
+    text_len = np.fromiter(map(len, texts), np.int64, len(texts))
+    text_start = np.cumsum(text_len + 1) - text_len - 1
+    verse = np.searchsorted(text_start, start, side="right") - 1
+    shift = text_start[verse]
     return (
-        [m.group().lower() for m in matches],
-        [m.start() for m in matches],
-        [m.end() for m in matches],
+        list(filter(None, spaced.lower().split(" "))),
+        (start - shift).astype(np.int32),
+        (end - shift).astype(np.int32),
+        np.bincount(verse, minlength=len(texts)).astype(np.int32),
     )
+
+
+def tokenize_verse(text: str) -> tuple[list[str], list[int], list[int]]:
+    """tokenize_block of one verse: its surfaces, starts and ends."""
+    surfaces, starts, ends, _ = tokenize_block([text])
+    return surfaces, starts.tolist(), ends.tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +131,11 @@ def encode_surfaces(rows: Sequence[Sequence[str]]) -> TranslationEncoding:
     return TranslationEncoding(list(index), ids, offsets, np.ones(len(rows), dtype=bool))
 
 
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    """The int32 arrays of parts end to end."""
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int32)
+
+
 @dataclass(frozen=True)
 class Translation:
     """One translation: an id, its language code, and verse texts.
@@ -131,28 +166,28 @@ class MultiCorpus:
     def encode(self, translation_id: str) -> TranslationEncoding:
         """The TranslationEncoding of one translation, one row per selected verse."""
         verses = self.translations[translation_id].verses
+        texts = [verses.get(vid) for vid in self.selected_verses]
         index = _vocabulary()
-        ids: list[int] = []
-        starts: list[int] = []
-        ends: list[int] = []
-        offsets = [0]
-        has_verse = []
-        for vid in self.selected_verses:
-            text = verses.get(vid)
-            has_verse.append(text is not None)
-            if text is not None:
-                surfaces, a, b = tokenize_verse(text)
-                ids += map(index.__getitem__, surfaces)
-                starts += a
-                ends += b
-            offsets.append(len(ids))
+        ids = []
+        starts = []
+        ends = []
+        counts = []
+        for lo in range(0, len(texts), BLOCK_VERSES):
+            block = [text or "" for text in texts[lo : lo + BLOCK_VERSES]]
+            surfaces, a, b, n = tokenize_block(block)
+            ids.append(np.fromiter(map(index.__getitem__, surfaces), np.int32, len(surfaces)))
+            starts.append(a)
+            ends.append(b)
+            counts.append(n)
+        offsets = np.zeros(len(texts) + 1, dtype=np.int32)
+        np.cumsum(_concat(counts), out=offsets[1:])
         return TranslationEncoding(
             list(index),
-            np.array(ids, dtype=np.int32),
-            np.array(offsets, dtype=np.int32),
-            np.array(has_verse, dtype=bool),
-            np.array(starts, dtype=np.int32),
-            np.array(ends, dtype=np.int32),
+            _concat(ids),
+            offsets,
+            np.fromiter((text is not None for text in texts), bool, len(texts)),
+            _concat(starts),
+            _concat(ends),
         )
 
     def languages(self) -> list[str]:
@@ -305,23 +340,29 @@ def apply_query_merge(
         raise ValueError("query forms must be non-empty")
     new_verses: dict[str, str] = {}
     replaced = 0
-    for vid, text in trans.verses.items():
-        surfaces, starts, ends = tokenize_verse(text)
+    items = list(trans.verses.items())
+    for lo in range(0, len(items), BLOCK_VERSES):
+        block = items[lo : lo + BLOCK_VERSES]
+        surfaces, starts, ends, counts = tokenize_block([text for _, text in block])
+        verse = np.repeat(np.arange(len(block)), counts).tolist()
         if target in surfaces:
             raise DataError(
                 f"synthetic token {synthetic!r} already occurs in "
-                f"{trans.translation_id} verse {vid}"
+                f"{trans.translation_id} verse {block[verse[surfaces.index(target)]][0]}"
             )
-        parts: list[str] = []
-        prev = 0
-        for surface, start, end in zip(surfaces, starts, ends):
+        spans = defaultdict(list)
+        for k, surface in enumerate(surfaces):
             if surface in norm_forms:
-                parts.append(text[prev:start])
-                parts.append(synthetic)
-                prev = end
+                spans[verse[k]].append((int(starts[k]), int(ends[k])))
                 replaced += 1
-        parts.append(text[prev:])
-        new_verses[vid] = "".join(parts)
+        for v, (vid, text) in enumerate(block):
+            parts: list[str] = []
+            prev = 0
+            for start, end in spans.get(v, ()):
+                parts += (text[prev:start], synthetic)
+                prev = end
+            parts.append(text[prev:])
+            new_verses[vid] = "".join(parts)
     if replaced == 0:
         logger.warning(
             "query merge matched no tokens in %s", trans.translation_id

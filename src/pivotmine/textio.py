@@ -25,8 +25,16 @@ def read_text(path: str | Path) -> str:
 
 
 def read_lines(path: str | Path) -> list[str]:
-    """Lines of a UTF-8 file without their line endings."""
-    return read_text(path).splitlines()
+    """Lines of a UTF-8 file without their line endings.
+
+    A line ends at LF, CRLF or CR (read_text decodes all three to LF). Other
+    characters that str.splitlines breaks at, such as U+2028 or a form
+    feed, stay inside the line.
+    """
+    lines = read_text(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def write_text(path: str | Path, text: str) -> Path:

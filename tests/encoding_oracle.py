@@ -1,0 +1,138 @@
+"""Per-verse and sorting references for the corpus and pair encoders.
+
+The oracles that MultiCorpus.encode, aligner.encode_pairs and
+aligner._pair_cache_key are tested against: one regex match per token and
+one verse at a time, np.unique for word and cell numbering, and one hash
+update per piece of each verse.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import re
+from collections import defaultdict
+
+import numpy as np
+
+from pivotmine.aligner import CACHE_FORMAT, AlignerConfig, PairEncoding
+from pivotmine.corpus import DELIMITERS, MultiCorpus, TranslationEncoding
+from pivotmine.errors import DataError
+
+_TOKEN_RE = re.compile(f"[^{re.escape(DELIMITERS)}]+")
+
+
+def tokenize_regex(text: str) -> tuple[list[str], list[int], list[int]]:
+    """Surfaces, starts and ends of one verse's tokens, each surface
+    lowercased on its own."""
+    matches = list(_TOKEN_RE.finditer(text))
+    return (
+        [m.group().lower() for m in matches],
+        [m.start() for m in matches],
+        [m.end() for m in matches],
+    )
+
+
+def encode(corpus: MultiCorpus, translation_id: str) -> TranslationEncoding:
+    """MultiCorpus.encode, tokenizing one selected verse at a time."""
+    verses = corpus.translations[translation_id].verses
+    index: defaultdict[str, int] = defaultdict()
+    index.default_factory = index.__len__
+    ids: list[int] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    offsets = [0]
+    has_verse = []
+    for vid in corpus.selected_verses:
+        text = verses.get(vid)
+        has_verse.append(text is not None)
+        if text is not None:
+            surfaces, a, b = tokenize_regex(text)
+            ids += map(index.__getitem__, surfaces)
+            starts += a
+            ends += b
+        offsets.append(len(ids))
+    return TranslationEncoding(
+        list(index),
+        np.array(ids, dtype=np.int32),
+        np.array(offsets, dtype=np.int32),
+        np.array(has_verse, dtype=bool),
+        np.array(starts, dtype=np.int32),
+        np.array(ends, dtype=np.int32),
+    )
+
+
+def first_occurrence(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ids in first-occurrence order, and the index
+    of each entry's value among them, by sorting."""
+    uniq, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return uniq[order], rank[inverse.ravel()]
+
+
+def encode_pairs(src: TranslationEncoding, tgt: TranslationEncoding) -> PairEncoding:
+    """aligner.encode_pairs, numbering words and cells with np.unique."""
+    src_len = np.diff(src.offsets)
+    tgt_len = np.diff(tgt.offsets)
+    keep = (src_len > 0) & (tgt_len > 0)
+    if not keep.any():
+        raise DataError("no non-empty verse pairs to train on")
+    src_vocab, src_ids = first_occurrence(src.ids[np.repeat(keep, src_len)])
+    tgt_vocab, tgt_ids = first_occurrence(tgt.ids[np.repeat(keep, tgt_len)])
+    src_ids += 1
+    n_tgt = len(tgt_vocab)
+    shape = np.column_stack((src_len[keep], tgt_len[keep])).astype(np.int64)
+    src_start = np.cumsum(shape[:, 0]) - shape[:, 0]
+    tgt_start = np.cumsum(shape[:, 1]) - shape[:, 1]
+
+    order = np.lexsort((shape[:, 1], shape[:, 0]))
+    cuts = np.flatnonzero(np.any(np.diff(shape[order], axis=0), axis=1)) + 1
+    keys = []
+    blocks = []
+    offset = 0
+    for rows in np.split(order, cuts):
+        s_len, t_len = shape[rows[0]].tolist()
+        block_src = np.zeros((len(rows), s_len + 1), dtype=np.int64)
+        block_src[:, 1:] = src_ids[src_start[rows, None] + np.arange(s_len)]
+        block_tgt = tgt_ids[tgt_start[rows, None] + np.arange(t_len)]
+        key = (block_src[:, None, :] * n_tgt + block_tgt[:, :, None]).ravel()
+        keys.append(key)
+        blocks.append((offset, len(rows), s_len, t_len))
+        offset += key.size
+    uniq, cells = np.unique(np.concatenate(keys), return_inverse=True)
+    return PairEncoding(
+        src_words=[None, *(src.vocab[i] for i in src_vocab.tolist())],
+        tgt_words=[tgt.vocab[i] for i in tgt_vocab.tolist()],
+        cell_src=(uniq // n_tgt).astype(np.int32),
+        cell_tgt=(uniq % n_tgt).astype(np.int32),
+        cells=cells.astype(np.int32).ravel(),
+        blocks=blocks,
+    )
+
+
+def pair_cache_key(
+    corpus: MultiCorpus, src_id: str, tgt_id: str, cfg: AlignerConfig
+) -> str:
+    """aligner._pair_cache_key with five hash updates per shared verse."""
+    h = hashlib.sha256()
+    h.update(CACHE_FORMAT.encode())
+    h.update(
+        json.dumps(
+            [src_id, tgt_id, cfg.em_iterations, cfg.diagonal_tension, cfg.null_prob]
+        ).encode()
+    )
+    src_tok = corpus.translations[src_id].verses
+    tgt_tok = corpus.translations[tgt_id].verses
+    for vid in corpus.selected_verses:
+        s = src_tok.get(vid)
+        t = tgt_tok.get(vid)
+        if s is None or t is None:
+            continue
+        h.update(vid.encode())
+        h.update(s.encode())
+        h.update(b"\x00")
+        h.update(t.encode())
+        h.update(b"\x01")
+    return h.hexdigest()

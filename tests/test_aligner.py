@@ -4,12 +4,16 @@ import logging
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aligner_oracle as oracle
+import encoding_oracle
+import pivotmine.aligner as aligner_module
 from helpers import make_corpus, tokenize_reference
 from pivotmine.aligner import (
     CACHE_FORMAT,
@@ -18,8 +22,11 @@ from pivotmine.aligner import (
     PairEncoding,
     PairLinkStats,
     _cell_probs,
+    _dense_cells,
+    _first_occurrence,
     _pair_cache_key,
     _prior_matrix,
+    _sorted_cells,
     _viterbi,
     diagonal_prior,
     encode_pairs,
@@ -556,6 +563,21 @@ class TestProperties:
 VERSE_TEXT = st.one_of(st.none(), st.text(alphabet="abcAB .,'Σσς", max_size=16))
 
 
+def rows_corpus(rows):
+    """A corpus of (source, target) verse texts, None being a verse that
+    side lacks; a third translation holds every verse, so each one is
+    selected."""
+    verses = {"aaa_src": {}, "bbb_tgt": {}, "ccc_all": {}}
+    for i, (s, t) in enumerate(rows, 1):
+        vid = f"{i:08d}"
+        verses["ccc_all"][vid] = "x"
+        if s is not None:
+            verses["aaa_src"][vid] = s
+        if t is not None:
+            verses["bbb_tgt"][vid] = t
+    return make_corpus(verses)
+
+
 class TestEncodePairs:
     """encode_pairs over two translation encodings against the encoding of
     the same pairs as surface lists."""
@@ -563,17 +585,7 @@ class TestEncodePairs:
     @given(st.lists(st.tuples(VERSE_TEXT, VERSE_TEXT), min_size=1, max_size=12))
     @settings(max_examples=300, deadline=None)
     def test_translation_encodings_match_surface_lists(self, rows):
-        # None is a verse the translation lacks; a third translation holds
-        # every verse, so each one is selected
-        verses = {"aaa_src": {}, "bbb_tgt": {}, "ccc_all": {}}
-        for i, (s, t) in enumerate(rows, 1):
-            vid = f"{i:08d}"
-            verses["ccc_all"][vid] = "x"
-            if s is not None:
-                verses["aaa_src"][vid] = s
-            if t is not None:
-                verses["bbb_tgt"][vid] = t
-        corpus = make_corpus(verses)
+        corpus = rows_corpus(rows)
         pairs = reference_pairs(corpus, "aaa_src", "bbb_tgt")
         src, tgt = corpus.encode("aaa_src"), corpus.encode("bbb_tgt")
         if not pairs:
@@ -596,3 +608,89 @@ class TestEncodePairs:
         enc = encode_pairs(corpus.encode("aaa_src"), corpus.encode("bbb_tgt"))
         assert enc.src_words == [None, "a", "b"]
         assert enc.tgt_words == ["p", "q"]
+
+
+def encode_both_ways(src, tgt) -> dict[str, PairEncoding]:
+    """encode_pairs as it chooses, and forced onto each cell numbering."""
+    dense, by_sorting = _dense_cells, _sorted_cells
+    out = {"chosen": encode_pairs(src, tgt)}
+    with mock.patch.object(aligner_module, "_dense_cells", lambda keys, space: by_sorting(keys)):
+        out["sorted"] = encode_pairs(src, tgt)
+    with mock.patch.object(
+        aligner_module, "_sorted_cells", lambda keys: dense(keys, int(keys.max()) + 1)
+    ):
+        out["dense"] = encode_pairs(src, tgt)
+    return out
+
+
+class TestEncodePairsOracle:
+    """encode_pairs against the np.unique encoder it replaced."""
+
+    @given(st.lists(st.tuples(VERSE_TEXT, VERSE_TEXT), min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_both_numberings_match_the_oracle(self, rows):
+        corpus = rows_corpus(rows)
+        src, tgt = corpus.encode("aaa_src"), corpus.encode("bbb_tgt")
+        try:
+            want = encoding_oracle.encode_pairs(src, tgt)
+        except DataError:
+            with pytest.raises(DataError):
+                encode_pairs(src, tgt)
+            return
+        for got in encode_both_ways(src, tgt).values():
+            assert_encodings_equal(got, want)
+
+    def test_synthetic_pairs_take_the_dense_table(self):
+        corpus, _ = generate(preset_tiny8())
+        corpus = corpus.select(len(corpus.verse_universe))
+        tids = sorted(corpus.translations)
+        src = corpus.encode(tids[0])
+        for tid in tids[1:]:
+            tgt = corpus.encode(tid)
+            want = encoding_oracle.encode_pairs(src, tgt)
+            with mock.patch.object(aligner_module, "_sorted_cells", side_effect=AssertionError):
+                assert_encodings_equal(encode_pairs(src, tgt), want)
+            for got in encode_both_ways(src, tgt).values():
+                assert_encodings_equal(got, want)
+
+    @given(st.lists(st.integers(0, 9), min_size=1, max_size=40), st.integers(0, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_first_occurrence(self, values, extra):
+        ids = np.array(values, dtype=np.int32)
+        distinct, index = _first_occurrence(ids, max(values) + 1 + extra)
+        want_distinct, want_index = encoding_oracle.first_occurrence(ids)
+        assert distinct.dtype == want_distinct.dtype and index.dtype == want_index.dtype
+        assert distinct.tolist() == want_distinct.tolist()
+        assert index.tolist() == want_index.tolist()
+
+    @given(st.lists(st.integers(0, 30), min_size=1, max_size=60), st.integers(0, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_dense_and_sorted_cells_agree(self, values, extra):
+        keys = np.array(values, dtype=np.int64)
+        uniq, cells = _dense_cells(keys, max(values) + 1 + extra)
+        want_uniq, want_cells = _sorted_cells(keys)
+        assert uniq.tolist() == want_uniq.tolist() == sorted(set(values))
+        assert cells.dtype == want_cells.dtype == np.int32
+        assert cells.tolist() == want_cells.tolist()
+
+
+class TestCacheKey:
+    @given(st.lists(st.tuples(VERSE_TEXT, VERSE_TEXT), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_verse_hashing(self, rows):
+        corpus = rows_corpus(rows)
+        cfg = AlignerConfig()
+        for src, tgt in (("aaa_src", "bbb_tgt"), ("bbb_tgt", "ccc_all")):
+            assert _pair_cache_key(corpus, src, tgt, cfg) == encoding_oracle.pair_cache_key(
+                corpus, src, tgt, cfg
+            )
+
+    def test_matches_per_verse_hashing_on_a_synthetic_corpus(self):
+        corpus, truth = generate(preset_tiny8())
+        corpus = corpus.select(len(corpus.verse_universe) - 7)
+        query = truth["query"]["translation_id"]
+        cfg = AlignerConfig(em_iterations=3)
+        for tgt in sorted(corpus.translations):
+            assert _pair_cache_key(corpus, query, tgt, cfg) == encoding_oracle.pair_cache_key(
+                corpus, query, tgt, cfg
+            )

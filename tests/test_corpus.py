@@ -3,14 +3,18 @@
 import logging
 import random
 import string
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import encoding_oracle as oracle
+import pivotmine.corpus as corpus_module
 from helpers import make_corpus, tokenize_reference
 from pivotmine.corpus import (
+    BLOCK_VERSES,
     DELIMITERS,
     MultiCorpus,
     Translation,
@@ -21,6 +25,7 @@ from pivotmine.corpus import (
     read_families,
     encode_surfaces,
     select_covered_verses,
+    tokenize_block,
     tokenize_verse,
     write_coverage_report,
 )
@@ -69,6 +74,114 @@ class TestTokenize:
             covered.update(range(start, end))
         for i, ch in enumerate(text):
             assert (i in covered) == (ch not in delims)
+
+
+# Texts that tell whole-string from per-token lowercasing and raw from
+# lowercased offsets: a final sigma before every delimiter and at the end of
+# a verse whose neighbour starts with a cased letter, İ (whose lowercase is
+# two code points), and U+00A0 (whitespace inside a token).
+TRICKY_TEXTS = [
+    *(f"ΑΣ{d}Α" for d in DELIMITERS),
+    "ΑΣ",
+    "Α ΑΣ",
+    "İİ aİb İ.",
+    "a\u00a0b \u00a0",
+    "",
+    "... !?",
+    "ΑΣ'Α ασ",
+]
+BLOCK_ALPHABET = DELIMITERS + string.ascii_uppercase + "abİiΣσςΑé\u00a0"
+
+
+class TestBlockTokenizer:
+    """tokenize_block over several verses against the reference tokenizer,
+    one verse at a time."""
+
+    def check(self, texts):
+        surfaces, starts, ends, counts = tokenize_block(texts)
+        expected = [tokenize_reference(text) for text in texts]
+        assert list(zip(surfaces, starts.tolist(), ends.tolist())) == [
+            tok for row in expected for tok in row
+        ]
+        assert counts.tolist() == [len(row) for row in expected]
+        for arr in (starts, ends, counts):
+            assert arr.dtype == np.int32
+
+    def test_tricky_texts(self):
+        self.check(TRICKY_TEXTS)
+        surfaces = tokenize_block(["ΑΣ", "Α"])[0]
+        assert surfaces == ["ας", "α"]
+
+    def test_no_texts(self):
+        self.check([])
+
+    @given(st.lists(st.text(alphabet=BLOCK_ALPHABET, max_size=30), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_tokenizer(self, texts):
+        self.check(texts)
+
+
+def assert_same_encoding(got, want) -> None:
+    assert got.vocab == want.vocab
+    for name in ("ids", "offsets", "has_verse", "starts", "ends"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+    assert got.ids.dtype == np.int32
+
+
+def corpus_of(texts):
+    """A corpus whose translation aaa_t holds texts, None being a verse it
+    lacks; bbb_t holds every verse, so each one is selected."""
+    verses = {f"{i:08d}": t for i, t in enumerate(texts, 1) if t is not None}
+    other = {f"{i:08d}": "z" for i in range(1, len(texts) + 1)}
+    return make_corpus({"aaa_t": verses, "bbb_t": other})
+
+
+class TestEncodingOracle:
+    """MultiCorpus.encode against the per-verse regex loop it replaced."""
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.none(),
+                st.text(alphabet=BLOCK_ALPHABET, max_size=30),
+                st.sampled_from(TRICKY_TEXTS),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_small_blocks(self, texts, block):
+        # blocks of a few verses, so the selection spans several of them
+        corpus = corpus_of(texts)
+        with mock.patch.object(corpus_module, "BLOCK_VERSES", block):
+            got = corpus.encode("aaa_t")
+        assert_same_encoding(got, oracle.encode(corpus, "aaa_t"))
+
+    def test_selection_spanning_several_blocks(self):
+        rng = random.Random(7)
+        words = ["ΑΣ", "Α", "İ", "a\u00a0b", "Σ", "x", "ΑΣΑ", "...", ""]
+        texts = []
+        for _ in range(3 * BLOCK_VERSES + 17):
+            roll = rng.random()
+            if roll < 0.05:
+                texts.append(None)
+            elif roll < 0.1:
+                texts.append("" if roll < 0.075 else "!? ,")
+            else:
+                texts.append("".join(
+                    rng.choice(words) + rng.choice(DELIMITERS) for _ in range(rng.randint(1, 9))
+                ))
+        corpus = corpus_of(texts)
+        got = corpus.encode("aaa_t")
+        assert_same_encoding(got, oracle.encode(corpus, "aaa_t"))
+        assert not got.has_verse.all() and len(got.vocab) > 1
+
+    def test_empty_selection(self):
+        corpus = make_corpus({"aaa_t": {"00000001": "x"}}, select=False)
+        assert_same_encoding(corpus.encode("aaa_t"), oracle.encode(corpus, "aaa_t"))
 
 
 class TestVerseIds:
@@ -138,6 +251,20 @@ class TestLoadCorpus:
         meta.write_text("aaa\tfamA\nbbb\tfamB\n", encoding="utf-8")
         corpus = load_corpus(corpus_dir, iso_metadata=meta)
         assert corpus.families == {"aaa": "famA", "bbb": "famB"}
+
+    def test_line_ends_only_at_newlines(self, tmp_path):
+        d = tmp_path / "corpus"
+        d.mkdir()
+        verses = {
+            "00000001": "foo\u2028bar baz",
+            "00000002": "next\x85line",
+            "00000003": "a\vb\fc\x1cd\x1de\x1ef\u2029g",
+        }
+        lines = "".join(f"{vid}\t{text}\n" for vid, text in verses.items())
+        (d / "aaa_t.txt").write_text(lines + "00000004\tcr\r\n", encoding="utf-8")
+        corpus = load_corpus(d)
+        assert corpus.malformed_lines == 0
+        assert corpus.translations["aaa_t"].verses == {**verses, "00000004": "cr"}
 
     def test_read_families_rejects_malformed(self, tmp_path):
         meta = tmp_path / "families.tsv"
@@ -258,6 +385,45 @@ class TestQueryMerge:
         assert merged.verses["00000001"] == "QTOK QTOK QTOK"
 
 
+def merge_reference(verses, forms, synthetic):
+    """apply_query_merge's verse texts, one verse at a time."""
+    out = {}
+    for vid, text in verses.items():
+        parts = []
+        prev = 0
+        for tok, start, end in tokenize_reference(text):
+            if tok in forms:
+                parts += (text[prev:start], synthetic)
+                prev = end
+        out[vid] = "".join(parts + [text[prev:]])
+    return out
+
+
+# "İ".lower() is two code points, so a merged span is shorter than its form.
+MERGE_FORMS = {"a", "İ".lower(), "σ"}
+
+
+class TestQueryMergeBlocks:
+    @given(
+        st.lists(st.text(alphabet="ab ,İΣ\u00a0", max_size=12), min_size=1, max_size=10),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_verse_merge(self, texts, block):
+        verses = {f"{i:08d}": t for i, t in enumerate(texts, 1)}
+        trans = Translation("aaa_t", "aaa", verses)
+        with mock.patch.object(corpus_module, "BLOCK_VERSES", block):
+            merged = apply_query_merge(trans, MERGE_FORMS, "QTOK")
+        assert merged.verses == merge_reference(verses, MERGE_FORMS, "QTOK")
+
+    def test_collision_names_its_verse_in_a_later_block(self):
+        verses = {f"{i:08d}": "x y" for i in range(1, BLOCK_VERSES + 10)}
+        verses[f"{BLOCK_VERSES + 5:08d}"] = "x qtok"
+        trans = Translation("aaa_t", "aaa", verses)
+        with pytest.raises(DataError, match=f"verse {BLOCK_VERSES + 5:08d}"):
+            apply_query_merge(trans, {"x"}, "QTOK")
+
+
 SCAN_ALPHABET = DELIMITERS + string.ascii_uppercase + "abİiΣσςé"
 
 
@@ -296,11 +462,7 @@ class TestEncoding:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_tokenizer(self, texts):
-        # None is a verse the translation lacks; another translation holds
-        # every verse, so each one is selected
-        verses = {f"{i:08d}": t for i, t in enumerate(texts, 1) if t is not None}
-        other = {f"{i:08d}": "z" for i in range(1, len(texts) + 1)}
-        corpus = make_corpus({"aaa_t": verses, "bbb_t": other})
+        corpus = corpus_of(texts)
         expected = [None if t is None else tokenize_reference(t) for t in texts]
         assert decoded(corpus, "aaa_t") == expected
         enc = corpus.encode("aaa_t")

@@ -17,6 +17,20 @@ class TestRead:
         with pytest.raises(DataError):
             read_lines(latin1)
 
+    def test_lines_end_only_at_newlines(self, tmp_path):
+        path = tmp_path / "lines.txt"
+        path.write_bytes("a\u2028b\x85c\vd\fe\x1cf\x1dg\x1eh\u2029i\nj\r\nk\rl".encode())
+        assert read_lines(path) == ["a\u2028b\x85c\vd\fe\x1cf\x1dg\x1eh\u2029i", "j", "k", "l"]
+
+    @pytest.mark.parametrize(
+        "text, lines",
+        [("", []), ("\n", [""]), ("a", ["a"]), ("a\n", ["a"]), ("a\n\n", ["a", ""])],
+    )
+    def test_final_newline_ends_the_last_line(self, tmp_path, text, lines):
+        path = tmp_path / "lines.txt"
+        path.write_bytes(text.encode())
+        assert read_lines(path) == lines
+
 
 class TestAtomicWrite:
     def test_failed_replace_keeps_old_file_and_leaves_no_temp(
