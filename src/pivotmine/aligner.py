@@ -9,7 +9,8 @@ so that is the main entry point here.
 Both EM and decoding run on one array encoding of a pair's verses (see
 PairEncoding): every co-occurring (source word, target word) pair is a
 cell with an int32 id, and verse pairs of the same shape form one block
-that shares one prior matrix.
+that shares one prior matrix. The trained table is one probability per
+cell, from EM through decoding to the cache file.
 """
 
 from __future__ import annotations
@@ -20,20 +21,21 @@ import json
 import logging
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import MultiCorpus, TranslationEncoding, encode_surfaces
+from .corpus import MultiCorpus, TranslationEncoding
 from .errors import DataError
 from .textio import read_lines, write_lines
 
 logger = logging.getLogger(__name__)
 
 # Sentinel surface for the null source word in serialized tables. Real
-# tokens never contain a tab, so the empty string is unambiguous there;
-# in-memory we key the null row by None.
+# tokens are never empty, so the empty string is unambiguous there;
+# in memory the null word is source id 0.
 NULL_SURFACE = ""
 
 CACHE_FORMAT = "lex-tsv-2"
@@ -55,22 +57,6 @@ class AlignerConfig:
             raise ValueError("diagonal_tension must be >= 0")
         if not 0 <= self.null_prob < 1:
             raise ValueError("null_prob must lie in [0, 1)")
-
-
-@dataclass
-class LexTable:
-    """Trained lexical table: t[source_word][target_word] = probability.
-
-    The null source row is keyed by None. Rows sum to 1 over the target
-    words seen with that source word. log_likelihoods holds the corpus
-    log-likelihood at the start of each EM iteration (non-decreasing).
-    """
-
-    t: dict[str | None, dict[str, float]]
-    log_likelihoods: list[float] = field(default_factory=list)
-
-    def prob(self, source: str | None, target: str) -> float:
-        return self.t.get(source, {}).get(target, 0.0)
 
 
 def diagonal_prior(
@@ -132,6 +118,21 @@ class PairEncoding:
         for offset, n, s, t in self.blocks:
             size = n * t * (s + 1)
             yield s, t, values[offset : offset + size].reshape(n, t, s + 1)
+
+
+@dataclass(frozen=True, eq=False)
+class LexTable:
+    """Trained lexical table over the cells of one pair encoding.
+
+    probs[c] is the probability of target word enc.cell_tgt[c] given
+    source word enc.cell_src[c]; the cells of each source word sum to 1.
+    log_likelihoods holds the corpus log-likelihood at the start of each
+    EM iteration (non-decreasing).
+    """
+
+    enc: PairEncoding
+    probs: np.ndarray
+    log_likelihoods: list[float]
 
 
 def _first_occurrence(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -214,14 +215,6 @@ def encode_pairs(src: TranslationEncoding, tgt: TranslationEncoding) -> PairEnco
     )
 
 
-def encode_surface_pairs(pairs) -> PairEncoding:
-    """encode_pairs of (source, target) token surface lists, one row each."""
-    pairs = list(pairs)
-    return encode_pairs(
-        encode_surfaces([s for s, _ in pairs]), encode_surfaces([t for _, t in pairs])
-    )
-
-
 def _em(enc: PairEncoding, cfg: AlignerConfig) -> tuple[np.ndarray, list[float]]:
     """Per-cell probabilities after EM, and the log-likelihood at the
     start of each iteration."""
@@ -248,51 +241,24 @@ def _em(enc: PairEncoding, cfg: AlignerConfig) -> tuple[np.ndarray, list[float]]
     return table, lls
 
 
-def _lex_table(enc: PairEncoding, probs: np.ndarray, lls: list[float]) -> LexTable:
-    t: dict[str | None, dict[str, float]] = {word: {} for word in enc.src_words}
-    for e, f, p in zip(enc.cell_src.tolist(), enc.cell_tgt.tolist(), probs.tolist()):
-        t[enc.src_words[e]][enc.tgt_words[f]] = p
-    return LexTable(t, lls)
-
-
-def _cell_probs(enc: PairEncoding, lex: LexTable) -> np.ndarray:
-    """Probability of every cell under lex; 0 where lex lacks the cell."""
-    rows = [lex.t.get(word, {}) for word in enc.src_words]
-    tgt_words = enc.tgt_words
-    return np.array(
-        [
-            rows[e].get(tgt_words[f], 0.0)
-            for e, f in zip(enc.cell_src.tolist(), enc.cell_tgt.tolist())
-        ],
-        dtype=float,
-    )
-
-
-def train_alignment(pairs, cfg: AlignerConfig | None = None) -> LexTable:
-    """EM-train a lexical table from (source, target) verse pairs.
-
-    Each pair is a (source, target) pair of token surface lists.
-    Pairs with an empty side are skipped; raises DataError if nothing
-    remains. The null source word co-occurs with every target word.
-    pairs may also be their PairEncoding.
-    """
+def train_alignment(enc: PairEncoding, cfg: AlignerConfig | None = None) -> LexTable:
+    """EM-train a lexical table over the verse pairs of enc."""
     cfg = cfg or AlignerConfig()
     cfg.validate()
-    enc = pairs if isinstance(pairs, PairEncoding) else encode_surface_pairs(pairs)
-    return _lex_table(enc, *_em(enc, cfg))
+    return LexTable(enc, *_em(enc, cfg))
 
 
-def _viterbi(enc: PairEncoding, probs: np.ndarray, cfg: AlignerConfig) -> list[np.ndarray]:
+def _viterbi(lex: LexTable, cfg: AlignerConfig) -> list[np.ndarray]:
     """Per block, the (n, tgt_len) source position linked to each target
     token, or -1 for no link.
 
-    Each target token takes its best source position under prior * t,
-    the leftmost on a tie, and links only when that weight strictly
-    exceeds the null word's.
+    Each target token takes its best source position under prior times
+    cell probability, the leftmost on a tie, and links only when that
+    weight strictly exceeds the null word's.
     """
-    w = probs[enc.cells]
+    w = lex.probs[lex.enc.cells]
     out = []
-    for s, t, block in enc.views(w):
+    for s, t, block in lex.enc.views(w):
         block *= _prior_matrix(s, t, cfg)
         best = block[..., 1:].argmax(axis=2)
         w_best = np.take_along_axis(block, best[..., None] + 1, axis=2)[..., 0]
@@ -319,13 +285,12 @@ class PairLinkStats:
     target_frequencies: dict[str, int] = field(default_factory=dict, compare=False)
 
 
-def _link_stats(
-    enc: PairEncoding, probs: np.ndarray, cfg: AlignerConfig, source_word: str
-) -> PairLinkStats:
-    """Tally the Viterbi links of every verse pair of enc."""
+def _link_stats(lex: LexTable, cfg: AlignerConfig, source_word: str) -> PairLinkStats:
+    """Tally the Viterbi links of every verse pair of lex's encoding."""
+    enc = lex.enc
     linked = [
         np.take_along_axis(block, positions[..., None] + 1, axis=2)[positions >= 0, 0]
-        for positions, (_, _, block) in zip(_viterbi(enc, probs, cfg), enc.views(enc.cells))
+        for positions, (_, _, block) in zip(_viterbi(lex, cfg), enc.views(enc.cells))
     ]
     link_cells = np.concatenate(linked)
     tgt = enc.cell_tgt[link_cells]
@@ -371,26 +336,32 @@ def _pair_cache_key(
     return h.hexdigest()
 
 
+def _cell_names(enc: PairEncoding) -> Iterator[str]:
+    """``source<TAB>target`` of every cell of enc, in cell order."""
+    src = [NULL_SURFACE, *enc.src_words[1:]]
+    tgt = enc.tgt_words
+    return (f"{src[e]}\t{tgt[f]}" for e, f in zip(enc.cell_src.tolist(), enc.cell_tgt.tolist()))
+
+
 def save_lex_table(lex: LexTable, path: Path, key: str) -> None:
     """Write the table: a header with the key and the EM log-likelihoods,
-    one ``source<TAB>target<TAB>p`` line per cell, and a footer with the
-    cell count."""
+    one ``source<TAB>target<TAB>p`` line per cell in cell order, and a
+    footer with the cell count."""
     lls = ",".join(repr(x) for x in lex.log_likelihoods)
     lines = [f"# {CACHE_FORMAT} key={key} lls={lls}"]
-    for src, row in lex.t.items():
-        sname = NULL_SURFACE if src is None else src
-        for tgt, p in row.items():
-            lines.append(f"{sname}\t{tgt}\t{p!r}")
+    lines += [f"{name}\t{p!r}" for name, p in zip(_cell_names(lex.enc), lex.probs.tolist())]
     lines.append(f"# cells={len(lines) - 1}")
     write_lines(path, lines)
 
 
-def load_lex_table(path: Path, key: str) -> LexTable | None:
-    """Load a cached table, or None when missing, stale, or corrupt.
+def load_lex_table(path: Path, key: str, enc: PairEncoding) -> LexTable | None:
+    """Load the cached table of enc's pair, or None when missing, stale,
+    or corrupt.
 
     A file is corrupt (and a warning logged) when a line does not parse,
-    the footer's cell count is missing or wrong, or a row does not sum
-    to 1.
+    the footer's cell count is missing or wrong, its source and target
+    columns are not enc's cells in order, or a source word's cells do not
+    sum to 1.
     """
     try:
         lines = read_lines(path)
@@ -399,53 +370,49 @@ def load_lex_table(path: Path, key: str) -> LexTable | None:
     prefix = f"# {CACHE_FORMAT} key={key} lls="
     if not lines or not lines[0].startswith(prefix):
         return None
-    t: dict[str | None, dict[str, float]] = {}
     try:
         lls_text = lines[0][len(prefix) :]
         lls = [float(x) for x in lls_text.split(",")] if lls_text else []
         body = [line for line in lines[1:] if line]
         if not body or body[-1] != f"# cells={len(body) - 1}":
             raise ValueError("cell count footer missing or wrong")
+        names, values = [], []
         for line in body[:-1]:
-            sname, tgt, p = line.split("\t")
-            src = None if sname == NULL_SURFACE else sname
-            t.setdefault(src, {})[tgt] = float(p)
-        for src, row in t.items():
-            if abs(sum(row.values()) - 1.0) > ROW_SUM_TOLERANCE:
-                raise ValueError(f"row {src!r} does not sum to 1")
+            name, _, value = line.rpartition("\t")
+            names.append(name)
+            values.append(float(value))
+        if names != list(_cell_names(enc)):
+            raise ValueError("cells differ from the pair's encoding")
+        probs = np.array(values)
+        sums = np.bincount(enc.cell_src, probs)
+        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOLERANCE):
+            raise ValueError("a row does not sum to 1")
     except ValueError as exc:
         logger.warning("corrupt alignment cache %s (%s), recomputing", path, exc)
         return None
-    if not t:
-        return None
-    return LexTable(t, lls)
+    return LexTable(enc, probs, lls)
 
 
 def train_pair(
     corpus: MultiCorpus,
     src_id: str,
     tgt_id: str,
+    enc: PairEncoding,
     cfg: AlignerConfig,
     cache_dir: str | Path | None = None,
-    encoding: PairEncoding | None = None,
 ) -> LexTable:
-    """Train (or load from cache) the lexical table for one pair.
-
-    encoding, when given, is the PairEncoding of the pair's verse pairs,
-    so that training need not encode them again.
-    """
-    if encoding is None:
-        encoding = encode_pairs(corpus.encode(src_id), corpus.encode(tgt_id))
+    """Train (or load from cache) the lexical table of one pair, whose
+    verse pairs enc encodes."""
     if cache_dir is None:
-        return train_alignment(encoding, cfg)
+        return train_alignment(enc, cfg)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     key = _pair_cache_key(corpus, src_id, tgt_id, cfg)
     path = cache_dir / f"{src_id}__{tgt_id}.lex.tsv"
-    cached = load_lex_table(path, key)
+    cached = load_lex_table(path, key, enc)
     if cached is not None:
         return cached
-    lex = train_alignment(encoding, cfg)
+    lex = train_alignment(enc, cfg)
     save_lex_table(lex, path, key)
     return lex
 
@@ -493,9 +460,11 @@ def link_counts(
                 tgt_id,
             )
             continue
-        lex = train_pair(corpus, source_translation_id, tgt_id, cfg, cache_dir, enc)
-        stats = _link_stats(enc, _cell_probs(enc, lex), cfg, source_word)
+        lex = train_pair(corpus, source_translation_id, tgt_id, enc, cfg, cache_dir)
+        stats = _link_stats(lex, cfg, source_word)
         freq = tgt.frequencies()
         stats.target_frequencies = {w: freq[w] for w in stats.source_word_to_target}
         out[tgt_id] = stats
+        # Drop this pair's arrays before the next target is encoded.
+        del tgt, enc, lex
     return out

@@ -206,9 +206,7 @@ def stage_map(
     written = [write_splitters_tsv(chosen, choices, out / "splitters.tsv")]
     clusters = signature_clusters(matrix, chosen)
     written.append(write_cluster_summary(clusters, out / "clusters.tsv"))
-    cluster_dir = out / "clusters"
-    write_cluster_verses(clusters, cluster_dir)
-    return written + sorted(cluster_dir.glob("*.txt"))
+    return written + write_cluster_verses(clusters, out / "clusters")
 
 
 def stage_project(

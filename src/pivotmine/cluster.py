@@ -200,14 +200,18 @@ def write_distance_tsv(dm: DistanceMatrix, path: str | Path) -> Path:
 
 
 def read_distance_tsv(path: str | Path) -> DistanceMatrix:
+    """Read write_distance_tsv's matrix: one row per header label, in
+    header order; anything else is a DataError."""
     lines = read_lines(path)
     if not lines or not lines[0].startswith("label\t"):
         raise DataError(f"not a distance TSV: {path}")
     labels = lines[0].split("\t")[1:]
+    if len(lines) != 1 + len(labels):
+        raise DataError(f"{path}: {len(lines) - 1} rows for {len(labels)} labels")
     rows = []
-    for raw in lines[1 : 1 + len(labels)]:
+    for label, raw in zip(labels, lines[1:]):
         parts = raw.split("\t")
-        if len(parts) != len(labels) + 1:
+        if len(parts) != len(labels) + 1 or parts[0] != label:
             raise DataError(f"malformed distance row: {raw!r}")
         try:
             rows.append([float(x) for x in parts[1:]])

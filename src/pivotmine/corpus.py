@@ -13,7 +13,6 @@ import re
 from collections import Counter, defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -120,15 +119,6 @@ def _vocabulary() -> defaultdict[str, int]:
     index: defaultdict[str, int] = defaultdict()
     index.default_factory = index.__len__
     return index
-
-
-def encode_surfaces(rows: Sequence[Sequence[str]]) -> TranslationEncoding:
-    """Encode rows of token surfaces, one row per list; every row is present."""
-    index = _vocabulary()
-    ids = np.fromiter(map(index.__getitem__, chain.from_iterable(rows)), np.int32)
-    offsets = np.zeros(len(rows) + 1, dtype=np.int32)
-    np.cumsum([len(r) for r in rows], out=offsets[1:])
-    return TranslationEncoding(list(index), ids, offsets, np.ones(len(rows), dtype=bool))
 
 
 def _concat(parts: list[np.ndarray]) -> np.ndarray:

@@ -198,11 +198,14 @@ def write_cluster_summary(clusters: list[SignatureCluster], path: str | Path) ->
     return write_lines(path, lines)
 
 
-def write_cluster_verses(clusters: list[SignatureCluster], out_dir: str | Path) -> None:
+def write_cluster_verses(clusters: list[SignatureCluster], out_dir: str | Path) -> list[Path]:
+    """One ``{key}.txt`` of verse ids per cluster; returns the paths written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for c in clusters:
+    return [
         write_text(out_dir / f"{c.key}.txt", "".join(f"{v}\n" for v in c.verse_ids))
+        for c in clusters
+    ]
 
 
 def write_projection(

@@ -109,11 +109,15 @@ def jsd(p: np.ndarray | list[float], q: np.ndarray | list[float]) -> float:
         raise ValueError("distributions must share a support")
     if pa.ndim != 1:
         raise ValueError("distributions must be one-dimensional")
-    m = 0.5 * (pa + qa)
-    return 0.5 * _kl2(pa, m) + 0.5 * _kl2(qa, m)
+    s = pa + qa
+    return 0.5 * _kl2(pa, s) + 0.5 * _kl2(qa, s)
 
 
-def _kl2(p: np.ndarray, m: np.ndarray) -> float:
+def _kl2(p: np.ndarray, s: np.ndarray) -> float:
+    """KL(p || m) for the midpoint m = s / 2, taken as p * log2(2p / s).
+
+    Halving s first would underflow a subnormal entry to zero and make the
+    ratio infinite; s >= p > 0 wherever the mask holds, so 2p / s is safe.
+    """
     mask = p > 0
-    # m >= p/2 > 0 wherever mask holds, so the ratio is safe.
-    return float(np.sum(p[mask] * np.log2(p[mask] / m[mask])))
+    return float(np.sum(p[mask] * np.log2(2.0 * p[mask] / s[mask])))

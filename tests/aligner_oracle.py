@@ -8,8 +8,9 @@ source word, and one Viterbi pass per verse pair.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
-from pivotmine.aligner import AlignerConfig, LexTable, diagonal_prior
+from pivotmine.aligner import AlignerConfig, diagonal_prior
 from pivotmine.errors import DataError
 
 
@@ -17,7 +18,16 @@ def _prior_rows(src_len: int, tgt_len: int, cfg: AlignerConfig) -> list[list[flo
     return [diagonal_prior(src_len, tgt_len, j, cfg) for j in range(tgt_len)]
 
 
-def train_alignment(pairs, cfg: AlignerConfig | None = None) -> LexTable:
+@dataclass
+class DictTable:
+    """t[source][target] = probability, the null word being source None,
+    and the log-likelihood at the start of each EM iteration."""
+
+    t: dict[str | None, dict[str, float]]
+    log_likelihoods: list[float]
+
+
+def train_alignment(pairs, cfg: AlignerConfig | None = None) -> DictTable:
     """EM over (source, target) token-list pairs, one token at a time."""
     cfg = cfg or AlignerConfig()
     cfg.validate()
@@ -83,20 +93,21 @@ def train_alignment(pairs, cfg: AlignerConfig | None = None) -> LexTable:
     out: dict[str | None, dict[str, float]] = {}
     for e in range(n_src):
         out[src_names[e]] = {tgt_names[f]: p for f, p in table[e].items()}
-    return LexTable(out, lls)
+    return DictTable(out, lls)
 
 
-def viterbi_align(lex: LexTable, source, target, cfg: AlignerConfig | None = None):
-    """Links (source_index, target_index): leftmost best source position
-    per target token, kept only when it strictly beats the null word."""
+def viterbi_align(t: dict, source, target, cfg: AlignerConfig | None = None):
+    """Links (source_index, target_index) under the rows t: leftmost best
+    source position per target token, kept only when it strictly beats the
+    null word."""
     cfg = cfg or AlignerConfig()
     src = list(source)
     tgt = list(target)
     links: list[tuple[int, int]] = []
     if not src or not tgt:
         return links
-    null_row = lex.t.get(None, {})
-    rows = [lex.t.get(e, {}) for e in src]
+    null_row = t.get(None, {})
+    rows = [t.get(e, {}) for e in src]
     priors = _prior_rows(len(src), len(tgt), cfg)
     for j, f in enumerate(tgt):
         pr = priors[j]

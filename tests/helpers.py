@@ -3,7 +3,7 @@
 Everything here is a direct transcription of a definition, kept naive on
 purpose: agreement between these and the package is evidence, not
 tautology. Nothing in this module imports package internals beyond the
-plain data types needed to build fixtures.
+plain data types and encoders needed to build fixtures.
 """
 
 from __future__ import annotations
@@ -11,7 +11,10 @@ from __future__ import annotations
 import math
 import re
 
-from pivotmine.corpus import MultiCorpus, Translation
+import numpy as np
+
+from pivotmine.aligner import LexTable, PairEncoding, encode_pairs
+from pivotmine.corpus import MultiCorpus, Translation, TranslationEncoding
 
 
 def chi2_reference(a: float, b: float, c: float, d: float) -> float:
@@ -32,16 +35,17 @@ def chi2_reference(a: float, b: float, c: float, d: float) -> float:
 
 def jsd_reference(p, q) -> float:
     """Jensen-Shannon divergence, base-2, straight from the formula."""
-    m = [(x + y) / 2.0 for x, y in zip(p, q)]
+    # Sums, not midpoints: halving a subnormal entry rounds it to zero.
+    s = [x + y for x, y in zip(p, q)]
 
     def kl(u, v):
         acc = 0.0
         for ui, vi in zip(u, v):
             if ui > 0:
-                acc += ui * math.log2(ui / vi)
+                acc += ui * math.log2(2.0 * ui / vi)
         return acc
 
-    return 0.5 * kl(p, m) + 0.5 * kl(q, m)
+    return 0.5 * kl(p, s) + 0.5 * kl(q, s)
 
 
 def upgma_reference(labels, values):
@@ -224,3 +228,43 @@ def make_corpus(verses_by_tid: dict[str, dict[str, str]], iso3=None, select=True
     if select:
         corpus = corpus.select(len(universe))
     return corpus
+
+
+def encode_surfaces(rows) -> TranslationEncoding:
+    """Encode rows of token surfaces, one row per list; every row is
+    present, and ids follow first occurrence."""
+    index: dict[str, int] = {}
+    ids = [index.setdefault(w, len(index)) for row in rows for w in row]
+    offsets = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum([len(r) for r in rows], out=offsets[1:])
+    return TranslationEncoding(
+        list(index), np.array(ids, dtype=np.int32), offsets, np.ones(len(rows), dtype=bool)
+    )
+
+
+def encode_surface_pairs(pairs) -> PairEncoding:
+    """encode_pairs of (source, target) token surface lists, one row each."""
+    pairs = list(pairs)
+    return encode_pairs(
+        encode_surfaces([s for s, _ in pairs]), encode_surfaces([t for _, t in pairs])
+    )
+
+
+def lex_table(enc: PairEncoding, rows: dict) -> LexTable:
+    """A LexTable over enc from {source: {target: p}}, the null word being
+    source None; a cell that rows lack gets 0."""
+    probs = [
+        rows.get(enc.src_words[e], {}).get(enc.tgt_words[f], 0.0)
+        for e, f in zip(enc.cell_src.tolist(), enc.cell_tgt.tolist())
+    ]
+    return LexTable(enc, np.array(probs, dtype=float), [])
+
+
+def lex_rows(lex: LexTable) -> dict[str | None, dict[str, float]]:
+    """{source: {target: p}} of every cell of lex, in cell order; the null
+    word is source None."""
+    enc = lex.enc
+    rows: dict[str | None, dict[str, float]] = {}
+    for e, f, p in zip(enc.cell_src.tolist(), enc.cell_tgt.tolist(), lex.probs.tolist()):
+        rows.setdefault(enc.src_words[e], {})[enc.tgt_words[f]] = p
+    return rows

@@ -16,7 +16,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import chi2_reference, tree_merges, upgma_reference
+from helpers import (
+    chi2_reference,
+    encode_surface_pairs,
+    lex_rows,
+    tree_merges,
+    upgma_reference,
+)
 from pivotmine.aligner import AlignerConfig, train_alignment
 from pivotmine.cluster import (
     DistanceMatrix,
@@ -152,15 +158,16 @@ def test_aligner_recovers_bijective_lexicon():
             ([src_words[c] for c in concepts], [tgt_words[c] for c in concepts])
         )
     start = time.perf_counter()
-    lex = train_alignment(pairs, AlignerConfig(em_iterations=5))
+    lex = train_alignment(encode_surface_pairs(pairs), AlignerConfig(em_iterations=5))
     elapsed = time.perf_counter() - start
     lls = lex.log_likelihoods
     assert len(lls) == 5
     for earlier, later in zip(lls, lls[1:]):
         assert later >= earlier
     correct = 0
+    rows = lex_rows(lex)
     for i in range(vocab):
-        row = lex.t[src_words[i]]
+        row = rows[src_words[i]]
         best = max(row, key=row.get)
         correct += best == tgt_words[i]
     assert correct >= math.ceil(0.95 * vocab)

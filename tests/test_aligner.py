@@ -14,14 +14,19 @@ from hypothesis import strategies as st
 import aligner_oracle as oracle
 import encoding_oracle
 import pivotmine.aligner as aligner_module
-from helpers import make_corpus, tokenize_reference
+from helpers import (
+    encode_surface_pairs,
+    lex_rows,
+    lex_table,
+    make_corpus,
+    tokenize_reference,
+)
 from pivotmine.aligner import (
     CACHE_FORMAT,
     AlignerConfig,
     LexTable,
     PairEncoding,
     PairLinkStats,
-    _cell_probs,
     _dense_cells,
     _first_occurrence,
     _pair_cache_key,
@@ -30,7 +35,6 @@ from pivotmine.aligner import (
     _viterbi,
     diagonal_prior,
     encode_pairs,
-    encode_surface_pairs,
     link_counts,
     load_lex_table,
     save_lex_table,
@@ -45,6 +49,14 @@ TOY_PAIRS = [
     (["the", "house"], ["la", "maison"]),
     (["the", "flower"], ["la", "fleur"]),
 ]
+
+# save_lex_table of TOY_PAIRS under key "toy", as lex-tsv-2 was first written.
+TOY_CACHE = Path(__file__).parent / "data" / "toy_pairs.lex.tsv"
+
+
+def train(pairs, cfg: AlignerConfig | None = None) -> LexTable:
+    """train_alignment of (source, target) token surface lists."""
+    return train_alignment(encode_surface_pairs(pairs), cfg)
 
 
 class TestConfig:
@@ -99,13 +111,13 @@ class TestPriorMatrix:
 
 class TestTrainAlignment:
     def test_toy_english_french(self):
-        lex = train_alignment(TOY_PAIRS)
-        row = lex.t["the"]
+        lex = train(TOY_PAIRS)
+        row = lex_rows(lex)["the"]
         assert max(row, key=row.get) == "la"
-        assert lex.prob("the", "la") > 0.5
+        assert row["la"] > 0.5
 
     def test_log_likelihood_non_decreasing(self):
-        lex = train_alignment(TOY_PAIRS)
+        lex = train(TOY_PAIRS)
         lls = lex.log_likelihoods
         assert len(lls) == AlignerConfig().em_iterations
         assert all(b >= a - 1e-9 for a, b in zip(lls, lls[1:]))
@@ -118,8 +130,8 @@ class TestTrainAlignment:
             src = rng.sample(vocab, rng.randint(2, 6))
             tgt = [w.upper() for w in src]
             pairs.append((src, tgt))
-        lex = train_alignment(pairs)
-        for src, row in lex.t.items():
+        lex = train(pairs)
+        for src, row in lex_rows(lex).items():
             assert sum(row.values()) == pytest.approx(1.0, abs=1e-6), src
 
     def test_identity_corpus_concentrates(self):
@@ -129,60 +141,64 @@ class TestTrainAlignment:
         for _ in range(30):
             words = rng.sample(vocab, rng.randint(3, 6))
             pairs.append((list(words), list(words)))
-        lex = train_alignment(pairs)
-        assert lex.prob("a", "a") > 0.99
+        lex = train(pairs)
+        assert lex_rows(lex)["a"]["a"] > 0.99
 
     def test_empty_pairs_skipped_and_all_empty_fatal(self):
-        lex = train_alignment(TOY_PAIRS + [([], ["x"])])
-        assert "x" not in lex.t.get("the", {})
+        lex = train(TOY_PAIRS + [([], ["x"])])
+        assert "x" not in lex_rows(lex).get("the", {})
         with pytest.raises(DataError):
-            train_alignment([([], []), (["a"], [])])
+            train([([], []), (["a"], [])])
 
 
-def viterbi_links(lex: LexTable, source, target, cfg: AlignerConfig | None = None):
-    """Links (source index, target index) of one verse pair, decoded
-    through encode_surface_pairs and _viterbi."""
-    (links,) = batched_links(lex, [(source, target)], cfg or AlignerConfig())
+def viterbi_links(rows: dict, source, target, cfg: AlignerConfig | None = None):
+    """Links (source index, target index) of one verse pair under the rows
+    {source: {target: p}}, decoded through _viterbi."""
+    pairs = [(source, target)]
+    (links,) = batched_links(
+        lex_table(encode_surface_pairs(pairs), rows), pairs, cfg or AlignerConfig()
+    )
     return links
 
 
 class TestViterbi:
     def test_toy_links(self):
-        lex = train_alignment(TOY_PAIRS)
-        links = viterbi_links(lex, ["the", "house"], ["la", "maison"])
+        rows = lex_rows(train(TOY_PAIRS))
+        links = viterbi_links(rows, ["the", "house"], ["la", "maison"])
         assert set(links) == {(0, 0), (1, 1)}
 
     def test_oov_target_unlinked(self):
-        lex = train_alignment(TOY_PAIRS)
-        links = viterbi_links(lex, ["the", "house"], ["la", "inconnu"])
+        rows = lex_rows(train(TOY_PAIRS))
+        links = viterbi_links(rows, ["the", "house"], ["la", "inconnu"])
         assert links == [(0, 0)]
 
     def test_empty_sides(self):
         # a pair with an empty side is not encoded, so it has no links
-        lex = train_alignment(TOY_PAIRS)
+        rows = lex_rows(train(TOY_PAIRS))
         pairs = [([], ["la"]), (["the"], []), (["the", "house"], ["la", "maison"])]
-        assert [n for _, n, _, _ in encode_surface_pairs(pairs).blocks] == [1]
-        links = batched_links(lex, pairs, AlignerConfig())
+        enc = encode_surface_pairs(pairs)
+        assert [n for _, n, _, _ in enc.blocks] == [1]
+        links = batched_links(lex_table(enc, rows), pairs, AlignerConfig())
         assert links[:2] == [[], []]
         assert set(links[2]) == {(0, 0), (1, 1)}
         with pytest.raises(DataError):
-            viterbi_links(lex, [], ["la"])
+            viterbi_links(rows, [], ["la"])
 
     def test_null_absorbs_weak_tokens(self):
-        lex = LexTable({None: {"f": 0.9}, "e": {"f": 1e-9}})
-        assert viterbi_links(lex, ["e"], ["f"]) == []
+        rows = {None: {"f": 0.9}, "e": {"f": 1e-9}}
+        assert viterbi_links(rows, ["e"], ["f"]) == []
 
     def test_must_strictly_beat_null(self):
         # single source position: prior = 1 - p0 = 0.92; with
         # t(e,f) = 0.08 and t(null,f) = 0.92 both weights are exactly
         # 0.92 * 0.08, and the tie goes to the null word
-        lex = LexTable({None: {"f": 0.92}, "e": {"f": 0.08}})
-        assert viterbi_links(lex, ["e"], ["f"]) == []
+        rows = {None: {"f": 0.92}, "e": {"f": 0.08}}
+        assert viterbi_links(rows, ["e"], ["f"]) == []
 
     def test_position_tie_goes_leftmost(self):
         cfg = AlignerConfig(diagonal_tension=0.0)
-        lex = LexTable({None: {}, "e": {"f": 1.0}})
-        links = viterbi_links(lex, ["e", "e", "e"], ["f"], cfg)
+        rows = {None: {}, "e": {"f": 1.0}}
+        links = viterbi_links(rows, ["e", "e", "e"], ["f"], cfg)
         assert links == [(0, 0)]
 
 
@@ -200,30 +216,75 @@ def pair_corpus():
     return make_corpus({"aaa_src": src, "bbb_tgt": tgt})
 
 
+def pair_encoding(corpus, src_id: str = "aaa_src", tgt_id: str = "bbb_tgt") -> PairEncoding:
+    return encode_pairs(corpus.encode(src_id), corpus.encode(tgt_id))
+
+
 class TestCache:
     def test_save_load_round_trip_exact(self, tmp_path):
-        lex = train_alignment(TOY_PAIRS)
+        lex = train(TOY_PAIRS)
         path = tmp_path / "pair.lex.tsv"
         save_lex_table(lex, path, "k1")
-        loaded = load_lex_table(path, "k1")
+        loaded = load_lex_table(path, "k1", lex.enc)
         assert loaded is not None
-        assert loaded.t == lex.t
+        assert loaded.enc is lex.enc
+        assert loaded.probs.tolist() == lex.probs.tolist()
 
     def test_round_trip_keeps_log_likelihoods_and_ends_with_cell_count(self, tmp_path):
-        lex = train_alignment(TOY_PAIRS)
+        lex = train(TOY_PAIRS)
         path = tmp_path / "pair.lex.tsv"
         save_lex_table(lex, path, "k1")
         lines = path.read_text().splitlines()
         assert lines[0].startswith(f"# {CACHE_FORMAT} key=k1 lls=")
-        assert lines[-1] == f"# cells={sum(len(row) for row in lex.t.values())}"
-        loaded = load_lex_table(path, "k1")
+        assert lines[-1] == f"# cells={len(lex.probs)}"
+        loaded = load_lex_table(path, "k1", lex.enc)
         assert loaded.log_likelihoods == lex.log_likelihoods
+
+    def test_earlier_writer_bytes_kept(self, tmp_path):
+        lex = train(TOY_PAIRS)
+        path = tmp_path / "pair.lex.tsv"
+        save_lex_table(lex, path, "toy")
+        assert path.read_bytes() == TOY_CACHE.read_bytes()
+        loaded = load_lex_table(TOY_CACHE, "toy", encode_surface_pairs(TOY_PAIRS))
+        assert loaded.probs.tolist() == lex.probs.tolist()
+        assert loaded.log_likelihoods == lex.log_likelihoods
+
+    @pytest.mark.parametrize("damage", ["swapped", "other-target"])
+    def test_pair_cache_with_foreign_cells_retrained(
+        self, pair_corpus, tmp_path, caplog, damage
+    ):
+        # key, footer and row sums all hold; only the source and target
+        # columns give the damage away
+        cfg = AlignerConfig()
+        enc = pair_encoding(pair_corpus)
+        first = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+        (path,) = tmp_path.glob("*.lex.tsv")
+        good = path.read_text()
+        lines = good.splitlines(keepends=True)
+        # two neighbouring cells of one source word, with different values
+        k = next(
+            k
+            for k in range(1, len(lines) - 2)
+            if lines[k].split("\t")[0] == lines[k + 1].split("\t")[0]
+            and lines[k].split("\t")[2] != lines[k + 1].split("\t")[2]
+        )
+        if damage == "swapped":
+            lines[k], lines[k + 1] = lines[k + 1], lines[k]
+        else:
+            src, _, value = lines[k].split("\t")
+            lines[k] = "\t".join((src, lines[k + 1].split("\t")[1], value))
+        path.write_text("".join(lines), encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            again = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+        assert "corrupt" in caplog.text and "cells differ" in caplog.text
+        assert again.probs.tolist() == first.probs.tolist()
+        assert path.read_text() == good
 
     def test_earlier_format_is_a_silent_miss(self, tmp_path, caplog):
         path = tmp_path / "pair.lex.tsv"
         path.write_text("# lex-tsv-1 key=k1\n\tla\t1.0\nthe\tla\t1.0\n", encoding="utf-8")
         with caplog.at_level(logging.WARNING):
-            assert load_lex_table(path, "k1") is None
+            assert load_lex_table(path, "k1", encode_surface_pairs(TOY_PAIRS)) is None
         assert caplog.text == ""
 
     @pytest.mark.parametrize("damage", ["cut-mid-number", "cut-at-line", "digits-dropped"])
@@ -231,7 +292,8 @@ class TestCache:
         self, pair_corpus, tmp_path, caplog, damage
     ):
         cfg = AlignerConfig()
-        first = train_pair(pair_corpus, "aaa_src", "bbb_tgt", cfg, tmp_path)
+        enc = pair_encoding(pair_corpus)
+        first = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
         (path,) = tmp_path.glob("*.lex.tsv")
         good = path.read_text()
         lines = good.splitlines(keepends=True)
@@ -261,23 +323,24 @@ class TestCache:
         path.write_text(damaged, encoding="utf-8")
         with caplog.at_level(logging.WARNING):
             key = _pair_cache_key(pair_corpus, "aaa_src", "bbb_tgt", cfg)
-            assert load_lex_table(path, key) is None
-            again = train_pair(pair_corpus, "aaa_src", "bbb_tgt", cfg, tmp_path)
+            assert load_lex_table(path, key, enc) is None
+            again = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
         assert "corrupt" in caplog.text
-        assert again.t == first.t
+        assert again.probs.tolist() == first.probs.tolist()
         assert again.log_likelihoods == first.log_likelihoods
         assert path.read_text() == good
 
     def test_stale_key_misses(self, tmp_path):
-        lex = train_alignment(TOY_PAIRS)
+        lex = train(TOY_PAIRS)
         path = tmp_path / "pair.lex.tsv"
         save_lex_table(lex, path, "k1")
-        assert load_lex_table(path, "other") is None
-        assert load_lex_table(tmp_path / "absent.tsv", "k1") is None
+        assert load_lex_table(path, "other", lex.enc) is None
+        assert load_lex_table(tmp_path / "absent.tsv", "k1", lex.enc) is None
 
     def test_corrupt_cache_recomputed_with_warning(self, pair_corpus, tmp_path, caplog):
         cfg = AlignerConfig()
-        first = train_pair(pair_corpus, "aaa_src", "bbb_tgt", cfg, tmp_path)
+        enc = pair_encoding(pair_corpus)
+        first = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
         files = list(tmp_path.glob("*.lex.tsv"))
         assert len(files) == 1
         # null row serializes as an empty source field
@@ -286,18 +349,19 @@ class TestCache:
         header = good.splitlines()[0]
         files[0].write_text(header + "\nnot\ta\tvalid float\n", encoding="utf-8")
         with caplog.at_level(logging.WARNING):
-            again = train_pair(pair_corpus, "aaa_src", "bbb_tgt", cfg, tmp_path)
+            again = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
         assert "corrupt" in caplog.text
-        assert again.t == first.t
+        assert again.probs.tolist() == first.probs.tolist()
         assert files[0].read_text() == good
 
     def test_cache_hit_equals_fresh_training(self, pair_corpus, tmp_path):
         cfg = AlignerConfig()
-        fresh = train_pair(pair_corpus, "aaa_src", "bbb_tgt", cfg, None)
-        warm = train_pair(pair_corpus, "aaa_src", "bbb_tgt", cfg, tmp_path)
-        hit = train_pair(pair_corpus, "aaa_src", "bbb_tgt", cfg, tmp_path)
-        assert warm.t == fresh.t
-        assert hit.t == fresh.t
+        enc = pair_encoding(pair_corpus)
+        fresh = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, None)
+        warm = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+        hit = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+        assert warm.probs.tolist() == fresh.probs.tolist()
+        assert hit.probs.tolist() == fresh.probs.tolist()
         assert hit.log_likelihoods == fresh.log_likelihoods
 
 
@@ -395,28 +459,29 @@ def random_pairs(seed: int, n: int = 80) -> list[tuple[list[str], list[str]]]:
     ]
 
 
-def assert_tables_agree(lex: LexTable, ref: LexTable) -> None:
+def assert_tables_agree(lex: LexTable, ref: oracle.DictTable) -> None:
     """Identical keys, cells within 1e-9, log-likelihoods within 1e-9
     relative: the two EMs sum in different orders."""
-    assert list(lex.t) == list(ref.t)
+    rows = lex_rows(lex)
+    assert list(rows) == list(ref.t)
     for src, row in ref.t.items():
-        assert list(lex.t[src]) == list(row)
+        assert list(rows[src]) == list(row)
         for tgt, p in row.items():
-            assert abs(lex.t[src][tgt] - p) <= 1e-9, (src, tgt)
+            assert abs(rows[src][tgt] - p) <= 1e-9, (src, tgt)
     assert len(lex.log_likelihoods) == len(ref.log_likelihoods)
     for a, b in zip(lex.log_likelihoods, ref.log_likelihoods):
         assert abs(a - b) <= 1e-9 * abs(b)
 
 
 def batched_links(lex: LexTable, pairs, cfg: AlignerConfig) -> list[list[tuple[int, int]]]:
-    """Per-verse links of the batched decoder, back in input order.
+    """Per-verse links of the batched decoder, back in input order, for a
+    table over the encoding of pairs.
 
     Blocks hold verse pairs by (src_len, tgt_len) in sorted order, each
     block in input order. A pair with an empty side is not encoded and
     gets no links.
     """
-    enc = encode_surface_pairs(pairs)
-    positions = _viterbi(enc, _cell_probs(enc, lex), cfg)
+    positions = _viterbi(lex, cfg)
     rows = [row for block in positions for row in block.tolist()]
     kept = [k for k, (s, t) in enumerate(pairs) if s and t]
     order = sorted(kept, key=lambda k: (len(pairs[k][0]), len(pairs[k][1])))
@@ -449,10 +514,10 @@ def reference_pairs(corpus, src_id: str, tgt_id: str):
     return pairs
 
 
-def oracle_link_stats(lex, pairs, source_word, cfg) -> PairLinkStats:
+def oracle_link_stats(ref, pairs, source_word, cfg) -> PairLinkStats:
     stats = PairLinkStats(source_word)
     for src, tgt in pairs:
-        for i, j in oracle.viterbi_align(lex, src, tgt, cfg):
+        for i, j in oracle.viterbi_align(ref.t, src, tgt, cfg):
             stats.target_word_links[tgt[j]] += 1
             stats.total_links += 1
             if src[i] == source_word:
@@ -466,9 +531,10 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_pairs(self, seed, cfg):
         pairs = random_pairs(seed)
-        lex = train_alignment(pairs, cfg)
+        lex = train(pairs, cfg)
         assert_tables_agree(lex, oracle.train_alignment(pairs, cfg))
-        expected = [oracle.viterbi_align(lex, s, t, cfg) for s, t in pairs]
+        rows = lex_rows(lex)
+        expected = [oracle.viterbi_align(rows, s, t, cfg) for s, t in pairs]
         assert batched_links(lex, pairs, cfg) == expected
 
     def test_ties_and_null_on_a_handmade_table(self):
@@ -476,9 +542,10 @@ class TestOracleAgreement:
         # leftmost wins; "x" onto "f" and "e" onto "g" tie the null word
         # exactly and stay unlinked
         cfg = AlignerConfig(diagonal_tension=0.0, null_prob=0.5)
-        lex = LexTable({None: {"f": 0.1, "g": 0.25}, "e": {"f": 0.5, "g": 0.25}, "x": {"f": 0.1}})
+        rows = {None: {"f": 0.1, "g": 0.25}, "e": {"f": 0.5, "g": 0.25}, "x": {"f": 0.1}}
         pairs = [(["e", "x", "e"], ["f", "g"]), (["x"], ["f"]), (["e"], ["g", "f"])]
-        expected = [oracle.viterbi_align(lex, s, t, cfg) for s, t in pairs]
+        lex = lex_table(encode_surface_pairs(pairs), rows)
+        expected = [oracle.viterbi_align(rows, s, t, cfg) for s, t in pairs]
         assert expected == [[(0, 0)], [], [(0, 1)]]
         assert batched_links(lex, pairs, cfg) == expected
 
@@ -504,10 +571,10 @@ class TestOracleAgreement:
             pairs = reference_pairs(corpus, query, tgt)
             enc = encode_pairs(corpus.encode(query), corpus.encode(tgt))
             assert_encodings_equal(enc, encode_surface_pairs(pairs))
-            lex = train_alignment(pairs, cfg)
+            lex = train_alignment(enc, cfg)
             ref = oracle.train_alignment(pairs, cfg)
             assert_tables_agree(lex, ref)
-            expected = [oracle.viterbi_align(ref, s, t, cfg) for s, t in pairs]
+            expected = [oracle.viterbi_align(ref.t, s, t, cfg) for s, t in pairs]
             assert batched_links(lex, pairs, cfg) == expected
             assert stats[tgt] == oracle_link_stats(ref, pairs, word, cfg)
 
@@ -536,13 +603,15 @@ class TestProperties:
     def test_cache_hit_equals_fresh_run(self, seed):
         corpus = random_corpus(seed, 1)
         cfg = AlignerConfig()
-        fresh = train_pair(corpus, "aaa_src", "t00_tgt", cfg)
+        enc = pair_encoding(corpus, "aaa_src", "t00_tgt")
+        fresh = train_pair(corpus, "aaa_src", "t00_tgt", enc, cfg)
         with tempfile.TemporaryDirectory() as cache:
-            train_pair(corpus, "aaa_src", "t00_tgt", cfg, cache)
+            train_pair(corpus, "aaa_src", "t00_tgt", enc, cfg, cache)
             (path,) = Path(cache).glob("*.lex.tsv")
-            hit = load_lex_table(path, _pair_cache_key(corpus, "aaa_src", "t00_tgt", cfg))
+            key = _pair_cache_key(corpus, "aaa_src", "t00_tgt", cfg)
+            hit = load_lex_table(path, key, enc)
             assert hit is not None
-            assert hit.t == fresh.t
+            assert hit.probs.tolist() == fresh.probs.tolist()
             assert hit.log_likelihoods == fresh.log_likelihoods
             stats = link_counts(corpus, "aaa_src", "w0", cfg, cache_dir=cache)
         assert stats == link_counts(corpus, "aaa_src", "w0", cfg)

@@ -159,6 +159,24 @@ class TestSynthCommand:
         assert main(["synth", "--preset", "nope", "--out", out]) == 2
 
 
+class TestMapCommand:
+    def test_rerun_lists_only_its_own_cluster_files(self, workspace, expanded, tmp_path):
+        _, _, config, _ = workspace
+        out = tmp_path / "map"
+        argv = ["map", "--feature", "past", "--pivots", str(expanded / "pivots.tsv"),
+                "--head", str(expanded / "head.json"), "--out", str(out)]
+        for rounds in (1, 2):
+            cfg = tmp_path / f"cfg{rounds}.json"
+            cfg.write_text(json.dumps(dict(config, map_rounds=rounds)), encoding="utf-8")
+            assert main([*argv, "--config", str(cfg)]) == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        listed = {Path(p).name for p in outputs if Path(p).parent.name == "clusters"}
+        keys = [line.split("\t")[0] for line in (out / "clusters.tsv").read_text().splitlines()[1:]]
+        assert listed == {f"{key}.txt" for key in keys}
+        # the first run's files are still there, but are not this run's
+        assert {p.name for p in (out / "clusters").glob("*.txt")} > listed
+
+
 class TestExitCodes:
     def test_missing_config(self, tmp_path):
         code = main(["ingest", "--config", str(tmp_path / "none.json"),
@@ -227,6 +245,24 @@ class TestExitCodes:
         argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
         code = main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "rows, code",
+        [
+            (["qaa\t0\t0.2\t0.9", "paa\t0.2\t0\t0.9", "saa\t0.9\t0.9\t0"], 0),
+            (["qaa\t0\t0.2\t0.9", "saa\t0.9\t0.9\t0"], 3),
+            (["qaa\t0\t0.2\t0.9", "paa\t0.2\t0\t0.9", "saa\t0.9\t0.9\t0",
+              "naa\t0.9\t0.9\t0.9"], 3),
+            (["qaa\t0\t0.2\t0.9", "saa\t0.9\t0.9\t0", "paa\t0.2\t0\t0.9"], 3),
+        ],
+        ids=["one-row-per-label", "missing-row", "extra-row", "mislabelled-row"],
+    )
+    def test_distance_rows_follow_the_header(self, workspace, tmp_path, rows, code):
+        _, cfg_path, _, _ = workspace
+        path = tmp_path / "distances.tsv"
+        path.write_text("\n".join(["label\tqaa\tpaa\tsaa", *rows]) + "\n", encoding="utf-8")
+        argv = ["eval-family", "--distances", str(path), "--config", str(cfg_path)]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == code
 
     @pytest.mark.parametrize(
         "command, edit",

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import encoding_oracle as oracle
 import pivotmine.corpus as corpus_module
-from helpers import make_corpus, tokenize_reference
+from helpers import encode_surfaces, make_corpus, tokenize_reference
 from pivotmine.corpus import (
     BLOCK_VERSES,
     DELIMITERS,
@@ -23,7 +23,6 @@ from pivotmine.corpus import (
     is_verse_id,
     load_corpus,
     read_families,
-    encode_surfaces,
     select_covered_verses,
     tokenize_block,
     tokenize_verse,
