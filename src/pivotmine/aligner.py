@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import MultiCorpus, TranslationEncoding
+from .corpus import MultiCorpus, TranslationEncoding, dense_index
 from .errors import DataError
 from .textio import read_lines, write_lines
 
@@ -148,21 +148,6 @@ def _first_occurrence(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarra
     return distinct, rank[ids]
 
 
-def _dense_cells(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct keys, which lie in [0, space), and the index of
-    each key among them, read from a presence table over the key space."""
-    present = np.zeros(space, dtype=bool)
-    present[keys] = True
-    index = np.cumsum(present, dtype=np.int32) - 1
-    return np.flatnonzero(present), index[keys]
-
-
-def _sorted_cells(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_dense_cells by sorting, for a key space larger than keys."""
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    return uniq, inverse.astype(np.int32).ravel()
-
-
 def encode_pairs(src: TranslationEncoding, tgt: TranslationEncoding) -> PairEncoding:
     """Encode the verse pairs of two encodings over the same rows.
 
@@ -201,10 +186,8 @@ def encode_pairs(src: TranslationEncoding, tgt: TranslationEncoding) -> PairEnco
         )
         blocks.append((offset, len(rows), s_len, t_len))
         offset += size
-    # Cells are numbered in key order: from a table over the key space
-    # when it is no larger than the keys, else by sorting the keys.
-    space = (len(src_vocab) + 1) * n_tgt
-    uniq, cells = _dense_cells(keys, space) if space <= keys.size else _sorted_cells(keys)
+    # Cells are numbered in key order.
+    uniq, cells = dense_index(keys, (len(src_vocab) + 1) * n_tgt)
     return PairEncoding(
         src_words=[None, *(src.vocab[i] for i in src_vocab.tolist())],
         tgt_words=[tgt.vocab[i] for i in tgt_vocab.tolist()],

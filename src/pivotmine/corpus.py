@@ -22,7 +22,6 @@ from .textio import read_lines, write_lines
 
 logger = logging.getLogger(__name__)
 
-VERSE_ID_RE = re.compile(r"^[0-9]{8}$")
 FILENAME_RE = re.compile(r"^(?P<iso3>[a-z]{3})_(?P<name>.+)\.txt$")
 
 # Whitespace plus the punctuation stripped around tokens.
@@ -34,7 +33,8 @@ BLOCK_VERSES = 256
 
 
 def is_verse_id(value: str) -> bool:
-    return bool(VERSE_ID_RE.match(value))
+    """Whether value is eight ASCII digits."""
+    return len(value) == 8 and value.isascii() and value.isdigit()
 
 
 def tokenize_block(
@@ -119,6 +119,19 @@ def _vocabulary() -> defaultdict[str, int]:
     index: defaultdict[str, int] = defaultdict()
     index.default_factory = index.__len__
     return index
+
+
+def dense_index(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of keys, which lie in [0, space), and the
+    int32 index of each key among them: read from a presence table over
+    the space when it is no larger than the keys, else by sorting them."""
+    if space <= keys.size:
+        present = np.zeros(space, dtype=bool)
+        present[keys] = True
+        index = np.cumsum(present, dtype=np.int32) - 1
+        return np.flatnonzero(present), index[keys]
+    distinct, index = np.unique(keys, return_inverse=True)
+    return distinct, index.astype(np.int32).ravel()
 
 
 def _concat(parts: list[np.ndarray]) -> np.ndarray:

@@ -199,9 +199,15 @@ def write_cluster_summary(clusters: list[SignatureCluster], path: str | Path) ->
 
 
 def write_cluster_verses(clusters: list[SignatureCluster], out_dir: str | Path) -> list[Path]:
-    """One ``{key}.txt`` of verse ids per cluster; returns the paths written."""
+    """One ``{key}.txt`` of verse ids per cluster; returns the paths written.
+
+    Other ``*.txt`` files in out_dir, say an earlier run's clusters, are
+    removed first; files of any other kind are left alone.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for stale in set(out_dir.glob("*.txt")) - {out_dir / f"{c.key}.txt" for c in clusters}:
+        stale.unlink()
     return [
         write_text(out_dir / f"{c.key}.txt", "".join(f"{v}\n" for v in c.verse_ids))
         for c in clusters

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import MultiCorpus
+from .corpus import MultiCorpus, dense_index
 from .errors import DataError
 from .pivots import PivotSet
 from .stats import ContingencyTable, chi2, gaussian_kernel
@@ -57,7 +57,9 @@ def _profiles(
 
     Verse i has length lengths[i] and one bell per entry of
     relative_positions[i], centered at int(rel * length + 0.5) and clamped
-    into the verse. The j-th bell of every verse is added in round j, so
+    into the verse. The bells are summed over a layout that pads each verse
+    with radius positions on both sides, so every bell fits whole, and the
+    pads are dropped. The j-th bell of every verse is added in round j, so
     each position sums its bells in the order a verse-at-a-time loop would,
     and the sums are bit-identical to it. Returns the flat scores and each
     verse's leftmost argmax and argmin.
@@ -71,16 +73,17 @@ def _profiles(
     centers = (rels * lengths[owner] + 0.5).astype(np.int64)
     centers = np.clip(centers, 0, lengths[owner] - 1)
     radius, kernel = gaussian_kernel(sigma)
-    spread = np.arange(-radius, radius + 1)
-    scores = np.zeros(int(lengths.sum()))
-    for j in range(int(counts.max(initial=0))):
-        bell = nth == j
-        verse = owner[bell]
-        pos = centers[bell, None] + spread
-        inside = (pos >= 0) & (pos < lengths[verse, None])
+    # Position p of verse i sits at offsets[i] + p + pad[i] in the layout.
+    pad = (2 * np.arange(len(lengths)) + 1) * radius
+    total = int(lengths.sum())
+    padded = np.zeros(total + 2 * radius * len(lengths))
+    order = np.argsort(nth, kind="stable")
+    first = (centers + offsets[owner] + pad[owner] - radius)[order, None]
+    spread = np.arange(2 * radius + 1)
+    for bells in np.split(first, np.cumsum(np.bincount(nth))[:-1]):
         # One bell per verse per round, so no index repeats within a round.
-        at = (pos + offsets[verse, None])[inside]
-        scores[at] += np.broadcast_to(kernel, pos.shape)[inside]
+        padded[bells + spread] += kernel
+    scores = padded[np.arange(total) + np.repeat(pad, lengths)]
     segment = np.repeat(np.arange(len(lengths)), lengths)
 
     def leftmost(extreme: np.ndarray) -> np.ndarray:
@@ -116,30 +119,70 @@ class MiningResult:
         return [c.gram for c in self.by_n.get(n, [])]
 
 
-def _gram_keys(text: str, ns: range):
-    """Yield (n, keys) for each n in ns; keys[s] stands for text[s:s + n].
+def _gram_ids(text: str, ns: range):
+    """Yield (n, ids, size) for each n in ns; ids[s] numbers text[s:s + n].
 
-    Keys compare like the grams themselves. Each character becomes its rank
-    in the text's sorted alphabet, and the keys of length n roll from those
-    of length n - 1: key_n = key_{n-1}[:-1] * alpha + rank[n - 1:]. When
-    that product could overflow int64, the keys are first compacted to
-    dense ranks, which keeps their order.
+    Ids are dense in [0, size) and order like the grams themselves. Each
+    character gets its rank in the text's alphabet, and the grams of length
+    n are numbered by the pair (id of their first n - 1 characters, rank of
+    their last) with dense_index. Such a key is below size_{n-1} * alpha,
+    at most len(text) ** 2, so it cannot overflow int64.
     """
-    alphabet, rank = np.unique(
-        np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32),
-        return_inverse=True,
-    )
-    alpha = max(len(alphabet), 1)
-    limit = (np.iinfo(np.int64).max - alpha + 1) // alpha
-    keys = rank.astype(np.int64)
+    code = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    alphabet, rank = dense_index(code, int(code.max(initial=0)) + 1)
+    alpha = len(alphabet)
+    ids, size = rank, alpha
     for n in range(1, ns.stop):
         if n > 1:
-            if keys.size and keys.max() > limit:
-                keys = np.unique(keys, return_inverse=True)[1].astype(np.int64)
-            keys = keys[:-1] * alpha
+            keys = ids[:-1].astype(np.int64) * alpha
             keys += rank[n - 1 :]
+            grams, ids = dense_index(keys, size * alpha)
+            size = len(grams)
         if n in ns:
-            yield n, keys
+            yield n, ids, size
+
+
+# A gram is scored exactly when its float chi-square is within this relative
+# margin below the float score of rank top. The float formula rounds seven
+# times, once to convert ad - bc (the other integers are below 2**53) and
+# once per operation, so it is within 8 * 2**-53 < 1e-15 of the exact score,
+# and no gram of the exact top lies more than twice that below the bar.
+CHI2_MARGIN = 1e-9
+
+
+def _rank_by_chi2(
+    a: np.ndarray, c: np.ndarray, pos_total: int, neg_total: int, top: int
+) -> tuple[list[int], list[float]]:
+    """The indices and chi-square scores of the top grams, best first.
+
+    Gram i has a[i] of the pos_total positive window counts and c[i] of
+    the neg_total negative ones; its score is stats.chi2 of that table,
+    ties kept in index order. Every score is first taken in float64, and
+    only the grams within CHI2_MARGIN of the float score of rank top are
+    scored exactly.
+    """
+    b = pos_total - a
+    d = neg_total - c
+    # ad > bc needs a, d > 0, so no margin of such a table is zero; every
+    # other table scores 0.0. Both products are below 2**62.
+    cross = a * d - b * c
+    live = cross > 0
+    approx = np.zeros(len(a))
+    cross = cross[live].astype(float)
+    approx[live] = (
+        (pos_total + neg_total) * cross * cross
+        / (float(pos_total) * neg_total * (a + c)[live] * (b + d)[live])
+    )
+    keep = np.arange(len(a))
+    if 0 < top < len(a):
+        bar = np.partition(approx, len(a) - top)[len(a) - top]
+        keep = np.flatnonzero(approx >= bar * (1 - CHI2_MARGIN))
+    scores = np.zeros(len(keep))
+    rows = keep[live[keep]]
+    tables = zip(*(x[rows].tolist() for x in (a, b, c, d)))
+    scores[live[keep]] = [chi2(ContingencyTable(*table)) for table in tables]
+    ranked = np.argsort(-scores, kind="stable")[:top]
+    return keep[ranked].tolist(), scores[ranked].tolist()
 
 
 def mine_ngrams(
@@ -217,41 +260,35 @@ def mine_ngrams(
     from_max = np.repeat((lengths - x_max).astype(np.int32), lengths) - room
     from_min = np.repeat((lengths - x_min).astype(np.int32), lengths) - room
     marked = np.repeat(positive, lengths)
-    for n, keys in _gram_keys(joined, range(n_range[0], n_range[1] + 1)):
-        k = len(keys)
+    for n, ids, size in _gram_ids(joined, range(n_range[0], n_range[1] + 1)):
+        k = len(ids)
         fits = room[:k] >= n
         in_pos = (from_max[:k] >= 1 - n - w) & (from_max[:k] <= w)
         in_neg = (from_min[:k] >= 1 - n - w) & (from_min[:k] <= w)
         pos_starts = np.flatnonzero(fits & marked[:k] & in_pos)
+        pos_ids = ids[pos_starts]
         # An unmarked verse is negative throughout.
-        neg_keys = keys[fits & (in_neg | ~marked[:k])]
-        neg_keys.sort()
-        grams, first, pos_counts = np.unique(
-            keys[pos_starts], return_index=True, return_counts=True
+        neg_ids = ids[fits & (in_neg | ~marked[:k])]
+        pos_counts = np.bincount(pos_ids, minlength=size)
+        neg_counts = np.bincount(neg_ids, minlength=size)
+        # Only the positive grams are scored, in id order, that is
+        # lexicographically.
+        grams = np.flatnonzero(pos_counts)
+        ranked, scores = _rank_by_chi2(
+            pos_counts[grams], neg_counts[grams], len(pos_ids), len(neg_ids), top
         )
-        # Only the positive grams are scored, so only they are counted
-        # among the negatives.
-        neg_counts = np.searchsorted(neg_keys, grams, "right") - np.searchsorted(
-            neg_keys, grams, "left"
-        )
-        pos_total, neg_total = len(pos_starts), len(neg_keys)
-        scores = [
-            chi2(ContingencyTable(a, pos_total - a, c, neg_total - c))
-            for a, c in zip(pos_counts.tolist(), neg_counts.tolist())
-        ]
-        # grams is sorted by key, that is lexicographically, so a stable
-        # sort on the score alone breaks ties by gram.
-        ranked = np.argsort(-np.array(scores), kind="stable")[:top].tolist()
+        start = np.empty(size, dtype=np.int64)
+        start[pos_ids] = pos_starts
         result.by_n[n] = [
             NgramCandidate(
-                joined[pos_starts[first[i]] : pos_starts[first[i]] + n],
+                joined[start[g] : start[g] + n],
                 n,
                 rank,
-                int(pos_counts[i]),
-                int(neg_counts[i]),
-                scores[i],
+                int(pos_counts[g]),
+                int(neg_counts[g]),
+                score,
             )
-            for rank, i in enumerate(ranked, start=1)
+            for rank, (g, score) in enumerate(zip(grams[ranked].tolist(), scores), start=1)
         ]
     return result
 

@@ -27,11 +27,9 @@ from pivotmine.aligner import (
     LexTable,
     PairEncoding,
     PairLinkStats,
-    _dense_cells,
     _first_occurrence,
     _pair_cache_key,
     _prior_matrix,
-    _sorted_cells,
     _viterbi,
     diagonal_prior,
     encode_pairs,
@@ -41,7 +39,7 @@ from pivotmine.aligner import (
     train_alignment,
     train_pair,
 )
-from pivotmine.corpus import MultiCorpus
+from pivotmine.corpus import MultiCorpus, dense_index
 from pivotmine.errors import DataError
 from pivotmine.synth import generate, preset_marking24, preset_tiny8
 
@@ -679,16 +677,24 @@ class TestEncodePairs:
         assert enc.tgt_words == ["p", "q"]
 
 
+def dense_index_by_table(keys, space):
+    """dense_index forced onto its presence table: the keys padded with
+    copies of one of them until they are at least as many as the space."""
+    distinct, index = dense_index(np.concatenate([keys, np.full(space, keys[0])]), space)
+    return distinct, index[: keys.size]
+
+
+def dense_index_by_sorting(keys, space):
+    """dense_index forced onto sorting: a key space larger than the keys."""
+    return dense_index(keys, keys.size + 1)
+
+
 def encode_both_ways(src, tgt) -> dict[str, PairEncoding]:
     """encode_pairs as it chooses, and forced onto each cell numbering."""
-    dense, by_sorting = _dense_cells, _sorted_cells
     out = {"chosen": encode_pairs(src, tgt)}
-    with mock.patch.object(aligner_module, "_dense_cells", lambda keys, space: by_sorting(keys)):
-        out["sorted"] = encode_pairs(src, tgt)
-    with mock.patch.object(
-        aligner_module, "_sorted_cells", lambda keys: dense(keys, int(keys.max()) + 1)
-    ):
-        out["dense"] = encode_pairs(src, tgt)
+    for name, forced in (("dense", dense_index_by_table), ("sorted", dense_index_by_sorting)):
+        with mock.patch.object(aligner_module, "dense_index", forced):
+            out[name] = encode_pairs(src, tgt)
     return out
 
 
@@ -717,7 +723,7 @@ class TestEncodePairsOracle:
         for tid in tids[1:]:
             tgt = corpus.encode(tid)
             want = encoding_oracle.encode_pairs(src, tgt)
-            with mock.patch.object(aligner_module, "_sorted_cells", side_effect=AssertionError):
+            with mock.patch.object(np, "unique", side_effect=AssertionError):
                 assert_encodings_equal(encode_pairs(src, tgt), want)
             for got in encode_both_ways(src, tgt).values():
                 assert_encodings_equal(got, want)
@@ -732,15 +738,20 @@ class TestEncodePairsOracle:
         assert distinct.tolist() == want_distinct.tolist()
         assert index.tolist() == want_index.tolist()
 
-    @given(st.lists(st.integers(0, 30), min_size=1, max_size=60), st.integers(0, 5))
+    @given(st.lists(st.integers(0, 15), min_size=21, max_size=60), st.integers(0, 5))
     @settings(max_examples=200, deadline=None)
     def test_dense_and_sorted_cells_agree(self, values, extra):
         keys = np.array(values, dtype=np.int64)
-        uniq, cells = _dense_cells(keys, max(values) + 1 + extra)
-        want_uniq, want_cells = _sorted_cells(keys)
+        space = max(values) + 1 + extra
+        with mock.patch.object(np, "unique", side_effect=AssertionError):
+            uniq, cells = dense_index(keys, space)
+        want_uniq, want_cells = dense_index_by_sorting(keys, space)
         assert uniq.tolist() == want_uniq.tolist() == sorted(set(values))
         assert cells.dtype == want_cells.dtype == np.int32
         assert cells.tolist() == want_cells.tolist()
+        forced_uniq, forced_cells = dense_index_by_table(keys, space + keys.size)
+        assert forced_uniq.tolist() == uniq.tolist()
+        assert forced_cells.tolist() == cells.tolist()
 
 
 class TestCacheKey:

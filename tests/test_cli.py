@@ -173,8 +173,7 @@ class TestMapCommand:
         listed = {Path(p).name for p in outputs if Path(p).parent.name == "clusters"}
         keys = [line.split("\t")[0] for line in (out / "clusters.tsv").read_text().splitlines()[1:]]
         assert listed == {f"{key}.txt" for key in keys}
-        # the first run's files are still there, but are not this run's
-        assert {p.name for p in (out / "clusters").glob("*.txt")} > listed
+        assert {p.name for p in (out / "clusters").iterdir()} == listed
 
 
 class TestExitCodes:

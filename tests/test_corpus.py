@@ -2,6 +2,7 @@
 
 import logging
 import random
+import re
 import string
 from unittest import mock
 
@@ -190,6 +191,24 @@ class TestVerseIds:
         assert not is_verse_id("40001001x")
         assert not is_verse_id("4000100a")
         assert not is_verse_id("")
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "40001001",
+            "4000100",  # 7 digits
+            "400010011",  # 9 digits
+            "\u0664\u0660\u0660\u0660\u0661\u0660\u0660\u0661",  # Arabic-Indic digits
+            "\uff14\uff10\uff10\uff10\uff11\uff10\uff10\uff11",  # full-width digits
+            "4000100\u0661",  # one Arabic-Indic digit
+            "40001001 ",
+            " 4000100",
+            "",
+        ],
+    )
+    def test_matches_the_eight_digit_pattern(self, value):
+        # "$" also matches before a final newline; read_lines leaves none.
+        assert is_verse_id(value) == bool(re.match(r"^[0-9]{8}$", value))
 
 
 @pytest.fixture

@@ -202,6 +202,17 @@ class TestWriters:
         ]
         assert (verses_dir / "10.txt").read_text() == "00000002\n00000004\n"
 
+    def test_cluster_verses_replace_other_text_files_only(self, tmp_path):
+        pm = make_pm([("aaa", "a", [1, 1, 0, 1])])
+        verses_dir = tmp_path / "clusters"
+        verses_dir.mkdir()
+        for name in ("1.txt", "01.txt", "notes.md"):
+            (verses_dir / name).write_text("old\n", encoding="utf-8")
+        write_cluster_verses(signature_clusters(pm, pm.pivots), verses_dir)
+        assert sorted(p.name for p in verses_dir.iterdir()) == ["0.txt", "1.txt", "notes.md"]
+        assert (verses_dir / "1.txt").read_text() == "00000001\n00000002\n00000004\n"
+        assert (verses_dir / "notes.md").read_text() == "old\n"
+
     def test_projection_file(self, tmp_path):
         path = tmp_path / "proj.tsv"
         write_projection([("00000001", "ein"), ("00000002", None)], path)

@@ -1,10 +1,11 @@
-"""Positional profiles, gram keys, mining against its oracle, and TSV cells."""
+"""Positional profiles, gram ids, mining against its oracle, and TSV cells."""
 
 import copy
 import logging
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,13 +14,14 @@ from hypothesis import strategies as st
 
 import ngrams_oracle as oracle
 from helpers import make_corpus
-from pivotmine.corpus import DELIMITERS
+from pivotmine import ngrams as ngrams_module
+from pivotmine.corpus import DELIMITERS, dense_index
 from pivotmine.errors import DataError
 from pivotmine.ngrams import (
     GRAM_SPACE_ESCAPE,
     MiningResult,
     NgramCandidate,
-    _gram_keys,
+    _gram_ids,
     _profiles,
     escape_gram,
     mine_ngrams,
@@ -160,40 +162,58 @@ class TestWindowCounts:
         assert not sink[5]
 
 
-# 1,600 code points, so that keys of 12-grams over the ones a text uses
-# need compaction to stay within int64.
+# 1,600 code points, far more than a short text's length, so gram ids
+# are numbered by sorting rather than from a presence table.
 WIDE_ALPHABET = "".join(chr(c) for c in range(0x4E00, 0x4E00 + 1600))
 
 
-def assert_keys_order_like_grams(text: str, n_max: int) -> None:
-    for n, keys in _gram_keys(text, range(1, n_max + 1)):
+def assert_ids_order_like_grams(text: str, n_max: int) -> None:
+    for n, ids, size in _gram_ids(text, range(1, n_max + 1)):
         grams = [text[s : s + n] for s in range(len(text) - n + 1)]
-        assert len(keys) == len(grams)
-        assert keys.dtype == np.int64
+        assert len(ids) == len(grams)
+        assert size == len(set(grams))
+        assert sorted(set(ids.tolist())) == list(range(size))
         order = sorted(range(len(grams)), key=lambda i: (grams[i], i))
-        assert np.argsort(keys, kind="stable").tolist() == order
+        assert np.argsort(ids, kind="stable").tolist() == order
         for i, j in zip(order, order[1:]):
-            assert (keys[i] == keys[j]) == (grams[i] == grams[j])
+            assert (ids[i] == ids[j]) == (grams[i] == grams[j])
 
 
-class TestGramKeys:
-    def test_keys_order_like_grams(self):
-        assert_keys_order_like_grams("abracadabra cab", 6)
+def record_dense_index(monkeypatch) -> list[bool]:
+    """Patch the miner's dense_index to record, per call, whether it read a
+    presence table (key space no larger than the keys)."""
+    tables = []
 
-    def test_wide_alphabet_compacts_without_overflow(self):
+    def recording(keys, space):
+        tables.append(space <= keys.size)
+        return dense_index(keys, space)
+
+    monkeypatch.setattr(ngrams_module, "dense_index", recording)
+    return tables
+
+
+class TestGramIds:
+    def test_ids_order_like_grams(self, monkeypatch):
+        tables = record_dense_index(monkeypatch)
+        assert_ids_order_like_grams("abracadabra cab" * 10, 6)
+        assert tables == [True] * 6
+
+    def test_wide_alphabet_sorts_without_overflow(self, monkeypatch):
         rng = random.Random(5)
         text = "".join(rng.choice(WIDE_ALPHABET[:1550]) for _ in range(3000))
         text += text[:500]  # repeated 12-grams
         assert len(set(text)) ** 12 > 2**63
-        assert_keys_order_like_grams(text, 12)
+        tables = record_dense_index(monkeypatch)
+        assert_ids_order_like_grams(text, 12)
+        assert tables == [False] * 12
 
     def test_only_requested_lengths(self):
-        assert [n for n, _ in _gram_keys("abcd", range(2, 4))] == [2, 3]
+        assert [n for n, _, _ in _gram_ids("abcd", range(2, 4))] == [2, 3]
 
     @given(st.text(alphabet="ab Σς\t\u0100" + chr(0x10FFFF), max_size=40), st.integers(1, 7))
     @settings(max_examples=200, deadline=None)
-    def test_keys_order_like_grams_property(self, text, n_max):
-        assert_keys_order_like_grams(text, n_max)
+    def test_ids_order_like_grams_property(self, text, n_max):
+        assert_ids_order_like_grams(text, n_max)
 
 
 class TestRelativePositions:
@@ -381,6 +401,26 @@ MINING_SETTINGS = [
 ]
 
 
+def shuffled_letters_corpus():
+    """Every marked verse holds the same letters in another order, so many
+    grams share their counts and their chi-square."""
+    verses, pivots = {}, {}
+    rng = random.Random(3)
+    for i in range(1, 41):
+        vid = f"{i:08d}"
+        letters = list("zyxwvut")
+        rng.shuffle(letters)
+        if i % 2:
+            verses[vid] = "".join(letters) + " " + "q" * 30
+            pivots[vid] = "piv y y y y y"
+        else:
+            verses[vid] = "q" * 30 + " " + "".join(letters)
+            pivots[vid] = "y y y y y y"
+    corpus = make_corpus({"paa_p": pivots, "tgt_t": verses})
+    p = Pivot("paa", "paa_p", "piv", 1.0)
+    return corpus, PivotSet.scan(corpus, p, [p])
+
+
 class TestOracleAgreement:
     """The array miner equals the Counter oracle in tests/ngrams_oracle.py."""
 
@@ -429,23 +469,7 @@ class TestOracleAgreement:
         assert [c.gram for c in got.by_n[2]] == ["ab", "bc", "ca"]
 
     def test_planted_ties_break_by_gram(self):
-        # Every marked verse holds the same letters in another order, so
-        # many grams share their counts and their chi-square.
-        verses, pivots = {}, {}
-        rng = random.Random(3)
-        for i in range(1, 41):
-            vid = f"{i:08d}"
-            letters = list("zyxwvut")
-            rng.shuffle(letters)
-            if i % 2:
-                verses[vid] = "".join(letters) + " " + "q" * 30
-                pivots[vid] = "piv y y y y y"
-            else:
-                verses[vid] = "q" * 30 + " " + "".join(letters)
-                pivots[vid] = "y y y y y y"
-        corpus = make_corpus({"paa_p": pivots, "tgt_t": verses})
-        p = Pivot("paa", "paa_p", "piv", 1.0)
-        ps = PivotSet.scan(corpus, p, [p])
+        corpus, ps = shuffled_letters_corpus()
         got = assert_mining_agrees(corpus, "tgt_t", ps, w=3, n_range=(1, 3), top=50)
         scores = [c.score for c in got.by_n[1]]
         assert len(set(scores)) < len(scores)
@@ -485,6 +509,62 @@ class TestOracleAgreement:
             corpus, "tgt_t", ps, w=w, n_range=(n_min, n_min + n_extra), top=top,
             sigma=2.0, relative_positions=rels,
         )
+
+
+class TestExactTopK:
+    """Only the grams near the float score of rank top are scored exactly;
+    the ranking must not show it."""
+
+    def test_equal_scores_straddle_rank_top(self):
+        corpus, ps = shuffled_letters_corpus()
+        full = oracle.mine_ngrams(corpus, "tgt_t", ps, w=3, n_range=(1, 2), top=10**6)
+        straddled = 0
+        for n, cands in full.by_n.items():
+            scores = [c.score for c in cands]
+            for top in range(1, len(scores)):
+                if scores[top - 1] == scores[top] > 0:
+                    straddled += 1
+                    got = assert_mining_agrees(corpus, "tgt_t", ps, w=3, n_range=(n, n), top=top)
+                    assert got.by_n[n] == cands[:top]
+        assert straddled >= 10
+
+    @pytest.mark.parametrize("top", [1, 2, 10**6])
+    def test_top_one_and_more_than_the_grams(self, tiny, top):
+        corpus, truth = tiny
+        ps = particle_pivot_set(corpus, truth, "past")
+        tid = truth["languages"]["saa"]["translation_id"]
+        got = assert_mining_agrees(corpus, tid, ps, n_range=(1, 3), top=top)
+        for cands in got.by_n.values():
+            assert len(cands) == top if top < 10**6 else 0 < len(cands) < top
+
+    def test_every_score_zero(self):
+        # Each window spans its whole verse, so positive and negative
+        # counts are in the same proportion and ad - bc = 0 for every gram.
+        corpus = make_corpus(
+            {
+                "paa_p": {f"0000000{i}": "piv" for i in range(1, 5)},
+                "tgt_t": {f"0000000{i}": t for i, t in enumerate(["abcab", "bca", "cc", "abab"], 1)},
+            }
+        )
+        p = Pivot("paa", "paa_p", "piv", 1.0)
+        ps = PivotSet.scan(corpus, p, [p])
+        with mock.patch.object(ngrams_module, "chi2", side_effect=AssertionError):
+            for top in (1, 3, 100):
+                got = assert_mining_agrees(corpus, "tgt_t", ps, w=100, n_range=(1, 3), top=top)
+                assert {c.score for cands in got.by_n.values() for c in cands} == {0.0}
+                assert [c.gram for c in got.by_n[1]] == ["a", "b", "c"][:top]
+
+    def test_exact_scores_only_near_rank_top(self, tiny):
+        corpus, truth = tiny
+        ps = particle_pivot_set(corpus, truth, "past")
+        tid = truth["languages"]["saa"]["translation_id"]
+        scored = oracle.mine_ngrams(corpus, tid, ps, top=10**6)
+        n_scored = sum(len(cands) for cands in scored.by_n.values())
+        with mock.patch.object(ngrams_module, "chi2", wraps=ngrams_module.chi2) as exact:
+            got = mine_ngrams(corpus, tid, ps)
+        assert got.by_n == {n: cands[:10] for n, cands in scored.by_n.items()}
+        assert n_scored > 1000
+        assert exact.call_count < n_scored / 20
 
 
 class TestSerialization:
