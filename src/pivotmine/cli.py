@@ -33,9 +33,9 @@ from .maps import (
 )
 from .ngrams import mine_ngrams, pivot_relative_positions, read_ngrams_tsv, write_ngrams_tsv
 from .pivots import (
-    Pivot, PivotSet, expand_pivots, find_head_pivot, pivot_presence_matrix,
-    rank_pivot_candidates, read_allowlist, read_pivots_tsv, read_queries,
-    top_markers_by_language, write_pivots_tsv,
+    Pivot, PivotSet, expand_pivots, find_head_pivot, rank_pivot_candidates,
+    read_allowlist, read_pivots_tsv, read_queries, top_markers_by_language,
+    write_pivots_tsv,
 )
 from .synth import PRESETS, SynthSpec, spec_from_json, write_synth
 from .textio import read_lines, read_text, write_lines, write_text
@@ -173,8 +173,7 @@ def stage_mine(
 def stage_cluster_markers(
     cfg: RunConfig, corpus: MultiCorpus, pivot_set: PivotSet, out: Path
 ) -> list[Path]:
-    matrix = pivot_presence_matrix(corpus, pivot_set)
-    dm = marker_distance_matrix(matrix)
+    dm = marker_distance_matrix(pivot_set.presence)
     written = [
         write_distance_tsv(dm, out / "markers_distance.tsv"),
         write_text(out / "markers.nwk", to_newick(upgma(dm)) + "\n"),
@@ -199,7 +198,7 @@ def stage_cluster_markers(
 def stage_map(
     cfg: RunConfig, corpus: MultiCorpus, pivot_set: PivotSet, out: Path
 ) -> list[Path]:
-    matrix = pivot_presence_matrix(corpus, pivot_set)
+    matrix = pivot_set.presence
     chosen, choices = select_splitting_pivots(
         matrix, pivot_set.head, cfg.map_rounds, cfg.map_policy
     )
@@ -223,22 +222,24 @@ def stage_project(
 
 def stage_eval_mrr(
     cfg: RunConfig, ngram_dirs: list[tuple[str, Path]], out: Path
-) -> list[Path]:
-    """Score each feature's mined n-grams, read from its (feature, dir) pair."""
+) -> tuple[list[Path], list[Path]]:
+    """Score each feature's mined n-grams, read from its (feature, dir)
+    pair; returns the n-gram TSVs read and the files written."""
     if not cfg.gold:
         raise ConfigError("no gold file configured")
     gold = read_gold(cfg.gold)
     results = []
+    read = []
     for feature, ngram_dir in ngram_dirs:
         if not ngram_dir.is_dir():
             raise DataError(f"no mined n-grams under {ngram_dir}")
-        ranked = {
-            p.stem: read_ngrams_tsv(p) for p in sorted(ngram_dir.glob("*.tsv"))
-        }
-        if not ranked:
+        paths = sorted(ngram_dir.glob("*.tsv"))
+        if not paths:
             raise DataError(f"no n-gram TSVs in {ngram_dir}")
+        ranked = {p.stem: read_ngrams_tsv(p) for p in paths}
         results.append(mrr(ranked, gold, feature, cfg.match_mode))
-    return [_write_json(out / "mrr.json", mrr_table(results))]
+        read += paths
+    return read, [_write_json(out / "mrr.json", mrr_table(results))]
 
 
 def stage_cluster_languages(
@@ -247,15 +248,19 @@ def stage_cluster_languages(
     features: list[str],
     from_dir: Path,
     out: Path,
-) -> list[Path]:
+) -> tuple[list[Path], list[Path]]:
+    """Cluster languages by their top markers; returns the files read
+    (each feature's head.json and ranking.tsv) and the files written."""
     markers_by_feature = {}
     head_translations = {}
+    read = []
     for feature in features:
         fdir = from_dir / feature
         head = _head_from_json(corpus, fdir / "head.json")
         ranking = read_pivots_tsv(corpus, fdir / "ranking.tsv")
         markers_by_feature[feature] = top_markers_by_language(ranking, head)
         head_translations[feature] = head.translation_id
+        read += (fdir / "head.json", fdir / "ranking.tsv")
     dm, report = language_distance(
         corpus, markers_by_feature, cfg.min_shared_verses, head_translations
     )
@@ -267,7 +272,7 @@ def stage_cluster_languages(
     if corpus.families:
         metrics = evaluate_family_prediction(dm, corpus.families, cfg.jsd_threshold)
         written.append(_write_json(out / "family_metrics.json", metrics))
-    return written
+    return read, written
 
 
 def stage_eval_family(cfg: RunConfig, distances: str, out: Path) -> list[Path]:
@@ -328,7 +333,7 @@ def run_command(args: argparse.Namespace) -> int:
     else:  # synth: its preset or spec is its whole configuration
         cfg = None
         rec = RunRecorder(args.command, {"preset": args.preset, "spec": args.spec}, "")
-    for name in ("pivots", "verses", "distances"):
+    for name in ("pivots", "head", "verses", "distances"):
         rec.add_input(getattr(args, name, None))
     run = Run(args, cfg, rec, _out_dir(args, cfg))
     args.body(run)
@@ -421,10 +426,11 @@ def cmd_cluster_markers(run: Run) -> None:
 def cmd_cluster_languages(run: Run) -> None:
     corpus = _prepare_corpus(run.cfg)
     features = _features(run.args)
-    run.stage(
+    for path in run.stage(
         "cluster-languages", stage_cluster_languages,
         run.cfg, corpus, features, Path(run.args.from_dir), run.out,
-    )
+    ):
+        run.rec.add_input(path)
 
 
 def cmd_map(run: Run) -> None:
@@ -441,7 +447,8 @@ def cmd_project(run: Run) -> None:
 def cmd_eval_mrr(run: Run) -> None:
     from_dir = Path(run.args.from_dir)
     ngram_dirs = [(f, from_dir / f / "ngrams") for f in _features(run.args)]
-    run.stage("eval-mrr", stage_eval_mrr, run.cfg, ngram_dirs, run.out)
+    for path in run.stage("eval-mrr", stage_eval_mrr, run.cfg, ngram_dirs, run.out):
+        run.rec.add_input(path)
 
 
 def cmd_eval_family(run: Run) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .corpus import MultiCorpus
 from .errors import DataError
-from .pivots import Pivot, PresenceMatrix, presence_vector
+from .pivots import Pivot, PresenceMatrix, scan_pivots
 from .stats import jsd, normalize
 from .textio import read_lines, write_lines
 
@@ -27,18 +27,6 @@ DEFAULT_MIN_SHARED_VERSES = 7000
 DEFAULT_JSD_THRESHOLD = 0.5
 
 _BARE_LABEL_RE = re.compile(r"^[A-Za-z0-9_.+|-]+$")
-
-
-class ExclusionError(ValueError):
-    """A marker cannot participate (its column has no mass)."""
-
-
-def marker_distribution(column: np.ndarray) -> np.ndarray:
-    """Normalize a presence column into a distribution over verses."""
-    arr = np.asarray(column, dtype=float)
-    if arr.sum() <= 0:
-        raise ExclusionError("marker never marks a verse on this support")
-    return normalize(arr)
 
 
 @dataclass
@@ -80,14 +68,14 @@ def marker_distance_matrix(matrix: PresenceMatrix) -> DistanceMatrix:
         raise DataError("no verse is shared by every pivot translation")
     labeled = []
     for idx, pivot in enumerate(matrix.pivots):
-        col = matrix.matrix[support, idx]
-        try:
-            labeled.append((marker_label(pivot), marker_distribution(col)))
-        except ExclusionError:
+        col = matrix.matrix[support, idx].astype(float)
+        if col.sum() <= 0:
             logger.warning(
                 "marker %s excluded: no marked verse on the shared support",
                 marker_label(pivot),
             )
+            continue
+        labeled.append((marker_label(pivot), normalize(col)))
     if len(labeled) < 2:
         raise DataError("fewer than two markers left after exclusions")
     return distance_matrix(labeled)
@@ -289,13 +277,10 @@ def language_distance(
             f"fewer than two eligible languages (excluded: {len(excluded)})"
         )
 
-    presence: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
-    for f in features:
-        for iso3 in langs:
-            cand = markers_by_feature[f][iso3]
-            presence[(f, iso3)] = presence_vector(
-                corpus, cand.translation_id, cand.surface
-            )
+    presence = [
+        scan_pivots(corpus, [markers_by_feature[f][iso3] for iso3 in langs])[1]
+        for f in features
+    ]
 
     report = LanguageDistanceReport(features, langs, excluded)
     n = len(langs)
@@ -303,12 +288,10 @@ def language_distance(
     for i in range(n):
         for j in range(i + 1, n):
             per_feature = []
-            for f in features:
-                pa, ma = presence[(f, langs[i])]
-                pb, mb = presence[(f, langs[j])]
-                support = ~(ma | mb)
-                ca = pa[support].astype(float)
-                cb = pb[support].astype(float)
+            for pm in presence:
+                support = ~(pm.missing[:, i] | pm.missing[:, j])
+                ca = pm.matrix[support, i].astype(float)
+                cb = pm.matrix[support, j].astype(float)
                 if not support.any() or ca.sum() == 0 or cb.sum() == 0:
                     report.zero_support_pairs += 1
                     per_feature.append(1.0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import re
 from collections import Counter, defaultdict
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -80,37 +80,32 @@ def tokenize_verse(text: str) -> tuple[list[str], list[int], list[int]]:
     return surfaces, starts.tolist(), ends.tolist()
 
 
+def tokenize_blocks(texts: Sequence[str | None]) -> Iterator[tuple[int, tuple]]:
+    """tokenize_block over texts, BLOCK_VERSES at a time: yields the index
+    of each block's first text and the block's tokens. A text that is None
+    (a verse the translation lacks) has no tokens."""
+    for lo in range(0, len(texts), BLOCK_VERSES):
+        yield lo, tokenize_block([text or "" for text in texts[lo : lo + BLOCK_VERSES]])
+
+
 @dataclass(frozen=True, eq=False)
 class TranslationEncoding:
-    """The tokens of one translation over a run of verses, as int32 arrays.
+    """The tokens of one translation over a run of verses, as int32 arrays,
+    in the form alignment reads them.
 
     Row r holds the tokens ids[offsets[r]:offsets[r + 1]]; an id indexes
-    vocab, which lists the surfaces in first-occurrence order. has_verse is
-    False on the rows of verses the translation lacks, so a missing verse
-    and an empty one stay different. starts and ends are each token's
-    character offsets in its verse, or None for an encoding of surface
-    lists, which have no text.
+    vocab, which lists the surfaces in first-occurrence order. A verse the
+    translation lacks is an empty row.
     """
 
     vocab: list[str]
     ids: np.ndarray
     offsets: np.ndarray
-    has_verse: np.ndarray
-    starts: np.ndarray | None = None
-    ends: np.ndarray | None = None
 
     def frequencies(self) -> dict[str, int]:
         """Token count of every surface."""
         counts = np.bincount(self.ids, minlength=len(self.vocab))
         return dict(zip(self.vocab, counts.tolist()))
-
-    def find(self, surface: str) -> np.ndarray:
-        """Indices of the tokens whose surface is surface, in order."""
-        try:
-            word = self.vocab.index(surface)
-        except ValueError:
-            return np.zeros(0, dtype=np.int64)
-        return np.flatnonzero(self.ids == word)
 
 
 def _vocabulary() -> defaultdict[str, int]:
@@ -169,29 +164,17 @@ class MultiCorpus:
     def encode(self, translation_id: str) -> TranslationEncoding:
         """The TranslationEncoding of one translation, one row per selected verse."""
         verses = self.translations[translation_id].verses
-        texts = [verses.get(vid) for vid in self.selected_verses]
         index = _vocabulary()
         ids = []
-        starts = []
-        ends = []
         counts = []
-        for lo in range(0, len(texts), BLOCK_VERSES):
-            block = [text or "" for text in texts[lo : lo + BLOCK_VERSES]]
-            surfaces, a, b, n = tokenize_block(block)
+        for _, (surfaces, _, _, n) in tokenize_blocks(
+            [verses.get(vid) for vid in self.selected_verses]
+        ):
             ids.append(np.fromiter(map(index.__getitem__, surfaces), np.int32, len(surfaces)))
-            starts.append(a)
-            ends.append(b)
             counts.append(n)
-        offsets = np.zeros(len(texts) + 1, dtype=np.int32)
+        offsets = np.zeros(len(self.selected_verses) + 1, dtype=np.int32)
         np.cumsum(_concat(counts), out=offsets[1:])
-        return TranslationEncoding(
-            list(index),
-            _concat(ids),
-            offsets,
-            np.fromiter((text is not None for text in texts), bool, len(texts)),
-            _concat(starts),
-            _concat(ends),
-        )
+        return TranslationEncoding(list(index), _concat(ids), offsets)
 
     def languages(self) -> list[str]:
         return sorted({t.iso3 for t in self.translations.values()})
@@ -344,9 +327,8 @@ def apply_query_merge(
     new_verses: dict[str, str] = {}
     replaced = 0
     items = list(trans.verses.items())
-    for lo in range(0, len(items), BLOCK_VERSES):
-        block = items[lo : lo + BLOCK_VERSES]
-        surfaces, starts, ends, counts = tokenize_block([text for _, text in block])
+    for lo, (surfaces, starts, ends, counts) in tokenize_blocks([text for _, text in items]):
+        block = items[lo : lo + len(counts)]
         verse = np.repeat(np.arange(len(block)), counts).tolist()
         if target in surfaces:
             raise DataError(

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .aligner import AlignerConfig, PairLinkStats, link_counts
-from .corpus import DELIMITERS, MultiCorpus, apply_query_merge
+from .corpus import DELIMITERS, MultiCorpus, apply_query_merge, tokenize_blocks
 from .errors import DataError
 from .stats import ContingencyTable, chi2
 from .textio import read_lines, write_lines
@@ -73,30 +73,53 @@ class Occurrences:
     rel: np.ndarray
     missing: np.ndarray
 
-    def presence(self) -> np.ndarray:
-        """uint8 indicator of the selected verses holding the surface."""
-        out = np.zeros(len(self.missing), dtype=np.uint8)
-        out[self.rows] = 1
-        return out
+
+@dataclass
+class PresenceMatrix:
+    """Verse-by-pivot presence with a parallel missing-data mask."""
+
+    verse_ids: tuple[str, ...]
+    pivots: list[Pivot]
+    matrix: np.ndarray  # uint8, verses x pivots
+    missing: np.ndarray  # bool, verses x pivots
 
 
 def find_occurrences(corpus: MultiCorpus, translation_id: str, surface: str) -> Occurrences:
-    """Scan one translation's encoding for one surface."""
-    enc = corpus.encode(translation_id)
-    hits = enc.find(surface)
-    rows = np.searchsorted(enc.offsets, hits, side="right") - 1
+    """Scan one translation's selected verses for the tokens of one surface."""
     verses = corpus.translations[translation_id].verses
-    lengths = [len(verses[corpus.selected_verses[r]]) for r in rows.tolist()]
-    rel = (enc.starts[hits] + enc.ends[hits]) / 2.0 / np.array(lengths, dtype=np.int64)
-    return Occurrences(rows, rel, ~enc.has_verse)
+    texts = [verses.get(vid) for vid in corpus.selected_verses]
+    rows = [np.zeros(0, dtype=np.int64)]
+    rel = [np.zeros(0)]
+    for lo, (surfaces, starts, ends, counts) in tokenize_blocks(texts):
+        hits = np.flatnonzero(np.fromiter(map(surface.__eq__, surfaces), bool, len(surfaces)))
+        row = lo + np.searchsorted(np.cumsum(counts), hits, side="right")
+        lengths = np.fromiter((len(texts[r]) for r in row.tolist()), np.int64, len(row))
+        rows.append(row)
+        rel.append((starts[hits] + ends[hits]) / 2.0 / lengths)
+    missing = np.fromiter((text is None for text in texts), bool, len(texts))
+    return Occurrences(np.concatenate(rows), np.concatenate(rel), missing)
 
 
-def presence_vector(
-    corpus: MultiCorpus, translation_id: str, surface: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Presence/missing indicator arrays over corpus.selected_verses."""
-    occ = find_occurrences(corpus, translation_id, surface)
-    return occ.presence(), occ.missing
+def scan_pivots(
+    corpus: MultiCorpus, pivots: list[Pivot]
+) -> tuple[list[Occurrences], PresenceMatrix]:
+    """Each pivot's occurrences over the selected verses, and their
+    presence matrix with one column per pivot, in order.
+
+    Raises DataError when the corpus has no verse selection.
+    """
+    if not corpus.selected_verses:
+        raise DataError("presence matrix needs a verse selection")
+    occurrences = [find_occurrences(corpus, p.translation_id, p.surface) for p in pivots]
+    shape = (len(corpus.selected_verses), len(pivots))
+    matrix = np.zeros(shape, dtype=np.uint8)
+    missing = np.zeros(shape, dtype=bool)
+    for col, occ in enumerate(occurrences):
+        matrix[occ.rows, col] = 1
+        missing[:, col] = occ.missing
+    return occurrences, PresenceMatrix(
+        tuple(corpus.selected_verses), list(pivots), matrix, missing
+    )
 
 
 @dataclass
@@ -104,22 +127,20 @@ class PivotSet:
     """Head pivot plus expansion, ordered by descending score.
 
     At most one pivot per language. occurrences holds each member's
-    Occurrences over the selected verses of the corpus the set was built
-    on, so that mining, marker clustering and maps share one scan.
+    Occurrences and presence their PresenceMatrix, over the selected verses
+    of the corpus the set was built on, so that mining, marker clustering
+    and maps share one scan.
     """
 
     head: Pivot
     members: list[Pivot]
     occurrences: list[Occurrences]
+    presence: PresenceMatrix
 
     @classmethod
     def scan(cls, corpus: MultiCorpus, head: Pivot, members: list[Pivot]) -> "PivotSet":
-        """The set of members, with each member's occurrences found once."""
-        return cls(
-            head,
-            list(members),
-            [find_occurrences(corpus, p.translation_id, p.surface) for p in members],
-        )
+        """The set of members, with each member scanned once (scan_pivots)."""
+        return cls(head, list(members), *scan_pivots(corpus, members))
 
 
 def contingency_from_links(stats: PairLinkStats, target_word: str) -> ContingencyTable:
@@ -234,25 +255,17 @@ def rank_pivot_candidates(
 
 
 def expand_pivots(
-    corpus: MultiCorpus,
-    feature: str,
-    head: Pivot,
-    k: int,
-    ranking: list[Pivot] | None = None,
-    cfg: AlignerConfig | None = None,
-    min_count: int = DEFAULT_MIN_COUNT,
-    cache_dir: str | Path | None = None,
+    corpus: MultiCorpus, feature: str, head: Pivot, k: int, ranking: list[Pivot]
 ) -> PivotSet:
     """Grow the pivot set to k members (head included), one per language.
 
-    Walks the ranking in order, skipping languages already represented and
-    zero scores; warns when fewer than k members are reachable. The set
-    comes with each member's occurrences (see PivotSet.scan).
+    Walks the ranking (rank_pivot_candidates) in order, skipping languages
+    already represented and zero scores; warns when fewer than k members
+    are reachable. The set comes with each member's occurrences (see
+    PivotSet.scan).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if ranking is None:
-        ranking = rank_pivot_candidates(corpus, head, cfg, min_count, cache_dir)
     members = [head]
     taken = {head.iso3}
     for cand in ranking:
@@ -270,46 +283,19 @@ def expand_pivots(
     return PivotSet.scan(corpus, head, members)
 
 
-def top_markers_by_language(
-    ranking: list[Pivot], head: Pivot | None = None
-) -> dict[str, Pivot]:
+def top_markers_by_language(ranking: list[Pivot], head: Pivot) -> dict[str, Pivot]:
     """Best positively scored candidate per language.
 
-    When the head pivot is given it represents its own language (it has no
-    score against itself in the ranking).
+    The head pivot represents its own language (it has no score against
+    itself in the ranking).
     """
-    out: dict[str, Pivot] = {}
-    if head is not None:
-        out[head.iso3] = head
+    out: dict[str, Pivot] = {head.iso3: head}
     for cand in ranking:
         if cand.score <= 0:
             continue
         if cand.iso3 not in out:
             out[cand.iso3] = cand
     return out
-
-
-@dataclass
-class PresenceMatrix:
-    """Verse-by-pivot presence with a parallel missing-data mask."""
-
-    verse_ids: tuple[str, ...]
-    pivots: list[Pivot]
-    matrix: np.ndarray  # uint8, verses x pivots
-    missing: np.ndarray  # bool, verses x pivots
-
-
-def pivot_presence_matrix(corpus: MultiCorpus, pivot_set: PivotSet) -> PresenceMatrix:
-    """Stack member presence vectors over the selected verses."""
-    if not corpus.selected_verses:
-        raise DataError("presence matrix needs a verse selection")
-    occurrences = pivot_set.occurrences
-    return PresenceMatrix(
-        tuple(corpus.selected_verses),
-        list(pivot_set.members),
-        np.column_stack([occ.presence() for occ in occurrences]),
-        np.column_stack([occ.missing for occ in occurrences]),
-    )
 
 
 # --- file formats ---------------------------------------------------------

@@ -22,15 +22,9 @@ from pivotmine.errors import DataError
 _TOKEN_RE = re.compile(f"[^{re.escape(DELIMITERS)}]+")
 
 
-def tokenize_regex(text: str) -> tuple[list[str], list[int], list[int]]:
-    """Surfaces, starts and ends of one verse's tokens, each surface
-    lowercased on its own."""
-    matches = list(_TOKEN_RE.finditer(text))
-    return (
-        [m.group().lower() for m in matches],
-        [m.start() for m in matches],
-        [m.end() for m in matches],
-    )
+def tokenize_regex(text: str) -> list[str]:
+    """Surfaces of one verse's tokens, each lowercased on its own."""
+    return [m.group().lower() for m in _TOKEN_RE.finditer(text)]
 
 
 def encode(corpus: MultiCorpus, translation_id: str) -> TranslationEncoding:
@@ -39,26 +33,12 @@ def encode(corpus: MultiCorpus, translation_id: str) -> TranslationEncoding:
     index: defaultdict[str, int] = defaultdict()
     index.default_factory = index.__len__
     ids: list[int] = []
-    starts: list[int] = []
-    ends: list[int] = []
     offsets = [0]
-    has_verse = []
     for vid in corpus.selected_verses:
-        text = verses.get(vid)
-        has_verse.append(text is not None)
-        if text is not None:
-            surfaces, a, b = tokenize_regex(text)
-            ids += map(index.__getitem__, surfaces)
-            starts += a
-            ends += b
+        ids += map(index.__getitem__, tokenize_regex(verses.get(vid, "")))
         offsets.append(len(ids))
     return TranslationEncoding(
-        list(index),
-        np.array(ids, dtype=np.int32),
-        np.array(offsets, dtype=np.int32),
-        np.array(has_verse, dtype=bool),
-        np.array(starts, dtype=np.int32),
-        np.array(ends, dtype=np.int32),
+        list(index), np.array(ids, dtype=np.int32), np.array(offsets, dtype=np.int32)
     )
 
 

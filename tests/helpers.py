@@ -231,15 +231,13 @@ def make_corpus(verses_by_tid: dict[str, dict[str, str]], iso3=None, select=True
 
 
 def encode_surfaces(rows) -> TranslationEncoding:
-    """Encode rows of token surfaces, one row per list; every row is
-    present, and ids follow first occurrence."""
+    """Encode rows of token surfaces, one row per list; ids follow first
+    occurrence."""
     index: dict[str, int] = {}
     ids = [index.setdefault(w, len(index)) for row in rows for w in row]
     offsets = np.zeros(len(rows) + 1, dtype=np.int32)
     np.cumsum([len(r) for r in rows], out=offsets[1:])
-    return TranslationEncoding(
-        list(index), np.array(ids, dtype=np.int32), offsets, np.ones(len(rows), dtype=bool)
-    )
+    return TranslationEncoding(list(index), np.array(ids, dtype=np.int32), offsets)
 
 
 def encode_surface_pairs(pairs) -> PairEncoding:

@@ -511,6 +511,61 @@ class TestPivotScans:
         assert main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
         assert sorted(scans) == sorted(pivot_keys(expanded / "pivots.tsv"))
 
+    def test_cluster_languages_scans_each_marker_once(
+        self, workspace, expanded, tmp_path, scans
+    ):
+        _, cfg_path, _, _ = workspace
+        shutil.copytree(expanded, tmp_path / "from" / "past")
+        out = tmp_path / "langs"
+        argv = ["cluster-languages", "--features", "past", "--from", str(tmp_path / "from")]
+        assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 0
+        # each language's marker: the head for its own language, else the
+        # first positively scored row of the ranking
+        head = json.loads((expanded / "head.json").read_text(encoding="utf-8"))
+        markers = {head["iso3"]: (head["translation_id"], head["surface"])}
+        rows = (expanded / "ranking.tsv").read_text(encoding="utf-8").splitlines()[1:]
+        for _, iso3, tid, surface, score in (row.split("\t") for row in rows):
+            if float(score) > 0:
+                markers.setdefault(iso3, (tid, surface))
+        langs = json.loads((out / "language_report.json").read_text())["languages"]
+        assert len(langs) >= 3
+        assert sorted(scans) == sorted(markers[iso3] for iso3 in langs)
+
+
+class TestManifestInputs:
+    """A subcommand's manifest lists every file it read: the config's files
+    and, beyond them, exactly the files its arguments lead it to."""
+
+    def extra_inputs(self, workspace, argv, out) -> list[str]:
+        root, cfg_path, _, _ = workspace
+        assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 0
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        return sorted(k for k in inputs if not k.startswith(str(root / "data")))
+
+    def test_mine_ngrams_lists_head(self, workspace, expanded, tmp_path):
+        pivots, head = expanded / "pivots.tsv", expanded / "head.json"
+        argv = ["mine-ngrams", "--feature", "past", "--pivots", str(pivots),
+                "--head", str(head), "--targets", "saa_synth"]
+        assert self.extra_inputs(workspace, argv, tmp_path / "o") == [str(head), str(pivots)]
+
+    def test_eval_mrr_lists_the_ngram_tsvs(self, workspace, expanded, tmp_path):
+        past = tmp_path / "from" / "past"
+        argv = ["mine-ngrams", "--feature", "past", "--pivots", str(expanded / "pivots.tsv"),
+                "--targets", "saa_synth,naa_synth"]
+        self.extra_inputs(workspace, argv, past)
+        argv = ["eval-mrr", "--features", "past", "--from", str(tmp_path / "from")]
+        assert self.extra_inputs(workspace, argv, tmp_path / "o") == [
+            str(past / "ngrams" / "naa_synth.tsv"), str(past / "ngrams" / "saa_synth.tsv")
+        ]
+
+    def test_cluster_languages_lists_head_and_ranking(self, workspace, expanded, tmp_path):
+        past = tmp_path / "from" / "past"
+        shutil.copytree(expanded, past)
+        argv = ["cluster-languages", "--features", "past", "--from", str(tmp_path / "from")]
+        assert self.extra_inputs(workspace, argv, tmp_path / "o") == [
+            str(past / "head.json"), str(past / "ranking.tsv")
+        ]
+
 
 def pivot_keys(path: Path) -> list[tuple[str, str]]:
     """(translation, surface) of each row of a rank TSV."""

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from helpers import make_corpus, newick_leaf_depths, parse_newick, tree_merges, upgma_reference
 from pivotmine.cluster import (
     DistanceMatrix,
-    ExclusionError,
     distance_matrix,
     evaluate_family_prediction,
     language_distance,
     marker_distance_matrix,
-    marker_distribution,
     marker_label,
     read_distance_tsv,
     to_newick,
@@ -24,16 +22,6 @@ from pivotmine.cluster import (
 )
 from pivotmine.errors import DataError
 from pivotmine.pivots import Pivot, PresenceMatrix
-
-
-class TestMarkerDistribution:
-    def test_normalizes(self):
-        dist = marker_distribution(np.array([1, 0, 1, 0], dtype=np.uint8))
-        assert dist.tolist() == [0.5, 0.0, 0.5, 0.0]
-
-    def test_zero_column_excluded(self):
-        with pytest.raises(ExclusionError):
-            marker_distribution(np.zeros(4, dtype=np.uint8))
 
 
 class TestDistanceMatrix:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import encoding_oracle as oracle
+import ngrams_oracle
 import pivotmine.corpus as corpus_module
 from helpers import encode_surfaces, make_corpus, tokenize_reference
 from pivotmine.corpus import (
@@ -30,6 +31,7 @@ from pivotmine.corpus import (
     write_coverage_report,
 )
 from pivotmine.errors import DataError
+from pivotmine.pivots import Occurrences, Pivot, PivotSet, find_occurrences
 
 
 def tokens(text: str) -> list[tuple[str, int, int]]:
@@ -123,7 +125,7 @@ class TestBlockTokenizer:
 
 def assert_same_encoding(got, want) -> None:
     assert got.vocab == want.vocab
-    for name in ("ids", "offsets", "has_verse", "starts", "ends"):
+    for name in ("ids", "offsets"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
     assert got.ids.dtype == np.int32
@@ -177,7 +179,7 @@ class TestEncodingOracle:
         corpus = corpus_of(texts)
         got = corpus.encode("aaa_t")
         assert_same_encoding(got, oracle.encode(corpus, "aaa_t"))
-        assert not got.has_verse.all() and len(got.vocab) > 1
+        assert None in texts and len(got.vocab) > 1
 
     def test_empty_selection(self):
         corpus = make_corpus({"aaa_t": {"00000001": "x"}}, select=False)
@@ -445,25 +447,11 @@ class TestQueryMergeBlocks:
 SCAN_ALPHABET = DELIMITERS + string.ascii_uppercase + "abİiΣσςé"
 
 
-def decoded(corpus, translation_id: str) -> list[list[tuple[str, int, int]] | None]:
-    """Per selected verse, (surface, start, end) of each token of the
-    translation's encoding, or None where the translation lacks the verse."""
+def decoded(corpus, translation_id: str) -> list[list[str]]:
+    """Per selected verse, the surfaces of the translation's encoding."""
     enc = corpus.encode(translation_id)
-    out = []
-    for r in range(len(corpus.selected_verses)):
-        lo, hi = enc.offsets[r], enc.offsets[r + 1]
-        rows = zip(enc.ids[lo:hi].tolist(), enc.starts[lo:hi].tolist(), enc.ends[lo:hi].tolist())
-        out.append([(enc.vocab[i], a, b) for i, a, b in rows] if enc.has_verse[r] else None)
-    return out
-
-
-def surface_spans(corpus, translation_id: str, surface: str):
-    """Per selected verse, the spans of one surface's tokens, or None
-    where the translation lacks the verse."""
-    return [
-        None if row is None else [(a, b) for tok, a, b in row if tok == surface]
-        for row in decoded(corpus, translation_id)
-    ]
+    bounds = enc.offsets.tolist()
+    return [[enc.vocab[i] for i in enc.ids[lo:hi].tolist()] for lo, hi in zip(bounds, bounds[1:])]
 
 
 class TestEncoding:
@@ -481,25 +469,23 @@ class TestEncoding:
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_tokenizer(self, texts):
         corpus = corpus_of(texts)
-        expected = [None if t is None else tokenize_reference(t) for t in texts]
+        expected = [[tok for tok, _, _ in tokenize_reference(t or "")] for t in texts]
         assert decoded(corpus, "aaa_t") == expected
-        enc = corpus.encode("aaa_t")
-        assert enc.has_verse.tolist() == [t is not None for t in texts]
         # the vocabulary lists each surface once, in first-occurrence order
-        flat = [tok for row in expected if row for tok, _, _ in row]
-        assert enc.vocab == list(dict.fromkeys(flat))
+        flat = [tok for row in expected for tok in row]
+        assert corpus.encode("aaa_t").vocab == list(dict.fromkeys(flat))
 
     def test_empty_and_missing_verses_differ(self):
+        # both are empty rows of the encoding; the scan tells them apart
         corpus = make_corpus(
             {"aaa_t": {"00000001": "", "00000003": "x"}, "bbb_t": {"00000002": "y"}}
         )
-        enc = corpus.encode("aaa_t")
-        assert enc.offsets.tolist() == [0, 0, 0, 1]
-        assert enc.has_verse.tolist() == [True, False, True]
+        assert corpus.encode("aaa_t").offsets.tolist() == [0, 0, 0, 1]
+        assert check_scan(corpus, "aaa_t", "x").missing.tolist() == [False, True, False]
 
     def test_encoding_arrays_are_int32(self):
         enc = make_corpus({"aaa_t": {"00000001": "a b a"}}).encode("aaa_t")
-        for arr in (enc.ids, enc.offsets, enc.starts, enc.ends):
+        for arr in (enc.ids, enc.offsets):
             assert arr.dtype == np.int32
         assert enc.ids.tolist() == [0, 1, 0]
 
@@ -508,29 +494,46 @@ class TestEncoding:
         assert enc.vocab == ["a", "B", "c"]
         assert enc.ids.tolist() == [0, 1, 1, 2]
         assert enc.offsets.tolist() == [0, 2, 2, 4]
-        assert enc.has_verse.tolist() == [True, True, True]
-        assert enc.starts is None and enc.ends is None
+
+
+def check_scan(corpus, translation_id: str, surface: str) -> Occurrences:
+    """find_occurrences against the reference scans of ngrams_oracle: the
+    verses holding the surface, the verses the translation lacks, and the
+    relative midpoint of every token, in order."""
+    occ = find_occurrences(corpus, translation_id, surface)
+    presence, missing = ngrams_oracle.token_presence_vector(corpus, translation_id, surface)
+    assert occ.missing.dtype == missing.dtype
+    assert occ.missing.tolist() == missing.tolist()
+    assert sorted(set(occ.rows.tolist())) == np.flatnonzero(presence).tolist()
+    rels: dict[str, list[float]] = {}
+    for row, rel in zip(occ.rows.tolist(), occ.rel.tolist()):
+        rels.setdefault(corpus.selected_verses[row], []).append(rel)
+    pivot = Pivot(translation_id[:3], translation_id, surface, 1.0)
+    members = PivotSet.scan(corpus, pivot, [pivot])
+    assert rels == ngrams_oracle.token_relative_positions(corpus, members)
+    return occ
 
 
 class TestSurfaceSpans:
-    """One surface's spans, found in the encoding, against the reference
-    tokenizer."""
+    """One surface's occurrences, found by the pivot scan, against the
+    reference tokenizer."""
 
     def test_tokens_lowercased_one_at_a_time(self):
         # Lowercasing "ΑΣ'Α" as a whole gives "ασ'α"; the token ΑΣ is "ας".
         corpus = make_corpus({"ell_t": {"00000001": "ΑΣ'Α ασ", "00000002": "ΑΣΑ"}})
-        assert surface_spans(corpus, "ell_t", "ας") == [[(0, 2)], []]
-        assert surface_spans(corpus, "ell_t", "ασ") == [[(5, 7)], []]
-        enc = corpus.encode("ell_t")
-        assert enc.find("ας").tolist() == [0]
-        assert enc.find("ασ").tolist() == [2]
-        assert enc.find("absent").tolist() == []
+        occ = check_scan(corpus, "ell_t", "ας")
+        assert (occ.rows.tolist(), occ.rel.tolist()) == ([0], [1 / 7])
+        occ = check_scan(corpus, "ell_t", "ασ")
+        assert (occ.rows.tolist(), occ.rel.tolist()) == ([0], [6 / 7])
+        assert check_scan(corpus, "ell_t", "absent").rows.tolist() == []
 
     def test_missing_verse_is_none(self):
         corpus = make_corpus(
             {"aaa_t": {"00000001": "x", "00000003": ""}, "bbb_t": {"00000002": "y"}}
         )
-        assert surface_spans(corpus, "aaa_t", "x") == [[(0, 1)], None, []]
+        occ = check_scan(corpus, "aaa_t", "x")
+        assert (occ.rows.tolist(), occ.rel.tolist()) == ([0], [0.5])
+        assert occ.missing.tolist() == [False, True, False]
 
     @given(
         st.lists(st.text(alphabet=SCAN_ALPHABET, max_size=40), min_size=1, max_size=4),
@@ -538,15 +541,11 @@ class TestSurfaceSpans:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_cached_tokens(self, texts, surface):
+        # aaa_t lacks verse 00000009, the one verse of bbb_t
         verses = {f"{i:08d}": t for i, t in enumerate(texts, 1)}
         corpus = make_corpus({"aaa_t": verses, "bbb_t": {"00000009": "z"}})
-        expected = [
-            None
-            if vid not in verses
-            else [(a, b) for tok, a, b in tokenize_reference(verses[vid]) if tok == surface]
-            for vid in corpus.selected_verses
-        ]
-        assert surface_spans(corpus, "aaa_t", surface) == expected
+        with mock.patch.object(corpus_module, "BLOCK_VERSES", 2):
+            check_scan(corpus, "aaa_t", surface)
 
 
 class TestCorpusMethods:

@@ -19,12 +19,11 @@ from pivotmine.pivots import (
     contingency_from_links,
     expand_pivots,
     find_head_pivot,
-    pivot_presence_matrix,
-    presence_vector,
     rank_pivot_candidates,
     read_allowlist,
     read_pivots_tsv,
     read_queries,
+    scan_pivots,
     score_candidates,
     synthetic_query_token,
     top_markers_by_language,
@@ -118,9 +117,9 @@ class TestPresence:
         corpus = make_corpus(
             {"aaa_t": {"00000001": "ti ko", "00000002": "ko"}, "bbb_t": {"00000003": "x"}}
         )
-        presence, missing = presence_vector(corpus, "aaa_t", "ti")
-        assert presence.tolist() == [1, 0, 0]
-        assert missing.tolist() == [False, False, True]
+        _, pm = scan_pivots(corpus, [Pivot("aaa", "aaa_t", "ti", 1.0)])
+        assert pm.matrix[:, 0].tolist() == [1, 0, 0]
+        assert pm.missing[:, 0].tolist() == [False, False, True]
 
     def test_matches_token_cache_and_caches_nothing(self):
         corpus = make_corpus(
@@ -142,20 +141,21 @@ class TestPresence:
             ("tur_t", "t"),
         ]
         before = copy.deepcopy(vars(corpus))
-        for tid, surface in lookups:
-            presence, missing = presence_vector(corpus, tid, surface)
-            assert vars(corpus) == before
+        pivots = [Pivot(tid[:3], tid, surface, 1.0) for tid, surface in lookups]
+        _, pm = scan_pivots(corpus, pivots)
+        assert vars(corpus) == before
+        assert (pm.matrix.dtype, pm.missing.dtype) == (np.uint8, bool)
+        for col, (tid, surface) in enumerate(lookups):
             ref_presence, ref_missing = oracle.token_presence_vector(corpus, tid, surface)
-            assert presence.dtype == ref_presence.dtype and missing.dtype == ref_missing.dtype
-            assert presence.tolist() == ref_presence.tolist()
-            assert missing.tolist() == ref_missing.tolist()
-        assert presence_vector(corpus, "ell_t", "ας")[0].tolist() == [1, 0, 1, 0, 0]
+            assert pm.matrix[:, col].tolist() == ref_presence.tolist()
+            assert pm.missing[:, col].tolist() == ref_missing.tolist()
+        assert pm.matrix[:, 0].tolist() == [1, 0, 1, 0, 0]
 
     def test_matrix_requires_selection(self):
         corpus = make_corpus({"aaa_t": {"00000001": "ti"}}, select=False)
         pivot = Pivot("aaa", "aaa_t", "ti", 1.0)
         with pytest.raises(DataError):
-            pivot_presence_matrix(corpus, PivotSet.scan(corpus, pivot, [pivot]))
+            PivotSet.scan(corpus, pivot, [pivot])
 
     def test_matrix_shape_and_missing_rows(self):
         corpus = make_corpus(
@@ -166,12 +166,36 @@ class TestPresence:
         )
         a = Pivot("aaa", "aaa_t", "ti", 2.0)
         b = Pivot("bbb", "bbb_t", "x", 1.0)
-        mat = pivot_presence_matrix(corpus, PivotSet.scan(corpus, a, [a, b]))
+        mat = PivotSet.scan(corpus, a, [a, b]).presence
         assert mat.verse_ids == ("00000001", "00000002")
         assert mat.pivots == [a, b]
         assert mat.matrix.dtype == np.uint8
         assert mat.matrix.tolist() == [[1, 0], [0, 1]]
         assert mat.missing.tolist() == [[False, True], [False, False]]
+
+    def test_no_members(self):
+        corpus = make_corpus({"aaa_t": {"00000001": "ti"}, "bbb_t": {"00000002": "x"}})
+        ps = PivotSet.scan(corpus, Pivot("aaa", "aaa_t", "ti", 1.0), [])
+        assert ps.occurrences == [] and ps.presence.pivots == []
+        assert ps.presence.matrix.shape == ps.presence.missing.shape == (2, 0)
+
+    def test_member_lacking_verses(self):
+        # the one scan gives the occurrences and the matrix column alike
+        corpus = make_corpus(
+            {
+                "aaa_t": {"00000001": "ti ko ti", "00000003": "ko", "00000004": "ti"},
+                "bbb_t": {"00000002": "x", "00000005": "y"},
+            }
+        )
+        pivot = Pivot("aaa", "aaa_t", "ti", 1.0)
+        ps = PivotSet.scan(corpus, pivot, [pivot])
+        (occ,) = ps.occurrences
+        presence, missing = oracle.token_presence_vector(corpus, "aaa_t", "ti")
+        assert occ.rows.tolist() == [0, 0, 3]
+        assert occ.rel.tolist() == [1 / 8, 7 / 8, 0.5]
+        assert occ.missing.tolist() == missing.tolist() == [False, True, False, False, True]
+        assert ps.presence.matrix[:, 0].tolist() == presence.tolist() == [1, 0, 0, 1, 0]
+        assert ps.presence.missing[:, 0].tolist() == missing.tolist()
 
 
 class TestHeadPivot:
