@@ -391,7 +391,9 @@ def train_pair(
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     key = _pair_cache_key(corpus, src_id, tgt_id, cfg)
-    path = cache_dir / f"{src_id}__{tgt_id}.lex.tsv"
+    # the key prefix in the name lets tables of one pair under different
+    # keys (say, the query before and after each feature's merge) coexist
+    path = cache_dir / f"{src_id}__{tgt_id}.{key[:16]}.lex.tsv"
     cached = load_lex_table(path, key, enc)
     if cached is not None:
         return cached

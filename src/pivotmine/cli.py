@@ -38,7 +38,7 @@ from .pivots import (
     write_pivots_tsv,
 )
 from .synth import PRESETS, SynthSpec, spec_from_json, write_synth
-from .textio import read_lines, read_text, write_lines, write_text
+from .textio import read_lines, read_text, remove_stale, write_lines, write_text
 # perfbench/tracing.py times artifact writes by wrapping cli._write_json
 from .textio import write_json as _write_json
 
@@ -147,11 +147,13 @@ def stage_mine(
     out: Path,
     targets: list[str] | None = None,
 ) -> list[Path]:
+    """Mine each target's n-grams into ngrams/, which then holds exactly
+    those files: an earlier run's TSVs for other targets are removed."""
     ngram_dir = out / "ngrams"
-    ngram_dir.mkdir(parents=True, exist_ok=True)
     member_tids = {p.translation_id for p in pivot_set.members}
     if targets is None:
         targets = [t for t in sorted(corpus.translations) if t not in member_tids]
+    remove_stale(ngram_dir, "*.tsv", {ngram_dir / f"{tid}.tsv" for tid in targets})
     rels = pivot_relative_positions(corpus, pivot_set)
     written = []
     summary = {}

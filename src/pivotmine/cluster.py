@@ -2,8 +2,9 @@
 
 Markers are compared by the Jensen-Shannon divergence between their
 normalized verse-presence distributions on a shared support; languages by
-the mean JSD of their top markers across features. Trees come from UPGMA
-with deterministic tie-breaking and serialize to Newick.
+the mean JSD of their top markers across features. Both go through one
+JSD over 0/1 presence columns. Trees come from UPGMA with deterministic
+tie-breaking and serialize to Newick.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -18,13 +20,9 @@ import numpy as np
 from .corpus import MultiCorpus
 from .errors import DataError
 from .pivots import Pivot, PresenceMatrix, scan_pivots
-from .stats import jsd, normalize
 from .textio import read_lines, write_lines
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_MIN_SHARED_VERSES = 7000
-DEFAULT_JSD_THRESHOLD = 0.5
 
 _BARE_LABEL_RE = re.compile(r"^[A-Za-z0-9_.+|-]+$")
 
@@ -38,22 +36,37 @@ class DistanceMatrix:
         return float(self.values[self.labels.index(a), self.labels.index(b)])
 
 
-def distance_matrix(labeled: list[tuple[str, np.ndarray]]) -> DistanceMatrix:
-    """Pairwise JSD between labeled distributions on one shared support."""
-    if len(labeled) < 2:
-        raise DataError("need at least two distributions to compare")
-    size = {len(d) for _, d in labeled}
-    if len(size) != 1:
-        raise DataError("distributions do not share a support")
-    if size.pop() == 0:
-        raise DataError("empty shared support")
-    n = len(labeled)
-    values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = jsd(labeled[i][1], labeled[j][1])
-            values[i, j] = values[j, i] = d
-    return DistanceMatrix([lb for lb, _ in labeled], values)
+def _presence_jsd(matrix: np.ndarray, missing: np.ndarray) -> np.ndarray:
+    """Pairwise JSD of the 0/1 columns of matrix, each pair over the rows
+    that neither column misses.
+
+    A column spreads its mass evenly over the rows it marks on the pair's
+    support, so each side's KL term sums one of two values per marked
+    row, in row order: the floats that stats.jsd sums on the normalized
+    columns, so the result is the same bit for bit. A pair is NaN when
+    either column marks no row of its support; the diagonal is 0.
+    """
+    present = ~missing.T
+    marked = (matrix.T != 0) & present
+    rows = [np.flatnonzero(col) for col in marked]
+
+    def kl2(a: int, b: int, both: np.ndarray) -> float:
+        # stats._kl2's terms p * log2(2p / s): s = p + q on the rows both
+        # columns mark, s = p on the rows only this one marks
+        p, q = 1.0 / a, 1.0 / b
+        terms = p * np.log2(np.array([2.0 * p / (p + q), 2.0 * p / p]))
+        return float(np.sum(np.where(both, terms[0], terms[1])))
+
+    out = np.zeros((len(rows), len(rows)))
+    for i, j in combinations(range(len(rows)), 2):
+        ri = rows[i][present[j, rows[i]]]
+        rj = rows[j][present[i, rows[j]]]
+        out[i, j] = out[j, i] = (
+            0.5 * kl2(ri.size, rj.size, marked[j, ri]) + 0.5 * kl2(rj.size, ri.size, marked[i, rj])
+            if ri.size and rj.size
+            else np.nan
+        )
+    return out
 
 
 def marker_distance_matrix(matrix: PresenceMatrix) -> DistanceMatrix:
@@ -66,19 +79,20 @@ def marker_distance_matrix(matrix: PresenceMatrix) -> DistanceMatrix:
     support = ~matrix.missing.any(axis=1)
     if not support.any():
         raise DataError("no verse is shared by every pivot translation")
-    labeled = []
-    for idx, pivot in enumerate(matrix.pivots):
-        col = matrix.matrix[support, idx].astype(float)
-        if col.sum() <= 0:
-            logger.warning(
-                "marker %s excluded: no marked verse on the shared support",
-                marker_label(pivot),
-            )
-            continue
-        labeled.append((marker_label(pivot), normalize(col)))
-    if len(labeled) < 2:
+    columns = matrix.matrix[support]
+    fires = columns.any(axis=0)
+    for idx in np.flatnonzero(~fires):
+        logger.warning(
+            "marker %s excluded: no marked verse on the shared support",
+            marker_label(matrix.pivots[idx]),
+        )
+    if fires.sum() < 2:
         raise DataError("fewer than two markers left after exclusions")
-    return distance_matrix(labeled)
+    columns = columns[:, fires]
+    return DistanceMatrix(
+        [marker_label(p) for p, keep in zip(matrix.pivots, fires) if keep],
+        _presence_jsd(columns, np.zeros(columns.shape, dtype=bool)),
+    )
 
 
 def marker_label(pivot: Pivot) -> str:
@@ -109,7 +123,7 @@ def upgma(dm: DistanceMatrix) -> DendroNode:
     Merges the closest pair (ties: smallest pair of cluster labels, each
     cluster named by its smallest leaf), at height d/2, until one root
     remains. Average linkage is monotone, so heights never decrease and
-    the result is ultrametric.
+    the result is ultrametric. The matrix must be finite and symmetric.
     """
     n = len(dm.labels)
     if n < 2:
@@ -118,41 +132,37 @@ def upgma(dm: DistanceMatrix) -> DendroNode:
         raise DataError("distance matrix shape does not match labels")
     if len(set(dm.labels)) != n:
         raise DataError("duplicate labels in distance matrix")
-    work = dm.values.astype(float).copy()
-    nodes = [
-        DendroNode(0.0, 1, label=lb, min_label=lb) for lb in dm.labels
-    ]
-    active = list(range(n))
-    while len(active) > 1:
-        best: tuple[float, str, str, int, int] | None = None
-        for ai in range(len(active)):
-            for bi in range(ai + 1, len(active)):
-                i, j = active[ai], active[bi]
-                d = work[i, j]
-                ka, kb = sorted((nodes[i].min_label, nodes[j].min_label))
-                cand = (d, ka, kb, i, j)
-                if best is None or cand[:3] < best[:3]:
-                    best = cand
-        assert best is not None
-        d, _, _, i, j = best
+    work = dm.values.astype(float)
+    if not np.isfinite(work).all() or not np.array_equal(work, work.T):
+        raise DataError("distance matrix is not finite and symmetric")
+    # +inf on the diagonal and on merged-away clusters keeps them out of
+    # every minimum; a cluster's rank is that of its smallest label
+    np.fill_diagonal(work, np.inf)
+    rank = np.empty(n, dtype=np.int64)
+    rank[sorted(range(n), key=dm.labels.__getitem__)] = np.arange(n)
+    nodes = [DendroNode(0.0, 1, label=lb, min_label=lb) for lb in dm.labels]
+    for _ in range(n - 1):
+        d = work.min()
+        a, b = np.nonzero(work == d)
+        ra, rb = rank[a], rank[b]
+        best = np.argmin(np.minimum(ra, rb) * n + np.maximum(ra, rb))
+        i, j = sorted((int(a[best]), int(b[best])))
         left, right = nodes[i], nodes[j]
         if left.min_label > right.min_label:
             left, right = right, left
-        merged = DendroNode(
+        si, sj = nodes[i].size, nodes[j].size
+        nodes[i] = DendroNode(
             height=d / 2.0,
-            size=left.size + right.size,
+            size=si + sj,
             children=(left, right),
             min_label=left.min_label,
         )
-        si, sj = nodes[i].size, nodes[j].size
-        for k in active:
-            if k in (i, j):
-                continue
-            nd = (si * work[i, k] + sj * work[j, k]) / (si + sj)
-            work[i, k] = work[k, i] = nd
-        nodes[i] = merged
-        active.remove(j)
-    return nodes[active[0]]
+        row = (si * work[i] + sj * work[j]) / (si + sj)
+        work[i], work[:, i] = row, row
+        work[j], work[:, j] = np.inf, np.inf
+        work[i, i] = np.inf
+        rank[i] = min(rank[i], rank[j])
+    return nodes[0]
 
 
 def _newick_label(label: str) -> str:
@@ -218,14 +228,14 @@ class LanguageDistanceReport:
     features: list[str]
     languages: list[str]
     excluded: dict[str, str]
-    zero_support_pairs: int = 0
+    zero_support_pairs: int
 
 
 def language_distance(
     corpus: MultiCorpus,
     markers_by_feature: dict[str, dict[str, Pivot]],
-    min_shared_verses: int = DEFAULT_MIN_SHARED_VERSES,
-    head_translations: dict[str, str] | None = None,
+    min_shared_verses: int,
+    head_translations: dict[str, str],
 ) -> tuple[DistanceMatrix, LanguageDistanceReport]:
     """Mean per-feature JSD between languages' top markers.
 
@@ -239,7 +249,6 @@ def language_distance(
     features = sorted(markers_by_feature)
     if not features:
         raise DataError("no features given")
-    head_translations = head_translations or {}
     shared_cache: dict[tuple[str, str], int] = {}
 
     def shared(tid_a: str, tid_b: str) -> int:
@@ -282,22 +291,17 @@ def language_distance(
         for f in features
     ]
 
-    report = LanguageDistanceReport(features, langs, excluded)
-    n = len(langs)
-    values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            per_feature = []
-            for pm in presence:
-                support = ~(pm.missing[:, i] | pm.missing[:, j])
-                ca = pm.matrix[support, i].astype(float)
-                cb = pm.matrix[support, j].astype(float)
-                if not support.any() or ca.sum() == 0 or cb.sum() == 0:
-                    report.zero_support_pairs += 1
-                    per_feature.append(1.0)
-                    continue
-                per_feature.append(jsd(normalize(ca), normalize(cb)))
-            values[i, j] = values[j, i] = float(np.mean(per_feature))
+    # features on the last, contiguous axis: np.mean then sums each pair's
+    # features in the order (and with the pairwise grouping) of a 1-D mean
+    per_feature = np.stack(
+        [_presence_jsd(pm.matrix, pm.missing) for pm in presence], axis=-1
+    )
+    silent = np.isnan(per_feature)
+    per_feature[silent] = 1.0
+    report = LanguageDistanceReport(
+        features, langs, excluded, int(silent[np.triu_indices(len(langs), 1)].sum())
+    )
+    values = np.mean(per_feature, axis=-1)
     if report.zero_support_pairs:
         logger.warning(
             "%d feature pairs had no shared marking support; scored as 1.0",
@@ -315,7 +319,7 @@ def language_distance(
 def evaluate_family_prediction(
     dm: DistanceMatrix,
     families: dict[str, str],
-    threshold: float = DEFAULT_JSD_THRESHOLD,
+    threshold: float,
 ) -> dict:
     """Same-family prediction from thresholded distances, over all pairs.
 
@@ -327,21 +331,12 @@ def evaluate_family_prediction(
     labeled = [lb for lb in dm.labels if lb in families]
     if len(labeled) < 2:
         raise DataError("family evaluation needs at least two annotated languages")
-    idx = {lb: dm.labels.index(lb) for lb in labeled}
-    tp = fp = tn = fn = 0
-    for i in range(len(labeled)):
-        for j in range(i + 1, len(labeled)):
-            a, b = labeled[i], labeled[j]
-            predicted = dm.values[idx[a], idx[b]] < threshold
-            actual = families[a] == families[b]
-            if predicted and actual:
-                tp += 1
-            elif predicted and not actual:
-                fp += 1
-            elif not predicted and actual:
-                fn += 1
-            else:
-                tn += 1
+    idx = [dm.labels.index(lb) for lb in labeled]
+    i, j = np.triu_indices(len(labeled), 1)
+    predicted = dm.values[np.ix_(idx, idx)][i, j] < threshold
+    family = np.unique([families[lb] for lb in labeled], return_inverse=True)[1]
+    actual = family[i] == family[j]
+    tn, fn, fp, tp = np.bincount(2 * predicted + actual, minlength=4).tolist()
     total = tp + fp + tn + fn
 
     def ratio(num: int, den: int) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 from .corpus import MultiCorpus
 from .errors import DataError
 from .pivots import Pivot, PresenceMatrix
-from .textio import write_lines, write_text
+from .textio import remove_stale, write_lines, write_text
 
 logger = logging.getLogger(__name__)
 
@@ -205,9 +205,7 @@ def write_cluster_verses(clusters: list[SignatureCluster], out_dir: str | Path) 
     removed first; files of any other kind are left alone.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for stale in set(out_dir.glob("*.txt")) - {out_dir / f"{c.key}.txt" for c in clusters}:
-        stale.unlink()
+    remove_stale(out_dir, "*.txt", {out_dir / f"{c.key}.txt" for c in clusters})
     return [
         write_text(out_dir / f"{c.key}.txt", "".join(f"{v}\n" for v in c.verse_ids))
         for c in clusters

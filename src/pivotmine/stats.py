@@ -3,7 +3,8 @@
 Three small tools: Pearson chi-square on 2x2 contingency tables (with
 positive-association gating), a truncated Gaussian kernel for positional
 profiles, and base-2 Jensen-Shannon divergence between distributions on a
-shared support.
+shared support (the definition that cluster's JSD over presence columns
+matches bit for bit).
 """
 
 from __future__ import annotations
@@ -79,22 +80,6 @@ def gaussian_kernel(sigma: float) -> tuple[int, np.ndarray]:
     xs = np.arange(-radius, radius + 1, dtype=float)
     coeff = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
     return radius, coeff * np.exp(-(xs * xs) / (2.0 * sigma * sigma))
-
-
-def normalize(weights: np.ndarray | list[float]) -> np.ndarray:
-    """Scale non-negative weights to a probability vector.
-
-    Raises ValueError on negative entries or an all-zero vector.
-    """
-    arr = np.asarray(weights, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("weights must be one-dimensional")
-    if np.any(arr < 0):
-        raise ValueError("weights must be non-negative")
-    total = float(arr.sum())
-    if total <= 0:
-        raise ValueError("weights sum to zero")
-    return arr / total
 
 
 def jsd(p: np.ndarray | list[float], q: np.ndarray | list[float]) -> float:

@@ -65,3 +65,11 @@ def write_lines(path: str | Path, lines) -> Path:
 def write_json(path: str | Path, obj) -> Path:
     """Write obj as indented, key-sorted JSON with a final newline."""
     return write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def remove_stale(directory: Path, pattern: str, keep: set[Path]) -> None:
+    """Create directory and delete its files that match pattern and are
+    not in keep: an earlier run's outputs that this run does not write."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for stale in set(directory.glob(pattern)) - keep:
+        stale.unlink()

@@ -12,7 +12,7 @@ from pivotmine.config import RunConfig, load_config
 from pivotmine import pivots as pivots_module
 from pivotmine.errors import ConfigError, DataError
 from pivotmine.pivots import read_pivots_tsv
-from pivotmine.synth import LanguageSpec, SynthSpec, write_synth
+from pivotmine.synth import LanguageSpec, SynthSpec, preset_tiny8, write_synth
 
 
 class TestConfig:
@@ -411,6 +411,67 @@ class TestPipeline:
         assert manifest["config"]["k"] == 3
         assert "head.json" in manifest["outputs"]
         assert "head-pivot" in manifest["timings"]
+
+
+@pytest.fixture(scope="module")
+def tiny8(tmp_path_factory):
+    """The tiny8 preset and a pipeline config for it, as a dict."""
+    data = tmp_path_factory.mktemp("tiny8")
+    write_synth(preset_tiny8(), data)
+    return {
+        "corpus_dir": str(data / "corpus"),
+        "queries": str(data / "queries.tsv"),
+        "allowlist": str(data / "allowlist.txt"),
+        "gold": str(data / "gold.tsv"),
+        "families": str(data / "families.tsv"),
+        "coverage_target": 400,
+        "k": 6,
+        "min_count": 5,
+        "map_rounds": 3,
+        "min_shared_verses": 50,
+    }
+
+
+def run_pipeline(config: dict, feature: str, out: Path) -> None:
+    cfg = out.parent / f"{out.name}.{feature}.config.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    argv = ["pipeline", "--config", str(cfg), "--feature", feature, "--out", str(out)]
+    assert main(argv) == 0
+
+
+class TestReruns:
+    def test_rerun_with_larger_k_equals_fresh_run(self, tiny8, tmp_path):
+        # at k=2 the k=4 run's new pivot members are mining targets
+        run_pipeline(dict(tiny8, k=2), "past", tmp_path / "rerun")
+        first = {p.name for p in (tmp_path / "rerun" / "ngrams").iterdir()}
+        run_pipeline(dict(tiny8, k=4), "past", tmp_path / "rerun")
+        run_pipeline(dict(tiny8, k=4), "past", tmp_path / "fresh")
+        rerun, fresh = (
+            sorted(p.name for p in (tmp_path / name / "ngrams").iterdir())
+            for name in ("rerun", "fresh")
+        )
+        assert first - set(fresh)
+        assert rerun == fresh
+        assert (tmp_path / "rerun" / "mrr.json").read_bytes() == (
+            tmp_path / "fresh" / "mrr.json"
+        ).read_bytes()
+
+    def test_cache_keeps_each_features_tables(self, tiny8, tmp_path):
+        # head-pivot aligns the query after the feature's query merge, so
+        # the query's pairs have one key per feature
+        cache = tmp_path / "cache"
+        config = dict(tiny8, cache_dir=str(cache))
+
+        def state():
+            return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns) for p in cache.iterdir()}
+
+        run_pipeline(config, "past", tmp_path / "past")
+        after_past = state()
+        run_pipeline(config, "present", tmp_path / "present")
+        after_present = state()
+        assert set(after_past) < set(after_present)
+        run_pipeline(config, "past", tmp_path / "past")
+        assert state() == after_present
 
 
 class TestStagewiseFlow:

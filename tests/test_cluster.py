@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cluster_oracle
 from helpers import make_corpus, newick_leaf_depths, parse_newick, tree_merges, upgma_reference
 from pivotmine.cluster import (
     DistanceMatrix,
-    distance_matrix,
     evaluate_family_prediction,
     language_distance,
     marker_distance_matrix,
@@ -21,45 +21,60 @@ from pivotmine.cluster import (
     write_distance_tsv,
 )
 from pivotmine.errors import DataError
-from pivotmine.pivots import Pivot, PresenceMatrix
+from pivotmine.pivots import Pivot, PresenceMatrix, scan_pivots
+
+
+def presence(cols, missing=None):
+    """PresenceMatrix of ("iso_surface", column) pairs; missing maps a
+    name to the rows its translation lacks."""
+    n = len(cols[0][1])
+    pivots = []
+    mat = np.zeros((n, len(cols)), dtype=np.uint8)
+    miss = np.zeros((n, len(cols)), dtype=bool)
+    for idx, (name, col) in enumerate(cols):
+        pivots.append(Pivot(name[:3], f"{name[:3]}_t", name[4:], 1.0))
+        mat[:, idx] = col
+        if missing and name in missing:
+            miss[missing[name], idx] = True
+    vids = tuple(f"{i + 1:08d}" for i in range(n))
+    return PresenceMatrix(vids, pivots, mat, miss)
+
+
+def random_presence(rng, n_verses, n_markers, missing_rate, density):
+    """Random 0/1 columns of varied density, none marked on a missing row."""
+    mat = (rng.random((n_verses, n_markers)) < density * rng.random(n_markers)).astype(np.uint8)
+    miss = rng.random((n_verses, n_markers)) < missing_rate
+    mat[miss] = 0
+    pivots = [Pivot(f"m{k:02d}", f"m{k:02d}_t", "ka", 1.0) for k in range(n_markers)]
+    vids = tuple(f"{i + 1:08d}" for i in range(n_verses))
+    return PresenceMatrix(vids, pivots, mat, miss)
+
+
+def assert_same_matrix(got: DistanceMatrix, want: DistanceMatrix):
+    assert got.labels == want.labels
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestDistanceMatrix:
     def test_symmetric_zero_diagonal(self):
-        p = np.array([0.5, 0.5, 0.0])
-        q = np.array([0.0, 0.5, 0.5])
-        dm = distance_matrix([("a", p), ("b", q), ("c", p)])
-        assert np.allclose(dm.values, dm.values.T)
-        assert np.allclose(np.diag(dm.values), 0.0)
-        assert dm.of("a", "c") == 0.0
-        assert dm.of("a", "b") == dm.of("b", "a") > 0
+        dm = marker_distance_matrix(
+            presence([("aaa_ka", [1, 1, 0]), ("bbb_ti", [0, 1, 1]), ("ccc_mu", [1, 1, 0])])
+        )
+        assert np.array_equal(dm.values, dm.values.T)
+        assert np.all(np.diag(dm.values) == 0.0)
+        assert dm.of("aaa_ka", "ccc_mu") == 0.0
+        assert dm.of("aaa_ka", "bbb_ti") == dm.of("bbb_ti", "aaa_ka") > 0
 
     def test_validation(self):
-        p = np.array([1.0])
         with pytest.raises(DataError):
-            distance_matrix([("a", p)])
+            marker_distance_matrix(presence([("aaa_ka", [1, 0])]))
         with pytest.raises(DataError):
-            distance_matrix([("a", p), ("b", np.array([0.5, 0.5]))])
-        with pytest.raises(DataError):
-            distance_matrix([("a", np.zeros(0)), ("b", np.zeros(0))])
+            marker_distance_matrix(presence([("aaa_ka", []), ("bbb_ti", [])]))
 
 
 class TestMarkerDistanceMatrix:
-    def make_matrix(self, cols, missing=None):
-        n = len(cols[0][1])
-        pivots = []
-        mat = np.zeros((n, len(cols)), dtype=np.uint8)
-        miss = np.zeros((n, len(cols)), dtype=bool)
-        for idx, (name, col) in enumerate(cols):
-            pivots.append(Pivot(name[:3], f"{name[:3]}_t", name[4:], 1.0))
-            mat[:, idx] = col
-            if missing and name in missing:
-                miss[missing[name], idx] = True
-        vids = tuple(f"{i + 1:08d}" for i in range(n))
-        return PresenceMatrix(vids, pivots, mat, miss)
-
     def test_identical_columns_distance_zero(self):
-        pm = self.make_matrix([("aaa_ka", [1, 0, 1, 0]), ("bbb_ti", [1, 0, 1, 0])])
+        pm = presence([("aaa_ka", [1, 0, 1, 0]), ("bbb_ti", [1, 0, 1, 0])])
         dm = marker_distance_matrix(pm)
         assert dm.labels == ["aaa_ka", "bbb_ti"]
         assert dm.of("aaa_ka", "bbb_ti") == 0.0
@@ -67,7 +82,7 @@ class TestMarkerDistanceMatrix:
     def test_missing_rows_leave_support(self):
         # verse 0 missing for the second marker, so the shared support is
         # rows 1..3 where the columns disagree completely
-        pm = self.make_matrix(
+        pm = presence(
             [("aaa_ka", [1, 1, 0, 0]), ("bbb_ti", [1, 0, 1, 1])],
             missing={"bbb_ti": [0]},
         )
@@ -75,7 +90,7 @@ class TestMarkerDistanceMatrix:
         assert dm.of("aaa_ka", "bbb_ti") == pytest.approx(1.0, abs=1e-12)
 
     def test_silent_marker_dropped_with_warning(self, caplog):
-        pm = self.make_matrix(
+        pm = presence(
             [("aaa_ka", [1, 0]), ("bbb_ti", [0, 1]), ("ccc_mu", [0, 0])]
         )
         with caplog.at_level(logging.WARNING):
@@ -84,17 +99,34 @@ class TestMarkerDistanceMatrix:
         assert "ccc_mu excluded" in caplog.text
 
     def test_too_few_left(self):
-        pm = self.make_matrix([("aaa_ka", [1, 0]), ("ccc_mu", [0, 0])])
+        pm = presence([("aaa_ka", [1, 0]), ("ccc_mu", [0, 0])])
         with pytest.raises(DataError):
             marker_distance_matrix(pm)
 
     def test_no_shared_verse(self):
-        pm = self.make_matrix(
+        pm = presence(
             [("aaa_ka", [1, 1]), ("bbb_ti", [1, 1])],
             missing={"aaa_ka": [0, 1]},
         )
         with pytest.raises(DataError):
             marker_distance_matrix(pm)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_pair_loop_oracle(self, seed):
+        # missing rows shrink the shared support; sparse columns leave
+        # some markers with no mass on it
+        rng = np.random.default_rng(seed)
+        for n_verses in (50, 700, 3000):
+            for missing_rate, density in ((0.0, 0.9), (0.001, 0.3), (0.01, 0.02)):
+                n_markers = int(rng.integers(2, 25))
+                pm = random_presence(rng, n_verses, n_markers, missing_rate, density)
+                try:
+                    want = cluster_oracle.marker_distance_matrix(pm)
+                except DataError:
+                    with pytest.raises(DataError):
+                        marker_distance_matrix(pm)
+                    continue
+                assert_same_matrix(marker_distance_matrix(pm), want)
 
 
 def square(labels, pairs):
@@ -166,6 +198,26 @@ class TestUpgma:
             upgma(DistanceMatrix(["a", "a"], np.zeros((2, 2))))
         with pytest.raises(DataError):
             upgma(DistanceMatrix(["a", "b"], np.zeros((3, 3))))
+        with pytest.raises(DataError):
+            upgma(DistanceMatrix(["a", "b"], np.array([[0.0, 1.0], [2.0, 0.0]])))
+        with pytest.raises(DataError):
+            upgma(DistanceMatrix(["a", "b"], np.array([[0.0, np.nan], [np.nan, 0.0]])))
+
+    @pytest.mark.parametrize(
+        "n, step", [(2, None), (2, 0.5), (5, None), (9, 0.25), (30, None), (30, 0.05),
+                    (100, None), (200, 0.05)],
+    )
+    def test_equals_pair_loop_oracle(self, n, step):
+        # rounding to a step forces ties that only the label rule breaks;
+        # shuffled labels make label order differ from matrix order
+        rng = np.random.default_rng(n)
+        vals = rng.random((n, n))
+        vals = (vals + vals.T) / 2
+        if step:
+            vals = np.round(vals / step) * step
+        np.fill_diagonal(vals, 0.0)
+        dm = DistanceMatrix([f"l{k:03d}" for k in rng.permutation(n)], vals)
+        assert to_newick(upgma(dm)) == to_newick(cluster_oracle.upgma(dm))
 
 
 class TestNewick:
@@ -250,7 +302,7 @@ class TestLanguageDistance:
             "past": {"aaa": cand("aaa", "ma"), "bbb": cand("bbb", "mb"),
                      "ccc": cand("ccc", "mc")}
         }
-        dm, report = language_distance(corpus, markers, min_shared_verses=1)
+        dm, report = language_distance(corpus, markers, min_shared_verses=1, head_translations={})
         assert dm.labels == ["aaa", "bbb", "ccc"]
         assert dm.of("aaa", "bbb") == 0.0
         assert dm.of("aaa", "ccc") == pytest.approx(1.0, abs=1e-12)
@@ -263,7 +315,7 @@ class TestLanguageDistance:
                      "ccc": cand("ccc", "mc")},
             "future": {"aaa": cand("aaa", "ma"), "bbb": cand("bbb", "mb")},
         }
-        dm, report = language_distance(corpus, markers, min_shared_verses=1)
+        dm, report = language_distance(corpus, markers, min_shared_verses=1, head_translations={})
         assert dm.labels == ["aaa", "bbb"]
         assert report.excluded == {"ccc": "no marker for future"}
 
@@ -296,7 +348,9 @@ class TestLanguageDistance:
             "past": {"aaa": cand("aaa", "ma"), "bbb": cand("bbb", "absent")}
         }
         with caplog.at_level(logging.WARNING):
-            dm, report = language_distance(corpus, markers, min_shared_verses=1)
+            dm, report = language_distance(
+                corpus, markers, min_shared_verses=1, head_translations={}
+            )
         assert dm.of("aaa", "bbb") == 1.0
         assert report.zero_support_pairs == 1
         assert "no shared marking support" in caplog.text
@@ -305,7 +359,52 @@ class TestLanguageDistance:
         corpus = lang_corpus()
         markers = {"past": {"aaa": cand("aaa", "ma")}}
         with pytest.raises(DataError):
-            language_distance(corpus, markers, min_shared_verses=1)
+            language_distance(corpus, markers, min_shared_verses=1, head_translations={})
+
+    @pytest.mark.parametrize(
+        "seed, n_verses, n_features", [(0, 40, 1), (1, 300, 3), (2, 300, 9), (3, 2000, 3)]
+    )
+    def test_equals_pair_loop_oracle(self, seed, n_verses, n_features):
+        # each translation lacks some verses, so every pair has its own
+        # support; rare markers leave some pairs without marking support;
+        # nine features take np.mean past its sequential range
+        corpus, markers = random_marker_corpus(seed, n_verses, n_features)
+        dm, report = language_distance(
+            corpus, markers, min_shared_verses=1, head_translations={}
+        )
+        scans = [
+            scan_pivots(corpus, [markers[f][iso] for iso in dm.labels])[1]
+            for f in sorted(markers)
+        ]
+        values, zero_support_pairs = cluster_oracle.language_pair_distances(scans)
+        assert dm.values.tobytes() == values.tobytes()
+        assert report.zero_support_pairs == zero_support_pairs
+
+
+def random_marker_corpus(seed, n_verses, n_features):
+    """Twelve languages, one translation each, with one marker per
+    feature ("m0", "m1", ...) at a density drawn per language and feature."""
+    rng = np.random.default_rng(seed)
+    vids = [f"{i + 1:08d}" for i in range(n_verses)]
+    verses = {}
+    for lang in range(12):
+        missing_rate = rng.choice([0.0, 0.1, 0.5])
+        density = rng.choice([0.002, 0.05, 0.4, 0.9], size=n_features)
+        text = {}
+        for vid in vids:
+            if rng.random() < missing_rate:
+                continue
+            words = ["wun", "tuo"]
+            for k in range(n_features):
+                if rng.random() < density[k]:
+                    words.insert(1, f"m{k}")
+            text[vid] = " ".join(words)
+        verses[f"l{lang:02d}_t"] = text
+    markers = {
+        f"f{k}": {tid[:3]: cand(tid[:3], f"m{k}") for tid in verses}
+        for k in range(n_features)
+    }
+    return make_corpus(verses), markers
 
 
 class TestFamilyPrediction:
@@ -323,7 +422,7 @@ class TestFamilyPrediction:
 
     def test_hand_confusion(self):
         metrics = evaluate_family_prediction(
-            self.hand_dm(), {"a": "F1", "b": "F1", "c": "F2", "d": "F2"}
+            self.hand_dm(), {"a": "F1", "b": "F1", "c": "F2", "d": "F2"}, 0.5
         )
         assert (metrics["tp"], metrics["fp"], metrics["tn"], metrics["fn"]) == (1, 1, 3, 1)
         assert metrics["accuracy"] == pytest.approx(4 / 6)
@@ -336,7 +435,7 @@ class TestFamilyPrediction:
 
     def test_unlabeled_skipped(self):
         metrics = evaluate_family_prediction(
-            self.hand_dm(), {"a": "F1", "b": "F1", "c": "F2"}
+            self.hand_dm(), {"a": "F1", "b": "F1", "c": "F2"}, 0.5
         )
         assert metrics["n_languages"] == 3
         assert metrics["n_pairs"] == 3
@@ -344,13 +443,13 @@ class TestFamilyPrediction:
 
     def test_all_same_family(self):
         dm = square("ab", {("a", "b"): 0.1})
-        metrics = evaluate_family_prediction(dm, {"a": "F", "b": "F"})
+        metrics = evaluate_family_prediction(dm, {"a": "F", "b": "F"}, 0.5)
         assert metrics["precision"] == 1.0
         assert metrics["tnr"] == 0.0  # no unrelated pairs to score
 
     def test_needs_two_annotated(self):
         with pytest.raises(DataError):
-            evaluate_family_prediction(self.hand_dm(), {"a": "F1"})
+            evaluate_family_prediction(self.hand_dm(), {"a": "F1"}, 0.5)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -362,9 +461,27 @@ class TestFamilyPrediction:
         np.fill_diagonal(vals, 0.0)
         labels = [f"l{i}" for i in range(n)]
         fams = {lb: f"F{rng.integers(0, 3)}" for lb in labels}
-        metrics = evaluate_family_prediction(DistanceMatrix(labels, vals), fams)
+        metrics = evaluate_family_prediction(DistanceMatrix(labels, vals), fams, 0.5)
         total = metrics["tp"] + metrics["fp"] + metrics["tn"] + metrics["fn"]
         assert total == n * (n - 1) // 2 == metrics["n_pairs"]
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_equals_pair_loop_oracle(self, seed):
+        # some labels unannotated, some distances NaN (never below threshold)
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 30))
+        vals = rng.random((n, n))
+        vals = (vals + vals.T) / 2
+        vals[rng.random((n, n)) < 0.05] = np.nan
+        labels = [f"l{k}" for k in range(n)]
+        fams = {lb: f"F{rng.integers(0, 4)}" for lb in labels if rng.random() < 0.8}
+        if len(fams) < 2:
+            fams = {labels[0]: "F0", labels[-1]: "F1"}
+        dm = DistanceMatrix(labels, vals)
+        metrics = evaluate_family_prediction(dm, fams, 0.5)
+        got = (metrics["tp"], metrics["fp"], metrics["tn"], metrics["fn"])
+        assert got == cluster_oracle.family_confusion(dm, fams, 0.5)
 
 
 def test_marker_label():

@@ -14,7 +14,6 @@ from pivotmine.stats import (
     gaussian_density,
     gaussian_kernel,
     jsd,
-    normalize,
 )
 
 counts = st.integers(min_value=0, max_value=500)
@@ -108,21 +107,6 @@ class TestGaussian:
         # the 4-sigma cut discards well under 0.01% of the mass
         _, values = gaussian_kernel(6.0)
         assert values.sum() == pytest.approx(1.0, abs=1e-3)
-
-
-class TestNormalize:
-    def test_scales_to_unit_sum(self):
-        out = normalize([2.0, 2.0, 4.0])
-        assert out.sum() == pytest.approx(1.0)
-        assert out.tolist() == pytest.approx([0.25, 0.25, 0.5])
-
-    def test_rejects_zero_and_negative(self):
-        with pytest.raises(ValueError):
-            normalize([0.0, 0.0])
-        with pytest.raises(ValueError):
-            normalize([1.0, -0.5])
-        with pytest.raises(ValueError):
-            normalize(np.zeros((2, 2)))
 
 
 def unit_vector(n):
