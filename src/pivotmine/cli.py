@@ -31,7 +31,7 @@ from .maps import (
     project_cluster, select_splitting_pivots, signature_clusters, write_cluster_summary,
     write_cluster_verses, write_projection, write_splitters_tsv,
 )
-from .ngrams import mine_ngrams, pivot_relative_positions, read_ngrams_tsv, write_ngrams_tsv
+from .ngrams import mine_ngrams, read_ngrams_tsv, write_ngrams_tsv
 from .pivots import (
     Pivot, PivotSet, expand_pivots, find_head_pivot, rank_pivot_candidates,
     read_allowlist, read_pivots_tsv, read_queries, top_markers_by_language,
@@ -148,19 +148,22 @@ def stage_mine(
     targets: list[str] | None = None,
 ) -> list[Path]:
     """Mine each target's n-grams into ngrams/, which then holds exactly
-    those files: an earlier run's TSVs for other targets are removed."""
+    those files: an earlier run's TSVs for other targets are removed, once
+    every target is known to be in the corpus."""
     ngram_dir = out / "ngrams"
     member_tids = {p.translation_id for p in pivot_set.members}
     if targets is None:
         targets = [t for t in sorted(corpus.translations) if t not in member_tids]
+    unknown = sorted(set(targets) - set(corpus.translations))
+    if unknown:
+        raise DataError(f"unknown translation {unknown[0]!r}")
     remove_stale(ngram_dir, "*.tsv", {ngram_dir / f"{tid}.tsv" for tid in targets})
-    rels = pivot_relative_positions(corpus, pivot_set)
     written = []
     summary = {}
     for tid in sorted(targets):
         result = mine_ngrams(
             corpus, tid, pivot_set, sigma=cfg.sigma, w=cfg.window,
-            n_range=(cfg.n_min, cfg.n_max), top=cfg.top, relative_positions=rels,
+            n_range=(cfg.n_min, cfg.n_max), top=cfg.top,
         )
         written.append(write_ngrams_tsv(result, ngram_dir / f"{tid}.tsv"))
         summary[tid] = {

@@ -286,15 +286,16 @@ def language_distance(
             f"fewer than two eligible languages (excluded: {len(excluded)})"
         )
 
-    presence = [
-        scan_pivots(corpus, [markers_by_feature[f][iso3] for iso3 in langs])[1]
-        for f in features
-    ]
+    # one scan of each marker translation for every feature's surface; the
+    # columns run feature by feature, each over langs
+    markers = [markers_by_feature[f][iso3] for f in features for iso3 in langs]
+    pm = scan_pivots(corpus, markers)[2]
+    cols = [slice(i * len(langs), (i + 1) * len(langs)) for i in range(len(features))]
 
     # features on the last, contiguous axis: np.mean then sums each pair's
     # features in the order (and with the pairwise grouping) of a 1-D mean
     per_feature = np.stack(
-        [_presence_jsd(pm.matrix, pm.missing) for pm in presence], axis=-1
+        [_presence_jsd(pm.matrix[:, c], pm.missing[:, c]) for c in cols], axis=-1
     )
     silent = np.isnan(per_feature)
     per_feature[silent] = 1.0

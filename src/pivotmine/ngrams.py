@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -33,44 +34,25 @@ DEFAULT_N_RANGE = (2, 6)
 GRAM_SPACE_ESCAPE = "␣"  # open box, stands in for a literal space
 
 
-def pivot_relative_positions(
-    corpus: MultiCorpus, pivot_set: PivotSet
-) -> dict[str, list[float]]:
-    """Relative character midpoints of pivot occurrences, per verse.
-
-    For each selected verse, every occurrence of every pivot token in its
-    own translation contributes midpoint / text length. Pivots iterate in
-    member order so results are reproducible. The occurrences are the
-    pivot set's own, found when it was built.
-    """
-    rels: dict[str, list[float]] = {}
-    for occ in pivot_set.occurrences:
-        for row, rel in zip(occ.rows.tolist(), occ.rel.tolist()):
-            rels.setdefault(corpus.selected_verses[row], []).append(rel)
-    return rels
-
-
 def _profiles(
-    lengths: np.ndarray, relative_positions: list[list[float]], sigma: float
+    lengths: np.ndarray, owner: np.ndarray, rel: np.ndarray, sigma: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Profiles of several non-empty verses laid end to end.
 
-    Verse i has length lengths[i] and one bell per entry of
-    relative_positions[i], centered at int(rel * length + 0.5) and clamped
-    into the verse. The bells are summed over a layout that pads each verse
-    with radius positions on both sides, so every bell fits whole, and the
-    pads are dropped. The j-th bell of every verse is added in round j, so
-    each position sums its bells in the order a verse-at-a-time loop would,
-    and the sums are bit-identical to it. Returns the flat scores and each
-    verse's leftmost argmax and argmin.
+    Verse i has length lengths[i] and one bell per entry of rel whose owner
+    is i (owner is non-decreasing), centered at int(rel * length + 0.5) and
+    clamped into the verse. The bells are summed over a layout that pads
+    each verse with radius positions on both sides, so every bell fits
+    whole, and the pads are dropped. The j-th bell of every verse is added
+    in round j, so each position sums its bells in the order a
+    verse-at-a-time loop would, and the sums are bit-identical to it.
+    Returns the flat scores and each verse's leftmost argmax and argmin.
     """
     lengths = np.asarray(lengths, dtype=np.int64)
     offsets = np.cumsum(lengths) - lengths
-    counts = np.array([len(r) for r in relative_positions], dtype=np.int64)
-    rels = np.array([x for r in relative_positions for x in r], dtype=float)
-    owner = np.repeat(np.arange(len(lengths)), counts)
-    nth = np.arange(len(rels)) - np.repeat(np.cumsum(counts) - counts, counts)
-    centers = (rels * lengths[owner] + 0.5).astype(np.int64)
+    counts = np.bincount(owner, minlength=len(lengths))
+    nth = np.arange(len(rel)) - np.repeat(np.cumsum(counts) - counts, counts)
+    centers = (rel * lengths[owner] + 0.5).astype(np.int64)
     centers = np.clip(centers, 0, lengths[owner] - 1)
     radius, kernel = gaussian_kernel(sigma)
     # Position p of verse i sits at offsets[i] + p + pad[i] in the layout.
@@ -193,12 +175,12 @@ def mine_ngrams(
     w: int = DEFAULT_WINDOW,
     n_range: tuple[int, int] = DEFAULT_N_RANGE,
     top: int = DEFAULT_TOP,
-    relative_positions: dict[str, list[float]] | None = None,
 ) -> MiningResult:
     """Mine marker n-grams for one target translation.
 
-    Verses with at least one projected pivot contribute window counts
-    around x_max (positive) and x_min (negative); verses none of the
+    The pivot positions are the pivot set's, over the selected verses of
+    corpus. Verses with at least one projected pivot contribute window
+    counts around x_max (positive) and x_min (negative); verses none of the
     pivots mark count entirely as negative. A window around x counts the
     grams whose span overlaps [x - w, x + w] within the verse. Per n,
     candidates are ranked by chi-square of (positive window count vs
@@ -211,16 +193,13 @@ def mine_ngrams(
         raise ValueError("window half-width must be >= 0")
     if translation_id not in corpus.translations:
         raise DataError(f"unknown translation {translation_id!r}")
-    if relative_positions is None:
-        relative_positions = pivot_relative_positions(corpus, pivot_set)
     verses = corpus.translations[translation_id].verses
-    texts: list[str] = []
-    rels: list[list[float]] = []
-    for vid in corpus.selected_verses:
-        text = verses.get(vid)
-        if text:
-            texts.append(text)
-            rels.append(relative_positions.get(vid, []))
+    texts = [verses.get(vid) for vid in corpus.selected_verses]
+    # Only non-empty verses are scored; owner numbers them.
+    scored = np.fromiter(map(bool, texts), bool, len(texts))
+    texts = list(compress(texts, scored))
+    keep = scored[pivot_set.rows]
+    owner = (np.cumsum(scored) - 1)[pivot_set.rows[keep]]
     result = MiningResult(translation_id, verses_scored=len(texts))
     if not texts:
         logger.warning(
@@ -229,12 +208,12 @@ def mine_ngrams(
         )
         return result
     lengths = np.array([len(t) for t in texts], dtype=np.int64)
-    positive = np.array([bool(r) for r in rels])
+    positive = np.bincount(owner, minlength=len(texts)) > 0
     x_max = np.zeros(len(texts), dtype=np.int64)
     x_min = np.zeros(len(texts), dtype=np.int64)
     if positive.any():
         _, x_max[positive], x_min[positive] = _profiles(
-            lengths[positive], [r for r in rels if r], sigma
+            lengths[positive], (np.cumsum(positive) - 1)[owner], pivot_set.rel[keep], sigma
         )
     result.verses_positive = int(positive.sum())
     result.overlap_flagged = int((positive & (np.abs(x_max - x_min) <= 2 * w)).sum())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -58,22 +59,6 @@ class Pivot:
     score: float
 
 
-@dataclass(frozen=True, eq=False)
-class Occurrences:
-    """The tokens of one surface in one translation, over the selected
-    verses.
-
-    rows is the selected-verse index of each occurrence and rel its
-    relative character midpoint (midpoint / verse length), in verse order
-    and then text order; missing marks the selected verses the translation
-    lacks.
-    """
-
-    rows: np.ndarray
-    rel: np.ndarray
-    missing: np.ndarray
-
-
 @dataclass
 class PresenceMatrix:
     """Verse-by-pivot presence with a parallel missing-data mask."""
@@ -84,40 +69,59 @@ class PresenceMatrix:
     missing: np.ndarray  # bool, verses x pivots
 
 
-def find_occurrences(corpus: MultiCorpus, translation_id: str, surface: str) -> Occurrences:
-    """Scan one translation's selected verses for the tokens of one surface."""
+def _scan_translation(
+    corpus: MultiCorpus, translation_id: str, surfaces: list[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over a translation's selected verses for the tokens of
+    several surfaces: the row, the surface index and the relative character
+    midpoint (midpoint / verse length) of each, in text order, and the
+    rows the translation lacks."""
     verses = corpus.translations[translation_id].verses
     texts = [verses.get(vid) for vid in corpus.selected_verses]
-    rows = [np.zeros(0, dtype=np.int64)]
-    rel = [np.zeros(0)]
-    for lo, (surfaces, starts, ends, counts) in tokenize_blocks(texts):
-        hits = np.flatnonzero(np.fromiter(map(surface.__eq__, surfaces), bool, len(surfaces)))
+    index = {surface: k for k, surface in enumerate(surfaces)}
+    found = []
+    for lo, (tokens, starts, ends, counts) in tokenize_blocks(texts):
+        code = np.fromiter(map(index.get, tokens, repeat(-1)), np.int64, len(tokens))
+        hits = np.flatnonzero(code >= 0)
         row = lo + np.searchsorted(np.cumsum(counts), hits, side="right")
         lengths = np.fromiter((len(texts[r]) for r in row.tolist()), np.int64, len(row))
-        rows.append(row)
-        rel.append((starts[hits] + ends[hits]) / 2.0 / lengths)
+        found.append((row, code[hits], (starts[hits] + ends[hits]) / 2.0 / lengths))
     missing = np.fromiter((text is None for text in texts), bool, len(texts))
-    return Occurrences(np.concatenate(rows), np.concatenate(rel), missing)
+    return (*map(np.concatenate, zip(*found)), missing)
 
 
 def scan_pivots(
     corpus: MultiCorpus, pivots: list[Pivot]
-) -> tuple[list[Occurrences], PresenceMatrix]:
-    """Each pivot's occurrences over the selected verses, and their
+) -> tuple[np.ndarray, np.ndarray, PresenceMatrix]:
+    """The pivots' token positions over the selected verses, and their
     presence matrix with one column per pivot, in order.
 
-    Raises DataError when the corpus has no verse selection.
+    Each translation is scanned once for all of its pivots' surfaces; a
+    pivot listed twice fills two identical columns. The positions are two
+    flat arrays, the selected-verse row of each token and its relative
+    midpoint, ordered by row, then pivot order, then text order. Raises
+    DataError when the corpus has no verse selection.
     """
     if not corpus.selected_verses:
         raise DataError("presence matrix needs a verse selection")
-    occurrences = [find_occurrences(corpus, p.translation_id, p.surface) for p in pivots]
+    columns: dict[str, dict[str, list[int]]] = {}
+    for col, p in enumerate(pivots):
+        columns.setdefault(p.translation_id, {}).setdefault(p.surface, []).append(col)
     shape = (len(corpus.selected_verses), len(pivots))
     matrix = np.zeros(shape, dtype=np.uint8)
     missing = np.zeros(shape, dtype=bool)
-    for col, occ in enumerate(occurrences):
-        matrix[occ.rows, col] = 1
-        missing[:, col] = occ.missing
-    return occurrences, PresenceMatrix(
+    found = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
+    for tid, by_surface in columns.items():
+        rows, which, rel, lacks = _scan_translation(corpus, tid, list(by_surface))
+        for k, surface_cols in enumerate(by_surface.values()):
+            hit = which == k
+            for col in surface_cols:
+                found.append((rows[hit], np.full(hit.sum(), col), rel[hit]))
+                missing[:, col] = lacks
+    rows, cols, rel = map(np.concatenate, zip(*found))
+    matrix[rows, cols] = 1
+    order = np.lexsort((cols, rows))
+    return rows[order], rel[order], PresenceMatrix(
         tuple(corpus.selected_verses), list(pivots), matrix, missing
     )
 
@@ -126,20 +130,21 @@ def scan_pivots(
 class PivotSet:
     """Head pivot plus expansion, ordered by descending score.
 
-    At most one pivot per language. occurrences holds each member's
-    Occurrences and presence their PresenceMatrix, over the selected verses
-    of the corpus the set was built on, so that mining, marker clustering
-    and maps share one scan.
+    At most one pivot per language. rows and rel are the members' token
+    positions and presence their PresenceMatrix, over the selected verses
+    of the corpus the set was built on (see scan_pivots), so that mining,
+    marker clustering and maps share one scan.
     """
 
     head: Pivot
     members: list[Pivot]
-    occurrences: list[Occurrences]
+    rows: np.ndarray
+    rel: np.ndarray
     presence: PresenceMatrix
 
     @classmethod
     def scan(cls, corpus: MultiCorpus, head: Pivot, members: list[Pivot]) -> "PivotSet":
-        """The set of members, with each member scanned once (scan_pivots)."""
+        """The set of members, with each translation scanned once (scan_pivots)."""
         return cls(head, list(members), *scan_pivots(corpus, members))
 
 
@@ -261,7 +266,7 @@ def expand_pivots(
 
     Walks the ranking (rank_pivot_candidates) in order, skipping languages
     already represented and zero scores; warns when fewer than k members
-    are reachable. The set comes with each member's occurrences (see
+    are reachable. The set comes with its members' positions (see
     PivotSet.scan).
     """
     if k < 1:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 
@@ -266,3 +267,22 @@ def lex_rows(lex: LexTable) -> dict[str | None, dict[str, float]]:
     for e, f, p in zip(enc.cell_src.tolist(), enc.cell_tgt.tolist(), lex.probs.tolist()):
         rows.setdefault(enc.src_words[e], {})[enc.tgt_words[f]] = p
     return rows
+
+
+def positions_by_verse(corpus: MultiCorpus, pivot_set) -> dict[str, list[float]]:
+    """A pivot set's token positions as relative midpoints per verse id, in
+    their order: the form of ngrams_oracle.token_relative_positions."""
+    rels: dict[str, list[float]] = {}
+    for row, rel in zip(pivot_set.rows.tolist(), pivot_set.rel.tolist()):
+        rels.setdefault(corpus.selected_verses[row], []).append(rel)
+    return rels
+
+
+def with_positions(corpus: MultiCorpus, pivot_set, rels: dict[str, list[float]]):
+    """pivot_set with its positions replaced by rels, relative midpoints
+    per selected verse id."""
+    row_of = {vid: r for r, vid in enumerate(corpus.selected_verses)}
+    by_row = sorted((row_of[vid], found) for vid, found in rels.items())
+    rows = [r for r, found in by_row for _ in found]
+    rel = [x for _, found in by_row for x in found]
+    return replace(pivot_set, rows=np.array(rows, dtype=np.int64), rel=np.array(rel, dtype=float))

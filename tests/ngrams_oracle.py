@@ -1,8 +1,8 @@
 """Counter-based reference for the array n-gram miner and the pivot scans.
 
-The oracle that pivotmine.ngrams.mine_ngrams, ngrams._profiles,
-pivot_relative_positions and the pivot scan (pivots.find_occurrences and
-pivots.scan_pivots) are tested against:
+The oracle that pivotmine.ngrams.mine_ngrams, ngrams._profiles and the
+pivot scan (pivots.scan_pivots, with its positions and presence matrix)
+are tested against:
 one profile per verse with its bells added one at a time, one Counter per
 n fed a string slice per gram, and pivot lookups through the character
 loop tokenizer of helpers.tokenize_reference.

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from pivotmine.cluster import (
 from pivotmine.evaluation import gram_matches, mrr, mrr_table
 from pivotmine.manifest import MANIFEST_NAME, file_sha256
 from pivotmine.maps import select_splitting_pivots, signature_clusters
-from pivotmine.ngrams import mine_ngrams, pivot_relative_positions
+from pivotmine.ngrams import mine_ngrams
 from pivotmine.pivots import (
     Pivot,
     PresenceMatrix,
@@ -244,17 +245,14 @@ def test_planted_particles_recovered(marking):
 
 @pytest.fixture(scope="module")
 def mined(marking):
-    """Mining results for every translation, per feature, on shared rels."""
+    """Mining results for every translation, per feature."""
     corpus = marking["corpus"]
     out = {}
     for feature in marking["features"]:
         pivot_set = marking["sets"][feature]
-        rels = pivot_relative_positions(corpus, pivot_set)
-        results = {
-            tid: mine_ngrams(corpus, tid, pivot_set, relative_positions=rels)
-            for tid in sorted(corpus.translations)
+        out[feature] = {
+            tid: mine_ngrams(corpus, tid, pivot_set) for tid in sorted(corpus.translations)
         }
-        out[feature] = {"rels": rels, "results": results}
     return out
 
 
@@ -274,7 +272,7 @@ def test_mined_grams_recover_suffixes(marking, mined):
     ]
 
     for feature in marking["features"]:
-        results = mined[feature]["results"]
+        results = mined[feature]
         for iso in by_style("suffix"):
             info = truth["languages"][iso]
             suffix = info["markers"][feature][0]
@@ -297,37 +295,38 @@ def test_mined_grams_recover_suffixes(marking, mined):
     for feature in marking["features"]:
         ranked = {
             tid: {n: result.top_grams(n) for n in result.by_n}
-            for tid, result in mined[feature]["results"].items()
+            for tid, result in mined[feature].items()
         }
         per_feature.append(mrr(ranked, gold, feature))
     table = mrr_table(per_feature)
     assert table["aggregates"]["all"] >= 0.9
 
-    # label-permutation null: one verse shuffle per replicate reassigns the
-    # rel-position lists of every feature at once, and each unmarked
-    # language is summarized by its top score across features and n
+    # label-permutation null: one verse shuffle per replicate moves the
+    # pivot positions of every verse, as a block, to its shuffled verse for
+    # every feature at once, and each unmarked language is summarized by
+    # its top score across features and n
     unmarked = [
         truth["languages"][iso]["translation_id"] for iso in by_style("none")
     ]
     actual = {
-        tid: max(_top_chi2(mined[f]["results"][tid]) for f in marking["features"])
+        tid: max(_top_chi2(mined[f][tid]) for f in marking["features"])
         for tid in unmarked
     }
     rng = random.Random(1402)
     null_scores = {tid: [] for tid in unmarked}
+    row_of = {vid: r for r, vid in enumerate(corpus.selected_verses)}
     for _ in range(79):
         shuffled = list(corpus.selected_verses)
         rng.shuffle(shuffled)
-        mapping = dict(zip(corpus.selected_verses, shuffled))
+        moved = np.array([row_of[vid] for vid in shuffled])
         tops = {tid: 0.0 for tid in unmarked}
         for feature in marking["features"]:
             pivot_set = marking["sets"][feature]
-            base = mined[feature]["rels"]
-            permuted = {mapping[vid]: rels for vid, rels in base.items()}
+            rows = moved[pivot_set.rows]
+            order = np.argsort(rows, kind="stable")
+            permuted = replace(pivot_set, rows=rows[order], rel=pivot_set.rel[order])
             for tid in unmarked:
-                result = mine_ngrams(
-                    corpus, tid, pivot_set, relative_positions=permuted
-                )
+                result = mine_ngrams(corpus, tid, permuted)
                 tops[tid] = max(tops[tid], _top_chi2(result))
         for tid in unmarked:
             null_scores[tid].append(tops[tid])

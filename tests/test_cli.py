@@ -440,6 +440,18 @@ def run_pipeline(config: dict, feature: str, out: Path) -> None:
 
 
 class TestReruns:
+    def test_unknown_target_removes_nothing(self, workspace, expanded, tmp_path):
+        _, cfg_path, _, _ = workspace
+        out = tmp_path / "o"
+        argv = ["mine-ngrams", "--config", str(cfg_path), "--feature", "past",
+                "--pivots", str(expanded / "pivots.tsv"), "--head", str(expanded / "head.json"),
+                "--out", str(out)]
+        assert main([*argv, "--targets", "saa_synth,naa_synth"]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert out / "ngrams" / "naa_synth.tsv" in before
+        assert main([*argv, "--targets", "saa_synth,zzz_nope"]) == 3
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     def test_rerun_with_larger_k_equals_fresh_run(self, tiny8, tmp_path):
         # at k=2 the k=4 run's new pivot members are mining targets
         run_pipeline(dict(tiny8, k=2), "past", tmp_path / "rerun")
@@ -537,19 +549,21 @@ class TestStagewiseFlow:
 
 
 class TestPivotScans:
-    """Each pivot member is scanned once per process, when its pivot set is
-    built, and mining, marker clustering and maps share that scan."""
+    """Each pivot translation is scanned once per process, for all of its
+    surfaces, when its pivot set is built, and mining, marker clustering
+    and maps share that scan."""
 
     @pytest.fixture
     def scans(self, monkeypatch):
+        # one (translation, *surfaces) entry per pass
         calls = []
-        real = pivots_module.find_occurrences
+        real = pivots_module._scan_translation
 
-        def spy(corpus, translation_id, surface):
-            calls.append((translation_id, surface))
-            return real(corpus, translation_id, surface)
+        def spy(corpus, translation_id, surfaces):
+            calls.append((translation_id, *surfaces))
+            return real(corpus, translation_id, surfaces)
 
-        monkeypatch.setattr(pivots_module, "find_occurrences", spy)
+        monkeypatch.setattr(pivots_module, "_scan_translation", spy)
         return calls
 
     def test_pipeline_scans_each_member_once(self, workspace, tmp_path, scans):
@@ -591,6 +605,25 @@ class TestPivotScans:
         langs = json.loads((out / "language_report.json").read_text())["languages"]
         assert len(langs) >= 3
         assert sorted(scans) == sorted(markers[iso3] for iso3 in langs)
+
+    def test_cluster_languages_scans_each_translation_once(self, tiny8, tmp_path, scans):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(tiny8), encoding="utf-8")
+        features = ["past", "present", "future"]
+        for feature in features:
+            argv = ["--config", str(cfg), "--feature", feature, "--out", str(tmp_path / feature)]
+            assert main(["head-pivot", *argv]) == 0
+            head = str(tmp_path / feature / "head.json")
+            assert main(["expand-pivots", *argv, "--head", head]) == 0
+        scans.clear()
+        out = tmp_path / "langs"
+        argv = ["cluster-languages", "--features", ",".join(features), "--from", str(tmp_path)]
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+        langs = json.loads((out / "language_report.json").read_text())["languages"]
+        # one pass per marker translation, though each holds three markers
+        passes = [tid for tid, *_ in scans]
+        assert len(langs) >= 3
+        assert len(passes) == len(set(passes)) == len(langs)
 
 
 class TestManifestInputs:

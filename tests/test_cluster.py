@@ -373,7 +373,7 @@ class TestLanguageDistance:
             corpus, markers, min_shared_verses=1, head_translations={}
         )
         scans = [
-            scan_pivots(corpus, [markers[f][iso] for iso in dm.labels])[1]
+            scan_pivots(corpus, [markers[f][iso] for iso in dm.labels])[2]
             for f in sorted(markers)
         ]
         values, zero_support_pairs = cluster_oracle.language_pair_distances(scans)

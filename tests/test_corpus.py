@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import encoding_oracle as oracle
 import ngrams_oracle
 import pivotmine.corpus as corpus_module
-from helpers import encode_surfaces, make_corpus, tokenize_reference
+import pivotmine.pivots as pivots_module
+from helpers import encode_surfaces, make_corpus, positions_by_verse, tokenize_reference
 from pivotmine.corpus import (
     BLOCK_VERSES,
     DELIMITERS,
@@ -31,7 +32,7 @@ from pivotmine.corpus import (
     write_coverage_report,
 )
 from pivotmine.errors import DataError
-from pivotmine.pivots import Occurrences, Pivot, PivotSet, find_occurrences
+from pivotmine.pivots import Pivot, PivotSet
 
 
 def tokens(text: str) -> list[tuple[str, int, int]]:
@@ -481,7 +482,8 @@ class TestEncoding:
             {"aaa_t": {"00000001": "", "00000003": "x"}, "bbb_t": {"00000002": "y"}}
         )
         assert corpus.encode("aaa_t").offsets.tolist() == [0, 0, 0, 1]
-        assert check_scan(corpus, "aaa_t", "x").missing.tolist() == [False, True, False]
+        missing = check_scan(corpus, ("aaa_t", "x")).presence.missing[:, 0]
+        assert missing.tolist() == [False, True, False]
 
     def test_encoding_arrays_are_int32(self):
         enc = make_corpus({"aaa_t": {"00000001": "a b a"}}).encode("aaa_t")
@@ -496,44 +498,43 @@ class TestEncoding:
         assert enc.offsets.tolist() == [0, 2, 2, 4]
 
 
-def check_scan(corpus, translation_id: str, surface: str) -> Occurrences:
-    """find_occurrences against the reference scans of ngrams_oracle: the
-    verses holding the surface, the verses the translation lacks, and the
-    relative midpoint of every token, in order."""
-    occ = find_occurrences(corpus, translation_id, surface)
-    presence, missing = ngrams_oracle.token_presence_vector(corpus, translation_id, surface)
-    assert occ.missing.dtype == missing.dtype
-    assert occ.missing.tolist() == missing.tolist()
-    assert sorted(set(occ.rows.tolist())) == np.flatnonzero(presence).tolist()
-    rels: dict[str, list[float]] = {}
-    for row, rel in zip(occ.rows.tolist(), occ.rel.tolist()):
-        rels.setdefault(corpus.selected_verses[row], []).append(rel)
-    pivot = Pivot(translation_id[:3], translation_id, surface, 1.0)
-    members = PivotSet.scan(corpus, pivot, [pivot])
-    assert rels == ngrams_oracle.token_relative_positions(corpus, members)
-    return occ
+def check_scan(corpus, *lookups: tuple[str, str]) -> PivotSet:
+    """The pivot scan of (translation, surface) lookups against the
+    reference scans of ngrams_oracle: per column the verses holding the
+    surface and the verses the translation lacks, and the relative midpoint
+    of every token, by verse and then in lookup and text order."""
+    pivots = [Pivot(tid[:3], tid, surface, 1.0) for tid, surface in lookups]
+    ps = PivotSet.scan(corpus, pivots[0], pivots)
+    for col, (tid, surface) in enumerate(lookups):
+        presence, missing = ngrams_oracle.token_presence_vector(corpus, tid, surface)
+        assert ps.presence.missing.dtype == missing.dtype
+        assert ps.presence.missing[:, col].tolist() == missing.tolist()
+        assert ps.presence.matrix[:, col].tolist() == presence.tolist()
+    assert ps.rows.tolist() == sorted(ps.rows.tolist())
+    assert positions_by_verse(corpus, ps) == ngrams_oracle.token_relative_positions(corpus, ps)
+    return ps
 
 
 class TestSurfaceSpans:
-    """One surface's occurrences, found by the pivot scan, against the
-    reference tokenizer."""
+    """Surfaces' tokens, found by the pivot scan, against the reference
+    tokenizer."""
 
     def test_tokens_lowercased_one_at_a_time(self):
         # Lowercasing "ΑΣ'Α" as a whole gives "ασ'α"; the token ΑΣ is "ας".
         corpus = make_corpus({"ell_t": {"00000001": "ΑΣ'Α ασ", "00000002": "ΑΣΑ"}})
-        occ = check_scan(corpus, "ell_t", "ας")
-        assert (occ.rows.tolist(), occ.rel.tolist()) == ([0], [1 / 7])
-        occ = check_scan(corpus, "ell_t", "ασ")
-        assert (occ.rows.tolist(), occ.rel.tolist()) == ([0], [6 / 7])
-        assert check_scan(corpus, "ell_t", "absent").rows.tolist() == []
+        ps = check_scan(corpus, ("ell_t", "ας"))
+        assert (ps.rows.tolist(), ps.rel.tolist()) == ([0], [1 / 7])
+        ps = check_scan(corpus, ("ell_t", "ασ"))
+        assert (ps.rows.tolist(), ps.rel.tolist()) == ([0], [6 / 7])
+        assert check_scan(corpus, ("ell_t", "absent")).rows.tolist() == []
 
     def test_missing_verse_is_none(self):
         corpus = make_corpus(
             {"aaa_t": {"00000001": "x", "00000003": ""}, "bbb_t": {"00000002": "y"}}
         )
-        occ = check_scan(corpus, "aaa_t", "x")
-        assert (occ.rows.tolist(), occ.rel.tolist()) == ([0], [0.5])
-        assert occ.missing.tolist() == [False, True, False]
+        ps = check_scan(corpus, ("aaa_t", "x"))
+        assert (ps.rows.tolist(), ps.rel.tolist()) == ([0], [0.5])
+        assert ps.presence.missing[:, 0].tolist() == [False, True, False]
 
     @given(
         st.lists(st.text(alphabet=SCAN_ALPHABET, max_size=40), min_size=1, max_size=4),
@@ -545,7 +546,93 @@ class TestSurfaceSpans:
         verses = {f"{i:08d}": t for i, t in enumerate(texts, 1)}
         corpus = make_corpus({"aaa_t": verses, "bbb_t": {"00000009": "z"}})
         with mock.patch.object(corpus_module, "BLOCK_VERSES", 2):
-            check_scan(corpus, "aaa_t", surface)
+            check_scan(corpus, ("aaa_t", surface))
+
+
+class TestPivotScan:
+    """One pass per translation finds every surface asked of it."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        real = pivots_module._scan_translation
+
+        def spy(corpus, translation_id, surfaces):
+            calls.append((translation_id, list(surfaces)))
+            return real(corpus, translation_id, surfaces)
+
+        monkeypatch.setattr(pivots_module, "_scan_translation", spy)
+        return calls
+
+    def test_surfaces_of_one_translation_in_one_pass(self, passes):
+        corpus = make_corpus(
+            {
+                "aaa_t": {"00000001": "ti ko ti", "00000002": "ko Ko", "00000003": "x"},
+                "bbb_t": {"00000001": "ko ti", "00000003": "ti"},
+            }
+        )
+        lookups = [("aaa_t", "ti"), ("bbb_t", "ti"), ("aaa_t", "ko"), ("bbb_t", "ko")]
+        ps = check_scan(corpus, *lookups)
+        assert passes == [("aaa_t", ["ti", "ko"]), ("bbb_t", ["ti", "ko"])]
+        # by verse, then lookup order, then text order
+        assert ps.rows.tolist() == [0, 0, 0, 0, 0, 1, 1, 2]
+        assert ps.rel.tolist() == [1 / 8, 7 / 8, 4 / 5, 4 / 8, 1 / 5, 1 / 5, 4 / 5, 0.5]
+        assert ps.presence.matrix.tolist() == [[1, 1, 1, 1], [0, 0, 1, 0], [0, 1, 0, 0]]
+
+    def test_same_pivot_twice_fills_two_columns(self, passes):
+        corpus = make_corpus({"aaa_t": {"00000001": "ti ko ti", "00000002": "ko"}})
+        ps = check_scan(corpus, ("aaa_t", "ti"), ("aaa_t", "ko"), ("aaa_t", "ti"))
+        assert passes == [("aaa_t", ["ti", "ko"])]
+        assert ps.presence.matrix.tolist() == [[1, 1, 1], [0, 1, 0]]
+        assert ps.rows.tolist() == [0] * 5 + [1]
+        assert ps.rel.tolist() == [1 / 8, 7 / 8, 0.5, 1 / 8, 7 / 8, 0.5]
+
+    def test_member_lacking_verses(self, passes):
+        corpus = make_corpus(
+            {
+                "aaa_t": {"00000001": "ti ko", "00000003": "ko ti"},
+                "bbb_t": {"00000002": "ti", "00000004": "ko"},
+            }
+        )
+        ps = check_scan(corpus, ("bbb_t", "ko"), ("aaa_t", "ti"), ("bbb_t", "ti"))
+        assert [tid for tid, _ in passes] == ["bbb_t", "aaa_t"]
+        assert ps.presence.missing.tolist() == [
+            [True, False, True], [False, True, False], [True, False, True], [False, True, False]
+        ]
+        assert ps.rows.tolist() == [0, 1, 2, 3]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.none(), st.text(alphabet=SCAN_ALPHABET, max_size=30)),
+                st.one_of(st.none(), st.text(alphabet=SCAN_ALPHABET, max_size=30)),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["aaa_t", "bbb_t"]),
+                st.sampled_from(["a", "b", "ab", "i̇", "σ", "ς", "aς", "é"]),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_scans(self, pairs, lookups):
+        # a None text is a verse the translation lacks; ccc_t holds every
+        # verse, so each is selected
+        texts = {"aaa_t": {}, "bbb_t": {}, "ccc_t": {}}
+        for i, pair in enumerate(pairs, 1):
+            vid = f"{i:08d}"
+            texts["ccc_t"][vid] = "z"
+            for tid, text in zip(("aaa_t", "bbb_t"), pair):
+                if text is not None:
+                    texts[tid][vid] = text
+        corpus = make_corpus(texts)
+        with mock.patch.object(corpus_module, "BLOCK_VERSES", 2):
+            check_scan(corpus, *lookups)
 
 
 class TestCorpusMethods:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ngrams_oracle as oracle
-from helpers import make_corpus
+from helpers import make_corpus, positions_by_verse, with_positions
 from pivotmine import ngrams as ngrams_module
 from pivotmine.corpus import DELIMITERS, dense_index
 from pivotmine.errors import DataError
@@ -25,7 +25,6 @@ from pivotmine.ngrams import (
     _profiles,
     escape_gram,
     mine_ngrams,
-    pivot_relative_positions,
     read_ngrams_tsv,
     unescape_gram,
     write_ngrams_tsv,
@@ -65,7 +64,8 @@ class TestOccurrences:
 
 def profile(length: int, rels: list[float], sigma: float = 6.0):
     """(scores, x_max, x_min) of one verse of the given length."""
-    scores, x_max, x_min = _profiles(np.array([length]), [rels], sigma)
+    owner = np.zeros(len(rels), dtype=np.int64)
+    scores, x_max, x_min = _profiles(np.array([length]), owner, np.array(rels, dtype=float), sigma)
     return scores, int(x_max[0]), int(x_min[0])
 
 
@@ -122,7 +122,9 @@ class TestProfile:
     @settings(max_examples=200, deadline=None)
     def test_batch_is_bit_identical_to_one_verse_at_a_time(self, verses, sigma):
         lengths = [length for length, _ in verses]
-        scores, x_max, x_min = _profiles(np.array(lengths), [r for _, r in verses], sigma)
+        owner = np.repeat(np.arange(len(verses)), [len(r) for _, r in verses])
+        rel = np.array([x for _, r in verses for x in r], dtype=float)
+        scores, x_max, x_min = _profiles(np.array(lengths), owner, rel, sigma)
         offset = 0
         for i, (length, rels) in enumerate(verses):
             ref = oracle.position_profile("v", "x" * length, rels, sigma)
@@ -221,13 +223,13 @@ class TestRelativePositions:
         corpus = make_corpus({"paa_t": {"00000001": "aa ko bb"}})
         pivot = Pivot("paa", "paa_t", "ko", 1.0)
         ps = PivotSet.scan(corpus, pivot, [pivot])
-        rels = pivot_relative_positions(corpus, ps)
+        rels = positions_by_verse(corpus, ps)
         assert rels == {"00000001": [0.5]}
 
     def test_repeated_token_counts_twice(self):
         corpus = make_corpus({"paa_t": {"00000001": "ko ko"}})
         pivot = Pivot("paa", "paa_t", "ko", 1.0)
-        rels = pivot_relative_positions(corpus, PivotSet.scan(corpus, pivot, [pivot]))
+        rels = positions_by_verse(corpus, PivotSet.scan(corpus, pivot, [pivot]))
         assert rels == {"00000001": [0.2, 0.8]}
 
     def test_matches_token_cache_and_caches_nothing(self):
@@ -247,10 +249,10 @@ class TestRelativePositions:
             Pivot("pbb", "pbb_t", "don", 1.0),
             Pivot("pbb", "pbb_t", "t", 1.0),
         ]
-        ps = PivotSet.scan(corpus, members[0], members)
         before = copy.deepcopy(vars(corpus))
-        rels = pivot_relative_positions(corpus, ps)
+        ps = PivotSet.scan(corpus, members[0], members)
         assert vars(corpus) == before
+        rels = positions_by_verse(corpus, ps)
         assert rels == oracle.token_relative_positions(corpus, ps)
         assert len(rels["00000001"]) == 3 + 4 + 4
         assert len(rels["00000002"]) == 2
@@ -267,7 +269,7 @@ class TestRelativePositions:
         corpus = make_corpus({"paa_t": verses, "pbb_t": {"00000009": "x"}})
         pivot = Pivot("paa", "paa_t", surface, 1.0)
         ps = PivotSet.scan(corpus, pivot, [pivot])
-        assert pivot_relative_positions(corpus, ps) == oracle.token_relative_positions(
+        assert positions_by_verse(corpus, ps) == oracle.token_relative_positions(
             corpus, ps
         )
 
@@ -312,10 +314,11 @@ class TestMining:
         corpus, truth = tiny
         ps = particle_pivot_set(corpus, truth, "past")
         tid = truth["languages"]["saa"]["translation_id"]
-        rels = pivot_relative_positions(corpus, ps)
-        direct = mine_ngrams(corpus, tid, ps)
-        via_override = mine_ngrams(corpus, tid, ps, relative_positions=rels)
-        assert direct == via_override
+        # the scan's positions, regrouped by verse and laid out again
+        rebuilt = with_positions(corpus, ps, positions_by_verse(corpus, ps))
+        assert rebuilt.rows.tobytes() == ps.rows.tobytes()
+        assert rebuilt.rel.tobytes() == ps.rel.tobytes()
+        assert mine_ngrams(corpus, tid, ps) == mine_ngrams(corpus, tid, rebuilt)
 
     def test_no_shared_verses_warns(self, caplog):
         corpus = make_corpus(
@@ -357,9 +360,13 @@ class TestMining:
             mine_ngrams(corpus, "nope_t", ps)
 
 
-def assert_mining_agrees(corpus, tid, ps, **kw):
+def assert_mining_agrees(corpus, tid, ps, relative_positions=None, **kw):
+    """The miner and its oracle agree; relative_positions, per verse id,
+    stand in for the pivot set's positions on both sides."""
+    if relative_positions is not None:
+        ps = with_positions(corpus, ps, relative_positions)
     got = mine_ngrams(corpus, tid, ps, **kw)
-    ref = oracle.mine_ngrams(corpus, tid, ps, **kw)
+    ref = oracle.mine_ngrams(corpus, tid, ps, relative_positions=relative_positions, **kw)
     assert got.by_n == ref.by_n
     assert (got.verses_scored, got.verses_positive, got.overlap_flagged) == (
         ref.verses_scored,

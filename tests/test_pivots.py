@@ -117,7 +117,7 @@ class TestPresence:
         corpus = make_corpus(
             {"aaa_t": {"00000001": "ti ko", "00000002": "ko"}, "bbb_t": {"00000003": "x"}}
         )
-        _, pm = scan_pivots(corpus, [Pivot("aaa", "aaa_t", "ti", 1.0)])
+        pm = scan_pivots(corpus, [Pivot("aaa", "aaa_t", "ti", 1.0)])[2]
         assert pm.matrix[:, 0].tolist() == [1, 0, 0]
         assert pm.missing[:, 0].tolist() == [False, False, True]
 
@@ -142,7 +142,7 @@ class TestPresence:
         ]
         before = copy.deepcopy(vars(corpus))
         pivots = [Pivot(tid[:3], tid, surface, 1.0) for tid, surface in lookups]
-        _, pm = scan_pivots(corpus, pivots)
+        pm = scan_pivots(corpus, pivots)[2]
         assert vars(corpus) == before
         assert (pm.matrix.dtype, pm.missing.dtype) == (np.uint8, bool)
         for col, (tid, surface) in enumerate(lookups):
@@ -176,11 +176,11 @@ class TestPresence:
     def test_no_members(self):
         corpus = make_corpus({"aaa_t": {"00000001": "ti"}, "bbb_t": {"00000002": "x"}})
         ps = PivotSet.scan(corpus, Pivot("aaa", "aaa_t", "ti", 1.0), [])
-        assert ps.occurrences == [] and ps.presence.pivots == []
+        assert ps.rows.size == ps.rel.size == 0 and ps.presence.pivots == []
         assert ps.presence.matrix.shape == ps.presence.missing.shape == (2, 0)
 
     def test_member_lacking_verses(self):
-        # the one scan gives the occurrences and the matrix column alike
+        # the one scan gives the positions and the matrix column alike
         corpus = make_corpus(
             {
                 "aaa_t": {"00000001": "ti ko ti", "00000003": "ko", "00000004": "ti"},
@@ -189,11 +189,10 @@ class TestPresence:
         )
         pivot = Pivot("aaa", "aaa_t", "ti", 1.0)
         ps = PivotSet.scan(corpus, pivot, [pivot])
-        (occ,) = ps.occurrences
         presence, missing = oracle.token_presence_vector(corpus, "aaa_t", "ti")
-        assert occ.rows.tolist() == [0, 0, 3]
-        assert occ.rel.tolist() == [1 / 8, 7 / 8, 0.5]
-        assert occ.missing.tolist() == missing.tolist() == [False, True, False, False, True]
+        assert ps.rows.tolist() == [0, 0, 3]
+        assert ps.rel.tolist() == [1 / 8, 7 / 8, 0.5]
+        assert missing.tolist() == [False, True, False, False, True]
         assert ps.presence.matrix[:, 0].tolist() == presence.tolist() == [1, 0, 0, 1, 0]
         assert ps.presence.missing[:, 0].tolist() == missing.tolist()
 
