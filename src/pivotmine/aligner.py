@@ -46,17 +46,11 @@ ROW_SUM_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class AlignerConfig:
-    em_iterations: int = 5
-    diagonal_tension: float = 4.0
-    null_prob: float = 0.08
+    """The aligner's run parameters, as RunConfig.aligner() builds them."""
 
-    def validate(self) -> None:
-        if self.em_iterations < 1:
-            raise ValueError("em_iterations must be >= 1")
-        if self.diagonal_tension < 0:
-            raise ValueError("diagonal_tension must be >= 0")
-        if not 0 <= self.null_prob < 1:
-            raise ValueError("null_prob must lie in [0, 1)")
+    em_iterations: int
+    diagonal_tension: float
+    null_prob: float
 
 
 def diagonal_prior(
@@ -224,10 +218,8 @@ def _em(enc: PairEncoding, cfg: AlignerConfig) -> tuple[np.ndarray, list[float]]
     return table, lls
 
 
-def train_alignment(enc: PairEncoding, cfg: AlignerConfig | None = None) -> LexTable:
+def train_alignment(enc: PairEncoding, cfg: AlignerConfig) -> LexTable:
     """EM-train a lexical table over the verse pairs of enc."""
-    cfg = cfg or AlignerConfig()
-    cfg.validate()
     return LexTable(enc, *_em(enc, cfg))
 
 
@@ -382,7 +374,7 @@ def train_pair(
     tgt_id: str,
     enc: PairEncoding,
     cfg: AlignerConfig,
-    cache_dir: str | Path | None = None,
+    cache_dir: str | Path | None,
 ) -> LexTable:
     """Train (or load from cache) the lexical table of one pair, whose
     verse pairs enc encodes."""
@@ -406,9 +398,9 @@ def link_counts(
     corpus: MultiCorpus,
     source_translation_id: str,
     source_word: str,
-    cfg: AlignerConfig | None = None,
+    cfg: AlignerConfig,
+    cache_dir: str | Path | None,
     targets: list[str] | None = None,
-    cache_dir: str | Path | None = None,
 ) -> dict[str, PairLinkStats]:
     """Align the source translation against each target and count links.
 
@@ -417,8 +409,6 @@ def link_counts(
     (with a warning). Targets default to every other translation, and are
     processed in sorted order.
     """
-    cfg = cfg or AlignerConfig()
-    cfg.validate()
     if source_translation_id not in corpus.translations:
         raise DataError(f"unknown translation {source_translation_id!r}")
     src = corpus.encode(source_translation_id)

@@ -45,26 +45,8 @@ from .textio import write_json as _write_json
 logger = logging.getLogger("pivotmine")
 
 
-def _prepare_corpus(cfg: RunConfig, corpus_dir: str | None = None) -> MultiCorpus:
-    root = corpus_dir or cfg.corpus_dir
-    if not root:
-        raise ConfigError("no corpus directory configured")
-    corpus = load_corpus(root, iso_metadata=cfg.families)
-    target = cfg.coverage_target
-    if target > len(corpus.verse_universe):
-        logger.warning(
-            "coverage target %d exceeds universe %d; clamping",
-            target,
-            len(corpus.verse_universe),
-        )
-        target = len(corpus.verse_universe)
-    return corpus.select(target)
-
-
 def _query_for(cfg: RunConfig, feature: str):
-    if not cfg.queries:
-        raise ConfigError("no queries file configured")
-    queries = read_queries(cfg.queries)
+    queries = read_queries(cfg.path("queries"))
     for q in queries:
         if q.feature == feature:
             return q
@@ -111,9 +93,7 @@ def stage_head(
     cfg: RunConfig, corpus: MultiCorpus, feature: str, out: Path
 ) -> tuple[Pivot, list[Path]]:
     query = _query_for(cfg, feature)
-    if not cfg.allowlist:
-        raise ConfigError("no allowlist file configured")
-    allowlist = read_allowlist(cfg.allowlist)
+    allowlist = read_allowlist(cfg.path("allowlist"))
     head = find_head_pivot(
         corpus, query, allowlist, cfg.aligner(), cfg.min_count, cfg.cache_dir
     )
@@ -230,9 +210,7 @@ def stage_eval_mrr(
 ) -> tuple[list[Path], list[Path]]:
     """Score each feature's mined n-grams, read from its (feature, dir)
     pair; returns the n-gram TSVs read and the files written."""
-    if not cfg.gold:
-        raise ConfigError("no gold file configured")
-    gold = read_gold(cfg.gold)
+    gold = read_gold(cfg.path("gold"))
     results = []
     read = []
     for feature, ngram_dir in ngram_dirs:
@@ -281,9 +259,7 @@ def stage_cluster_languages(
 
 
 def stage_eval_family(cfg: RunConfig, distances: str, out: Path) -> list[Path]:
-    if not cfg.families:
-        raise ConfigError("no families file configured")
-    families = read_families(cfg.families)
+    families = read_families(cfg.path("families"))
     dm = read_distance_tsv(distances)
     metrics = evaluate_family_prediction(dm, families, cfg.jsd_threshold)
     return [_write_json(out / "family_metrics.json", metrics)]
@@ -313,6 +289,23 @@ class Run:
         value, written = result if isinstance(result, tuple) else (None, result)
         self.rec.add_outputs(written)
         return value
+
+    def corpus(self) -> MultiCorpus:
+        """The configured corpus with its verse selection, loaded under the
+        manifest timer `load`. ingest's --corpus overrides corpus_dir, and a
+        coverage_target past the verse universe is clamped to it."""
+        root = getattr(self.args, "corpus", None) or self.cfg.path("corpus_dir")
+        with self.rec.time_stage("load"):
+            corpus = load_corpus(root, self.cfg.families)
+            target = self.cfg.coverage_target
+            if target > len(corpus.verse_universe):
+                logger.warning(
+                    "coverage target %d exceeds universe %d; clamping",
+                    target,
+                    len(corpus.verse_universe),
+                )
+                target = len(corpus.verse_universe)
+            return corpus.select(target)
 
 
 def _out_dir(args, cfg: RunConfig | None) -> Path:
@@ -363,7 +356,7 @@ def _load_pivot_set(run: Run) -> tuple[MultiCorpus, PivotSet]:
     scores against the query and against the head live on different
     scales. Without --head the top-ranked member is the head.
     """
-    corpus = _prepare_corpus(run.cfg)
+    corpus = run.corpus()
     path = run.args.pivots
     members = read_pivots_tsv(corpus, path)
     if not members:
@@ -400,17 +393,15 @@ def cmd_synth(run: Run) -> None:
 
 
 def cmd_ingest(run: Run) -> None:
-    corpus = _prepare_corpus(run.cfg, run.args.corpus)
-    run.stage("ingest", stage_ingest, run.cfg, corpus, run.out)
+    run.stage("ingest", stage_ingest, run.cfg, run.corpus(), run.out)
 
 
 def cmd_head_pivot(run: Run) -> None:
-    corpus = _prepare_corpus(run.cfg)
-    run.stage("head-pivot", stage_head, run.cfg, corpus, run.args.feature, run.out)
+    run.stage("head-pivot", stage_head, run.cfg, run.corpus(), run.args.feature, run.out)
 
 
 def cmd_expand_pivots(run: Run) -> None:
-    corpus = _prepare_corpus(run.cfg)
+    corpus = run.corpus()
     head = _head_from_json(corpus, run.args.head)
     run.stage(
         "expand-pivots", stage_expand, run.cfg, corpus, run.args.feature, head, run.out
@@ -429,7 +420,7 @@ def cmd_cluster_markers(run: Run) -> None:
 
 
 def cmd_cluster_languages(run: Run) -> None:
-    corpus = _prepare_corpus(run.cfg)
+    corpus = run.corpus()
     features = _features(run.args)
     for path in run.stage(
         "cluster-languages", stage_cluster_languages,
@@ -444,7 +435,7 @@ def cmd_map(run: Run) -> None:
 
 
 def cmd_project(run: Run) -> None:
-    corpus = _prepare_corpus(run.cfg)
+    corpus = run.corpus()
     verse_ids = [line.strip() for line in read_lines(run.args.verses) if line.strip()]
     run.stage("project", stage_project, corpus, verse_ids, run.args.translation, run.out)
 
@@ -462,8 +453,7 @@ def cmd_eval_family(run: Run) -> None:
 
 def cmd_pipeline(run: Run) -> None:
     cfg, out, feature = run.cfg, run.out, run.args.feature
-    with run.rec.time_stage("load"):
-        corpus = _prepare_corpus(cfg)
+    corpus = run.corpus()
     run.stage("ingest", stage_ingest, cfg, corpus, out)
     head = run.stage("head-pivot", stage_head, cfg, corpus, feature, out)
     pivot_set = run.stage("expand-pivots", stage_expand, cfg, corpus, feature, head, out)

@@ -9,6 +9,7 @@ tie-breaking and serialize to Newick.
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from dataclasses import dataclass
@@ -249,17 +250,12 @@ def language_distance(
     features = sorted(markers_by_feature)
     if not features:
         raise DataError("no features given")
-    shared_cache: dict[tuple[str, str], int] = {}
 
-    def shared(tid_a: str, tid_b: str) -> int:
-        key = tuple(sorted((tid_a, tid_b)))
-        if key not in shared_cache:
-            va = corpus.translations[key[0]].verses
-            vb = corpus.translations[key[1]].verses
-            shared_cache[key] = sum(
-                1 for vid in corpus.selected_verses if vid in va and vid in vb
-            )
-        return shared_cache[key]
+    @functools.cache
+    def present(tid: str) -> np.ndarray:
+        """Which selected verses translation tid has."""
+        has = corpus.translations[tid].verses.__contains__
+        return np.fromiter(map(has, corpus.selected_verses), bool, len(corpus.selected_verses))
 
     excluded: dict[str, str] = {}
     langs: list[str] = []
@@ -274,7 +270,7 @@ def language_distance(
             if head_tid is None:
                 continue
             tid = markers_by_feature[f][iso3].translation_id
-            if shared(tid, head_tid) < min_shared_verses:
+            if np.count_nonzero(present(tid) & present(head_tid)) < min_shared_verses:
                 floor_fail = f
                 break
         if floor_fail is not None:

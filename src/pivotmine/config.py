@@ -1,15 +1,16 @@
 """Run configuration: JSON-backed, validated, hashable.
 
-One RunConfig drives every CLI stage. Defaults match the reference
-operating point; unknown keys in a config file are an error rather than a
-silent ignore, so typos never masquerade as defaults.
+One RunConfig drives every CLI stage. It alone gives each run parameter
+its default and its check; library functions take run parameters without
+defaults. Unknown keys in a config file are an error rather than a silent
+ignore, so typos never masquerade as defaults.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 from .aligner import AlignerConfig
@@ -18,7 +19,56 @@ from .evaluation import MATCH_MODES
 from .maps import SPLIT_POLICIES
 from .textio import read_text
 
-_TYPE_NOUNS = {float: "a number", int: "an integer", str: "a string"}
+# The JSON types each scalar field annotation accepts, and how an error
+# names them. A float field takes any number and stores it as a float.
+_SCALARS = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+}
+
+
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in path; ConfigError when it is unreadable, not
+    JSON or not an object. what names the file in errors."""
+    try:
+        raw = json.loads(read_text(path))
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    return raw
+
+
+def is_scalar(value, kind: str) -> bool:
+    """Whether a JSON value has the scalar type kind (a key of _SCALARS)."""
+    return not isinstance(value, bool) and isinstance(value, _SCALARS[kind][0])
+
+
+def read_fields(raw: dict, cls, what: str) -> dict:
+    """The entries of a JSON object as keyword arguments of dataclass cls,
+    whose fields take no default_factory.
+
+    Raises ConfigError for a key that is not a field of cls, a missing
+    field without a default, and a scalar field (annotated int, float, str
+    or str | None) of the wrong type. Float fields come back as floats;
+    other fields pass unchecked, for the caller to check their shape.
+    """
+    known = {f.name: f for f in fields(cls)}
+    extra = set(raw) - set(known)
+    if extra:
+        raise ConfigError(f"unknown {what} keys: {sorted(extra)}")
+    missing = [n for n, f in known.items() if n not in raw and f.default is MISSING]
+    if missing:
+        raise ConfigError(f"missing {what} keys: {missing}")
+    for name, value in raw.items():
+        kind = known[name].type
+        if kind in _SCALARS and not is_scalar(value, kind):
+            raise ConfigError(f"{name} must be {_SCALARS[kind][1]}")
+    return {n: float(v) if known[n].type == "float" else v for n, v in raw.items()}
 
 
 @dataclass
@@ -61,10 +111,12 @@ class RunConfig:
             raise ConfigError("top must be >= 1")
         if self.min_count < 1:
             raise ConfigError("min_count must be >= 1")
-        try:
-            self.aligner().validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        if self.em_iterations < 1:
+            raise ConfigError("em_iterations must be >= 1")
+        if self.diagonal_tension < 0:
+            raise ConfigError("diagonal_tension must be >= 0")
+        if not 0 <= self.null_prob < 1:
+            raise ConfigError("null_prob must lie in [0, 1)")
         if self.coverage_target < 1:
             raise ConfigError("coverage_target must be >= 1")
         if self.min_shared_verses < 0:
@@ -77,6 +129,13 @@ class RunConfig:
             raise ConfigError(f"unknown map_policy {self.map_policy!r}")
         if self.match_mode not in MATCH_MODES:
             raise ConfigError(f"unknown match_mode {self.match_mode!r}")
+
+    def path(self, name: str) -> str:
+        """The path field name, which a stage needs; ConfigError if unset."""
+        value = getattr(self, name)
+        if not value:
+            raise ConfigError(f"no {name} configured")
+        return value
 
     def aligner(self) -> AlignerConfig:
         return AlignerConfig(
@@ -94,37 +153,8 @@ class RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Read a JSON config; unknown keys or bad values raise ConfigError.
-
-    Each field's expected type comes from its default: float fields take
-    any number (stored as float), int fields an integer, str fields a
-    string, and fields defaulting to None a string or null.
-    """
-    try:
-        raw = json.loads(read_text(path))
-    except DataError as exc:
-        raise ConfigError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    known = {f.name for f in fields(RunConfig)}
-    extra = set(raw) - known
-    if extra:
-        raise ConfigError(f"unknown config keys: {sorted(extra)}")
-    try:
-        cfg = RunConfig(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad config: {exc}") from exc
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if value is None and f.default is None:
-            continue
-        kind = str if f.default is None else type(f.default)
-        accepted = (int, float) if kind is float else kind
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise ConfigError(f"{f.name} must be {_TYPE_NOUNS[kind]}")
-        if kind is float:
-            setattr(cfg, f.name, float(value))
+    """Read a JSON config (see read_fields); unknown keys, bad types and
+    bad values raise ConfigError."""
+    cfg = RunConfig(**read_fields(read_json_object(path, "config"), RunConfig, "config"))
     cfg.validate()
     return cfg

@@ -80,12 +80,11 @@ def tokenize_verse(text: str) -> tuple[list[str], list[int], list[int]]:
     return surfaces, starts.tolist(), ends.tolist()
 
 
-def tokenize_blocks(texts: Sequence[str | None]) -> Iterator[tuple[int, tuple]]:
+def tokenize_blocks(texts: Sequence[str]) -> Iterator[tuple[int, tuple]]:
     """tokenize_block over texts, BLOCK_VERSES at a time: yields the index
-    of each block's first text and the block's tokens. A text that is None
-    (a verse the translation lacks) has no tokens."""
+    of each block's first text and the block's tokens."""
     for lo in range(0, len(texts), BLOCK_VERSES):
-        yield lo, tokenize_block([text or "" for text in texts[lo : lo + BLOCK_VERSES]])
+        yield lo, tokenize_block(texts[lo : lo + BLOCK_VERSES])
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +167,7 @@ class MultiCorpus:
         ids = []
         counts = []
         for _, (surfaces, _, _, n) in tokenize_blocks(
-            [verses.get(vid) for vid in self.selected_verses]
+            [verses.get(vid, "") for vid in self.selected_verses]
         ):
             ids.append(np.fromiter(map(index.__getitem__, surfaces), np.int32, len(surfaces)))
             counts.append(n)
@@ -195,7 +194,7 @@ class MultiCorpus:
 
 def load_corpus(
     root: str | Path,
-    iso_metadata: str | Path | None = None,
+    iso_metadata: str | Path | None,
 ) -> MultiCorpus:
     """Load every well-formed translation file under root.
 
@@ -281,16 +280,8 @@ def select_covered_verses(corpus: MultiCorpus, target_count: int) -> list[str]:
 
     Coverage is the number of translations containing the verse; coverage
     ties are broken toward smaller verse ids, so growing target_count
-    always yields a superset. Raises ValueError if target_count is not in
-    [1, len(verse_universe)].
+    always yields a superset.
     """
-    if target_count <= 0:
-        raise ValueError("target_count must be positive")
-    if target_count > len(corpus.verse_universe):
-        raise ValueError(
-            f"target_count {target_count} exceeds verse universe "
-            f"({len(corpus.verse_universe)})"
-        )
     counts = coverage_counts(corpus)
     ranked = sorted(corpus.verse_universe, key=lambda v: (-counts[v], v))
     return sorted(ranked[:target_count])

@@ -39,10 +39,8 @@ def read_gold(path: str | Path) -> dict[tuple[str, str], set[str]]:
     return out
 
 
-def gram_matches(gram: str, gold: set[str], mode: str = "both") -> bool:
-    """Substring containment between a mined gram and any gold form."""
-    if mode not in MATCH_MODES:
-        raise ValueError(f"unknown match mode {mode!r}")
+def gram_matches(gram: str, gold: set[str], mode: str) -> bool:
+    """Substring containment, as mode allows, between a gram and any gold form."""
     for g in gold:
         if mode in ("both", "gold_in_gram") and g in gram:
             return True
@@ -51,7 +49,7 @@ def gram_matches(gram: str, gold: set[str], mode: str = "both") -> bool:
     return False
 
 
-def reciprocal_rank(grams: list[str], gold: set[str], mode: str = "both") -> float:
+def reciprocal_rank(grams: list[str], gold: set[str], mode: str) -> float:
     for rank, gram in enumerate(grams, start=1):
         if gram_matches(gram, gold, mode):
             return 1.0 / rank
@@ -70,7 +68,7 @@ def mrr(
     ranked: dict[str, dict[int, list[str]]],
     gold: dict[tuple[str, str], set[str]],
     feature: str,
-    mode: str = "both",
+    mode: str,
 ) -> MrrResult:
     """Mean reciprocal rank of gold markers in mined rankings.
 

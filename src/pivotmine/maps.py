@@ -23,8 +23,6 @@ from .textio import remove_stale, write_lines, write_text
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_ROUNDS = 4
-
 # Which cluster each round splits: the globally largest, or the chain of
 # clusters in which every pivot chosen so far is present.
 SPLIT_POLICIES = ("largest", "head-containing-chain")
@@ -52,8 +50,8 @@ def _member_index(matrix: PresenceMatrix, pivot: Pivot) -> int:
 def select_splitting_pivots(
     matrix: PresenceMatrix,
     head: Pivot,
-    rounds: int = DEFAULT_ROUNDS,
-    policy: str = "largest",
+    rounds: int,
+    policy: str,
 ) -> tuple[list[Pivot], list[SplitChoice]]:
     """Pick the head plus `rounds` pivots that evenly split verse clusters.
 
@@ -66,10 +64,6 @@ def select_splitting_pivots(
     part if a split leaves the chain empty). Stops early, with a warning,
     if pivots run out.
     """
-    if rounds < 0:
-        raise ValueError("rounds must be >= 0")
-    if policy not in SPLIT_POLICIES:
-        raise ValueError(f"unknown split policy {policy!r}")
     head_idx = _member_index(matrix, head)
     verses = np.arange(len(matrix.verse_ids))
     head_col = matrix.matrix[:, head_idx].astype(bool)
@@ -90,14 +84,12 @@ def select_splitting_pivots(
             target = max(range(len(clusters)), key=lambda ci: len(clusters[ci]))
         else:
             target = chain
+        # every cluster is non-empty: splits keep only non-empty parts
         cluster = clusters[target]
-        if cluster.size == 0:
-            logger.warning("target cluster is empty after %d rounds", len(choices))
-            break
         best = None
         for idx in candidates:
             col = matrix.matrix[cluster, idx]
-            frac = float(col.mean()) if cluster.size else 0.0
+            frac = float(col.mean())
             p = matrix.pivots[idx]
             key = (abs(frac - 0.5), -p.score, p.iso3, p.surface)
             if best is None or key < best[0]:

@@ -26,11 +26,6 @@ from .textio import read_lines, write_lines
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_SIGMA = 6.0
-DEFAULT_WINDOW = 20
-DEFAULT_TOP = 10
-DEFAULT_N_RANGE = (2, 6)
-
 GRAM_SPACE_ESCAPE = "␣"  # open box, stands in for a literal space
 
 
@@ -171,10 +166,10 @@ def mine_ngrams(
     corpus: MultiCorpus,
     translation_id: str,
     pivot_set: PivotSet,
-    sigma: float = DEFAULT_SIGMA,
-    w: int = DEFAULT_WINDOW,
-    n_range: tuple[int, int] = DEFAULT_N_RANGE,
-    top: int = DEFAULT_TOP,
+    sigma: float,
+    w: int,
+    n_range: tuple[int, int],
+    top: int,
 ) -> MiningResult:
     """Mine marker n-grams for one target translation.
 
@@ -187,10 +182,6 @@ def mine_ngrams(
     negative window count) against the respective totals, ties broken
     lexicographically.
     """
-    if n_range[0] < 1 or n_range[1] < n_range[0]:
-        raise ValueError(f"bad n-gram range {n_range!r}")
-    if w < 0:
-        raise ValueError("window half-width must be >= 0")
     if translation_id not in corpus.translations:
         raise DataError(f"unknown translation {translation_id!r}")
     verses = corpus.translations[translation_id].verses

@@ -24,8 +24,6 @@ from .textio import read_lines, write_lines
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_MIN_COUNT = 10
-
 
 @dataclass(frozen=True)
 class Query:
@@ -77,16 +75,16 @@ def _scan_translation(
     midpoint (midpoint / verse length) of each, in text order, and the
     rows the translation lacks."""
     verses = corpus.translations[translation_id].verses
-    texts = [verses.get(vid) for vid in corpus.selected_verses]
+    texts = [verses.get(vid, "") for vid in corpus.selected_verses]
+    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
     index = {surface: k for k, surface in enumerate(surfaces)}
     found = []
     for lo, (tokens, starts, ends, counts) in tokenize_blocks(texts):
         code = np.fromiter(map(index.get, tokens, repeat(-1)), np.int64, len(tokens))
         hits = np.flatnonzero(code >= 0)
         row = lo + np.searchsorted(np.cumsum(counts), hits, side="right")
-        lengths = np.fromiter((len(texts[r]) for r in row.tolist()), np.int64, len(row))
-        found.append((row, code[hits], (starts[hits] + ends[hits]) / 2.0 / lengths))
-    missing = np.fromiter((text is None for text in texts), bool, len(texts))
+        found.append((row, code[hits], (starts[hits] + ends[hits]) / 2.0 / lengths[row]))
+    missing = np.fromiter((vid not in verses for vid in corpus.selected_verses), bool, len(texts))
     return (*map(np.concatenate, zip(*found)), missing)
 
 
@@ -165,7 +163,7 @@ def contingency_from_links(stats: PairLinkStats, target_word: str) -> Contingenc
 def score_candidates(
     corpus: MultiCorpus,
     stats_by_translation: dict[str, PairLinkStats],
-    min_count: int = DEFAULT_MIN_COUNT,
+    min_count: int,
 ) -> list[Pivot]:
     """Score every sufficiently frequent aligned word in every target.
 
@@ -191,9 +189,9 @@ def find_head_pivot(
     corpus: MultiCorpus,
     query: Query,
     allowlist: set[str],
-    cfg: AlignerConfig | None = None,
-    min_count: int = DEFAULT_MIN_COUNT,
-    cache_dir: str | Path | None = None,
+    cfg: AlignerConfig,
+    min_count: int,
+    cache_dir: str | Path | None,
 ) -> Pivot:
     """Find the best-associated allowlisted word for a feature query.
 
@@ -215,7 +213,7 @@ def find_head_pivot(
 
     def candidates_in(targets: list[str] | None) -> list[Pivot]:
         stats = link_counts(
-            work, query.translation_id, synthetic, cfg, targets, cache_dir
+            work, query.translation_id, synthetic, cfg, cache_dir, targets
         )
         return score_candidates(work, stats, min_count)
 
@@ -248,13 +246,13 @@ def find_head_pivot(
 def rank_pivot_candidates(
     corpus: MultiCorpus,
     head: Pivot,
-    cfg: AlignerConfig | None = None,
-    min_count: int = DEFAULT_MIN_COUNT,
-    cache_dir: str | Path | None = None,
+    cfg: AlignerConfig,
+    min_count: int,
+    cache_dir: str | Path | None,
 ) -> list[Pivot]:
     """Score candidates in every translation against the head pivot."""
     stats = link_counts(
-        corpus, head.translation_id, head.surface, cfg, cache_dir=cache_dir
+        corpus, head.translation_id, head.surface, cfg, cache_dir
     )
     return score_candidates(corpus, stats, min_count)
 
@@ -269,8 +267,6 @@ def expand_pivots(
     are reachable. The set comes with its members' positions (see
     PivotSet.scan).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     members = [head]
     taken = {head.iso3}
     for cand in ranking:

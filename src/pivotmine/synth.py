@@ -13,16 +13,16 @@ surface.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import random
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 
+from .config import is_scalar, read_fields, read_json_object
 from .corpus import MultiCorpus, Translation
-from .errors import ConfigError, DataError
-from .textio import read_text, write_json, write_lines
+from .errors import ConfigError
+from .textio import write_json, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -446,35 +446,35 @@ PRESETS = {
 
 
 def spec_from_json(path: str | Path) -> SynthSpec:
-    """Load a SynthSpec from JSON; unknown keys are a config error.
+    """Load a SynthSpec from JSON; a bad key or value type is a config error.
 
-    Known keys are the fields of SynthSpec and LanguageSpec; omitted
-    optional keys take those fields' defaults.
+    The keys are the fields of SynthSpec and of LanguageSpec, read with
+    config.read_fields. features is a list of [name, probability] pairs,
+    languages a list of objects, and a language's markers map each feature
+    to a list of forms. generate checks the values' ranges.
     """
-    try:
-        raw = json.loads(read_text(path))
-    except DataError as exc:
-        raise ConfigError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"cannot read synth spec {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("synth spec must be a JSON object")
-    langs = []
-    try:
-        for entry in raw.get("languages", []):
-            extra = set(entry) - {f.name for f in fields(LanguageSpec)}
-            if extra:
-                raise ConfigError(f"unknown language keys: {sorted(extra)}")
-            markers = entry.get("markers")
-            if markers is not None:
-                markers = tuple((f, tuple(v)) for f, v in sorted(markers.items()))
-            langs.append(LanguageSpec(**{**entry, "markers": markers}))
-        extra = set(raw) - {f.name for f in fields(SynthSpec)}
-        if extra:
-            raise ConfigError(f"unknown synth spec keys: {sorted(extra)}")
-        features = tuple((f, float(p)) for f, p in raw["features"])
-        spec = SynthSpec(**{**raw, "features": features, "languages": tuple(langs)})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad synth spec: {exc}") from exc
-    spec.validate()
-    return spec
+    raw = read_fields(read_json_object(path, "synth spec"), SynthSpec, "synth spec")
+    features, langs = raw["features"], raw["languages"]
+    if not isinstance(features, list) or not all(
+        isinstance(f, list) and len(f) == 2 and is_scalar(f[0], "str") and is_scalar(f[1], "float")
+        for f in features
+    ):
+        raise ConfigError("features must be a list of [name, probability] pairs")
+    if not isinstance(langs, list) or not all(isinstance(entry, dict) for entry in langs):
+        raise ConfigError("languages must be a list of objects")
+    langs = [read_fields(entry, LanguageSpec, "language") for entry in langs]
+    for lang in langs:
+        markers = lang.get("markers")
+        if markers is None:
+            continue
+        if not isinstance(markers, dict) or not all(
+            isinstance(forms, list) and all(is_scalar(m, "str") for m in forms)
+            for forms in markers.values()
+        ):
+            raise ConfigError("markers must map each feature to a list of forms")
+        lang["markers"] = tuple((f, tuple(forms)) for f, forms in sorted(markers.items()))
+    return SynthSpec(**{
+        **raw,
+        "features": tuple((f, float(p)) for f, p in features),
+        "languages": tuple(LanguageSpec(**lang) for lang in langs),
+    })

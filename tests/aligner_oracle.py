@@ -27,10 +27,8 @@ class DictTable:
     log_likelihoods: list[float]
 
 
-def train_alignment(pairs, cfg: AlignerConfig | None = None) -> DictTable:
+def train_alignment(pairs, cfg: AlignerConfig) -> DictTable:
     """EM over (source, target) token-list pairs, one token at a time."""
-    cfg = cfg or AlignerConfig()
-    cfg.validate()
     src_ids: dict[str, int] = {}
     tgt_ids: dict[str, int] = {}
     id_pairs: list[tuple[list[int], list[int]]] = []
@@ -96,11 +94,10 @@ def train_alignment(pairs, cfg: AlignerConfig | None = None) -> DictTable:
     return DictTable(out, lls)
 
 
-def viterbi_align(t: dict, source, target, cfg: AlignerConfig | None = None):
+def viterbi_align(t: dict, source, target, cfg: AlignerConfig):
     """Links (source_index, target_index) under the rows t: leftmost best
     source position per target token, kept only when it strictly beats the
     null word."""
-    cfg = cfg or AlignerConfig()
     src = list(source)
     tgt = list(target)
     links: list[tuple[int, int]] = []

@@ -15,7 +15,19 @@ from dataclasses import replace
 import numpy as np
 
 from pivotmine.aligner import LexTable, PairEncoding, encode_pairs
+from pivotmine.config import RunConfig
 from pivotmine.corpus import MultiCorpus, Translation, TranslationEncoding
+
+# The run parameters a test leaves alone, from the one place that defines them.
+CONFIG = RunConfig()
+
+
+def mining(**overrides) -> dict:
+    """mine_ngrams' run parameters from CONFIG, with overrides."""
+    params = dict(
+        sigma=CONFIG.sigma, w=CONFIG.window, n_range=(CONFIG.n_min, CONFIG.n_max), top=CONFIG.top
+    )
+    return {**params, **overrides}
 
 
 def chi2_reference(a: float, b: float, c: float, d: float) -> float:

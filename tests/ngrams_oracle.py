@@ -15,17 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from helpers import tokenize_reference
+from helpers import CONFIG, tokenize_reference
 from pivotmine.corpus import MultiCorpus
 from pivotmine.errors import DataError
-from pivotmine.ngrams import (
-    DEFAULT_N_RANGE,
-    DEFAULT_SIGMA,
-    DEFAULT_TOP,
-    DEFAULT_WINDOW,
-    MiningResult,
-    NgramCandidate,
-)
+from pivotmine.ngrams import MiningResult, NgramCandidate
 from pivotmine.pivots import PivotSet
 from pivotmine.stats import ContingencyTable, chi2, gaussian_kernel
 
@@ -94,7 +87,7 @@ def position_profile(
     verse_id: str,
     target_text: str,
     relative_positions: list[float],
-    sigma: float = DEFAULT_SIGMA,
+    sigma: float = CONFIG.sigma,
 ) -> PositionProfile:
     """One verse's profile, built bell by bell."""
     length = len(target_text)
@@ -136,10 +129,10 @@ def mine_ngrams(
     corpus: MultiCorpus,
     translation_id: str,
     pivot_set: PivotSet,
-    sigma: float = DEFAULT_SIGMA,
-    w: int = DEFAULT_WINDOW,
-    n_range: tuple[int, int] = DEFAULT_N_RANGE,
-    top: int = DEFAULT_TOP,
+    sigma: float = CONFIG.sigma,
+    w: int = CONFIG.window,
+    n_range: tuple[int, int] = (CONFIG.n_min, CONFIG.n_max),
+    top: int = CONFIG.top,
     relative_positions: dict[str, list[float]] | None = None,
 ) -> MiningResult:
     """Mine marker n-grams for one target translation, verse by verse."""

@@ -18,13 +18,15 @@ import numpy as np
 import pytest
 
 from helpers import (
+    CONFIG,
     chi2_reference,
     encode_surface_pairs,
     lex_rows,
+    mining,
     tree_merges,
     upgma_reference,
 )
-from pivotmine.aligner import AlignerConfig, train_alignment
+from pivotmine.aligner import train_alignment
 from pivotmine.cluster import (
     DistanceMatrix,
     evaluate_family_prediction,
@@ -159,7 +161,7 @@ def test_aligner_recovers_bijective_lexicon():
             ([src_words[c] for c in concepts], [tgt_words[c] for c in concepts])
         )
     start = time.perf_counter()
-    lex = train_alignment(encode_surface_pairs(pairs), AlignerConfig(em_iterations=5))
+    lex = train_alignment(encode_surface_pairs(pairs), replace(CONFIG.aligner(), em_iterations=5))
     elapsed = time.perf_counter() - start
     lls = lex.log_likelihoods
     assert len(lls) == 5
@@ -201,8 +203,8 @@ def marking(tmp_path_factory):
             truth["query"]["translation_id"],
             frozenset(truth["query"]["forms"][feature]),
         )
-        head = find_head_pivot(corpus, query, allow, cache_dir=cache)
-        ranking = rank_pivot_candidates(corpus, head, cache_dir=cache)
+        head = find_head_pivot(corpus, query, allow, CONFIG.aligner(), CONFIG.min_count, cache)
+        ranking = rank_pivot_candidates(corpus, head, CONFIG.aligner(), CONFIG.min_count, cache)
         heads[feature] = head
         sets[feature] = expand_pivots(corpus, feature, head, 16, ranking)
     elapsed = time.perf_counter() - start
@@ -251,7 +253,8 @@ def mined(marking):
     for feature in marking["features"]:
         pivot_set = marking["sets"][feature]
         out[feature] = {
-            tid: mine_ngrams(corpus, tid, pivot_set) for tid in sorted(corpus.translations)
+            tid: mine_ngrams(corpus, tid, pivot_set, **mining())
+            for tid in sorted(corpus.translations)
         }
     return out
 
@@ -297,7 +300,7 @@ def test_mined_grams_recover_suffixes(marking, mined):
             tid: {n: result.top_grams(n) for n in result.by_n}
             for tid, result in mined[feature].items()
         }
-        per_feature.append(mrr(ranked, gold, feature))
+        per_feature.append(mrr(ranked, gold, feature, CONFIG.match_mode))
     table = mrr_table(per_feature)
     assert table["aggregates"]["all"] >= 0.9
 
@@ -326,7 +329,7 @@ def test_mined_grams_recover_suffixes(marking, mined):
             order = np.argsort(rows, kind="stable")
             permuted = replace(pivot_set, rows=rows[order], rel=pivot_set.rel[order])
             for tid in unmarked:
-                result = mine_ngrams(corpus, tid, permuted)
+                result = mine_ngrams(corpus, tid, permuted, **mining())
                 tops[tid] = max(tops[tid], _top_chi2(result))
         for tid in unmarked:
             null_scores[tid].append(tops[tid])
@@ -480,7 +483,7 @@ def _replay_splits(matrix, head_idx, rounds):
 def test_splitters_minimal_and_clusters_pure():
     matrix, labels = _planted_matrix()
     head = matrix.pivots[0]
-    chosen, choices = select_splitting_pivots(matrix, head, rounds=5)
+    chosen, choices = select_splitting_pivots(matrix, head, 5, "largest")
     assert [p.surface for p in chosen] == ["head", "p1", "p2", "p3", "p4", "p5"]
 
     replay = _replay_splits(matrix, 0, rounds=5)

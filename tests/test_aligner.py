@@ -3,6 +3,7 @@
 import logging
 import random
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -15,6 +16,7 @@ import aligner_oracle as oracle
 import encoding_oracle
 import pivotmine.aligner as aligner_module
 from helpers import (
+    CONFIG,
     encode_surface_pairs,
     lex_rows,
     lex_table,
@@ -39,8 +41,9 @@ from pivotmine.aligner import (
     train_alignment,
     train_pair,
 )
+from pivotmine.config import RunConfig
 from pivotmine.corpus import MultiCorpus, dense_index
-from pivotmine.errors import DataError
+from pivotmine.errors import ConfigError, DataError
 from pivotmine.synth import generate, preset_marking24, preset_tiny8
 
 TOY_PAIRS = [
@@ -52,47 +55,55 @@ TOY_PAIRS = [
 TOY_CACHE = Path(__file__).parent / "data" / "toy_pairs.lex.tsv"
 
 
-def train(pairs, cfg: AlignerConfig | None = None) -> LexTable:
+def train(pairs, cfg: AlignerConfig = CONFIG.aligner()) -> LexTable:
     """train_alignment of (source, target) token surface lists."""
     return train_alignment(encode_surface_pairs(pairs), cfg)
 
 
 class TestConfig:
+    """RunConfig holds the aligner's defaults and checks its bounds."""
+
     def test_defaults_valid(self):
-        AlignerConfig().validate()
+        CONFIG.validate()
+        assert CONFIG.aligner() == AlignerConfig(
+            CONFIG.em_iterations, CONFIG.diagonal_tension, CONFIG.null_prob
+        )
 
     def test_bad_values(self):
-        with pytest.raises(ValueError):
-            AlignerConfig(em_iterations=0).validate()
-        with pytest.raises(ValueError):
-            AlignerConfig(diagonal_tension=-1).validate()
-        with pytest.raises(ValueError):
-            AlignerConfig(null_prob=1.0).validate()
+        for field, bad, edge in [
+            ("em_iterations", 0, 1),
+            ("diagonal_tension", -1.0, 0.0),
+            ("null_prob", 1.0, 0.0),
+            ("null_prob", -0.1, 0.999),
+        ]:
+            with pytest.raises(ConfigError, match=field):
+                RunConfig(**{field: bad}).validate()
+            RunConfig(**{field: edge}).validate()
 
 
 class TestDiagonalPrior:
     def test_mass_is_one_minus_null(self):
-        cfg = AlignerConfig()
+        cfg = CONFIG.aligner()
         for src_len, tgt_len, j in [(5, 7, 0), (3, 3, 2), (12, 4, 1)]:
             ws = diagonal_prior(src_len, tgt_len, j, cfg)
             assert sum(ws) == pytest.approx(1.0 - cfg.null_prob, rel=1e-12)
             assert all(w > 0 for w in ws)
 
     def test_decays_with_distance_from_diagonal(self):
-        cfg = AlignerConfig()
+        cfg = CONFIG.aligner()
         ws = diagonal_prior(9, 9, 0, cfg)
         # target position 0 sits at relative 1/9; source weights fall
         # monotonically as source positions move right
         assert all(ws[i] > ws[i + 1] for i in range(len(ws) - 1))
 
     def test_zero_tension_is_uniform(self):
-        ws = diagonal_prior(4, 6, 3, AlignerConfig(diagonal_tension=0.0))
+        ws = diagonal_prior(4, 6, 3, replace(CONFIG.aligner(), diagonal_tension=0.0))
         assert ws == pytest.approx([ws[0]] * 4)
 
 
 class TestPriorMatrix:
     def test_rows_equal_diagonal_prior_exactly(self):
-        cfg = AlignerConfig()
+        cfg = CONFIG.aligner()
         for src_len, tgt_len in [(1, 1), (5, 7), (12, 4)]:
             m = _prior_matrix(src_len, tgt_len, cfg)
             assert m.shape == (tgt_len, src_len + 1)
@@ -101,7 +112,7 @@ class TestPriorMatrix:
                 assert m[j, 1:].tolist() == diagonal_prior(src_len, tgt_len, j, cfg)
 
     def test_read_only_and_bounded(self):
-        m = _prior_matrix(3, 4, AlignerConfig())
+        m = _prior_matrix(3, 4, CONFIG.aligner())
         with pytest.raises(ValueError):
             m[0, 0] = 1.0
         assert _prior_matrix.cache_info().maxsize is not None
@@ -117,7 +128,7 @@ class TestTrainAlignment:
     def test_log_likelihood_non_decreasing(self):
         lex = train(TOY_PAIRS)
         lls = lex.log_likelihoods
-        assert len(lls) == AlignerConfig().em_iterations
+        assert len(lls) == CONFIG.em_iterations
         assert all(b >= a - 1e-9 for a, b in zip(lls, lls[1:]))
 
     def test_rows_are_distributions(self):
@@ -149,12 +160,12 @@ class TestTrainAlignment:
             train([([], []), (["a"], [])])
 
 
-def viterbi_links(rows: dict, source, target, cfg: AlignerConfig | None = None):
+def viterbi_links(rows: dict, source, target, cfg: AlignerConfig = CONFIG.aligner()):
     """Links (source index, target index) of one verse pair under the rows
     {source: {target: p}}, decoded through _viterbi."""
     pairs = [(source, target)]
     (links,) = batched_links(
-        lex_table(encode_surface_pairs(pairs), rows), pairs, cfg or AlignerConfig()
+        lex_table(encode_surface_pairs(pairs), rows), pairs, cfg
     )
     return links
 
@@ -176,7 +187,7 @@ class TestViterbi:
         pairs = [([], ["la"]), (["the"], []), (["the", "house"], ["la", "maison"])]
         enc = encode_surface_pairs(pairs)
         assert [n for _, n, _, _ in enc.blocks] == [1]
-        links = batched_links(lex_table(enc, rows), pairs, AlignerConfig())
+        links = batched_links(lex_table(enc, rows), pairs, CONFIG.aligner())
         assert links[:2] == [[], []]
         assert set(links[2]) == {(0, 0), (1, 1)}
         with pytest.raises(DataError):
@@ -194,7 +205,7 @@ class TestViterbi:
         assert viterbi_links(rows, ["e"], ["f"]) == []
 
     def test_position_tie_goes_leftmost(self):
-        cfg = AlignerConfig(diagonal_tension=0.0)
+        cfg = replace(CONFIG.aligner(), diagonal_tension=0.0)
         rows = {None: {}, "e": {"f": 1.0}}
         links = viterbi_links(rows, ["e", "e", "e"], ["f"], cfg)
         assert links == [(0, 0)]
@@ -253,7 +264,7 @@ class TestCache:
     ):
         # key, footer and row sums all hold; only the source and target
         # columns give the damage away
-        cfg = AlignerConfig()
+        cfg = CONFIG.aligner()
         enc = pair_encoding(pair_corpus)
         first = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
         (path,) = tmp_path.glob("*.lex.tsv")
@@ -289,7 +300,7 @@ class TestCache:
     def test_damaged_cache_recomputed_with_warning(
         self, pair_corpus, tmp_path, caplog, damage
     ):
-        cfg = AlignerConfig()
+        cfg = CONFIG.aligner()
         enc = pair_encoding(pair_corpus)
         first = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
         (path,) = tmp_path.glob("*.lex.tsv")
@@ -336,7 +347,7 @@ class TestCache:
         assert load_lex_table(tmp_path / "absent.tsv", "k1", lex.enc) is None
 
     def test_corrupt_cache_recomputed_with_warning(self, pair_corpus, tmp_path, caplog):
-        cfg = AlignerConfig()
+        cfg = CONFIG.aligner()
         enc = pair_encoding(pair_corpus)
         first = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
         files = list(tmp_path.glob("*.lex.tsv"))
@@ -353,7 +364,7 @@ class TestCache:
         assert files[0].read_text() == good
 
     def test_cache_hit_equals_fresh_training(self, pair_corpus, tmp_path):
-        cfg = AlignerConfig()
+        cfg = CONFIG.aligner()
         enc = pair_encoding(pair_corpus)
         fresh = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, None)
         warm = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
@@ -365,7 +376,7 @@ class TestCache:
 
 class TestLinkCounts:
     def test_counts_line_up(self, pair_corpus):
-        stats = link_counts(pair_corpus, "aaa_src", "src0")
+        stats = link_counts(pair_corpus, "aaa_src", "src0", CONFIG.aligner(), CONFIG.cache_dir)
         assert set(stats) == {"bbb_tgt"}
         st = stats["bbb_tgt"]
         assert st.source_word_to_target.most_common(1)[0][0] == "tgt0"
@@ -375,7 +386,10 @@ class TestLinkCounts:
 
     def test_absent_word_warns_empty(self, pair_corpus, caplog):
         with caplog.at_level(logging.WARNING):
-            assert link_counts(pair_corpus, "aaa_src", "missing") == {}
+            stats = link_counts(
+                pair_corpus, "aaa_src", "missing", CONFIG.aligner(), CONFIG.cache_dir
+            )
+        assert stats == {}
         assert "absent" in caplog.text
 
     def test_no_shared_verses_skipped(self, caplog):
@@ -386,13 +400,13 @@ class TestLinkCounts:
             }
         )
         with caplog.at_level(logging.WARNING):
-            stats = link_counts(corpus, "aaa_src", "x")
+            stats = link_counts(corpus, "aaa_src", "x", CONFIG.aligner(), CONFIG.cache_dir)
         assert stats == {}
         assert "no shared selected verses" in caplog.text
 
     def test_unknown_translation(self, pair_corpus):
         with pytest.raises(DataError):
-            link_counts(pair_corpus, "zzz_nope", "x")
+            link_counts(pair_corpus, "zzz_nope", "x", CONFIG.aligner(), CONFIG.cache_dir)
 
     def test_verse_pairs_keep_verses_with_tokens_on_both_sides(self):
         corpus = make_corpus(
@@ -422,12 +436,14 @@ class TestLinkCounts:
             return real(self, translation_id)
 
         monkeypatch.setattr(MultiCorpus, "encode", spy)
-        stats = link_counts(corpus, "aaa_src", "w0")
+        stats = link_counts(corpus, "aaa_src", "w0", CONFIG.aligner(), CONFIG.cache_dir)
         assert len(stats) == 4
         assert built == ["aaa_src", *sorted(stats)]
 
     def test_target_frequencies_count_linked_words(self, pair_corpus):
-        stats = link_counts(pair_corpus, "aaa_src", "src0")["bbb_tgt"]
+        stats = link_counts(
+            pair_corpus, "aaa_src", "src0", CONFIG.aligner(), CONFIG.cache_dir
+        )["bbb_tgt"]
         freq = pair_corpus.encode("bbb_tgt").frequencies()
         assert stats.target_frequencies == {w: freq[w] for w in stats.source_word_to_target}
 
@@ -435,10 +451,10 @@ class TestLinkCounts:
 # --- agreement with the dict-of-dicts oracle ----------------------------------
 
 ORACLE_CONFIGS = [
-    AlignerConfig(),
-    AlignerConfig(diagonal_tension=0.0),
-    AlignerConfig(null_prob=0.0),
-    AlignerConfig(em_iterations=3, diagonal_tension=0.0, null_prob=0.0),
+    CONFIG.aligner(),
+    replace(CONFIG.aligner(), diagonal_tension=0.0),
+    replace(CONFIG.aligner(), null_prob=0.0),
+    replace(CONFIG.aligner(), em_iterations=3, diagonal_tension=0.0, null_prob=0.0),
 ]
 
 
@@ -539,7 +555,7 @@ class TestOracleAgreement:
         # "e" at positions 0 and 2 weighs the same (tension 0) and the
         # leftmost wins; "x" onto "f" and "e" onto "g" tie the null word
         # exactly and stay unlinked
-        cfg = AlignerConfig(diagonal_tension=0.0, null_prob=0.5)
+        cfg = replace(CONFIG.aligner(), diagonal_tension=0.0, null_prob=0.5)
         rows = {None: {"f": 0.1, "g": 0.25}, "e": {"f": 0.5, "g": 0.25}, "x": {"f": 0.1}}
         pairs = [(["e", "x", "e"], ["f", "g"]), (["x"], ["f"]), (["e"], ["g", "f"])]
         lex = lex_table(encode_surface_pairs(pairs), rows)
@@ -562,8 +578,8 @@ class TestOracleAgreement:
         freq = corpus.encode(query).frequencies()
         word = max(freq.items(), key=lambda kv: (kv[1], kv[0]))[0]
         targets = targets or sorted(t for t in corpus.translations if t != query)
-        cfg = AlignerConfig()
-        stats = link_counts(corpus, query, word, cfg, targets)
+        cfg = CONFIG.aligner()
+        stats = link_counts(corpus, query, word, cfg, CONFIG.cache_dir, targets)
         assert sorted(stats) == targets
         for tgt in targets:
             pairs = reference_pairs(corpus, query, tgt)
@@ -600,9 +616,9 @@ class TestProperties:
     @settings(max_examples=25, deadline=None)
     def test_cache_hit_equals_fresh_run(self, seed):
         corpus = random_corpus(seed, 1)
-        cfg = AlignerConfig()
+        cfg = CONFIG.aligner()
         enc = pair_encoding(corpus, "aaa_src", "t00_tgt")
-        fresh = train_pair(corpus, "aaa_src", "t00_tgt", enc, cfg)
+        fresh = train_pair(corpus, "aaa_src", "t00_tgt", enc, cfg, CONFIG.cache_dir)
         with tempfile.TemporaryDirectory() as cache:
             train_pair(corpus, "aaa_src", "t00_tgt", enc, cfg, cache)
             (path,) = Path(cache).glob("*.lex.tsv")
@@ -611,8 +627,8 @@ class TestProperties:
             assert hit is not None
             assert hit.probs.tolist() == fresh.probs.tolist()
             assert hit.log_likelihoods == fresh.log_likelihoods
-            stats = link_counts(corpus, "aaa_src", "w0", cfg, cache_dir=cache)
-        assert stats == link_counts(corpus, "aaa_src", "w0", cfg)
+            stats = link_counts(corpus, "aaa_src", "w0", cfg, cache)
+        assert stats == link_counts(corpus, "aaa_src", "w0", cfg, CONFIG.cache_dir)
 
     @given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
     @settings(max_examples=25, deadline=None)
@@ -621,9 +637,9 @@ class TestProperties:
         targets = sorted(t for t in corpus.translations if t != "aaa_src")
         shuffled = list(targets)
         rnd.shuffle(shuffled)
-        cfg = AlignerConfig()
-        assert link_counts(corpus, "aaa_src", "w0", cfg, shuffled) == link_counts(
-            corpus, "aaa_src", "w0", cfg, targets
+        cfg = CONFIG.aligner()
+        assert link_counts(corpus, "aaa_src", "w0", cfg, CONFIG.cache_dir, shuffled) == link_counts(
+            corpus, "aaa_src", "w0", cfg, CONFIG.cache_dir, targets
         )
 
 
@@ -759,7 +775,7 @@ class TestCacheKey:
     @settings(max_examples=200, deadline=None)
     def test_matches_per_verse_hashing(self, rows):
         corpus = rows_corpus(rows)
-        cfg = AlignerConfig()
+        cfg = CONFIG.aligner()
         for src, tgt in (("aaa_src", "bbb_tgt"), ("bbb_tgt", "ccc_all")):
             assert _pair_cache_key(corpus, src, tgt, cfg) == encoding_oracle.pair_cache_key(
                 corpus, src, tgt, cfg
@@ -769,7 +785,7 @@ class TestCacheKey:
         corpus, truth = generate(preset_tiny8())
         corpus = corpus.select(len(corpus.verse_universe) - 7)
         query = truth["query"]["translation_id"]
-        cfg = AlignerConfig(em_iterations=3)
+        cfg = replace(CONFIG.aligner(), em_iterations=3)
         for tgt in sorted(corpus.translations):
             assert _pair_cache_key(corpus, query, tgt, cfg) == encoding_oracle.pair_cache_key(
                 corpus, query, tgt, cfg

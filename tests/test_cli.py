@@ -1,17 +1,26 @@
 """CLI plumbing: config files, subcommands, stage handoffs, exit codes."""
 
 import argparse
+import inspect
 import json
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from pivotmine.aligner import AlignerConfig, link_counts, train_alignment, train_pair
 from pivotmine.cli import Run, _load_pivot_set, main
 from pivotmine.config import RunConfig, load_config
+from pivotmine.evaluation import gram_matches, mrr, reciprocal_rank
+from pivotmine.maps import select_splitting_pivots
+from pivotmine.ngrams import mine_ngrams
 from pivotmine import pivots as pivots_module
 from pivotmine.errors import ConfigError, DataError
-from pivotmine.pivots import read_pivots_tsv
+from pivotmine.manifest import RunRecorder
+from pivotmine.pivots import (
+    expand_pivots, find_head_pivot, rank_pivot_candidates, read_pivots_tsv, score_candidates,
+)
 from pivotmine.synth import LanguageSpec, SynthSpec, preset_tiny8, write_synth
 
 
@@ -69,6 +78,43 @@ class TestConfig:
     def test_hash_tracks_content(self):
         assert RunConfig().sha256() != RunConfig(k=3).sha256()
         assert RunConfig(k=3).sha256() == RunConfig(k=3).sha256()
+
+    # The parameter names under which library functions take RunConfig
+    # fields: the aligner settings (cfg), cache_dir, min_count, k, the
+    # mining sigma, window (w), n_min/n_max (n_range) and top, map_rounds
+    # (rounds), map_policy (policy) and match_mode (mode).
+    RUN_PARAMETERS = {
+        "cfg", "cache_dir", "min_count", "k", "sigma", "w", "n_range", "top",
+        "rounds", "policy", "mode",
+    }
+
+    @pytest.mark.parametrize("fn", [
+        train_alignment, train_pair, link_counts, score_candidates, find_head_pivot,
+        rank_pivot_candidates, expand_pivots, mine_ngrams, select_splitting_pivots,
+        gram_matches, reciprocal_rank, mrr,
+    ], ids=lambda fn: fn.__name__)
+    def test_run_parameters_have_no_library_default(self, fn):
+        params = inspect.signature(fn).parameters
+        carried = self.RUN_PARAMETERS & set(params)
+        assert carried, "no run parameter to check"
+        defaults = [n for n in carried if params[n].default is not inspect.Parameter.empty]
+        assert defaults == [], f"{fn.__name__} defaults {defaults}; RunConfig holds them"
+
+    def test_aligner_config_has_no_defaults(self):
+        with pytest.raises(TypeError):
+            AlignerConfig()
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(RunConfig)])
+    def test_every_badly_typed_field_exits_2(self, field, tmp_path, capsys):
+        # a list is no field's type; true is neither a number nor a string
+        for value in ([1], True):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({field: value}), encoding="utf-8")
+            argv = ["ingest", "--config", str(path), "--out", str(tmp_path / "o")]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "Traceback" not in err
+            assert field in err
 
 
 def cli_spec() -> SynthSpec:
@@ -352,7 +398,8 @@ class TestPivotSetHead:
     def load(self, workspace, pivots, head):
         _, cfg_path, _, _ = workspace
         args = argparse.Namespace(pivots=str(pivots), head=head and str(head))
-        return _load_pivot_set(Run(args, load_config(cfg_path), None, Path()))
+        rec = RunRecorder("mine-ngrams", {}, "")
+        return _load_pivot_set(Run(args, load_config(cfg_path), rec, Path()))
 
     def test_head_member_need_not_be_rank_one(self, workspace, expanded, tmp_path):
         corpus, ps = self.load(workspace, expanded / "pivots.tsv", None)
@@ -659,6 +706,24 @@ class TestManifestInputs:
         assert self.extra_inputs(workspace, argv, tmp_path / "o") == [
             str(past / "head.json"), str(past / "ranking.tsv")
         ]
+
+
+class TestLoadTiming:
+    """Every subcommand that loads a corpus times the load as `load`."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("ingest", []),
+        ("mine-ngrams", ["--feature", "past", "--targets", "saa_synth"]),
+        ("map", ["--feature", "past"]),
+    ])
+    def test_manifest_times_the_load(self, workspace, expanded, tmp_path, command, extra):
+        _, cfg_path, _, _ = workspace
+        if command != "ingest":
+            extra = [*extra, "--pivots", str(expanded / "pivots.tsv")]
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg_path), *extra, "--out", str(out)]) == 0
+        timings = json.loads((out / "manifest.json").read_text())["timings"]
+        assert set(timings) == {"load", command}
 
 
 def pivot_keys(path: Path) -> list[tuple[str, str]]:

@@ -1,5 +1,6 @@
 """Corpus loading, tokenization and encoding, verse selection, query merging."""
 
+import json
 import logging
 import random
 import re
@@ -15,7 +16,8 @@ import encoding_oracle as oracle
 import ngrams_oracle
 import pivotmine.corpus as corpus_module
 import pivotmine.pivots as pivots_module
-from helpers import encode_surfaces, make_corpus, positions_by_verse, tokenize_reference
+from helpers import CONFIG, encode_surfaces, make_corpus, positions_by_verse, tokenize_reference
+from pivotmine.cli import main
 from pivotmine.corpus import (
     BLOCK_VERSES,
     DELIMITERS,
@@ -229,7 +231,7 @@ def corpus_dir(tmp_path):
 
 class TestLoadCorpus:
     def test_loads_translations_and_universe(self, corpus_dir):
-        corpus = load_corpus(corpus_dir)
+        corpus = load_corpus(corpus_dir, CONFIG.families)
         assert sorted(corpus.translations) == ["aaa_first", "bbb_second"]
         assert corpus.translations["aaa_first"].iso3 == "aaa"
         assert corpus.verse_universe == ("00000001", "00000002", "00000003")
@@ -237,7 +239,7 @@ class TestLoadCorpus:
     def test_bad_filename_skipped_with_warning(self, corpus_dir, caplog):
         (corpus_dir / "notaname.txt").write_text("00000001\tx\n", encoding="utf-8")
         with caplog.at_level(logging.WARNING):
-            corpus = load_corpus(corpus_dir)
+            corpus = load_corpus(corpus_dir, CONFIG.families)
         assert "notaname.txt" in caplog.text
         assert "notaname" not in corpus.translations
 
@@ -246,7 +248,7 @@ class TestLoadCorpus:
             "00000001\tfine\nnotanid\tbad\n123\talso bad\n", encoding="utf-8"
         )
         with caplog.at_level(logging.WARNING):
-            corpus = load_corpus(corpus_dir)
+            corpus = load_corpus(corpus_dir, CONFIG.families)
         assert corpus.malformed_lines == 2
         assert corpus.translations["ccc_third"].verses == {"00000001": "fine"}
 
@@ -255,7 +257,7 @@ class TestLoadCorpus:
             "00000001\tfirst\n00000001\tsecond\n", encoding="utf-8"
         )
         with caplog.at_level(logging.WARNING):
-            corpus = load_corpus(corpus_dir)
+            corpus = load_corpus(corpus_dir, CONFIG.families)
         assert corpus.translations["ddd_dup"].verses["00000001"] == "first"
         assert "duplicate" in caplog.text
 
@@ -263,9 +265,9 @@ class TestLoadCorpus:
         empty = tmp_path / "none"
         empty.mkdir()
         with pytest.raises(DataError):
-            load_corpus(empty)
+            load_corpus(empty, CONFIG.families)
         with pytest.raises(DataError):
-            load_corpus(tmp_path / "missing")
+            load_corpus(tmp_path / "missing", CONFIG.families)
 
     def test_families_metadata(self, corpus_dir, tmp_path):
         meta = tmp_path / "families.tsv"
@@ -283,7 +285,7 @@ class TestLoadCorpus:
         }
         lines = "".join(f"{vid}\t{text}\n" for vid, text in verses.items())
         (d / "aaa_t.txt").write_text(lines + "00000004\tcr\r\n", encoding="utf-8")
-        corpus = load_corpus(d)
+        corpus = load_corpus(d, CONFIG.families)
         assert corpus.malformed_lines == 0
         assert corpus.translations["aaa_t"].verses == {**verses, "00000004": "cr"}
 
@@ -306,12 +308,21 @@ class TestSelection:
         )
         assert select_covered_verses(corpus, 2) == ["00000001", "00000002"]
 
-    def test_bounds(self):
+    def test_bounds(self, tmp_path, caplog):
+        # RunConfig checks coverage_target >= 1 (test_cli's
+        # TestConfig::test_validation_bounds), and loading clamps a target
+        # past the universe with a warning
         corpus = make_corpus({"aaa_t": {"00000001": "a"}}, select=False)
-        with pytest.raises(ValueError):
-            select_covered_verses(corpus, 0)
-        with pytest.raises(ValueError):
-            select_covered_verses(corpus, 2)
+        assert select_covered_verses(corpus, 2) == ["00000001"]
+        (tmp_path / "corpus").mkdir()
+        (tmp_path / "corpus" / "aaa_t.txt").write_text("00000001\ta\n", encoding="utf-8")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"corpus_dir": str(tmp_path / "corpus"), "coverage_target": 2}))
+        out = tmp_path / "out"
+        with caplog.at_level(logging.WARNING):
+            assert main(["ingest", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "exceeds universe 1; clamping" in caplog.text
+        assert json.loads((out / "corpus_stats.json").read_text())["n_selected"] == 1
 
     def test_brute_force_oracle_and_monotonicity(self):
         rng = random.Random(404)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from helpers import CONFIG
+from pivotmine.config import RunConfig
 from pivotmine.errors import DataError
 from pivotmine.evaluation import (
     MATCH_MODES,
@@ -54,17 +56,19 @@ class TestGramMatches:
         assert gram_matches("zz", {"aa", "zzz"}, "gram_in_gold")
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            gram_matches("a", {"a"}, "fuzzy")
+        # RunConfig checks match_mode (test_cli's
+        # TestConfig::test_validation_bounds); every mode is accepted there
         assert MATCH_MODES == ("both", "gold_in_gram", "gram_in_gold")
+        for mode in MATCH_MODES:
+            RunConfig(match_mode=mode).validate()
 
 
 class TestReciprocalRank:
     def test_first_match_position(self):
-        assert reciprocal_rank(["xx", "ka", "ka"], {"ka"}) == 0.5
-        assert reciprocal_rank(["ka"], {"ka"}) == 1.0
-        assert reciprocal_rank(["xx", "yy"], {"ka"}) == 0.0
-        assert reciprocal_rank([], {"ka"}) == 0.0
+        assert reciprocal_rank(["xx", "ka", "ka"], {"ka"}, CONFIG.match_mode) == 0.5
+        assert reciprocal_rank(["ka"], {"ka"}, CONFIG.match_mode) == 1.0
+        assert reciprocal_rank(["xx", "yy"], {"ka"}, CONFIG.match_mode) == 0.0
+        assert reciprocal_rank([], {"ka"}, CONFIG.match_mode) == 0.0
 
 
 class TestMrr:
@@ -79,30 +83,30 @@ class TestMrr:
             "paa_t": {2: ["ko", "xx"], 3: ["kox", "yy"]},
             "pba_t": {2: ["ti"]},
         }
-        result = mrr(ranked, self.gold(), "past")
+        result = mrr(ranked, self.gold(), "past", CONFIG.match_mode)
         assert result.per_translation == {"paa_t": 1.0, "pba_t": 1.0}
         assert result.aggregate == 1.0
         assert result.excluded == []
 
     def test_mixed_ranks_average_over_n(self):
         ranked = {"paa_t": {2: ["xx", "ko"], 3: ["zz", "yy"]}}
-        result = mrr(ranked, self.gold(), "past")
+        result = mrr(ranked, self.gold(), "past", CONFIG.match_mode)
         # rank 2 at n=2 and no match at n=3: (0.5 + 0) / 2
         assert result.per_translation["paa_t"] == pytest.approx(0.25)
 
     def test_excluded_listed(self):
         ranked = {"paa_t": {2: ["ko"]}, "naa_t": {2: ["qq"]}}
-        result = mrr(ranked, self.gold(), "past")
+        result = mrr(ranked, self.gold(), "past", CONFIG.match_mode)
         assert result.excluded == ["naa_t"]
         assert "naa_t" not in result.per_translation
 
     def test_empty_ranking_scores_zero(self):
-        result = mrr({"paa_t": {}}, self.gold(), "past")
+        result = mrr({"paa_t": {}}, self.gold(), "past", CONFIG.match_mode)
         assert result.per_translation == {"paa_t": 0.0}
 
     def test_no_gold_anywhere(self):
         with pytest.raises(DataError):
-            mrr({"naa_t": {2: ["x"]}}, self.gold(), "past")
+            mrr({"naa_t": {2: ["x"]}}, self.gold(), "past", CONFIG.match_mode)
 
 
 class TestMrrTable:

@@ -5,7 +5,8 @@ import logging
 import numpy as np
 import pytest
 
-from helpers import make_corpus
+from helpers import CONFIG, make_corpus
+from pivotmine.config import RunConfig
 from pivotmine.errors import DataError
 from pivotmine.maps import (
     SPLIT_POLICIES,
@@ -47,7 +48,7 @@ class TestSelection:
                 ("ddd", "rare", bits({0}, 8)),
             ]
         )
-        chosen, choices = select_splitting_pivots(pm, pm.pivots[0], rounds=1)
+        chosen, choices = select_splitting_pivots(pm, pm.pivots[0], 1, CONFIG.map_policy)
         assert [p.surface for p in chosen] == ["head", "even"]
         assert choices[0].cluster_size == 8
         assert choices[0].fraction == 0.5
@@ -63,7 +64,7 @@ class TestSelection:
             ],
             scores=[9.0, 1.0, 5.0],
         )
-        chosen, _ = select_splitting_pivots(pm, pm.pivots[0], rounds=1)
+        chosen, _ = select_splitting_pivots(pm, pm.pivots[0], 1, CONFIG.map_policy)
         assert chosen[1].surface == "y"
 
         pm_eq = make_pm(
@@ -75,7 +76,7 @@ class TestSelection:
             ],
             scores=[9.0, 2.0, 2.0, 2.0],
         )
-        chosen, _ = select_splitting_pivots(pm_eq, pm_eq.pivots[0], rounds=1)
+        chosen, _ = select_splitting_pivots(pm_eq, pm_eq.pivots[0], 1, CONFIG.map_policy)
         assert (chosen[1].iso3, chosen[1].surface) == ("bbb", "a")
 
     def test_policy_divergence_on_third_round(self):
@@ -86,16 +87,14 @@ class TestSelection:
             ("ddd", "p3", bits({4, 5}, 8)),
         ]
         pm = make_pm(cols)
-        _, largest = select_splitting_pivots(pm, pm.pivots[0], rounds=3)
-        _, chain = select_splitting_pivots(
-            pm, pm.pivots[0], rounds=3, policy="head-containing-chain"
-        )
+        _, largest = select_splitting_pivots(pm, pm.pivots[0], 3, "largest")
+        _, chain = select_splitting_pivots(pm, pm.pivots[0], 3, "head-containing-chain")
         assert [c.cluster_size for c in largest] == [8, 4, 4]
         assert [c.cluster_size for c in chain] == [8, 4, 2]
 
     def test_zero_rounds(self):
         pm = make_pm([("aaa", "head", bits(range(4), 4))])
-        chosen, choices = select_splitting_pivots(pm, pm.pivots[0], rounds=0)
+        chosen, choices = select_splitting_pivots(pm, pm.pivots[0], 0, CONFIG.map_policy)
         assert chosen == [pm.pivots[0]]
         assert choices == []
 
@@ -104,26 +103,26 @@ class TestSelection:
             [("aaa", "head", bits(range(4), 4)), ("bbb", "p", bits({0}, 4))]
         )
         with caplog.at_level(logging.WARNING):
-            chosen, choices = select_splitting_pivots(pm, pm.pivots[0], rounds=3)
+            chosen, choices = select_splitting_pivots(pm, pm.pivots[0], 3, CONFIG.map_policy)
         assert len(chosen) == 2
         assert len(choices) == 1
         assert "ran out of splitting pivots" in caplog.text
 
     def test_validation(self):
         pm = make_pm([("aaa", "head", bits(range(4), 4)), ("bbb", "p", bits({0}, 4))])
-        with pytest.raises(ValueError):
-            select_splitting_pivots(pm, pm.pivots[0], rounds=-1)
-        with pytest.raises(ValueError):
-            select_splitting_pivots(pm, pm.pivots[0], policy="nope")
+        # RunConfig checks map_rounds and map_policy (test_cli's
+        # TestConfig::test_validation_bounds); every policy is accepted there
         assert set(SPLIT_POLICIES) == {"largest", "head-containing-chain"}
+        for policy in SPLIT_POLICIES:
+            RunConfig(map_policy=policy, map_rounds=0).validate()
         stranger = Pivot("zzz", "zzz_t", "q", 1.0)
         with pytest.raises(DataError):
-            select_splitting_pivots(pm, stranger)
+            select_splitting_pivots(pm, stranger, CONFIG.map_rounds, CONFIG.map_policy)
 
     def test_head_marks_nothing(self):
         pm = make_pm([("aaa", "head", bits(set(), 4)), ("bbb", "p", bits({0}, 4))])
         with pytest.raises(DataError):
-            select_splitting_pivots(pm, pm.pivots[0])
+            select_splitting_pivots(pm, pm.pivots[0], CONFIG.map_rounds, CONFIG.map_policy)
 
 
 class TestSignatures:
@@ -179,7 +178,7 @@ class TestWriters:
                 ("bbb", "even", bits({0, 1, 2, 3}, 8)),
             ]
         )
-        chosen, choices = select_splitting_pivots(pm, pm.pivots[0], rounds=1)
+        chosen, choices = select_splitting_pivots(pm, pm.pivots[0], 1, CONFIG.map_policy)
         path = tmp_path / "splitters.tsv"
         write_splitters_tsv(chosen, choices, path)
         lines = path.read_text(encoding="utf-8").splitlines()

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ngrams_oracle as oracle
-from helpers import make_corpus, positions_by_verse, with_positions
+from helpers import make_corpus, mining, positions_by_verse, with_positions
 from pivotmine import ngrams as ngrams_module
 from pivotmine.corpus import DELIMITERS, dense_index
 from pivotmine.errors import DataError
@@ -97,7 +97,7 @@ class TestProfile:
         )
         pivot = Pivot("paa", "paa_t", "ko", 1.0)
         ps = PivotSet.scan(corpus, pivot, [pivot])
-        result = mine_ngrams(corpus, "tgt_t", ps, n_range=(1, 1))
+        result = mine_ngrams(corpus, "tgt_t", ps, **mining(n_range=(1, 1)))
         assert (result.verses_scored, result.verses_positive) == (1, 1)
 
     def test_mass_preserved_away_from_edges(self):
@@ -294,14 +294,16 @@ class TestMining:
         for iso in ("saa", "sba"):
             info = truth["languages"][iso]
             suffix = info["markers"]["past"][0]
-            result = mine_ngrams(corpus, info["translation_id"], ps)
+            result = mine_ngrams(corpus, info["translation_id"], ps, **mining())
             grams = result.top_grams(len(suffix))
             assert grams and grams[0] == suffix
 
     def test_counters_and_flags(self, tiny):
         corpus, truth = tiny
         ps = particle_pivot_set(corpus, truth, "past")
-        result = mine_ngrams(corpus, truth["languages"]["saa"]["translation_id"], ps)
+        result = mine_ngrams(
+            corpus, truth["languages"]["saa"]["translation_id"], ps, **mining()
+        )
         assert 0 < result.verses_positive < result.verses_scored
         assert 0 <= result.overlap_flagged <= result.verses_positive
         for n, cands in result.by_n.items():
@@ -318,7 +320,8 @@ class TestMining:
         rebuilt = with_positions(corpus, ps, positions_by_verse(corpus, ps))
         assert rebuilt.rows.tobytes() == ps.rows.tobytes()
         assert rebuilt.rel.tobytes() == ps.rel.tobytes()
-        assert mine_ngrams(corpus, tid, ps) == mine_ngrams(corpus, tid, rebuilt)
+        got = mine_ngrams(corpus, tid, ps, **mining())
+        assert got == mine_ngrams(corpus, tid, rebuilt, **mining())
 
     def test_no_shared_verses_warns(self, caplog):
         corpus = make_corpus(
@@ -327,7 +330,7 @@ class TestMining:
         pivot = Pivot("paa", "paa_t", "ko", 1.0)
         ps = PivotSet.scan(corpus, pivot, [pivot])
         with caplog.at_level(logging.WARNING):
-            result = mine_ngrams(corpus, "tgt_t", ps)
+            result = mine_ngrams(corpus, "tgt_t", ps, **mining())
         assert result.verses_scored == 0
         assert not result.by_n.get(2)
         assert "shares no selected verses" in caplog.text
@@ -342,22 +345,17 @@ class TestMining:
         pivot = Pivot("paa", "paa_t", "ko", 1.0)
         ps = PivotSet.scan(corpus, pivot, [pivot])
         with caplog.at_level(logging.WARNING):
-            result = mine_ngrams(corpus, "tgt_t", ps)
+            result = mine_ngrams(corpus, "tgt_t", ps, **mining())
         assert result.verses_positive == 0
         assert "no pivot coverage" in caplog.text
 
     def test_validation(self, tiny):
         corpus, truth = tiny
         ps = particle_pivot_set(corpus, truth, "past")
-        tid = truth["languages"]["saa"]["translation_id"]
-        with pytest.raises(ValueError):
-            mine_ngrams(corpus, tid, ps, n_range=(0, 2))
-        with pytest.raises(ValueError):
-            mine_ngrams(corpus, tid, ps, n_range=(3, 2))
-        with pytest.raises(ValueError):
-            mine_ngrams(corpus, tid, ps, w=-1)
+        # n_min, n_max and window are checked by RunConfig (test_cli's
+        # TestConfig::test_validation_bounds)
         with pytest.raises(DataError):
-            mine_ngrams(corpus, "nope_t", ps)
+            mine_ngrams(corpus, "nope_t", ps, **mining())
 
 
 def assert_mining_agrees(corpus, tid, ps, relative_positions=None, **kw):
@@ -365,7 +363,7 @@ def assert_mining_agrees(corpus, tid, ps, relative_positions=None, **kw):
     stand in for the pivot set's positions on both sides."""
     if relative_positions is not None:
         ps = with_positions(corpus, ps, relative_positions)
-    got = mine_ngrams(corpus, tid, ps, **kw)
+    got = mine_ngrams(corpus, tid, ps, **mining(**kw))
     ref = oracle.mine_ngrams(corpus, tid, ps, relative_positions=relative_positions, **kw)
     assert got.by_n == ref.by_n
     assert (got.verses_scored, got.verses_positive, got.overlap_flagged) == (
@@ -568,7 +566,7 @@ class TestExactTopK:
         scored = oracle.mine_ngrams(corpus, tid, ps, top=10**6)
         n_scored = sum(len(cands) for cands in scored.by_n.values())
         with mock.patch.object(ngrams_module, "chi2", wraps=ngrams_module.chi2) as exact:
-            got = mine_ngrams(corpus, tid, ps)
+            got = mine_ngrams(corpus, tid, ps, **mining())
         assert got.by_n == {n: cands[:10] for n, cands in scored.by_n.items()}
         assert n_scored > 1000
         assert exact.call_count < n_scored / 20
@@ -604,7 +602,9 @@ class TestSerialization:
     def test_tsv_round_trip(self, tiny, tmp_path):
         corpus, truth = tiny
         ps = particle_pivot_set(corpus, truth, "past")
-        result = mine_ngrams(corpus, truth["languages"]["saa"]["translation_id"], ps)
+        result = mine_ngrams(
+            corpus, truth["languages"]["saa"]["translation_id"], ps, **mining()
+        )
         path = tmp_path / "grams.tsv"
         write_ngrams_tsv(result, path)
         text = path.read_text(encoding="utf-8")

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import ngrams_oracle as oracle
-from helpers import make_corpus
+from helpers import CONFIG, make_corpus
 from pivotmine.aligner import PairLinkStats, link_counts
 from pivotmine import pivots as pivots_module
+from pivotmine.config import RunConfig
 from pivotmine.corpus import Translation, apply_query_merge
-from pivotmine.errors import DataError
+from pivotmine.errors import ConfigError, DataError
 from pivotmine.pivots import (
     Pivot,
     PivotSet,
@@ -30,6 +31,9 @@ from pivotmine.pivots import (
     write_pivots_tsv,
 )
 from pivotmine.synth import LanguageSpec, SynthSpec, generate
+
+# find_head_pivot's and rank_pivot_candidates' run parameters, from CONFIG
+SEARCH_PARAMS = (CONFIG.aligner(), CONFIG.min_count, CONFIG.cache_dir)
 
 
 def planted_spec(n_particle: int, n_verses: int = 400, seed: int = 3) -> SynthSpec:
@@ -203,13 +207,13 @@ class TestHeadPivot:
         q = truth["query"]
         query = Query("past", q["translation_id"], frozenset(q["forms"]["past"]))
         with pytest.raises(DataError):
-            find_head_pivot(corpus, query, set())
+            find_head_pivot(corpus, query, set(), *SEARCH_PARAMS)
 
     def test_unknown_query_translation(self, planted):
         corpus, _ = planted
         query = Query("past", "zzz_none", frozenset({"x"}))
         with pytest.raises(DataError):
-            find_head_pivot(corpus, query, {"paa"})
+            find_head_pivot(corpus, query, {"paa"}, *SEARCH_PARAMS)
 
     def test_planted_head_found(self, planted):
         corpus, truth = planted
@@ -219,7 +223,7 @@ class TestHeadPivot:
             if info["style"] == "particle" and iso != q["iso3"]
         }
         query = Query("past", q["translation_id"], frozenset(q["forms"]["past"]))
-        head = find_head_pivot(corpus, query, allow)
+        head = find_head_pivot(corpus, query, allow, *SEARCH_PARAMS)
         assert head.iso3 in allow
         assert head.surface in truth["languages"][head.iso3]["markers"]["past"]
         assert head.score > 0
@@ -232,11 +236,11 @@ class TestHeadPivot:
         seen = []
 
         def spy(*args, **kwargs):
-            seen.append(kwargs.get("targets", args[4] if len(args) > 4 else None))
+            seen.append(kwargs.get("targets", args[5] if len(args) > 5 else None))
             return link_counts(*args, **kwargs)
 
         monkeypatch.setattr(pivots_module, "link_counts", spy)
-        head = find_head_pivot(corpus, query, allow)
+        head = find_head_pivot(corpus, query, allow, *SEARCH_PARAMS)
         assert [sorted(t) for t in seen] == [["pba_synth", "pca_synth", "pda_synth"]]
 
         # the head is the one found by aligning every translation
@@ -246,9 +250,13 @@ class TestHeadPivot:
             synthetic_query_token("past"),
         )
         work = corpus.with_translation(merged)
-        stats = link_counts(work, q["translation_id"], synthetic_query_token("past"))
+        stats = link_counts(
+            work, q["translation_id"], synthetic_query_token("past"),
+            CONFIG.aligner(), CONFIG.cache_dir,
+        )
         best = next(
-            c for c in score_candidates(work, stats) if c.iso3 in allow and c.score > 0
+            c for c in score_candidates(work, stats, CONFIG.min_count)
+            if c.iso3 in allow and c.score > 0
         )
         assert (head.translation_id, head.surface, head.score) == (
             best.translation_id,
@@ -261,7 +269,7 @@ class TestHeadPivot:
         q = truth["query"]
         query = Query("past", q["translation_id"], frozenset(q["forms"]["past"]))
         with pytest.raises(DataError) as err:
-            find_head_pivot(corpus, query, {"xxx"})
+            find_head_pivot(corpus, query, {"xxx"}, *SEARCH_PARAMS)
         assert "top candidates overall" in str(err.value)
 
 
@@ -274,8 +282,8 @@ def head_and_ranking(planted):
         if info["style"] == "particle" and iso != q["iso3"]
     }
     query = Query("past", q["translation_id"], frozenset(q["forms"]["past"]))
-    head = find_head_pivot(corpus, query, allow)
-    ranking = rank_pivot_candidates(corpus, head)
+    head = find_head_pivot(corpus, query, allow, *SEARCH_PARAMS)
+    ranking = rank_pivot_candidates(corpus, head, *SEARCH_PARAMS)
     return head, ranking
 
 
@@ -324,10 +332,13 @@ class TestExpansion:
         assert "stopped at" in caplog.text
 
     def test_k_must_be_positive(self, planted, head_and_ranking):
+        # RunConfig checks k; its smallest value keeps the head alone
         corpus, _ = planted
-        head, _ = head_and_ranking
-        with pytest.raises(ValueError):
-            expand_pivots(corpus, "past", head, 0, [])
+        head, ranking = head_and_ranking
+        with pytest.raises(ConfigError):
+            RunConfig(k=0).validate()
+        RunConfig(k=1).validate()
+        assert expand_pivots(corpus, "past", head, 1, ranking).members == [head]
 
     def test_top_markers_by_language(self, head_and_ranking):
         head, ranking = head_and_ranking

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from helpers import CONFIG
+from pivotmine.cli import main
 from pivotmine.corpus import load_corpus, read_families, tokenize_verse
 from pivotmine.errors import ConfigError
 from pivotmine.evaluation import read_gold
@@ -250,7 +252,7 @@ class TestOnDisk:
         spec = small_spec()
         corpus, truth, written = write_synth(spec, tmp_path)
         assert sorted(written) == sorted(p for p in tmp_path.rglob("*") if p.is_file())
-        loaded = load_corpus(tmp_path / "corpus")
+        loaded = load_corpus(tmp_path / "corpus", CONFIG.families)
         assert set(loaded.translations) == set(corpus.translations)
         for tid, trans in corpus.translations.items():
             assert loaded.translations[tid].verses == trans.verses
@@ -321,6 +323,41 @@ class TestOnDisk:
             spec_from_json(bad_lang)
         with pytest.raises(ConfigError):
             spec_from_json(tmp_path / "missing.json")
+
+
+class TestSpecExitCodes:
+    """synth --spec exits 2, with a config error, for a spec of bad types."""
+
+    SPEC = {
+        "n_verses": 50,
+        "features": [["past", 0.4]],
+        "languages": [
+            {"iso3": "qaa", "style": "particle", "family": "fa", "vocabulary_size": 30},
+            {"iso3": "paa", "style": "particle", "family": "fb", "vocabulary_size": 30},
+        ],
+        "query_iso3": "qaa",
+        "seed": 9,
+    }
+
+    def run(self, tmp_path, spec) -> int:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        return main(["synth", "--spec", str(path), "--out", str(tmp_path / "out")])
+
+    def test_good_spec_exits_0(self, tmp_path):
+        assert self.run(tmp_path, self.SPEC) == 0
+
+    @pytest.mark.parametrize("change", [
+        {"n_verses": 10.5},
+        {"languages": [{**SPEC["languages"][0], "vocabulary_size": "60"}]},
+        {"languages": [SPEC["languages"][0], {**SPEC["languages"][1], "markers": {"past": "ab"}}]},
+        {"features": [["past", "0.3"]]},
+    ], ids=["float-n_verses", "string-vocabulary_size", "string-markers", "string-probability"])
+    def test_bad_types_exit_2(self, tmp_path, capsys, change):
+        assert self.run(tmp_path, {**self.SPEC, **change}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not (tmp_path / "out" / "gold.tsv").exists()
 
 
 def test_translation_id_format():
