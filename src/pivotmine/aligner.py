@@ -8,9 +8,11 @@ so that is the main entry point here.
 
 Both EM and decoding run on one array encoding of a pair's verses (see
 PairEncoding): every co-occurring (source word, target word) pair is a
-cell with an int32 id, and verse pairs of the same shape form one block
-that shares one prior matrix. The trained table is one probability per
-cell, from EM through decoding to the cache file.
+cell with a pointer-width (np.intp) id, and verse pairs of the same shape
+form one block that shares one prior matrix. The ids are intp because
+numpy converts an index array of any other type to intp on every take and
+bincount, which EM does twice per iteration. The trained table is one
+probability per cell, from EM through decoding to the cache file.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def _prior_matrix(src_len: int, tgt_len: int, cfg: AlignerConfig) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PairEncoding:
-    """Verse pairs as int32 cell ids, in blocks of one verse shape.
+    """Verse pairs as intp cell ids, in blocks of one verse shape.
 
     Source word ids start at 1; id 0 is the null word. Word ids follow
     first occurrence, and cells (co-occurring source and target ids,
@@ -98,6 +100,9 @@ class PairEncoding:
     (n, tgt_len, src_len + 1) slice of cells: entry [v, j, 0] is the cell
     of (null, target token j) and entry [v, j, i + 1] the cell of
     (source token i, target token j) in the block's verse pair v.
+    cells is intp, numpy's index type, so that EM and decoding index with
+    it directly: numpy converts any other index type on every take and
+    bincount.
     """
 
     src_words: list[str | None]
@@ -187,7 +192,7 @@ def encode_pairs(src: TranslationEncoding, tgt: TranslationEncoding) -> PairEnco
         tgt_words=[tgt.vocab[i] for i in tgt_vocab.tolist()],
         cell_src=(uniq // n_tgt).astype(np.int32),
         cell_tgt=(uniq % n_tgt).astype(np.int32),
-        cells=cells,
+        cells=cells.astype(np.intp),
         blocks=blocks,
     )
 

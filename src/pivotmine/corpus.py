@@ -118,7 +118,9 @@ def _vocabulary() -> defaultdict[str, int]:
 def dense_index(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct values of keys, which lie in [0, space), and the
     int32 index of each key among them: read from a presence table over
-    the space when it is no larger than the keys, else by sorting them."""
+    the space when it is no larger than the keys, else by sorting them.
+    Mining keeps this index int32, and aligner.encode_pairs widens only its
+    own: widening it for every caller raised peak RSS."""
     if space <= keys.size:
         present = np.zeros(space, dtype=bool)
         present[keys] = True
@@ -313,8 +315,6 @@ def apply_query_merge(
         raise ValueError("synthetic token must be non-empty")
     target = synthetic.lower()
     norm_forms = {f.lower() for f in forms}
-    if not norm_forms:
-        raise ValueError("query forms must be non-empty")
     new_verses: dict[str, str] = {}
     replaced = 0
     items = list(trans.verses.items())

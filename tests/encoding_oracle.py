@@ -87,7 +87,7 @@ def encode_pairs(src: TranslationEncoding, tgt: TranslationEncoding) -> PairEnco
         tgt_words=[tgt.vocab[i] for i in tgt_vocab.tolist()],
         cell_src=(uniq // n_tgt).astype(np.int32),
         cell_tgt=(uniq % n_tgt).astype(np.int32),
-        cells=cells.astype(np.int32).ravel(),
+        cells=cells.astype(np.intp).ravel(),
         blocks=blocks,
     )
 

@@ -1,5 +1,6 @@
 """IBM-1 aligner with diagonal prior: EM, Viterbi, caching, link counts."""
 
+import json
 import logging
 import random
 import tempfile
@@ -41,10 +42,11 @@ from pivotmine.aligner import (
     train_alignment,
     train_pair,
 )
+from pivotmine.cli import main
 from pivotmine.config import RunConfig
 from pivotmine.corpus import MultiCorpus, dense_index
 from pivotmine.errors import ConfigError, DataError
-from pivotmine.synth import generate, preset_marking24, preset_tiny8
+from pivotmine.synth import generate, preset_marking24, preset_tiny8, write_synth
 
 TOY_PAIRS = [
     (["the", "house"], ["la", "maison"]),
@@ -742,6 +744,7 @@ class TestEncodePairsOracle:
             with mock.patch.object(np, "unique", side_effect=AssertionError):
                 assert_encodings_equal(encode_pairs(src, tgt), want)
             for got in encode_both_ways(src, tgt).values():
+                assert got.cells.dtype == np.intp
                 assert_encodings_equal(got, want)
 
     @given(st.lists(st.integers(0, 9), min_size=1, max_size=40), st.integers(0, 5))
@@ -768,6 +771,69 @@ class TestEncodePairsOracle:
         forced_uniq, forced_cells = dense_index_by_table(keys, space + keys.size)
         assert forced_uniq.tolist() == uniq.tolist()
         assert forced_cells.tolist() == cells.tolist()
+
+
+def assert_int32_cells_agree(enc: PairEncoding, cfg: AlignerConfig) -> None:
+    """EM and Viterbi give the same bits on enc and on its copy with the
+    int32 cell ids that encode_pairs once returned."""
+    assert enc.cells.dtype == np.intp
+    narrow = replace(enc, cells=enc.cells.astype(np.int32))
+    probs, lls = aligner_module._em(enc, cfg)
+    narrow_probs, narrow_lls = aligner_module._em(narrow, cfg)
+    assert probs.tobytes() == narrow_probs.tobytes()
+    assert lls == narrow_lls
+    links = _viterbi(LexTable(enc, probs, lls), cfg)
+    narrow_links = _viterbi(LexTable(narrow, probs, lls), cfg)
+    assert [(a.dtype, a.tobytes()) for a in links] == [
+        (a.dtype, a.tobytes()) for a in narrow_links
+    ]
+
+
+WORDS = st.lists(st.sampled_from("abcdefg"), min_size=0, max_size=7)
+
+
+class TestIntpCells:
+    """EM and Viterbi on intp cells against the same encoding with int32
+    cells, bit for bit."""
+
+    @given(
+        st.lists(st.tuples(WORDS, WORDS), min_size=1, max_size=20),
+        st.sampled_from(ORACLE_CONFIGS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_pair_corpora(self, pairs, cfg):
+        try:
+            enc = encode_surface_pairs(pairs)
+        except DataError:
+            return
+        assert_int32_cells_agree(enc, cfg)
+
+    def test_every_pair_of_a_tiny8_pipeline(self, tmp_path):
+        write_synth(preset_tiny8(), tmp_path)
+        config = RunConfig(
+            corpus_dir=str(tmp_path / "corpus"),
+            queries=str(tmp_path / "queries.tsv"),
+            allowlist=str(tmp_path / "allowlist.txt"),
+            gold=str(tmp_path / "gold.tsv"),
+            families=str(tmp_path / "families.tsv"),
+            coverage_target=400,
+            k=6,
+            min_count=5,
+        )
+        (tmp_path / "config.json").write_text(json.dumps(config.to_dict()), encoding="utf-8")
+        trained = []
+
+        def spy(enc, cfg):
+            trained.append((enc, cfg))
+            return train_alignment(enc, cfg)
+
+        argv = ["pipeline", "--config", str(tmp_path / "config.json"),
+                "--feature", "past", "--out", str(tmp_path / "out")]
+        with mock.patch.object(aligner_module, "train_alignment", spy):
+            assert main(argv) == 0
+        assert trained
+        for enc, cfg in trained:
+            assert_int32_cells_agree(enc, cfg)
 
 
 class TestCacheKey:
