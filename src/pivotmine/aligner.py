@@ -23,24 +23,23 @@ import json
 import logging
 import math
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import MultiCorpus, TranslationEncoding, dense_index
-from .errors import DataError
-from .textio import read_lines, write_lines
+from .errors import ConfigError, DataError
+from .textio import read_bytes, write_bytes
 
 logger = logging.getLogger(__name__)
 
-# Sentinel surface for the null source word in serialized tables. Real
+# Surface of the null source word in the cache's cells digest. Real
 # tokens are never empty, so the empty string is unambiguous there;
 # in memory the null word is source id 0.
 NULL_SURFACE = ""
 
-CACHE_FORMAT = "lex-tsv-2"
+CACHE_FORMAT = "lex-bin-1"
 
 # A cached table whose rows do not sum to 1 within this is corrupt.
 ROW_SUM_TOLERANCE = 1e-9
@@ -316,56 +315,50 @@ def _pair_cache_key(
     return h.hexdigest()
 
 
-def _cell_names(enc: PairEncoding) -> Iterator[str]:
-    """``source<TAB>target`` of every cell of enc, in cell order."""
-    src = [NULL_SURFACE, *enc.src_words[1:]]
-    tgt = enc.tgt_words
-    return (f"{src[e]}\t{tgt[f]}" for e, f in zip(enc.cell_src.tolist(), enc.cell_tgt.tolist()))
+def _cells_digest(enc: PairEncoding) -> str:
+    """sha256 of the cell identity of enc: its source words (the null word
+    as NULL_SURFACE) and then its target words, joined by newlines, followed
+    by the little-endian int32 bytes of cell_src and of cell_tgt."""
+    words = "\n".join([NULL_SURFACE, *enc.src_words[1:], *enc.tgt_words]).encode()
+    cells = [a.astype("<i4", copy=False).tobytes() for a in (enc.cell_src, enc.cell_tgt)]
+    return hashlib.sha256(b"".join([words, *cells])).hexdigest()
 
 
 def save_lex_table(lex: LexTable, path: Path, key: str) -> None:
-    """Write the table: a header with the key and the EM log-likelihoods,
-    one ``source<TAB>target<TAB>p`` line per cell in cell order, and a
-    footer with the cell count."""
+    """Write the table: a text header line with the key, the EM
+    log-likelihoods, the cell count and the cells digest, then every cell's
+    probability, in cell order, as little-endian float64."""
     lls = ",".join(repr(x) for x in lex.log_likelihoods)
-    lines = [f"# {CACHE_FORMAT} key={key} lls={lls}"]
-    lines += [f"{name}\t{p!r}" for name, p in zip(_cell_names(lex.enc), lex.probs.tolist())]
-    lines.append(f"# cells={len(lines) - 1}")
-    write_lines(path, lines)
+    digest = _cells_digest(lex.enc)
+    header = f"# {CACHE_FORMAT} key={key} lls={lls} cells={len(lex.probs)} digest={digest}\n"
+    write_bytes(path, header.encode() + lex.probs.astype("<f8", copy=False).tobytes())
 
 
 def load_lex_table(path: Path, key: str, enc: PairEncoding) -> LexTable | None:
-    """Load the cached table of enc's pair, or None when missing, stale,
-    or corrupt.
-
-    A file is corrupt (and a warning logged) when a line does not parse,
-    the footer's cell count is missing or wrong, its source and target
-    columns are not enc's cells in order, or a source word's cells do not
-    sum to 1.
-    """
+    """Load the cached table of enc's pair, or None when missing, stale or
+    corrupt. A file is corrupt, and a warning logged, when its header does
+    not parse, its body is not 8 bytes per cell of the header's count, that
+    count or the cells digest is not enc's, or a row does not sum to 1."""
     try:
-        lines = read_lines(path)
+        data = read_bytes(path)
     except DataError:
         return None
-    prefix = f"# {CACHE_FORMAT} key={key} lls="
-    if not lines or not lines[0].startswith(prefix):
+    prefix = f"# {CACHE_FORMAT} key={key} lls=".encode()
+    if not data.startswith(prefix):
         return None
     try:
-        lls_text = lines[0][len(prefix) :]
+        # an unterminated header leaves an empty body, which fits no pair
+        header, _, body = data.partition(b"\n")
+        lls_text, cells, digest = header[len(prefix) :].decode().split(" ")
         lls = [float(x) for x in lls_text.split(",")] if lls_text else []
-        body = [line for line in lines[1:] if line]
-        if not body or body[-1] != f"# cells={len(body) - 1}":
-            raise ValueError("cell count footer missing or wrong")
-        names, values = [], []
-        for line in body[:-1]:
-            name, _, value = line.rpartition("\t")
-            names.append(name)
-            values.append(float(value))
-        if names != list(_cell_names(enc)):
+        n = int(cells.removeprefix("cells="))
+        if len(body) != 8 * n:
+            raise ValueError(f"{len(body)} bytes of probabilities for {n} cells")
+        if n != len(enc.cell_src) or digest != f"digest={_cells_digest(enc)}":
             raise ValueError("cells differ from the pair's encoding")
-        probs = np.array(values)
+        probs = np.frombuffer(body, "<f8").astype(np.float64)
         sums = np.bincount(enc.cell_src, probs)
-        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOLERANCE):
+        if not np.all(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE):
             raise ValueError("a row does not sum to 1")
     except ValueError as exc:
         logger.warning("corrupt alignment cache %s (%s), recomputing", path, exc)
@@ -386,11 +379,14 @@ def train_pair(
     if cache_dir is None:
         return train_alignment(enc, cfg)
     cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cache_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cache_dir {cache_dir} is not a usable directory: {exc}") from exc
     key = _pair_cache_key(corpus, src_id, tgt_id, cfg)
     # the key prefix in the name lets tables of one pair under different
     # keys (say, the query before and after each feature's merge) coexist
-    path = cache_dir / f"{src_id}__{tgt_id}.{key[:16]}.lex.tsv"
+    path = cache_dir / f"{src_id}__{tgt_id}.{key[:16]}.lex"
     cached = load_lex_table(path, key, enc)
     if cached is not None:
         return cached

@@ -5,7 +5,8 @@ writes a manifest there; `pipeline` chains the stages for one feature.
 All of them go through run_command, which loads the config, records the
 input files, times each stage and writes the manifest around the
 subcommand's own body.
-Exit codes: 0 success, 2 configuration problems, 3 data problems.
+Exit codes: 0 success, 1 unexpected error, 2 configuration problems, 3 data
+problems.
 """
 
 from __future__ import annotations

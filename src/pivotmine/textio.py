@@ -1,4 +1,4 @@
-"""Text file I/O shared by every reader and writer of the package.
+"""Text and binary file I/O shared by every reader and writer of the package.
 
 Reads turn a missing or undecodable file into DataError, so a bad input
 path is a data problem (exit code 3) rather than a traceback. Writes go to
@@ -24,6 +24,14 @@ def read_text(path: str | Path) -> str:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
+def read_bytes(path: str | Path) -> bytes:
+    """Whole file; DataError when it cannot be opened."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
 def read_lines(path: str | Path) -> list[str]:
     """Lines of a UTF-8 file without their line endings.
 
@@ -37,8 +45,8 @@ def read_lines(path: str | Path) -> list[str]:
     return lines
 
 
-def write_text(path: str | Path, text: str) -> Path:
-    """Atomically replace path with text (UTF-8).
+def write_bytes(path: str | Path, data: bytes) -> Path:
+    """Atomically replace path with data.
 
     The temporary name carries the process id, so two processes writing
     the same path (say, runs sharing an alignment cache) never write into
@@ -48,13 +56,18 @@ def write_text(path: str | Path, text: str) -> Path:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     return path
+
+
+def write_text(path: str | Path, text: str) -> Path:
+    """Atomically replace path with text (UTF-8)."""
+    return write_bytes(path, text.encode("utf-8"))
 
 
 def write_lines(path: str | Path, lines) -> Path:

@@ -1,7 +1,9 @@
 """IBM-1 aligner with diagonal prior: EM, Viterbi, caching, link counts."""
 
+import hashlib
 import json
 import logging
+import math
 import random
 import tempfile
 from dataclasses import replace
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 import aligner_oracle as oracle
 import encoding_oracle
+import lex_tsv_oracle
 import pivotmine.aligner as aligner_module
 from helpers import (
     CONFIG,
@@ -53,7 +56,8 @@ TOY_PAIRS = [
     (["the", "flower"], ["la", "fleur"]),
 ]
 
-# save_lex_table of TOY_PAIRS under key "toy", as lex-tsv-2 was first written.
+# The lex-tsv-2 table of TOY_PAIRS under key "toy", as that format was first
+# written: an earlier cache format, which the cache never reads.
 TOY_CACHE = Path(__file__).parent / "data" / "toy_pairs.lex.tsv"
 
 
@@ -231,139 +235,177 @@ def pair_encoding(corpus, src_id: str = "aaa_src", tgt_id: str = "bbb_tgt") -> P
     return encode_pairs(corpus.encode(src_id), corpus.encode(tgt_id))
 
 
+def cache_parts(path: Path) -> tuple[bytes, np.ndarray]:
+    """The header line, newline included, and the probabilities of a
+    cache file."""
+    header, _, body = path.read_bytes().partition(b"\n")
+    return header + b"\n", np.frombuffer(body, "<f8")
+
+
+def corrupt_reason(caplog) -> str:
+    """The reason of the one corrupt-cache warning logged."""
+    (record,) = [r for r in caplog.records if "corrupt alignment cache" in r.getMessage()]
+    return str(record.args[1])
+
+
 class TestCache:
     def test_save_load_round_trip_exact(self, tmp_path):
         lex = train(TOY_PAIRS)
-        path = tmp_path / "pair.lex.tsv"
+        path = tmp_path / "pair.lex"
         save_lex_table(lex, path, "k1")
         loaded = load_lex_table(path, "k1", lex.enc)
         assert loaded is not None
         assert loaded.enc is lex.enc
-        assert loaded.probs.tolist() == lex.probs.tolist()
+        assert loaded.probs.tobytes() == lex.probs.tobytes()
+        assert loaded.probs.dtype == np.float64 and loaded.probs.flags.writeable
 
-    def test_round_trip_keeps_log_likelihoods_and_ends_with_cell_count(self, tmp_path):
+    def test_round_trip_keeps_log_likelihoods_and_counts_cells_in_the_header(self, tmp_path):
         lex = train(TOY_PAIRS)
-        path = tmp_path / "pair.lex.tsv"
+        path = tmp_path / "pair.lex"
         save_lex_table(lex, path, "k1")
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith(f"# {CACHE_FORMAT} key=k1 lls=")
-        assert lines[-1] == f"# cells={len(lex.probs)}"
+        header, probs = cache_parts(path)
+        enc = lex.enc
+        assert enc.src_words == [None, "the", "house", "flower"]
+        identity = "\n".join(["", "the", "house", "flower", *enc.tgt_words]).encode()
+        identity += enc.cell_src.astype("<i4").tobytes() + enc.cell_tgt.astype("<i4").tobytes()
+        lls = ",".join(repr(x) for x in lex.log_likelihoods)
+        assert header.decode() == (
+            f"# {CACHE_FORMAT} key=k1 lls={lls} cells={len(lex.probs)} "
+            f"digest={hashlib.sha256(identity).hexdigest()}\n"
+        )
+        assert probs.tobytes() == lex.probs.tobytes()
         loaded = load_lex_table(path, "k1", lex.enc)
         assert loaded.log_likelihoods == lex.log_likelihoods
 
     def test_earlier_writer_bytes_kept(self, tmp_path):
+        # the lex-tsv-2 oracle still writes the fixture and reads the
+        # trained table back from it
         lex = train(TOY_PAIRS)
         path = tmp_path / "pair.lex.tsv"
-        save_lex_table(lex, path, "toy")
+        lex_tsv_oracle.save_lex_table(lex, path, "toy")
         assert path.read_bytes() == TOY_CACHE.read_bytes()
-        loaded = load_lex_table(TOY_CACHE, "toy", encode_surface_pairs(TOY_PAIRS))
-        assert loaded.probs.tolist() == lex.probs.tolist()
+        loaded = lex_tsv_oracle.load_lex_table(TOY_CACHE, "toy", encode_surface_pairs(TOY_PAIRS))
+        assert loaded.probs.tobytes() == lex.probs.tobytes()
         assert loaded.log_likelihoods == lex.log_likelihoods
 
-    @pytest.mark.parametrize("damage", ["swapped", "other-target"])
+    @pytest.mark.parametrize("damage", ["swapped", "other-target", "other-pair"])
     def test_pair_cache_with_foreign_cells_retrained(
         self, pair_corpus, tmp_path, caplog, damage
     ):
-        # key, footer and row sums all hold; only the source and target
-        # columns give the damage away
+        # key, size and row sums all hold; only the cell count or the
+        # cells digest gives the damage away
         cfg = CONFIG.aligner()
         enc = pair_encoding(pair_corpus)
         first = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
-        (path,) = tmp_path.glob("*.lex.tsv")
-        good = path.read_text()
-        lines = good.splitlines(keepends=True)
-        # two neighbouring cells of one source word, with different values
-        k = next(
-            k
-            for k in range(1, len(lines) - 2)
-            if lines[k].split("\t")[0] == lines[k + 1].split("\t")[0]
-            and lines[k].split("\t")[2] != lines[k + 1].split("\t")[2]
-        )
+        (path,) = tmp_path.glob("*.lex")
+        good = path.read_bytes()
         if damage == "swapped":
-            lines[k], lines[k + 1] = lines[k + 1], lines[k]
+            # two neighbouring cells of one source word trade targets
+            k = next(k for k in range(len(enc.cell_src)) if enc.cell_src[k] == enc.cell_src[k + 1])
+            cell_tgt = enc.cell_tgt.copy()
+            cell_tgt[[k, k + 1]] = cell_tgt[[k + 1, k]]
+            foreign = LexTable(replace(enc, cell_tgt=cell_tgt), first.probs, first.log_likelihoods)
+        elif damage == "other-target":
+            tgt_words = [*enc.tgt_words[:-1], "elsewhere"]
+            foreign = LexTable(replace(enc, tgt_words=tgt_words), first.probs, first.log_likelihoods)
         else:
-            src, _, value = lines[k].split("\t")
-            lines[k] = "\t".join((src, lines[k + 1].split("\t")[1], value))
-        path.write_text("".join(lines), encoding="utf-8")
+            foreign = train(TOY_PAIRS)
+            assert len(foreign.probs) != len(first.probs)
+        key = _pair_cache_key(pair_corpus, "aaa_src", "bbb_tgt", cfg)
+        save_lex_table(foreign, path, key)
         with caplog.at_level(logging.WARNING):
             again = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
-        assert "corrupt" in caplog.text and "cells differ" in caplog.text
-        assert again.probs.tolist() == first.probs.tolist()
-        assert path.read_text() == good
+        assert corrupt_reason(caplog) == "cells differ from the pair's encoding"
+        assert again.probs.tobytes() == first.probs.tobytes()
+        assert path.read_bytes() == good
 
     def test_earlier_format_is_a_silent_miss(self, tmp_path, caplog):
-        path = tmp_path / "pair.lex.tsv"
-        path.write_text("# lex-tsv-1 key=k1\n\tla\t1.0\nthe\tla\t1.0\n", encoding="utf-8")
+        enc = encode_surface_pairs(TOY_PAIRS)
+        path = tmp_path / "pair.lex"
         with caplog.at_level(logging.WARNING):
-            assert load_lex_table(path, "k1", encode_surface_pairs(TOY_PAIRS)) is None
+            for earlier in (TOY_CACHE.read_bytes(), b"# lex-tsv-1 key=toy\n\tla\t1.0\n"):
+                path.write_bytes(earlier)
+                assert load_lex_table(path, "toy", enc) is None
         assert caplog.text == ""
 
-    @pytest.mark.parametrize("damage", ["cut-mid-number", "cut-at-line", "digits-dropped"])
+    @pytest.mark.parametrize("damage", ["cut-mid-number", "cut-at-row", "digits-dropped", "nan"])
     def test_damaged_cache_recomputed_with_warning(
         self, pair_corpus, tmp_path, caplog, damage
     ):
         cfg = CONFIG.aligner()
         enc = pair_encoding(pair_corpus)
         first = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
-        (path,) = tmp_path.glob("*.lex.tsv")
-        good = path.read_text()
-        lines = good.splitlines(keepends=True)
-        # a row line whose value changes by more than the row-sum
-        # tolerance when cut to its first four characters, like 0.012346
-        # read as 0.01
-        values = [line.rstrip("\n").split("\t")[2] for line in lines[1:-1]]
-        k = 1 + next(
-            k
-            for k, v in enumerate(values)
-            if v.startswith("0.") and "e" not in v and abs(float(v[:4]) - float(v)) > 1e-6
-        )
-        src, tgt, value = lines[k].rstrip("\n").split("\t")
-        cut_line = f"{src}\t{tgt}\t{value[:4]}"
+        (path,) = tmp_path.glob("*.lex")
+        good = path.read_bytes()
+        header, probs = cache_parts(path)
+        # a probability that changes by more than the row-sum tolerance
+        # when cut to two decimals, like 0.012346 read as 0.01
+        k = next(k for k, p in enumerate(probs.tolist()) if p - math.floor(p * 100) / 100 > 1e-6)
+        changed = probs.copy()
+        changed[k] = math.floor(probs[k] * 100) / 100
+        # a NaN makes its row sum NaN, which no tolerance comparison passes
+        nan = probs.copy()
+        nan[k] = math.nan
         # a cut between two source rows leaves every row summing to 1;
         # only the cell count shows it
         row_start = next(
-            m
-            for m in range(len(lines) // 2, len(lines) - 1)
-            if lines[m].split("\t")[0] != lines[m - 1].split("\t")[0]
+            m for m in range(len(probs) // 2, len(probs)) if enc.cell_src[m] != enc.cell_src[m - 1]
         )
         damaged = {
-            "cut-mid-number": "".join(lines[:k]) + cut_line,
-            "cut-at-line": "".join(lines[:row_start]),
-            "digits-dropped": "".join(lines[:k]) + cut_line + "\n" + "".join(lines[k + 1 :]),
+            "cut-mid-number": good[: len(header) + 8 * k + 4],
+            "cut-at-row": good[: len(header) + 8 * row_start],
+            "digits-dropped": header + changed.tobytes(),
+            "nan": header + nan.tobytes(),
         }[damage]
-        path.write_text(damaged, encoding="utf-8")
+        path.write_bytes(damaged)
         with caplog.at_level(logging.WARNING):
             key = _pair_cache_key(pair_corpus, "aaa_src", "bbb_tgt", cfg)
             assert load_lex_table(path, key, enc) is None
+        if damage in ("digits-dropped", "nan"):
+            assert corrupt_reason(caplog) == "a row does not sum to 1"
+        else:
+            n_bytes = len(damaged) - len(header)
+            assert corrupt_reason(caplog) == f"{n_bytes} bytes of probabilities for {len(probs)} cells"
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
             again = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
         assert "corrupt" in caplog.text
-        assert again.probs.tolist() == first.probs.tolist()
+        assert again.probs.tobytes() == first.probs.tobytes()
         assert again.log_likelihoods == first.log_likelihoods
-        assert path.read_text() == good
+        assert path.read_bytes() == good
 
     def test_stale_key_misses(self, tmp_path):
         lex = train(TOY_PAIRS)
-        path = tmp_path / "pair.lex.tsv"
+        path = tmp_path / "pair.lex"
         save_lex_table(lex, path, "k1")
         assert load_lex_table(path, "other", lex.enc) is None
-        assert load_lex_table(tmp_path / "absent.tsv", "k1", lex.enc) is None
+        assert load_lex_table(tmp_path / "absent.lex", "k1", lex.enc) is None
 
     def test_corrupt_cache_recomputed_with_warning(self, pair_corpus, tmp_path, caplog):
         cfg = CONFIG.aligner()
         enc = pair_encoding(pair_corpus)
         first = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
-        files = list(tmp_path.glob("*.lex.tsv"))
-        assert len(files) == 1
-        # null row serializes as an empty source field
-        assert any(line.startswith("\t") for line in files[0].read_text().splitlines())
-        good = files[0].read_text()
-        header = good.splitlines()[0]
-        files[0].write_text(header + "\nnot\ta\tvalid float\n", encoding="utf-8")
-        with caplog.at_level(logging.WARNING):
-            again = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
-        assert "corrupt" in caplog.text
-        assert again.probs.tolist() == first.probs.tolist()
-        assert files[0].read_text() == good
+        (path,) = tmp_path.glob("*.lex")
+        good = path.read_bytes()
+        header, _ = cache_parts(path)
+        body = good[len(header) :]
+        garbled = {
+            "log-likelihood": header.replace(b" lls=", b" lls=x,") + body,
+            "cell count": header.replace(b" cells=", b" cells=x") + body,
+            "field dropped": header.replace(b" digest=", b" ") + body,
+            "field added": header.replace(b" cells=", b" more cells=") + body,
+            "undecodable": header.replace(b" digest=", b" digest=\xff") + body,
+            "unterminated": header[:-1],
+            "cut in header": header[: len(header) // 2],
+        }
+        for name, damaged in garbled.items():
+            path.write_bytes(damaged)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                again = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+            assert "corrupt" in caplog.text, name
+            assert again.probs.tobytes() == first.probs.tobytes(), name
+            assert path.read_bytes() == good, name
 
     def test_cache_hit_equals_fresh_training(self, pair_corpus, tmp_path):
         cfg = CONFIG.aligner()
@@ -371,8 +413,8 @@ class TestCache:
         fresh = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, None)
         warm = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
         hit = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
-        assert warm.probs.tolist() == fresh.probs.tolist()
-        assert hit.probs.tolist() == fresh.probs.tolist()
+        assert warm.probs.tobytes() == fresh.probs.tobytes()
+        assert hit.probs.tobytes() == fresh.probs.tobytes()
         assert hit.log_likelihoods == fresh.log_likelihoods
 
 
@@ -623,11 +665,11 @@ class TestProperties:
         fresh = train_pair(corpus, "aaa_src", "t00_tgt", enc, cfg, CONFIG.cache_dir)
         with tempfile.TemporaryDirectory() as cache:
             train_pair(corpus, "aaa_src", "t00_tgt", enc, cfg, cache)
-            (path,) = Path(cache).glob("*.lex.tsv")
+            (path,) = Path(cache).glob("*.lex")
             key = _pair_cache_key(corpus, "aaa_src", "t00_tgt", cfg)
             hit = load_lex_table(path, key, enc)
             assert hit is not None
-            assert hit.probs.tolist() == fresh.probs.tolist()
+            assert hit.probs.tobytes() == fresh.probs.tobytes()
             assert hit.log_likelihoods == fresh.log_likelihoods
             stats = link_counts(corpus, "aaa_src", "w0", cfg, cache)
         assert stats == link_counts(corpus, "aaa_src", "w0", cfg, CONFIG.cache_dir)
@@ -792,6 +834,38 @@ def assert_int32_cells_agree(enc: PairEncoding, cfg: AlignerConfig) -> None:
 WORDS = st.lists(st.sampled_from("abcdefg"), min_size=0, max_size=7)
 
 
+@pytest.fixture(scope="module")
+def tiny8_tables(tmp_path_factory) -> list[tuple[LexTable, AlignerConfig]]:
+    """Every table that a tiny8 `pipeline --feature past` trains, with the
+    aligner settings it was trained under."""
+    root = tmp_path_factory.mktemp("tiny8")
+    write_synth(preset_tiny8(), root)
+    config = RunConfig(
+        corpus_dir=str(root / "corpus"),
+        queries=str(root / "queries.tsv"),
+        allowlist=str(root / "allowlist.txt"),
+        gold=str(root / "gold.tsv"),
+        families=str(root / "families.tsv"),
+        coverage_target=400,
+        k=6,
+        min_count=5,
+    )
+    (root / "config.json").write_text(json.dumps(config.to_dict()), encoding="utf-8")
+    trained = []
+
+    def spy(enc, cfg):
+        lex = train_alignment(enc, cfg)
+        trained.append((lex, cfg))
+        return lex
+
+    argv = ["pipeline", "--config", str(root / "config.json"),
+            "--feature", "past", "--out", str(root / "out")]
+    with mock.patch.object(aligner_module, "train_alignment", spy):
+        assert main(argv) == 0
+    assert trained
+    return trained
+
+
 class TestIntpCells:
     """EM and Viterbi on intp cells against the same encoding with int32
     cells, bit for bit."""
@@ -808,32 +882,45 @@ class TestIntpCells:
             return
         assert_int32_cells_agree(enc, cfg)
 
-    def test_every_pair_of_a_tiny8_pipeline(self, tmp_path):
-        write_synth(preset_tiny8(), tmp_path)
-        config = RunConfig(
-            corpus_dir=str(tmp_path / "corpus"),
-            queries=str(tmp_path / "queries.tsv"),
-            allowlist=str(tmp_path / "allowlist.txt"),
-            gold=str(tmp_path / "gold.tsv"),
-            families=str(tmp_path / "families.tsv"),
-            coverage_target=400,
-            k=6,
-            min_count=5,
-        )
-        (tmp_path / "config.json").write_text(json.dumps(config.to_dict()), encoding="utf-8")
-        trained = []
+    def test_every_pair_of_a_tiny8_pipeline(self, tiny8_tables):
+        for lex, cfg in tiny8_tables:
+            assert_int32_cells_agree(lex.enc, cfg)
 
-        def spy(enc, cfg):
-            trained.append((enc, cfg))
-            return train_alignment(enc, cfg)
 
-        argv = ["pipeline", "--config", str(tmp_path / "config.json"),
-                "--feature", "past", "--out", str(tmp_path / "out")]
-        with mock.patch.object(aligner_module, "train_alignment", spy):
-            assert main(argv) == 0
-        assert trained
-        for enc, cfg in trained:
-            assert_int32_cells_agree(enc, cfg)
+class TestLexTsvOracle:
+    """The binary cache round trip against the lex-tsv-2 oracle's: both
+    give the trained table's probabilities and log-likelihoods bit for
+    bit."""
+
+    @staticmethod
+    def assert_round_trips_agree(lex: LexTable) -> None:
+        with tempfile.TemporaryDirectory() as tmp:
+            binary, text = Path(tmp) / "pair.lex", Path(tmp) / "pair.lex.tsv"
+            save_lex_table(lex, binary, "k")
+            lex_tsv_oracle.save_lex_table(lex, text, "k")
+            loaded = [
+                load_lex_table(binary, "k", lex.enc),
+                lex_tsv_oracle.load_lex_table(text, "k", lex.enc),
+            ]
+        for got in loaded:
+            assert got.probs.tobytes() == lex.probs.tobytes()
+            assert got.log_likelihoods == lex.log_likelihoods
+
+    @given(
+        st.lists(st.tuples(WORDS, WORDS), min_size=1, max_size=20),
+        st.sampled_from(ORACLE_CONFIGS),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_pair_corpora(self, pairs, cfg):
+        try:
+            enc = encode_surface_pairs(pairs)
+        except DataError:
+            return
+        self.assert_round_trips_agree(train_alignment(enc, cfg))
+
+    def test_every_pair_of_a_tiny8_pipeline(self, tiny8_tables):
+        for lex, _ in tiny8_tables:
+            self.assert_round_trips_agree(lex)
 
 
 class TestCacheKey:

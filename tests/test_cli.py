@@ -242,6 +242,20 @@ class TestExitCodes:
         code = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 3
 
+    @pytest.mark.parametrize("name", ["cache", "cache/sub"], ids=["file", "under-a-file"])
+    def test_cache_dir_blocked_by_a_file_is_config_error(
+        self, workspace, tmp_path, capsys, name
+    ):
+        _, _, config, _ = workspace
+        (tmp_path / "cache").write_text("not a directory\n", encoding="utf-8")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(config, cache_dir=str(tmp_path / name))), encoding="utf-8")
+        code = main(["head-pivot", "--feature", "past", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error: cache_dir" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "config_key, argv",
         [

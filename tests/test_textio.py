@@ -4,8 +4,9 @@ import os
 
 import pytest
 
+from pivotmine import textio
 from pivotmine.errors import DataError
-from pivotmine.textio import read_lines, write_lines, write_text
+from pivotmine.textio import read_bytes, read_lines, write_bytes, write_json, write_lines, write_text
 
 
 class TestRead:
@@ -16,6 +17,12 @@ class TestRead:
         latin1.write_bytes("caf\xe9\n".encode("latin-1"))
         with pytest.raises(DataError):
             read_lines(latin1)
+
+    def test_missing_binary_file_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataError):
+            read_bytes(tmp_path / "absent.lex")
+        path = write_bytes(tmp_path / "table.lex", b"\xff\x00\n\r\n")
+        assert read_bytes(path) == b"\xff\x00\n\r\n"
 
     def test_lines_end_only_at_newlines(self, tmp_path):
         path = tmp_path / "lines.txt"
@@ -54,3 +61,19 @@ class TestAtomicWrite:
         finally:
             os.umask(old)
         assert path.stat().st_mode & 0o777 == 0o640
+
+    def test_text_writers_write_utf8_bytes_through_write_bytes(self, tmp_path, monkeypatch):
+        written = []
+
+        def spy(path, data):
+            written.append(data)
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(textio, "write_bytes", spy)
+        text = "caf\xe9\r\n\u2028\t"
+        path = write_text(tmp_path / "a.txt", text)
+        assert path.read_bytes() == text.encode("utf-8") == written[-1]
+        path = write_lines(tmp_path / "a.tsv", ["x\ty", "\u03c3"])
+        assert path.read_bytes() == "x\ty\n\u03c3\n".encode("utf-8") == written[-1]
+        path = write_json(tmp_path / "a.json", {"b": 1, "a": "\xe9"})
+        assert path.read_bytes() == b'{\n  "a": "\\u00e9",\n  "b": 1\n}\n' == written[-1]
