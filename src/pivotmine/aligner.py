@@ -294,13 +294,16 @@ def _link_stats(lex: LexTable, cfg: AlignerConfig, source_word: str) -> PairLink
 
 
 def _pair_cache_key(
-    corpus: MultiCorpus, src_id: str, tgt_id: str, cfg: AlignerConfig
+    corpus: MultiCorpus, src_id: str, tgt_id: str, cfg: AlignerConfig, merge: tuple = ()
 ) -> str:
+    """The pair's cache key: a hash of the format, the pair, cfg, merge
+    (the sorted forms and the word of a source query merge, or nothing)
+    and the raw text of the verses both sides have."""
     h = hashlib.sha256()
     h.update(CACHE_FORMAT.encode())
     h.update(
         json.dumps(
-            [src_id, tgt_id, cfg.em_iterations, cfg.diagonal_tension, cfg.null_prob]
+            [src_id, tgt_id, cfg.em_iterations, cfg.diagonal_tension, cfg.null_prob, *merge]
         ).encode()
     )
     src_text = corpus.translations[src_id].verses
@@ -373,9 +376,11 @@ def train_pair(
     enc: PairEncoding,
     cfg: AlignerConfig,
     cache_dir: str | Path | None,
+    merge: tuple = (),
 ) -> LexTable:
     """Train (or load from cache) the lexical table of one pair, whose
-    verse pairs enc encodes."""
+    verse pairs enc encodes; merge names a query merge of the source (see
+    _pair_cache_key)."""
     if cache_dir is None:
         return train_alignment(enc, cfg)
     cache_dir = Path(cache_dir)
@@ -383,9 +388,9 @@ def train_pair(
         cache_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cache_dir {cache_dir} is not a usable directory: {exc}") from exc
-    key = _pair_cache_key(corpus, src_id, tgt_id, cfg)
+    key = _pair_cache_key(corpus, src_id, tgt_id, cfg, merge)
     # the key prefix in the name lets tables of one pair under different
-    # keys (say, the query before and after each feature's merge) coexist
+    # keys (say, the query pairs of each feature's merge) coexist
     path = cache_dir / f"{src_id}__{tgt_id}.{key[:16]}.lex"
     cached = load_lex_table(path, key, enc)
     if cached is not None:
@@ -402,17 +407,24 @@ def link_counts(
     cfg: AlignerConfig,
     cache_dir: str | Path | None,
     targets: list[str] | None = None,
+    forms: frozenset[str] = frozenset(),
 ) -> dict[str, PairLinkStats]:
     """Align the source translation against each target and count links.
 
     source_word must be a tokenizer-normalized surface; if it never occurs
     in the selected verses of the source translation the result is empty
     (with a warning). Targets default to every other translation, and are
-    processed in sorted order.
+    processed in sorted order. The tokens of the lowercased surfaces in
+    forms are first merged into source_word, which must then not be a
+    surface of the source (see TranslationEncoding.merged).
     """
     if source_translation_id not in corpus.translations:
         raise DataError(f"unknown translation {source_translation_id!r}")
     src = corpus.encode(source_translation_id)
+    merge = ()
+    if forms:
+        src = src.merged(forms, source_word)
+        merge = (sorted(forms), source_word)
     if source_word not in src.vocab:
         logger.warning(
             "source word %r absent from selected verses of %s",
@@ -436,7 +448,7 @@ def link_counts(
                 tgt_id,
             )
             continue
-        lex = train_pair(corpus, source_translation_id, tgt_id, enc, cfg, cache_dir)
+        lex = train_pair(corpus, source_translation_id, tgt_id, enc, cfg, cache_dir, merge)
         stats = _link_stats(lex, cfg, source_word)
         freq = tgt.frequencies()
         stats.target_frequencies = {w: freq[w] for w in stats.source_word_to_target}

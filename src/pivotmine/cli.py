@@ -15,13 +15,13 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
 from .cluster import (
-    evaluate_family_prediction, language_distance, marker_distance_matrix, marker_label,
-    read_distance_tsv, to_newick, upgma, write_distance_tsv,
+    DistanceMatrix, evaluate_family_prediction, language_distance, marker_distance_matrix,
+    marker_label, read_distance_tsv, to_newick, upgma, write_distance_tsv,
 )
 from .config import RunConfig, load_config
 from .corpus import MultiCorpus, load_corpus, read_families, write_coverage_report
@@ -156,6 +156,23 @@ def stage_mine(
     return written
 
 
+def _family_metrics(
+    cfg: RunConfig, dm: DistanceMatrix, families: dict[str, str], path: Path
+) -> list[Path]:
+    """Write the family metrics of dm to path when at least two of its
+    labels carry a family; otherwise log why not and write nothing."""
+    annotated = sum(label in families for label in dm.labels)
+    if annotated < 2:
+        logger.warning(
+            "family metrics skipped: %d of %d clustered labels carry a family",
+            annotated,
+            len(dm.labels),
+        )
+        return []
+    metrics = evaluate_family_prediction(dm, families, cfg.jsd_threshold)
+    return [_write_json(path, metrics)]
+
+
 def stage_cluster_markers(
     cfg: RunConfig, corpus: MultiCorpus, pivot_set: PivotSet, out: Path
 ) -> list[Path]:
@@ -171,13 +188,7 @@ def stage_cluster_markers(
             for p in pivot_set.members
             if p.iso3 in corpus.families
         }
-        if len(marker_families) >= 2:
-            metrics = evaluate_family_prediction(
-                dm, marker_families, cfg.jsd_threshold
-            )
-            written.append(
-                _write_json(out / "marker_family_metrics.json", metrics)
-            )
+        written += _family_metrics(cfg, dm, marker_families, out / "marker_family_metrics.json")
     return written
 
 
@@ -254,8 +265,7 @@ def stage_cluster_languages(
         _write_json(out / "language_report.json", asdict(report)),
     ]
     if corpus.families:
-        metrics = evaluate_family_prediction(dm, corpus.families, cfg.jsd_threshold)
-        written.append(_write_json(out / "family_metrics.json", metrics))
+        written += _family_metrics(cfg, dm, corpus.families, out / "family_metrics.json")
     return read, written
 
 
@@ -292,11 +302,12 @@ class Run:
         return value
 
     def corpus(self) -> MultiCorpus:
-        """The configured corpus with its verse selection, loaded under the
-        manifest timer `load`. ingest's --corpus overrides corpus_dir, and a
-        coverage_target past the verse universe is clamped to it."""
-        root = getattr(self.args, "corpus", None) or self.cfg.path("corpus_dir")
+        """The corpus of _corpus_dir with its verse selection, loaded under
+        the manifest timer `load`. A coverage_target past the verse
+        universe is clamped to it."""
         with self.rec.time_stage("load"):
+            # cfg.path raises the ConfigError of a missing corpus_dir
+            root = _corpus_dir(self.args, self.cfg) or self.cfg.path("corpus_dir")
             corpus = load_corpus(root, self.cfg.families)
             target = self.cfg.coverage_target
             if target > len(corpus.verse_universe):
@@ -307,6 +318,12 @@ class Run:
                 )
                 target = len(corpus.verse_universe)
             return corpus.select(target)
+
+
+def _corpus_dir(args, cfg: RunConfig) -> str | None:
+    """The corpus directory a subcommand loads: ingest's --corpus, else
+    corpus_dir (None when neither is given)."""
+    return getattr(args, "corpus", None) or cfg.corpus_dir
 
 
 def _out_dir(args, cfg: RunConfig | None) -> Path:
@@ -327,7 +344,7 @@ def run_command(args: argparse.Namespace) -> int:
     if "config" in args:
         cfg = load_config(args.config)
         rec = RunRecorder(args.command, cfg.to_dict(), cfg.sha256())
-        for path in (cfg.corpus_dir, cfg.queries, cfg.allowlist, cfg.gold, cfg.families):
+        for path in (_corpus_dir(args, cfg), cfg.queries, cfg.allowlist, cfg.gold, cfg.families):
             rec.add_input(path)
     else:  # synth: its preset or spec is its whole configuration
         cfg = None
@@ -381,9 +398,11 @@ def cmd_synth(run: Run) -> None:
             raise ConfigError(
                 f"unknown preset {args.preset!r} (have: {', '.join(sorted(PRESETS))})"
             )
-        spec = PRESETS[args.preset](args.seed) if args.seed is not None else PRESETS[args.preset]()
+        spec = PRESETS[args.preset]()
     else:
         spec = spec_from_json(args.spec)
+    if args.seed is not None:
+        spec = replace(spec, seed=args.seed)
     corpus = run.stage("synth", stage_synth, spec, run.out)
     logger.info(
         "wrote %d translations, %d verses to %s",
@@ -492,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("synth", cmd_synth, "generate a synthetic corpus with planted markers", ())
     p.add_argument("--preset", help=f"one of: {', '.join(sorted(PRESETS))}")
     p.add_argument("--spec", help="path to a synth spec JSON")
-    p.add_argument("--seed", type=int, default=None, help="override the preset seed")
+    p.add_argument("--seed", type=int, default=None, help="override the seed of the preset or spec")
     p.add_argument("--out", required=True, help="output directory")
 
     p = add("ingest", cmd_ingest, "load a corpus and report verse coverage")

@@ -106,6 +106,20 @@ class TranslationEncoding:
         counts = np.bincount(self.ids, minlength=len(self.vocab))
         return dict(zip(self.vocab, counts.tolist()))
 
+    def merged(self, forms: frozenset[str], word: str) -> "TranslationEncoding":
+        """This encoding with the tokens of every surface in forms under
+        one id, the first such, which is renamed word. The other forms'
+        entries stay in vocab with no token. word must not be a surface
+        of this encoding."""
+        matched = [i for i, surface in enumerate(self.vocab) if surface in forms]
+        if not matched:
+            return self
+        remap = np.arange(len(self.vocab), dtype=np.int32)
+        remap[matched] = matched[0]
+        vocab = list(self.vocab)
+        vocab[matched[0]] = word
+        return TranslationEncoding(vocab, remap[self.ids], self.offsets)
+
 
 def _vocabulary() -> defaultdict[str, int]:
     """A map from surface to id that gives a new surface the next id when
@@ -183,15 +197,6 @@ class MultiCorpus:
     def select(self, target_count: int) -> "MultiCorpus":
         chosen = select_covered_verses(self, target_count)
         return replace(self, selected_verses=tuple(chosen))
-
-    def with_translation(self, trans: Translation) -> "MultiCorpus":
-        """Copy of the corpus with one translation replaced or added."""
-        translations = dict(self.translations)
-        translations[trans.translation_id] = trans
-        universe = sorted(set(self.verse_universe) | set(trans.verses))
-        return replace(
-            self, translations=translations, verse_universe=tuple(universe)
-        )
 
 
 def load_corpus(
@@ -294,53 +299,3 @@ def write_coverage_report(corpus: MultiCorpus, path: str | Path) -> Path:
     counts = coverage_counts(corpus)
     lines = (f"{vid}\t{counts[vid]}" for vid in corpus.verse_universe)
     return write_lines(path, lines)
-
-
-def apply_query_merge(
-    trans: Translation,
-    forms: set[str] | frozenset[str],
-    synthetic: str,
-) -> Translation:
-    """Replace every token matching one of forms with a synthetic token.
-
-    Used to turn a multi-form query (say three present-tense copulas) into
-    one alignable surface before training. forms are compared lowercased.
-    Raises ValueError if the synthetic token would be split by the
-    tokenizer, and DataError if it already occurs as a token of this
-    translation (the merge would be ambiguous).
-    """
-    if any(ch in DELIMITERS for ch in synthetic):
-        raise ValueError(f"synthetic token {synthetic!r} contains a delimiter")
-    if not synthetic:
-        raise ValueError("synthetic token must be non-empty")
-    target = synthetic.lower()
-    norm_forms = {f.lower() for f in forms}
-    new_verses: dict[str, str] = {}
-    replaced = 0
-    items = list(trans.verses.items())
-    for lo, (surfaces, starts, ends, counts) in tokenize_blocks([text for _, text in items]):
-        block = items[lo : lo + len(counts)]
-        verse = np.repeat(np.arange(len(block)), counts).tolist()
-        if target in surfaces:
-            raise DataError(
-                f"synthetic token {synthetic!r} already occurs in "
-                f"{trans.translation_id} verse {block[verse[surfaces.index(target)]][0]}"
-            )
-        spans = defaultdict(list)
-        for k, surface in enumerate(surfaces):
-            if surface in norm_forms:
-                spans[verse[k]].append((int(starts[k]), int(ends[k])))
-                replaced += 1
-        for v, (vid, text) in enumerate(block):
-            parts: list[str] = []
-            prev = 0
-            for start, end in spans.get(v, ()):
-                parts += (text[prev:start], synthetic)
-                prev = end
-            parts.append(text[prev:])
-            new_verses[vid] = "".join(parts)
-    if replaced == 0:
-        logger.warning(
-            "query merge matched no tokens in %s", trans.translation_id
-        )
-    return Translation(trans.translation_id, trans.iso3, new_verses)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .aligner import AlignerConfig, PairLinkStats, link_counts
-from .corpus import DELIMITERS, MultiCorpus, apply_query_merge, tokenize_blocks
+from .corpus import DELIMITERS, MultiCorpus, Translation, tokenize_blocks
 from .errors import DataError
 from .stats import ContingencyTable, chi2
 from .textio import read_lines, write_lines
@@ -185,6 +185,25 @@ def score_candidates(
     return out
 
 
+def _check_query_merge(trans: Translation, forms: frozenset[str], synthetic: str) -> None:
+    """One pass over every verse of the query translation, selected or
+    not: DataError naming the first verse where synthetic already occurs
+    as a token (the merge would be ambiguous), and a warning when no token
+    is one of forms."""
+    vids = list(trans.verses)
+    matched = False
+    for lo, (surfaces, _, _, counts) in tokenize_blocks(list(trans.verses.values())):
+        if synthetic in surfaces:
+            row = lo + np.searchsorted(np.cumsum(counts), surfaces.index(synthetic), side="right")
+            raise DataError(
+                f"synthetic token {synthetic!r} already occurs in "
+                f"{trans.translation_id} verse {vids[row]}"
+            )
+        matched = matched or not forms.isdisjoint(surfaces)
+    if not matched:
+        logger.warning("query merge matched no tokens in %s", trans.translation_id)
+
+
 def find_head_pivot(
     corpus: MultiCorpus,
     query: Query,
@@ -195,32 +214,31 @@ def find_head_pivot(
 ) -> Pivot:
     """Find the best-associated allowlisted word for a feature query.
 
-    Multi-form queries are first merged into one synthetic token in the
-    query translation, which is aligned against the allowlisted
-    translations only. Raises DataError when no allowlisted candidate has
-    a positive score; the error then aligns every translation and lists
-    the top-scoring candidates overall so the allowlist can be revisited.
+    The query forms are merged into one synthetic token in the query
+    translation's encoding (see link_counts), which is aligned against the
+    allowlisted translations only. Raises DataError when no allowlisted
+    candidate has a positive score; the error then aligns every translation
+    and lists the top-scoring candidates overall so the allowlist can be
+    revisited.
     """
     if not allowlist:
         raise DataError("head pivot search needs a non-empty language allowlist")
     if query.translation_id not in corpus.translations:
         raise DataError(f"unknown query translation {query.translation_id!r}")
-    trans = corpus.translations[query.translation_id]
-    forms = set(query.forms)
+    forms = frozenset(f.lower() for f in query.forms)
     synthetic = synthetic_query_token(query.feature)
-    merged = apply_query_merge(trans, forms, synthetic)
-    work = corpus.with_translation(merged)
+    _check_query_merge(corpus.translations[query.translation_id], forms, synthetic)
 
     def candidates_in(targets: list[str] | None) -> list[Pivot]:
         stats = link_counts(
-            work, query.translation_id, synthetic, cfg, cache_dir, targets
+            corpus, query.translation_id, synthetic, cfg, cache_dir, targets, forms
         )
-        return score_candidates(work, stats, min_count)
+        return score_candidates(corpus, stats, min_count)
 
     # Each target is scored on its own, so aligning only the allowlisted
     # ones finds the same head.
     allowed_targets = [
-        tid for tid, t in work.translations.items() if t.iso3 in allowlist
+        tid for tid, t in corpus.translations.items() if t.iso3 in allowlist
     ]
     allowed = [c for c in candidates_in(allowed_targets) if c.score > 0]
     if not allowed:

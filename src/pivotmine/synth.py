@@ -42,7 +42,6 @@ class LanguageSpec:
     iso3: str
     style: str
     family: str
-    vocabulary_size: int = 60
     markers: tuple[tuple[str, tuple[str, ...]], ...] | None = None
 
     def marker_map(self) -> dict[str, tuple[str, ...]] | None:
@@ -64,6 +63,7 @@ class SynthSpec:
     verse_missing: float = 0.0
     min_words: int = 5
     max_words: int = 9
+    vocabulary_size: int = 60  # concepts, and content words per language
     seed: int = 0
 
     def validate(self) -> None:
@@ -89,10 +89,6 @@ class SynthSpec:
             seen.add(lang.iso3)
             if lang.style not in STYLES:
                 raise ConfigError(f"unknown style {lang.style!r}")
-            if lang.vocabulary_size < self.max_words:
-                raise ConfigError(
-                    f"{lang.iso3}: vocabulary_size must be >= max_words"
-                )
         query = next(
             (l for l in self.languages if l.iso3 == self.query_iso3), None
         )
@@ -102,6 +98,8 @@ class SynthSpec:
             raise ConfigError("query language must be particle-style")
         if not 1 <= self.min_words <= self.max_words:
             raise ConfigError("need 1 <= min_words <= max_words")
+        if self.vocabulary_size < self.max_words:
+            raise ConfigError("vocabulary_size must be >= max_words")
         if not 0.0 <= self.marker_drop < 1.0:
             raise ConfigError("marker_drop must lie in [0, 1)")
         if not 0.0 < self.family_keep <= 1.0:
@@ -141,7 +139,6 @@ def generate(spec: SynthSpec) -> tuple[MultiCorpus, dict]:
     """
     spec.validate()
     feature_names = [f for f, _ in spec.features]
-    concept_count = min(l.vocabulary_size for l in spec.languages)
 
     label_rng = _sub_rng(spec.seed, "labels")
     content_rng = _sub_rng(spec.seed, "content")
@@ -157,7 +154,7 @@ def generate(spec: SynthSpec) -> tuple[MultiCorpus, dict]:
                 label = name
                 break
         length = content_rng.randint(spec.min_words, spec.max_words)
-        concepts = content_rng.sample(range(concept_count), length)
+        concepts = content_rng.sample(range(spec.vocabulary_size), length)
         plans.append((vid, label, concepts))
 
     labeled = {
@@ -183,7 +180,7 @@ def generate(spec: SynthSpec) -> tuple[MultiCorpus, dict]:
         prefix = prefixes[li]
         lexicon: list[str] = []
         seen: set[str] = set()
-        for _ in range(concept_count):
+        for _ in range(spec.vocabulary_size):
             while True:
                 # variable word length keeps boundary grams aperiodic, so
                 # no window phase can correlate with them systematically
@@ -415,16 +412,10 @@ def preset_families28(seed: int = 13) -> SynthSpec:
 
 def preset_tiny8(seed: int = 7) -> SynthSpec:
     """Small fast corpus for CLI and determinism checks."""
-    langs = [LanguageSpec("qaa", "particle", "famA", vocabulary_size=40)]
-    langs += [
-        LanguageSpec(iso, "particle", "famA", vocabulary_size=40)
-        for iso in _iso_series("p", 4)
-    ]
-    langs += [
-        LanguageSpec(iso, "suffix", "famB", vocabulary_size=40)
-        for iso in _iso_series("s", 2)
-    ]
-    langs.append(LanguageSpec("naa", "none", "famC", vocabulary_size=40))
+    langs = [LanguageSpec("qaa", "particle", "famA")]
+    langs += [LanguageSpec(iso, "particle", "famA") for iso in _iso_series("p", 4)]
+    langs += [LanguageSpec(iso, "suffix", "famB") for iso in _iso_series("s", 2)]
+    langs.append(LanguageSpec("naa", "none", "famC"))
     return SynthSpec(
         n_verses=400,
         features=(("past", 0.3), ("present", 0.3), ("future", 0.25)),
@@ -434,6 +425,7 @@ def preset_tiny8(seed: int = 7) -> SynthSpec:
         marker_drop=0.03,
         jitter=1.0,
         verse_missing=0.02,
+        vocabulary_size=40,
         seed=seed,
     )
 

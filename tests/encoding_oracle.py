@@ -1,23 +1,29 @@
 """Per-verse and sorting references for the corpus and pair encoders.
 
-The oracles that MultiCorpus.encode, aligner.encode_pairs and
-aligner._pair_cache_key are tested against: one regex match per token and
-one verse at a time, np.unique for word and cell numbering, and one hash
-update per piece of each verse.
+The oracles that MultiCorpus.encode, aligner.encode_pairs,
+aligner._pair_cache_key and the head-pivot query merge are tested
+against: one regex match per token and one verse at a time, np.unique for
+word and cell numbering, one hash update per piece of each verse, and a
+merge that rewrites the query text.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import re
 from collections import defaultdict
 
 import numpy as np
 
 from pivotmine.aligner import CACHE_FORMAT, AlignerConfig, PairEncoding
-from pivotmine.corpus import DELIMITERS, MultiCorpus, TranslationEncoding
+from pivotmine.corpus import (
+    DELIMITERS, MultiCorpus, Translation, TranslationEncoding, tokenize_blocks,
+)
 from pivotmine.errors import DataError
+
+logger = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(f"[^{re.escape(DELIMITERS)}]+")
 
@@ -93,14 +99,14 @@ def encode_pairs(src: TranslationEncoding, tgt: TranslationEncoding) -> PairEnco
 
 
 def pair_cache_key(
-    corpus: MultiCorpus, src_id: str, tgt_id: str, cfg: AlignerConfig
+    corpus: MultiCorpus, src_id: str, tgt_id: str, cfg: AlignerConfig, merge: tuple = ()
 ) -> str:
     """aligner._pair_cache_key with five hash updates per shared verse."""
     h = hashlib.sha256()
     h.update(CACHE_FORMAT.encode())
     h.update(
         json.dumps(
-            [src_id, tgt_id, cfg.em_iterations, cfg.diagonal_tension, cfg.null_prob]
+            [src_id, tgt_id, cfg.em_iterations, cfg.diagonal_tension, cfg.null_prob, *merge]
         ).encode()
     )
     src_tok = corpus.translations[src_id].verses
@@ -116,3 +122,52 @@ def pair_cache_key(
         h.update(t.encode())
         h.update(b"\x01")
     return h.hexdigest()
+
+
+def apply_query_merge(
+    trans: Translation,
+    forms: set[str] | frozenset[str],
+    synthetic: str,
+) -> Translation:
+    """The query merge as a rewrite of the text: every token matching one
+    of forms is replaced with a synthetic token.
+
+    forms are compared lowercased. Raises ValueError if the synthetic
+    token would be split by the tokenizer, and DataError if it already
+    occurs as a token of this translation (the merge would be ambiguous).
+    """
+    if any(ch in DELIMITERS for ch in synthetic):
+        raise ValueError(f"synthetic token {synthetic!r} contains a delimiter")
+    if not synthetic:
+        raise ValueError("synthetic token must be non-empty")
+    target = synthetic.lower()
+    norm_forms = {f.lower() for f in forms}
+    new_verses: dict[str, str] = {}
+    replaced = 0
+    items = list(trans.verses.items())
+    for lo, (surfaces, starts, ends, counts) in tokenize_blocks([text for _, text in items]):
+        block = items[lo : lo + len(counts)]
+        verse = np.repeat(np.arange(len(block)), counts).tolist()
+        if target in surfaces:
+            raise DataError(
+                f"synthetic token {synthetic!r} already occurs in "
+                f"{trans.translation_id} verse {block[verse[surfaces.index(target)]][0]}"
+            )
+        spans = defaultdict(list)
+        for k, surface in enumerate(surfaces):
+            if surface in norm_forms:
+                spans[verse[k]].append((int(starts[k]), int(ends[k])))
+                replaced += 1
+        for v, (vid, text) in enumerate(block):
+            parts: list[str] = []
+            prev = 0
+            for start, end in spans.get(v, ()):
+                parts += (text[prev:start], synthetic)
+                prev = end
+            parts.append(text[prev:])
+            new_verses[vid] = "".join(parts)
+    if replaced == 0:
+        logger.warning(
+            "query merge matched no tokens in %s", trans.translation_id
+        )
+    return Translation(trans.translation_id, trans.iso3, new_verses)

@@ -243,6 +243,17 @@ def make_corpus(verses_by_tid: dict[str, dict[str, str]], iso3=None, select=True
     return corpus
 
 
+def assert_encodings_equal(got: PairEncoding, want: PairEncoding) -> None:
+    """The two pair encodings are equal, word lists, cell arrays (with
+    their dtypes) and blocks."""
+    assert got.src_words == want.src_words
+    assert got.tgt_words == want.tgt_words
+    for name in ("cell_src", "cell_tgt", "cells"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+    assert got.blocks == want.blocks
+
+
 def encode_surfaces(rows) -> TranslationEncoding:
     """Encode rows of token surfaces, one row per list; ids follow first
     occurrence."""

@@ -21,6 +21,7 @@ import lex_tsv_oracle
 import pivotmine.aligner as aligner_module
 from helpers import (
     CONFIG,
+    assert_encodings_equal,
     encode_surface_pairs,
     lex_rows,
     lex_table,
@@ -49,6 +50,7 @@ from pivotmine.cli import main
 from pivotmine.config import RunConfig
 from pivotmine.corpus import MultiCorpus, dense_index
 from pivotmine.errors import ConfigError, DataError
+from pivotmine.pivots import synthetic_query_token
 from pivotmine.synth import generate, preset_marking24, preset_tiny8, write_synth
 
 TOY_PAIRS = [
@@ -549,15 +551,6 @@ def batched_links(lex: LexTable, pairs, cfg: AlignerConfig) -> list[list[tuple[i
     return out
 
 
-def assert_encodings_equal(got: PairEncoding, want: PairEncoding) -> None:
-    assert got.src_words == want.src_words
-    assert got.tgt_words == want.tgt_words
-    for name in ("cell_src", "cell_tgt", "cells"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
-    assert got.blocks == want.blocks
-
-
 def reference_pairs(corpus, src_id: str, tgt_id: str):
     """Surface lists of the selected verses both translations hold with a
     token, from the reference tokenizer."""
@@ -943,3 +936,32 @@ class TestCacheKey:
             assert _pair_cache_key(corpus, query, tgt, cfg) == encoding_oracle.pair_cache_key(
                 corpus, query, tgt, cfg
             )
+
+    def test_query_pairs_of_two_features_get_their_own_keys(self, tmp_path):
+        corpus, truth = generate(preset_tiny8())
+        corpus = corpus.select(len(corpus.verse_universe) - 7)
+        query, forms = truth["query"]["translation_id"], truth["query"]["forms"]
+        cfg = CONFIG.aligner()
+        tgt = "paa_synth"
+
+        def key_of(call) -> str:
+            """The cache key prefix of the one table a link_counts call wrote."""
+            cache = tmp_path / str(len(list(tmp_path.iterdir())))
+            call(cache)
+            (path,) = cache.iterdir()
+            return path.name.split(".")[1]
+
+        plain = key_of(
+            lambda cache: link_counts(corpus, query, forms["past"][0], cfg, cache, [tgt])
+        )
+        assert plain == encoding_oracle.pair_cache_key(corpus, query, tgt, cfg)[:16]
+        merged = {}
+        for feature in ("past", "present"):
+            word = synthetic_query_token(feature)
+            merged[feature] = key_of(lambda cache: link_counts(
+                corpus, query, word, cfg, cache, [tgt], frozenset(forms[feature])
+            ))
+            assert merged[feature] == encoding_oracle.pair_cache_key(
+                corpus, query, tgt, cfg, [sorted(forms[feature]), word]
+            )[:16]
+        assert len({plain, *merged.values()}) == 3

@@ -122,14 +122,15 @@ def cli_spec() -> SynthSpec:
         n_verses=150,
         features=(("past", 0.4),),
         languages=(
-            LanguageSpec("qaa", "particle", "fa", 30),
-            LanguageSpec("paa", "particle", "fb", 30),
-            LanguageSpec("pba", "particle", "fc", 30),
-            LanguageSpec("saa", "suffix", "fd", 30),
-            LanguageSpec("naa", "none", "fe", 30),
+            LanguageSpec("qaa", "particle", "fa"),
+            LanguageSpec("paa", "particle", "fb"),
+            LanguageSpec("pba", "particle", "fc"),
+            LanguageSpec("saa", "suffix", "fd"),
+            LanguageSpec("naa", "none", "fe"),
         ),
         query_iso3="qaa",
         marker_drop=0.02,
+        vocabulary_size=30,
         seed=21,
     )
 
@@ -186,6 +187,27 @@ class TestSynthCommand:
         fb = (b / "corpus" / "qaa_synth.txt").read_text()
         assert fa != fb
 
+    def test_seed_override_applies_to_a_spec(self, tmp_path):
+        spec = {
+            "n_verses": 40,
+            "features": [["past", 0.4]],
+            "languages": [
+                {"iso3": "qaa", "style": "particle", "family": "fa"},
+                {"iso3": "paa", "style": "particle", "family": "fb"},
+            ],
+            "query_iso3": "qaa",
+            "seed": 5,
+        }
+        corpora = []
+        for seed, flag in ((5, []), (5, ["--seed", "99"]), (99, [])):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(dict(spec, seed=seed)), encoding="utf-8")
+            out = tmp_path / f"out{len(corpora)}"
+            assert main(["synth", "--spec", str(path), *flag, "--out", str(out)]) == 0
+            corpora.append((out / "corpus" / "paa_synth.txt").read_bytes())
+        assert corpora[1] != corpora[0]
+        assert corpora[1] == corpora[2]
+
     def test_rerun_lists_only_its_own_outputs(self, tmp_path):
         out = tmp_path / "synth"
         for _ in range(2):
@@ -241,6 +263,26 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"corpus_dir": str(empty)}), encoding="utf-8")
         code = main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 3
+
+    def test_synthetic_token_in_an_unselected_verse_is_data_error(
+        self, workspace, tmp_path, capsys
+    ):
+        # the verse only the query translation has is the one coverage leaves out
+        _, _, config, _ = workspace
+        corpus = tmp_path / "corpus"
+        shutil.copytree(config["corpus_dir"], corpus)
+        with open(corpus / "qaa_synth.txt", "a", encoding="utf-8") as fh:
+            fh.write("00009999\tsome qtokpastq here\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(config, corpus_dir=str(corpus))), encoding="utf-8")
+        assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "i")]) == 0
+        assert "00009999" not in (tmp_path / "i" / "selection.txt").read_text().split()
+        capsys.readouterr()
+        code = main(["head-pivot", "--feature", "past", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert ("data error: synthetic token 'qtokpastq' already occurs in "
+                "qaa_synth verse 00009999") in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["cache", "cache/sub"], ids=["file", "under-a-file"])
     def test_cache_dir_blocked_by_a_file_is_config_error(
@@ -609,6 +651,49 @@ class TestStagewiseFlow:
         ) // 2
 
 
+class TestPartialFamilies:
+    """A stage whose distance matrix has fewer than two labels with a
+    family writes its other outputs and its manifest, and no family
+    metrics."""
+
+    def run(self, workspace, tmp_path, families: str, argv: list[str]) -> Path:
+        _, _, config, _ = workspace
+        (tmp_path / "families.tsv").write_text(families, encoding="utf-8")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(config, families=str(tmp_path / "families.tsv"))),
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "manifest.json").is_file()
+        return out
+
+    def test_cluster_languages_with_one_annotated_language(
+        self, workspace, expanded, tmp_path, caplog
+    ):
+        shutil.copytree(expanded, tmp_path / "from" / "past")
+        argv = ["cluster-languages", "--features", "past", "--from", str(tmp_path / "from")]
+        out = self.run(workspace, tmp_path, "qaa\tfa\n", argv)
+        assert (out / "languages.nwk").is_file()
+        assert not (out / "family_metrics.json").exists()
+        assert "family metrics skipped: 1 of" in caplog.text
+
+    def test_cluster_markers_with_an_annotated_marker_excluded(
+        self, workspace, expanded, tmp_path, caplog
+    ):
+        # the naa marker never fires, so only the head's label keeps a family
+        pivots = tmp_path / "pivots.tsv"
+        extra = "9\tnaa\tnaa_synth\tnowhere\t1\n"
+        pivots.write_text((expanded / "pivots.tsv").read_text() + extra, encoding="utf-8")
+        head = json.loads((expanded / "head.json").read_text())
+        argv = ["cluster-markers", "--feature", "past", "--pivots", str(pivots),
+                "--head", str(expanded / "head.json")]
+        out = self.run(workspace, tmp_path, f"naa\tfe\n{head['iso3']}\tfx\n", argv)
+        assert (out / "markers.nwk").is_file()
+        assert "naa_nowhere" not in (out / "markers_distance.tsv").read_text()
+        assert not (out / "marker_family_metrics.json").exists()
+        assert "family metrics skipped: 1 of" in caplog.text
+
+
 class TestPivotScans:
     """Each pivot translation is scanned once per process, for all of its
     surfaces, when its pivot set is built, and mining, marker clustering
@@ -720,6 +805,20 @@ class TestManifestInputs:
         assert self.extra_inputs(workspace, argv, tmp_path / "o") == [
             str(past / "head.json"), str(past / "ranking.tsv")
         ]
+
+    def test_ingest_corpus_override_lists_the_loaded_corpus(self, workspace, tmp_path):
+        _, cfg_path, config, _ = workspace
+        other = tmp_path / "other" / "corpus"
+        write_synth(preset_tiny8(), other.parent)
+        out = tmp_path / "o"
+        assert main(["ingest", "--config", str(cfg_path), "--corpus", str(other),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "corpus_stats.json").read_text())["n_translations"] == 8
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        assert sorted(k for k in inputs if k.startswith(str(other))) == sorted(
+            str(p) for p in other.iterdir()
+        )
+        assert not [k for k in inputs if k.startswith(config["corpus_dir"])]
 
 
 class TestLoadTiming:

@@ -5,6 +5,7 @@ import logging
 import random
 import re
 import string
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -16,14 +17,17 @@ import encoding_oracle as oracle
 import ngrams_oracle
 import pivotmine.corpus as corpus_module
 import pivotmine.pivots as pivots_module
-from helpers import CONFIG, encode_surfaces, make_corpus, positions_by_verse, tokenize_reference
+from helpers import (
+    CONFIG, assert_encodings_equal, encode_surfaces, make_corpus, positions_by_verse,
+    tokenize_reference,
+)
+from pivotmine.aligner import encode_pairs
 from pivotmine.cli import main
 from pivotmine.corpus import (
     BLOCK_VERSES,
     DELIMITERS,
     MultiCorpus,
     Translation,
-    apply_query_merge,
     coverage_counts,
     is_verse_id,
     load_corpus,
@@ -34,7 +38,8 @@ from pivotmine.corpus import (
     write_coverage_report,
 )
 from pivotmine.errors import DataError
-from pivotmine.pivots import Pivot, PivotSet
+from pivotmine.pivots import Pivot, PivotSet, Query, find_head_pivot, synthetic_query_token
+from pivotmine.synth import PRESETS, generate
 
 
 def tokens(text: str) -> list[tuple[str, int, int]]:
@@ -376,84 +381,114 @@ class TestSelection:
         assert path.read_text() == "00000001\t2\n00000002\t1\n"
 
 
+def merged_surfaces(text: str, forms: set[str]) -> list[str]:
+    """The surfaces of one verse's encoding after merging forms into qtok."""
+    enc = make_corpus({"aaa_t": {"00000001": text}}).encode("aaa_t")
+    enc = enc.merged(frozenset(forms), "qtok")
+    return [enc.vocab[i] for i in enc.ids.tolist()]
+
+
+def head_search(verses: dict[str, str], forms: set[str]):
+    """find_head_pivot of a past query of forms in aaa_t, allowlisting bbb."""
+    corpus = make_corpus({"aaa_t": verses, "bbb_t": {vid: "z" for vid in verses}})
+    query = Query("past", "aaa_t", frozenset(forms))
+    return find_head_pivot(corpus, query, {"bbb"}, CONFIG.aligner(), CONFIG.min_count, None)
+
+
 class TestQueryMerge:
     def test_merges_each_form(self):
-        trans = Translation("aaa_t", "aaa", {"00000001": "he is here"})
-        merged = apply_query_merge(trans, {"is", "are", "am"}, "QTOK")
-        assert merged.verses["00000001"] == "he QTOK here"
+        assert merged_surfaces("he is here", {"is", "are", "am"}) == ["he", "qtok", "here"]
 
     def test_merges_repeated_tokens(self):
-        trans = Translation("aaa_t", "aaa", {"00000001": "will will"})
-        merged = apply_query_merge(trans, {"will"}, "QTOK")
-        assert merged.verses["00000001"] == "QTOK QTOK"
+        assert merged_surfaces("will will", {"will"}) == ["qtok", "qtok"]
 
-    def test_preserves_surrounding_punctuation(self):
-        trans = Translation("aaa_t", "aaa", {"00000001": "Is he? He is!"})
-        merged = apply_query_merge(trans, {"is"}, "QTOK")
-        assert merged.verses["00000001"] == "QTOK he? He QTOK!"
-
-    def test_delimiter_in_synthetic_rejected(self):
-        trans = Translation("aaa_t", "aaa", {"00000001": "x"})
-        with pytest.raises(ValueError):
-            apply_query_merge(trans, {"x"}, "bad token")
-        with pytest.raises(ValueError):
-            apply_query_merge(trans, {"x"}, "")
+    def test_merge_keeps_the_first_forms_id_and_rows(self):
+        enc = make_corpus({"aaa_t": {"00000001": "a is", "00000002": "are b is"}}).encode("aaa_t")
+        merged = enc.merged(frozenset({"is", "are"}), "qtok")
+        assert merged.vocab == ["a", "qtok", "are", "b"]
+        assert merged.ids.tolist() == [0, 1, 1, 3, 1]
+        assert merged.offsets is enc.offsets
+        assert enc.merged(frozenset({"absent"}), "qtok") is enc
 
     def test_collision_with_existing_token_rejected(self):
-        trans = Translation("aaa_t", "aaa", {"00000001": "qtok stays"})
-        with pytest.raises(DataError):
-            apply_query_merge(trans, {"stays"}, "qtok")
+        with pytest.raises(DataError, match="'qtokpastq' already occurs in aaa_t verse 00000001"):
+            head_search({"00000001": "QtokPastQ stays"}, {"stays"})
 
     def test_zero_matches_warns(self, caplog):
-        trans = Translation("aaa_t", "aaa", {"00000001": "nothing here"})
-        with caplog.at_level(logging.WARNING):
-            merged = apply_query_merge(trans, {"absent"}, "QTOK")
-        assert "matched no tokens" in caplog.text
-        assert merged.verses == trans.verses
+        with caplog.at_level(logging.WARNING), pytest.raises(DataError, match="no allowlisted"):
+            head_search({"00000001": "nothing here"}, {"absent"})
+        assert "query merge matched no tokens in aaa_t" in caplog.text
 
-    def test_case_folded_matching(self):
-        trans = Translation("aaa_t", "aaa", {"00000001": "IS is Is"})
-        merged = apply_query_merge(trans, {"is"}, "QTOK")
-        assert merged.verses["00000001"] == "QTOK QTOK QTOK"
+    def test_case_folded_matching(self, monkeypatch, caplog):
+        assert merged_surfaces("IS is Is", {"is"}) == ["qtok", "qtok", "qtok"]
+        seen = []
 
+        def spy(*args):
+            seen.append(args[6])
+            return {}
 
-def merge_reference(verses, forms, synthetic):
-    """apply_query_merge's verse texts, one verse at a time."""
-    out = {}
-    for vid, text in verses.items():
-        parts = []
-        prev = 0
-        for tok, start, end in tokenize_reference(text):
-            if tok in forms:
-                parts += (text[prev:start], synthetic)
-                prev = end
-        out[vid] = "".join(parts + [text[prev:]])
-    return out
+        monkeypatch.setattr(pivots_module, "link_counts", spy)
+        with caplog.at_level(logging.WARNING), pytest.raises(DataError, match="no allowlisted"):
+            head_search({"00000001": "he Is here"}, {"IS", "Are"})
+        assert seen == [frozenset({"is", "are"})] * 2
+        assert "matched no tokens" not in caplog.text
 
 
 # "İ".lower() is two code points, so a merged span is shorter than its form.
-MERGE_FORMS = {"a", "İ".lower(), "σ"}
+MERGE_FORMS = frozenset({"a", "İ".lower(), "σ"})
+MERGE_TEXT = st.text(alphabet="ab ,İΣ\u00a0", max_size=12)
+
+
+def assert_merge_matches_the_text_oracle(corpus, query: str, forms, word: str) -> None:
+    """For every other translation, encode_pairs of the query's encoding
+    with forms merged into word equals encode_pairs of the query text that
+    the oracle rewrote."""
+    rewritten = oracle.apply_query_merge(corpus.translations[query], forms, word)
+    text = replace(corpus, translations={**corpus.translations, query: rewritten})
+    merged = corpus.encode(query).merged(forms, word)
+    by_text = text.encode(query)
+    for tid in sorted(corpus.translations):
+        if tid == query:
+            continue
+        tgt = corpus.encode(tid)
+        try:
+            want = encode_pairs(by_text, tgt)
+        except DataError:
+            with pytest.raises(DataError):
+                encode_pairs(merged, tgt)
+            continue
+        assert_encodings_equal(encode_pairs(merged, tgt), want)
 
 
 class TestQueryMergeBlocks:
     @given(
-        st.lists(st.text(alphabet="ab ,İΣ\u00a0", max_size=12), min_size=1, max_size=10),
+        st.lists(st.tuples(MERGE_TEXT, st.one_of(st.none(), MERGE_TEXT)), min_size=1, max_size=10),
         st.integers(1, 4),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_per_verse_merge(self, texts, block):
-        verses = {f"{i:08d}": t for i, t in enumerate(texts, 1)}
-        trans = Translation("aaa_t", "aaa", verses)
+    def test_matches_per_verse_merge(self, rows, block):
+        query, other = (
+            {f"{i:08d}": t for i, t in enumerate(side, 1) if t is not None} for side in zip(*rows)
+        )
+        corpus = make_corpus({"aaa_t": query, "bbb_t": other})
         with mock.patch.object(corpus_module, "BLOCK_VERSES", block):
-            merged = apply_query_merge(trans, MERGE_FORMS, "QTOK")
-        assert merged.verses == merge_reference(verses, MERGE_FORMS, "QTOK")
+            assert_merge_matches_the_text_oracle(corpus, "aaa_t", MERGE_FORMS, "qtok")
+
+    @pytest.mark.parametrize("preset", ["tiny8", "marking24"])
+    def test_every_query_pair_of_a_preset(self, preset):
+        corpus, truth = generate(PRESETS[preset]())
+        corpus = corpus.select(len(corpus.verse_universe) - 7)
+        query = truth["query"]
+        for feature, forms in query["forms"].items():
+            assert_merge_matches_the_text_oracle(
+                corpus, query["translation_id"], frozenset(forms), synthetic_query_token(feature)
+            )
 
     def test_collision_names_its_verse_in_a_later_block(self):
         verses = {f"{i:08d}": "x y" for i in range(1, BLOCK_VERSES + 10)}
-        verses[f"{BLOCK_VERSES + 5:08d}"] = "x qtok"
-        trans = Translation("aaa_t", "aaa", verses)
+        verses[f"{BLOCK_VERSES + 5:08d}"] = "x qtokpastq"
         with pytest.raises(DataError, match=f"verse {BLOCK_VERSES + 5:08d}"):
-            apply_query_merge(trans, {"x"}, "QTOK")
+            head_search(verses, {"x"})
 
 
 SCAN_ALPHABET = DELIMITERS + string.ascii_uppercase + "abİiΣσςé"
@@ -666,16 +701,9 @@ class TestCorpusMethods:
         )
         assert corpus.languages() == ["aaa", "bbb"]
 
-    def test_with_translation_extends_universe(self):
-        corpus = make_corpus({"aaa_t": {"00000001": "x"}}, select=False)
-        newer = corpus.with_translation(
-            Translation("bbb_t", "bbb", {"00000002": "y"})
-        )
-        assert newer.verse_universe == ("00000001", "00000002")
-        assert "bbb_t" in newer.translations
-
     def test_encode_reads_the_current_translation(self):
         corpus = make_corpus({"aaa_t": {"00000001": "a b"}, "bbb_t": {"00000001": "c d"}})
-        copy = corpus.with_translation(Translation("aaa_t", "aaa", {"00000001": "x y"}))
+        other = Translation("aaa_t", "aaa", {"00000001": "x y"})
+        copy = replace(corpus, translations={**corpus.translations, "aaa_t": other})
         assert copy.encode("aaa_t").vocab == ["x", "y"]
         assert corpus.encode("aaa_t").vocab == ["a", "b"]

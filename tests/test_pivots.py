@@ -2,6 +2,7 @@
 
 import copy
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from helpers import CONFIG, make_corpus
 from pivotmine.aligner import PairLinkStats, link_counts
 from pivotmine import pivots as pivots_module
 from pivotmine.config import RunConfig
-from pivotmine.corpus import Translation, apply_query_merge
+from pivotmine.corpus import Translation
 from pivotmine.errors import ConfigError, DataError
 from pivotmine.pivots import (
     Pivot,
@@ -244,18 +245,12 @@ class TestHeadPivot:
         assert [sorted(t) for t in seen] == [["pba_synth", "pca_synth", "pda_synth"]]
 
         # the head is the one found by aligning every translation
-        merged = apply_query_merge(
-            corpus.translations[q["translation_id"]],
-            set(query.forms),
-            synthetic_query_token("past"),
-        )
-        work = corpus.with_translation(merged)
         stats = link_counts(
-            work, q["translation_id"], synthetic_query_token("past"),
-            CONFIG.aligner(), CONFIG.cache_dir,
+            corpus, q["translation_id"], synthetic_query_token("past"),
+            CONFIG.aligner(), CONFIG.cache_dir, None, query.forms,
         )
         best = next(
-            c for c in score_candidates(work, stats, CONFIG.min_count)
+            c for c in score_candidates(corpus, stats, CONFIG.min_count)
             if c.iso3 in allow and c.score > 0
         )
         assert (head.translation_id, head.surface, head.score) == (
@@ -312,7 +307,8 @@ class TestExpansion:
         head, ranking = head_and_ranking
         twin_source = corpus.translations[ranking[0].translation_id]
         twin = Translation("zza_twin", twin_source.iso3, dict(twin_source.verses))
-        bigger = corpus.with_translation(twin).select(len(corpus.verse_universe))
+        bigger = replace(corpus, translations={**corpus.translations, "zza_twin": twin})
+        bigger = bigger.select(len(corpus.verse_universe))
         doubled = ranking + [
             Pivot(c.iso3, "zza_twin", c.surface, c.score)
             for c in ranking

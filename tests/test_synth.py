@@ -31,12 +31,13 @@ def small_spec(**overrides) -> SynthSpec:
         n_verses=120,
         features=(("past", 0.4),),
         languages=(
-            LanguageSpec("qaa", "particle", "fa", vocabulary_size=30),
-            LanguageSpec("paa", "particle", "fb", vocabulary_size=30),
-            LanguageSpec("saa", "suffix", "fc", vocabulary_size=30),
-            LanguageSpec("naa", "none", "fd", vocabulary_size=30),
+            LanguageSpec("qaa", "particle", "fa"),
+            LanguageSpec("paa", "particle", "fb"),
+            LanguageSpec("saa", "suffix", "fc"),
+            LanguageSpec("naa", "none", "fd"),
         ),
         query_iso3="qaa",
+        vocabulary_size=30,
         seed=5,
     )
     params.update(overrides)
@@ -123,10 +124,8 @@ class TestPlantedMarkers:
     def test_explicit_marker_forms_used(self):
         spec = small_spec(
             languages=(
-                LanguageSpec("qaa", "particle", "fa", 30),
-                LanguageSpec(
-                    "paa", "particle", "fb", 30, markers=(("past", ("kuxi",)),)
-                ),
+                LanguageSpec("qaa", "particle", "fa"),
+                LanguageSpec("paa", "particle", "fb", markers=(("past", ("kuxi",)),)),
             )
         )
         corpus, truth = generate(spec)
@@ -191,6 +190,7 @@ class TestValidation:
             dict(verse_missing=-0.1),
             dict(min_words=0),
             dict(min_words=9, max_words=5),
+            dict(vocabulary_size=5),
             dict(query_forms=0),
             dict(jitter=-1.0),
         ]
@@ -201,23 +201,19 @@ class TestValidation:
     def test_rejects_bad_languages(self):
         with pytest.raises(ConfigError):
             small_spec(
-                languages=(LanguageSpec("QAA", "particle", "fa", 30),),
+                languages=(LanguageSpec("QAA", "particle", "fa"),),
                 query_iso3="QAA",
             ).validate()
         with pytest.raises(ConfigError):
             small_spec(
                 languages=(
-                    LanguageSpec("qaa", "particle", "fa", 30),
-                    LanguageSpec("qaa", "particle", "fb", 30),
+                    LanguageSpec("qaa", "particle", "fa"),
+                    LanguageSpec("qaa", "particle", "fb"),
                 )
             ).validate()
         with pytest.raises(ConfigError):
             small_spec(
-                languages=(LanguageSpec("qaa", "weird", "fa", 30),)
-            ).validate()
-        with pytest.raises(ConfigError):
-            small_spec(
-                languages=(LanguageSpec("qaa", "particle", "fa", 5),)
+                languages=(LanguageSpec("qaa", "weird", "fa"),)
             ).validate()
 
 
@@ -285,13 +281,12 @@ class TestOnDisk:
                     "n_verses": 50,
                     "features": [["past", 0.4]],
                     "languages": [
-                        {"iso3": "qaa", "style": "particle", "family": "fa",
-                         "vocabulary_size": 30},
+                        {"iso3": "qaa", "style": "particle", "family": "fa"},
                         {"iso3": "paa", "style": "particle", "family": "fb",
-                         "vocabulary_size": 30,
                          "markers": {"past": ["kuxi"]}},
                     ],
                     "query_iso3": "qaa",
+                    "vocabulary_size": 30,
                     "seed": 9,
                 }
             ),
@@ -299,6 +294,7 @@ class TestOnDisk:
         )
         spec = spec_from_json(path)
         assert spec.n_verses == 50
+        assert spec.vocabulary_size == 30
         assert spec.languages[1].marker_map() == {"past": ("kuxi",)}
         generate(spec)
 
@@ -332,10 +328,11 @@ class TestSpecExitCodes:
         "n_verses": 50,
         "features": [["past", 0.4]],
         "languages": [
-            {"iso3": "qaa", "style": "particle", "family": "fa", "vocabulary_size": 30},
-            {"iso3": "paa", "style": "particle", "family": "fb", "vocabulary_size": 30},
+            {"iso3": "qaa", "style": "particle", "family": "fa"},
+            {"iso3": "paa", "style": "particle", "family": "fb"},
         ],
         "query_iso3": "qaa",
+        "vocabulary_size": 30,
         "seed": 9,
     }
 
@@ -349,7 +346,7 @@ class TestSpecExitCodes:
 
     @pytest.mark.parametrize("change", [
         {"n_verses": 10.5},
-        {"languages": [{**SPEC["languages"][0], "vocabulary_size": "60"}]},
+        {"vocabulary_size": "60"},
         {"languages": [SPEC["languages"][0], {**SPEC["languages"][1], "markers": {"past": "ab"}}]},
         {"features": [["past", "0.3"]]},
     ], ids=["float-n_verses", "string-vocabulary_size", "string-markers", "string-probability"])
@@ -358,6 +355,19 @@ class TestSpecExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
         assert not (tmp_path / "out" / "gold.tsv").exists()
+
+    def test_vocabulary_size_is_one_per_spec(self, tmp_path, capsys):
+        # a language's own vocabulary_size is an unknown key
+        lang = {**self.SPEC["languages"][1], "vocabulary_size": 400}
+        languages = [self.SPEC["languages"][0], lang]
+        assert self.run(tmp_path, {**self.SPEC, "languages": languages}) == 2
+        assert "unknown language keys: ['vocabulary_size']" in capsys.readouterr().err
+        # the spec's sets every language's vocabulary
+        corpora = []
+        for size in (30, 400):
+            assert self.run(tmp_path, {**self.SPEC, "vocabulary_size": size}) == 0
+            corpora.append((tmp_path / "out" / "corpus" / "paa_synth.txt").read_text())
+        assert corpora[0] != corpora[1]
 
 
 def test_translation_id_format():
