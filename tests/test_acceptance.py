@@ -7,12 +7,14 @@ assertions, not in shared constants, so each criterion reads standalone.
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from helpers import (
     tree_merges,
     upgma_reference,
 )
+import pivotmine
 from pivotmine.aligner import train_alignment
 from pivotmine.cluster import (
     DistanceMatrix,
@@ -529,6 +532,10 @@ def test_pipeline_reruns_byte_identical(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
 
+    # the child imports the package this test imported, with or without PYTHONPATH
+    src = str(Path(pivotmine.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     hashes = []
     for run in ("run1", "run2"):
         out = tmp_path / run
@@ -547,6 +554,7 @@ def test_pipeline_reruns_byte_identical(tmp_path):
             ],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         per_file = {}
