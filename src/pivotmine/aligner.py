@@ -13,6 +13,11 @@ form one block that shares one prior matrix. The ids are intp because
 numpy converts an index array of any other type to intp on every take and
 bincount, which EM does twice per iteration. The trained table is one
 probability per cell, from EM through decoding to the cache file.
+
+EM and decoding gather with np.take(..., mode="clip"), as numpy buffers
+a take's output under the default mode="raise". The clip never acts: a
+PairEncoding checks once that its cell ids lie in [0, len(cell_src)), and
+a LexTable that it holds one probability per cell.
 """
 
 from __future__ import annotations
@@ -68,8 +73,7 @@ def diagonal_prior(
         math.exp(-cfg.diagonal_tension * abs((i + 1) / src_len - rel_j))
         for i in range(src_len)
     ]
-    z = sum(ws)
-    scale = (1.0 - cfg.null_prob) / z
+    scale = (1.0 - cfg.null_prob) / sum(ws)
     return [w * scale for w in ws]
 
 
@@ -101,7 +105,7 @@ class PairEncoding:
     (source token i, target token j) in the block's verse pair v.
     cells is intp, numpy's index type, so that EM and decoding index with
     it directly: numpy converts any other index type on every take and
-    bincount.
+    bincount. Every id must name a cell, as those takes clip.
     """
 
     src_words: list[str | None]
@@ -110,6 +114,10 @@ class PairEncoding:
     cell_tgt: np.ndarray
     cells: np.ndarray
     blocks: list[tuple[int, int, int, int]]  # (offset, n, src_len, tgt_len)
+
+    def __post_init__(self):
+        if self.cells.size and not 0 <= self.cells.min() <= self.cells.max() < len(self.cell_src):
+            raise ValueError(f"cell ids outside [0, {len(self.cell_src)})")
 
     def views(self, values: np.ndarray):
         """(src_len, tgt_len, block) for each block of a per-entry array."""
@@ -131,6 +139,10 @@ class LexTable:
     enc: PairEncoding
     probs: np.ndarray
     log_likelihoods: list[float]
+
+    def __post_init__(self):
+        if len(self.probs) != len(self.enc.cell_src):
+            raise ValueError(f"{len(self.probs)} probabilities for {len(self.enc.cell_src)} cells")
 
 
 def _first_occurrence(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,14 +211,13 @@ def encode_pairs(src: TranslationEncoding, tgt: TranslationEncoding) -> PairEnco
 def _em(enc: PairEncoding, cfg: AlignerConfig) -> tuple[np.ndarray, list[float]]:
     """Per-cell probabilities after EM, and the log-likelihood at the
     start of each iteration."""
-    n_cells = len(enc.cell_src)
     # Uniform init over the target words co-occurring with each source word.
     table = 1.0 / np.bincount(enc.cell_src)[enc.cell_src]
     priors = [_prior_matrix(s, t, cfg) for _, _, s, t in enc.blocks]
     w = np.empty(len(enc.cells))
     lls: list[float] = []
     for _ in range(cfg.em_iterations):
-        np.take(table, enc.cells, out=w)
+        np.take(table, enc.cells, out=w, mode="clip")  # unbuffered
         ll = 0.0
         for prior, (_, _, block) in zip(priors, enc.views(w)):
             block *= prior
@@ -214,7 +225,7 @@ def _em(enc: PairEncoding, cfg: AlignerConfig) -> tuple[np.ndarray, list[float]]
             ll += float(np.log(denom).sum())
             block *= (1.0 / denom)[..., None]
         lls.append(ll)
-        counts = np.bincount(enc.cells, w, minlength=n_cells)
+        counts = np.bincount(enc.cells, w, minlength=len(enc.cell_src))
         totals = np.bincount(enc.cell_src, counts)[enc.cell_src]
         # A row without posterior mass keeps its previous probabilities.
         filled = totals > 0
@@ -227,22 +238,23 @@ def train_alignment(enc: PairEncoding, cfg: AlignerConfig) -> LexTable:
     return LexTable(enc, *_em(enc, cfg))
 
 
-def _viterbi(lex: LexTable, cfg: AlignerConfig) -> list[np.ndarray]:
-    """Per block, the (n, tgt_len) source position linked to each target
-    token, or -1 for no link.
+def _viterbi(lex: LexTable, cfg: AlignerConfig) -> np.ndarray:
+    """The cell of every link, block by block in verse and target order.
 
     Each target token takes its best source position under prior times
     cell probability, the leftmost on a tie, and links only when that
     weight strictly exceeds the null word's.
     """
-    w = lex.probs[lex.enc.cells]
-    out = []
-    for s, t, block in lex.enc.views(w):
+    enc = lex.enc
+    w = np.take(lex.probs, enc.cells, mode="clip")
+    linked = []
+    for (offset, n, s, t), (_, _, block) in zip(enc.blocks, enc.views(w)):
         block *= _prior_matrix(s, t, cfg)
-        best = block[..., 1:].argmax(axis=2)
-        w_best = np.take_along_axis(block, best[..., None] + 1, axis=2)[..., 0]
-        out.append(np.where(w_best > block[..., 0], best, -1))
-    return out
+        null = block[..., 0].copy()
+        block[..., 0] = -1.0  # below every weight: the argmax runs over whole rows
+        best = block.argmax(axis=2) + np.arange(offset, offset + block.size, s + 1).reshape(n, t)
+        linked.append(best[np.take(w, best, mode="clip") > null])
+    return np.take(enc.cells, np.concatenate(linked), mode="clip")
 
 
 @dataclass
@@ -267,11 +279,7 @@ class PairLinkStats:
 def _link_stats(lex: LexTable, cfg: AlignerConfig, source_word: str) -> PairLinkStats:
     """Tally the Viterbi links of every verse pair of lex's encoding."""
     enc = lex.enc
-    linked = [
-        np.take_along_axis(block, positions[..., None] + 1, axis=2)[positions >= 0, 0]
-        for positions, (_, _, block) in zip(_viterbi(lex, cfg), enc.views(enc.cells))
-    ]
-    link_cells = np.concatenate(linked)
+    link_cells = _viterbi(lex, cfg)
     tgt = enc.cell_tgt[link_cells]
     n_tgt = len(enc.tgt_words)
     all_links = np.bincount(tgt, minlength=n_tgt)
@@ -285,11 +293,7 @@ def _link_stats(lex: LexTable, cfg: AlignerConfig, source_word: str) -> PairLink
         return Counter({enc.tgt_words[f]: c for f, c in enumerate(counts.tolist()) if c})
 
     return PairLinkStats(
-        source_word,
-        counter(from_word),
-        int(from_word.sum()),
-        counter(all_links),
-        len(link_cells),
+        source_word, counter(from_word), int(from_word.sum()), counter(all_links), len(link_cells)
     )
 
 
@@ -427,9 +431,7 @@ def link_counts(
         merge = (sorted(forms), source_word)
     if source_word not in src.vocab:
         logger.warning(
-            "source word %r absent from selected verses of %s",
-            source_word,
-            source_translation_id,
+            "source word %r absent from selected verses of %s", source_word, source_translation_id
         )
         return {}
     if targets is None:
@@ -443,9 +445,7 @@ def link_counts(
             enc = encode_pairs(src, tgt)
         except DataError:
             logger.warning(
-                "no shared selected verses between %s and %s",
-                source_translation_id,
-                tgt_id,
+                "no shared selected verses between %s and %s", source_translation_id, tgt_id
             )
             continue
         lex = train_pair(corpus, source_translation_id, tgt_id, enc, cfg, cache_dir, merge)

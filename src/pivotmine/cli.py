@@ -341,14 +341,14 @@ def run_command(args: argparse.Namespace) -> int:
     output directory, runs the subcommand's body (which times its stages
     through Run.stage) and writes the manifest.
     """
+    rec = RunRecorder(args.command)
     if "config" in args:
         cfg = load_config(args.config)
-        rec = RunRecorder(args.command, cfg.to_dict(), cfg.sha256())
+        rec.set_config(cfg.to_dict())
         for path in (_corpus_dir(args, cfg), cfg.queries, cfg.allowlist, cfg.gold, cfg.families):
             rec.add_input(path)
-    else:  # synth: its preset or spec is its whole configuration
+    else:  # synth, whose body records the spec it generates from
         cfg = None
-        rec = RunRecorder(args.command, {"preset": args.preset, "spec": args.spec}, "")
     for name in ("pivots", "head", "verses", "distances"):
         rec.add_input(getattr(args, name, None))
     run = Run(args, cfg, rec, _out_dir(args, cfg))
@@ -403,6 +403,8 @@ def cmd_synth(run: Run) -> None:
         spec = spec_from_json(args.spec)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
+    run.rec.set_config(asdict(spec))
+    run.rec.add_input(args.spec)
     corpus = run.stage("synth", stage_synth, spec, run.out)
     logger.info(
         "wrote %d translations, %d verses to %s",
@@ -499,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True)
     common.add_argument("--out", help="output directory (default: config out_dir)")
     pivot_input = argparse.ArgumentParser(add_help=False, parents=[common])
-    pivot_input.add_argument("--feature", required=True)
+    # still accepted, as callers pass it; nothing reads it
+    pivot_input.add_argument("--feature", help="ignored; --pivots fixes the feature")
     pivot_input.add_argument("--pivots", required=True, help="pivots.tsv from expand-pivots")
     pivot_input.add_argument("--head", help="head.json (marks the head member)")
 

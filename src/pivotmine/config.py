@@ -8,7 +8,6 @@ ignore, so typos never masquerade as defaults.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
@@ -16,6 +15,7 @@ from pathlib import Path
 from .aligner import AlignerConfig
 from .errors import ConfigError, DataError
 from .evaluation import MATCH_MODES
+from .manifest import canonical_sha256
 from .maps import SPLIT_POLICIES
 from .textio import read_text
 
@@ -148,8 +148,7 @@ class RunConfig:
         return asdict(self)
 
     def sha256(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+        return canonical_sha256(self.to_dict())
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -8,6 +8,7 @@ of a stage is byte-reproducible given the same config and inputs.
 from __future__ import annotations
 
 import hashlib
+import json
 import platform
 import time
 from contextlib import contextmanager
@@ -18,6 +19,11 @@ import numpy
 from .textio import write_json
 
 MANIFEST_NAME = "manifest.json"
+
+
+def canonical_sha256(doc: dict) -> str:
+    """sha256 of doc as canonical JSON: keys sorted, default separators."""
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def file_sha256(path: str | Path) -> str:
@@ -31,14 +37,20 @@ def file_sha256(path: str | Path) -> str:
 class RunRecorder:
     """Collects inputs, outputs and stage timings for one CLI invocation."""
 
-    def __init__(self, command: str, config_dict: dict, config_hash: str):
+    def __init__(self, command: str):
         self.command = command
-        self.config_dict = config_dict
-        self.config_hash = config_hash
+        self.config_dict: dict = {}
+        self.config_hash = ""
         self.started = time.time()
         self.inputs: dict[str, str] = {}
         self.outputs: list[Path] = []
         self.timings: dict[str, float] = {}
+
+    def set_config(self, config_dict: dict) -> None:
+        """Record config_dict as the run's configuration, with its
+        canonical_sha256."""
+        self.config_dict = config_dict
+        self.config_hash = canonical_sha256(config_dict)
 
     def add_input(self, path: str | Path | None) -> None:
         if path is None:

@@ -1,16 +1,31 @@
-"""Dict-of-dicts reference for the array aligner.
+"""References for the array aligner.
 
-The oracle that the array EM and batched Viterbi in pivotmine.aligner are
-tested against: plain loops over verse pairs and tokens, one dict row per
-source word, and one Viterbi pass per verse pair.
+Two oracles that the EM and decoding in pivotmine.aligner are tested
+against:
+- a dict-of-dicts aligner: plain loops over verse pairs and tokens, one
+  dict row per source word, and one Viterbi pass per verse pair;
+- the array EM and decoding as first written: EM gathers with np.take in
+  its default mode="raise", and decoding takes the argmax over the
+  strided source columns of each block, returns per-block source
+  positions, and finds the linked cells with a second gather.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
-from pivotmine.aligner import AlignerConfig, diagonal_prior
+import numpy as np
+
+from pivotmine.aligner import (
+    AlignerConfig,
+    LexTable,
+    PairEncoding,
+    PairLinkStats,
+    _prior_matrix,
+    diagonal_prior,
+)
 from pivotmine.errors import DataError
 
 
@@ -118,3 +133,87 @@ def viterbi_align(t: dict, source, target, cfg: AlignerConfig):
         if best_i >= 0:
             links.append((best_i, j))
     return links
+
+
+# --- the array EM and decoding as first written ----------------------------------
+
+
+def em(enc: PairEncoding, cfg: AlignerConfig) -> tuple[np.ndarray, list[float]]:
+    """Per-cell probabilities after EM, and the log-likelihood at the
+    start of each iteration."""
+    n_cells = len(enc.cell_src)
+    # Uniform init over the target words co-occurring with each source word.
+    table = 1.0 / np.bincount(enc.cell_src)[enc.cell_src]
+    priors = [_prior_matrix(s, t, cfg) for _, _, s, t in enc.blocks]
+    w = np.empty(len(enc.cells))
+    lls: list[float] = []
+    for _ in range(cfg.em_iterations):
+        np.take(table, enc.cells, out=w)
+        ll = 0.0
+        for prior, (_, _, block) in zip(priors, enc.views(w)):
+            block *= prior
+            denom = block.sum(axis=2)
+            ll += float(np.log(denom).sum())
+            block *= (1.0 / denom)[..., None]
+        lls.append(ll)
+        counts = np.bincount(enc.cells, w, minlength=n_cells)
+        totals = np.bincount(enc.cell_src, counts)[enc.cell_src]
+        # A row without posterior mass keeps its previous probabilities.
+        filled = totals > 0
+        table[filled] = counts[filled] * (1.0 / totals[filled])
+    return table, lls
+
+
+def viterbi_positions(lex: LexTable, cfg: AlignerConfig) -> list[np.ndarray]:
+    """Per block, the (n, tgt_len) source position linked to each target
+    token, or -1 for no link.
+
+    Each target token takes its best source position under prior times
+    cell probability, the leftmost on a tie, and links only when that
+    weight strictly exceeds the null word's.
+    """
+    w = lex.probs[lex.enc.cells]
+    out = []
+    for s, t, block in lex.enc.views(w):
+        block *= _prior_matrix(s, t, cfg)
+        best = block[..., 1:].argmax(axis=2)
+        w_best = np.take_along_axis(block, best[..., None] + 1, axis=2)[..., 0]
+        out.append(np.where(w_best > block[..., 0], best, -1))
+    return out
+
+
+def link_cells(lex: LexTable, cfg: AlignerConfig) -> np.ndarray:
+    """The cell of every link of viterbi_positions, block by block in
+    verse and target order."""
+    linked = [
+        np.take_along_axis(block, positions[..., None] + 1, axis=2)[positions >= 0, 0]
+        for positions, (_, _, block) in zip(
+            viterbi_positions(lex, cfg), lex.enc.views(lex.enc.cells)
+        )
+    ]
+    return np.concatenate(linked)
+
+
+def link_stats(lex: LexTable, cfg: AlignerConfig, source_word: str) -> PairLinkStats:
+    """Tally the links of link_cells."""
+    enc = lex.enc
+    cells = link_cells(lex, cfg)
+    tgt = enc.cell_tgt[cells]
+    n_tgt = len(enc.tgt_words)
+    all_links = np.bincount(tgt, minlength=n_tgt)
+    try:
+        word_id = enc.src_words.index(source_word, 1)
+    except ValueError:
+        word_id = -1
+    from_word = np.bincount(tgt[enc.cell_src[cells] == word_id], minlength=n_tgt)
+
+    def counter(counts: np.ndarray) -> Counter:
+        return Counter({enc.tgt_words[f]: c for f, c in enumerate(counts.tolist()) if c})
+
+    return PairLinkStats(
+        source_word,
+        counter(from_word),
+        int(from_word.sum()),
+        counter(all_links),
+        len(cells),
+    )

@@ -534,14 +534,16 @@ def assert_tables_agree(lex: LexTable, ref: oracle.DictTable) -> None:
 
 
 def batched_links(lex: LexTable, pairs, cfg: AlignerConfig) -> list[list[tuple[int, int]]]:
-    """Per-verse links of the batched decoder, back in input order, for a
-    table over the encoding of pairs.
+    """Per-verse links of the batched decoding oracle, back in input
+    order, for a table over the encoding of pairs; the link cells of
+    _viterbi must be those of the oracle.
 
     Blocks hold verse pairs by (src_len, tgt_len) in sorted order, each
     block in input order. A pair with an empty side is not encoded and
     gets no links.
     """
-    positions = _viterbi(lex, cfg)
+    assert_link_cells_agree(lex, cfg)
+    positions = oracle.viterbi_positions(lex, cfg)
     rows = [row for block in positions for row in block.tolist()]
     kept = [k for k, (s, t) in enumerate(pairs) if s and t]
     order = sorted(kept, key=lambda k: (len(pairs[k][0]), len(pairs[k][1])))
@@ -549,6 +551,16 @@ def batched_links(lex: LexTable, pairs, cfg: AlignerConfig) -> list[list[tuple[i
     for k, row in zip(order, rows):
         out[k] = [(i, j) for j, i in enumerate(row) if i >= 0]
     return out
+
+
+def assert_link_cells_agree(lex: LexTable, cfg: AlignerConfig) -> np.ndarray:
+    """The link cells of _viterbi, which must equal the decoding oracle's
+    in value and order."""
+    got = _viterbi(lex, cfg)
+    want = oracle.link_cells(lex, cfg)
+    assert got.dtype == want.dtype == lex.enc.cells.dtype
+    assert got.tolist() == want.tolist()
+    return got
 
 
 def reference_pairs(corpus, src_id: str, tgt_id: str):
@@ -809,19 +821,24 @@ class TestEncodePairsOracle:
 
 
 def assert_int32_cells_agree(enc: PairEncoding, cfg: AlignerConfig) -> None:
-    """EM and Viterbi give the same bits on enc and on its copy with the
-    int32 cell ids that encode_pairs once returned."""
+    """EM and decoding give the oracles' bits on enc and on its copy with
+    the int32 cell ids that encode_pairs once returned."""
     assert enc.cells.dtype == np.intp
     narrow = replace(enc, cells=enc.cells.astype(np.int32))
+    probs, lls = oracle.em(enc, cfg)
+    for e in (enc, narrow):
+        assert_em_agrees(e, cfg)
+        assert_link_cells_agree(LexTable(e, probs, lls), cfg)
+
+
+def assert_em_agrees(enc: PairEncoding, cfg: AlignerConfig) -> tuple[np.ndarray, list[float]]:
+    """_em of enc, whose probabilities and log-likelihoods must equal the
+    EM oracle's bit for bit."""
     probs, lls = aligner_module._em(enc, cfg)
-    narrow_probs, narrow_lls = aligner_module._em(narrow, cfg)
-    assert probs.tobytes() == narrow_probs.tobytes()
-    assert lls == narrow_lls
-    links = _viterbi(LexTable(enc, probs, lls), cfg)
-    narrow_links = _viterbi(LexTable(narrow, probs, lls), cfg)
-    assert [(a.dtype, a.tobytes()) for a in links] == [
-        (a.dtype, a.tobytes()) for a in narrow_links
-    ]
+    want_probs, want_lls = oracle.em(enc, cfg)
+    assert probs.tobytes() == want_probs.tobytes()
+    assert lls == want_lls
+    return probs, lls
 
 
 WORDS = st.lists(st.sampled_from("abcdefg"), min_size=0, max_size=7)
@@ -878,6 +895,102 @@ class TestIntpCells:
     def test_every_pair_of_a_tiny8_pipeline(self, tiny8_tables):
         for lex, cfg in tiny8_tables:
             assert_int32_cells_agree(lex.enc, cfg)
+
+
+class TestEmOracle:
+    """_em against the EM oracle, which gathers under numpy's buffered
+    mode="raise", bit for bit; and the cell id range that makes its
+    unbuffered gathers safe."""
+
+    @given(
+        st.lists(st.tuples(WORDS, WORDS), min_size=1, max_size=20),
+        st.sampled_from(ORACLE_CONFIGS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_pair_corpora(self, pairs, cfg):
+        try:
+            enc = encode_surface_pairs(pairs)
+        except DataError:
+            return
+        assert_em_agrees(enc, cfg)
+
+    def test_every_pair_of_a_tiny8_pipeline(self, tiny8_tables):
+        for lex, cfg in tiny8_tables:
+            probs, lls = assert_em_agrees(lex.enc, cfg)
+            assert probs.tobytes() == lex.probs.tobytes()
+            assert lls == lex.log_likelihoods
+
+    @pytest.mark.parametrize("bad", [-1, "n_cells"])
+    def test_cell_id_out_of_range_raises(self, bad):
+        enc = encode_surface_pairs(TOY_PAIRS)
+        n_cells = len(enc.cell_src)
+        cells = enc.cells.copy()
+        cells[-1] = n_cells if bad == "n_cells" else bad
+        with pytest.raises(ValueError, match=rf"cell ids outside \[0, {n_cells}\)"):
+            replace(enc, cells=cells)
+        with pytest.raises(ValueError, match="cell ids outside"):
+            PairEncoding(
+                enc.src_words, enc.tgt_words, enc.cell_src, enc.cell_tgt, cells, enc.blocks
+            )
+
+    def test_table_of_another_length_raises(self):
+        enc = encode_surface_pairs(TOY_PAIRS)
+        n_cells = len(enc.cell_src)
+        for n in (n_cells - 1, n_cells + 1):
+            with pytest.raises(ValueError, match=f"{n} probabilities for {n_cells} cells"):
+                LexTable(enc, np.full(n, 0.5), [])
+
+
+class TestDecodingOracle:
+    """_viterbi and _link_stats against the decoding oracle: the same link
+    cells, in the same order, and the same PairLinkStats."""
+
+    @staticmethod
+    def assert_stats_agree(lex: LexTable, cfg: AlignerConfig, words) -> None:
+        for word in words:
+            got = aligner_module._link_stats(lex, cfg, word)
+            assert got == oracle.link_stats(lex, cfg, word)
+
+    @given(
+        st.lists(st.tuples(WORDS, WORDS), min_size=1, max_size=20),
+        st.sampled_from(ORACLE_CONFIGS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_pair_corpora(self, pairs, cfg):
+        try:
+            enc = encode_surface_pairs(pairs)
+        except DataError:
+            return
+        lex = train_alignment(enc, cfg)
+        assert_link_cells_agree(lex, cfg)
+        self.assert_stats_agree(lex, cfg, [*enc.src_words[1:], "absent"])
+
+    @pytest.mark.parametrize(
+        "rows, want",
+        [
+            # every source weight zero: the null word's weight is not beaten
+            ({None: {"f": 0.5}}, []),
+            ({None: {}}, []),
+            # both source positions tie the null word exactly: each prior is
+            # 0.25 and the null prior 0.5, so every weight is 0.0625
+            ({None: {"f": 0.125}, "e": {"f": 0.25}, "x": {"f": 0.25}}, []),
+            # the two positions tie above the null word: the leftmost wins
+            ({None: {"f": 0.1}, "e": {"f": 0.5}, "x": {"f": 0.5}}, [(0, 0)]),
+        ],
+        ids=["zero-sources", "all-zero", "tie-with-null", "tie-between-positions"],
+    )
+    def test_handmade_rows(self, rows, want):
+        cfg = replace(CONFIG.aligner(), diagonal_tension=0.0, null_prob=0.5)
+        pairs = [(["e", "x"], ["f"])]
+        lex = lex_table(encode_surface_pairs(pairs), rows)
+        assert batched_links(lex, pairs, cfg) == [want]
+        assert [oracle.viterbi_align(rows, s, t, cfg) for s, t in pairs] == [want]
+        self.assert_stats_agree(lex, cfg, ["e", "x", "absent"])
+
+    def test_every_pair_of_a_tiny8_pipeline(self, tiny8_tables):
+        for lex, cfg in tiny8_tables:
+            assert len(assert_link_cells_agree(lex, cfg))
+            self.assert_stats_agree(lex, cfg, [*lex.enc.src_words[1:4], "absent"])
 
 
 class TestLexTsvOracle:

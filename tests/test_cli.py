@@ -4,7 +4,7 @@ import argparse
 import inspect
 import json
 import shutil
-from dataclasses import fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +17,7 @@ from pivotmine.maps import select_splitting_pivots
 from pivotmine.ngrams import mine_ngrams
 from pivotmine import pivots as pivots_module
 from pivotmine.errors import ConfigError, DataError
-from pivotmine.manifest import RunRecorder
+from pivotmine.manifest import RunRecorder, canonical_sha256, file_sha256
 from pivotmine.pivots import (
     expand_pivots, find_head_pivot, rank_pivot_candidates, read_pivots_tsv, score_candidates,
 )
@@ -217,6 +217,43 @@ class TestSynthCommand:
         assert "manifest.json" not in names
         assert "ground_truth.json" in names
         assert len(names) == 8 + 5
+
+    def test_manifest_records_the_effective_spec(self, tmp_path):
+        docs = []
+        for flag in ([], ["--seed", "5"]):
+            out = tmp_path / f"out{len(docs)}"
+            assert main(["synth", "--preset", "tiny8", *flag, "--out", str(out)]) == 0
+            docs.append(json.loads((out / "manifest.json").read_text()))
+            # the manifest does not change what synth writes
+            direct = tmp_path / f"direct{len(docs)}"
+            write_synth(replace(preset_tiny8(), seed=5) if flag else preset_tiny8(), direct)
+            for path in sorted((direct / "corpus").iterdir()):
+                assert (out / "corpus" / path.name).read_bytes() == path.read_bytes()
+        for doc, spec in zip(docs, (preset_tiny8(), replace(preset_tiny8(), seed=5))):
+            assert doc["config"] == json.loads(json.dumps(asdict(spec)))
+            assert doc["config_sha256"] == canonical_sha256(doc["config"])
+            assert doc["inputs"] == {}
+        assert [doc["config"]["seed"] for doc in docs] == [7, 5]
+        assert docs[0]["config_sha256"] != docs[1]["config_sha256"]
+
+    def test_spec_run_lists_its_spec_file(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "n_verses": 40,
+            "features": [["past", 0.4]],
+            "languages": [
+                {"iso3": "qaa", "style": "particle", "family": "fa"},
+                {"iso3": "paa", "style": "particle", "family": "fb"},
+            ],
+            "query_iso3": "qaa",
+        }), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["synth", "--spec", str(path), "--seed", "3", "--out", str(out)]) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["inputs"] == {str(path): file_sha256(path)}
+        assert doc["config"]["seed"] == 3
+        assert doc["config"]["languages"][1]["iso3"] == "paa"
+        assert doc["config_sha256"] == canonical_sha256(doc["config"])
 
     def test_source_argument_errors(self, tmp_path):
         out = str(tmp_path / "x")
@@ -454,7 +491,7 @@ class TestPivotSetHead:
     def load(self, workspace, pivots, head):
         _, cfg_path, _, _ = workspace
         args = argparse.Namespace(pivots=str(pivots), head=head and str(head))
-        rec = RunRecorder("mine-ngrams", {}, "")
+        rec = RunRecorder("mine-ngrams")
         return _load_pivot_set(Run(args, load_config(cfg_path), rec, Path()))
 
     def test_head_member_need_not_be_rank_one(self, workspace, expanded, tmp_path):
@@ -770,6 +807,29 @@ class TestPivotScans:
         passes = [tid for tid, *_ in scans]
         assert len(langs) >= 3
         assert len(passes) == len(set(passes)) == len(langs)
+
+
+class TestFeatureFlag:
+    """--feature is optional where the pivot set alone fixes the feature."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("mine-ngrams", ["--targets", "saa_synth"]),
+        ("cluster-markers", []),
+        ("map", []),
+    ])
+    def test_same_bytes_without_feature(self, workspace, expanded, tmp_path, command, extra):
+        _, cfg_path, _, _ = workspace
+        argv = [command, "--config", str(cfg_path), "--pivots", str(expanded / "pivots.tsv"),
+                "--head", str(expanded / "head.json"), *extra]
+        outputs = []
+        for flag in (["--feature", "past"], []):
+            out = tmp_path / f"out{len(outputs)}"
+            assert main([*argv, *flag, "--out", str(out)]) == 0
+            outputs.append({
+                str(p.relative_to(out)): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"
+            })
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestManifestInputs:
