@@ -420,7 +420,9 @@ def link_counts(
     (with a warning). Targets default to every other translation, and are
     processed in sorted order. The tokens of the lowercased surfaces in
     forms are first merged into source_word, which must then not be a
-    surface of the source (see TranslationEncoding.merged).
+    surface of the source (see TranslationEncoding.merged). Each side is
+    encoded by corpus.encode, so a corpus with an encoding store
+    (MultiCorpus.keeping_encodings) tokenizes each translation once.
     """
     if source_translation_id not in corpus.translations:
         raise DataError(f"unknown translation {source_translation_id!r}")

@@ -45,6 +45,9 @@ from .textio import write_json as _write_json
 
 logger = logging.getLogger("pivotmine")
 
+# The config files that loading a corpus reads (see Run.corpus).
+CORPUS_FILES = ("corpus_dir", "families")
+
 
 def _query_for(cfg: RunConfig, feature: str):
     queries = read_queries(cfg.path("queries"))
@@ -337,7 +340,8 @@ def _out_dir(args, cfg: RunConfig | None) -> Path:
 def run_command(args: argparse.Namespace) -> int:
     """Run one subcommand and write its manifest.
 
-    Loads the config, records the hashes of the input files, resolves the
+    Loads the config, records the hashes of the config files the
+    subcommand reads (its `reads`) and of its input arguments, resolves the
     output directory, runs the subcommand's body (which times its stages
     through Run.stage) and writes the manifest.
     """
@@ -345,8 +349,8 @@ def run_command(args: argparse.Namespace) -> int:
     if "config" in args:
         cfg = load_config(args.config)
         rec.set_config(cfg.to_dict())
-        for path in (_corpus_dir(args, cfg), cfg.queries, cfg.allowlist, cfg.gold, cfg.families):
-            rec.add_input(path)
+        for name in args.reads:
+            rec.add_input(_corpus_dir(args, cfg) if name == "corpus_dir" else getattr(cfg, name))
     else:  # synth, whose body records the spec it generates from
         cfg = None
     for name in ("pivots", "head", "verses", "distances"):
@@ -477,8 +481,12 @@ def cmd_pipeline(run: Run) -> None:
     cfg, out, feature = run.cfg, run.out, run.args.feature
     corpus = run.corpus()
     run.stage("ingest", stage_ingest, cfg, corpus, out)
-    head = run.stage("head-pivot", stage_head, cfg, corpus, feature, out)
-    pivot_set = run.stage("expand-pivots", stage_expand, cfg, corpus, feature, head, out)
+    # head-pivot, the alignments of expand-pivots and its member scan
+    # share one encoding of each translation; mining does not read them
+    aligning = corpus.keeping_encodings()
+    head = run.stage("head-pivot", stage_head, cfg, aligning, feature, out)
+    pivot_set = run.stage("expand-pivots", stage_expand, cfg, aligning, feature, head, out)
+    del aligning
     run.stage("mine-ngrams", stage_mine, cfg, corpus, pivot_set, out)
     run.stage("cluster-markers", stage_cluster_markers, cfg, corpus, pivot_set, out)
     run.stage("map", stage_map, cfg, corpus, pivot_set, out)
@@ -506,9 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
     pivot_input.add_argument("--pivots", required=True, help="pivots.tsv from expand-pivots")
     pivot_input.add_argument("--head", help="head.json (marks the head member)")
 
-    def add(name, body, help_text, parents=(common,)):
+    def add(name, body, help_text, parents=(common,), reads=CORPUS_FILES):
+        """A subcommand whose body reads the config files named in reads."""
         p = sub.add_parser(name, help=help_text, parents=list(parents))
-        p.set_defaults(body=body)
+        p.set_defaults(body=body, reads=reads)
         return p
 
     p = add("synth", cmd_synth, "generate a synthetic corpus with planted markers", ())
@@ -520,7 +529,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("ingest", cmd_ingest, "load a corpus and report verse coverage")
     p.add_argument("--corpus", help="override the configured corpus directory")
 
-    p = add("head-pivot", cmd_head_pivot, "find the head pivot for a feature")
+    p = add(
+        "head-pivot", cmd_head_pivot, "find the head pivot for a feature",
+        reads=(*CORPUS_FILES, "queries", "allowlist"),
+    )
     p.add_argument("--feature", required=True)
 
     p = add("expand-pivots", cmd_expand_pivots, "grow the k-pivot set from a head")
@@ -551,17 +563,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verses", required=True, help="file with one verse id per line")
     p.add_argument("--translation", required=True)
 
-    p = add("eval-mrr", cmd_eval_mrr, "score mined n-grams against gold markers")
+    p = add("eval-mrr", cmd_eval_mrr, "score mined n-grams against gold markers",
+            reads=("gold",))
     p.add_argument("--features", required=True, help="comma-separated feature names")
     p.add_argument(
         "--from", dest="from_dir", required=True,
         help="directory holding <feature>/ngrams/*.tsv",
     )
 
-    p = add("eval-family", cmd_eval_family, "same-family prediction from distances")
+    p = add("eval-family", cmd_eval_family, "same-family prediction from distances",
+            reads=("families",))
     p.add_argument("--distances", required=True, help="distance matrix TSV")
 
-    p = add("pipeline", cmd_pipeline, "run every stage for one feature")
+    p = add("pipeline", cmd_pipeline, "run every stage for one feature",
+            reads=(*CORPUS_FILES, "queries", "allowlist", "gold"))
     p.add_argument("--feature", required=True)
 
     return parser

@@ -259,6 +259,7 @@ def language_distance(
 
     excluded: dict[str, str] = {}
     langs: list[str] = []
+    shared_counts = []  # every shared-verse count compared with the floor
     for iso3 in sorted({l for f in features for l in markers_by_feature[f]}):
         missing = [f for f in features if iso3 not in markers_by_feature[f]]
         if missing:
@@ -270,7 +271,9 @@ def language_distance(
             if head_tid is None:
                 continue
             tid = markers_by_feature[f][iso3].translation_id
-            if np.count_nonzero(present(tid) & present(head_tid)) < min_shared_verses:
+            shared = int(np.count_nonzero(present(tid) & present(head_tid)))
+            shared_counts.append(shared)
+            if shared < min_shared_verses:
                 floor_fail = f
                 break
         if floor_fail is not None:
@@ -278,9 +281,13 @@ def language_distance(
             continue
         langs.append(iso3)
     if len(langs) < 2:
-        raise DataError(
-            f"fewer than two eligible languages (excluded: {len(excluded)})"
-        )
+        floor = ""
+        if shared_counts:
+            floor = (
+                f"; min_shared_verses is {min_shared_verses}, and a marker translation"
+                f" shares at most {max(shared_counts)} selected verses with its head"
+            )
+        raise DataError(f"fewer than two eligible languages (excluded: {len(excluded)}){floor}")
 
     # one scan of each marker translation for every feature's surface; the
     # columns run feature by feature, each over langs

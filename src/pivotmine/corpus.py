@@ -89,17 +89,20 @@ def tokenize_blocks(texts: Sequence[str]) -> Iterator[tuple[int, tuple]]:
 
 @dataclass(frozen=True, eq=False)
 class TranslationEncoding:
-    """The tokens of one translation over a run of verses, as int32 arrays,
-    in the form alignment reads them.
+    """The tokens of one translation over a run of verses, as int32 arrays:
+    what alignment and the pivot scan read of them.
 
     Row r holds the tokens ids[offsets[r]:offsets[r + 1]]; an id indexes
     vocab, which lists the surfaces in first-occurrence order. A verse the
-    translation lacks is an empty row.
+    translation lacks is an empty row. span_sums holds each token's start
+    plus end offset in its verse (twice its character midpoint), from which
+    the pivot scan takes the token's relative position.
     """
 
     vocab: list[str]
     ids: np.ndarray
     offsets: np.ndarray
+    span_sums: np.ndarray
 
     def frequencies(self) -> dict[str, int]:
         """Token count of every surface."""
@@ -118,7 +121,7 @@ class TranslationEncoding:
         remap[matched] = matched[0]
         vocab = list(self.vocab)
         vocab[matched[0]] = word
-        return TranslationEncoding(vocab, remap[self.ids], self.offsets)
+        return TranslationEncoding(vocab, remap[self.ids], self.offsets, self.span_sums)
 
 
 def _vocabulary() -> defaultdict[str, int]:
@@ -166,8 +169,10 @@ class MultiCorpus:
     """All loaded translations plus the working verse selection.
 
     selected_verses is the ordered subset downstream stages iterate over;
-    it is empty until select() is applied. Tokens are not cached: encode()
-    tokenizes a translation each time it is called.
+    it is empty until select() is applied. encode() tokenizes a translation
+    each time it is called, unless the corpus keeps an encoding store
+    (keeping_encodings()): then it tokenizes each translation once and
+    returns the stored encoding after that.
     """
 
     translations: dict[str, Translation]
@@ -175,28 +180,48 @@ class MultiCorpus:
     selected_verses: tuple[str, ...] = ()
     families: dict[str, str] = field(default_factory=dict)
     malformed_lines: int = 0
+    # translation id -> encoding over selected_verses, or None for no store
+    encodings: dict[str, TranslationEncoding] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def encode(self, translation_id: str) -> TranslationEncoding:
-        """The TranslationEncoding of one translation, one row per selected verse."""
+        """The TranslationEncoding of one translation, one row per selected
+        verse; kept in the encoding store when the corpus has one."""
+        if self.encodings is not None and translation_id in self.encodings:
+            return self.encodings[translation_id]
         verses = self.translations[translation_id].verses
         index = _vocabulary()
         ids = []
+        sums = []
         counts = []
-        for _, (surfaces, _, _, n) in tokenize_blocks(
+        for _, (surfaces, starts, ends, n) in tokenize_blocks(
             [verses.get(vid, "") for vid in self.selected_verses]
         ):
             ids.append(np.fromiter(map(index.__getitem__, surfaces), np.int32, len(surfaces)))
+            sums.append(starts + ends)
             counts.append(n)
         offsets = np.zeros(len(self.selected_verses) + 1, dtype=np.int32)
         np.cumsum(_concat(counts), out=offsets[1:])
-        return TranslationEncoding(list(index), _concat(ids), offsets)
+        enc = TranslationEncoding(list(index), _concat(ids), offsets, _concat(sums))
+        if self.encodings is not None:
+            self.encodings[translation_id] = enc
+        return enc
+
+    def keeping_encodings(self) -> "MultiCorpus":
+        """This corpus with an empty encoding store of its own, so that
+        encode() tokenizes each translation at most once. The store lives
+        as long as the copy: drop the copy to free it."""
+        return replace(self, encodings={})
 
     def languages(self) -> list[str]:
         return sorted({t.iso3 for t in self.translations.values()})
 
     def select(self, target_count: int) -> "MultiCorpus":
+        """This corpus over its target_count best-covered verses (see
+        select_covered_verses), without an encoding store."""
         chosen = select_covered_verses(self, target_count)
-        return replace(self, selected_verses=tuple(chosen))
+        return replace(self, selected_verses=tuple(chosen), encodings=None)
 
 
 def load_corpus(
@@ -214,7 +239,9 @@ def load_corpus(
     if not root.is_dir():
         raise DataError(f"corpus directory not found: {root}")
     translations: dict[str, Translation] = {}
-    universe: set[str] = set()
+    # every valid verse id seen, mapped to the one string that all
+    # translations share for it
+    universe: dict[str, str] = {}
     malformed = 0
     for path in sorted(root.glob("*.txt")):
         m = FILENAME_RE.match(path.name)
@@ -229,9 +256,16 @@ def load_corpus(
             if not raw:
                 continue
             vid, sep, text = raw.partition("\t")
-            if not sep or not is_verse_id(vid):
+            if not sep:
                 malformed += 1
                 continue
+            shared = universe.get(vid)
+            if shared is None:
+                if not is_verse_id(vid):
+                    malformed += 1
+                    continue
+                shared = universe[vid] = vid
+            vid = shared
             if vid in verses:
                 duplicates += 1
                 continue
@@ -246,7 +280,6 @@ def load_corpus(
             logger.warning("skipping %s: no well-formed verse lines", path.name)
             continue
         translations[translation_id] = Translation(translation_id, iso3, verses)
-        universe.update(verses)
     if not translations:
         raise DataError(f"no usable translation files under {root}")
     if malformed:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
+import resource
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -45,6 +46,7 @@ class RunRecorder:
         self.inputs: dict[str, str] = {}
         self.outputs: list[Path] = []
         self.timings: dict[str, float] = {}
+        self.peak_rss_kib: dict[str, int] = {}
 
     def set_config(self, config_dict: dict) -> None:
         """Record config_dict as the run's configuration, with its
@@ -68,10 +70,13 @@ class RunRecorder:
 
     @contextmanager
     def time_stage(self, name: str):
-        """Record the monotonic duration of the with-block as timing name."""
+        """Record the monotonic duration of the with-block as timing name,
+        and the process's peak RSS so far (ru_maxrss, KiB on Linux) at its
+        end as peak_rss_kib name."""
         started = time.perf_counter()
         yield
         self.timings[name] = round(time.perf_counter() - started, 6)
+        self.peak_rss_kib[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
     def write(self, out_dir: str | Path) -> Path:
         from . import __version__
@@ -97,6 +102,7 @@ class RunRecorder:
             "inputs": self.inputs,
             "outputs": outputs,
             "timings": self.timings,
+            "peak_rss_kib": self.peak_rss_kib,
             "versions": {
                 "python": platform.python_version(),
                 "numpy": numpy.__version__,

@@ -70,22 +70,24 @@ class PresenceMatrix:
 def _scan_translation(
     corpus: MultiCorpus, translation_id: str, surfaces: list[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One pass over a translation's selected verses for the tokens of
-    several surfaces: the row, the surface index and the relative character
-    midpoint (midpoint / verse length) of each, in text order, and the
-    rows the translation lacks."""
+    """The tokens of several surfaces in a translation's selected verses,
+    read from its encoding (MultiCorpus.encode): the row, the surface index
+    and the relative character midpoint (midpoint / verse length) of each,
+    in text order, and the rows the translation lacks."""
+    enc = corpus.encode(translation_id)
     verses = corpus.translations[translation_id].verses
-    texts = [verses.get(vid, "") for vid in corpus.selected_verses]
-    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
     index = {surface: k for k, surface in enumerate(surfaces)}
-    found = []
-    for lo, (tokens, starts, ends, counts) in tokenize_blocks(texts):
-        code = np.fromiter(map(index.get, tokens, repeat(-1)), np.int64, len(tokens))
-        hits = np.flatnonzero(code >= 0)
-        row = lo + np.searchsorted(np.cumsum(counts), hits, side="right")
-        found.append((row, code[hits], (starts[hits] + ends[hits]) / 2.0 / lengths[row]))
-    missing = np.fromiter((vid not in verses for vid in corpus.selected_verses), bool, len(texts))
-    return (*map(np.concatenate, zip(*found)), missing)
+    surface_of = np.fromiter(map(index.get, enc.vocab, repeat(-1)), np.int64, len(enc.vocab))
+    code = surface_of[enc.ids]
+    hits = np.flatnonzero(code >= 0)
+    rows = np.searchsorted(enc.offsets[1:], hits, side="right")
+    lengths = np.fromiter(
+        (len(verses[corpus.selected_verses[r]]) for r in rows.tolist()), np.int64, len(rows)
+    )
+    missing = np.fromiter(
+        (vid not in verses for vid in corpus.selected_verses), bool, len(corpus.selected_verses)
+    )
+    return rows, code[hits], enc.span_sums[hits] / 2.0 / lengths, missing
 
 
 def scan_pivots(

@@ -1,10 +1,11 @@
 """Per-verse and sorting references for the corpus and pair encoders.
 
 The oracles that MultiCorpus.encode, aligner.encode_pairs,
-aligner._pair_cache_key and the head-pivot query merge are tested
-against: one regex match per token and one verse at a time, np.unique for
-word and cell numbering, one hash update per piece of each verse, and a
-merge that rewrites the query text.
+aligner._pair_cache_key, the head-pivot query merge and the pivot scan
+are tested against: one regex match per token and one verse at a time,
+np.unique for word and cell numbering, one hash update per piece of each
+verse, a merge that rewrites the query text, and a scan that tokenizes
+the translation's text.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import logging
 import re
 from collections import defaultdict
+from itertools import repeat
 
 import numpy as np
 
@@ -28,23 +30,25 @@ logger = logging.getLogger(__name__)
 _TOKEN_RE = re.compile(f"[^{re.escape(DELIMITERS)}]+")
 
 
-def tokenize_regex(text: str) -> list[str]:
-    """Surfaces of one verse's tokens, each lowercased on its own."""
-    return [m.group().lower() for m in _TOKEN_RE.finditer(text)]
-
-
 def encode(corpus: MultiCorpus, translation_id: str) -> TranslationEncoding:
-    """MultiCorpus.encode, tokenizing one selected verse at a time."""
+    """MultiCorpus.encode, tokenizing one selected verse at a time: each
+    token a regex match, lowercased on its own."""
     verses = corpus.translations[translation_id].verses
     index: defaultdict[str, int] = defaultdict()
     index.default_factory = index.__len__
     ids: list[int] = []
+    span_sums: list[int] = []
     offsets = [0]
     for vid in corpus.selected_verses:
-        ids += map(index.__getitem__, tokenize_regex(verses.get(vid, "")))
+        for m in _TOKEN_RE.finditer(verses.get(vid, "")):
+            ids.append(index[m.group().lower()])
+            span_sums.append(m.start() + m.end())
         offsets.append(len(ids))
     return TranslationEncoding(
-        list(index), np.array(ids, dtype=np.int32), np.array(offsets, dtype=np.int32)
+        list(index),
+        np.array(ids, dtype=np.int32),
+        np.array(offsets, dtype=np.int32),
+        np.array(span_sums, dtype=np.int32),
     )
 
 
@@ -171,3 +175,22 @@ def apply_query_merge(
             "query merge matched no tokens in %s", trans.translation_id
         )
     return Translation(trans.translation_id, trans.iso3, new_verses)
+
+
+def scan_translation(
+    corpus: MultiCorpus, translation_id: str, surfaces: list[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """pivots._scan_translation as one tokenize pass over the translation's
+    selected verses, looking each block's surfaces up among surfaces."""
+    verses = corpus.translations[translation_id].verses
+    texts = [verses.get(vid, "") for vid in corpus.selected_verses]
+    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+    index = {surface: k for k, surface in enumerate(surfaces)}
+    found = []
+    for lo, (tokens, starts, ends, counts) in tokenize_blocks(texts):
+        code = np.fromiter(map(index.get, tokens, repeat(-1)), np.int64, len(tokens))
+        hits = np.flatnonzero(code >= 0)
+        row = lo + np.searchsorted(np.cumsum(counts), hits, side="right")
+        found.append((row, code[hits], (starts[hits] + ends[hits]) / 2.0 / lengths[row]))
+    missing = np.fromiter((vid not in verses for vid in corpus.selected_verses), bool, len(texts))
+    return (*map(np.concatenate, zip(*found)), missing)

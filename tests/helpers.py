@@ -256,12 +256,21 @@ def assert_encodings_equal(got: PairEncoding, want: PairEncoding) -> None:
 
 def encode_surfaces(rows) -> TranslationEncoding:
     """Encode rows of token surfaces, one row per list; ids follow first
-    occurrence."""
+    occurrence, and each token's span is the one it takes when its row's
+    surfaces are joined by single spaces."""
     index: dict[str, int] = {}
     ids = [index.setdefault(w, len(index)) for row in rows for w in row]
     offsets = np.zeros(len(rows) + 1, dtype=np.int32)
     np.cumsum([len(r) for r in rows], out=offsets[1:])
-    return TranslationEncoding(list(index), np.array(ids, dtype=np.int32), offsets)
+    span_sums = []
+    for row in rows:
+        start = 0
+        for w in row:
+            span_sums.append(2 * start + len(w))
+            start += len(w) + 1
+    return TranslationEncoding(
+        list(index), np.array(ids, dtype=np.int32), offsets, np.array(span_sums, dtype=np.int32)
+    )
 
 
 def encode_surface_pairs(pairs) -> PairEncoding:

@@ -3,6 +3,7 @@
 import argparse
 import inspect
 import json
+import re
 import shutil
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -12,14 +13,17 @@ import pytest
 from pivotmine.aligner import AlignerConfig, link_counts, train_alignment, train_pair
 from pivotmine.cli import Run, _load_pivot_set, main
 from pivotmine.config import RunConfig, load_config
+from pivotmine.corpus import MultiCorpus, load_corpus
 from pivotmine.evaluation import gram_matches, mrr, reciprocal_rank
 from pivotmine.maps import select_splitting_pivots
 from pivotmine.ngrams import mine_ngrams
+from pivotmine import corpus as corpus_module
 from pivotmine import pivots as pivots_module
 from pivotmine.errors import ConfigError, DataError
 from pivotmine.manifest import RunRecorder, canonical_sha256, file_sha256
 from pivotmine.pivots import (
-    expand_pivots, find_head_pivot, rank_pivot_candidates, read_pivots_tsv, score_candidates,
+    Pivot, expand_pivots, find_head_pivot, rank_pivot_candidates, read_pivots_tsv, score_candidates,
+    top_markers_by_language,
 )
 from pivotmine.synth import LanguageSpec, SynthSpec, preset_tiny8, write_synth
 
@@ -809,6 +813,62 @@ class TestPivotScans:
         assert len(passes) == len(set(passes)) == len(langs)
 
 
+class TestEncodingStore:
+    """A pipeline tokenizes each translation once, from head-pivot to the
+    end of expand-pivots; a standalone subcommand keeps no store."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        # one entry per tokenize pass: "encode", or "query check" for the
+        # pass of head-pivot over the query translation's every verse
+        calls = []
+        for module, caller in ((corpus_module, "encode"), (pivots_module, "query check")):
+            def spy(texts, real=module.tokenize_blocks, caller=caller):
+                calls.append(caller)
+                return real(texts)
+
+            monkeypatch.setattr(module, "tokenize_blocks", spy)
+        return calls
+
+    def test_pipeline_encodes_each_translation_once(self, tiny8, tmp_path, passes, monkeypatch):
+        encoded: dict[str, list] = {}
+        real = MultiCorpus.encode
+
+        def spy(self, translation_id):
+            enc = real(self, translation_id)
+            encoded.setdefault(translation_id, []).append(enc)
+            return enc
+
+        monkeypatch.setattr(MultiCorpus, "encode", spy)
+        run_pipeline(tiny8, "past", tmp_path / "run")
+        assert len(encoded) == 8
+        # the query, the head and the members are each asked for more than once
+        assert max(map(len, encoded.values())) > 1
+        assert all(enc is encs[0] for encs in encoded.values() for enc in encs)
+        assert sorted(passes) == ["encode"] * 8 + ["query check"]
+
+    def test_standalone_expand_pivots_keeps_no_store(self, tiny8, tmp_path, passes, monkeypatch):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(tiny8), encoding="utf-8")
+        argv = ["--config", str(cfg), "--feature", "past", "--out", str(tmp_path)]
+        assert main(["head-pivot", *argv]) == 0
+        stores = []
+        real = pivots_module._scan_translation
+
+        def spy(corpus, translation_id, surfaces):
+            stores.append(corpus.encodings)
+            return real(corpus, translation_id, surfaces)
+
+        monkeypatch.setattr(pivots_module, "_scan_translation", spy)
+        passes.clear()
+        assert main(["expand-pivots", *argv, "--head", str(tmp_path / "head.json")]) == 0
+        members = {tid for tid, _ in pivot_keys(tmp_path / "pivots.tsv")}
+        assert stores == [None] * len(members)
+        # every translation is encoded to align it, and the members again
+        # to scan them
+        assert passes == ["encode"] * (8 + len(members))
+
+
 class TestFeatureFlag:
     """--feature is optional where the pivot set alone fixes the feature."""
 
@@ -833,14 +893,80 @@ class TestFeatureFlag:
 
 
 class TestManifestInputs:
-    """A subcommand's manifest lists every file it read: the config's files
-    and, beyond them, exactly the files its arguments lead it to."""
+    """A subcommand's manifest lists every file it read: the config files
+    that it opens (the corpus directory and families file of a corpus
+    load, the queries and allowlist of head-pivot, the gold file of
+    eval-mrr, the families file of eval-family) and, beyond them, exactly
+    the files its arguments lead it to."""
+
+    CONFIG_FILES = ("corpus_dir", "queries", "allowlist", "gold", "families")
 
     def extra_inputs(self, workspace, argv, out) -> list[str]:
         root, cfg_path, _, _ = workspace
         assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 0
         inputs = json.loads((out / "manifest.json").read_text())["inputs"]
         return sorted(k for k in inputs if not k.startswith(str(root / "data")))
+
+    def config_inputs(self, config: dict, argv, out) -> list[str]:
+        """The config fields whose files the manifest of argv lists; a
+        listed corpus directory must be listed whole."""
+        out.parent.mkdir(parents=True, exist_ok=True)
+        cfg_path = out.parent / f"{out.name}.config.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 0
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        corpus_dir = Path(config["corpus_dir"])
+        corpus_files = sorted(k for k in inputs if Path(k).parent == corpus_dir)
+        if corpus_files:
+            assert corpus_files == sorted(str(p) for p in corpus_dir.iterdir())
+        return [
+            name for name in self.CONFIG_FILES
+            if (corpus_files if name == "corpus_dir" else config.get(name) in inputs)
+        ]
+
+    @pytest.mark.parametrize("command, extra", [
+        ("ingest", []),
+        ("expand-pivots", ["--feature", "past", "--head", "{expanded}/head.json"]),
+        ("map", ["--pivots", "{expanded}/pivots.tsv"]),
+    ])
+    def test_corpus_loader_lists_corpus_and_families(
+        self, workspace, expanded, tmp_path, command, extra
+    ):
+        _, _, config, _ = workspace
+        argv = [command, *(a.replace("{expanded}", str(expanded)) for a in extra)]
+        assert self.config_inputs(config, argv, tmp_path / "o") == ["corpus_dir", "families"]
+
+    def test_head_pivot_also_lists_queries_and_allowlist(self, workspace, tmp_path):
+        _, _, config, _ = workspace
+        argv = ["head-pivot", "--feature", "past"]
+        assert self.config_inputs(config, argv, tmp_path / "o") == [
+            "corpus_dir", "queries", "allowlist", "families"
+        ]
+
+    def test_eval_mrr_lists_only_gold(self, workspace, expanded, tmp_path):
+        _, _, config, _ = workspace
+        argv = ["mine-ngrams", "--pivots", str(expanded / "pivots.tsv"), "--targets", "saa_synth"]
+        self.config_inputs(config, argv, tmp_path / "from" / "past")
+        argv = ["eval-mrr", "--features", "past", "--from", str(tmp_path / "from")]
+        assert self.config_inputs(config, argv, tmp_path / "o") == ["gold"]
+
+    def test_eval_family_lists_only_families(self, workspace, tmp_path):
+        _, _, config, _ = workspace
+        distances = tmp_path / "distances.tsv"
+        rows = ["label\tqaa\tpaa\tsaa", "qaa\t0\t0.2\t0.9", "paa\t0.2\t0\t0.9",
+                "saa\t0.9\t0.9\t0"]
+        distances.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        argv = ["eval-family", "--distances", str(distances)]
+        assert self.config_inputs(config, argv, tmp_path / "o") == ["families"]
+
+    @pytest.mark.parametrize("with_gold", [True, False])
+    def test_pipeline_lists_every_config_file_it_is_given(self, workspace, tmp_path, with_gold):
+        _, _, config, _ = workspace
+        if not with_gold:
+            config = {k: v for k, v in config.items() if k != "gold"}
+        argv = ["pipeline", "--feature", "past"]
+        listed = self.config_inputs(config, argv, tmp_path / "o")
+        assert listed == [n for n in self.CONFIG_FILES if with_gold or n != "gold"]
 
     def test_mine_ngrams_lists_head(self, workspace, expanded, tmp_path):
         pivots, head = expanded / "pivots.tsv", expanded / "head.json"
@@ -879,6 +1005,65 @@ class TestManifestInputs:
             str(p) for p in other.iterdir()
         )
         assert not [k for k in inputs if k.startswith(config["corpus_dir"])]
+
+
+class TestPeakRss:
+    """The manifest records the process's peak RSS at the end of each stage."""
+
+    def test_recorder_keeps_the_peak_after_each_stage(self):
+        rec = RunRecorder("test")
+        with rec.time_stage("small"):
+            pass
+        with rec.time_stage("large"):
+            block = bytearray(16 << 20)
+            block[::4096] = b"x" * len(block[::4096])  # touch every page
+            del block
+        assert list(rec.peak_rss_kib) == list(rec.timings) == ["small", "large"]
+        assert 0 < rec.peak_rss_kib["small"] <= rec.peak_rss_kib["large"]
+        assert rec.peak_rss_kib["large"] >= 16 << 10
+
+    def test_pipeline_manifest_has_a_peak_per_stage(self, workspace, tmp_path):
+        _, cfg_path, _, _ = workspace
+        out = tmp_path / "run"
+        argv = ["pipeline", "--config", str(cfg_path), "--feature", "past", "--out", str(out)]
+        assert main(argv) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        peaks = doc["peak_rss_kib"]
+        assert set(peaks) == set(doc["timings"]) and "mine-ngrams" in peaks
+        assert all(isinstance(v, int) for v in peaks.values())
+        # the load is the first stage, and a peak never falls
+        assert 0 < peaks["load"] == min(peaks.values())
+
+
+class TestClusterLanguagesFloor:
+    def test_error_names_the_shared_verse_floor(self, tiny8, tmp_path, capsys):
+        # the default min_shared_verses, 7000, is above tiny8's 400 verses
+        config = {k: v for k, v in tiny8.items() if k != "min_shared_verses"}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        past = tmp_path / "from" / "past"
+        argv = ["--config", str(cfg), "--feature", "past", "--out", str(past)]
+        assert main(["head-pivot", *argv]) == 0
+        assert main(["expand-pivots", *argv, "--head", str(past / "head.json")]) == 0
+        capsys.readouterr()
+        argv = ["cluster-languages", "--features", "past", "--from", str(tmp_path / "from")]
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "min_shared_verses is 7000" in err
+        most = int(re.search(r"shares at most (\d+) selected verses", err).group(1))
+        # the largest count of selected verses that a language's marker
+        # translation shares with the head translation
+        corpus = load_corpus(config["corpus_dir"], None).select(config["coverage_target"])
+        doc = json.loads((past / "head.json").read_text(encoding="utf-8"))
+        head = Pivot(doc["iso3"], doc["translation_id"], doc["surface"], doc["score"])
+        markers = top_markers_by_language(read_pivots_tsv(corpus, past / "ranking.tsv"), head)
+        head_verses = corpus.translations[head.translation_id].verses
+        shared = [
+            sum(v in head_verses and v in corpus.translations[p.translation_id].verses
+                for v in corpus.selected_verses)
+            for p in markers.values()
+        ]
+        assert most == max(shared) > 0
 
 
 class TestLoadTiming:

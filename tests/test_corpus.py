@@ -38,7 +38,10 @@ from pivotmine.corpus import (
     write_coverage_report,
 )
 from pivotmine.errors import DataError
-from pivotmine.pivots import Pivot, PivotSet, Query, find_head_pivot, synthetic_query_token
+from pivotmine.pivots import (
+    Pivot, PivotSet, Query, expand_pivots, find_head_pivot, rank_pivot_candidates,
+    synthetic_query_token,
+)
 from pivotmine.synth import PRESETS, generate
 
 
@@ -133,7 +136,7 @@ class TestBlockTokenizer:
 
 def assert_same_encoding(got, want) -> None:
     assert got.vocab == want.vocab
-    for name in ("ids", "offsets"):
+    for name in ("ids", "offsets", "span_sums"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
     assert got.ids.dtype == np.int32
@@ -265,6 +268,37 @@ class TestLoadCorpus:
             corpus = load_corpus(corpus_dir, CONFIG.families)
         assert corpus.translations["ddd_dup"].verses["00000001"] == "first"
         assert "duplicate" in caplog.text
+
+    def test_malformed_count_exact_for_ids_seen_before(self, corpus_dir):
+        # 00000001 and 00000003 are valid ids of other files; a line that
+        # starts with one but has no tab is still malformed
+        (corpus_dir / "ccc_third.txt").write_text(
+            "00000001\tfine\n00000001\n\n00000003 no tab\nnotanid\tbad\n"
+            "0000001\tseven\n00000003\tok\n",
+            encoding="utf-8",
+        )
+        corpus = load_corpus(corpus_dir, CONFIG.families)
+        assert corpus.malformed_lines == 4
+        assert corpus.translations["ccc_third"].verses == {"00000001": "fine", "00000003": "ok"}
+        assert corpus.verse_universe == ("00000001", "00000002", "00000003")
+
+    def test_duplicate_count_exact(self, corpus_dir, caplog):
+        (corpus_dir / "ddd_dup.txt").write_text(
+            "00000001\ta\n00000001\tb\n00000004\tc\n00000004\td\n00000001\te\n",
+            encoding="utf-8",
+        )
+        with caplog.at_level(logging.WARNING):
+            corpus = load_corpus(corpus_dir, CONFIG.families)
+        assert "ddd_dup: 3 duplicate verse ids" in caplog.text
+        assert corpus.translations["ddd_dup"].verses == {"00000001": "a", "00000004": "c"}
+        assert corpus.malformed_lines == 0
+
+    def test_one_string_per_verse_id(self, corpus_dir):
+        corpus = load_corpus(corpus_dir, CONFIG.families)
+        first, second = (corpus.translations[t].verses for t in ("aaa_first", "bbb_second"))
+        shared = next(iter(first))
+        assert shared == "00000001"
+        assert next(iter(second)) is shared and corpus.verse_universe[0] is shared
 
     def test_empty_dir_is_data_error(self, tmp_path):
         empty = tmp_path / "none"
@@ -681,6 +715,62 @@ class TestPivotScan:
             check_scan(corpus, *lookups)
 
 
+def assert_same_scan(corpus, translation_id: str, surfaces: list[str]) -> None:
+    """The pivot scan of surfaces in a translation equals the tokenizing
+    oracle's bit for bit: rows, surface index, relative midpoints and the
+    missing mask, with their dtypes."""
+    got = pivots_module._scan_translation(corpus, translation_id, surfaces)
+    want = oracle.scan_translation(corpus, translation_id, surfaces)
+    for name, a, b in zip(("rows", "surface", "rel", "missing"), got, want):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+class TestScanOracle:
+    """The pivot scan reads the translation's encoding; the tokenizing scan
+    it replaced is its oracle."""
+
+    @given(
+        st.lists(
+            st.one_of(st.none(), st.text(alphabet=SCAN_ALPHABET, max_size=30)),
+            min_size=1,
+            max_size=10,
+        ),
+        st.lists(
+            st.sampled_from(["a", "b", "ab", "i̇", "σ", "ς", "aς", "é", "absent"]),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        ),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_texts(self, texts, surfaces, block):
+        corpus = corpus_of(texts)
+        with mock.patch.object(corpus_module, "BLOCK_VERSES", block):
+            assert_same_scan(corpus, "aaa_t", surfaces)
+
+    def test_pivot_sets_of_tiny8(self):
+        # seven verses left out, so members lack some selected verses
+        corpus, truth = generate(PRESETS["tiny8"]())
+        corpus = corpus.select(len(corpus.verse_universe) - 7).keeping_encodings()
+        query = truth["query"]
+        scanned = 0
+        for feature, forms in query["forms"].items():
+            q = Query(feature, query["translation_id"], frozenset(forms))
+            allow = {lang for lang, info in truth["languages"].items() if info["style"] == "particle"}
+            aligner = CONFIG.aligner()
+            head = find_head_pivot(corpus, q, allow, aligner, 5, None)
+            ranking = rank_pivot_candidates(corpus, head, aligner, 5, None)
+            members = expand_pivots(corpus, feature, head, 8, ranking).members
+            by_translation: dict[str, list[str]] = {}
+            for p in members:
+                by_translation.setdefault(p.translation_id, []).append(p.surface)
+            for tid, surfaces in by_translation.items():
+                assert_same_scan(corpus, tid, surfaces)
+                scanned += 1
+        assert scanned >= 12
+
+
 class TestCorpusMethods:
     def test_token_frequencies_selected_only(self):
         corpus = make_corpus(
@@ -700,6 +790,17 @@ class TestCorpusMethods:
             select=False,
         )
         assert corpus.languages() == ["aaa", "bbb"]
+
+    def test_encoding_store(self):
+        corpus = make_corpus({"aaa_t": {"00000001": "a b"}, "bbb_t": {"00000001": "c"}})
+        kept = corpus.keeping_encodings()
+        assert kept.encode("aaa_t") is kept.encode("aaa_t")
+        assert list(kept.encodings) == ["aaa_t"]
+        # the corpus it was made from keeps no store and encodes anew
+        assert corpus.encodings is None
+        assert corpus.encode("aaa_t") is not corpus.encode("aaa_t")
+        # a new selection has other rows, so it starts without a store
+        assert kept.select(1).encodings is None
 
     def test_encode_reads_the_current_translation(self):
         corpus = make_corpus({"aaa_t": {"00000001": "a b"}, "bbb_t": {"00000001": "c d"}})
