@@ -44,7 +44,7 @@ logger = logging.getLogger(__name__)
 # in memory the null word is source id 0.
 NULL_SURFACE = ""
 
-CACHE_FORMAT = "lex-bin-1"
+CACHE_FORMAT = "lex-bin-2"
 
 # A cached table whose rows do not sum to 1 within this is corrupt.
 ROW_SUM_TOLERANCE = 1e-9
@@ -297,12 +297,28 @@ def _link_stats(lex: LexTable, cfg: AlignerConfig, source_word: str) -> PairLink
     )
 
 
+def texts_digest(corpus: MultiCorpus, translation_id: str) -> bytes:
+    """sha256 of a translation's selected verses: the length of each in
+    characters as a little-endian int64, -1 for a verse the translation
+    lacks (so a missing verse differs from an empty one), and then their
+    texts end to end in UTF-8."""
+    lengths = np.where(corpus.presence(translation_id), corpus.lengths(translation_id), -1)
+    h = hashlib.sha256(lengths.astype("<i8").tobytes())
+    h.update("".join(corpus.texts(translation_id)).encode("utf-8", "surrogatepass"))
+    return h.digest()
+
+
 def _pair_cache_key(
-    corpus: MultiCorpus, src_id: str, tgt_id: str, cfg: AlignerConfig, merge: tuple = ()
+    src_id: str,
+    tgt_id: str,
+    cfg: AlignerConfig,
+    merge: tuple,
+    src_digest: bytes,
+    tgt_digest: bytes,
 ) -> str:
     """The pair's cache key: a hash of the format, the pair, cfg, merge
     (the sorted forms and the word of a source query merge, or nothing)
-    and the raw text of the verses both sides have."""
+    and the texts_digest of each side."""
     h = hashlib.sha256()
     h.update(CACHE_FORMAT.encode())
     h.update(
@@ -310,15 +326,8 @@ def _pair_cache_key(
             [src_id, tgt_id, cfg.em_iterations, cfg.diagonal_tension, cfg.null_prob, *merge]
         ).encode()
     )
-    src_text = corpus.translations[src_id].verses
-    tgt_text = corpus.translations[tgt_id].verses
-    parts: list[str] = []
-    for vid in corpus.selected_verses:
-        s = src_text.get(vid)
-        t = tgt_text.get(vid)
-        if s is not None and t is not None:
-            parts += (vid, s, "\x00", t, "\x01")
-    h.update("".join(parts).encode())
+    h.update(src_digest)
+    h.update(tgt_digest)
     return h.hexdigest()
 
 
@@ -374,17 +383,15 @@ def load_lex_table(path: Path, key: str, enc: PairEncoding) -> LexTable | None:
 
 
 def train_pair(
-    corpus: MultiCorpus,
     src_id: str,
     tgt_id: str,
     enc: PairEncoding,
     cfg: AlignerConfig,
     cache_dir: str | Path | None,
-    merge: tuple = (),
+    key: str,
 ) -> LexTable:
     """Train (or load from cache) the lexical table of one pair, whose
-    verse pairs enc encodes; merge names a query merge of the source (see
-    _pair_cache_key)."""
+    verse pairs enc encodes; key is its _pair_cache_key."""
     if cache_dir is None:
         return train_alignment(enc, cfg)
     cache_dir = Path(cache_dir)
@@ -392,7 +399,6 @@ def train_pair(
         cache_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cache_dir {cache_dir} is not a usable directory: {exc}") from exc
-    key = _pair_cache_key(corpus, src_id, tgt_id, cfg, merge)
     # the key prefix in the name lets tables of one pair under different
     # keys (say, the query pairs of each feature's merge) coexist
     path = cache_dir / f"{src_id}__{tgt_id}.{key[:16]}.lex"
@@ -422,7 +428,9 @@ def link_counts(
     forms are first merged into source_word, which must then not be a
     surface of the source (see TranslationEncoding.merged). Each side is
     encoded by corpus.encode, so a corpus with an encoding store
-    (MultiCorpus.keeping_encodings) tokenizes each translation once.
+    (MultiCorpus.keeping_encodings) tokenizes each translation once. With
+    a cache_dir, each side's selected texts are hashed once per call
+    (texts_digest) for the pair keys.
     """
     if source_translation_id not in corpus.translations:
         raise DataError(f"unknown translation {source_translation_id!r}")
@@ -438,6 +446,7 @@ def link_counts(
         return {}
     if targets is None:
         targets = [t for t in corpus.translations if t != source_translation_id]
+    src_digest = texts_digest(corpus, source_translation_id) if cache_dir is not None else b""
     out: dict[str, PairLinkStats] = {}
     for tgt_id in sorted(targets):
         if tgt_id == source_translation_id:
@@ -450,7 +459,12 @@ def link_counts(
                 "no shared selected verses between %s and %s", source_translation_id, tgt_id
             )
             continue
-        lex = train_pair(corpus, source_translation_id, tgt_id, enc, cfg, cache_dir, merge)
+        key = ""
+        if cache_dir is not None:
+            key = _pair_cache_key(
+                source_translation_id, tgt_id, cfg, merge, src_digest, texts_digest(corpus, tgt_id)
+            )
+        lex = train_pair(source_translation_id, tgt_id, enc, cfg, cache_dir, key)
         stats = _link_stats(lex, cfg, source_word)
         freq = tgt.frequencies()
         stats.target_frequencies = {w: freq[w] for w in stats.source_word_to_target}

@@ -251,11 +251,7 @@ def language_distance(
     if not features:
         raise DataError("no features given")
 
-    @functools.cache
-    def present(tid: str) -> np.ndarray:
-        """Which selected verses translation tid has."""
-        has = corpus.translations[tid].verses.__contains__
-        return np.fromiter(map(has, corpus.selected_verses), bool, len(corpus.selected_verses))
+    present = functools.cache(corpus.presence)
 
     excluded: dict[str, str] = {}
     langs: list[str] = []

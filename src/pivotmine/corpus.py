@@ -8,9 +8,10 @@ id denotes the same content everywhere, which is what later stages rely on.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import re
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .textio import read_lines, write_lines
+from .textio import read_lines, read_text, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -152,56 +153,129 @@ def _concat(parts: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int32)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Translation:
-    """One translation: an id, its language code, and verse texts.
+    """One translation: an id, its language code, and its verse texts.
 
-    verses maps VerseId to raw text in file order. Treated as immutable.
+    text holds the verse texts end to end, in file order; verse i is
+    text[offsets[i]:offsets[i + 1]] (int64 offsets, one more than the
+    verses, so offsets[1:] are the verses' ends), and verse_index[i]
+    (int32) is its position in the corpus's sorted verse_universe. A
+    translation keeps no object per verse: read its selected verses
+    through MultiCorpus.texts, .presence and .lengths. Treated as
+    immutable.
     """
 
     translation_id: str
     iso3: str
-    verses: dict[str, str]
+    text: str
+    offsets: np.ndarray
+    verse_index: np.ndarray
+
+    def texts(self) -> list[str]:
+        """Every verse text in file order, sliced anew on each call."""
+        text = self.text
+        bounds = self.offsets.tolist()
+        return [text[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiCorpus:
     """All loaded translations plus the working verse selection.
 
-    selected_verses is the ordered subset downstream stages iterate over;
-    it is empty until select() is applied. encode() tokenizes a translation
-    each time it is called, unless the corpus keeps an encoding store
-    (keeping_encodings()): then it tokenizes each translation once and
-    returns the stored encoding after that.
+    selected_index holds the verse_universe position of each selected
+    verse, in verse-id order; it is empty until select() is applied, and
+    selected_verses names the same verses. texts, presence and lengths
+    read one translation over the selection: they gather from its text
+    and arrays on each call and cache nothing. encode() tokenizes a
+    translation each time it is called, unless the corpus keeps an
+    encoding store (keeping_encodings()): then it tokenizes each
+    translation once and returns the stored encoding after that.
     """
 
     translations: dict[str, Translation]
     verse_universe: tuple[str, ...]
-    selected_verses: tuple[str, ...] = ()
+    selected_index: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     families: dict[str, str] = field(default_factory=dict)
     malformed_lines: int = 0
-    # translation id -> encoding over selected_verses, or None for no store
-    encodings: dict[str, TranslationEncoding] | None = field(
-        default=None, compare=False, repr=False
-    )
+    # translation id -> encoding over the selected verses, or None for no store
+    encodings: dict[str, TranslationEncoding] | None = field(default=None, repr=False)
+
+    @property
+    def selected_verses(self) -> tuple[str, ...]:
+        """The ids of the selected verses, in order (a new tuple of the
+        universe's strings on each call)."""
+        return tuple(map(self.verse_universe.__getitem__, self.selected_index.tolist()))
+
+    def verse_ids(self, translation_id: str) -> list[str]:
+        """The ids of every verse of a translation, in file order."""
+        index = self.translations[translation_id].verse_index.tolist()
+        return list(map(self.verse_universe.__getitem__, index))
+
+    def _rows(
+        self, translation_id: str, index: np.ndarray | None
+    ) -> tuple[Translation, np.ndarray]:
+        """The translation, and the file-order row of each verse of index
+        (universe positions, the selection by default) in it: -1 where it
+        lacks the verse, or the position is -1 (outside the universe)."""
+        trans = self.translations[translation_id]
+        where = np.full(len(self.verse_universe) + 1, -1, dtype=np.intp)
+        where[trans.verse_index] = np.arange(len(trans.verse_index))
+        return trans, where[self.selected_index if index is None else index]
+
+    def _spans(
+        self, translation_id: str, index: np.ndarray | None
+    ) -> tuple[str, np.ndarray, np.ndarray]:
+        """The translation's text and the int64 start and end in it of each
+        verse of index (see _rows); both 0 where it lacks the verse."""
+        trans, rows = self._rows(translation_id, index)
+        has = rows >= 0
+        start = np.zeros(len(rows), dtype=np.int64)
+        end = np.zeros(len(rows), dtype=np.int64)
+        start[has] = trans.offsets[rows[has]]
+        end[has] = trans.offsets[rows[has] + 1]
+        return trans.text, start, end
+
+    def texts(self, translation_id: str, index: np.ndarray | None = None) -> list[str]:
+        """The translation's text of each selected verse ("" where it lacks
+        the verse), or of each verse of index (universe positions)."""
+        text, start, end = self._spans(translation_id, index)
+        return [text[a:b] for a, b in zip(start.tolist(), end.tolist())]
+
+    def presence(self, translation_id: str, index: np.ndarray | None = None) -> np.ndarray:
+        """Which selected verses (or verses of index) the translation has."""
+        return self._rows(translation_id, index)[1] >= 0
+
+    def lengths(self, translation_id: str) -> np.ndarray:
+        """The int64 length of each selected verse's text, 0 where the
+        translation lacks the verse."""
+        _, start, end = self._spans(translation_id, None)
+        return end - start
+
+    def universe_index(self, verse_ids: Sequence[str]) -> np.ndarray:
+        """The verse_universe position of each verse id, -1 for an id the
+        universe lacks."""
+        out = np.full(len(verse_ids), -1, dtype=np.intp)
+        for k, vid in enumerate(verse_ids):
+            i = bisect.bisect_left(self.verse_universe, vid)
+            if i < len(self.verse_universe) and self.verse_universe[i] == vid:
+                out[k] = i
+        return out
 
     def encode(self, translation_id: str) -> TranslationEncoding:
         """The TranslationEncoding of one translation, one row per selected
         verse; kept in the encoding store when the corpus has one."""
         if self.encodings is not None and translation_id in self.encodings:
             return self.encodings[translation_id]
-        verses = self.translations[translation_id].verses
         index = _vocabulary()
         ids = []
         sums = []
         counts = []
-        for _, (surfaces, starts, ends, n) in tokenize_blocks(
-            [verses.get(vid, "") for vid in self.selected_verses]
-        ):
+        for _, (surfaces, starts, ends, n) in tokenize_blocks(self.texts(translation_id)):
             ids.append(np.fromiter(map(index.__getitem__, surfaces), np.int32, len(surfaces)))
             sums.append(starts + ends)
             counts.append(n)
-        offsets = np.zeros(len(self.selected_verses) + 1, dtype=np.int32)
+        offsets = np.zeros(len(self.selected_index) + 1, dtype=np.int32)
         np.cumsum(_concat(counts), out=offsets[1:])
         enc = TranslationEncoding(list(index), _concat(ids), offsets, _concat(sums))
         if self.encodings is not None:
@@ -220,8 +294,102 @@ class MultiCorpus:
     def select(self, target_count: int) -> "MultiCorpus":
         """This corpus over its target_count best-covered verses (see
         select_covered_verses), without an encoding store."""
-        chosen = select_covered_verses(self, target_count)
-        return replace(self, selected_verses=tuple(chosen), encodings=None)
+        return replace(self, selected_index=_covered_index(self, target_count), encodings=None)
+
+
+def build_corpus(
+    verses: dict[str, dict[str, str]],
+    iso3: dict[str, str],
+    families: dict[str, str] | None = None,
+) -> MultiCorpus:
+    """A corpus, without a selection, of translations given as
+    {translation_id: {verse_id: text}} (verses in dict order) and the
+    language code of each."""
+    universe = sorted({vid for texts in verses.values() for vid in texts})
+    position = {vid: i for i, vid in enumerate(universe)}
+    translations = {
+        tid: _translation(
+            tid,
+            iso3[tid],
+            "".join(texts.values()),
+            np.fromiter(map(len, texts.values()), np.int64, len(texts)),
+            np.fromiter(map(position.__getitem__, texts), np.int32, len(texts)),
+        )
+        for tid, texts in verses.items()
+    }
+    return MultiCorpus(translations, tuple(universe), families=dict(families or {}))
+
+
+def _translation(
+    translation_id: str, iso3: str, text: str, lengths: np.ndarray, verse_index: np.ndarray
+) -> Translation:
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return Translation(translation_id, iso3, text, offsets, verse_index.astype(np.int32))
+
+
+# Eight bytes read as one big-endian uint64 (so that ids order like their
+# numbers) are eight ASCII digits when both masked sums hold for every
+# byte: b & 0xF0 == 0x30 keeps 0x30-0x3F, (b + 6) & 0xF0 == 0x30 keeps
+# 0x2A-0x39. A byte whose + 6 carries into the next fails the first test.
+_HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
+_DIGIT_NIBBLES = np.uint64(0x3030303030303030)
+_PAST_NINE = np.uint64(0x0606060606060606)
+
+
+def _parse_translation(content: str) -> tuple[str, np.ndarray, np.ndarray, int, int]:
+    """The verses of one corpus file's text: their texts end to end, the
+    length of each in characters, each one's id as a uint64 that orders
+    like the id, and the counts of malformed lines and of duplicate ids.
+
+    Lines end at LF (read_text has turned CR and CRLF into LF), and an
+    empty line is skipped. A line holds a verse when what precedes its
+    first tab is a verse id (is_verse_id): as digits are not tabs, when
+    its first eight characters are ASCII digits and its ninth a tab. The
+    text follows that tab. Every other line is malformed. Of lines with
+    one id the first is kept. The file is scanned as an array of its
+    UTF-8 bytes, in which those nine characters are nine bytes.
+    """
+    data = content.encode("utf-8", "surrogatepass")
+    byte = np.frombuffer(data, np.uint8)
+    # the eight bytes from each offset, as one unaligned big-endian uint64
+    # (eight zero bytes past the end give every offset a full word)
+    words = np.ndarray(len(data), ">u8", data + bytes(8), strides=(1,))
+    newline = np.flatnonzero(byte == ord("\n"))
+    line_start = np.concatenate(([0], newline + 1))
+    line_end = np.append(newline, len(byte))
+    lines = np.flatnonzero(line_end - line_start > 8)
+    head = line_start[lines]
+    word = words[head]
+    valid = (
+        (byte[head + 8] == ord("\t"))
+        & ((word & _HIGH_NIBBLES) == _DIGIT_NIBBLES)
+        & (((word + _PAST_NINE) & _HIGH_NIBBLES) == _DIGIT_NIBBLES)
+    )
+    lines = lines[valid]
+    keys = word[valid].astype(np.uint64)
+    malformed = int(np.count_nonzero(line_end > line_start)) - len(lines)
+    if np.all(keys[1:] > keys[:-1]):
+        first = np.arange(len(keys))  # ids ascend, so none repeats
+    else:
+        first = np.sort(np.unique(keys, return_index=True)[1])
+    lines = lines[first]
+    # each line is three runs of bytes: those dropped before its text
+    # (the whole line unless it is kept), its text, and its newline
+    runs = np.zeros((len(line_start), 3), dtype=np.int64)
+    runs[:, 0] = line_end - line_start
+    runs[lines, 0] = 9
+    runs[lines, 1] = line_end[lines] - line_start[lines] - 9
+    runs[:-1, 2] = 1
+    kept = byte[np.repeat(np.tile([False, True, False], len(line_start)), runs.ravel())]
+    text = kept.tobytes().decode("utf-8", "surrogatepass")
+    lengths = runs[lines, 1]
+    if len(text) < len(kept):
+        # a verse has one character fewer than bytes per continuation byte
+        continuation = np.flatnonzero((kept & 0xC0) == 0x80)
+        verse = np.searchsorted(np.cumsum(lengths), continuation, side="right")
+        lengths = lengths - np.bincount(verse, minlength=len(lengths))
+    return text, lengths, keys[first], malformed, len(keys) - len(first)
 
 
 def load_corpus(
@@ -238,56 +406,41 @@ def load_corpus(
     root = Path(root)
     if not root.is_dir():
         raise DataError(f"corpus directory not found: {root}")
-    translations: dict[str, Translation] = {}
-    # every valid verse id seen, mapped to the one string that all
-    # translations share for it
-    universe: dict[str, str] = {}
+    # (translation id, iso3, text, lengths, verse ids as _parse_translation keys)
+    parsed: list[tuple[str, str, str, np.ndarray, np.ndarray]] = []
     malformed = 0
     for path in sorted(root.glob("*.txt")):
         m = FILENAME_RE.match(path.name)
         if not m:
             logger.warning("skipping %s: name does not match iso3_name.txt", path.name)
             continue
-        iso3 = m.group("iso3")
         translation_id = path.stem
-        verses: dict[str, str] = {}
-        duplicates = 0
-        for raw in read_lines(path):
-            if not raw:
-                continue
-            vid, sep, text = raw.partition("\t")
-            if not sep:
-                malformed += 1
-                continue
-            shared = universe.get(vid)
-            if shared is None:
-                if not is_verse_id(vid):
-                    malformed += 1
-                    continue
-                shared = universe[vid] = vid
-            vid = shared
-            if vid in verses:
-                duplicates += 1
-                continue
-            verses[vid] = text
+        text, lengths, keys, bad, duplicates = _parse_translation(read_text(path))
+        malformed += bad
         if duplicates:
             logger.warning(
                 "%s: %d duplicate verse ids, first occurrence kept",
                 translation_id,
                 duplicates,
             )
-        if not verses:
+        if not len(keys):
             logger.warning("skipping %s: no well-formed verse lines", path.name)
             continue
-        translations[translation_id] = Translation(translation_id, iso3, verses)
-    if not translations:
+        parsed.append((translation_id, m.group("iso3"), text, lengths, keys))
+    if not parsed:
         raise DataError(f"no usable translation files under {root}")
     if malformed:
         logger.warning("skipped %d malformed lines while loading %s", malformed, root)
+    universe = np.unique(np.concatenate([keys for *_, keys in parsed]))
+    translations = {
+        tid: _translation(tid, iso3, text, lengths, np.searchsorted(universe, keys))
+        for tid, iso3, text, lengths, keys in parsed
+    }
+    ids = universe.astype(">u8").tobytes().decode("ascii")
     families = read_families(iso_metadata) if iso_metadata else {}
     return MultiCorpus(
         translations=translations,
-        verse_universe=tuple(sorted(universe)),
+        verse_universe=tuple(ids[i : i + 8] for i in range(0, len(ids), 8)),
         families=families,
         malformed_lines=malformed,
     )
@@ -307,12 +460,20 @@ def read_families(path: str | Path) -> dict[str, str]:
     return out
 
 
-def coverage_counts(corpus: MultiCorpus) -> Counter:
-    """Number of translations containing each verse id."""
-    counts: Counter = Counter()
+def coverage_counts(corpus: MultiCorpus) -> np.ndarray:
+    """Number of translations containing each verse of verse_universe, as
+    int64 in universe order."""
+    counts = np.zeros(len(corpus.verse_universe), dtype=np.int64)
     for trans in corpus.translations.values():
-        counts.update(trans.verses.keys())
+        # a translation lists each verse once, so no index repeats
+        counts[trans.verse_index] += 1
     return counts
+
+
+def _covered_index(corpus: MultiCorpus, target_count: int) -> np.ndarray:
+    """The universe positions of select_covered_verses, ascending."""
+    ranked = np.argsort(-coverage_counts(corpus), kind="stable")
+    return np.sort(ranked[:target_count])
 
 
 def select_covered_verses(corpus: MultiCorpus, target_count: int) -> list[str]:
@@ -322,13 +483,11 @@ def select_covered_verses(corpus: MultiCorpus, target_count: int) -> list[str]:
     ties are broken toward smaller verse ids, so growing target_count
     always yields a superset.
     """
-    counts = coverage_counts(corpus)
-    ranked = sorted(corpus.verse_universe, key=lambda v: (-counts[v], v))
-    return sorted(ranked[:target_count])
+    return [corpus.verse_universe[i] for i in _covered_index(corpus, target_count).tolist()]
 
 
 def write_coverage_report(corpus: MultiCorpus, path: str | Path) -> Path:
     """Write ``verse_id<TAB>coverage`` for the whole universe, id-sorted."""
-    counts = coverage_counts(corpus)
-    lines = (f"{vid}\t{counts[vid]}" for vid in corpus.verse_universe)
+    counts = coverage_counts(corpus).tolist()
+    lines = (f"{vid}\t{n}" for vid, n in zip(corpus.verse_universe, counts))
     return write_lines(path, lines)

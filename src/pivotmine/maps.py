@@ -160,8 +160,10 @@ def project_cluster(
     """Texts of the cluster's verses in one translation; None if absent."""
     if translation_id not in corpus.translations:
         raise DataError(f"unknown translation {translation_id!r}")
-    verses = corpus.translations[translation_id].verses
-    return [(vid, verses.get(vid)) for vid in cluster_verses]
+    index = corpus.universe_index(cluster_verses)
+    texts = corpus.texts(translation_id, index)
+    has = corpus.presence(translation_id, index).tolist()
+    return [(vid, text if h else None) for vid, text, h in zip(cluster_verses, texts, has)]
 
 
 # --- file formats ---------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -55,11 +54,13 @@ def _profiles(
     total = int(lengths.sum())
     padded = np.zeros(total + 2 * radius * len(lengths))
     order = np.argsort(nth, kind="stable")
-    first = (centers + offsets[owner] + pad[owner] - radius)[order, None]
-    spread = np.arange(2 * radius + 1)
+    first = (centers + offsets[owner] + pad[owner] - radius)[order]
+    # windows[s] is the view of the 2 * radius + 1 positions from s
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * radius + 1, writeable=True)
     for bells in np.split(first, np.cumsum(np.bincount(nth))[:-1]):
-        # One bell per verse per round, so no index repeats within a round.
-        padded[bells + spread] += kernel
+        # One bell per verse per round, and the verses' windows are
+        # disjoint, so no position is added twice within a round.
+        windows[bells] += kernel
     scores = padded[np.arange(total) + np.repeat(pad, lengths)]
     segment = np.repeat(np.arange(len(lengths)), lengths)
 
@@ -184,24 +185,22 @@ def mine_ngrams(
     """
     if translation_id not in corpus.translations:
         raise DataError(f"unknown translation {translation_id!r}")
-    verses = corpus.translations[translation_id].verses
-    texts = [verses.get(vid) for vid in corpus.selected_verses]
     # Only non-empty verses are scored; owner numbers them.
-    scored = np.fromiter(map(bool, texts), bool, len(texts))
-    texts = list(compress(texts, scored))
+    lengths = corpus.lengths(translation_id)
+    scored = lengths > 0
+    lengths = lengths[scored]
     keep = scored[pivot_set.rows]
     owner = (np.cumsum(scored) - 1)[pivot_set.rows[keep]]
-    result = MiningResult(translation_id, verses_scored=len(texts))
-    if not texts:
+    result = MiningResult(translation_id, verses_scored=len(lengths))
+    if not len(lengths):
         logger.warning(
             "%s shares no selected verses with the corpus; empty mining result",
             translation_id,
         )
         return result
-    lengths = np.array([len(t) for t in texts], dtype=np.int64)
-    positive = np.bincount(owner, minlength=len(texts)) > 0
-    x_max = np.zeros(len(texts), dtype=np.int64)
-    x_min = np.zeros(len(texts), dtype=np.int64)
+    positive = np.bincount(owner, minlength=len(lengths)) > 0
+    x_max = np.zeros(len(lengths), dtype=np.int64)
+    x_min = np.zeros(len(lengths), dtype=np.int64)
     if positive.any():
         _, x_max[positive], x_min[positive] = _profiles(
             lengths[positive], (np.cumsum(positive) - 1)[owner], pivot_set.rel[keep], sigma
@@ -220,7 +219,8 @@ def mine_ngrams(
             result.overlap_flagged,
             result.verses_positive,
         )
-    joined = "".join(texts)
+    # the verses lacking or empty add nothing
+    joined = "".join(corpus.texts(translation_id))
     # Per character, in int32: the room left in its verse, and its offsets
     # from the verse's positive and negative centers. A gram of length n
     # may start where room >= n; a start past that would cross into the

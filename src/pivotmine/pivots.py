@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .aligner import AlignerConfig, PairLinkStats, link_counts
-from .corpus import DELIMITERS, MultiCorpus, Translation, tokenize_blocks
+from .corpus import DELIMITERS, MultiCorpus, tokenize_blocks
 from .errors import DataError
 from .stats import ContingencyTable, chi2
 from .textio import read_lines, write_lines
@@ -75,19 +75,13 @@ def _scan_translation(
     and the relative character midpoint (midpoint / verse length) of each,
     in text order, and the rows the translation lacks."""
     enc = corpus.encode(translation_id)
-    verses = corpus.translations[translation_id].verses
     index = {surface: k for k, surface in enumerate(surfaces)}
     surface_of = np.fromiter(map(index.get, enc.vocab, repeat(-1)), np.int64, len(enc.vocab))
     code = surface_of[enc.ids]
     hits = np.flatnonzero(code >= 0)
     rows = np.searchsorted(enc.offsets[1:], hits, side="right")
-    lengths = np.fromiter(
-        (len(verses[corpus.selected_verses[r]]) for r in rows.tolist()), np.int64, len(rows)
-    )
-    missing = np.fromiter(
-        (vid not in verses for vid in corpus.selected_verses), bool, len(corpus.selected_verses)
-    )
-    return rows, code[hits], enc.span_sums[hits] / 2.0 / lengths, missing
+    lengths = corpus.lengths(translation_id)[rows]
+    return rows, code[hits], enc.span_sums[hits] / 2.0 / lengths, ~corpus.presence(translation_id)
 
 
 def scan_pivots(
@@ -187,23 +181,25 @@ def score_candidates(
     return out
 
 
-def _check_query_merge(trans: Translation, forms: frozenset[str], synthetic: str) -> None:
+def _check_query_merge(
+    corpus: MultiCorpus, translation_id: str, forms: frozenset[str], synthetic: str
+) -> None:
     """One pass over every verse of the query translation, selected or
-    not: DataError naming the first verse where synthetic already occurs
-    as a token (the merge would be ambiguous), and a warning when no token
-    is one of forms."""
-    vids = list(trans.verses)
+    not: DataError naming the first verse in file order where synthetic
+    already occurs as a token (the merge would be ambiguous), and a
+    warning when no token is one of forms."""
+    trans = corpus.translations[translation_id]
     matched = False
-    for lo, (surfaces, _, _, counts) in tokenize_blocks(list(trans.verses.values())):
+    for lo, (surfaces, _, _, counts) in tokenize_blocks(trans.texts()):
         if synthetic in surfaces:
             row = lo + np.searchsorted(np.cumsum(counts), surfaces.index(synthetic), side="right")
+            vid = corpus.verse_ids(translation_id)[row]
             raise DataError(
-                f"synthetic token {synthetic!r} already occurs in "
-                f"{trans.translation_id} verse {vids[row]}"
+                f"synthetic token {synthetic!r} already occurs in {translation_id} verse {vid}"
             )
         matched = matched or not forms.isdisjoint(surfaces)
     if not matched:
-        logger.warning("query merge matched no tokens in %s", trans.translation_id)
+        logger.warning("query merge matched no tokens in %s", translation_id)
 
 
 def find_head_pivot(
@@ -229,7 +225,7 @@ def find_head_pivot(
         raise DataError(f"unknown query translation {query.translation_id!r}")
     forms = frozenset(f.lower() for f in query.forms)
     synthetic = synthetic_query_token(query.feature)
-    _check_query_merge(corpus.translations[query.translation_id], forms, synthetic)
+    _check_query_merge(corpus, query.translation_id, forms, synthetic)
 
     def candidates_in(targets: list[str] | None) -> list[Pivot]:
         stats = link_counts(

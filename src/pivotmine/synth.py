@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import is_scalar, read_fields, read_json_object
-from .corpus import MultiCorpus, Translation
+from .corpus import MultiCorpus, build_corpus
 from .errors import ConfigError
 from .textio import write_json, write_lines
 
@@ -137,6 +137,16 @@ def generate(spec: SynthSpec) -> tuple[MultiCorpus, dict]:
     marker forms, the verses it actually marked (after family subsetting
     and drop noise), and the query definition.
     """
+    verses, iso3, families, truth = _generate(spec)
+    return build_corpus(verses, iso3, families), truth
+
+
+def _generate(
+    spec: SynthSpec,
+) -> tuple[dict[str, dict[str, str]], dict[str, str], dict[str, str], dict]:
+    """generate's corpus as {translation_id: {verse_id: text}} (ids
+    ascending), the language code of each translation and the language
+    families, and its ledger."""
     spec.validate()
     feature_names = [f for f, _ in spec.features]
 
@@ -171,7 +181,8 @@ def generate(spec: SynthSpec) -> tuple[MultiCorpus, dict]:
     prefixes = [c + v for c in CONTENT_CONSONANTS for v in VOWELS]
     marker_sylls = [c + v for c in MARKER_CONSONANTS for v in VOWELS]
 
-    translations: dict[str, Translation] = {}
+    translations: dict[str, dict[str, str]] = {}
+    iso3_of: dict[str, str] = {}
     truth_langs: dict[str, dict] = {}
     families: dict[str, str] = {}
     query_truth: dict | None = None
@@ -266,7 +277,8 @@ def generate(spec: SynthSpec) -> tuple[MultiCorpus, dict]:
                 marked[label].append(vid)
             verses[vid] = " ".join(words)
         tid = translation_id_for(lang.iso3)
-        translations[tid] = Translation(tid, lang.iso3, verses)
+        translations[tid] = verses
+        iso3_of[tid] = lang.iso3
         families[lang.iso3] = lang.family
         truth_langs[lang.iso3] = {
             "style": lang.style,
@@ -282,12 +294,6 @@ def generate(spec: SynthSpec) -> tuple[MultiCorpus, dict]:
                 "forms": {f: list(v) for f, v in forms.items()},
             }
 
-    universe = sorted({vid for t in translations.values() for vid in t.verses})
-    corpus = MultiCorpus(
-        translations=translations,
-        verse_universe=tuple(universe),
-        families=families,
-    )
     truth = {
         "seed": spec.seed,
         "n_verses": spec.n_verses,
@@ -296,7 +302,7 @@ def generate(spec: SynthSpec) -> tuple[MultiCorpus, dict]:
         "languages": truth_langs,
         "query": query_truth,
     }
-    return corpus, truth
+    return translations, iso3_of, families, truth
 
 
 # --- on-disk form ----------------------------------------------------------
@@ -312,16 +318,15 @@ def write_synth(
     marker forms per marking translation and feature), families.tsv.
     Returns the corpus, its ground truth and the paths written.
     """
-    corpus, truth = generate(spec)
+    verses, iso3, families, truth = _generate(spec)
     out_dir = Path(out_dir)
     corpus_dir = out_dir / "corpus"
     corpus_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for tid in sorted(corpus.translations):
-        trans = corpus.translations[tid]
+    for tid in sorted(verses):
+        texts = verses[tid]
         written.append(write_lines(
-            corpus_dir / f"{tid}.txt",
-            (f"{vid}\t{trans.verses[vid]}" for vid in sorted(trans.verses)),
+            corpus_dir / f"{tid}.txt", (f"{vid}\t{texts[vid]}" for vid in sorted(texts))
         ))
     written.append(write_json(out_dir / "ground_truth.json", truth))
     feature_names = [f for f, _ in spec.features]
@@ -347,7 +352,7 @@ def write_synth(
     written.append(write_lines(out_dir / "gold.tsv", glines))
     flines = [f"{l.iso3}\t{l.family}" for l in spec.languages]
     written.append(write_lines(out_dir / "families.tsv", flines))
-    return corpus, truth, written
+    return build_corpus(verses, iso3, families), truth, written
 
 
 def _iso_series(letter: str, count: int) -> list[str]:

@@ -4,7 +4,7 @@ The oracles that MultiCorpus.encode, aligner.encode_pairs,
 aligner._pair_cache_key, the head-pivot query merge and the pivot scan
 are tested against: one regex match per token and one verse at a time,
 np.unique for word and cell numbering, one hash update per piece of each
-verse, a merge that rewrites the query text, and a scan that tokenizes
+selected verse, a merge that rewrites the query text, and a scan that tokenizes
 the translation's text.
 """
 
@@ -14,15 +14,15 @@ import hashlib
 import json
 import logging
 import re
+import struct
 from collections import defaultdict
 from itertools import repeat
 
 import numpy as np
 
 from pivotmine.aligner import CACHE_FORMAT, AlignerConfig, PairEncoding
-from pivotmine.corpus import (
-    DELIMITERS, MultiCorpus, Translation, TranslationEncoding, tokenize_blocks,
-)
+from helpers import verses_of
+from pivotmine.corpus import DELIMITERS, MultiCorpus, TranslationEncoding, tokenize_blocks
 from pivotmine.errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -33,7 +33,7 @@ _TOKEN_RE = re.compile(f"[^{re.escape(DELIMITERS)}]+")
 def encode(corpus: MultiCorpus, translation_id: str) -> TranslationEncoding:
     """MultiCorpus.encode, tokenizing one selected verse at a time: each
     token a regex match, lowercased on its own."""
-    verses = corpus.translations[translation_id].verses
+    verses = verses_of(corpus, translation_id)
     index: defaultdict[str, int] = defaultdict()
     index.default_factory = index.__len__
     ids: list[int] = []
@@ -102,10 +102,22 @@ def encode_pairs(src: TranslationEncoding, tgt: TranslationEncoding) -> PairEnco
     )
 
 
+def texts_digest(corpus: MultiCorpus, translation_id: str) -> bytes:
+    """aligner.texts_digest with one hash update per piece of each selected
+    verse: every verse's int64 length (-1 when missing), then every text."""
+    verses = verses_of(corpus, translation_id)
+    h = hashlib.sha256()
+    for vid in corpus.selected_verses:
+        h.update(struct.pack("<q", len(verses[vid]) if vid in verses else -1))
+    for vid in corpus.selected_verses:
+        h.update(verses.get(vid, "").encode())
+    return h.digest()
+
+
 def pair_cache_key(
     corpus: MultiCorpus, src_id: str, tgt_id: str, cfg: AlignerConfig, merge: tuple = ()
 ) -> str:
-    """aligner._pair_cache_key with five hash updates per shared verse."""
+    """aligner._pair_cache_key of the pair, its digests from texts_digest."""
     h = hashlib.sha256()
     h.update(CACHE_FORMAT.encode())
     h.update(
@@ -113,28 +125,20 @@ def pair_cache_key(
             [src_id, tgt_id, cfg.em_iterations, cfg.diagonal_tension, cfg.null_prob, *merge]
         ).encode()
     )
-    src_tok = corpus.translations[src_id].verses
-    tgt_tok = corpus.translations[tgt_id].verses
-    for vid in corpus.selected_verses:
-        s = src_tok.get(vid)
-        t = tgt_tok.get(vid)
-        if s is None or t is None:
-            continue
-        h.update(vid.encode())
-        h.update(s.encode())
-        h.update(b"\x00")
-        h.update(t.encode())
-        h.update(b"\x01")
+    h.update(texts_digest(corpus, src_id))
+    h.update(texts_digest(corpus, tgt_id))
     return h.hexdigest()
 
 
 def apply_query_merge(
-    trans: Translation,
+    corpus: MultiCorpus,
+    translation_id: str,
     forms: set[str] | frozenset[str],
     synthetic: str,
-) -> Translation:
-    """The query merge as a rewrite of the text: every token matching one
-    of forms is replaced with a synthetic token.
+) -> dict[str, str]:
+    """The query merge as a rewrite of the text: the translation's verses,
+    {verse_id: text}, with every token matching one of forms replaced by
+    a synthetic token.
 
     forms are compared lowercased. Raises ValueError if the synthetic
     token would be split by the tokenizer, and DataError if it already
@@ -148,14 +152,14 @@ def apply_query_merge(
     norm_forms = {f.lower() for f in forms}
     new_verses: dict[str, str] = {}
     replaced = 0
-    items = list(trans.verses.items())
+    items = list(verses_of(corpus, translation_id).items())
     for lo, (surfaces, starts, ends, counts) in tokenize_blocks([text for _, text in items]):
         block = items[lo : lo + len(counts)]
         verse = np.repeat(np.arange(len(block)), counts).tolist()
         if target in surfaces:
             raise DataError(
                 f"synthetic token {synthetic!r} already occurs in "
-                f"{trans.translation_id} verse {block[verse[surfaces.index(target)]][0]}"
+                f"{translation_id} verse {block[verse[surfaces.index(target)]][0]}"
             )
         spans = defaultdict(list)
         for k, surface in enumerate(surfaces):
@@ -171,10 +175,8 @@ def apply_query_merge(
             parts.append(text[prev:])
             new_verses[vid] = "".join(parts)
     if replaced == 0:
-        logger.warning(
-            "query merge matched no tokens in %s", trans.translation_id
-        )
-    return Translation(trans.translation_id, trans.iso3, new_verses)
+        logger.warning("query merge matched no tokens in %s", translation_id)
+    return new_verses
 
 
 def scan_translation(
@@ -182,7 +184,7 @@ def scan_translation(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """pivots._scan_translation as one tokenize pass over the translation's
     selected verses, looking each block's surfaces up among surfaces."""
-    verses = corpus.translations[translation_id].verses
+    verses = verses_of(corpus, translation_id)
     texts = [verses.get(vid, "") for vid in corpus.selected_verses]
     lengths = np.fromiter(map(len, texts), np.int64, len(texts))
     index = {surface: k for k, surface in enumerate(surfaces)}

@@ -16,7 +16,7 @@ import numpy as np
 
 from pivotmine.aligner import LexTable, PairEncoding, encode_pairs
 from pivotmine.config import RunConfig
-from pivotmine.corpus import MultiCorpus, Translation, TranslationEncoding
+from pivotmine.corpus import MultiCorpus, TranslationEncoding, build_corpus
 
 # The run parameters a test leaves alone, from the one place that defines them.
 CONFIG = RunConfig()
@@ -232,15 +232,45 @@ def make_corpus(verses_by_tid: dict[str, dict[str, str]], iso3=None, select=True
     With select the full universe becomes the working selection.
     """
     iso3 = iso3 or {}
-    translations = {
-        tid: Translation(tid, iso3.get(tid, tid[:3]), dict(verses))
-        for tid, verses in verses_by_tid.items()
-    }
-    universe = sorted({v for t in verses_by_tid.values() for v in t})
-    corpus = MultiCorpus(translations=translations, verse_universe=tuple(universe))
+    corpus = build_corpus(
+        verses_by_tid, {tid: iso3.get(tid, tid[:3]) for tid in verses_by_tid}
+    )
     if select:
-        corpus = corpus.select(len(universe))
+        corpus = corpus.select(len(corpus.verse_universe))
     return corpus
+
+
+def verses_of(corpus: MultiCorpus, translation_id: str) -> dict[str, str]:
+    """{verse_id: text} of every verse of a translation, in file order: a
+    readable view for tests."""
+    return dict(zip(corpus.verse_ids(translation_id), corpus.translations[translation_id].texts()))
+
+
+def corpus_state(corpus: MultiCorpus) -> dict:
+    """vars(corpus) in a form that compares by value: arrays as lists and
+    each translation as its fields."""
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        if hasattr(value, "__dataclass_fields__"):
+            return {k: plain(v) for k, v in vars(value).items()}
+        return value
+
+    return plain(vars(corpus))
+
+
+def with_translation(corpus: MultiCorpus, translation_id: str, verses: dict[str, str], iso3=None):
+    """corpus with one translation (new or replaced) given as {verse_id:
+    text}, and the same verse ids selected. The universe must not change."""
+    all_verses = {tid: verses_of(corpus, tid) for tid in corpus.translations}
+    all_verses[translation_id] = verses
+    codes = {tid: t.iso3 for tid, t in corpus.translations.items()}
+    codes[translation_id] = iso3 or codes.get(translation_id, translation_id[:3])
+    rebuilt = build_corpus(all_verses, codes, corpus.families)
+    assert rebuilt.verse_universe == corpus.verse_universe
+    return replace(rebuilt, selected_index=corpus.selected_index)
 
 
 def assert_encodings_equal(got: PairEncoding, want: PairEncoding) -> None:

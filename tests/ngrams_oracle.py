@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from helpers import CONFIG, tokenize_reference
+from helpers import CONFIG, tokenize_reference, verses_of
 from pivotmine.corpus import MultiCorpus
 from pivotmine.errors import DataError
 from pivotmine.ngrams import MiningResult, NgramCandidate
@@ -38,7 +38,7 @@ def token_presence_vector(
     corpus: MultiCorpus, translation_id: str, surface: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Presence/missing indicator arrays from the reference tokenizer."""
-    verses = corpus.translations[translation_id].verses
+    verses = verses_of(corpus, translation_id)
     n = len(corpus.selected_verses)
     presence = np.zeros(n, dtype=np.uint8)
     missing = np.zeros(n, dtype=bool)
@@ -57,7 +57,7 @@ def token_relative_positions(
     """Relative midpoints of pivot occurrences, from the reference tokenizer."""
     rels: dict[str, list[float]] = {}
     for pivot in pivot_set.members:
-        verses = corpus.translations[pivot.translation_id].verses
+        verses = verses_of(corpus, pivot.translation_id)
         for vid in corpus.selected_verses:
             text = verses.get(vid)
             if not text:
@@ -144,7 +144,7 @@ def mine_ngrams(
         raise DataError(f"unknown translation {translation_id!r}")
     if relative_positions is None:
         relative_positions = token_relative_positions(corpus, pivot_set)
-    verses = corpus.translations[translation_id].verses
+    verses = verses_of(corpus, translation_id)
     ns = range(n_range[0], n_range[1] + 1)
     pos_counts: dict[int, Counter] = {n: Counter() for n in ns}
     neg_counts: dict[int, Counter] = {n: Counter() for n in ns}

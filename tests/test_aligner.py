@@ -27,6 +27,7 @@ from helpers import (
     lex_table,
     make_corpus,
     tokenize_reference,
+    verses_of,
 )
 from pivotmine.aligner import (
     CACHE_FORMAT,
@@ -43,6 +44,7 @@ from pivotmine.aligner import (
     link_counts,
     load_lex_table,
     save_lex_table,
+    texts_digest,
     train_alignment,
     train_pair,
 )
@@ -237,6 +239,17 @@ def pair_encoding(corpus, src_id: str = "aaa_src", tgt_id: str = "bbb_tgt") -> P
     return encode_pairs(corpus.encode(src_id), corpus.encode(tgt_id))
 
 
+def cache_key(corpus, src_id: str, tgt_id: str, cfg: AlignerConfig, merge: tuple = ()) -> str:
+    """The pair key that link_counts gives a pair of corpus."""
+    digests = texts_digest(corpus, src_id), texts_digest(corpus, tgt_id)
+    return _pair_cache_key(src_id, tgt_id, cfg, merge, *digests)
+
+
+def train_cached(corpus, src_id: str, tgt_id: str, enc: PairEncoding, cfg, cache_dir) -> LexTable:
+    """train_pair under the pair's cache key."""
+    return train_pair(src_id, tgt_id, enc, cfg, cache_dir, cache_key(corpus, src_id, tgt_id, cfg))
+
+
 def cache_parts(path: Path) -> tuple[bytes, np.ndarray]:
     """The header line, newline included, and the probabilities of a
     cache file."""
@@ -298,7 +311,7 @@ class TestCache:
         # cells digest gives the damage away
         cfg = CONFIG.aligner()
         enc = pair_encoding(pair_corpus)
-        first = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+        first = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
         (path,) = tmp_path.glob("*.lex")
         good = path.read_bytes()
         if damage == "swapped":
@@ -313,10 +326,10 @@ class TestCache:
         else:
             foreign = train(TOY_PAIRS)
             assert len(foreign.probs) != len(first.probs)
-        key = _pair_cache_key(pair_corpus, "aaa_src", "bbb_tgt", cfg)
+        key = cache_key(pair_corpus, "aaa_src", "bbb_tgt", cfg)
         save_lex_table(foreign, path, key)
         with caplog.at_level(logging.WARNING):
-            again = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+            again = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
         assert corrupt_reason(caplog) == "cells differ from the pair's encoding"
         assert again.probs.tobytes() == first.probs.tobytes()
         assert path.read_bytes() == good
@@ -330,13 +343,30 @@ class TestCache:
                 assert load_lex_table(path, "toy", enc) is None
         assert caplog.text == ""
 
+    def test_previous_binary_format_is_a_silent_miss(self, pair_corpus, tmp_path, caplog):
+        # a lex-bin-1 table under the current key is retrained, not corrupt
+        cfg = CONFIG.aligner()
+        enc = pair_encoding(pair_corpus)
+        first = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+        (path,) = tmp_path.glob("*.lex")
+        good = path.read_bytes()
+        assert CACHE_FORMAT == "lex-bin-2" and good.startswith(b"# lex-bin-2 key=")
+        path.write_bytes(good.replace(b"# lex-bin-2 ", b"# lex-bin-1 ", 1))
+        key = cache_key(pair_corpus, "aaa_src", "bbb_tgt", cfg)
+        with caplog.at_level(logging.WARNING):
+            assert load_lex_table(path, key, enc) is None
+            again = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+        assert caplog.text == ""
+        assert again.probs.tobytes() == first.probs.tobytes()
+        assert path.read_bytes() == good
+
     @pytest.mark.parametrize("damage", ["cut-mid-number", "cut-at-row", "digits-dropped", "nan"])
     def test_damaged_cache_recomputed_with_warning(
         self, pair_corpus, tmp_path, caplog, damage
     ):
         cfg = CONFIG.aligner()
         enc = pair_encoding(pair_corpus)
-        first = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+        first = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
         (path,) = tmp_path.glob("*.lex")
         good = path.read_bytes()
         header, probs = cache_parts(path)
@@ -361,7 +391,7 @@ class TestCache:
         }[damage]
         path.write_bytes(damaged)
         with caplog.at_level(logging.WARNING):
-            key = _pair_cache_key(pair_corpus, "aaa_src", "bbb_tgt", cfg)
+            key = cache_key(pair_corpus, "aaa_src", "bbb_tgt", cfg)
             assert load_lex_table(path, key, enc) is None
         if damage in ("digits-dropped", "nan"):
             assert corrupt_reason(caplog) == "a row does not sum to 1"
@@ -370,7 +400,7 @@ class TestCache:
             assert corrupt_reason(caplog) == f"{n_bytes} bytes of probabilities for {len(probs)} cells"
         caplog.clear()
         with caplog.at_level(logging.WARNING):
-            again = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+            again = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
         assert "corrupt" in caplog.text
         assert again.probs.tobytes() == first.probs.tobytes()
         assert again.log_likelihoods == first.log_likelihoods
@@ -386,7 +416,7 @@ class TestCache:
     def test_corrupt_cache_recomputed_with_warning(self, pair_corpus, tmp_path, caplog):
         cfg = CONFIG.aligner()
         enc = pair_encoding(pair_corpus)
-        first = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+        first = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
         (path,) = tmp_path.glob("*.lex")
         good = path.read_bytes()
         header, _ = cache_parts(path)
@@ -404,7 +434,7 @@ class TestCache:
             path.write_bytes(damaged)
             caplog.clear()
             with caplog.at_level(logging.WARNING):
-                again = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+                again = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
             assert "corrupt" in caplog.text, name
             assert again.probs.tobytes() == first.probs.tobytes(), name
             assert path.read_bytes() == good, name
@@ -412,9 +442,9 @@ class TestCache:
     def test_cache_hit_equals_fresh_training(self, pair_corpus, tmp_path):
         cfg = CONFIG.aligner()
         enc = pair_encoding(pair_corpus)
-        fresh = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, None)
-        warm = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
-        hit = train_pair(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+        fresh = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, None)
+        warm = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+        hit = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
         assert warm.probs.tobytes() == fresh.probs.tobytes()
         assert hit.probs.tobytes() == fresh.probs.tobytes()
         assert hit.log_likelihoods == fresh.log_likelihoods
@@ -566,8 +596,8 @@ def assert_link_cells_agree(lex: LexTable, cfg: AlignerConfig) -> np.ndarray:
 def reference_pairs(corpus, src_id: str, tgt_id: str):
     """Surface lists of the selected verses both translations hold with a
     token, from the reference tokenizer."""
-    src = corpus.translations[src_id].verses
-    tgt = corpus.translations[tgt_id].verses
+    src = verses_of(corpus, src_id)
+    tgt = verses_of(corpus, tgt_id)
     pairs = []
     for vid in corpus.selected_verses:
         s = [tok for tok, _, _ in tokenize_reference(src.get(vid, ""))]
@@ -667,11 +697,11 @@ class TestProperties:
         corpus = random_corpus(seed, 1)
         cfg = CONFIG.aligner()
         enc = pair_encoding(corpus, "aaa_src", "t00_tgt")
-        fresh = train_pair(corpus, "aaa_src", "t00_tgt", enc, cfg, CONFIG.cache_dir)
+        fresh = train_cached(corpus, "aaa_src", "t00_tgt", enc, cfg, CONFIG.cache_dir)
         with tempfile.TemporaryDirectory() as cache:
-            train_pair(corpus, "aaa_src", "t00_tgt", enc, cfg, cache)
+            train_cached(corpus, "aaa_src", "t00_tgt", enc, cfg, cache)
             (path,) = Path(cache).glob("*.lex")
-            key = _pair_cache_key(corpus, "aaa_src", "t00_tgt", cfg)
+            key = cache_key(corpus, "aaa_src", "t00_tgt", cfg)
             hit = load_lex_table(path, key, enc)
             assert hit is not None
             assert hit.probs.tobytes() == fresh.probs.tobytes()
@@ -1036,7 +1066,7 @@ class TestCacheKey:
         corpus = rows_corpus(rows)
         cfg = CONFIG.aligner()
         for src, tgt in (("aaa_src", "bbb_tgt"), ("bbb_tgt", "ccc_all")):
-            assert _pair_cache_key(corpus, src, tgt, cfg) == encoding_oracle.pair_cache_key(
+            assert cache_key(corpus, src, tgt, cfg) == encoding_oracle.pair_cache_key(
                 corpus, src, tgt, cfg
             )
 
@@ -1046,7 +1076,7 @@ class TestCacheKey:
         query = truth["query"]["translation_id"]
         cfg = replace(CONFIG.aligner(), em_iterations=3)
         for tgt in sorted(corpus.translations):
-            assert _pair_cache_key(corpus, query, tgt, cfg) == encoding_oracle.pair_cache_key(
+            assert cache_key(corpus, query, tgt, cfg) == encoding_oracle.pair_cache_key(
                 corpus, query, tgt, cfg
             )
 
@@ -1078,3 +1108,91 @@ class TestCacheKey:
                 corpus, query, tgt, cfg, [sorted(forms[feature]), word]
             )[:16]
         assert len({plain, *merged.values()}) == 3
+
+
+def digest_corpus(src: dict[str, str] | None = None, tgt: dict[str, str] | None = None):
+    """A source, a target and a third translation over verses 1 to 4,
+    with verse 5 in the source alone: the one verse that select(4) leaves
+    out. src and tgt replace texts of their side."""
+    verses = {
+        "aaa_src": {"00000001": "w a", "00000002": "b w", "00000003": "c", "00000004": "w",
+                    "00000005": "w d"},
+        "bbb_tgt": {"00000001": "x y", "00000002": "z x", "00000003": "u", "00000004": "x"},
+        "ccc_all": {f"{i:08d}": "o" for i in range(1, 5)},
+    }
+    verses["aaa_src"].update(src or {})
+    verses["bbb_tgt"].update(tgt or {})
+    corpus = make_corpus(verses, select=False).select(4)
+    assert corpus.selected_verses == tuple(f"{i:08d}" for i in range(1, 5))
+    return corpus
+
+
+def pairs_trained(corpus, cache, targets=None) -> int:
+    """The tables that link_counts of aaa_src's "w" trains against cache."""
+    trained = []
+
+    def spy(enc, cfg):
+        trained.append(enc)
+        return train_alignment(enc, cfg)
+
+    with mock.patch.object(aligner_module, "train_alignment", spy):
+        link_counts(corpus, "aaa_src", "w", CONFIG.aligner(), cache, targets)
+    return len(trained)
+
+
+class TestCacheKeyDigests:
+    """The pair key hashes one digest per translation's selected texts."""
+
+    def test_warm_rerun_hits_every_pair(self, tmp_path):
+        corpus = random_corpus(5, 4)
+        cfg = CONFIG.aligner()
+        cold = link_counts(corpus, "aaa_src", "w0", cfg, tmp_path)
+        files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        assert len(files) == len(cold) == 4
+        with mock.patch.object(aligner_module, "train_alignment", side_effect=AssertionError):
+            assert link_counts(corpus, "aaa_src", "w0", cfg, tmp_path) == cold
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+    def test_each_translation_hashed_once_per_call(self, tmp_path, monkeypatch):
+        corpus = random_corpus(6, 4)
+        hashed = []
+        real = aligner_module.texts_digest
+
+        def spy(corpus, translation_id):
+            hashed.append(translation_id)
+            return real(corpus, translation_id)
+
+        monkeypatch.setattr(aligner_module, "texts_digest", spy)
+        stats = link_counts(corpus, "aaa_src", "w0", CONFIG.aligner(), tmp_path)
+        assert hashed == ["aaa_src", *sorted(stats)]
+        hashed.clear()
+        link_counts(corpus, "aaa_src", "w0", CONFIG.aligner(), CONFIG.cache_dir)
+        assert hashed == []  # no cache, no key
+
+    @pytest.mark.parametrize(
+        "edit, misses",
+        [
+            (dict(src={"00000002": "b w e"}), True),
+            (dict(tgt={"00000003": "u v"}), True),
+            (dict(src={"00000005": "w d e"}), False),  # not selected
+        ],
+        ids=["selected-source-verse", "selected-target-verse", "unselected-verse"],
+    )
+    def test_edit_misses_only_on_selected_verses(self, tmp_path, edit, misses):
+        assert pairs_trained(digest_corpus(), tmp_path, ["bbb_tgt"]) == 1
+        assert pairs_trained(digest_corpus(), tmp_path, ["bbb_tgt"]) == 0
+        assert pairs_trained(digest_corpus(**edit), tmp_path, ["bbb_tgt"]) == int(misses)
+
+    def test_missing_verse_differs_from_empty_verse(self):
+        lacking = digest_corpus()
+        empty = digest_corpus(tgt={"00000005": ""})
+        assert empty.selected_verses == lacking.selected_verses
+        # bbb_tgt lacks verse 5 in one and holds it empty in the other,
+        # but verse 5 is not selected: the digests agree
+        assert texts_digest(lacking, "bbb_tgt") == texts_digest(empty, "bbb_tgt")
+        gap = make_corpus({"aaa_src": {"00000001": "w", "00000002": "w"}, "bbb_tgt": {"00000001": "x"}})
+        blank = make_corpus(
+            {"aaa_src": {"00000001": "w", "00000002": "w"}, "bbb_tgt": {"00000001": "x", "00000002": ""}}
+        )
+        assert texts_digest(gap, "bbb_tgt") != texts_digest(blank, "bbb_tgt")
+        assert texts_digest(gap, "aaa_src") == texts_digest(blank, "aaa_src")

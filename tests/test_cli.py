@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import verses_of
 from pivotmine.aligner import AlignerConfig, link_counts, train_alignment, train_pair
 from pivotmine.cli import Run, _load_pivot_set, main
 from pivotmine.config import RunConfig, load_config
@@ -1057,9 +1058,9 @@ class TestClusterLanguagesFloor:
         doc = json.loads((past / "head.json").read_text(encoding="utf-8"))
         head = Pivot(doc["iso3"], doc["translation_id"], doc["surface"], doc["score"])
         markers = top_markers_by_language(read_pivots_tsv(corpus, past / "ranking.tsv"), head)
-        head_verses = corpus.translations[head.translation_id].verses
+        head_verses = verses_of(corpus, head.translation_id)
         shared = [
-            sum(v in head_verses and v in corpus.translations[p.translation_id].verses
+            sum(v in head_verses and v in verses_of(corpus, p.translation_id)
                 for v in corpus.selected_verses)
             for p in markers.values()
         ]

@@ -1,11 +1,14 @@
 """Corpus loading, tokenization and encoding, verse selection, query merging."""
 
+import ast
 import json
 import logging
 import random
 import re
 import string
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,12 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import encoding_oracle as oracle
+import loader_oracle
 import ngrams_oracle
 import pivotmine.corpus as corpus_module
 import pivotmine.pivots as pivots_module
 from helpers import (
-    CONFIG, assert_encodings_equal, encode_surfaces, make_corpus, positions_by_verse,
-    tokenize_reference,
+    CONFIG, assert_encodings_equal, corpus_state, encode_surfaces, make_corpus, positions_by_verse,
+    tokenize_reference, verses_of, with_translation,
 )
 from pivotmine.aligner import encode_pairs
 from pivotmine.cli import main
@@ -27,7 +31,6 @@ from pivotmine.corpus import (
     BLOCK_VERSES,
     DELIMITERS,
     MultiCorpus,
-    Translation,
     coverage_counts,
     is_verse_id,
     load_corpus,
@@ -42,7 +45,7 @@ from pivotmine.pivots import (
     Pivot, PivotSet, Query, expand_pivots, find_head_pivot, rank_pivot_candidates,
     synthetic_query_token,
 )
-from pivotmine.synth import PRESETS, generate
+from pivotmine.synth import PRESETS, generate, write_synth
 
 
 def tokens(text: str) -> list[tuple[str, int, int]]:
@@ -258,7 +261,7 @@ class TestLoadCorpus:
         with caplog.at_level(logging.WARNING):
             corpus = load_corpus(corpus_dir, CONFIG.families)
         assert corpus.malformed_lines == 2
-        assert corpus.translations["ccc_third"].verses == {"00000001": "fine"}
+        assert verses_of(corpus, "ccc_third") == {"00000001": "fine"}
 
     def test_duplicate_verse_keeps_first(self, corpus_dir, caplog):
         (corpus_dir / "ddd_dup.txt").write_text(
@@ -266,7 +269,7 @@ class TestLoadCorpus:
         )
         with caplog.at_level(logging.WARNING):
             corpus = load_corpus(corpus_dir, CONFIG.families)
-        assert corpus.translations["ddd_dup"].verses["00000001"] == "first"
+        assert verses_of(corpus, "ddd_dup")["00000001"] == "first"
         assert "duplicate" in caplog.text
 
     def test_malformed_count_exact_for_ids_seen_before(self, corpus_dir):
@@ -279,7 +282,7 @@ class TestLoadCorpus:
         )
         corpus = load_corpus(corpus_dir, CONFIG.families)
         assert corpus.malformed_lines == 4
-        assert corpus.translations["ccc_third"].verses == {"00000001": "fine", "00000003": "ok"}
+        assert verses_of(corpus, "ccc_third") == {"00000001": "fine", "00000003": "ok"}
         assert corpus.verse_universe == ("00000001", "00000002", "00000003")
 
     def test_duplicate_count_exact(self, corpus_dir, caplog):
@@ -290,12 +293,12 @@ class TestLoadCorpus:
         with caplog.at_level(logging.WARNING):
             corpus = load_corpus(corpus_dir, CONFIG.families)
         assert "ddd_dup: 3 duplicate verse ids" in caplog.text
-        assert corpus.translations["ddd_dup"].verses == {"00000001": "a", "00000004": "c"}
+        assert verses_of(corpus, "ddd_dup") == {"00000001": "a", "00000004": "c"}
         assert corpus.malformed_lines == 0
 
     def test_one_string_per_verse_id(self, corpus_dir):
         corpus = load_corpus(corpus_dir, CONFIG.families)
-        first, second = (corpus.translations[t].verses for t in ("aaa_first", "bbb_second"))
+        first, second = (verses_of(corpus, t) for t in ("aaa_first", "bbb_second"))
         shared = next(iter(first))
         assert shared == "00000001"
         assert next(iter(second)) is shared and corpus.verse_universe[0] is shared
@@ -326,7 +329,7 @@ class TestLoadCorpus:
         (d / "aaa_t.txt").write_text(lines + "00000004\tcr\r\n", encoding="utf-8")
         corpus = load_corpus(d, CONFIG.families)
         assert corpus.malformed_lines == 0
-        assert corpus.translations["aaa_t"].verses == {**verses, "00000004": "cr"}
+        assert verses_of(corpus, "aaa_t") == {**verses, "00000004": "cr"}
 
     def test_read_families_rejects_malformed(self, tmp_path):
         meta = tmp_path / "families.tsv"
@@ -338,6 +341,189 @@ class TestLoadCorpus:
         meta = tmp_path / "families.tsv"
         meta.write_text("# header\naaa\tfamA\n\n", encoding="utf-8")
         assert read_families(meta) == {"aaa": "famA"}
+
+
+def load_both(root):
+    """load_corpus and the parent loader (loader_oracle) of root: each
+    one's result, or the DataError it raised, and its warnings."""
+    out = []
+    log = logging.getLogger("pivotmine.corpus")
+    for load in (lambda: load_corpus(root, None), lambda: loader_oracle.load_corpus(root)):
+        records: list[logging.LogRecord] = []
+        handler = logging.Handler(logging.WARNING)
+        handler.emit = records.append
+        log.addHandler(handler)
+        try:
+            result = load()
+        except DataError as exc:
+            result = exc
+        finally:
+            log.removeHandler(handler)
+        out.append((result, [r.getMessage() for r in records]))
+    return out
+
+
+def assert_loads_like_the_oracle(root) -> None:
+    """load_corpus of root keeps what the parent loader kept: every
+    translation's verses in file order, the universe, the malformed count
+    and the warnings; or both raise the same DataError."""
+    (corpus, logged), (want, want_logged) = load_both(root)
+    assert logged == want_logged
+    if isinstance(want, DataError):
+        assert str(corpus) == str(want)
+        return
+    translations, universe, malformed = want
+    assert corpus.verse_universe == universe
+    assert corpus.malformed_lines == malformed
+    assert list(corpus.translations) == list(translations)
+    for tid, (iso3, verses) in translations.items():
+        assert corpus.translations[tid].iso3 == iso3
+        assert list(verses_of(corpus, tid).items()) == list(verses.items())
+
+
+VERSE_IDS = [f"{i:08d}" for i in (1, 2, 3, 40001001, 99999999)]
+LOADER_TEXT = st.text(alphabet="ab \tΣé\u2028\x85\x0b\x1c", max_size=8)
+LOADER_LINE = st.one_of(
+    st.tuples(st.sampled_from(VERSE_IDS), LOADER_TEXT).map("\t".join),
+    # malformed or empty: short, long or non-ASCII ids, no tab, nothing
+    st.text(alphabet="0123456789\t x\u0664\uff14", max_size=12),
+)
+LOADER_FILE = st.tuples(
+    st.sampled_from(["aaa_one", "bbb_two", "ccc_x", "ccc_y", "Abc_bad", "zz_bad", "ddd_"]),
+    st.lists(LOADER_LINE, max_size=8),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+    st.booleans(),
+)
+
+
+def write_corpus_files(root, files) -> None:
+    """Write (stem, lines, line ending, final ending) files under root."""
+    root.mkdir()
+    for stem, lines, ending, final in files:
+        body = ending.join(lines) + (ending if final and lines else "")
+        (root / f"{stem}.txt").write_bytes(body.encode("utf-8"))
+
+
+class TestLoaderOracle:
+    """load_corpus against the parent's dict-per-translation loader."""
+
+    @given(st.lists(LOADER_FILE, max_size=5, unique_by=lambda f: f[0]))
+    @settings(max_examples=300, deadline=None)
+    def test_random_files(self, tmp_path_factory, files):
+        root = tmp_path_factory.mktemp("loader") / "corpus"
+        write_corpus_files(root, files)
+        assert_loads_like_the_oracle(root)
+
+    @pytest.mark.parametrize(
+        "files",
+        [
+            pytest.param([("aaa_t", ["00000001\ta", "00000001\tb", "00000002\tc", "00000001\td"],
+                           "\n", True)], id="duplicates"),
+            pytest.param([("aaa_t", ["00000001\ta"], "\n", True), ("bbb_empty", [], "\n", False),
+                          ("ccc_blank", ["", ""], "\n", True)], id="empty-files"),
+            pytest.param([("aaa_t", ["00000001\ta"], "\n", True), ("notaname", ["00000001\tb"], "\n", True),
+                          ("AAA_t", ["00000001\tb"], "\n", True)], id="bad-names"),
+            pytest.param([("aaa_cr", ["00000001\ta b", "00000002\tc"], "\r", True),
+                          ("bbb_crlf", ["00000002\td", "00000003\te"], "\r\n", False)], id="cr-crlf"),
+            pytest.param([("aaa_t", ["00000009\tnine", "00000002\ttwo", "00000005\tfive"],
+                           "\n", True)], id="unsorted"),
+            pytest.param([("aaa_t", ["00000001\t", "00000002\t\t", "00000003\tx"], "\n", False)],
+                         id="empty-texts"),
+            pytest.param([("aaa_t", ["0000001\ta", "000000011\tb", "1234567x\tc", "12345678",
+                                     "\u0664\u0660\u0660\u0660\u0660\u0660\u0660\u0661\td",
+                                     "00000001 \te", "00000001\tok"], "\n", True)], id="malformed"),
+            pytest.param([("bbb_none", ["x", "y\tz"], "\n", True)], id="no-usable-file"),
+        ],
+    )
+    def test_named_cases(self, tmp_path, files):
+        root = tmp_path / "corpus"
+        write_corpus_files(root, files)
+        assert_loads_like_the_oracle(root)
+
+    def test_synthetic_corpus(self, tmp_path):
+        write_synth(PRESETS["tiny8"](), tmp_path)
+        assert_loads_like_the_oracle(tmp_path / "corpus")
+
+
+HOT_PATH_MODULES = ("aligner.py", "cluster.py", "ngrams.py", "pivots.py")
+
+
+def verse_id_loops(tree: ast.AST) -> list[int]:
+    """Lines that loop over a corpus's verse ids: a for, a comprehension
+    or a map/filter/zip over .selected_verses or .verse_universe."""
+    def over_ids(node) -> bool:
+        return any(
+            isinstance(n, ast.Attribute) and n.attr in ("selected_verses", "verse_universe")
+            for n in ast.walk(node)
+        )
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.comprehension)) and over_ids(node.iter):
+            lines.append(node.iter.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("map", "filter", "zip")
+            and any(over_ids(arg) for arg in node.args)
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+class TestCompactLayout:
+    """A loaded corpus keeps one string per translation, and no package
+    module reads texts verse id by verse id."""
+
+    def test_a_translation_holds_no_object_per_verse(self, tmp_path):
+        write_synth(PRESETS["tiny8"](), tmp_path)
+        corpus = load_corpus(tmp_path / "corpus", None).select(300)
+        for trans in corpus.translations.values():
+            assert set(vars(trans)) == {"translation_id", "iso3", "text", "offsets", "verse_index"}
+            for name, value in vars(trans).items():
+                assert isinstance(value, str) or (
+                    isinstance(value, np.ndarray) and value.dtype.kind in "iu"
+                ), name
+            assert trans.offsets.dtype == np.int64 and trans.verse_index.dtype == np.int32
+            assert len(trans.offsets) == len(trans.verse_index) + 1
+        # the verse ids are the universe's strings, one per id
+        assert len(set(map(id, corpus.verse_universe))) == len(corpus.verse_universe)
+
+    def test_accessors_cache_nothing(self):
+        corpus = make_corpus({"aaa_t": {"00000001": "a b", "00000003": ""}, "bbb_t": {"00000002": "c"}})
+        before = corpus_state(corpus)
+        texts = corpus.texts("aaa_t")
+        assert texts == ["a b", "", ""] and corpus.texts("aaa_t") is not texts
+        assert corpus.presence("aaa_t").tolist() == [True, False, True]
+        assert corpus.lengths("aaa_t").tolist() == [3, 0, 0]
+        corpus.encode("aaa_t")
+        assert corpus_state(corpus) == before
+        assert set(vars(corpus)) == {f.name for f in fields(MultiCorpus)}
+
+    def test_no_module_reads_texts_by_verse_id(self):
+        package = Path(corpus_module.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            verses = [
+                n.lineno for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute) and n.attr == "verses"
+                # the --verses option of project is a path
+                and not (isinstance(n.value, ast.Attribute) and n.value.attr == "args")
+            ]
+            assert verses == [], f"{path.name} reads a per-verse mapping at lines {verses}"
+            if path.name in HOT_PATH_MODULES:
+                loops = verse_id_loops(tree)
+                assert loops == [], f"{path.name} loops over verse ids at lines {loops}"
+
+    def test_guard_finds_a_per_verse_lookup(self):
+        # the parent's scan, which the guard must reject
+        code = """
+verses = corpus.translations[tid].verses
+lengths = [len(verses[vid]) for vid in corpus.selected_verses]
+missing = np.fromiter((vid not in verses for vid in corpus.selected_verses), bool)
+has = list(map(verses.__contains__, corpus.selected_verses))
+"""
+        assert sorted(verse_id_loops(ast.parse(code))) == [3, 4, 5]
 
 
 class TestSelection:
@@ -372,7 +558,8 @@ class TestSelection:
             keep = {v for v in vids if rng.random() < 0.6}
             verses_by_tid[tid] = {v: "w" for v in keep}
         corpus = make_corpus(verses_by_tid, select=False)
-        counts = coverage_counts(corpus)
+        counts = Counter(v for verses in verses_by_tid.values() for v in verses)
+        assert coverage_counts(corpus).tolist() == [counts[v] for v in corpus.verse_universe]
         oracle = sorted(corpus.verse_universe, key=lambda v: (-counts[v], v))
         prev = set()
         for target in range(1, len(corpus.verse_universe) + 1):
@@ -477,8 +664,7 @@ def assert_merge_matches_the_text_oracle(corpus, query: str, forms, word: str) -
     """For every other translation, encode_pairs of the query's encoding
     with forms merged into word equals encode_pairs of the query text that
     the oracle rewrote."""
-    rewritten = oracle.apply_query_merge(corpus.translations[query], forms, word)
-    text = replace(corpus, translations={**corpus.translations, query: rewritten})
+    text = with_translation(corpus, query, oracle.apply_query_merge(corpus, query, forms, word))
     merged = corpus.encode(query).merged(forms, word)
     by_text = text.encode(query)
     for tid in sorted(corpus.translations):
@@ -523,6 +709,19 @@ class TestQueryMergeBlocks:
         verses[f"{BLOCK_VERSES + 5:08d}"] = "x qtokpastq"
         with pytest.raises(DataError, match=f"verse {BLOCK_VERSES + 5:08d}"):
             head_search(verses, {"x"})
+
+    def test_collision_names_the_first_verse_in_file_order(self, tmp_path):
+        # file order, not verse-id order, and unselected verses count too
+        root = tmp_path / "corpus"
+        write_corpus_files(root, [
+            ("aaa_t", ["00000009\tx qtokpastq", "00000001\tx y", "00000002\tqtokpastq x"], "\n", True),
+            ("bbb_t", ["00000001\tz", "00000002\tz"], "\n", True),
+        ])
+        corpus = load_corpus(root, None).select(2)
+        assert corpus.selected_verses == ("00000001", "00000002")
+        query = Query("past", "aaa_t", frozenset({"x"}))
+        with pytest.raises(DataError, match="aaa_t verse 00000009$"):
+            find_head_pivot(corpus, query, {"bbb"}, CONFIG.aligner(), CONFIG.min_count, None)
 
 
 SCAN_ALPHABET = DELIMITERS + string.ascii_uppercase + "abİiΣσςé"
@@ -804,7 +1003,6 @@ class TestCorpusMethods:
 
     def test_encode_reads_the_current_translation(self):
         corpus = make_corpus({"aaa_t": {"00000001": "a b"}, "bbb_t": {"00000001": "c d"}})
-        other = Translation("aaa_t", "aaa", {"00000001": "x y"})
-        copy = replace(corpus, translations={**corpus.translations, "aaa_t": other})
+        copy = with_translation(corpus, "aaa_t", {"00000001": "x y"})
         assert copy.encode("aaa_t").vocab == ["x", "y"]
         assert corpus.encode("aaa_t").vocab == ["a", "b"]

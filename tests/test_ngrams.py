@@ -1,6 +1,5 @@
 """Positional profiles, gram ids, mining against its oracle, and TSV cells."""
 
-import copy
 import logging
 import math
 import random
@@ -13,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ngrams_oracle as oracle
-from helpers import make_corpus, mining, positions_by_verse, with_positions
+from helpers import corpus_state, make_corpus, mining, positions_by_verse, verses_of, with_positions
 from pivotmine import ngrams as ngrams_module
 from pivotmine.corpus import DELIMITERS, dense_index
 from pivotmine.errors import DataError
@@ -69,6 +68,21 @@ def profile(length: int, rels: list[float], sigma: float = 6.0):
     return scores, int(x_max[0]), int(x_min[0])
 
 
+def assert_profiles_match_the_oracle(verses: list[tuple[int, list[float]]], sigma: float) -> None:
+    """_profiles of (length, relative centers) verses is bit for bit the
+    oracle's one-verse-at-a-time profile of each."""
+    lengths = [length for length, _ in verses]
+    owner = np.repeat(np.arange(len(verses)), [len(r) for _, r in verses])
+    rel = np.array([x for _, r in verses for x in r], dtype=float)
+    scores, x_max, x_min = _profiles(np.array(lengths), owner, rel, sigma)
+    offset = 0
+    for i, (length, rels) in enumerate(verses):
+        ref = oracle.position_profile("v", "x" * length, rels, sigma)
+        assert scores[offset : offset + length].tobytes() == ref.scores.tobytes()
+        assert (x_max[i], x_min[i]) == (ref.x_max, ref.x_min)
+        offset += length
+
+
 class TestProfile:
     def test_center_and_peak(self):
         scores, x_max, _ = profile(100, [0.62])
@@ -121,16 +135,19 @@ class TestProfile:
     )
     @settings(max_examples=200, deadline=None)
     def test_batch_is_bit_identical_to_one_verse_at_a_time(self, verses, sigma):
-        lengths = [length for length, _ in verses]
-        owner = np.repeat(np.arange(len(verses)), [len(r) for _, r in verses])
-        rel = np.array([x for _, r in verses for x in r], dtype=float)
-        scores, x_max, x_min = _profiles(np.array(lengths), owner, rel, sigma)
-        offset = 0
-        for i, (length, rels) in enumerate(verses):
-            ref = oracle.position_profile("v", "x" * length, rels, sigma)
-            assert scores[offset : offset + length].tobytes() == ref.scores.tobytes()
-            assert (x_max[i], x_min[i]) == (ref.x_max, ref.x_min)
-            offset += length
+        assert_profiles_match_the_oracle(verses, sigma)
+
+
+    @pytest.mark.parametrize("sigma", [0.3, 6.0])
+    def test_many_bells_per_verse_clamped_at_both_ends(self, sigma):
+        # more than 16 bells in each verse, with centers before the start
+        # and past the end clamped into it
+        rng = random.Random(17)
+        verses = [
+            (length, [rng.uniform(-0.3, 1.3) for _ in range(count)] + [-0.5, 1.5, 0.0, 1.0])
+            for length, count in ((1, 17), (7, 20), (40, 33), (3, 18))
+        ]
+        assert_profiles_match_the_oracle(verses, sigma)
 
 
 class TestWindowCounts:
@@ -249,9 +266,9 @@ class TestRelativePositions:
             Pivot("pbb", "pbb_t", "don", 1.0),
             Pivot("pbb", "pbb_t", "t", 1.0),
         ]
-        before = copy.deepcopy(vars(corpus))
+        before = corpus_state(corpus)
         ps = PivotSet.scan(corpus, members[0], members)
-        assert vars(corpus) == before
+        assert corpus_state(corpus) == before
         rels = positions_by_verse(corpus, ps)
         assert rels == oracle.token_relative_positions(corpus, ps)
         assert len(rels["00000001"]) == 3 + 4 + 4
@@ -440,7 +457,7 @@ class TestOracleAgreement:
     def test_wide_alphabet_at_n_max_12(self):
         rng = random.Random(11)
         corpus, ps = random_corpus(rng, WIDE_ALPHABET, 300, 60)
-        target = corpus.translations["tgt_t"].verses
+        target = verses_of(corpus, "tgt_t")
         assert len(set("".join(target.values()))) > 1500
         got = assert_mining_agrees(corpus, "tgt_t", ps, n_range=(1, 12), top=50)
         assert len(got.by_n[12]) == 50

@@ -1,18 +1,15 @@
 """Pivot discovery: head search, expansion, presence, serialization."""
 
-import copy
 import logging
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ngrams_oracle as oracle
-from helpers import CONFIG, make_corpus
+from helpers import CONFIG, corpus_state, make_corpus, verses_of, with_translation
 from pivotmine.aligner import PairLinkStats, link_counts
 from pivotmine import pivots as pivots_module
 from pivotmine.config import RunConfig
-from pivotmine.corpus import Translation
 from pivotmine.errors import ConfigError, DataError
 from pivotmine.pivots import (
     Pivot,
@@ -145,10 +142,10 @@ class TestPresence:
             ("tur_t", "don"),
             ("tur_t", "t"),
         ]
-        before = copy.deepcopy(vars(corpus))
+        before = corpus_state(corpus)
         pivots = [Pivot(tid[:3], tid, surface, 1.0) for tid, surface in lookups]
         pm = scan_pivots(corpus, pivots)[2]
-        assert vars(corpus) == before
+        assert corpus_state(corpus) == before
         assert (pm.matrix.dtype, pm.missing.dtype) == (np.uint8, bool)
         for col, (tid, surface) in enumerate(lookups):
             ref_presence, ref_missing = oracle.token_presence_vector(corpus, tid, surface)
@@ -306,8 +303,9 @@ class TestExpansion:
         corpus, _ = planted
         head, ranking = head_and_ranking
         twin_source = corpus.translations[ranking[0].translation_id]
-        twin = Translation("zza_twin", twin_source.iso3, dict(twin_source.verses))
-        bigger = replace(corpus, translations={**corpus.translations, "zza_twin": twin})
+        bigger = with_translation(
+            corpus, "zza_twin", verses_of(corpus, twin_source.translation_id), twin_source.iso3
+        )
         bigger = bigger.select(len(corpus.verse_universe))
         doubled = ranking + [
             Pivot(c.iso3, "zza_twin", c.surface, c.score)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from helpers import CONFIG
+from helpers import CONFIG, verses_of
 from pivotmine.cli import main
 from pivotmine.corpus import load_corpus, read_families, tokenize_verse
 from pivotmine.errors import ConfigError
@@ -50,13 +50,13 @@ class TestDeterminism:
         b, truth_b = generate(small_spec())
         assert truth_a == truth_b
         for tid in a.translations:
-            assert a.translations[tid].verses == b.translations[tid].verses
+            assert verses_of(a, tid) == verses_of(b, tid)
 
     def test_different_seed_differs(self):
         a, _ = generate(small_spec())
         b, _ = generate(small_spec(seed=6))
         assert any(
-            a.translations[tid].verses != b.translations[tid].verses
+            verses_of(a, tid) != verses_of(b, tid)
             for tid in a.translations
         )
 
@@ -70,7 +70,7 @@ class TestPlantedMarkers:
     def test_marked_lists_match_texts(self):
         corpus, truth = generate(small_spec())
         for iso3, info in truth["languages"].items():
-            verses = corpus.translations[info["translation_id"]].verses
+            verses = verses_of(corpus, info["translation_id"])
             marks = set(info["markers"].get("past", ()))
             marked = set(info["marked"].get("past", ()))
             for vid, text in verses.items():
@@ -88,7 +88,7 @@ class TestPlantedMarkers:
         info = truth["languages"]["paa"]
         mark = info["markers"]["past"][0]
         for vid in info["marked"]["past"]:
-            words = corpus.translations[info["translation_id"]].verses[vid].split()
+            words = verses_of(corpus, info["translation_id"])[vid].split()
             assert words[-2] == mark
 
     def test_suffix_is_verse_final(self):
@@ -96,14 +96,14 @@ class TestPlantedMarkers:
         info = truth["languages"]["saa"]
         mark = info["markers"]["past"][0]
         for vid in info["marked"]["past"]:
-            text = corpus.translations[info["translation_id"]].verses[vid]
+            text = verses_of(corpus, info["translation_id"])[vid]
             assert text.endswith(mark)
 
     def test_content_words_avoid_marker_alphabet(self):
         corpus, truth = generate(small_spec())
         for iso3, info in truth["languages"].items():
             marks = {m for forms in info["markers"].values() for m in forms}
-            for text in corpus.translations[info["translation_id"]].verses.values():
+            for text in verses_of(corpus, info["translation_id"]).values():
                 for word in tokenize_verse(text)[0]:
                     if info["style"] == "suffix":
                         for m in marks:
@@ -132,7 +132,7 @@ class TestPlantedMarkers:
         info = truth["languages"]["paa"]
         assert info["markers"]["past"] == ["kuxi"]
         vid = info["marked"]["past"][0]
-        assert " kuxi " in corpus.translations["paa_synth"].verses[vid]
+        assert " kuxi " in verses_of(corpus, "paa_synth")[vid]
 
     def test_particle_forms_share_consonant_split_vowels(self):
         # slot consonants repeat across features, vowels pin the feature
@@ -154,8 +154,8 @@ class TestPlantedMarkers:
         spec = small_spec(verse_missing=0.3, query_forms=3)
         corpus, truth = generate(spec)
         assert len(truth["query"]["forms"]["past"]) == 3
-        assert len(corpus.translations["qaa_synth"].verses) == spec.n_verses
-        assert len(corpus.translations["paa_synth"].verses) < spec.n_verses
+        assert len(verses_of(corpus, "qaa_synth")) == spec.n_verses
+        assert len(verses_of(corpus, "paa_synth")) < spec.n_verses
 
     def test_family_keep_subsets_marking(self):
         full, truth_full = generate(small_spec())
@@ -251,7 +251,7 @@ class TestOnDisk:
         loaded = load_corpus(tmp_path / "corpus", CONFIG.families)
         assert set(loaded.translations) == set(corpus.translations)
         for tid, trans in corpus.translations.items():
-            assert loaded.translations[tid].verses == trans.verses
+            assert verses_of(loaded, tid) == verses_of(corpus, tid)
             assert loaded.translations[tid].iso3 == trans.iso3
 
         queries = read_queries(tmp_path / "queries.tsv")
