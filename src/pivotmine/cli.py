@@ -75,9 +75,9 @@ def _head_from_json(corpus: MultiCorpus, path: str | Path) -> Pivot:
 # --- stages -----------------------------------------------------------------
 
 
-def stage_synth(spec: SynthSpec, out: Path) -> tuple[MultiCorpus, list[Path]]:
-    corpus, _, written = write_synth(spec, out)
-    return corpus, written
+def stage_synth(spec: SynthSpec, out: Path) -> tuple[dict[str, dict[str, str]], list[Path]]:
+    verses, _, written = write_synth(spec, out)
+    return verses, written
 
 
 def stage_ingest(cfg: RunConfig, corpus: MultiCorpus, out: Path) -> list[Path]:
@@ -409,11 +409,11 @@ def cmd_synth(run: Run) -> None:
         spec = replace(spec, seed=args.seed)
     run.rec.set_config(asdict(spec))
     run.rec.add_input(args.spec)
-    corpus = run.stage("synth", stage_synth, spec, run.out)
+    verses = run.stage("synth", stage_synth, spec, run.out)
     logger.info(
         "wrote %d translations, %d verses to %s",
-        len(corpus.translations),
-        len(corpus.verse_universe),
+        len(verses),
+        len(set().union(*verses.values())),
         run.out,
     )
 

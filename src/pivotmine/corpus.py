@@ -431,7 +431,10 @@ def load_corpus(
         raise DataError(f"no usable translation files under {root}")
     if malformed:
         logger.warning("skipped %d malformed lines while loading %s", malformed, root)
-    universe = np.unique(np.concatenate([keys for *_, keys in parsed]))
+    # the sorted distinct ids: np.unique would import numpy.ma to check for
+    # a masked array, which costs every command that loads a corpus
+    every = np.sort(np.concatenate([keys for *_, keys in parsed]))
+    universe = every[np.append(True, every[1:] != every[:-1])]
     translations = {
         tid: _translation(tid, iso3, text, lengths, np.searchsorted(universe, keys))
         for tid, iso3, text, lengths, keys in parsed

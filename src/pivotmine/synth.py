@@ -19,6 +19,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .config import is_scalar, read_fields, read_json_object
 from .corpus import MultiCorpus, build_corpus
 from .errors import ConfigError
@@ -126,6 +128,11 @@ def _sub_rng(seed: int, *tags: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+def _draws(rng: random.Random, count: int) -> np.ndarray:
+    """The next count values of rng.random(), in order."""
+    return np.fromiter(iter(rng.random, None), np.float64, count)
+
+
 def translation_id_for(iso3: str) -> str:
     return f"{iso3}_synth"
 
@@ -146,7 +153,18 @@ def _generate(
 ) -> tuple[dict[str, dict[str, str]], dict[str, str], dict[str, str], dict]:
     """generate's corpus as {translation_id: {verse_id: text}} (ids
     ascending), the language code of each translation and the language
-    families, and its ledger."""
+    families, and its ledger.
+
+    Each random choice comes from its own stream seeded by the spec's seed
+    and a tag (_sub_rng), and each stream is drawn in verse order, so the
+    streams can be drawn one after another. A language's streams are its
+    lexicon and markers, then one missing draw per verse (outside the query
+    language, when verse_missing > 0), one jitter draw per word of each
+    present verse but its final verb (when jitter > 0), and for each verse
+    it marks a drop draw (when marker_drop > 0) followed by a form draw
+    (when it has several forms). The verses of one length are reordered
+    together by one stable argsort over their jitter keys.
+    """
     spec.validate()
     feature_names = [f for f, _ in spec.features]
 
@@ -177,6 +195,18 @@ def _generate(
             keep[(fam, f)] = {
                 vid for vid in labeled[f] if rng.random() < spec.family_keep
             }
+
+    vids = [vid for vid, _, _ in plans]
+    labels = [label for _, label, _ in plans]
+    lengths = np.array([len(concepts) for _, _, concepts in plans])
+    # (verse indices, their concept rows) for each verse length
+    of_length: dict[int, list[int]] = {}
+    for k, (_, _, concepts) in enumerate(plans):
+        of_length.setdefault(len(concepts), []).append(k)
+    by_length = [
+        (np.array(ks), np.array([plans[k][2] for k in ks])) for ks in of_length.values()
+    ]
+    jitter_lo, jitter_span = -spec.jitter, spec.jitter - -spec.jitter
 
     prefixes = [c + v for c in CONTENT_CONSONANTS for v in VOWELS]
     marker_sylls = [c + v for c in MARKER_CONSONANTS for v in VOWELS]
@@ -237,43 +267,49 @@ def _generate(
         noise_rng = _sub_rng(spec.seed, "noise", lang.iso3)
         order_rng = _sub_rng(spec.seed, "order", lang.iso3)
         miss_rng = _sub_rng(spec.seed, "missing", lang.iso3)
+        if spec.verse_missing and lang.iso3 != spec.query_iso3:
+            present = _draws(miss_rng, spec.n_verses) >= spec.verse_missing
+        else:
+            present = np.ones(spec.n_verses, dtype=bool)
+        if spec.jitter > 0:
+            n_draws = np.where(present, lengths - 1, 0)
+            first_draw = np.cumsum(n_draws) - n_draws
+            # random.uniform(lo, hi) is lo + (hi - lo) * random()
+            shift = jitter_lo + jitter_span * _draws(order_rng, int(n_draws.sum()))
+        words_of: list[list[str] | None] = [None] * spec.n_verses
+        lexicon_of = np.array(lexicon, dtype=object)
+        for ks, rows in by_length:
+            here = present[ks]
+            ks, rows = ks[here], rows[here]
+            width = rows.shape[1] - 1
+            if width and spec.jitter > 0:
+                pos = np.arange(width)
+                keys = pos + shift[first_draw[ks][:, None] + pos]
+                order = np.argsort(keys, axis=1, kind="stable")
+                rows[:, :-1] = np.take_along_axis(rows[:, :-1], order, axis=1)
+            for k, words in zip(ks.tolist(), lexicon_of[rows].tolist()):
+                words_of[k] = words
+
+        noise, pick = noise_rng.random, noise_rng.randrange
+        drop = spec.marker_drop
+        suffix = lang.style == "suffix"
+        # the verses this language marks per label: none unlabeled, none
+        # in an unmarked language
+        kept: dict[str | None, set[str] | tuple] = dict.fromkeys([None, *feature_names], ())
+        if lang.style != "none":
+            kept.update((f, keep[(lang.family, f)]) for f in feature_names)
         verses: dict[str, str] = {}
         marked: dict[str, list[str]] = {f: [] for f in feature_names}
-        for vid, label, concepts in plans:
-            if (
-                spec.verse_missing
-                and lang.iso3 != spec.query_iso3
-                and miss_rng.random() < spec.verse_missing
-            ):
+        for vid, label, words in zip(vids, labels, words_of):
+            if words is None:
                 continue
-            body = list(concepts)
-            if len(body) > 1 and spec.jitter > 0:
-                head = body[:-1]
-                keys = [
-                    idx + order_rng.uniform(-spec.jitter, spec.jitter)
-                    for idx in range(len(head))
-                ]
-                head = [c for _, c in sorted(zip(keys, head), key=lambda t: t[0])]
-                body = head + [body[-1]]
-            words = [lexicon[c] for c in body]
-            mark = None
-            if (
-                label is not None
-                and lang.style != "none"
-                and vid in keep[(lang.family, label)]
-            ):
-                if spec.marker_drop == 0 or noise_rng.random() >= spec.marker_drop:
-                    options = forms[label]
-                    mark = (
-                        options[0]
-                        if len(options) == 1
-                        else options[noise_rng.randrange(len(options))]
-                    )
-            if mark is not None:
-                if lang.style == "particle":
-                    words = words[:-1] + [mark, words[-1]]
+            if vid in kept[label] and (drop == 0 or noise() >= drop):
+                options = forms[label]
+                mark = options[0] if len(options) == 1 else options[pick(len(options))]
+                if suffix:
+                    words[-1] += mark
                 else:
-                    words = words[:-1] + [words[-1] + mark]
+                    words.insert(-1, mark)
                 marked[label].append(vid)
             verses[vid] = " ".join(words)
         tid = translation_id_for(lang.iso3)
@@ -310,15 +346,17 @@ def _generate(
 
 def write_synth(
     spec: SynthSpec, out_dir: str | Path
-) -> tuple[MultiCorpus, dict, list[Path]]:
+) -> tuple[dict[str, dict[str, str]], dict, list[Path]]:
     """Generate and write corpus plus companion files under out_dir.
 
     Layout: corpus/{iso3}_synth.txt, ground_truth.json, queries.tsv,
     allowlist.txt (non-query particle languages), gold.tsv (planted
     marker forms per marking translation and feature), families.tsv.
-    Returns the corpus, its ground truth and the paths written.
+    Returns the corpus as _generate gives it, {translation_id: {verse_id:
+    text}}, its ground truth and the paths written; it builds no
+    MultiCorpus (generate does).
     """
-    verses, iso3, families, truth = _generate(spec)
+    verses, _, _, truth = _generate(spec)
     out_dir = Path(out_dir)
     corpus_dir = out_dir / "corpus"
     corpus_dir.mkdir(parents=True, exist_ok=True)
@@ -352,7 +390,7 @@ def write_synth(
     written.append(write_lines(out_dir / "gold.tsv", glines))
     flines = [f"{l.iso3}\t{l.family}" for l in spec.languages]
     written.append(write_lines(out_dir / "families.tsv", flines))
-    return build_corpus(verses, iso3, families), truth, written
+    return verses, truth, written
 
 
 def _iso_series(letter: str, count: int) -> list[str]:

@@ -3,9 +3,12 @@
 import ast
 import json
 import logging
+import os
 import random
 import re
 import string
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -246,6 +249,33 @@ class TestLoadCorpus:
         assert sorted(corpus.translations) == ["aaa_first", "bbb_second"]
         assert corpus.translations["aaa_first"].iso3 == "aaa"
         assert corpus.verse_universe == ("00000001", "00000002", "00000003")
+
+    def test_loading_and_selecting_leave_numpy_ma_unimported(self, corpus_dir):
+        # importing numpy.ma costs every command that loads a corpus; ids
+        # out of order and repeated take load_corpus's other path
+        (corpus_dir / "ccc_third.txt").write_text(
+            "00000003\tx\n00000001\ty\n00000003\tz\n", encoding="utf-8"
+        )
+        child = (
+            "import sys, numpy\n"
+            "if 'numpy.ma' in sys.modules:\n"
+            "    print('preloaded')\n"
+            "else:\n"
+            "    from pivotmine.corpus import load_corpus\n"
+            "    load_corpus(sys.argv[1], None).select(2)\n"
+            "    print('numpy.ma' in sys.modules)\n"
+        )
+        # the child imports the package this test imported
+        src = str(Path(corpus_module.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(corpus_dir)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        if proc.stdout.strip() == "preloaded":
+            pytest.skip("import numpy loads numpy.ma in this numpy version")
+        assert proc.stdout.strip() == "False"
 
     def test_bad_filename_skipped_with_warning(self, corpus_dir, caplog):
         (corpus_dir / "notaname.txt").write_text("00000001\tx\n", encoding="utf-8")

@@ -1,9 +1,15 @@
 """Synthetic corpus generation and its ground-truth ledger."""
 
 import json
+import string
+from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import synth_oracle
 from helpers import CONFIG, verses_of
 from pivotmine.cli import main
 from pivotmine.corpus import load_corpus, read_families, tokenize_verse
@@ -13,8 +19,12 @@ from pivotmine.pivots import read_allowlist, read_queries
 from pivotmine.synth import (
     CONTENT_CONSONANTS,
     MARKER_CONSONANTS,
+    PRESETS,
     LanguageSpec,
+    STYLES,
+    VOWELS,
     SynthSpec,
+    _generate,
     _sub_rng,
     generate,
     preset_families28,
@@ -246,8 +256,11 @@ class TestPresets:
 class TestOnDisk:
     def test_write_synth_round_trips_through_loaders(self, tmp_path):
         spec = small_spec()
-        corpus, truth, written = write_synth(spec, tmp_path)
+        verses, truth, written = write_synth(spec, tmp_path)
         assert sorted(written) == sorted(p for p in tmp_path.rglob("*") if p.is_file())
+        corpus, generated = generate(spec)
+        assert truth == generated
+        assert verses == {tid: verses_of(corpus, tid) for tid in corpus.translations}
         loaded = load_corpus(tmp_path / "corpus", CONFIG.families)
         assert set(loaded.translations) == set(corpus.translations)
         for tid, trans in corpus.translations.items():
@@ -321,6 +334,20 @@ class TestOnDisk:
             spec_from_json(tmp_path / "missing.json")
 
 
+def test_synth_command_builds_no_corpus(tmp_path, caplog):
+    # synth writes and counts the generated texts; loading them is the
+    # other commands' work
+    out = tmp_path / "out"
+    with mock.patch("pivotmine.synth.build_corpus", side_effect=AssertionError("built")), \
+            caplog.at_level("INFO", logger="pivotmine"):
+        assert main(["synth", "--preset", "tiny8", "--out", str(out)]) == 0
+    assert f"wrote 8 translations, 400 verses to {out}" in caplog.text
+    corpus, _ = generate(preset_tiny8())
+    loaded = load_corpus(out / "corpus", None)
+    for tid in corpus.translations:
+        assert verses_of(loaded, tid) == verses_of(corpus, tid)
+
+
 class TestSpecExitCodes:
     """synth --spec exits 2, with a config error, for a spec of bad types."""
 
@@ -376,3 +403,114 @@ def test_translation_id_format():
 
 def test_alphabets_are_disjoint():
     assert not set(CONTENT_CONSONANTS) & set(MARKER_CONSONANTS)
+
+
+# --- the generator against its per-verse oracle ------------------------------
+
+
+def assert_matches_the_oracle(spec: SynthSpec) -> None:
+    """_generate gives what the per-verse generator gives: the same verses
+    in the same order, language codes, families and ledger."""
+    def items(result):
+        verses, iso3, families, truth = result
+        texts = [(tid, list(by_vid.items())) for tid, by_vid in verses.items()]
+        return texts, list(iso3.items()), list(families.items()), truth
+
+    assert items(_generate(spec)) == items(synth_oracle.generate(spec))
+
+
+def bench_shaped_spec(seed: int) -> SynthSpec:
+    """76 languages laid out like the wide benchmark corpus: the query,
+    35 particle, 28 suffix and 12 unmarked languages with explicit codes,
+    families round-robin within each style, and verses missing outside
+    the query."""
+    letters = string.ascii_lowercase
+    langs = [LanguageSpec("qaa", "particle", "fam_q")]
+    for style, prefix, count in (("particle", "p", 35), ("suffix", "s", 28), ("none", "n", 12)):
+        langs += [
+            LanguageSpec(prefix + letters[i // 26] + letters[i % 26], style, f"fam_{prefix}{i % 4}")
+            for i in range(count)
+        ]
+    return SynthSpec(
+        n_verses=600,
+        features=(("past", 0.3), ("present", 0.3), ("future", 0.25)),
+        languages=tuple(langs),
+        query_iso3="qaa",
+        query_forms=2,
+        marker_drop=0.03,
+        jitter=1.0,
+        verse_missing=0.1,
+        seed=seed,
+    )
+
+
+@st.composite
+def synth_specs(draw) -> SynthSpec:
+    features = tuple(
+        (name, 0.9 / 3 * draw(st.sampled_from([0.5, 1.0])))
+        for name in ["past", "present", "future"][: draw(st.integers(1, 3))]
+    )
+    min_words = draw(st.integers(1, 4))
+    max_words = draw(st.integers(min_words, 7))
+    langs = [LanguageSpec("qaa", "particle", "fq")]
+    for i in range(draw(st.integers(1, 5))):
+        style = draw(st.sampled_from(STYLES))
+        markers = None
+        if style != "none" and draw(st.booleans()):
+            markers = tuple(
+                (f, tuple(f"{c}{f[0]}{i}" for c in "xk"[: draw(st.integers(1, 2))]))
+                for f, _ in features
+            )
+        langs.append(LanguageSpec(f"l{VOWELS[i]}a", style, f"f{i % 2}", markers))
+    return SynthSpec(
+        n_verses=draw(st.integers(1, 60)),
+        features=features,
+        languages=tuple(langs),
+        query_iso3="qaa",
+        query_forms=draw(st.integers(1, 3)),
+        marker_drop=draw(st.sampled_from([0.0, 0.2])),
+        jitter=draw(st.sampled_from([0.0, 0.3, 1.0, 2.5])),
+        family_keep=draw(st.sampled_from([1.0, 0.5])),
+        verse_missing=draw(st.sampled_from([0.0, 0.3])),
+        min_words=min_words,
+        max_words=max_words,
+        vocabulary_size=max_words + draw(st.integers(0, 5)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+class TestGeneratorOracle:
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    @pytest.mark.parametrize("preset", ["tiny8", "marking24", "families28"])
+    def test_presets(self, preset, seed):
+        spec = PRESETS[preset]()
+        assert_matches_the_oracle(spec if seed is None else replace(spec, seed=seed))
+
+    def test_benchmark_shaped_spec(self):
+        spec = bench_shaped_spec(91)
+        assert len(spec.languages) == 76
+        assert_matches_the_oracle(spec)
+
+    @settings(max_examples=80, deadline=None)
+    @given(synth_specs())
+    @example(SynthSpec(
+        n_verses=40,
+        features=(("past", 0.4), ("future", 0.4)),
+        languages=(
+            LanguageSpec("qaa", "particle", "fq"),
+            LanguageSpec("paa", "particle", "f0", (("past", ("xa", "ka")), ("future", ("xo",)))),
+            LanguageSpec("saa", "suffix", "f0"),
+            LanguageSpec("naa", "none", "f1"),
+        ),
+        query_iso3="qaa",
+        query_forms=3,
+        marker_drop=0.0,
+        jitter=0.0,
+        family_keep=0.5,
+        verse_missing=0.3,
+        min_words=1,
+        max_words=3,
+        vocabulary_size=5,
+    ))
+    def test_random_specs(self, spec):
+        assert_matches_the_oracle(spec)
