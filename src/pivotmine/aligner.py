@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import AlignerConfig
 from .corpus import MultiCorpus, TranslationEncoding, dense_index
 from .errors import ConfigError, DataError
 from .textio import read_bytes, write_bytes
@@ -48,15 +49,6 @@ CACHE_FORMAT = "lex-bin-2"
 
 # A cached table whose rows do not sum to 1 within this is corrupt.
 ROW_SUM_TOLERANCE = 1e-9
-
-
-@dataclass(frozen=True)
-class AlignerConfig:
-    """The aligner's run parameters, as RunConfig.aligner() builds them."""
-
-    em_iterations: int
-    diagonal_tension: float
-    null_prob: float
 
 
 def diagonal_prior(

@@ -5,6 +5,17 @@ writes a manifest there; `pipeline` chains the stages for one feature.
 All of them go through run_command, which loads the config, records the
 input files, times each stage and writes the manifest around the
 subcommand's own body.
+
+A subcommand imports only the stage modules it runs. Most of them import
+numpy, which costs each process about 0.1 s of start-up, and eval-mrr,
+for one, needs none. Each subcommand names its stage modules beside its
+`reads`. Before its body runs, the names this module takes from them
+(STAGE_NAMES) are bound as globals here; from outside, the module
+__getattr__ binds them on first access. Binding never overwrites a name
+already set. The names live on this module, not in function-local
+imports, because perfbench/tracing.py times the stages by patching them
+here.
+
 Exit codes: 0 success, 1 unexpected error, 2 configuration problems, 3 data
 problems.
 """
@@ -12,6 +23,7 @@ problems.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import logging
 import sys
@@ -19,29 +31,55 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .cluster import (
-    DistanceMatrix, evaluate_family_prediction, language_distance, marker_distance_matrix,
-    marker_label, read_distance_tsv, to_newick, upgma, write_distance_tsv,
-)
 from .config import RunConfig, load_config
-from .corpus import MultiCorpus, load_corpus, read_families, write_coverage_report
 from .errors import ConfigError, DataError
 from .evaluation import mrr, mrr_table, read_gold
-from .manifest import RunRecorder
-from .maps import (
-    project_cluster, select_splitting_pivots, signature_clusters, write_cluster_summary,
-    write_cluster_verses, write_projection, write_splitters_tsv,
-)
-from .ngrams import mine_ngrams, read_ngrams_tsv, write_ngrams_tsv
-from .pivots import (
-    Pivot, PivotSet, expand_pivots, find_head_pivot, rank_pivot_candidates,
-    read_allowlist, read_pivots_tsv, read_queries, top_markers_by_language,
-    write_pivots_tsv,
-)
-from .synth import PRESETS, SynthSpec, spec_from_json, write_synth
+from .gramtsv import read_ngrams_tsv, write_ngrams_tsv
+from .manifest import MANIFEST_NAME, RunRecorder
 from .textio import read_lines, read_text, remove_stale, write_lines, write_text
 # perfbench/tracing.py times artifact writes by wrapping cli._write_json
 from .textio import write_json as _write_json
+
+# The names this module takes from each stage module; see the docstring.
+STAGE_NAMES = {
+    "cluster": (
+        "DistanceMatrix", "evaluate_family_prediction", "language_distance",
+        "marker_distance_matrix", "marker_label", "read_distance_tsv", "to_newick",
+        "upgma", "write_distance_tsv",
+    ),
+    "corpus": ("MultiCorpus", "load_corpus", "read_families", "write_coverage_report"),
+    "maps": (
+        "project_cluster", "select_splitting_pivots", "signature_clusters",
+        "write_cluster_summary", "write_cluster_verses", "write_projection",
+        "write_splitters_tsv",
+    ),
+    "ngrams": ("mine_ngrams",),
+    "pivots": (
+        "Pivot", "PivotSet", "expand_pivots", "find_head_pivot", "rank_pivot_candidates",
+        "read_allowlist", "read_pivots_tsv", "read_queries", "top_markers_by_language",
+        "write_pivots_tsv",
+    ),
+    "synth": ("PRESETS", "SynthSpec", "spec_from_json", "write_synth"),
+}
+_HOME = {name: module for module, names in STAGE_NAMES.items() for name in names}
+
+
+def _bind(*modules: str) -> None:
+    """Import the stage modules and set their STAGE_NAMES here, all but
+    the names already set (say, a wrapper that a tracer put in place)."""
+    for module_name in modules:
+        module = importlib.import_module(f".{module_name}", __package__)
+        for name in STAGE_NAMES[module_name]:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    """A stage module's name, bound on first access from outside."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_HOME[name])
+    return globals()[name]
+
 
 logger = logging.getLogger("pivotmine")
 
@@ -291,6 +329,11 @@ class Run:
     rec: RunRecorder
     out: Path
 
+    def __post_init__(self):
+        # the body's stage modules: its subcommand's, or every one for
+        # args that do not come from the parser
+        _bind(*getattr(self.args, "modules", STAGE_NAMES))
+
     def stage(self, name: str, fn, *fn_args):
         """Call fn under the manifest timer `name`; record the files it wrote.
 
@@ -342,8 +385,11 @@ def run_command(args: argparse.Namespace) -> int:
 
     Loads the config, records the hashes of the config files the
     subcommand reads (its `reads`) and of its input arguments, resolves the
-    output directory, runs the subcommand's body (which times its stages
-    through Run.stage) and writes the manifest.
+    output directory and removes its manifest, so that a directory holds
+    a manifest only after a run that finished. Then it runs the
+    subcommand's body, with the stage modules it names in `modules`
+    bound (see Run), and writes the manifest. The body times its stages
+    through Run.stage.
     """
     rec = RunRecorder(args.command)
     if "config" in args:
@@ -356,6 +402,7 @@ def run_command(args: argparse.Namespace) -> int:
     for name in ("pivots", "head", "verses", "distances"):
         rec.add_input(getattr(args, name, None))
     run = Run(args, cfg, rec, _out_dir(args, cfg))
+    (run.out / MANIFEST_NAME).unlink(missing_ok=True)
     args.body(run)
     rec.write(run.out)
     return 0
@@ -514,42 +561,54 @@ def build_parser() -> argparse.ArgumentParser:
     pivot_input.add_argument("--pivots", required=True, help="pivots.tsv from expand-pivots")
     pivot_input.add_argument("--head", help="head.json (marks the head member)")
 
-    def add(name, body, help_text, parents=(common,), reads=CORPUS_FILES):
-        """A subcommand whose body reads the config files named in reads."""
+    def add(name, body, help_text, modules, parents=(common,), reads=CORPUS_FILES):
+        """A subcommand whose body runs the stage modules named in modules
+        and reads the config files named in reads."""
         p = sub.add_parser(name, help=help_text, parents=list(parents))
-        p.set_defaults(body=body, reads=reads)
+        p.set_defaults(body=body, modules=modules, reads=reads)
         return p
 
-    p = add("synth", cmd_synth, "generate a synthetic corpus with planted markers", ())
-    p.add_argument("--preset", help=f"one of: {', '.join(sorted(PRESETS))}")
+    pivot_modules = ("corpus", "pivots")
+
+    p = add(
+        "synth", cmd_synth, "generate a synthetic corpus with planted markers", ("synth",), ()
+    )
+    p.add_argument("--preset", help="name of a built-in spec; an unknown name lists them")
     p.add_argument("--spec", help="path to a synth spec JSON")
     p.add_argument("--seed", type=int, default=None, help="override the seed of the preset or spec")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = add("ingest", cmd_ingest, "load a corpus and report verse coverage")
+    p = add("ingest", cmd_ingest, "load a corpus and report verse coverage", ("corpus",))
     p.add_argument("--corpus", help="override the configured corpus directory")
 
     p = add(
-        "head-pivot", cmd_head_pivot, "find the head pivot for a feature",
+        "head-pivot", cmd_head_pivot, "find the head pivot for a feature", pivot_modules,
         reads=(*CORPUS_FILES, "queries", "allowlist"),
     )
     p.add_argument("--feature", required=True)
 
-    p = add("expand-pivots", cmd_expand_pivots, "grow the k-pivot set from a head")
+    p = add(
+        "expand-pivots", cmd_expand_pivots, "grow the k-pivot set from a head", pivot_modules
+    )
     p.add_argument("--feature", required=True)
     p.add_argument("--head", required=True, help="head.json from head-pivot")
 
     p = add(
-        "mine-ngrams", cmd_mine_ngrams, "mine marker n-grams per translation", [pivot_input]
+        "mine-ngrams", cmd_mine_ngrams, "mine marker n-grams per translation",
+        (*pivot_modules, "ngrams"), [pivot_input],
     )
     p.add_argument("--targets", help="comma-separated translation ids")
 
-    add("cluster-markers", cmd_cluster_markers, "cluster pivot markers by JSD", [pivot_input])
+    add(
+        "cluster-markers", cmd_cluster_markers, "cluster pivot markers by JSD",
+        (*pivot_modules, "cluster"), [pivot_input],
+    )
 
     p = add(
         "cluster-languages",
         cmd_cluster_languages,
         "cluster languages from per-feature rankings",
+        (*pivot_modules, "cluster"),
     )
     p.add_argument("--features", required=True, help="comma-separated feature names")
     p.add_argument(
@@ -557,13 +616,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory holding <feature>/head.json and <feature>/ranking.tsv",
     )
 
-    add("map", cmd_map, "partition verses by splitting-pivot signatures", [pivot_input])
+    add(
+        "map", cmd_map, "partition verses by splitting-pivot signatures",
+        (*pivot_modules, "maps"), [pivot_input],
+    )
 
-    p = add("project", cmd_project, "project a verse cluster into a translation")
+    p = add(
+        "project", cmd_project, "project a verse cluster into a translation", ("corpus", "maps")
+    )
     p.add_argument("--verses", required=True, help="file with one verse id per line")
     p.add_argument("--translation", required=True)
 
-    p = add("eval-mrr", cmd_eval_mrr, "score mined n-grams against gold markers",
+    p = add("eval-mrr", cmd_eval_mrr, "score mined n-grams against gold markers", (),
             reads=("gold",))
     p.add_argument("--features", required=True, help="comma-separated feature names")
     p.add_argument(
@@ -572,10 +636,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = add("eval-family", cmd_eval_family, "same-family prediction from distances",
-            reads=("families",))
+            ("corpus", "cluster"), reads=("families",))
     p.add_argument("--distances", required=True, help="distance matrix TSV")
 
     p = add("pipeline", cmd_pipeline, "run every stage for one feature",
+            (*pivot_modules, "ngrams", "cluster", "maps"),
             reads=(*CORPUS_FILES, "queries", "allowlist", "gold"))
     p.add_argument("--feature", required=True)
 

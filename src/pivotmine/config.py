@@ -12,12 +12,14 @@ import json
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
-from .aligner import AlignerConfig
 from .errors import ConfigError, DataError
 from .evaluation import MATCH_MODES
 from .manifest import canonical_sha256
-from .maps import SPLIT_POLICIES
 from .textio import read_text
+
+# Which cluster each map round splits: the globally largest, or the chain
+# of clusters in which every pivot chosen so far is present.
+SPLIT_POLICIES = ("largest", "head-containing-chain")
 
 # The JSON types each scalar field annotation accepts, and how an error
 # names them. A float field takes any number and stores it as a float.
@@ -69,6 +71,15 @@ def read_fields(raw: dict, cls, what: str) -> dict:
         if kind in _SCALARS and not is_scalar(value, kind):
             raise ConfigError(f"{name} must be {_SCALARS[kind][1]}")
     return {n: float(v) if known[n].type == "float" else v for n, v in raw.items()}
+
+
+@dataclass(frozen=True)
+class AlignerConfig:
+    """The aligner's run parameters, as RunConfig.aligner() builds them."""
+
+    em_iterations: int
+    diagonal_tension: float
+    null_prob: float
 
 
 @dataclass

@@ -11,11 +11,10 @@ import hashlib
 import json
 import platform
 import resource
+import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
-
-import numpy
 
 from .textio import write_json
 
@@ -92,6 +91,9 @@ class RunRecorder:
                 except ValueError:
                     rel = str(p)
                 outputs[rel] = file_sha256(p)
+        # numpy's version if this run imported numpy, else None; reading
+        # the installed package's metadata would itself slow start-up
+        numpy = sys.modules.get("numpy")
         doc = {
             "command": self.command,
             "started": self.started,
@@ -105,7 +107,7 @@ class RunRecorder:
             "peak_rss_kib": self.peak_rss_kib,
             "versions": {
                 "python": platform.python_version(),
-                "numpy": numpy.__version__,
+                "numpy": None if numpy is None else numpy.__version__,
                 "pivotmine": __version__,
             },
         }

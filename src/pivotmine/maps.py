@@ -23,10 +23,6 @@ from .textio import remove_stale, write_lines, write_text
 
 logger = logging.getLogger(__name__)
 
-# Which cluster each round splits: the globally largest, or the chain of
-# clusters in which every pivot chosen so far is present.
-SPLIT_POLICIES = ("largest", "head-containing-chain")
-
 
 @dataclass
 class SplitChoice:

@@ -11,9 +11,7 @@ counted inside windows around the profile's peak (positive) and trough
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -21,12 +19,8 @@ from .corpus import MultiCorpus, dense_index
 from .errors import DataError
 from .pivots import PivotSet
 from .stats import ContingencyTable, chi2, gaussian_kernel
-from .textio import read_lines, write_lines
 
 logger = logging.getLogger(__name__)
-
-GRAM_SPACE_ESCAPE = "␣"  # open box, stands in for a literal space
-
 
 def _profiles(
     lengths: np.ndarray, owner: np.ndarray, rel: np.ndarray, sigma: float
@@ -261,59 +255,3 @@ def mine_ngrams(
             for rank, (g, score) in enumerate(zip(grams[ranked].tolist(), scores), start=1)
         ]
     return result
-
-
-_GRAM_ESCAPES = str.maketrans({
-    " ": GRAM_SPACE_ESCAPE,
-    "\t": "\\t",
-    "\\": "\\\\",
-    GRAM_SPACE_ESCAPE: "\\" + GRAM_SPACE_ESCAPE,
-})
-_UNESCAPES = {"t": "\t", "\\": "\\", GRAM_SPACE_ESCAPE: GRAM_SPACE_ESCAPE, None: " "}
-_ESCAPED_RE = re.compile(rf"\\([\\t{GRAM_SPACE_ESCAPE}])|{GRAM_SPACE_ESCAPE}")
-
-
-def escape_gram(gram: str) -> str:
-    """Make a gram safe for a TSV cell (spaces and tabs made visible).
-
-    A space becomes ``␣`` and a tab ``\\t``; a literal backslash or ``␣``
-    is escaped with a backslash, so every cell reads back to its gram.
-    """
-    return gram.translate(_GRAM_ESCAPES)
-
-
-def unescape_gram(cell: str) -> str:
-    """Invert escape_gram; a backslash before any other character stays."""
-    return _ESCAPED_RE.sub(lambda m: _UNESCAPES[m.group(1)], cell)
-
-
-def write_ngrams_tsv(result: MiningResult, path: str | Path) -> Path:
-    """Write ``n rank gram pos neg chi2`` rows for every ranked gram."""
-    lines = ["n\trank\tgram\tpos\tneg\tchi2"]
-    for n in sorted(result.by_n):
-        for cand in result.by_n[n]:
-            lines.append(
-                f"{n}\t{cand.rank}\t{escape_gram(cand.gram)}\t"
-                f"{cand.pos_count}\t{cand.neg_count}\t{format(cand.score, '.10g')}"
-            )
-    return write_lines(path, lines)
-
-
-def read_ngrams_tsv(path: str | Path) -> dict[int, list[str]]:
-    """Ranked gram lists per n, as written by write_ngrams_tsv."""
-    lines = read_lines(path)
-    if not lines or not lines[0].startswith("n\t"):
-        raise DataError(f"not an n-gram TSV: {path}")
-    out: dict[int, list[str]] = {}
-    for raw in lines[1:]:
-        if not raw:
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 6:
-            raise DataError(f"malformed n-gram line: {raw!r}")
-        try:
-            n = int(parts[0])
-        except ValueError:
-            raise DataError(f"malformed n-gram line: {raw!r}") from None
-        out.setdefault(n, []).append(unescape_gram(parts[2]))
-    return out

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .aligner import AlignerConfig, PairLinkStats, link_counts
+from .aligner import PairLinkStats, link_counts
+from .config import AlignerConfig
 from .corpus import DELIMITERS, MultiCorpus, tokenize_blocks
 from .errors import DataError
 from .stats import ContingencyTable, chi2

@@ -3,15 +3,20 @@
 import argparse
 import inspect
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+import numpy
 import pytest
 
 from helpers import verses_of
 from pivotmine.aligner import AlignerConfig, link_counts, train_alignment, train_pair
+from pivotmine import cli as cli_module
 from pivotmine.cli import Run, _load_pivot_set, main
 from pivotmine.config import RunConfig, load_config
 from pivotmine.corpus import MultiCorpus, load_corpus
@@ -594,6 +599,8 @@ class TestReruns:
         assert main([*argv, "--targets", "saa_synth,naa_synth"]) == 0
         before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         assert out / "ngrams" / "naa_synth.tsv" in before
+        # but the manifest: a run that did not finish leaves none
+        del before[out / "manifest.json"]
         assert main([*argv, "--targets", "saa_synth,zzz_nope"]) == 3
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
@@ -1083,6 +1090,164 @@ class TestLoadTiming:
         assert main([command, "--config", str(cfg_path), *extra, "--out", str(out)]) == 0
         timings = json.loads((out / "manifest.json").read_text())["timings"]
         assert set(timings) == {"load", command}
+
+
+def run_child(code: str, *args) -> subprocess.CompletedProcess:
+    """Run python code with args in a child process that imports the
+    package this test imported."""
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+# main(argv) in a child; its last line of output is the exit code and
+# the modules the child imported, as JSON
+MAIN_CHILD = (
+    "import json, sys\n"
+    "from pivotmine.cli import main\n"
+    "try:\n"
+    "    code = main(sys.argv[1:])\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "print(json.dumps([code, sorted(sys.modules)]))\n"
+)
+
+# main(argv) in a child whose mine_ngrams raises an unexpected error
+FAILING_STAGE_CHILD = (
+    "import sys\n"
+    "from pivotmine import cli\n"
+    "def boom(*args, **kwargs):\n"
+    "    raise RuntimeError('boom')\n"
+    "cli.mine_ngrams = boom\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+def run_main_child(argv) -> tuple[int, list[str]]:
+    """The exit code of main(argv) in a child, and the modules it imported."""
+    proc = run_child(MAIN_CHILD, *argv)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return code, modules
+
+
+class TestFailedRunManifest:
+    """A run removes its output directory's manifest before its body runs,
+    so a directory holds a manifest only after a run that finished."""
+
+    def test_failed_pipeline_rerun_leaves_no_manifest(self, tiny8, tmp_path):
+        out = tmp_path / "run"
+        bad_gold = tmp_path / "bad_gold.tsv"
+        bad_gold.write_text("only\ttwo cells\n", encoding="utf-8")
+        for feature, gold, code in (("past", tiny8["gold"], 0), ("present", str(bad_gold), 3)):
+            cfg = tmp_path / f"{feature}.config.json"
+            cfg.write_text(json.dumps(dict(tiny8, gold=gold)), encoding="utf-8")
+            argv = ["pipeline", "--config", cfg, "--feature", feature, "--out", out]
+            assert run_main_child(argv)[0] == code
+            assert (out / "manifest.json").is_file() == (code == 0)
+        # the stages before eval-mrr did run again
+        assert json.loads((out / "head.json").read_text())["feature"] == "present"
+
+    def test_config_error_in_a_body_leaves_no_manifest(self, workspace, tmp_path):
+        _, cfg_path, _, _ = workspace
+        out = tmp_path / "o"
+        argv = ["--config", cfg_path, "--out", out]
+        assert run_main_child(["ingest", *argv])[0] == 0
+        assert (out / "manifest.json").is_file()
+        code, _ = run_main_child(["head-pivot", *argv, "--feature", "nope"])
+        assert code == 2
+        assert not (out / "manifest.json").exists()
+        assert (out / "coverage.tsv").is_file()
+
+    def test_unexpected_error_leaves_no_manifest(self, workspace, expanded, tmp_path):
+        _, cfg_path, _, _ = workspace
+        out = tmp_path / "o"
+        argv = ["mine-ngrams", "--config", cfg_path, "--pivots", expanded / "pivots.tsv",
+                "--out", out]
+        assert main([*map(str, argv), "--targets", "saa_synth"]) == 0
+        assert (out / "manifest.json").is_file()
+        proc = run_child(FAILING_STAGE_CHILD, *argv)
+        assert proc.returncode == 1
+        assert "RuntimeError: boom" in proc.stderr
+        assert not (out / "manifest.json").exists()
+        assert (out / "ngrams" / "saa_synth.tsv").is_file()
+
+
+class TestStageImports:
+    """A subcommand imports only the stage modules it runs; the names it
+    takes from them stay patchable on pivotmine.cli."""
+
+    @pytest.fixture
+    def mined(self, workspace, expanded, tmp_path):
+        """A directory of mined n-grams for the past feature."""
+        _, cfg_path, _, _ = workspace
+        out = tmp_path / "from" / "past"
+        argv = ["mine-ngrams", "--config", str(cfg_path), "--pivots",
+                str(expanded / "pivots.tsv"), "--out", str(out)]
+        assert main(argv) == 0
+        return out
+
+    def test_eval_mrr_runs_without_numpy(self, workspace, mined, tmp_path):
+        _, cfg_path, _, _ = workspace
+        out = tmp_path / "mrr"
+        code, modules = run_main_child([
+            "eval-mrr", "--config", cfg_path, "--features", "past",
+            "--from", mined.parent, "--out", out,
+        ])
+        assert code == 0
+        assert "numpy" not in modules
+        assert (out / "mrr.json").is_file()
+        # the run used no numpy, so the manifest names no version of it
+        assert json.loads((out / "manifest.json").read_text())["versions"]["numpy"] is None
+
+    def test_help_runs_without_numpy(self):
+        code, modules = run_main_child(["--help"])
+        assert code == 0
+        assert "numpy" not in modules
+
+    def test_mine_ngrams_imports_neither_synth_nor_cluster(self, workspace, expanded, tmp_path):
+        _, cfg_path, _, _ = workspace
+        code, modules = run_main_child([
+            "mine-ngrams", "--config", cfg_path, "--pivots", expanded / "pivots.tsv",
+            "--targets", "saa_synth", "--out", tmp_path / "o",
+        ])
+        assert code == 0
+        assert "pivotmine.ngrams" in modules
+        assert "pivotmine.synth" not in modules and "pivotmine.cluster" not in modules
+
+    def test_manifest_records_the_numpy_a_run_used(self, mined):
+        versions = json.loads((mined / "manifest.json").read_text())["versions"]
+        assert versions["numpy"] == numpy.__version__
+
+    def test_running_a_subcommand_keeps_patched_names(
+        self, workspace, expanded, tmp_path, monkeypatch
+    ):
+        calls = []
+
+        def spy(name):
+            real = getattr(cli_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cli_module, name, wrapper)
+
+        spy("mine_ngrams")
+        spy("write_distance_tsv")
+        _, cfg_path, _, _ = workspace
+        pivots = ["--config", str(cfg_path), "--pivots", str(expanded / "pivots.tsv")]
+        assert main(["mine-ngrams", *pivots, "--targets", "saa_synth",
+                     "--out", str(tmp_path / "m")]) == 0
+        assert main(["cluster-markers", *pivots, "--out", str(tmp_path / "c")]) == 0
+        assert calls == ["mine_ngrams", "write_distance_tsv"]
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError):
+            cli_module.no_such_stage_function
 
 
 def pivot_keys(path: Path) -> list[tuple[str, str]]:

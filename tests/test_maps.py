@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from helpers import CONFIG, make_corpus
-from pivotmine.config import RunConfig
+from pivotmine.config import SPLIT_POLICIES, RunConfig
 from pivotmine.errors import DataError
 from pivotmine.maps import (
-    SPLIT_POLICIES,
     project_cluster,
     select_splitting_pivots,
     signature_clusters,

@@ -16,18 +16,10 @@ from helpers import corpus_state, make_corpus, mining, positions_by_verse, verse
 from pivotmine import ngrams as ngrams_module
 from pivotmine.corpus import DELIMITERS, dense_index
 from pivotmine.errors import DataError
-from pivotmine.ngrams import (
-    GRAM_SPACE_ESCAPE,
-    MiningResult,
-    NgramCandidate,
-    _gram_ids,
-    _profiles,
-    escape_gram,
-    mine_ngrams,
-    read_ngrams_tsv,
-    unescape_gram,
-    write_ngrams_tsv,
+from pivotmine.gramtsv import (
+    GRAM_SPACE_ESCAPE, escape_gram, read_ngrams_tsv, unescape_gram, write_ngrams_tsv,
 )
+from pivotmine.ngrams import MiningResult, NgramCandidate, _gram_ids, _profiles, mine_ngrams
 from pivotmine.pivots import Pivot, PivotSet
 from pivotmine.synth import generate, preset_tiny8
 
