@@ -2,15 +2,16 @@
 
 Each subcommand runs one pipeline stage into an output directory and
 writes a manifest there; `pipeline` chains the stages for one feature.
-All of them go through run_command, which loads the config, records the
-input files, times each stage and writes the manifest around the
-subcommand's own body.
+All of them go through run_command, which loads the config, times each
+stage and writes the manifest around the subcommand's own body. The code
+that opens an input file records it in the manifest where it opens it,
+by wrapping its path in run.rec.add_input, which returns the path.
 
 A subcommand imports only the stage modules it runs. Most of them import
 numpy, which costs each process about 0.1 s of start-up, and eval-mrr,
-for one, needs none. Each subcommand names its stage modules beside its
-`reads`. Before its body runs, the names this module takes from them
-(STAGE_NAMES) are bound as globals here; from outside, the module
+for one, needs none. Each subcommand names its stage modules when its
+parser is added. Before its body runs, the names this module takes from
+them (STAGE_NAMES) are bound as globals here; from outside, the module
 __getattr__ binds them on first access. Binding never overwrites a name
 already set. The names live on this module, not in function-local
 imports, because perfbench/tracing.py times the stages by patching them
@@ -83,17 +84,14 @@ def __getattr__(name: str):
 
 logger = logging.getLogger("pivotmine")
 
-# The config files that loading a corpus reads (see Run.corpus).
-CORPUS_FILES = ("corpus_dir", "families")
 
-
-def _query_for(cfg: RunConfig, feature: str):
-    queries = read_queries(cfg.path("queries"))
+def _query_for(run: Run, feature: str):
+    queries = read_queries(run.rec.add_input(run.cfg.path("queries")))
     for q in queries:
         if q.feature == feature:
             return q
     raise ConfigError(
-        f"feature {feature!r} not in {cfg.queries} "
+        f"feature {feature!r} not in {run.cfg.queries} "
         f"(has: {', '.join(q.feature for q in queries)})"
     )
 
@@ -113,12 +111,13 @@ def _head_from_json(corpus: MultiCorpus, path: str | Path) -> Pivot:
 # --- stages -----------------------------------------------------------------
 
 
-def stage_synth(spec: SynthSpec, out: Path) -> tuple[dict[str, dict[str, str]], list[Path]]:
-    verses, _, written = write_synth(spec, out)
+def stage_synth(run: Run, spec: SynthSpec) -> tuple[dict[str, dict[str, str]], list[Path]]:
+    verses, _, written = write_synth(spec, run.out)
     return verses, written
 
 
-def stage_ingest(cfg: RunConfig, corpus: MultiCorpus, out: Path) -> list[Path]:
+def stage_ingest(run: Run, corpus: MultiCorpus) -> list[Path]:
+    out = run.out
     coverage = write_coverage_report(corpus, out / "coverage.tsv")
     selection = write_lines(out / "selection.txt", corpus.selected_verses)
     stats = {
@@ -131,11 +130,10 @@ def stage_ingest(cfg: RunConfig, corpus: MultiCorpus, out: Path) -> list[Path]:
     return [coverage, selection, _write_json(out / "corpus_stats.json", stats)]
 
 
-def stage_head(
-    cfg: RunConfig, corpus: MultiCorpus, feature: str, out: Path
-) -> tuple[Pivot, list[Path]]:
-    query = _query_for(cfg, feature)
-    allowlist = read_allowlist(cfg.path("allowlist"))
+def stage_head(run: Run, corpus: MultiCorpus, feature: str) -> tuple[Pivot, list[Path]]:
+    cfg = run.cfg
+    query = _query_for(run, feature)
+    allowlist = read_allowlist(run.rec.add_input(cfg.path("allowlist")))
     head = find_head_pivot(
         corpus, query, allowlist, cfg.aligner(), cfg.min_count, cfg.cache_dir
     )
@@ -146,32 +144,30 @@ def stage_head(
         "surface": head.surface,
         "score": head.score,
     }
-    return head, [_write_json(out / "head.json", doc)]
+    return head, [_write_json(run.out / "head.json", doc)]
 
 
 def stage_expand(
-    cfg: RunConfig, corpus: MultiCorpus, feature: str, head: Pivot, out: Path
+    run: Run, corpus: MultiCorpus, feature: str, head: Pivot
 ) -> tuple[PivotSet, list[Path]]:
+    cfg = run.cfg
     ranking = rank_pivot_candidates(
         corpus, head, cfg.aligner(), cfg.min_count, cfg.cache_dir
     )
     pivot_set = expand_pivots(corpus, feature, head, cfg.k, ranking)
     return pivot_set, [
-        write_pivots_tsv(pivot_set.members, out / "pivots.tsv"),
-        write_pivots_tsv(ranking, out / "ranking.tsv"),
+        write_pivots_tsv(pivot_set.members, run.out / "pivots.tsv"),
+        write_pivots_tsv(ranking, run.out / "ranking.tsv"),
     ]
 
 
 def stage_mine(
-    cfg: RunConfig,
-    corpus: MultiCorpus,
-    pivot_set: PivotSet,
-    out: Path,
-    targets: list[str] | None = None,
+    run: Run, corpus: MultiCorpus, pivot_set: PivotSet, targets: list[str] | None = None
 ) -> list[Path]:
     """Mine each target's n-grams into ngrams/, which then holds exactly
     those files: an earlier run's TSVs for other targets are removed, once
     every target is known to be in the corpus."""
+    cfg, out = run.cfg, run.out
     ngram_dir = out / "ngrams"
     member_tids = {p.translation_id for p in pivot_set.members}
     if targets is None:
@@ -214,9 +210,8 @@ def _family_metrics(
     return [_write_json(path, metrics)]
 
 
-def stage_cluster_markers(
-    cfg: RunConfig, corpus: MultiCorpus, pivot_set: PivotSet, out: Path
-) -> list[Path]:
+def stage_cluster_markers(run: Run, corpus: MultiCorpus, pivot_set: PivotSet) -> list[Path]:
+    out = run.out
     dm = marker_distance_matrix(pivot_set.presence)
     written = [
         write_distance_tsv(dm, out / "markers_distance.tsv"),
@@ -229,13 +224,14 @@ def stage_cluster_markers(
             for p in pivot_set.members
             if p.iso3 in corpus.families
         }
-        written += _family_metrics(cfg, dm, marker_families, out / "marker_family_metrics.json")
+        written += _family_metrics(
+            run.cfg, dm, marker_families, out / "marker_family_metrics.json"
+        )
     return written
 
 
-def stage_map(
-    cfg: RunConfig, corpus: MultiCorpus, pivot_set: PivotSet, out: Path
-) -> list[Path]:
+def stage_map(run: Run, pivot_set: PivotSet) -> list[Path]:
+    cfg, out = run.cfg, run.out
     matrix = pivot_set.presence
     chosen, choices = select_splitting_pivots(
         matrix, pivot_set.head, cfg.map_rounds, cfg.map_policy
@@ -247,7 +243,7 @@ def stage_map(
 
 
 def stage_project(
-    corpus: MultiCorpus, verse_ids: list[str], translation_id: str, out: Path
+    run: Run, corpus: MultiCorpus, verse_ids: list[str], translation_id: str
 ) -> list[Path]:
     projected = project_cluster(corpus, verse_ids, translation_id)
     missing = sum(1 for _, text in projected if text is None)
@@ -255,48 +251,38 @@ def stage_project(
         logger.warning(
             "%d of %d verses missing from %s", missing, len(projected), translation_id
         )
-    return [write_projection(projected, out / "projection.tsv")]
+    return [write_projection(projected, run.out / "projection.tsv")]
 
 
-def stage_eval_mrr(
-    cfg: RunConfig, ngram_dirs: list[tuple[str, Path]], out: Path
-) -> tuple[list[Path], list[Path]]:
-    """Score each feature's mined n-grams, read from its (feature, dir)
-    pair; returns the n-gram TSVs read and the files written."""
-    gold = read_gold(cfg.path("gold"))
+def stage_eval_mrr(run: Run, ngram_dirs: list[tuple[str, Path]]) -> list[Path]:
+    """Score each feature's mined n-grams, read from its (feature, dir) pair."""
+    gold = read_gold(run.rec.add_input(run.cfg.path("gold")))
     results = []
-    read = []
     for feature, ngram_dir in ngram_dirs:
         if not ngram_dir.is_dir():
             raise DataError(f"no mined n-grams under {ngram_dir}")
         paths = sorted(ngram_dir.glob("*.tsv"))
         if not paths:
             raise DataError(f"no n-gram TSVs in {ngram_dir}")
-        ranked = {p.stem: read_ngrams_tsv(p) for p in paths}
-        results.append(mrr(ranked, gold, feature, cfg.match_mode))
-        read += paths
-    return read, [_write_json(out / "mrr.json", mrr_table(results))]
+        ranked = {p.stem: read_ngrams_tsv(run.rec.add_input(p)) for p in paths}
+        results.append(mrr(ranked, gold, feature, run.cfg.match_mode))
+    return [_write_json(run.out / "mrr.json", mrr_table(results))]
 
 
 def stage_cluster_languages(
-    cfg: RunConfig,
-    corpus: MultiCorpus,
-    features: list[str],
-    from_dir: Path,
-    out: Path,
-) -> tuple[list[Path], list[Path]]:
-    """Cluster languages by their top markers; returns the files read
-    (each feature's head.json and ranking.tsv) and the files written."""
+    run: Run, corpus: MultiCorpus, features: list[str], from_dir: Path
+) -> list[Path]:
+    """Cluster languages by the top markers of each feature's head.json
+    and ranking.tsv under from_dir."""
+    cfg, out = run.cfg, run.out
     markers_by_feature = {}
     head_translations = {}
-    read = []
     for feature in features:
         fdir = from_dir / feature
-        head = _head_from_json(corpus, fdir / "head.json")
-        ranking = read_pivots_tsv(corpus, fdir / "ranking.tsv")
+        head = _head_from_json(corpus, run.rec.add_input(fdir / "head.json"))
+        ranking = read_pivots_tsv(corpus, run.rec.add_input(fdir / "ranking.tsv"))
         markers_by_feature[feature] = top_markers_by_language(ranking, head)
         head_translations[feature] = head.translation_id
-        read += (fdir / "head.json", fdir / "ranking.tsv")
     dm, report = language_distance(
         corpus, markers_by_feature, cfg.min_shared_verses, head_translations
     )
@@ -307,14 +293,14 @@ def stage_cluster_languages(
     ]
     if corpus.families:
         written += _family_metrics(cfg, dm, corpus.families, out / "family_metrics.json")
-    return read, written
+    return written
 
 
-def stage_eval_family(cfg: RunConfig, distances: str, out: Path) -> list[Path]:
-    families = read_families(cfg.path("families"))
-    dm = read_distance_tsv(distances)
-    metrics = evaluate_family_prediction(dm, families, cfg.jsd_threshold)
-    return [_write_json(out / "family_metrics.json", metrics)]
+def stage_eval_family(run: Run, distances: str) -> list[Path]:
+    families = read_families(run.rec.add_input(run.cfg.path("families")))
+    dm = read_distance_tsv(run.rec.add_input(distances))
+    metrics = evaluate_family_prediction(dm, families, run.cfg.jsd_threshold)
+    return [_write_json(run.out / "family_metrics.json", metrics)]
 
 
 # --- the command runner -------------------------------------------------------
@@ -330,31 +316,32 @@ class Run:
     out: Path
 
     def __post_init__(self):
-        # the body's stage modules: its subcommand's, or every one for
-        # args that do not come from the parser
-        _bind(*getattr(self.args, "modules", STAGE_NAMES))
+        _bind(*self.args.modules)
 
     def stage(self, name: str, fn, *fn_args):
-        """Call fn under the manifest timer `name`; record the files it wrote.
+        """Call fn(self, *fn_args) under the manifest timer `name`; record
+        the files it wrote.
 
         The output directory exists when fn runs. fn returns the paths it
         wrote, or a (value, paths) pair whose value is passed back.
         """
         with self.rec.time_stage(name):
             self.out.mkdir(parents=True, exist_ok=True)
-            result = fn(*fn_args)
+            result = fn(self, *fn_args)
         value, written = result if isinstance(result, tuple) else (None, result)
         self.rec.add_outputs(written)
         return value
 
     def corpus(self) -> MultiCorpus:
-        """The corpus of _corpus_dir with its verse selection, loaded under
-        the manifest timer `load`. A coverage_target past the verse
-        universe is clamped to it."""
+        """The corpus of ingest's --corpus, else of corpus_dir, with its
+        verse selection. Its directory and families file are recorded, and
+        then loaded under the manifest timer `load`. A coverage_target past
+        the verse universe is clamped to it."""
+        # cfg.path raises the ConfigError of a missing corpus_dir
+        root = self.rec.add_input(getattr(self.args, "corpus", None) or self.cfg.path("corpus_dir"))
+        families = self.rec.add_input(self.cfg.families)
         with self.rec.time_stage("load"):
-            # cfg.path raises the ConfigError of a missing corpus_dir
-            root = _corpus_dir(self.args, self.cfg) or self.cfg.path("corpus_dir")
-            corpus = load_corpus(root, self.cfg.families)
+            corpus = load_corpus(root, families)
             target = self.cfg.coverage_target
             if target > len(corpus.verse_universe):
                 logger.warning(
@@ -364,12 +351,6 @@ class Run:
                 )
                 target = len(corpus.verse_universe)
             return corpus.select(target)
-
-
-def _corpus_dir(args, cfg: RunConfig) -> str | None:
-    """The corpus directory a subcommand loads: ingest's --corpus, else
-    corpus_dir (None when neither is given)."""
-    return getattr(args, "corpus", None) or cfg.corpus_dir
 
 
 def _out_dir(args, cfg: RunConfig | None) -> Path:
@@ -383,24 +364,19 @@ def _out_dir(args, cfg: RunConfig | None) -> Path:
 def run_command(args: argparse.Namespace) -> int:
     """Run one subcommand and write its manifest.
 
-    Loads the config, records the hashes of the config files the
-    subcommand reads (its `reads`) and of its input arguments, resolves the
-    output directory and removes its manifest, so that a directory holds
-    a manifest only after a run that finished. Then it runs the
-    subcommand's body, with the stage modules it names in `modules`
-    bound (see Run), and writes the manifest. The body times its stages
-    through Run.stage.
+    Loads the config, resolves the output directory and removes its
+    manifest, so that a directory holds a manifest only after a run that
+    finished. Then it runs the subcommand's body, with the stage modules
+    it names in `modules` bound (see Run), and writes the manifest. The
+    body times its stages through Run.stage, and records each input file
+    where it opens it.
     """
     rec = RunRecorder(args.command)
     if "config" in args:
         cfg = load_config(args.config)
         rec.set_config(cfg.to_dict())
-        for name in args.reads:
-            rec.add_input(_corpus_dir(args, cfg) if name == "corpus_dir" else getattr(cfg, name))
-    else:  # synth, whose body records the spec it generates from
+    else:  # synth, which takes no config file
         cfg = None
-    for name in ("pivots", "head", "verses", "distances"):
-        rec.add_input(getattr(args, name, None))
     run = Run(args, cfg, rec, _out_dir(args, cfg))
     (run.out / MANIFEST_NAME).unlink(missing_ok=True)
     args.body(run)
@@ -427,12 +403,12 @@ def _load_pivot_set(run: Run) -> tuple[MultiCorpus, PivotSet]:
     """
     corpus = run.corpus()
     path = run.args.pivots
-    members = read_pivots_tsv(corpus, path)
+    members = read_pivots_tsv(corpus, run.rec.add_input(path))
     if not members:
         raise DataError(f"empty pivots TSV: {path}")
     if not run.args.head:
         return corpus, PivotSet.scan(corpus, members[0], members)
-    head = _head_from_json(corpus, run.args.head)
+    head = _head_from_json(corpus, run.rec.add_input(run.args.head))
     key = (head.translation_id, head.surface)
     for p in members:
         if (p.translation_id, p.surface) == key:
@@ -451,12 +427,11 @@ def cmd_synth(run: Run) -> None:
             )
         spec = PRESETS[args.preset]()
     else:
-        spec = spec_from_json(args.spec)
+        spec = spec_from_json(run.rec.add_input(args.spec))
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     run.rec.set_config(asdict(spec))
-    run.rec.add_input(args.spec)
-    verses = run.stage("synth", stage_synth, spec, run.out)
+    verses = run.stage("synth", stage_synth, spec)
     logger.info(
         "wrote %d translations, %d verses to %s",
         len(verses),
@@ -466,80 +441,77 @@ def cmd_synth(run: Run) -> None:
 
 
 def cmd_ingest(run: Run) -> None:
-    run.stage("ingest", stage_ingest, run.cfg, run.corpus(), run.out)
+    run.stage("ingest", stage_ingest, run.corpus())
 
 
 def cmd_head_pivot(run: Run) -> None:
-    run.stage("head-pivot", stage_head, run.cfg, run.corpus(), run.args.feature, run.out)
+    run.stage("head-pivot", stage_head, run.corpus(), run.args.feature)
 
 
 def cmd_expand_pivots(run: Run) -> None:
     corpus = run.corpus()
-    head = _head_from_json(corpus, run.args.head)
-    run.stage(
-        "expand-pivots", stage_expand, run.cfg, corpus, run.args.feature, head, run.out
-    )
+    head = _head_from_json(corpus, run.rec.add_input(run.args.head))
+    run.stage("expand-pivots", stage_expand, corpus, run.args.feature, head)
 
 
 def cmd_mine_ngrams(run: Run) -> None:
     corpus, pivot_set = _load_pivot_set(run)
     targets = run.args.targets.split(",") if run.args.targets else None
-    run.stage("mine-ngrams", stage_mine, run.cfg, corpus, pivot_set, run.out, targets)
+    run.stage("mine-ngrams", stage_mine, corpus, pivot_set, targets)
 
 
 def cmd_cluster_markers(run: Run) -> None:
     corpus, pivot_set = _load_pivot_set(run)
-    run.stage("cluster-markers", stage_cluster_markers, run.cfg, corpus, pivot_set, run.out)
+    run.stage("cluster-markers", stage_cluster_markers, corpus, pivot_set)
 
 
 def cmd_cluster_languages(run: Run) -> None:
     corpus = run.corpus()
     features = _features(run.args)
-    for path in run.stage(
-        "cluster-languages", stage_cluster_languages,
-        run.cfg, corpus, features, Path(run.args.from_dir), run.out,
-    ):
-        run.rec.add_input(path)
+    run.stage(
+        "cluster-languages", stage_cluster_languages, corpus, features, Path(run.args.from_dir)
+    )
 
 
 def cmd_map(run: Run) -> None:
-    corpus, pivot_set = _load_pivot_set(run)
-    run.stage("map", stage_map, run.cfg, corpus, pivot_set, run.out)
+    _, pivot_set = _load_pivot_set(run)
+    run.stage("map", stage_map, pivot_set)
 
 
 def cmd_project(run: Run) -> None:
     corpus = run.corpus()
-    verse_ids = [line.strip() for line in read_lines(run.args.verses) if line.strip()]
-    run.stage("project", stage_project, corpus, verse_ids, run.args.translation, run.out)
+    lines = read_lines(run.rec.add_input(run.args.verses))
+    verse_ids = [line.strip() for line in lines if line.strip()]
+    run.stage("project", stage_project, corpus, verse_ids, run.args.translation)
 
 
 def cmd_eval_mrr(run: Run) -> None:
     from_dir = Path(run.args.from_dir)
     ngram_dirs = [(f, from_dir / f / "ngrams") for f in _features(run.args)]
-    for path in run.stage("eval-mrr", stage_eval_mrr, run.cfg, ngram_dirs, run.out):
-        run.rec.add_input(path)
+    run.stage("eval-mrr", stage_eval_mrr, ngram_dirs)
 
 
 def cmd_eval_family(run: Run) -> None:
-    run.stage("eval-family", stage_eval_family, run.cfg, run.args.distances, run.out)
+    run.stage("eval-family", stage_eval_family, run.args.distances)
 
 
 def cmd_pipeline(run: Run) -> None:
-    cfg, out, feature = run.cfg, run.out, run.args.feature
+    feature = run.args.feature
     corpus = run.corpus()
-    run.stage("ingest", stage_ingest, cfg, corpus, out)
+    run.stage("ingest", stage_ingest, corpus)
     # head-pivot, the alignments of expand-pivots and its member scan
     # share one encoding of each translation; mining does not read them
     aligning = corpus.keeping_encodings()
-    head = run.stage("head-pivot", stage_head, cfg, aligning, feature, out)
-    pivot_set = run.stage("expand-pivots", stage_expand, cfg, aligning, feature, head, out)
+    head = run.stage("head-pivot", stage_head, aligning, feature)
+    pivot_set = run.stage("expand-pivots", stage_expand, aligning, feature, head)
     del aligning
-    run.stage("mine-ngrams", stage_mine, cfg, corpus, pivot_set, out)
-    run.stage("cluster-markers", stage_cluster_markers, cfg, corpus, pivot_set, out)
-    run.stage("map", stage_map, cfg, corpus, pivot_set, out)
-    if cfg.gold:
-        run.stage("eval-mrr", stage_eval_mrr, cfg, [(feature, out / "ngrams")], out)
-    logger.info("pipeline for %r finished in %s", feature, out)
+    run.stage("mine-ngrams", stage_mine, corpus, pivot_set)
+    run.stage("cluster-markers", stage_cluster_markers, corpus, pivot_set)
+    run.stage("map", stage_map, pivot_set)
+    if run.cfg.gold:
+        # its n-gram TSVs are this run's outputs, so not recorded as inputs
+        run.stage("eval-mrr", stage_eval_mrr, [(feature, run.out / "ngrams")])
+    logger.info("pipeline for %r finished in %s", feature, run.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -556,23 +528,20 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True)
     common.add_argument("--out", help="output directory (default: config out_dir)")
     pivot_input = argparse.ArgumentParser(add_help=False, parents=[common])
-    # still accepted, as callers pass it; nothing reads it
+    # still accepted, as callers pass it, and ignored
     pivot_input.add_argument("--feature", help="ignored; --pivots fixes the feature")
     pivot_input.add_argument("--pivots", required=True, help="pivots.tsv from expand-pivots")
     pivot_input.add_argument("--head", help="head.json (marks the head member)")
 
-    def add(name, body, help_text, modules, parents=(common,), reads=CORPUS_FILES):
-        """A subcommand whose body runs the stage modules named in modules
-        and reads the config files named in reads."""
+    def add(name, body, help_text, modules, parents=(common,)):
+        """A subcommand whose body runs the stage modules named in modules."""
         p = sub.add_parser(name, help=help_text, parents=list(parents))
-        p.set_defaults(body=body, modules=modules, reads=reads)
+        p.set_defaults(body=body, modules=modules)
         return p
 
     pivot_modules = ("corpus", "pivots")
 
-    p = add(
-        "synth", cmd_synth, "generate a synthetic corpus with planted markers", ("synth",), ()
-    )
+    p = add("synth", cmd_synth, "generate a synthetic corpus with planted markers", ("synth",), ())
     p.add_argument("--preset", help="name of a built-in spec; an unknown name lists them")
     p.add_argument("--spec", help="path to a synth spec JSON")
     p.add_argument("--seed", type=int, default=None, help="override the seed of the preset or spec")
@@ -581,10 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("ingest", cmd_ingest, "load a corpus and report verse coverage", ("corpus",))
     p.add_argument("--corpus", help="override the configured corpus directory")
 
-    p = add(
-        "head-pivot", cmd_head_pivot, "find the head pivot for a feature", pivot_modules,
-        reads=(*CORPUS_FILES, "queries", "allowlist"),
-    )
+    p = add("head-pivot", cmd_head_pivot, "find the head pivot for a feature", pivot_modules)
     p.add_argument("--feature", required=True)
 
     p = add(
@@ -627,21 +593,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verses", required=True, help="file with one verse id per line")
     p.add_argument("--translation", required=True)
 
-    p = add("eval-mrr", cmd_eval_mrr, "score mined n-grams against gold markers", (),
-            reads=("gold",))
+    p = add("eval-mrr", cmd_eval_mrr, "score mined n-grams against gold markers", ())
     p.add_argument("--features", required=True, help="comma-separated feature names")
     p.add_argument(
         "--from", dest="from_dir", required=True,
         help="directory holding <feature>/ngrams/*.tsv",
     )
 
-    p = add("eval-family", cmd_eval_family, "same-family prediction from distances",
-            ("corpus", "cluster"), reads=("families",))
+    p = add(
+        "eval-family", cmd_eval_family, "same-family prediction from distances",
+        ("corpus", "cluster"),
+    )
     p.add_argument("--distances", required=True, help="distance matrix TSV")
 
-    p = add("pipeline", cmd_pipeline, "run every stage for one feature",
-            (*pivot_modules, "ngrams", "cluster", "maps"),
-            reads=(*CORPUS_FILES, "queries", "allowlist", "gold"))
+    p = add(
+        "pipeline", cmd_pipeline, "run every stage for one feature",
+        (*pivot_modules, "ngrams", "cluster", "maps"),
+    )
     p.add_argument("--feature", required=True)
 
     return parser

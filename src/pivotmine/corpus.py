@@ -172,12 +172,6 @@ class Translation:
     offsets: np.ndarray
     verse_index: np.ndarray
 
-    def texts(self) -> list[str]:
-        """Every verse text in file order, sliced anew on each call."""
-        text = self.text
-        bounds = self.offsets.tolist()
-        return [text[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-
 
 @dataclass(frozen=True, eq=False)
 class MultiCorpus:
@@ -206,11 +200,6 @@ class MultiCorpus:
         """The ids of the selected verses, in order (a new tuple of the
         universe's strings on each call)."""
         return tuple(map(self.verse_universe.__getitem__, self.selected_index.tolist()))
-
-    def verse_ids(self, translation_id: str) -> list[str]:
-        """The ids of every verse of a translation, in file order."""
-        index = self.translations[translation_id].verse_index.tolist()
-        return list(map(self.verse_universe.__getitem__, index))
 
     def _rows(
         self, translation_id: str, index: np.ndarray | None
@@ -292,9 +281,15 @@ class MultiCorpus:
         return sorted({t.iso3 for t in self.translations.values()})
 
     def select(self, target_count: int) -> "MultiCorpus":
-        """This corpus over its target_count best-covered verses (see
-        select_covered_verses), without an encoding store."""
-        return replace(self, selected_index=_covered_index(self, target_count), encodings=None)
+        """This corpus over its target_count best-covered verses, without
+        an encoding store.
+
+        Coverage is the number of translations containing the verse;
+        coverage ties are broken toward smaller verse ids, so growing
+        target_count always selects a superset.
+        """
+        ranked = np.argsort(-coverage_counts(self), kind="stable")
+        return replace(self, selected_index=np.sort(ranked[:target_count]), encodings=None)
 
 
 def build_corpus(
@@ -471,22 +466,6 @@ def coverage_counts(corpus: MultiCorpus) -> np.ndarray:
         # a translation lists each verse once, so no index repeats
         counts[trans.verse_index] += 1
     return counts
-
-
-def _covered_index(corpus: MultiCorpus, target_count: int) -> np.ndarray:
-    """The universe positions of select_covered_verses, ascending."""
-    ranked = np.argsort(-coverage_counts(corpus), kind="stable")
-    return np.sort(ranked[:target_count])
-
-
-def select_covered_verses(corpus: MultiCorpus, target_count: int) -> list[str]:
-    """The target_count best-covered verse ids, in verse-id order.
-
-    Coverage is the number of translations containing the verse; coverage
-    ties are broken toward smaller verse ids, so growing target_count
-    always yields a superset.
-    """
-    return [corpus.verse_universe[i] for i in _covered_index(corpus, target_count).tolist()]
 
 
 def write_coverage_report(corpus: MultiCorpus, path: str | Path) -> Path:

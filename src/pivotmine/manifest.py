@@ -15,10 +15,13 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TypeVar
 
 from .textio import write_json
 
 MANIFEST_NAME = "manifest.json"
+
+PathT = TypeVar("PathT", str, Path, None)
 
 
 def canonical_sha256(doc: dict) -> str:
@@ -53,16 +56,22 @@ class RunRecorder:
         self.config_dict = config_dict
         self.config_hash = canonical_sha256(config_dict)
 
-    def add_input(self, path: str | Path | None) -> None:
+    def add_input(self, path: PathT) -> PathT:
+        """Record the sha256 of the file at path, or of every file under
+        the directory at path, and return path, so that the code reading
+        a file can wrap its path in this call. A file this run already
+        wrote is an output, not an input, and None records nothing."""
         if path is None:
-            return
+            return path
         p = Path(path)
         if p.is_file():
-            self.inputs[str(p)] = file_sha256(p)
+            if p not in self.outputs:
+                self.inputs[str(p)] = file_sha256(p)
         elif p.is_dir():
             for child in sorted(p.rglob("*")):
                 if child.is_file():
                     self.inputs[str(child)] = file_sha256(child)
+        return path
 
     def add_outputs(self, paths) -> None:
         self.outputs.extend(Path(p) for p in paths)

@@ -189,12 +189,12 @@ def _check_query_merge(
     not: DataError naming the first verse in file order where synthetic
     already occurs as a token (the merge would be ambiguous), and a
     warning when no token is one of forms."""
-    trans = corpus.translations[translation_id]
+    index = corpus.translations[translation_id].verse_index
     matched = False
-    for lo, (surfaces, _, _, counts) in tokenize_blocks(trans.texts()):
+    for lo, (surfaces, _, _, counts) in tokenize_blocks(corpus.texts(translation_id, index)):
         if synthetic in surfaces:
             row = lo + np.searchsorted(np.cumsum(counts), surfaces.index(synthetic), side="right")
-            vid = corpus.verse_ids(translation_id)[row]
+            vid = corpus.verse_universe[index[row]]
             raise DataError(
                 f"synthetic token {synthetic!r} already occurs in {translation_id} verse {vid}"
             )

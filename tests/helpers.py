@@ -243,7 +243,9 @@ def make_corpus(verses_by_tid: dict[str, dict[str, str]], iso3=None, select=True
 def verses_of(corpus: MultiCorpus, translation_id: str) -> dict[str, str]:
     """{verse_id: text} of every verse of a translation, in file order: a
     readable view for tests."""
-    return dict(zip(corpus.verse_ids(translation_id), corpus.translations[translation_id].texts()))
+    index = corpus.translations[translation_id].verse_index
+    verse_ids = map(corpus.verse_universe.__getitem__, index.tolist())
+    return dict(zip(verse_ids, corpus.texts(translation_id, index)))
 
 
 def corpus_state(corpus: MultiCorpus) -> dict:

@@ -500,7 +500,9 @@ class TestPivotSetHead:
 
     def load(self, workspace, pivots, head):
         _, cfg_path, _, _ = workspace
-        args = argparse.Namespace(pivots=str(pivots), head=head and str(head))
+        args = argparse.Namespace(
+            pivots=str(pivots), head=head and str(head), modules=("corpus", "pivots")
+        )
         rec = RunRecorder("mine-ngrams")
         return _load_pivot_set(Run(args, load_config(cfg_path), rec, Path()))
 
@@ -1000,6 +1002,19 @@ class TestManifestInputs:
             str(past / "head.json"), str(past / "ranking.tsv")
         ]
 
+    def test_project_lists_the_verses_file(self, workspace, tmp_path):
+        verses = tmp_path / "verses.txt"
+        verses.write_text("00000001\n00000002\n", encoding="utf-8")
+        argv = ["project", "--verses", str(verses), "--translation", "saa_synth"]
+        assert self.extra_inputs(workspace, argv, tmp_path / "o") == [str(verses)]
+
+    def test_eval_family_lists_the_distances(self, workspace, tmp_path):
+        distances = tmp_path / "distances.tsv"
+        rows = ["label\tqaa\tsaa", "qaa\t0\t0.9", "saa\t0.9\t0"]
+        distances.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        argv = ["eval-family", "--distances", str(distances)]
+        assert self.extra_inputs(workspace, argv, tmp_path / "o") == [str(distances)]
+
     def test_ingest_corpus_override_lists_the_loaded_corpus(self, workspace, tmp_path):
         _, cfg_path, config, _ = workspace
         other = tmp_path / "other" / "corpus"
@@ -1013,6 +1028,88 @@ class TestManifestInputs:
             str(p) for p in other.iterdir()
         )
         assert not [k for k in inputs if k.startswith(config["corpus_dir"])]
+
+
+class TestEveryReadIsRecorded:
+    """Every file a subcommand reads is in its manifest's inputs, because
+    the code that reads a file records it. Not inputs: the config file,
+    alignment-cache tables, and files the run itself wrote (pipeline's
+    eval-mrr reads the n-gram TSVs of its mine-ngrams), which are its
+    outputs only."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch) -> list[Path]:
+        """The paths read through Path.read_text or Path.read_bytes."""
+        paths = []
+        for name in ("read_text", "read_bytes"):
+            def spy(path, *args, real=getattr(Path, name), **kwargs):
+                paths.append(path)
+                return real(path, *args, **kwargs)
+
+            monkeypatch.setattr(Path, name, spy)
+        return paths
+
+    def test_every_subcommand_lists_the_files_it_read(self, tiny8, tmp_path, opened):
+        cache = tmp_path / "cache"
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(dict(tiny8, cache_dir=str(cache))), encoding="utf-8")
+        no_gold = tmp_path / "no_gold.json"
+        config = {k: v for k, v in tiny8.items() if k != "gold"}
+        no_gold.write_text(json.dumps(dict(config, cache_dir=str(cache))), encoding="utf-8")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(asdict(preset_tiny8(seed=11))), encoding="utf-8")
+        verses = tmp_path / "verses.txt"
+        verses.write_text("00000001\n00000002\n", encoding="utf-8")
+        o = tmp_path / "o"
+        c = ["--config", str(cfg)]
+        past = o / "feat" / "past"
+        pivots = ["--pivots", str(past / "pivots.tsv"), "--head", str(past / "head.json")]
+        runs = [
+            ["synth", "--spec", str(spec), "--out", str(o / "synth")],
+            ["ingest", *c, "--out", str(o / "ingest")],
+            ["ingest", *c, "--corpus", str(o / "synth" / "corpus"), "--out", str(o / "ingest2")],
+        ]
+        for feature in ("past", "present"):
+            fdir = str(o / "feat" / feature)
+            runs += [
+                ["head-pivot", *c, "--feature", feature, "--out", fdir],
+                ["expand-pivots", *c, "--feature", feature,
+                 "--head", f"{fdir}/head.json", "--out", fdir],
+            ]
+        runs += [
+            ["mine-ngrams", *c, *pivots, "--out", str(o / "mine" / "past")],
+            ["cluster-markers", *c, *pivots, "--out", str(o / "markers")],
+            ["map", *c, *pivots, "--out", str(o / "map")],
+            ["project", *c, "--verses", str(verses), "--translation", "naa_synth",
+             "--out", str(o / "project")],
+            ["eval-mrr", *c, "--features", "past", "--from", str(o / "mine"),
+             "--out", str(o / "mrr")],
+            ["cluster-languages", *c, "--features", "past,present",
+             "--from", str(o / "feat"), "--out", str(o / "languages")],
+            ["eval-family", *c, "--distances", str(o / "languages" / "languages_distance.tsv"),
+             "--out", str(o / "family")],
+            ["pipeline", *c, "--feature", "past", "--out", str(o / "pipeline")],
+            ["pipeline", "--config", str(no_gold), "--feature", "past",
+             "--out", str(o / "pipeline_no_gold")],
+        ]
+        unlisted = {}
+        for argv in runs:
+            opened.clear()
+            assert main(argv) == 0, argv
+            read = {str(p) for p in opened}
+            out = Path(argv[argv.index("--out") + 1])
+            manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            written = {str(out / k) for k in manifest["outputs"]}
+            assert not written & set(manifest["inputs"]), argv
+            exempt = {str(cfg), str(no_gold)} | written
+            missing = sorted(
+                p for p in read - exempt - set(manifest["inputs"])
+                if not p.startswith(str(cache))
+            )
+            if missing:
+                unlisted[f"{argv[0]} {out.name}"] = missing
+            assert read - exempt, argv  # each run read an input
+        assert unlisted == {}
 
 
 class TestPeakRss:

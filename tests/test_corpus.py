@@ -38,7 +38,6 @@ from pivotmine.corpus import (
     is_verse_id,
     load_corpus,
     read_families,
-    select_covered_verses,
     tokenize_block,
     tokenize_verse,
     write_coverage_report,
@@ -561,14 +560,14 @@ class TestSelection:
         corpus = make_corpus(
             {"aaa_t": {"00000001": "a", "00000002": "b"}}, select=False
         )
-        assert select_covered_verses(corpus, 2) == ["00000001", "00000002"]
+        assert list(corpus.select(2).selected_verses) == ["00000001", "00000002"]
 
     def test_bounds(self, tmp_path, caplog):
         # RunConfig checks coverage_target >= 1 (test_cli's
         # TestConfig::test_validation_bounds), and loading clamps a target
         # past the universe with a warning
         corpus = make_corpus({"aaa_t": {"00000001": "a"}}, select=False)
-        assert select_covered_verses(corpus, 2) == ["00000001"]
+        assert list(corpus.select(2).selected_verses) == ["00000001"]
         (tmp_path / "corpus").mkdir()
         (tmp_path / "corpus" / "aaa_t.txt").write_text("00000001\ta\n", encoding="utf-8")
         cfg = tmp_path / "cfg.json"
@@ -593,7 +592,7 @@ class TestSelection:
         oracle = sorted(corpus.verse_universe, key=lambda v: (-counts[v], v))
         prev = set()
         for target in range(1, len(corpus.verse_universe) + 1):
-            got = select_covered_verses(corpus, target)
+            got = list(corpus.select(target).selected_verses)
             assert got == sorted(oracle[:target])
             assert got == sorted(got)
             assert prev <= set(got)
@@ -613,7 +612,7 @@ class TestSelection:
             },
             select=False,
         )
-        got = select_covered_verses(corpus, 5)
+        got = list(corpus.select(5).selected_verses)
         assert got == [f"{i:08d}" for i in range(1, 6)]
 
     def test_select_returns_new_corpus(self):
