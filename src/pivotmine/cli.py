@@ -4,8 +4,8 @@ Each subcommand runs one pipeline stage into an output directory and
 writes a manifest there; `pipeline` chains the stages for one feature.
 All of them go through run_command, which loads the config, times each
 stage and writes the manifest around the subcommand's own body. The code
-that opens an input file records it in the manifest where it opens it,
-by wrapping its path in run.rec.add_input, which returns the path.
+that opens an input file records it in the manifest where it opens it:
+it reads it through run.rec.read, or wraps its path in run.rec.add_input.
 
 A subcommand imports only the stage modules it runs. Most of them import
 numpy, which costs each process about 0.1 s of start-up, and eval-mrr,
@@ -334,14 +334,14 @@ class Run:
 
     def corpus(self) -> MultiCorpus:
         """The corpus of ingest's --corpus, else of corpus_dir, with its
-        verse selection. Its directory and families file are recorded, and
-        then loaded under the manifest timer `load`. A coverage_target past
-        the verse universe is clamped to it."""
+        verse selection, loaded under the manifest timer `load` after the
+        families file is recorded; load_corpus records each file it reads.
+        A coverage_target past the verse universe is clamped to it."""
         # cfg.path raises the ConfigError of a missing corpus_dir
-        root = self.rec.add_input(getattr(self.args, "corpus", None) or self.cfg.path("corpus_dir"))
+        root = getattr(self.args, "corpus", None) or self.cfg.path("corpus_dir")
         families = self.rec.add_input(self.cfg.families)
         with self.rec.time_stage("load"):
-            corpus = load_corpus(root, families)
+            corpus = load_corpus(root, families, self.rec.read)
             target = self.cfg.coverage_target
             if target > len(corpus.verse_universe):
                 logger.warning(

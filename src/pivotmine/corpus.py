@@ -12,14 +12,14 @@ import bisect
 import logging
 import re
 from collections import defaultdict
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .textio import read_lines, read_text, write_lines
+from .textio import read_bytes, read_lines, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -332,20 +332,23 @@ _DIGIT_NIBBLES = np.uint64(0x3030303030303030)
 _PAST_NINE = np.uint64(0x0606060606060606)
 
 
-def _parse_translation(content: str) -> tuple[str, np.ndarray, np.ndarray, int, int]:
-    """The verses of one corpus file's text: their texts end to end, the
+def _parse_translation(data: bytes) -> tuple[str, np.ndarray, np.ndarray, int, int]:
+    """The verses of one corpus file's bytes: their texts end to end, the
     length of each in characters, each one's id as a uint64 that orders
     like the id, and the counts of malformed lines and of duplicate ids.
 
-    Lines end at LF (read_text has turned CR and CRLF into LF), and an
-    empty line is skipped. A line holds a verse when what precedes its
-    first tab is a verse id (is_verse_id): as digits are not tabs, when
-    its first eight characters are ASCII digits and its ninth a tab. The
-    text follows that tab. Every other line is malformed. Of lines with
-    one id the first is kept. The file is scanned as an array of its
-    UTF-8 bytes, in which those nine characters are nine bytes.
+    The whole file must be strict UTF-8, else UnicodeDecodeError. Lines
+    end at LF, CRLF or CR, and an empty line is skipped. A line holds a
+    verse when what precedes its first tab is a verse id (is_verse_id):
+    as digits are not tabs, when its first eight characters are ASCII
+    digits and its ninth a tab. The text follows that tab. Every other
+    line is malformed. Of lines with one id the first is kept. The file
+    is scanned as an array of its bytes, in which those nine characters
+    are nine bytes.
     """
-    data = content.encode("utf-8", "surrogatepass")
+    data.decode("utf-8")
+    if b"\r" in data:  # a search for b"\r\n" costs a scan even without one
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     byte = np.frombuffer(data, np.uint8)
     # the eight bytes from each offset, as one unaligned big-endian uint64
     # (eight zero bytes past the end give every offset a full word)
@@ -377,7 +380,7 @@ def _parse_translation(content: str) -> tuple[str, np.ndarray, np.ndarray, int, 
     runs[lines, 1] = line_end[lines] - line_start[lines] - 9
     runs[:-1, 2] = 1
     kept = byte[np.repeat(np.tile([False, True, False], len(line_start)), runs.ravel())]
-    text = kept.tobytes().decode("utf-8", "surrogatepass")
+    text = kept.tobytes().decode("utf-8")
     lengths = runs[lines, 1]
     if len(text) < len(kept):
         # a verse has one character fewer than bytes per continuation byte
@@ -390,13 +393,16 @@ def _parse_translation(content: str) -> tuple[str, np.ndarray, np.ndarray, int, 
 def load_corpus(
     root: str | Path,
     iso_metadata: str | Path | None,
+    read: Callable[[Path], bytes] = read_bytes,
 ) -> MultiCorpus:
-    """Load every well-formed translation file under root.
+    """Load every well-formed translation file directly under root.
 
-    Files not matching ``{iso3}_{name}.txt`` are skipped with a warning.
+    Only ``*.txt`` files are looked at, and those not matching
+    ``{iso3}_{name}.txt`` are skipped with a warning. Each one that
+    matches is read once, through read (a run passes its recorder's).
     Malformed lines are counted and skipped; duplicate verse ids within a
-    file keep the first occurrence. Raises DataError if no valid
-    translation file is found.
+    file keep the first occurrence. Raises DataError if a translation
+    file cannot be read or is not UTF-8, or if none is usable.
     """
     root = Path(root)
     if not root.is_dir():
@@ -410,7 +416,10 @@ def load_corpus(
             logger.warning("skipping %s: name does not match iso3_name.txt", path.name)
             continue
         translation_id = path.stem
-        text, lengths, keys, bad, duplicates = _parse_translation(read_text(path))
+        try:
+            text, lengths, keys, bad, duplicates = _parse_translation(read(path))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"cannot read {path}: {exc}") from exc
         malformed += bad
         if duplicates:
             logger.warning(

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TypeVar
 
-from .textio import write_json
+from .textio import read_bytes, write_json
 
 MANIFEST_NAME = "manifest.json"
 
@@ -56,21 +56,22 @@ class RunRecorder:
         self.config_dict = config_dict
         self.config_hash = canonical_sha256(config_dict)
 
-    def add_input(self, path: PathT) -> PathT:
-        """Record the sha256 of the file at path, or of every file under
-        the directory at path, and return path, so that the code reading
-        a file can wrap its path in this call. A file this run already
-        wrote is an output, not an input, and None records nothing."""
-        if path is None:
-            return path
+    def read(self, path: str | Path) -> bytes:
+        """The bytes of the file at path (textio.read_bytes), with their
+        sha256 recorded unless this run wrote the file (an output)."""
+        data = read_bytes(path)
         p = Path(path)
-        if p.is_file():
-            if p not in self.outputs:
-                self.inputs[str(p)] = file_sha256(p)
-        elif p.is_dir():
-            for child in sorted(p.rglob("*")):
-                if child.is_file():
-                    self.inputs[str(child)] = file_sha256(child)
+        if p not in self.outputs:
+            self.inputs[str(p)] = hashlib.sha256(data).hexdigest()
+        return data
+
+    def add_input(self, path: PathT) -> PathT:
+        """Record the file at path through read and return path, so that
+        the code reading a file can wrap its path in this call. None, a
+        path that is no file (its reader reports it) and a file this run
+        wrote are not read here."""
+        if path is not None and Path(path).is_file() and Path(path) not in self.outputs:
+            self.read(path)
         return path
 
     def add_outputs(self, paths) -> None:

@@ -24,6 +24,7 @@ from pivotmine.evaluation import gram_matches, mrr, reciprocal_rank
 from pivotmine.maps import select_splitting_pivots
 from pivotmine.ngrams import mine_ngrams
 from pivotmine import corpus as corpus_module
+from pivotmine import manifest as manifest_module
 from pivotmine import pivots as pivots_module
 from pivotmine.errors import ConfigError, DataError
 from pivotmine.manifest import RunRecorder, canonical_sha256, file_sha256
@@ -1016,16 +1017,27 @@ class TestManifestInputs:
         assert self.extra_inputs(workspace, argv, tmp_path / "o") == [str(distances)]
 
     def test_ingest_corpus_override_lists_the_loaded_corpus(self, workspace, tmp_path):
+        """The corpus files listed are those load_corpus read: not a file
+        that is not *.txt, nor one in a subdirectory, nor a *.txt whose
+        name is no translation's, but a translation file with no verse."""
         _, cfg_path, config, _ = workspace
         other = tmp_path / "other" / "corpus"
         write_synth(preset_tiny8(), other.parent)
+        translations = sorted(str(p) for p in other.iterdir())
+        (other / "README").write_text("not a translation\n", encoding="utf-8")
+        (other / "notes.txt").write_text("00000001\tnot a translation\n", encoding="utf-8")
+        (other / "old").mkdir()
+        shutil.copy(other / "naa_synth.txt", other / "old" / "naa_synth.txt")
+        (other / "zzz_empty.txt").write_text("no verse here\n", encoding="utf-8")
         out = tmp_path / "o"
         assert main(["ingest", "--config", str(cfg_path), "--corpus", str(other),
                      "--out", str(out)]) == 0
-        assert json.loads((out / "corpus_stats.json").read_text())["n_translations"] == 8
+        stats = json.loads((out / "corpus_stats.json").read_text())
+        assert stats["n_translations"] == 8
+        assert stats["malformed_lines"] == 1  # zzz_empty.txt was read
         inputs = json.loads((out / "manifest.json").read_text())["inputs"]
         assert sorted(k for k in inputs if k.startswith(str(other))) == sorted(
-            str(p) for p in other.iterdir()
+            [*translations, str(other / "zzz_empty.txt")]
         )
         assert not [k for k in inputs if k.startswith(config["corpus_dir"])]
 
@@ -1049,7 +1061,20 @@ class TestEveryReadIsRecorded:
             monkeypatch.setattr(Path, name, spy)
         return paths
 
-    def test_every_subcommand_lists_the_files_it_read(self, tiny8, tmp_path, opened):
+    @pytest.fixture
+    def hashed(self, monkeypatch) -> list[Path]:
+        """The paths hashed through manifest.file_sha256, which reads a
+        file a second time when its reader reads it too."""
+        paths = []
+
+        def spy(path, real=manifest_module.file_sha256):
+            paths.append(path)
+            return real(path)
+
+        monkeypatch.setattr(manifest_module, "file_sha256", spy)
+        return paths
+
+    def test_every_subcommand_lists_the_files_it_read(self, tiny8, tmp_path, opened, hashed):
         cache = tmp_path / "cache"
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(dict(tiny8, cache_dir=str(cache))), encoding="utf-8")
@@ -1095,7 +1120,17 @@ class TestEveryReadIsRecorded:
         unlisted = {}
         for argv in runs:
             opened.clear()
+            hashed.clear()
             assert main(argv) == 0, argv
+            if argv[0] in ("ingest", "pipeline"):
+                # each corpus file is read from disk once, by its loader
+                corpus = Path(argv[argv.index("--corpus") + 1] if "--corpus" in argv
+                              else tiny8["corpus_dir"])
+                files = sorted(str(p) for p in corpus.glob("*.txt"))
+                assert len(files) == 8, argv
+                reads = [str(p) for p in opened]
+                assert {f: reads.count(f) for f in files} == dict.fromkeys(files, 1), argv
+                assert not set(files) & {str(p) for p in hashed}, argv
             read = {str(p) for p in opened}
             out = Path(argv[argv.index("--out") + 1])
             manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))

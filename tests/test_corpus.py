@@ -426,11 +426,14 @@ LOADER_FILE = st.tuples(
 
 
 def write_corpus_files(root, files) -> None:
-    """Write (stem, lines, line ending, final ending) files under root."""
+    """Write (stem, lines, line ending, final ending) files under root. A
+    line given as bytes is written as it is, a str as UTF-8."""
     root.mkdir()
     for stem, lines, ending, final in files:
-        body = ending.join(lines) + (ending if final and lines else "")
-        (root / f"{stem}.txt").write_bytes(body.encode("utf-8"))
+        lines = [line if isinstance(line, bytes) else line.encode("utf-8") for line in lines]
+        ending = ending.encode("utf-8")
+        body = ending.join(lines) + (ending if final and lines else b"")
+        (root / f"{stem}.txt").write_bytes(body)
 
 
 class TestLoaderOracle:
@@ -462,6 +465,12 @@ class TestLoaderOracle:
                                      "\u0664\u0660\u0660\u0660\u0660\u0660\u0660\u0661\td",
                                      "00000001 \te", "00000001\tok"], "\n", True)], id="malformed"),
             pytest.param([("bbb_none", ["x", "y\tz"], "\n", True)], id="no-usable-file"),
+            pytest.param([("aaa_t", ["00000001\ta"], "\n", True),
+                          ("bbb_t", ["00000001\tb", b"0000\xff002\tc"], "\r\n", True)],
+                         id="invalid-byte-in-malformed-line"),
+            pytest.param([("aaa_t", ["00000001\ta", b"00000002\tb\xed\xa0\x80c"], "\n", True)],
+                         id="encoded-surrogate"),
+            pytest.param([("aaa_t", ["\ufeff00000001\ta", "00000002\tb"], "\r", False)], id="bom"),
         ],
     )
     def test_named_cases(self, tmp_path, files):
