@@ -3,9 +3,9 @@
 Each subcommand runs one pipeline stage into an output directory and
 writes a manifest there; `pipeline` chains the stages for one feature.
 All of them go through run_command, which loads the config, times each
-stage and writes the manifest around the subcommand's own body. The code
-that opens an input file records it in the manifest where it opens it:
-it reads it through run.rec.read, or wraps its path in run.rec.add_input.
+stage and writes the manifest around the subcommand's own body. Each
+input file is read once, by the reader that parses it, through
+run.rec.read, which records the bytes it returns in the manifest.
 
 A subcommand imports only the stage modules it runs. Most of them import
 numpy, which costs each process about 0.1 s of start-up, and eval-mrr,
@@ -86,7 +86,7 @@ logger = logging.getLogger("pivotmine")
 
 
 def _query_for(run: Run, feature: str):
-    queries = read_queries(run.rec.add_input(run.cfg.path("queries")))
+    queries = read_queries(run.cfg.path("queries"), run.rec.read)
     for q in queries:
         if q.feature == feature:
             return q
@@ -96,9 +96,9 @@ def _query_for(run: Run, feature: str):
     )
 
 
-def _head_from_json(corpus: MultiCorpus, path: str | Path) -> Pivot:
+def _head_from_json(run: Run, corpus: MultiCorpus, path: str | Path) -> Pivot:
     try:
-        doc = json.loads(read_text(path))
+        doc = json.loads(read_text(path, run.rec.read))
         iso3, tid, surface = doc["iso3"], doc["translation_id"], doc["surface"]
         score = float(doc["score"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -124,7 +124,7 @@ def stage_ingest(run: Run, corpus: MultiCorpus) -> list[Path]:
         "n_translations": len(corpus.translations),
         "n_languages": len(corpus.languages()),
         "n_verses_universe": len(corpus.verse_universe),
-        "n_selected": len(corpus.selected_verses),
+        "n_selected": len(corpus.selected_index),
         "malformed_lines": corpus.malformed_lines,
     }
     return [coverage, selection, _write_json(out / "corpus_stats.json", stats)]
@@ -133,7 +133,7 @@ def stage_ingest(run: Run, corpus: MultiCorpus) -> list[Path]:
 def stage_head(run: Run, corpus: MultiCorpus, feature: str) -> tuple[Pivot, list[Path]]:
     cfg = run.cfg
     query = _query_for(run, feature)
-    allowlist = read_allowlist(run.rec.add_input(cfg.path("allowlist")))
+    allowlist = read_allowlist(cfg.path("allowlist"), run.rec.read)
     head = find_head_pivot(
         corpus, query, allowlist, cfg.aligner(), cfg.min_count, cfg.cache_dir
     )
@@ -256,7 +256,7 @@ def stage_project(
 
 def stage_eval_mrr(run: Run, ngram_dirs: list[tuple[str, Path]]) -> list[Path]:
     """Score each feature's mined n-grams, read from its (feature, dir) pair."""
-    gold = read_gold(run.rec.add_input(run.cfg.path("gold")))
+    gold = read_gold(run.cfg.path("gold"), run.rec.read)
     results = []
     for feature, ngram_dir in ngram_dirs:
         if not ngram_dir.is_dir():
@@ -264,7 +264,7 @@ def stage_eval_mrr(run: Run, ngram_dirs: list[tuple[str, Path]]) -> list[Path]:
         paths = sorted(ngram_dir.glob("*.tsv"))
         if not paths:
             raise DataError(f"no n-gram TSVs in {ngram_dir}")
-        ranked = {p.stem: read_ngrams_tsv(run.rec.add_input(p)) for p in paths}
+        ranked = {p.stem: read_ngrams_tsv(p, run.rec.read) for p in paths}
         results.append(mrr(ranked, gold, feature, run.cfg.match_mode))
     return [_write_json(run.out / "mrr.json", mrr_table(results))]
 
@@ -279,8 +279,8 @@ def stage_cluster_languages(
     head_translations = {}
     for feature in features:
         fdir = from_dir / feature
-        head = _head_from_json(corpus, run.rec.add_input(fdir / "head.json"))
-        ranking = read_pivots_tsv(corpus, run.rec.add_input(fdir / "ranking.tsv"))
+        head = _head_from_json(run, corpus, fdir / "head.json")
+        ranking = read_pivots_tsv(corpus, fdir / "ranking.tsv", run.rec.read)
         markers_by_feature[feature] = top_markers_by_language(ranking, head)
         head_translations[feature] = head.translation_id
     dm, report = language_distance(
@@ -297,8 +297,8 @@ def stage_cluster_languages(
 
 
 def stage_eval_family(run: Run, distances: str) -> list[Path]:
-    families = read_families(run.rec.add_input(run.cfg.path("families")))
-    dm = read_distance_tsv(run.rec.add_input(distances))
+    families = read_families(run.cfg.path("families"), run.rec.read)
+    dm = read_distance_tsv(distances, run.rec.read)
     metrics = evaluate_family_prediction(dm, families, run.cfg.jsd_threshold)
     return [_write_json(run.out / "family_metrics.json", metrics)]
 
@@ -334,14 +334,13 @@ class Run:
 
     def corpus(self) -> MultiCorpus:
         """The corpus of ingest's --corpus, else of corpus_dir, with its
-        verse selection, loaded under the manifest timer `load` after the
-        families file is recorded; load_corpus records each file it reads.
-        A coverage_target past the verse universe is clamped to it."""
+        families and verse selection, loaded under the manifest timer
+        `load`; load_corpus reads each file through run.rec.read. A
+        coverage_target past the verse universe is clamped to it."""
         # cfg.path raises the ConfigError of a missing corpus_dir
         root = getattr(self.args, "corpus", None) or self.cfg.path("corpus_dir")
-        families = self.rec.add_input(self.cfg.families)
         with self.rec.time_stage("load"):
-            corpus = load_corpus(root, families, self.rec.read)
+            corpus = load_corpus(root, self.cfg.families, self.rec.read)
             target = self.cfg.coverage_target
             if target > len(corpus.verse_universe):
                 logger.warning(
@@ -403,12 +402,12 @@ def _load_pivot_set(run: Run) -> tuple[MultiCorpus, PivotSet]:
     """
     corpus = run.corpus()
     path = run.args.pivots
-    members = read_pivots_tsv(corpus, run.rec.add_input(path))
+    members = read_pivots_tsv(corpus, path, run.rec.read)
     if not members:
         raise DataError(f"empty pivots TSV: {path}")
     if not run.args.head:
         return corpus, PivotSet.scan(corpus, members[0], members)
-    head = _head_from_json(corpus, run.rec.add_input(run.args.head))
+    head = _head_from_json(run, corpus, run.args.head)
     key = (head.translation_id, head.surface)
     for p in members:
         if (p.translation_id, p.surface) == key:
@@ -427,7 +426,7 @@ def cmd_synth(run: Run) -> None:
             )
         spec = PRESETS[args.preset]()
     else:
-        spec = spec_from_json(run.rec.add_input(args.spec))
+        spec = spec_from_json(args.spec, run.rec.read)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     run.rec.set_config(asdict(spec))
@@ -450,7 +449,7 @@ def cmd_head_pivot(run: Run) -> None:
 
 def cmd_expand_pivots(run: Run) -> None:
     corpus = run.corpus()
-    head = _head_from_json(corpus, run.rec.add_input(run.args.head))
+    head = _head_from_json(run, corpus, run.args.head)
     run.stage("expand-pivots", stage_expand, corpus, run.args.feature, head)
 
 
@@ -480,7 +479,7 @@ def cmd_map(run: Run) -> None:
 
 def cmd_project(run: Run) -> None:
     corpus = run.corpus()
-    lines = read_lines(run.rec.add_input(run.args.verses))
+    lines = read_lines(run.args.verses, run.rec.read)
     verse_ids = [line.strip() for line in lines if line.strip()]
     run.stage("project", stage_project, corpus, verse_ids, run.args.translation)
 

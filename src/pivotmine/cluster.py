@@ -21,7 +21,7 @@ import numpy as np
 from .corpus import MultiCorpus
 from .errors import DataError
 from .pivots import Pivot, PresenceMatrix, scan_pivots
-from .textio import read_lines, write_lines
+from .textio import Reader, read_bytes, read_lines, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -198,10 +198,10 @@ def write_distance_tsv(dm: DistanceMatrix, path: str | Path) -> Path:
     return write_lines(path, lines)
 
 
-def read_distance_tsv(path: str | Path) -> DistanceMatrix:
+def read_distance_tsv(path: str | Path, read: Reader = read_bytes) -> DistanceMatrix:
     """Read write_distance_tsv's matrix: one row per header label, in
     header order; anything else is a DataError."""
-    lines = read_lines(path)
+    lines = read_lines(path, read)
     if not lines or not lines[0].startswith("label\t"):
         raise DataError(f"not a distance TSV: {path}")
     labels = lines[0].split("\t")[1:]

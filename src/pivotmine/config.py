@@ -15,7 +15,7 @@ from pathlib import Path
 from .errors import ConfigError, DataError
 from .evaluation import MATCH_MODES
 from .manifest import canonical_sha256
-from .textio import read_text
+from .textio import Reader, read_bytes, read_text
 
 # Which cluster each map round splits: the globally largest, or the chain
 # of clusters in which every pivot chosen so far is present.
@@ -31,11 +31,11 @@ _SCALARS = {
 }
 
 
-def read_json_object(path: str | Path, what: str) -> dict:
+def read_json_object(path: str | Path, what: str, read: Reader = read_bytes) -> dict:
     """The JSON object in path; ConfigError when it is unreadable, not
     JSON or not an object. what names the file in errors."""
     try:
-        raw = json.loads(read_text(path))
+        raw = json.loads(read_text(path, read))
     except DataError as exc:
         raise ConfigError(str(exc)) from exc
     except json.JSONDecodeError as exc:

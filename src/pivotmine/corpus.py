@@ -12,14 +12,14 @@ import bisect
 import logging
 import re
 from collections import defaultdict
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .textio import read_bytes, read_lines, write_lines
+from .textio import Reader, read_bytes, read_lines, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -393,13 +393,14 @@ def _parse_translation(data: bytes) -> tuple[str, np.ndarray, np.ndarray, int, i
 def load_corpus(
     root: str | Path,
     iso_metadata: str | Path | None,
-    read: Callable[[Path], bytes] = read_bytes,
+    read: Reader = read_bytes,
 ) -> MultiCorpus:
     """Load every well-formed translation file directly under root.
 
     Only ``*.txt`` files are looked at, and those not matching
     ``{iso3}_{name}.txt`` are skipped with a warning. Each one that
-    matches is read once, through read (a run passes its recorder's).
+    matches, and the iso_metadata file, is read once, through read (a
+    run passes its recorder's).
     Malformed lines are counted and skipped; duplicate verse ids within a
     file keep the first occurrence. Raises DataError if a translation
     file cannot be read or is not UTF-8, or if none is usable.
@@ -444,7 +445,7 @@ def load_corpus(
         for tid, iso3, text, lengths, keys in parsed
     }
     ids = universe.astype(">u8").tobytes().decode("ascii")
-    families = read_families(iso_metadata) if iso_metadata else {}
+    families = read_families(iso_metadata, read) if iso_metadata else {}
     return MultiCorpus(
         translations=translations,
         verse_universe=tuple(ids[i : i + 8] for i in range(0, len(ids), 8)),
@@ -453,10 +454,10 @@ def load_corpus(
     )
 
 
-def read_families(path: str | Path) -> dict[str, str]:
+def read_families(path: str | Path, read: Reader = read_bytes) -> dict[str, str]:
     """Read an ``iso3<TAB>family`` metadata file."""
     out: dict[str, str] = {}
-    for raw in read_lines(path):
+    for raw in read_lines(path, read):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -14,27 +14,26 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError
-from .textio import read_lines
+from .textio import Reader, read_bytes, read_lines
 
 logger = logging.getLogger(__name__)
 
 MATCH_MODES = ("both", "gold_in_gram", "gram_in_gold")
 
 
-def read_gold(path: str | Path) -> dict[tuple[str, str], set[str]]:
+def read_gold(path: str | Path, read: Reader = read_bytes) -> dict[tuple[str, str], set[str]]:
     """Read ``translation_id<TAB>feature<TAB>gold1,gold2,...`` lines."""
     out: dict[tuple[str, str], set[str]] = {}
-    for raw in read_lines(path):
-        line = raw.rstrip("\n")
+    for line in read_lines(path, read):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 3:
-            raise DataError(f"malformed gold line: {raw!r}")
+            raise DataError(f"malformed gold line: {line!r}")
         tid, feature, golds = parts
         forms = {g for g in golds.split(",") if g}
         if not forms:
-            raise DataError(f"gold line without forms: {raw!r}")
+            raise DataError(f"gold line without forms: {line!r}")
         out.setdefault((tid, feature), set()).update(forms)
     return out
 

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import DataError
-from .textio import read_lines, write_lines
+from .textio import Reader, read_bytes, read_lines, write_lines
 
 if TYPE_CHECKING:
     from .ngrams import MiningResult
@@ -57,9 +57,9 @@ def write_ngrams_tsv(result: MiningResult, path: str | Path) -> Path:
     return write_lines(path, lines)
 
 
-def read_ngrams_tsv(path: str | Path) -> dict[int, list[str]]:
+def read_ngrams_tsv(path: str | Path, read: Reader = read_bytes) -> dict[int, list[str]]:
     """Ranked gram lists per n, as written by write_ngrams_tsv."""
-    lines = read_lines(path)
+    lines = read_lines(path, read)
     if not lines or not lines[0].startswith("n\t"):
         raise DataError(f"not an n-gram TSV: {path}")
     out: dict[int, list[str]] = {}

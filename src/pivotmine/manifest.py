@@ -15,13 +15,10 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TypeVar
 
 from .textio import read_bytes, write_json
 
 MANIFEST_NAME = "manifest.json"
-
-PathT = TypeVar("PathT", str, Path, None)
 
 
 def canonical_sha256(doc: dict) -> str:
@@ -46,7 +43,7 @@ class RunRecorder:
         self.config_hash = ""
         self.started = time.time()
         self.inputs: dict[str, str] = {}
-        self.outputs: list[Path] = []
+        self.outputs: set[Path] = set()
         self.timings: dict[str, float] = {}
         self.peak_rss_kib: dict[str, int] = {}
 
@@ -58,24 +55,17 @@ class RunRecorder:
 
     def read(self, path: str | Path) -> bytes:
         """The bytes of the file at path (textio.read_bytes), with their
-        sha256 recorded unless this run wrote the file (an output)."""
+        sha256 recorded unless this run wrote the file (an output). It is
+        the one way a run reads and records an input: each reader takes it
+        as its read function."""
         data = read_bytes(path)
         p = Path(path)
         if p not in self.outputs:
             self.inputs[str(p)] = hashlib.sha256(data).hexdigest()
         return data
 
-    def add_input(self, path: PathT) -> PathT:
-        """Record the file at path through read and return path, so that
-        the code reading a file can wrap its path in this call. None, a
-        path that is no file (its reader reports it) and a file this run
-        wrote are not read here."""
-        if path is not None and Path(path).is_file() and Path(path) not in self.outputs:
-            self.read(path)
-        return path
-
     def add_outputs(self, paths) -> None:
-        self.outputs.extend(Path(p) for p in paths)
+        self.outputs.update(Path(p) for p in paths)
 
     @contextmanager
     def time_stage(self, name: str):
@@ -94,7 +84,7 @@ class RunRecorder:
         out_dir.mkdir(parents=True, exist_ok=True)
         finished = time.time()
         outputs = {}
-        for p in sorted(set(self.outputs)):
+        for p in sorted(self.outputs):
             if p.is_file():
                 try:
                     rel = str(p.relative_to(out_dir))

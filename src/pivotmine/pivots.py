@@ -21,7 +21,7 @@ from .config import AlignerConfig
 from .corpus import DELIMITERS, MultiCorpus, tokenize_blocks
 from .errors import DataError
 from .stats import ContingencyTable, chi2
-from .textio import read_lines, write_lines
+from .textio import Reader, read_bytes, read_lines, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -97,12 +97,12 @@ def scan_pivots(
     midpoint, ordered by row, then pivot order, then text order. Raises
     DataError when the corpus has no verse selection.
     """
-    if not corpus.selected_verses:
+    if not len(corpus.selected_index):
         raise DataError("presence matrix needs a verse selection")
     columns: dict[str, dict[str, list[int]]] = {}
     for col, p in enumerate(pivots):
         columns.setdefault(p.translation_id, {}).setdefault(p.surface, []).append(col)
-    shape = (len(corpus.selected_verses), len(pivots))
+    shape = (len(corpus.selected_index), len(pivots))
     matrix = np.zeros(shape, dtype=np.uint8)
     missing = np.zeros(shape, dtype=bool)
     found = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
@@ -319,14 +319,14 @@ def top_markers_by_language(ranking: list[Pivot], head: Pivot) -> dict[str, Pivo
 # --- file formats ---------------------------------------------------------
 
 
-def read_queries(path: str | Path) -> list[Query]:
+def read_queries(path: str | Path, read: Reader = read_bytes) -> list[Query]:
     """Read ``feature<TAB>translation_id<TAB>form1,form2,...`` lines.
 
     Raises DataError for a line without three fields, without a form, or
     whose feature would put a delimiter into its synthetic query token.
     """
     out = []
-    for raw in read_lines(path):
+    for raw in read_lines(path, read):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -343,10 +343,10 @@ def read_queries(path: str | Path) -> list[Query]:
     return out
 
 
-def read_allowlist(path: str | Path) -> set[str]:
+def read_allowlist(path: str | Path, read: Reader = read_bytes) -> set[str]:
     """Read one iso3 code per line; # comments and blanks ignored."""
     out = set()
-    for raw in read_lines(path):
+    for raw in read_lines(path, read):
         line = raw.strip()
         if line and not line.startswith("#"):
             out.add(line)
@@ -366,13 +366,15 @@ def write_pivots_tsv(rows: list[Pivot], path: str | Path) -> Path:
     return write_lines(path, lines)
 
 
-def read_pivots_tsv(corpus: MultiCorpus, path: str | Path) -> list[Pivot]:
+def read_pivots_tsv(
+    corpus: MultiCorpus, path: str | Path, read: Reader = read_bytes
+) -> list[Pivot]:
     """Pivots in rank order, as written by write_pivots_tsv.
 
     Raises DataError for a malformed file or a translation the corpus
     lacks.
     """
-    lines = read_lines(path)
+    lines = read_lines(path, read)
     if not lines or not lines[0].startswith("rank\t"):
         raise DataError(f"not a rank TSV: {path}")
     pivots = []

@@ -24,7 +24,7 @@ import numpy as np
 from .config import is_scalar, read_fields, read_json_object
 from .corpus import MultiCorpus, build_corpus
 from .errors import ConfigError
-from .textio import write_json, write_lines
+from .textio import Reader, read_bytes, write_json, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -480,7 +480,7 @@ PRESETS = {
 }
 
 
-def spec_from_json(path: str | Path) -> SynthSpec:
+def spec_from_json(path: str | Path, read: Reader = read_bytes) -> SynthSpec:
     """Load a SynthSpec from JSON; a bad key or value type is a config error.
 
     The keys are the fields of SynthSpec and of LanguageSpec, read with
@@ -488,7 +488,7 @@ def spec_from_json(path: str | Path) -> SynthSpec:
     languages a list of objects, and a language's markers map each feature
     to a list of forms. generate checks the values' ranges.
     """
-    raw = read_fields(read_json_object(path, "synth spec"), SynthSpec, "synth spec")
+    raw = read_fields(read_json_object(path, "synth spec", read), SynthSpec, "synth spec")
     features, langs = raw["features"], raw["languages"]
     if not isinstance(features, list) or not all(
         isinstance(f, list) and len(f) == 2 and is_scalar(f[0], "str") and is_scalar(f[1], "float")

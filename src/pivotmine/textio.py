@@ -11,17 +11,13 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Callable
 from pathlib import Path
 
 from .errors import DataError
 
-
-def read_text(path: str | Path) -> str:
-    """Whole UTF-8 file; DataError when it cannot be opened or decoded."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+# What a reader reads a file through: read_bytes, or a run's RunRecorder.read
+Reader = Callable[[str | Path], bytes]
 
 
 def read_bytes(path: str | Path) -> bytes:
@@ -32,14 +28,23 @@ def read_bytes(path: str | Path) -> bytes:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def read_lines(path: str | Path) -> list[str]:
-    """Lines of a UTF-8 file without their line endings.
+def read_text(path: str | Path, read: Reader = read_bytes) -> str:
+    """Whole UTF-8 file, read through read, with CRLF and CR turned into
+    LF; DataError when it cannot be read or decoded."""
+    try:
+        text = read(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
-    A line ends at LF, CRLF or CR (read_text decodes all three to LF). Other
-    characters that str.splitlines breaks at, such as U+2028 or a form
-    feed, stay inside the line.
+
+def read_lines(path: str | Path, read: Reader = read_bytes) -> list[str]:
+    """Lines of a UTF-8 file, read through read, without their line endings.
+
+    A line ends at LF, CRLF or CR. Other characters that str.splitlines
+    breaks at, such as U+2028 or a form feed, stay inside the line.
     """
-    lines = read_text(path).split("\n")
+    lines = read_text(path, read).split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines

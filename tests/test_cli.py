@@ -359,7 +359,9 @@ class TestExitCodes:
         ],
         ids=["queries", "allowlist", "families", "gold", "pivots", "distances", "verses"],
     )
-    def test_missing_data_file_is_data_error(self, workspace, tmp_path, config_key, argv):
+    def test_missing_data_file_is_data_error(
+        self, workspace, tmp_path, capsys, config_key, argv
+    ):
         _, _, config, _ = workspace
         missing = str(tmp_path / "absent.tsv")
         if config_key:
@@ -369,6 +371,41 @@ class TestExitCodes:
         argv = [missing if a == "{missing}" else a for a in argv]
         code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 3
+        assert f"data error: cannot read {missing}: [Errno 2] " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, unreadable, code",
+        [
+            (["expand-pivots", "--feature", "past", "--head", "{tmp}/absent.json"],
+             "{tmp}/absent.json", 3),
+            (["mine-ngrams", "--pivots", "{expanded}/pivots.tsv", "--head", "{tmp}/absent.json"],
+             "{tmp}/absent.json", 3),
+            (["cluster-languages", "--features", "past", "--from", "{tmp}/from"],
+             "{tmp}/from/past/ranking.tsv", 3),
+            (["project", "--verses", "{tmp}", "--translation", "naa_synth"], "{tmp}", 3),
+            (["synth", "--spec", "{tmp}/absent.json"], "{tmp}/absent.json", 2),
+            (["synth", "--spec", "{tmp}"], "{tmp}", 2),
+        ],
+        ids=["expand-head", "mine-head", "ranking", "verses-dir", "spec", "spec-dir"],
+    )
+    def test_unreadable_input_names_its_path(
+        self, workspace, expanded, tmp_path, capsys, argv, unreadable, code
+    ):
+        """A missing file, or a directory, where a subcommand reads an
+        input is reported by the read itself, with the path as given."""
+        _, cfg_path, _, _ = workspace
+        (tmp_path / "from" / "past").mkdir(parents=True)
+        shutil.copy(expanded / "head.json", tmp_path / "from" / "past" / "head.json")
+
+        def fill(arg: str) -> str:
+            return arg.replace("{tmp}", str(tmp_path)).replace("{expanded}", str(expanded))
+
+        argv = [fill(a) for a in argv]
+        if argv[0] != "synth":
+            argv += ["--config", str(cfg_path)]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == code
+        kind = "config" if code == 2 else "data"
+        assert f"{kind} error: cannot read {fill(unreadable)}: [Errno " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name, text, argv",
@@ -919,8 +956,9 @@ class TestManifestInputs:
         return sorted(k for k in inputs if not k.startswith(str(root / "data")))
 
     def config_inputs(self, config: dict, argv, out) -> list[str]:
-        """The config fields whose files the manifest of argv lists; a
-        listed corpus directory must be listed whole."""
+        """The config fields whose files the manifest of argv lists. A run
+        that loads the corpus lists each translation file of corpus_dir,
+        which here are all of its files."""
         out.parent.mkdir(parents=True, exist_ok=True)
         cfg_path = out.parent / f"{out.name}.config.json"
         cfg_path.write_text(json.dumps(config), encoding="utf-8")
@@ -1043,8 +1081,9 @@ class TestManifestInputs:
 
 
 class TestEveryReadIsRecorded:
-    """Every file a subcommand reads is in its manifest's inputs, because
-    the code that reads a file records it. Not inputs: the config file,
+    """Every file a subcommand reads is in its manifest's inputs, and each
+    input is read from disk once, because the reader that parses a file
+    reads it through the run's recorder. Not inputs: the config file,
     alignment-cache tables, and files the run itself wrote (pipeline's
     eval-mrr reads the n-gram TSVs of its mine-ngrams), which are its
     outputs only."""
@@ -1063,8 +1102,8 @@ class TestEveryReadIsRecorded:
 
     @pytest.fixture
     def hashed(self, monkeypatch) -> list[Path]:
-        """The paths hashed through manifest.file_sha256, which reads a
-        file a second time when its reader reads it too."""
+        """The paths hashed through manifest.file_sha256, which would read
+        an input a second time."""
         paths = []
 
         def spy(path, real=manifest_module.file_sha256):
@@ -1122,23 +1161,24 @@ class TestEveryReadIsRecorded:
             opened.clear()
             hashed.clear()
             assert main(argv) == 0, argv
-            if argv[0] in ("ingest", "pipeline"):
-                # each corpus file is read from disk once, by its loader
-                corpus = Path(argv[argv.index("--corpus") + 1] if "--corpus" in argv
-                              else tiny8["corpus_dir"])
-                files = sorted(str(p) for p in corpus.glob("*.txt"))
-                assert len(files) == 8, argv
-                reads = [str(p) for p in opened]
-                assert {f: reads.count(f) for f in files} == dict.fromkeys(files, 1), argv
-                assert not set(files) & {str(p) for p in hashed}, argv
-            read = {str(p) for p in opened}
+            reads = [str(p) for p in opened]
+            read = set(reads)
             out = Path(argv[argv.index("--out") + 1])
             manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            inputs = set(manifest["inputs"])
+            # each input is read from disk once, by the reader that parses it
+            assert {k: reads.count(k) for k in inputs} == dict.fromkeys(inputs, 1), argv
+            assert not inputs & {str(p) for p in hashed}, argv
+            if argv[0] in ("ingest", "pipeline"):
+                corpus = Path(argv[argv.index("--corpus") + 1] if "--corpus" in argv
+                              else tiny8["corpus_dir"])
+                files = {str(p) for p in corpus.glob("*.txt")}
+                assert len(files) == 8 and files <= inputs, argv
             written = {str(out / k) for k in manifest["outputs"]}
             assert not written & set(manifest["inputs"]), argv
             exempt = {str(cfg), str(no_gold)} | written
             missing = sorted(
-                p for p in read - exempt - set(manifest["inputs"])
+                p for p in read - exempt - inputs
                 if not p.startswith(str(cache))
             )
             if missing:

@@ -1,6 +1,8 @@
 """Shared text I/O: data errors on read, atomic replacement on write."""
 
+import ast
 import os
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,18 @@ class TestRead:
         path.write_bytes("a\u2028b\x85c\vd\fe\x1cf\x1dg\x1eh\u2029i\nj\r\nk\rl".encode())
         assert read_lines(path) == ["a\u2028b\x85c\vd\fe\x1cf\x1dg\x1eh\u2029i", "j", "k", "l"]
 
+    def test_lines_are_read_through_the_given_read(self):
+        calls = []
+
+        def read(path):
+            calls.append(path)
+            return b"a\r\nb\rc\n"
+
+        assert read_lines("any.txt", read) == ["a", "b", "c"]
+        assert calls == ["any.txt"]
+        with pytest.raises(DataError, match="^cannot read bad.txt: 'utf-8' codec"):
+            read_lines("bad.txt", lambda path: b"\xff")
+
     @pytest.mark.parametrize(
         "text, lines",
         [("", []), ("\n", [""]), ("a", ["a"]), ("a\n", ["a"]), ("a\n\n", ["a", ""])],
@@ -37,6 +51,54 @@ class TestRead:
         path = tmp_path / "lines.txt"
         path.write_bytes(text.encode())
         assert read_lines(path) == lines
+
+
+def file_access_calls(tree: ast.AST) -> list[int]:
+    """Lines of the calls to open() and of the calls of a method named
+    open, read_text or read_bytes."""
+    return sorted(
+        n.lineno for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and (
+            isinstance(n.func, ast.Name) and n.func.id == "open"
+            or isinstance(n.func, ast.Attribute)
+            and n.func.attr in ("open", "read_text", "read_bytes")
+        )
+    )
+
+
+class TestOneReadPath:
+    """Only textio opens files, so every reader reads through read_bytes,
+    or through the run's recorder that calls it, and a run lists each
+    input it reads once. manifest.file_sha256 also opens files: it hashes
+    the outputs."""
+
+    def test_only_textio_opens_files(self):
+        package = Path(textio.__file__).parent
+        found = {}
+        for path in sorted(package.glob("*.py")):
+            if path.name == "textio.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            exempt = {
+                line for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef)
+                and (path.name, fn.name) == ("manifest.py", "file_sha256")
+                for line in range(fn.lineno, fn.end_lineno + 1)
+            }
+            lines = [n for n in file_access_calls(tree) if n not in exempt]
+            if lines:
+                found[path.name] = lines
+        assert found == {}
+
+    def test_guard_finds_file_access(self):
+        code = """
+Path(p).read_text(encoding="utf-8")
+with open(p, "rb") as fh:
+    data = p.read_bytes()
+p.open()
+read_bytes(p)
+"""
+        assert file_access_calls(ast.parse(code)) == [2, 3, 4, 5]
 
 
 class TestAtomicWrite:
