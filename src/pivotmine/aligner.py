@@ -296,7 +296,7 @@ def texts_digest(corpus: MultiCorpus, translation_id: str) -> bytes:
     texts end to end in UTF-8."""
     lengths = np.where(corpus.presence(translation_id), corpus.lengths(translation_id), -1)
     h = hashlib.sha256(lengths.astype("<i8").tobytes())
-    h.update("".join(corpus.texts(translation_id)).encode("utf-8", "surrogatepass"))
+    h.update(corpus.joined_text(translation_id).encode("utf-8", "surrogatepass"))
     return h.digest()
 
 

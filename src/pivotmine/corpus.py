@@ -162,8 +162,8 @@ class Translation:
     verses, so offsets[1:] are the verses' ends), and verse_index[i]
     (int32) is its position in the corpus's sorted verse_universe. A
     translation keeps no object per verse: read its selected verses
-    through MultiCorpus.texts, .presence and .lengths. Treated as
-    immutable.
+    through MultiCorpus.texts, .joined_text, .presence and .lengths.
+    Treated as immutable.
     """
 
     translation_id: str
@@ -179,9 +179,9 @@ class MultiCorpus:
 
     selected_index holds the verse_universe position of each selected
     verse, in verse-id order; it is empty until select() is applied, and
-    selected_verses names the same verses. texts, presence and lengths
-    read one translation over the selection: they gather from its text
-    and arrays on each call and cache nothing. encode() tokenizes a
+    selected_verses names the same verses. texts, joined_text, presence
+    and lengths read one translation over the selection: they gather from
+    its text and arrays on each call and cache nothing. encode() tokenizes a
     translation each time it is called, unless the corpus keeps an
     encoding store (keeping_encodings()): then it tokenizes each
     translation once and returns the stored encoding after that.
@@ -230,6 +230,19 @@ class MultiCorpus:
         the verse), or of each verse of index (universe positions)."""
         text, start, end = self._spans(translation_id, index)
         return [text[a:b] for a, b in zip(start.tolist(), end.tolist())]
+
+    def joined_text(self, translation_id: str) -> str:
+        """The translation's text of the selected verses end to end, that
+        is "".join(self.texts(translation_id)): one slice of its text per
+        run of consecutive file rows."""
+        trans, rows = self._rows(translation_id, None)
+        rows = rows[rows >= 0]
+        if not len(rows):
+            return ""
+        breaks = np.flatnonzero(np.diff(rows) != 1) + 1
+        starts = trans.offsets[rows[np.r_[0, breaks]]].tolist()
+        ends = trans.offsets[rows[np.r_[breaks - 1, len(rows) - 1]] + 1].tolist()
+        return "".join([trans.text[a:b] for a, b in zip(starts, ends)])
 
     def presence(self, translation_id: str, index: np.ndarray | None = None) -> np.ndarray:
         """Which selected verses (or verses of index) the translation has."""

@@ -46,6 +46,8 @@ class RunRecorder:
         self.outputs: set[Path] = set()
         self.timings: dict[str, float] = {}
         self.peak_rss_kib: dict[str, int] = {}
+        self.minor_faults: dict[str, int] = {}
+        self.sys_s: dict[str, float] = {}
 
     def set_config(self, config_dict: dict) -> None:
         """Record config_dict as the run's configuration, with its
@@ -69,13 +71,19 @@ class RunRecorder:
 
     @contextmanager
     def time_stage(self, name: str):
-        """Record the monotonic duration of the with-block as timing name,
-        and the process's peak RSS so far (ru_maxrss, KiB on Linux) at its
-        end as peak_rss_kib name."""
+        """Record the monotonic duration of the with-block as timing name;
+        from the process's resource usage, its peak RSS so far (ru_maxrss,
+        KiB on Linux) at the block's end as peak_rss_kib name, and the
+        block's minor page faults (ru_minflt) and system CPU time
+        (ru_stime) as minor_faults and sys_s name."""
+        before = resource.getrusage(resource.RUSAGE_SELF)
         started = time.perf_counter()
         yield
         self.timings[name] = round(time.perf_counter() - started, 6)
-        self.peak_rss_kib[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        self.peak_rss_kib[name] = usage.ru_maxrss
+        self.minor_faults[name] = usage.ru_minflt - before.ru_minflt
+        self.sys_s[name] = round(usage.ru_stime - before.ru_stime, 6)
 
     def write(self, out_dir: str | Path) -> Path:
         from . import __version__
@@ -105,6 +113,8 @@ class RunRecorder:
             "outputs": outputs,
             "timings": self.timings,
             "peak_rss_kib": self.peak_rss_kib,
+            "minor_faults": self.minor_faults,
+            "sys_s": self.sys_s,
             "versions": {
                 "python": platform.python_version(),
                 "numpy": None if numpy is None else numpy.__version__,

@@ -214,7 +214,7 @@ def mine_ngrams(
             result.verses_positive,
         )
     # the verses lacking or empty add nothing
-    joined = "".join(corpus.texts(translation_id))
+    joined = corpus.joined_text(translation_id)
     # Per character, in int32: the room left in its verse, and its offsets
     # from the verse's positive and negative centers. A gram of length n
     # may start where room >= n; a start past that would cross into the

@@ -1,13 +1,16 @@
 """CLI plumbing: config files, subcommands, stage handoffs, exit codes."""
 
 import argparse
+import ctypes
 import inspect
 import json
+import mmap
 import os
 import re
 import shutil
 import subprocess
 import sys
+import types
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -1188,7 +1191,8 @@ class TestEveryReadIsRecorded:
 
 
 class TestPeakRss:
-    """The manifest records the process's peak RSS at the end of each stage."""
+    """The manifest records the process's peak RSS at the end of each
+    stage, and each stage's minor page faults and system CPU time."""
 
     def test_recorder_keeps_the_peak_after_each_stage(self):
         rec = RunRecorder("test")
@@ -1202,6 +1206,19 @@ class TestPeakRss:
         assert 0 < rec.peak_rss_kib["small"] <= rec.peak_rss_kib["large"]
         assert rec.peak_rss_kib["large"] >= 16 << 10
 
+    def test_recorder_counts_the_faults_of_each_stage(self):
+        rec = RunRecorder("test")
+        with rec.time_stage("idle"):
+            pass
+        with rec.time_stage("faulting"):
+            # fresh anonymous pages, each faulted in when first touched
+            with mmap.mmap(-1, 16 << 20) as block:
+                for i in range(0, len(block), mmap.PAGESIZE):
+                    block[i] = 1
+        assert list(rec.minor_faults) == list(rec.sys_s) == ["idle", "faulting"]
+        assert rec.minor_faults["idle"] >= 0 and rec.minor_faults["faulting"] > 0
+        assert all(v >= 0 for v in rec.sys_s.values())
+
     def test_pipeline_manifest_has_a_peak_per_stage(self, workspace, tmp_path):
         _, cfg_path, _, _ = workspace
         out = tmp_path / "run"
@@ -1213,6 +1230,10 @@ class TestPeakRss:
         assert all(isinstance(v, int) for v in peaks.values())
         # the load is the first stage, and a peak never falls
         assert 0 < peaks["load"] == min(peaks.values())
+        faults, sys_s = doc["minor_faults"], doc["sys_s"]
+        assert list(faults) == list(sys_s) == list(doc["timings"])
+        assert all(isinstance(v, int) and v >= 0 for v in faults.values())
+        assert all(isinstance(v, float) and v >= 0 for v in sys_s.values())
 
 
 class TestClusterLanguagesFloor:
@@ -1420,6 +1441,80 @@ class TestStageImports:
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError):
             cli_module.no_such_stage_function
+
+
+# main(argv) in a child, with the malloc policy left as it is
+# (no_policy) or as main sets it
+POLICY_CHILD = (
+    "import sys\n"
+    "from pivotmine import cli\n"
+    "if sys.argv[1] == 'no_policy':\n"
+    "    cli.keep_freed_memory = lambda: None\n"
+    "sys.exit(cli.main(sys.argv[2:]))\n"
+)
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    """The bytes of every file under root, by relative path, manifests
+    aside."""
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file() and p.name != "manifest.json"
+    }
+
+
+class TestMallocPolicy:
+    """main keeps freed memory in the process through glibc's mallopt,
+    where the C library has it; no output depends on it."""
+
+    def test_main_applies_it_once_before_the_body(self, tmp_path, monkeypatch):
+        calls = []
+        run_command = cli_module.run_command
+        monkeypatch.setattr(cli_module, "keep_freed_memory", lambda: calls.append("policy"))
+
+        def body(args):
+            calls.append("body")
+            return run_command(args)
+
+        monkeypatch.setattr(cli_module, "run_command", body)
+        assert main(["synth", "--preset", "tiny8", "--out", str(tmp_path / "s")]) == 0
+        assert calls == ["policy", "body"]
+
+    def test_sets_both_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        cli_module.keep_freed_memory()
+        # M_MMAP_THRESHOLD and M_TRIM_THRESHOLD of glibc's malloc.h
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+        assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+        assert mallopt.restype is ctypes.c_int
+
+    def test_a_library_without_mallopt_is_left_as_it_is(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        assert cli_module.keep_freed_memory() is None
+
+    def test_outputs_do_not_depend_on_it(self, tiny8, tmp_path):
+        trees = []
+        for policy in ("policy", "no_policy"):
+            root = tmp_path / policy
+            root.mkdir()
+            cfg = root / "config.json"
+            cfg.write_text(json.dumps(dict(tiny8, cache_dir=str(root / "cache"))),
+                           encoding="utf-8")
+            argv = ["pipeline", "--config", cfg, "--feature", "past", "--out", root / "out"]
+            proc = run_child(POLICY_CHILD, policy, *argv)
+            assert proc.returncode == 0, proc.stderr
+            trees.append((tree_bytes(root / "out"), tree_bytes(root / "cache")))
+        (out, cache), (out_without, cache_without) = trees
+        assert "mrr.json" in out and cache
+        assert out == out_without
+        assert cache == cache_without
 
 
 def pivot_keys(path: Path) -> list[tuple[str, str]]:

@@ -534,6 +534,7 @@ class TestCompactLayout:
         assert texts == ["a b", "", ""] and corpus.texts("aaa_t") is not texts
         assert corpus.presence("aaa_t").tolist() == [True, False, True]
         assert corpus.lengths("aaa_t").tolist() == [3, 0, 0]
+        assert corpus.joined_text("aaa_t") == "a b"
         corpus.encode("aaa_t")
         assert corpus_state(corpus) == before
         assert set(vars(corpus)) == {f.name for f in fields(MultiCorpus)}
@@ -562,6 +563,44 @@ missing = np.fromiter((vid not in verses for vid in corpus.selected_verses), boo
 has = list(map(verses.__contains__, corpus.selected_verses))
 """
         assert sorted(verse_id_loops(ast.parse(code))) == [3, 4, 5]
+
+
+class TestJoinedText:
+    """joined_text is the selected verses' texts end to end, as texts
+    gives them one by one."""
+
+    # file order is not verse-id order; 00000004 is missing, 00000005 empty
+    VERSES = {
+        "aaa_t": {
+            "00000003": "gamma", "00000001": "alpha", "00000002": "beta",
+            "00000005": "", "00000006": "zeta", "00000007": "eta",
+        },
+        "bbb_t": {f"0000000{i}": f"b{i}" for i in range(1, 8)},
+    }
+
+    @pytest.mark.parametrize("selected", [
+        range(7), [0, 1, 2], [0, 2, 4, 5], [1, 3, 4, 6], [3], [4], [5, 6], [],
+    ])
+    def test_matches_the_per_verse_texts(self, selected):
+        corpus = make_corpus(self.VERSES)
+        picked = replace(corpus, selected_index=np.array(selected, dtype=np.intp))
+        for tid in self.VERSES:
+            assert picked.joined_text(tid) == "".join(picked.texts(tid)), (tid, selected)
+
+    def test_random_selections(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            verses = {
+                f"{t}_t": {
+                    f"{v:08d}": "".join(rng.choices("ab ", k=rng.randrange(4)))
+                    for v in rng.sample(range(1, 30), rng.randrange(1, 20))
+                }
+                for t in ("aaa", "bbb")
+            }
+            corpus = make_corpus(verses, select=False)
+            corpus = corpus.select(rng.randrange(len(corpus.verse_universe) + 1))
+            for tid in verses:
+                assert corpus.joined_text(tid) == "".join(corpus.texts(tid))
 
 
 class TestSelection:
