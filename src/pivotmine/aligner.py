@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import AlignerConfig
+from .config import RunConfig
 from .corpus import MultiCorpus, TranslationEncoding, dense_index
 from .errors import ConfigError, DataError
 from .textio import read_bytes, write_bytes
@@ -52,7 +52,7 @@ ROW_SUM_TOLERANCE = 1e-9
 
 
 def diagonal_prior(
-    src_len: int, tgt_len: int, j: int, cfg: AlignerConfig
+    src_len: int, tgt_len: int, j: int, cfg: RunConfig
 ) -> list[float]:
     """Prior weight of each source position for target position j.
 
@@ -70,7 +70,7 @@ def diagonal_prior(
 
 
 @functools.lru_cache(maxsize=1024)
-def _prior_matrix(src_len: int, tgt_len: int, cfg: AlignerConfig) -> np.ndarray:
+def _prior_matrix(src_len: int, tgt_len: int, cfg: RunConfig) -> np.ndarray:
     """Read-only (tgt_len, src_len + 1) prior of one verse shape.
 
     Column 0 is null_prob; columns 1.. of row j are diagonal_prior for
@@ -200,7 +200,7 @@ def encode_pairs(src: TranslationEncoding, tgt: TranslationEncoding) -> PairEnco
     )
 
 
-def _em(enc: PairEncoding, cfg: AlignerConfig) -> tuple[np.ndarray, list[float]]:
+def _em(enc: PairEncoding, cfg: RunConfig) -> tuple[np.ndarray, list[float]]:
     """Per-cell probabilities after EM, and the log-likelihood at the
     start of each iteration."""
     # Uniform init over the target words co-occurring with each source word.
@@ -225,12 +225,12 @@ def _em(enc: PairEncoding, cfg: AlignerConfig) -> tuple[np.ndarray, list[float]]
     return table, lls
 
 
-def train_alignment(enc: PairEncoding, cfg: AlignerConfig) -> LexTable:
+def train_alignment(enc: PairEncoding, cfg: RunConfig) -> LexTable:
     """EM-train a lexical table over the verse pairs of enc."""
     return LexTable(enc, *_em(enc, cfg))
 
 
-def _viterbi(lex: LexTable, cfg: AlignerConfig) -> np.ndarray:
+def _viterbi(lex: LexTable, cfg: RunConfig) -> np.ndarray:
     """The cell of every link, block by block in verse and target order.
 
     Each target token takes its best source position under prior times
@@ -268,7 +268,7 @@ class PairLinkStats:
     target_frequencies: dict[str, int] = field(default_factory=dict, compare=False)
 
 
-def _link_stats(lex: LexTable, cfg: AlignerConfig, source_word: str) -> PairLinkStats:
+def _link_stats(lex: LexTable, cfg: RunConfig, source_word: str) -> PairLinkStats:
     """Tally the Viterbi links of every verse pair of lex's encoding."""
     enc = lex.enc
     link_cells = _viterbi(lex, cfg)
@@ -303,7 +303,7 @@ def texts_digest(corpus: MultiCorpus, translation_id: str) -> bytes:
 def _pair_cache_key(
     src_id: str,
     tgt_id: str,
-    cfg: AlignerConfig,
+    cfg: RunConfig,
     merge: tuple,
     src_digest: bytes,
     tgt_digest: bytes,
@@ -378,7 +378,7 @@ def train_pair(
     src_id: str,
     tgt_id: str,
     enc: PairEncoding,
-    cfg: AlignerConfig,
+    cfg: RunConfig,
     cache_dir: str | Path | None,
     key: str,
 ) -> LexTable:
@@ -406,7 +406,7 @@ def link_counts(
     corpus: MultiCorpus,
     source_translation_id: str,
     source_word: str,
-    cfg: AlignerConfig,
+    cfg: RunConfig,
     cache_dir: str | Path | None,
     targets: list[str] | None = None,
     forms: frozenset[str] = frozenset(),

@@ -116,9 +116,8 @@ def _head_from_json(run: Run, corpus: MultiCorpus, path: str | Path) -> Pivot:
 # --- stages -----------------------------------------------------------------
 
 
-def stage_synth(run: Run, spec: SynthSpec) -> tuple[dict[str, dict[str, str]], list[Path]]:
-    verses, _, written = write_synth(spec, run.out)
-    return verses, written
+def stage_synth(run: Run, spec: SynthSpec) -> list[Path]:
+    return write_synth(spec, run.out)
 
 
 def stage_ingest(run: Run, corpus: MultiCorpus) -> list[Path]:
@@ -140,7 +139,7 @@ def stage_head(run: Run, corpus: MultiCorpus, feature: str) -> tuple[Pivot, list
     query = _query_for(run, feature)
     allowlist = read_allowlist(cfg.path("allowlist"), run.rec.read)
     head = find_head_pivot(
-        corpus, query, allowlist, cfg.aligner(), cfg.min_count, cfg.cache_dir
+        corpus, query, allowlist, cfg, cfg.min_count, cfg.cache_dir
     )
     doc = {
         "feature": feature,
@@ -157,7 +156,7 @@ def stage_expand(
 ) -> tuple[PivotSet, list[Path]]:
     cfg = run.cfg
     ranking = rank_pivot_candidates(
-        corpus, head, cfg.aligner(), cfg.min_count, cfg.cache_dir
+        corpus, head, cfg, cfg.min_count, cfg.cache_dir
     )
     pivot_set = expand_pivots(corpus, feature, head, cfg.k, ranking)
     return pivot_set, [
@@ -378,7 +377,7 @@ def run_command(args: argparse.Namespace) -> int:
     rec = RunRecorder(args.command)
     if "config" in args:
         cfg = load_config(args.config)
-        rec.set_config(cfg.to_dict())
+        rec.set_config(asdict(cfg))
     else:  # synth, which takes no config file
         cfg = None
     run = Run(args, cfg, rec, _out_dir(args, cfg))
@@ -435,12 +434,10 @@ def cmd_synth(run: Run) -> None:
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     run.rec.set_config(asdict(spec))
-    verses = run.stage("synth", stage_synth, spec)
+    run.stage("synth", stage_synth, spec)
+    # one translation per language; the query language lacks no verse
     logger.info(
-        "wrote %d translations, %d verses to %s",
-        len(verses),
-        len(set().union(*verses.values())),
-        run.out,
+        "wrote %d translations, %d verses to %s", len(spec.languages), spec.n_verses, run.out
     )
 
 

@@ -9,12 +9,11 @@ ignore, so typos never masquerade as defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError, DataError
 from .evaluation import MATCH_MODES
-from .manifest import canonical_sha256
 from .textio import Reader, read_bytes, read_text
 
 # Which cluster each map round splits: the globally largest, or the chain
@@ -74,16 +73,11 @@ def read_fields(raw: dict, cls, what: str) -> dict:
 
 
 @dataclass(frozen=True)
-class AlignerConfig:
-    """The aligner's run parameters, as RunConfig.aligner() builds them."""
-
-    em_iterations: int
-    diagonal_tension: float
-    null_prob: float
-
-
-@dataclass
 class RunConfig:
+    """Every run parameter, checked when the config is built: a RunConfig
+    that exists is valid, and none can be changed (dataclasses.replace
+    builds, and so checks, a new one)."""
+
     sigma: float = 6.0
     window: int = 20
     k: int = 100
@@ -109,7 +103,7 @@ class RunConfig:
     cache_dir: str | None = None
     out_dir: str | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.sigma <= 0:
             raise ConfigError("sigma must be positive")
         if self.window < 0:
@@ -148,23 +142,8 @@ class RunConfig:
             raise ConfigError(f"no {name} configured")
         return value
 
-    def aligner(self) -> AlignerConfig:
-        return AlignerConfig(
-            em_iterations=self.em_iterations,
-            diagonal_tension=self.diagonal_tension,
-            null_prob=self.null_prob,
-        )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def sha256(self) -> str:
-        return canonical_sha256(self.to_dict())
-
 
 def load_config(path: str | Path) -> RunConfig:
     """Read a JSON config (see read_fields); unknown keys, bad types and
     bad values raise ConfigError."""
-    cfg = RunConfig(**read_fields(read_json_object(path, "config"), RunConfig, "config"))
-    cfg.validate()
-    return cfg
+    return RunConfig(**read_fields(read_json_object(path, "config"), RunConfig, "config"))

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .aligner import PairLinkStats, link_counts
-from .config import AlignerConfig
+from .config import RunConfig
 from .corpus import DELIMITERS, MultiCorpus, tokenize_blocks
 from .errors import DataError
 from .stats import ContingencyTable, chi2
@@ -207,7 +207,7 @@ def find_head_pivot(
     corpus: MultiCorpus,
     query: Query,
     allowlist: set[str],
-    cfg: AlignerConfig,
+    cfg: RunConfig,
     min_count: int,
     cache_dir: str | Path | None,
 ) -> Pivot:
@@ -263,7 +263,7 @@ def find_head_pivot(
 def rank_pivot_candidates(
     corpus: MultiCorpus,
     head: Pivot,
-    cfg: AlignerConfig,
+    cfg: RunConfig,
     min_count: int,
     cache_dir: str | Path | None,
 ) -> list[Pivot]:

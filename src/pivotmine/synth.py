@@ -52,7 +52,11 @@ class LanguageSpec:
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Full recipe for one synthetic corpus; the seed fixes everything."""
+    """Full recipe for one synthetic corpus; the seed fixes everything.
+
+    A SynthSpec is checked when it is built, dataclasses.replace included:
+    a bad value raises ConfigError.
+    """
 
     n_verses: int
     features: tuple[tuple[str, float], ...]
@@ -68,7 +72,7 @@ class SynthSpec:
     vocabulary_size: int = 60  # concepts, and content words per language
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_verses < 1:
             raise ConfigError("n_verses must be >= 1")
         if not self.features:
@@ -144,16 +148,17 @@ def generate(spec: SynthSpec) -> tuple[MultiCorpus, dict]:
     marker forms, the verses it actually marked (after family subsetting
     and drop noise), and the query definition.
     """
-    verses, iso3, families, truth = _generate(spec)
+    verses, truth = _generate(spec)
+    languages = truth["languages"]
+    iso3 = {info["translation_id"]: code for code, info in languages.items()}
+    families = {code: info["family"] for code, info in languages.items()}
     return build_corpus(verses, iso3, families), truth
 
 
-def _generate(
-    spec: SynthSpec,
-) -> tuple[dict[str, dict[str, str]], dict[str, str], dict[str, str], dict]:
+def _generate(spec: SynthSpec) -> tuple[dict[str, dict[str, str]], dict]:
     """generate's corpus as {translation_id: {verse_id: text}} (ids
-    ascending), the language code of each translation and the language
-    families, and its ledger.
+    ascending), and its ledger, which holds each language's code, family
+    and translation id.
 
     Each random choice comes from its own stream seeded by the spec's seed
     and a tag (_sub_rng), and each stream is drawn in verse order, so the
@@ -165,7 +170,6 @@ def _generate(
     (when it has several forms). The verses of one length are reordered
     together by one stable argsort over their jitter keys.
     """
-    spec.validate()
     feature_names = [f for f, _ in spec.features]
 
     label_rng = _sub_rng(spec.seed, "labels")
@@ -212,9 +216,7 @@ def _generate(
     marker_sylls = [c + v for c in MARKER_CONSONANTS for v in VOWELS]
 
     translations: dict[str, dict[str, str]] = {}
-    iso3_of: dict[str, str] = {}
     truth_langs: dict[str, dict] = {}
-    families: dict[str, str] = {}
     query_truth: dict | None = None
     for li, lang in enumerate(spec.languages):
         rng = _sub_rng(spec.seed, "lang", lang.iso3)
@@ -314,8 +316,6 @@ def _generate(
             verses[vid] = " ".join(words)
         tid = translation_id_for(lang.iso3)
         translations[tid] = verses
-        iso3_of[tid] = lang.iso3
-        families[lang.iso3] = lang.family
         truth_langs[lang.iso3] = {
             "style": lang.style,
             "family": lang.family,
@@ -338,25 +338,21 @@ def _generate(
         "languages": truth_langs,
         "query": query_truth,
     }
-    return translations, iso3_of, families, truth
+    return translations, truth
 
 
 # --- on-disk form ----------------------------------------------------------
 
 
-def write_synth(
-    spec: SynthSpec, out_dir: str | Path
-) -> tuple[dict[str, dict[str, str]], dict, list[Path]]:
-    """Generate and write corpus plus companion files under out_dir.
+def write_synth(spec: SynthSpec, out_dir: str | Path) -> list[Path]:
+    """Generate and write corpus plus companion files under out_dir, and
+    return the paths written; it builds no MultiCorpus (generate does).
 
     Layout: corpus/{iso3}_synth.txt, ground_truth.json, queries.tsv,
     allowlist.txt (non-query particle languages), gold.tsv (planted
     marker forms per marking translation and feature), families.tsv.
-    Returns the corpus as _generate gives it, {translation_id: {verse_id:
-    text}}, its ground truth and the paths written; it builds no
-    MultiCorpus (generate does).
     """
-    verses, _, _, truth = _generate(spec)
+    verses, truth = _generate(spec)
     out_dir = Path(out_dir)
     corpus_dir = out_dir / "corpus"
     corpus_dir.mkdir(parents=True, exist_ok=True)
@@ -390,7 +386,7 @@ def write_synth(
     written.append(write_lines(out_dir / "gold.tsv", glines))
     flines = [f"{l.iso3}\t{l.family}" for l in spec.languages]
     written.append(write_lines(out_dir / "families.tsv", flines))
-    return verses, truth, written
+    return written
 
 
 def _iso_series(letter: str, count: int) -> list[str]:
@@ -486,7 +482,7 @@ def spec_from_json(path: str | Path, read: Reader = read_bytes) -> SynthSpec:
     The keys are the fields of SynthSpec and of LanguageSpec, read with
     config.read_fields. features is a list of [name, probability] pairs,
     languages a list of objects, and a language's markers map each feature
-    to a list of forms. generate checks the values' ranges.
+    to a list of forms. SynthSpec checks the values' ranges.
     """
     raw = read_fields(read_json_object(path, "synth spec", read), SynthSpec, "synth spec")
     features, langs = raw["features"], raw["languages"]

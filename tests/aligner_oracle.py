@@ -19,17 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from pivotmine.aligner import (
-    AlignerConfig,
     LexTable,
     PairEncoding,
     PairLinkStats,
     _prior_matrix,
     diagonal_prior,
 )
+from pivotmine.config import RunConfig
 from pivotmine.errors import DataError
 
 
-def _prior_rows(src_len: int, tgt_len: int, cfg: AlignerConfig) -> list[list[float]]:
+def _prior_rows(src_len: int, tgt_len: int, cfg: RunConfig) -> list[list[float]]:
     return [diagonal_prior(src_len, tgt_len, j, cfg) for j in range(tgt_len)]
 
 
@@ -42,7 +42,7 @@ class DictTable:
     log_likelihoods: list[float]
 
 
-def train_alignment(pairs, cfg: AlignerConfig) -> DictTable:
+def train_alignment(pairs, cfg: RunConfig) -> DictTable:
     """EM over (source, target) token-list pairs, one token at a time."""
     src_ids: dict[str, int] = {}
     tgt_ids: dict[str, int] = {}
@@ -109,7 +109,7 @@ def train_alignment(pairs, cfg: AlignerConfig) -> DictTable:
     return DictTable(out, lls)
 
 
-def viterbi_align(t: dict, source, target, cfg: AlignerConfig):
+def viterbi_align(t: dict, source, target, cfg: RunConfig):
     """Links (source_index, target_index) under the rows t: leftmost best
     source position per target token, kept only when it strictly beats the
     null word."""
@@ -138,7 +138,7 @@ def viterbi_align(t: dict, source, target, cfg: AlignerConfig):
 # --- the array EM and decoding as first written ----------------------------------
 
 
-def em(enc: PairEncoding, cfg: AlignerConfig) -> tuple[np.ndarray, list[float]]:
+def em(enc: PairEncoding, cfg: RunConfig) -> tuple[np.ndarray, list[float]]:
     """Per-cell probabilities after EM, and the log-likelihood at the
     start of each iteration."""
     n_cells = len(enc.cell_src)
@@ -164,7 +164,7 @@ def em(enc: PairEncoding, cfg: AlignerConfig) -> tuple[np.ndarray, list[float]]:
     return table, lls
 
 
-def viterbi_positions(lex: LexTable, cfg: AlignerConfig) -> list[np.ndarray]:
+def viterbi_positions(lex: LexTable, cfg: RunConfig) -> list[np.ndarray]:
     """Per block, the (n, tgt_len) source position linked to each target
     token, or -1 for no link.
 
@@ -182,7 +182,7 @@ def viterbi_positions(lex: LexTable, cfg: AlignerConfig) -> list[np.ndarray]:
     return out
 
 
-def link_cells(lex: LexTable, cfg: AlignerConfig) -> np.ndarray:
+def link_cells(lex: LexTable, cfg: RunConfig) -> np.ndarray:
     """The cell of every link of viterbi_positions, block by block in
     verse and target order."""
     linked = [
@@ -194,7 +194,7 @@ def link_cells(lex: LexTable, cfg: AlignerConfig) -> np.ndarray:
     return np.concatenate(linked)
 
 
-def link_stats(lex: LexTable, cfg: AlignerConfig, source_word: str) -> PairLinkStats:
+def link_stats(lex: LexTable, cfg: RunConfig, source_word: str) -> PairLinkStats:
     """Tally the links of link_cells."""
     enc = lex.enc
     cells = link_cells(lex, cfg)

@@ -20,8 +20,9 @@ from itertools import repeat
 
 import numpy as np
 
-from pivotmine.aligner import CACHE_FORMAT, AlignerConfig, PairEncoding
+from pivotmine.aligner import CACHE_FORMAT, PairEncoding
 from helpers import verses_of
+from pivotmine.config import RunConfig
 from pivotmine.corpus import DELIMITERS, MultiCorpus, TranslationEncoding, tokenize_blocks
 from pivotmine.errors import DataError
 
@@ -115,7 +116,7 @@ def texts_digest(corpus: MultiCorpus, translation_id: str) -> bytes:
 
 
 def pair_cache_key(
-    corpus: MultiCorpus, src_id: str, tgt_id: str, cfg: AlignerConfig, merge: tuple = ()
+    corpus: MultiCorpus, src_id: str, tgt_id: str, cfg: RunConfig, merge: tuple = ()
 ) -> str:
     """aligner._pair_cache_key of the pair, its digests from texts_digest."""
     h = hashlib.sha256()

@@ -25,7 +25,6 @@ def generate(
     """synth._generate's result: the corpus as {translation_id: {verse_id:
     text}} (ids ascending), the language code of each translation, the
     language families and the ledger."""
-    spec.validate()
     feature_names = [f for f, _ in spec.features]
 
     label_rng = _sub_rng(spec.seed, "labels")

@@ -164,7 +164,7 @@ def test_aligner_recovers_bijective_lexicon():
             ([src_words[c] for c in concepts], [tgt_words[c] for c in concepts])
         )
     start = time.perf_counter()
-    lex = train_alignment(encode_surface_pairs(pairs), replace(CONFIG.aligner(), em_iterations=5))
+    lex = train_alignment(encode_surface_pairs(pairs), replace(CONFIG, em_iterations=5))
     elapsed = time.perf_counter() - start
     lls = lex.log_likelihoods
     assert len(lls) == 5
@@ -206,8 +206,8 @@ def marking(tmp_path_factory):
             truth["query"]["translation_id"],
             frozenset(truth["query"]["forms"][feature]),
         )
-        head = find_head_pivot(corpus, query, allow, CONFIG.aligner(), CONFIG.min_count, cache)
-        ranking = rank_pivot_candidates(corpus, head, CONFIG.aligner(), CONFIG.min_count, cache)
+        head = find_head_pivot(corpus, query, allow, CONFIG, CONFIG.min_count, cache)
+        ranking = rank_pivot_candidates(corpus, head, CONFIG, CONFIG.min_count, cache)
         heads[feature] = head
         sets[feature] = expand_pivots(corpus, feature, head, 16, ranking)
     elapsed = time.perf_counter() - start

@@ -6,7 +6,7 @@ import logging
 import math
 import random
 import tempfile
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from unittest import mock
 
@@ -31,7 +31,6 @@ from helpers import (
 )
 from pivotmine.aligner import (
     CACHE_FORMAT,
-    AlignerConfig,
     LexTable,
     PairEncoding,
     PairLinkStats,
@@ -65,19 +64,18 @@ TOY_PAIRS = [
 TOY_CACHE = Path(__file__).parent / "data" / "toy_pairs.lex.tsv"
 
 
-def train(pairs, cfg: AlignerConfig = CONFIG.aligner()) -> LexTable:
+def train(pairs, cfg: RunConfig = CONFIG) -> LexTable:
     """train_alignment of (source, target) token surface lists."""
     return train_alignment(encode_surface_pairs(pairs), cfg)
 
 
 class TestConfig:
-    """RunConfig holds the aligner's defaults and checks its bounds."""
+    """RunConfig holds the aligner's defaults and checks its bounds when
+    it is built."""
 
     def test_defaults_valid(self):
-        CONFIG.validate()
-        assert CONFIG.aligner() == AlignerConfig(
-            CONFIG.em_iterations, CONFIG.diagonal_tension, CONFIG.null_prob
-        )
+        # replace builds, and so checks, a new config from the defaults
+        assert replace(CONFIG) == CONFIG == RunConfig()
 
     def test_bad_values(self):
         for field, bad, edge in [
@@ -87,33 +85,33 @@ class TestConfig:
             ("null_prob", -0.1, 0.999),
         ]:
             with pytest.raises(ConfigError, match=field):
-                RunConfig(**{field: bad}).validate()
-            RunConfig(**{field: edge}).validate()
+                RunConfig(**{field: bad})
+            RunConfig(**{field: edge})
 
 
 class TestDiagonalPrior:
     def test_mass_is_one_minus_null(self):
-        cfg = CONFIG.aligner()
+        cfg = CONFIG
         for src_len, tgt_len, j in [(5, 7, 0), (3, 3, 2), (12, 4, 1)]:
             ws = diagonal_prior(src_len, tgt_len, j, cfg)
             assert sum(ws) == pytest.approx(1.0 - cfg.null_prob, rel=1e-12)
             assert all(w > 0 for w in ws)
 
     def test_decays_with_distance_from_diagonal(self):
-        cfg = CONFIG.aligner()
+        cfg = CONFIG
         ws = diagonal_prior(9, 9, 0, cfg)
         # target position 0 sits at relative 1/9; source weights fall
         # monotonically as source positions move right
         assert all(ws[i] > ws[i + 1] for i in range(len(ws) - 1))
 
     def test_zero_tension_is_uniform(self):
-        ws = diagonal_prior(4, 6, 3, replace(CONFIG.aligner(), diagonal_tension=0.0))
+        ws = diagonal_prior(4, 6, 3, replace(CONFIG, diagonal_tension=0.0))
         assert ws == pytest.approx([ws[0]] * 4)
 
 
 class TestPriorMatrix:
     def test_rows_equal_diagonal_prior_exactly(self):
-        cfg = CONFIG.aligner()
+        cfg = CONFIG
         for src_len, tgt_len in [(1, 1), (5, 7), (12, 4)]:
             m = _prior_matrix(src_len, tgt_len, cfg)
             assert m.shape == (tgt_len, src_len + 1)
@@ -122,7 +120,7 @@ class TestPriorMatrix:
                 assert m[j, 1:].tolist() == diagonal_prior(src_len, tgt_len, j, cfg)
 
     def test_read_only_and_bounded(self):
-        m = _prior_matrix(3, 4, CONFIG.aligner())
+        m = _prior_matrix(3, 4, CONFIG)
         with pytest.raises(ValueError):
             m[0, 0] = 1.0
         assert _prior_matrix.cache_info().maxsize is not None
@@ -170,7 +168,7 @@ class TestTrainAlignment:
             train([([], []), (["a"], [])])
 
 
-def viterbi_links(rows: dict, source, target, cfg: AlignerConfig = CONFIG.aligner()):
+def viterbi_links(rows: dict, source, target, cfg: RunConfig = CONFIG):
     """Links (source index, target index) of one verse pair under the rows
     {source: {target: p}}, decoded through _viterbi."""
     pairs = [(source, target)]
@@ -197,7 +195,7 @@ class TestViterbi:
         pairs = [([], ["la"]), (["the"], []), (["the", "house"], ["la", "maison"])]
         enc = encode_surface_pairs(pairs)
         assert [n for _, n, _, _ in enc.blocks] == [1]
-        links = batched_links(lex_table(enc, rows), pairs, CONFIG.aligner())
+        links = batched_links(lex_table(enc, rows), pairs, CONFIG)
         assert links[:2] == [[], []]
         assert set(links[2]) == {(0, 0), (1, 1)}
         with pytest.raises(DataError):
@@ -215,7 +213,7 @@ class TestViterbi:
         assert viterbi_links(rows, ["e"], ["f"]) == []
 
     def test_position_tie_goes_leftmost(self):
-        cfg = replace(CONFIG.aligner(), diagonal_tension=0.0)
+        cfg = replace(CONFIG, diagonal_tension=0.0)
         rows = {None: {}, "e": {"f": 1.0}}
         links = viterbi_links(rows, ["e", "e", "e"], ["f"], cfg)
         assert links == [(0, 0)]
@@ -239,7 +237,7 @@ def pair_encoding(corpus, src_id: str = "aaa_src", tgt_id: str = "bbb_tgt") -> P
     return encode_pairs(corpus.encode(src_id), corpus.encode(tgt_id))
 
 
-def cache_key(corpus, src_id: str, tgt_id: str, cfg: AlignerConfig, merge: tuple = ()) -> str:
+def cache_key(corpus, src_id: str, tgt_id: str, cfg: RunConfig, merge: tuple = ()) -> str:
     """The pair key that link_counts gives a pair of corpus."""
     digests = texts_digest(corpus, src_id), texts_digest(corpus, tgt_id)
     return _pair_cache_key(src_id, tgt_id, cfg, merge, *digests)
@@ -309,7 +307,7 @@ class TestCache:
     ):
         # key, size and row sums all hold; only the cell count or the
         # cells digest gives the damage away
-        cfg = CONFIG.aligner()
+        cfg = CONFIG
         enc = pair_encoding(pair_corpus)
         first = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
         (path,) = tmp_path.glob("*.lex")
@@ -345,7 +343,7 @@ class TestCache:
 
     def test_previous_binary_format_is_a_silent_miss(self, pair_corpus, tmp_path, caplog):
         # a lex-bin-1 table under the current key is retrained, not corrupt
-        cfg = CONFIG.aligner()
+        cfg = CONFIG
         enc = pair_encoding(pair_corpus)
         first = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
         (path,) = tmp_path.glob("*.lex")
@@ -364,7 +362,7 @@ class TestCache:
     def test_damaged_cache_recomputed_with_warning(
         self, pair_corpus, tmp_path, caplog, damage
     ):
-        cfg = CONFIG.aligner()
+        cfg = CONFIG
         enc = pair_encoding(pair_corpus)
         first = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
         (path,) = tmp_path.glob("*.lex")
@@ -414,7 +412,7 @@ class TestCache:
         assert load_lex_table(tmp_path / "absent.lex", "k1", lex.enc) is None
 
     def test_corrupt_cache_recomputed_with_warning(self, pair_corpus, tmp_path, caplog):
-        cfg = CONFIG.aligner()
+        cfg = CONFIG
         enc = pair_encoding(pair_corpus)
         first = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
         (path,) = tmp_path.glob("*.lex")
@@ -440,7 +438,7 @@ class TestCache:
             assert path.read_bytes() == good, name
 
     def test_cache_hit_equals_fresh_training(self, pair_corpus, tmp_path):
-        cfg = CONFIG.aligner()
+        cfg = CONFIG
         enc = pair_encoding(pair_corpus)
         fresh = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, None)
         warm = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
@@ -452,7 +450,7 @@ class TestCache:
 
 class TestLinkCounts:
     def test_counts_line_up(self, pair_corpus):
-        stats = link_counts(pair_corpus, "aaa_src", "src0", CONFIG.aligner(), CONFIG.cache_dir)
+        stats = link_counts(pair_corpus, "aaa_src", "src0", CONFIG, CONFIG.cache_dir)
         assert set(stats) == {"bbb_tgt"}
         st = stats["bbb_tgt"]
         assert st.source_word_to_target.most_common(1)[0][0] == "tgt0"
@@ -463,7 +461,7 @@ class TestLinkCounts:
     def test_absent_word_warns_empty(self, pair_corpus, caplog):
         with caplog.at_level(logging.WARNING):
             stats = link_counts(
-                pair_corpus, "aaa_src", "missing", CONFIG.aligner(), CONFIG.cache_dir
+                pair_corpus, "aaa_src", "missing", CONFIG, CONFIG.cache_dir
             )
         assert stats == {}
         assert "absent" in caplog.text
@@ -476,13 +474,13 @@ class TestLinkCounts:
             }
         )
         with caplog.at_level(logging.WARNING):
-            stats = link_counts(corpus, "aaa_src", "x", CONFIG.aligner(), CONFIG.cache_dir)
+            stats = link_counts(corpus, "aaa_src", "x", CONFIG, CONFIG.cache_dir)
         assert stats == {}
         assert "no shared selected verses" in caplog.text
 
     def test_unknown_translation(self, pair_corpus):
         with pytest.raises(DataError):
-            link_counts(pair_corpus, "zzz_nope", "x", CONFIG.aligner(), CONFIG.cache_dir)
+            link_counts(pair_corpus, "zzz_nope", "x", CONFIG, CONFIG.cache_dir)
 
     def test_verse_pairs_keep_verses_with_tokens_on_both_sides(self):
         corpus = make_corpus(
@@ -512,13 +510,13 @@ class TestLinkCounts:
             return real(self, translation_id)
 
         monkeypatch.setattr(MultiCorpus, "encode", spy)
-        stats = link_counts(corpus, "aaa_src", "w0", CONFIG.aligner(), CONFIG.cache_dir)
+        stats = link_counts(corpus, "aaa_src", "w0", CONFIG, CONFIG.cache_dir)
         assert len(stats) == 4
         assert built == ["aaa_src", *sorted(stats)]
 
     def test_target_frequencies_count_linked_words(self, pair_corpus):
         stats = link_counts(
-            pair_corpus, "aaa_src", "src0", CONFIG.aligner(), CONFIG.cache_dir
+            pair_corpus, "aaa_src", "src0", CONFIG, CONFIG.cache_dir
         )["bbb_tgt"]
         freq = pair_corpus.encode("bbb_tgt").frequencies()
         assert stats.target_frequencies == {w: freq[w] for w in stats.source_word_to_target}
@@ -527,10 +525,10 @@ class TestLinkCounts:
 # --- agreement with the dict-of-dicts oracle ----------------------------------
 
 ORACLE_CONFIGS = [
-    CONFIG.aligner(),
-    replace(CONFIG.aligner(), diagonal_tension=0.0),
-    replace(CONFIG.aligner(), null_prob=0.0),
-    replace(CONFIG.aligner(), em_iterations=3, diagonal_tension=0.0, null_prob=0.0),
+    CONFIG,
+    replace(CONFIG, diagonal_tension=0.0),
+    replace(CONFIG, null_prob=0.0),
+    replace(CONFIG, em_iterations=3, diagonal_tension=0.0, null_prob=0.0),
 ]
 
 
@@ -563,7 +561,7 @@ def assert_tables_agree(lex: LexTable, ref: oracle.DictTable) -> None:
         assert abs(a - b) <= 1e-9 * abs(b)
 
 
-def batched_links(lex: LexTable, pairs, cfg: AlignerConfig) -> list[list[tuple[int, int]]]:
+def batched_links(lex: LexTable, pairs, cfg: RunConfig) -> list[list[tuple[int, int]]]:
     """Per-verse links of the batched decoding oracle, back in input
     order, for a table over the encoding of pairs; the link cells of
     _viterbi must be those of the oracle.
@@ -583,7 +581,7 @@ def batched_links(lex: LexTable, pairs, cfg: AlignerConfig) -> list[list[tuple[i
     return out
 
 
-def assert_link_cells_agree(lex: LexTable, cfg: AlignerConfig) -> np.ndarray:
+def assert_link_cells_agree(lex: LexTable, cfg: RunConfig) -> np.ndarray:
     """The link cells of _viterbi, which must equal the decoding oracle's
     in value and order."""
     got = _viterbi(lex, cfg)
@@ -634,7 +632,7 @@ class TestOracleAgreement:
         # "e" at positions 0 and 2 weighs the same (tension 0) and the
         # leftmost wins; "x" onto "f" and "e" onto "g" tie the null word
         # exactly and stay unlinked
-        cfg = replace(CONFIG.aligner(), diagonal_tension=0.0, null_prob=0.5)
+        cfg = replace(CONFIG, diagonal_tension=0.0, null_prob=0.5)
         rows = {None: {"f": 0.1, "g": 0.25}, "e": {"f": 0.5, "g": 0.25}, "x": {"f": 0.1}}
         pairs = [(["e", "x", "e"], ["f", "g"]), (["x"], ["f"]), (["e"], ["g", "f"])]
         lex = lex_table(encode_surface_pairs(pairs), rows)
@@ -657,7 +655,7 @@ class TestOracleAgreement:
         freq = corpus.encode(query).frequencies()
         word = max(freq.items(), key=lambda kv: (kv[1], kv[0]))[0]
         targets = targets or sorted(t for t in corpus.translations if t != query)
-        cfg = CONFIG.aligner()
+        cfg = CONFIG
         stats = link_counts(corpus, query, word, cfg, CONFIG.cache_dir, targets)
         assert sorted(stats) == targets
         for tgt in targets:
@@ -695,7 +693,7 @@ class TestProperties:
     @settings(max_examples=25, deadline=None)
     def test_cache_hit_equals_fresh_run(self, seed):
         corpus = random_corpus(seed, 1)
-        cfg = CONFIG.aligner()
+        cfg = CONFIG
         enc = pair_encoding(corpus, "aaa_src", "t00_tgt")
         fresh = train_cached(corpus, "aaa_src", "t00_tgt", enc, cfg, CONFIG.cache_dir)
         with tempfile.TemporaryDirectory() as cache:
@@ -716,7 +714,7 @@ class TestProperties:
         targets = sorted(t for t in corpus.translations if t != "aaa_src")
         shuffled = list(targets)
         rnd.shuffle(shuffled)
-        cfg = CONFIG.aligner()
+        cfg = CONFIG
         assert link_counts(corpus, "aaa_src", "w0", cfg, CONFIG.cache_dir, shuffled) == link_counts(
             corpus, "aaa_src", "w0", cfg, CONFIG.cache_dir, targets
         )
@@ -850,7 +848,7 @@ class TestEncodePairsOracle:
         assert forced_cells.tolist() == cells.tolist()
 
 
-def assert_int32_cells_agree(enc: PairEncoding, cfg: AlignerConfig) -> None:
+def assert_int32_cells_agree(enc: PairEncoding, cfg: RunConfig) -> None:
     """EM and decoding give the oracles' bits on enc and on its copy with
     the int32 cell ids that encode_pairs once returned."""
     assert enc.cells.dtype == np.intp
@@ -861,7 +859,7 @@ def assert_int32_cells_agree(enc: PairEncoding, cfg: AlignerConfig) -> None:
         assert_link_cells_agree(LexTable(e, probs, lls), cfg)
 
 
-def assert_em_agrees(enc: PairEncoding, cfg: AlignerConfig) -> tuple[np.ndarray, list[float]]:
+def assert_em_agrees(enc: PairEncoding, cfg: RunConfig) -> tuple[np.ndarray, list[float]]:
     """_em of enc, whose probabilities and log-likelihoods must equal the
     EM oracle's bit for bit."""
     probs, lls = aligner_module._em(enc, cfg)
@@ -875,9 +873,9 @@ WORDS = st.lists(st.sampled_from("abcdefg"), min_size=0, max_size=7)
 
 
 @pytest.fixture(scope="module")
-def tiny8_tables(tmp_path_factory) -> list[tuple[LexTable, AlignerConfig]]:
+def tiny8_tables(tmp_path_factory) -> list[tuple[LexTable, RunConfig]]:
     """Every table that a tiny8 `pipeline --feature past` trains, with the
-    aligner settings it was trained under."""
+    config it was trained under."""
     root = tmp_path_factory.mktemp("tiny8")
     write_synth(preset_tiny8(), root)
     config = RunConfig(
@@ -890,7 +888,7 @@ def tiny8_tables(tmp_path_factory) -> list[tuple[LexTable, AlignerConfig]]:
         k=6,
         min_count=5,
     )
-    (root / "config.json").write_text(json.dumps(config.to_dict()), encoding="utf-8")
+    (root / "config.json").write_text(json.dumps(asdict(config)), encoding="utf-8")
     trained = []
 
     def spy(enc, cfg):
@@ -976,7 +974,7 @@ class TestDecodingOracle:
     cells, in the same order, and the same PairLinkStats."""
 
     @staticmethod
-    def assert_stats_agree(lex: LexTable, cfg: AlignerConfig, words) -> None:
+    def assert_stats_agree(lex: LexTable, cfg: RunConfig, words) -> None:
         for word in words:
             got = aligner_module._link_stats(lex, cfg, word)
             assert got == oracle.link_stats(lex, cfg, word)
@@ -1010,7 +1008,7 @@ class TestDecodingOracle:
         ids=["zero-sources", "all-zero", "tie-with-null", "tie-between-positions"],
     )
     def test_handmade_rows(self, rows, want):
-        cfg = replace(CONFIG.aligner(), diagonal_tension=0.0, null_prob=0.5)
+        cfg = replace(CONFIG, diagonal_tension=0.0, null_prob=0.5)
         pairs = [(["e", "x"], ["f"])]
         lex = lex_table(encode_surface_pairs(pairs), rows)
         assert batched_links(lex, pairs, cfg) == [want]
@@ -1064,7 +1062,7 @@ class TestCacheKey:
     @settings(max_examples=200, deadline=None)
     def test_matches_per_verse_hashing(self, rows):
         corpus = rows_corpus(rows)
-        cfg = CONFIG.aligner()
+        cfg = CONFIG
         for src, tgt in (("aaa_src", "bbb_tgt"), ("bbb_tgt", "ccc_all")):
             assert cache_key(corpus, src, tgt, cfg) == encoding_oracle.pair_cache_key(
                 corpus, src, tgt, cfg
@@ -1074,7 +1072,7 @@ class TestCacheKey:
         corpus, truth = generate(preset_tiny8())
         corpus = corpus.select(len(corpus.verse_universe) - 7)
         query = truth["query"]["translation_id"]
-        cfg = replace(CONFIG.aligner(), em_iterations=3)
+        cfg = replace(CONFIG, em_iterations=3)
         for tgt in sorted(corpus.translations):
             assert cache_key(corpus, query, tgt, cfg) == encoding_oracle.pair_cache_key(
                 corpus, query, tgt, cfg
@@ -1084,7 +1082,7 @@ class TestCacheKey:
         corpus, truth = generate(preset_tiny8())
         corpus = corpus.select(len(corpus.verse_universe) - 7)
         query, forms = truth["query"]["translation_id"], truth["query"]["forms"]
-        cfg = CONFIG.aligner()
+        cfg = CONFIG
         tgt = "paa_synth"
 
         def key_of(call) -> str:
@@ -1136,7 +1134,7 @@ def pairs_trained(corpus, cache, targets=None) -> int:
         return train_alignment(enc, cfg)
 
     with mock.patch.object(aligner_module, "train_alignment", spy):
-        link_counts(corpus, "aaa_src", "w", CONFIG.aligner(), cache, targets)
+        link_counts(corpus, "aaa_src", "w", CONFIG, cache, targets)
     return len(trained)
 
 
@@ -1145,7 +1143,7 @@ class TestCacheKeyDigests:
 
     def test_warm_rerun_hits_every_pair(self, tmp_path):
         corpus = random_corpus(5, 4)
-        cfg = CONFIG.aligner()
+        cfg = CONFIG
         cold = link_counts(corpus, "aaa_src", "w0", cfg, tmp_path)
         files = {p: p.read_bytes() for p in tmp_path.iterdir()}
         assert len(files) == len(cold) == 4
@@ -1163,10 +1161,10 @@ class TestCacheKeyDigests:
             return real(corpus, translation_id)
 
         monkeypatch.setattr(aligner_module, "texts_digest", spy)
-        stats = link_counts(corpus, "aaa_src", "w0", CONFIG.aligner(), tmp_path)
+        stats = link_counts(corpus, "aaa_src", "w0", CONFIG, tmp_path)
         assert hashed == ["aaa_src", *sorted(stats)]
         hashed.clear()
-        link_counts(corpus, "aaa_src", "w0", CONFIG.aligner(), CONFIG.cache_dir)
+        link_counts(corpus, "aaa_src", "w0", CONFIG, CONFIG.cache_dir)
         assert hashed == []  # no cache, no key
 
     @pytest.mark.parametrize(

@@ -11,14 +11,14 @@ import shutil
 import subprocess
 import sys
 import types
-from dataclasses import asdict, fields, replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from pathlib import Path
 
 import numpy
 import pytest
 
 from helpers import verses_of
-from pivotmine.aligner import AlignerConfig, link_counts, train_alignment, train_pair
+from pivotmine.aligner import link_counts, train_alignment, train_pair
 from pivotmine import cli as cli_module
 from pivotmine.cli import Run, _load_pivot_set, main
 from pivotmine.config import RunConfig, load_config
@@ -42,7 +42,7 @@ class TestConfig:
     def test_save_load_round_trip(self, tmp_path):
         cfg = RunConfig(k=7, sigma=4.5, corpus_dir="/tmp/x", map_policy="largest")
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.to_dict()), encoding="utf-8")
+        path.write_text(json.dumps(asdict(cfg)), encoding="utf-8")
         assert load_config(path) == cfg
 
     def test_unknown_key(self, tmp_path):
@@ -87,16 +87,53 @@ class TestConfig:
         ]
         for overrides in bad:
             with pytest.raises(ConfigError):
-                RunConfig(**overrides).validate()
+                RunConfig(**overrides)
+
+    # One bad value of each bounded field: every field of RunConfig but the
+    # paths and the seed, and the scalar bounds of SynthSpec.
+    BAD_RUN_VALUES = {
+        "sigma": 0.0, "window": -1, "k": 0, "n_min": 0, "n_max": 1, "top": 0, "min_count": 0,
+        "em_iterations": 0, "diagonal_tension": -1.0, "null_prob": 1.0, "coverage_target": 0,
+        "min_shared_verses": -1, "jsd_threshold": 1.5, "map_rounds": -1,
+        "map_policy": "spiral", "match_mode": "fuzzy",
+    }
+    BAD_SPEC_VALUES = {
+        "n_verses": 0, "query_forms": 0, "marker_drop": 1.0, "jitter": -1.0,
+        "family_keep": 0.0, "verse_missing": 1.0, "min_words": 0, "max_words": 0,
+        "vocabulary_size": 5,
+    }
+
+    def test_every_bounded_field_has_a_bad_value(self):
+        unbounded = {f.name for f in fields(RunConfig) if f.type == "str | None"} | {"seed"}
+        assert set(self.BAD_RUN_VALUES) == {f.name for f in fields(RunConfig)} - unbounded
+
+    @pytest.mark.parametrize("base, field, bad", [
+        *(pytest.param(RunConfig(), f, v, id=f"RunConfig.{f}") for f, v in BAD_RUN_VALUES.items()),
+        *(pytest.param(preset_tiny8(), f, v, id=f"SynthSpec.{f}") for f, v in BAD_SPEC_VALUES.items()),
+    ])
+    def test_a_config_is_checked_when_built(self, base, field, bad):
+        """A bad value raises ConfigError naming its field, whether the
+        config is built from its fields or by dataclasses.replace; no field
+        can be assigned to."""
+        values = {f.name: getattr(base, f.name) for f in fields(base)}
+        with pytest.raises(ConfigError, match=field):
+            type(base)(**{**values, field: bad})
+        with pytest.raises(ConfigError, match=field):
+            replace(base, **{field: bad})
+        with pytest.raises(FrozenInstanceError):
+            setattr(base, field, getattr(base, field))
 
     def test_hash_tracks_content(self):
-        assert RunConfig().sha256() != RunConfig(k=3).sha256()
-        assert RunConfig(k=3).sha256() == RunConfig(k=3).sha256()
+        def config_sha256(cfg: RunConfig) -> str:  # as the manifest records it
+            return canonical_sha256(asdict(cfg))
+
+        assert config_sha256(RunConfig()) != config_sha256(RunConfig(k=3))
+        assert config_sha256(RunConfig(k=3)) == config_sha256(RunConfig(k=3))
 
     # The parameter names under which library functions take RunConfig
-    # fields: the aligner settings (cfg), cache_dir, min_count, k, the
-    # mining sigma, window (w), n_min/n_max (n_range) and top, map_rounds
-    # (rounds), map_policy (policy) and match_mode (mode).
+    # fields: the config itself for the aligner settings (cfg), cache_dir,
+    # min_count, k, the mining sigma, window (w), n_min/n_max (n_range) and
+    # top, map_rounds (rounds), map_policy (policy) and match_mode (mode).
     RUN_PARAMETERS = {
         "cfg", "cache_dir", "min_count", "k", "sigma", "w", "n_range", "top",
         "rounds", "policy", "mode",
@@ -113,10 +150,6 @@ class TestConfig:
         assert carried, "no run parameter to check"
         defaults = [n for n in carried if params[n].default is not inspect.Parameter.empty]
         assert defaults == [], f"{fn.__name__} defaults {defaults}; RunConfig holds them"
-
-    def test_aligner_config_has_no_defaults(self):
-        with pytest.raises(TypeError):
-            AlignerConfig()
 
     @pytest.mark.parametrize("field", [f.name for f in fields(RunConfig)])
     def test_every_badly_typed_field_exits_2(self, field, tmp_path, capsys):
@@ -153,7 +186,8 @@ def cli_spec() -> SynthSpec:
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     data = root / "data"
-    _, truth, _ = write_synth(cli_spec(), data)
+    write_synth(cli_spec(), data)
+    truth = json.loads((data / "ground_truth.json").read_text(encoding="utf-8"))
     config = {
         "corpus_dir": str(data / "corpus"),
         "queries": str(data / "queries.tsv"),
@@ -276,6 +310,17 @@ class TestSynthCommand:
         spec.write_text("{}", encoding="utf-8")
         assert main(["synth", "--preset", "tiny8", "--spec", str(spec), "--out", out]) == 2
         assert main(["synth", "--preset", "nope", "--out", out]) == 2
+
+    def test_bad_spec_value_exits_2_before_writing(self, tmp_path, capsys):
+        # the spec checks itself as it is read, before any stage runs
+        spec = asdict(preset_tiny8())
+        spec["n_verses"] = 0
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "x"
+        assert main(["synth", "--spec", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: n_verses must be >= 1\n"
+        assert not out.exists()
 
 
 class TestMapCommand:

