@@ -96,19 +96,27 @@ def _gram_ids(text: str, ns: range):
 
     Ids are dense in [0, size) and order like the grams themselves. Each
     character gets its rank in the text's alphabet, and the grams of length
-    n are numbered by the pair (id of their first n - 1 characters, rank of
-    their last) with dense_index. Such a key is below size_{n-1} * alpha,
-    at most len(text) ** 2, so it cannot overflow int64.
+    n are numbered by the key (id of their first n - 1 characters) * alpha
+    + (rank of their last) with dense_index. Such a key is below
+    size_{n-1} * alpha, at most len(text) ** 2: int32 where that bound is
+    below 2**31, int64 otherwise.
     """
     code = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
     alphabet, rank = dense_index(code, int(code.max(initial=0)) + 1)
+    # rank owns its memory, so this frees the code points
+    del code
     alpha = len(alphabet)
+    # one byte per character for an alphabet of at most 255
+    rank = rank.astype(np.min_scalar_type(alpha))
     ids, size = rank, alpha
     for n in range(1, ns.stop):
         if n > 1:
-            keys = ids[:-1].astype(np.int64) * alpha
-            keys += rank[n - 1 :]
-            grams, ids = dense_index(keys, size * alpha)
+            space = size * alpha
+            # The keys take the place of the ids they are built from, so
+            # neither outlives its use.
+            ids = np.multiply(ids[:-1], alpha, dtype=np.int32 if space < 2**31 else np.int64)
+            ids += rank[n - 1 :]
+            grams, ids = dense_index(ids, space)
             size = len(grams)
         if n in ns:
             yield n, ids, size
@@ -196,9 +204,10 @@ def mine_ngrams(
     x_max = np.zeros(len(lengths), dtype=np.int64)
     x_min = np.zeros(len(lengths), dtype=np.int64)
     if positive.any():
-        _, x_max[positive], x_min[positive] = _profiles(
+        # the scores are dropped here, not held through the counting
+        x_max[positive], x_min[positive] = _profiles(
             lengths[positive], (np.cumsum(positive) - 1)[owner], pivot_set.rel[keep], sigma
-        )
+        )[1:]
     result.verses_positive = int(positive.sum())
     result.overlap_flagged = int((positive & (np.abs(x_max - x_min) <= 2 * w)).sum())
     if result.verses_positive == 0:
@@ -215,43 +224,100 @@ def mine_ngrams(
         )
     # the verses lacking or empty add nothing
     joined = corpus.joined_text(translation_id)
-    # Per character, in int32: the room left in its verse, and its offsets
-    # from the verse's positive and negative centers. A gram of length n
-    # may start where room >= n; a start past that would cross into the
+    # Per character, clipped to [0, cap] in the smallest dtype that holds
+    # cap: the room left in its verse, and the smallest n at which a gram
+    # starting there counts positive and negative (cap for none). A gram of
+    # length n starting at s counts positive where pos_from[s] <= n <=
+    # room[s], and negative likewise; past room[s] it would cross into the
     # next verse.
-    room = np.repeat(np.cumsum(lengths, dtype=np.int32), lengths)
-    room -= np.arange(len(joined), dtype=np.int32)
-    from_max = np.repeat((lengths - x_max).astype(np.int32), lengths) - room
-    from_min = np.repeat((lengths - x_min).astype(np.int32), lengths) - room
-    marked = np.repeat(positive, lengths)
+    cap = n_range[1] + 1
+    room = _narrow(_countdown(lengths, lengths), cap)
+    pos_from = _first_overlap(lengths, x_max, w, cap)
+    neg_from = _first_overlap(lengths, x_min, w, cap)
+    unmarked = np.repeat(~positive, lengths)
+    pos_from[unmarked] = cap
+    # An unmarked verse is negative throughout.
+    neg_from[unmarked] = 0
+    del unmarked
     for n, ids, size in _gram_ids(joined, range(n_range[0], n_range[1] + 1)):
-        k = len(ids)
-        fits = room[:k] >= n
-        in_pos = (from_max[:k] >= 1 - n - w) & (from_max[:k] <= w)
-        in_neg = (from_min[:k] >= 1 - n - w) & (from_min[:k] <= w)
-        pos_starts = np.flatnonzero(fits & marked[:k] & in_pos)
-        pos_ids = ids[pos_starts]
-        # An unmarked verse is negative throughout.
-        neg_ids = ids[fits & (in_neg | ~marked[:k])]
-        pos_counts = np.bincount(pos_ids, minlength=size)
-        neg_counts = np.bincount(neg_ids, minlength=size)
-        # Only the positive grams are scored, in id order, that is
-        # lexicographically.
-        grams = np.flatnonzero(pos_counts)
-        ranked, scores = _rank_by_chi2(
-            pos_counts[grams], neg_counts[grams], len(pos_ids), len(neg_ids), top
-        )
-        start = np.empty(size, dtype=np.int64)
-        start[pos_ids] = pos_starts
-        result.by_n[n] = [
-            NgramCandidate(
-                joined[start[g] : start[g] + n],
-                n,
-                rank,
-                int(pos_counts[g]),
-                int(neg_counts[g]),
-                score,
-            )
-            for rank, (g, score) in enumerate(zip(grams[ranked].tolist(), scores), start=1)
-        ]
+        result.by_n[n] = _candidates(joined, n, ids, size, room, pos_from, neg_from, top)
+        # so that the next n's numbering can free them
+        del ids
     return result
+
+
+def _countdown(lengths: np.ndarray, at_start: np.ndarray) -> np.ndarray:
+    """at_start[i] - p at each position p of verse i, the verses of the
+    given lengths end to end, in int32."""
+    starts = np.cumsum(lengths) - lengths
+    out = np.repeat((at_start + starts).astype(np.int32), lengths)
+    out -= np.arange(len(out), dtype=np.int32)
+    return out
+
+
+def _narrow(values: np.ndarray, cap: int) -> np.ndarray:
+    """values, clipped to [0, cap] in place, in the smallest dtype that
+    holds cap."""
+    np.clip(values, 0, cap, out=values)
+    return values.astype(np.min_scalar_type(cap))
+
+
+def _first_overlap(lengths: np.ndarray, centers: np.ndarray, w: int, cap: int) -> np.ndarray:
+    """At each position p of verse i, the smallest n at which the gram
+    [p, p + n) overlaps [centers[i] - w, centers[i] + w], clipped to
+    [0, cap]; cap past the window, where no n does."""
+    # A wider window than the longest verse covers no more, and this one
+    # keeps the countdown within int32.
+    w = min(w, int(lengths.max()))
+    need = _countdown(lengths, centers - w + 1)
+    # need = c - w + 1 - p, so p > c + w where need < 1 - 2w
+    past = need < 1 - 2 * w
+    first = _narrow(need, cap)
+    first[past] = cap
+    return first
+
+
+def _candidates(
+    joined: str,
+    n: int,
+    ids: np.ndarray,
+    size: int,
+    room: np.ndarray,
+    pos_from: np.ndarray,
+    neg_from: np.ndarray,
+    top: int,
+) -> list[NgramCandidate]:
+    """The top ranked grams of length n; ids, size as _gram_ids yields them
+    and room, pos_from, neg_from as mine_ngrams lays them out."""
+    k = len(ids)
+    # the starts that fit in their verse, then those that count negative
+    neg = room[:k] >= n
+    pos = pos_from[:k] <= n
+    pos &= neg
+    neg &= neg_from[:k] <= n
+    starts = np.flatnonzero(pos)
+    del pos
+    pos_ids = ids[starts]
+    # np.add.at reads the int32 ids as they are, where np.bincount would
+    # copy them to int64.
+    counts = np.zeros(size, dtype=np.int64)
+    np.add.at(counts, pos_ids, 1)
+    # Only the positive grams are scored, in id order, that is
+    # lexicographically.
+    grams = np.flatnonzero(counts)
+    pos_counts = counts[grams]
+    counts[:] = 0
+    np.add.at(counts, ids[neg], 1)
+    neg_counts = counts[grams]
+    ranked, scores = _rank_by_chi2(
+        pos_counts, neg_counts, len(pos_ids), np.count_nonzero(neg), top
+    )
+    # counts now takes each positive gram to its first positive start (in
+    # numpy's order of assignment; any start spells the gram), where its
+    # text is read
+    counts[pos_ids[::-1]] = starts[::-1]
+    first = counts[grams[ranked]].tolist()
+    return [
+        NgramCandidate(joined[s : s + n], n, rank, int(pos_counts[i]), int(neg_counts[i]), score)
+        for rank, (s, i, score) in enumerate(zip(first, ranked, scores), start=1)
+    ]

@@ -76,16 +76,19 @@ class SynthSpec:
         if self.n_verses < 1:
             raise ConfigError("n_verses must be >= 1")
         if not self.features:
-            raise ConfigError("at least one feature is required")
+            raise ConfigError("features must name at least one feature")
         total = sum(p for _, p in self.features)
         if any(p <= 0 for _, p in self.features) or total > 1.0 + 1e-9:
-            raise ConfigError("feature probabilities must be positive and sum to <= 1")
+            raise ConfigError("features' probabilities must be positive and sum to <= 1")
         if len({f for f, _ in self.features}) != len(self.features):
-            raise ConfigError("duplicate feature names")
+            raise ConfigError("features names a feature twice")
         if not self.languages:
-            raise ConfigError("at least one language is required")
+            raise ConfigError("languages must hold at least one language")
         if len(self.languages) > len(CONTENT_CONSONANTS) * len(VOWELS):
-            raise ConfigError("too many languages for distinct word prefixes")
+            raise ConfigError(
+                f"languages has more than {len(CONTENT_CONSONANTS) * len(VOWELS)} entries, "
+                "too many for distinct word prefixes"
+            )
         seen = set()
         for lang in self.languages:
             if not _ISO3_RE.match(lang.iso3):
@@ -99,7 +102,7 @@ class SynthSpec:
             (l for l in self.languages if l.iso3 == self.query_iso3), None
         )
         if query is None:
-            raise ConfigError(f"query language {self.query_iso3!r} not in roster")
+            raise ConfigError(f"query_iso3 {self.query_iso3!r} is not in languages")
         if query.style != "particle":
             raise ConfigError("query language must be particle-style")
         if not 1 <= self.min_words <= self.max_words:

@@ -66,12 +66,19 @@ COMMANDS = (
         "eval-family", "--config", "@tiny8",
         "--distances", "tiny8_languages/languages_distance.tsv", "--out", "tiny8_family",
     ),
+    # the standalone mining command the wide-mine benchmark times, on the
+    # past pipeline's pivots
+    (
+        "mine-ngrams", "--config", "@tiny8", "--feature", "past",
+        "--pivots", "tiny8_runs/past/pivots.tsv", "--head", "tiny8_runs/past/head.json",
+        "--out", "tiny8_mine",
+    ),
     ("synth", "--preset", "marking24", "--out", "marking24"),
     ("pipeline", "--config", "@marking24", "--feature", "past", "--out", "marking24_run"),
 )
 
 PATH_KEYS = ("corpus_dir", "queries", "allowlist", "gold", "families", "cache_dir")
-PATH_FLAGS = ("--out", "--from", "--distances")
+PATH_FLAGS = ("--out", "--from", "--distances", "--pivots", "--head")
 
 
 def versions() -> dict[str, str]:

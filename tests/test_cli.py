@@ -103,6 +103,17 @@ class TestConfig:
         "vocabulary_size": 5,
     }
 
+    # The roster and feature checks of SynthSpec, each with the key it names.
+    BAD_SPEC_ROSTERS = {
+        "features-empty": ("features", ()),
+        "features-negative": ("features", (("past", -0.1),)),
+        "features-over-one": ("features", (("past", 0.6), ("future", 0.6))),
+        "features-duplicate": ("features", (("past", 0.2), ("past", 0.2))),
+        "languages-empty": ("languages", ()),
+        "languages-too-many": ("languages", preset_tiny8().languages * 11),
+        "query_iso3-not-in-languages": ("query_iso3", "zzz"),
+    }
+
     def test_every_bounded_field_has_a_bad_value(self):
         unbounded = {f.name for f in fields(RunConfig) if f.type == "str | None"} | {"seed"}
         assert set(self.BAD_RUN_VALUES) == {f.name for f in fields(RunConfig)} - unbounded
@@ -110,6 +121,10 @@ class TestConfig:
     @pytest.mark.parametrize("base, field, bad", [
         *(pytest.param(RunConfig(), f, v, id=f"RunConfig.{f}") for f, v in BAD_RUN_VALUES.items()),
         *(pytest.param(preset_tiny8(), f, v, id=f"SynthSpec.{f}") for f, v in BAD_SPEC_VALUES.items()),
+        *(
+            pytest.param(preset_tiny8(), f, v, id=f"SynthSpec.{case}")
+            for case, (f, v) in BAD_SPEC_ROSTERS.items()
+        ),
     ])
     def test_a_config_is_checked_when_built(self, base, field, bad):
         """A bad value raises ConfigError naming its field, whether the

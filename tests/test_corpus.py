@@ -33,8 +33,10 @@ from pivotmine.cli import main
 from pivotmine.corpus import (
     BLOCK_VERSES,
     DELIMITERS,
+    INDEX_SLICE,
     MultiCorpus,
     coverage_counts,
+    dense_index,
     is_verse_id,
     load_corpus,
     read_families,
@@ -1083,3 +1085,24 @@ class TestCorpusMethods:
         copy = with_translation(corpus, "aaa_t", {"00000001": "x y"})
         assert copy.encode("aaa_t").vocab == ["x", "y"]
         assert corpus.encode("aaa_t").vocab == ["a", "b"]
+
+
+class TestDenseIndex:
+    """Both paths of dense_index number keys as np.unique does."""
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint32])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_table_and_sorting_agree_on_random_keys(self, seed, dtype):
+        rng = np.random.default_rng(seed)
+        space = int(rng.integers(1, 5000))
+        # more keys than the space, so the table is read, and in a third,
+        # partial slice
+        count = 2 * INDEX_SLICE + int(rng.integers(1, INDEX_SLICE))
+        keys = rng.integers(0, space, count, dtype=dtype)
+        keys[:2] = 0, space - 1
+        want, want_index = np.unique(keys, return_inverse=True)
+        for path_space in (space, keys.size + 1):  # the table, then sorting
+            distinct, index = dense_index(keys, path_space)
+            assert index.dtype == np.int32
+            assert distinct.tolist() == want.tolist()
+            assert index.tolist() == want_index.tolist()

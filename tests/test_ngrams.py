@@ -1,8 +1,9 @@
-"""Positional profiles, gram ids, mining against its oracle, and TSV cells."""
+"""Positional profiles, gram ids, mining against its oracle, its scratch memory, and TSV cells."""
 
 import logging
 import math
 import random
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -21,7 +22,7 @@ from pivotmine.gramtsv import (
 )
 from pivotmine.ngrams import MiningResult, NgramCandidate, _gram_ids, _profiles, mine_ngrams
 from pivotmine.pivots import Pivot, PivotSet
-from pivotmine.synth import generate, preset_tiny8
+from pivotmine.synth import generate, preset_marking24, preset_tiny8
 
 PEAK = 1.0 / (6.0 * math.sqrt(2.0 * math.pi))
 
@@ -217,6 +218,23 @@ class TestGramIds:
         tables = record_dense_index(monkeypatch)
         assert_ids_order_like_grams(text, 12)
         assert tables == [False] * 12
+
+    def test_keys_widen_to_int64_from_2_to_the_31(self, monkeypatch):
+        # about 39,000 distinct astral characters, and nearly every pair
+        # distinct, so the key space of the 3-grams passes 2**31
+        rng = random.Random(2)
+        text = "".join(chr(rng.randrange(0x20000, 0x30000)) for _ in range(60_000))
+        calls = []
+
+        def recording(keys, space):
+            calls.append((keys.dtype, space))
+            return dense_index(keys, space)
+
+        monkeypatch.setattr(ngrams_module, "dense_index", recording)
+        assert_ids_order_like_grams(text, 3)
+        (_, pairs), (_, triples) = calls[1:]
+        assert pairs < 2**31 <= triples
+        assert [dtype for dtype, _ in calls[1:]] == [np.int32, np.int64]
 
     def test_only_requested_lengths(self):
         assert [n for n, _, _ in _gram_ids("abcd", range(2, 4))] == [2, 3]
@@ -435,6 +453,26 @@ def shuffled_letters_corpus():
     return corpus, PivotSet.scan(corpus, p, [p])
 
 
+def random_text(rng: random.Random, alphabet: str, length: int) -> str:
+    return "".join(rng.choice(alphabet) for _ in range(length))
+
+
+def marked_corpus(rng: random.Random, texts: list[str]):
+    """A target translation of texts, one verse each, and a pivot
+    translation whose pivot word marks every other verse."""
+    target, pivot = {}, {}
+    for i, text in enumerate(texts, 1):
+        vid = f"{i:08d}"
+        target[vid] = text
+        words = ["ab"] * rng.randint(1, 8)
+        if i % 2:
+            words.insert(rng.randrange(len(words) + 1), "piv")
+        pivot[vid] = " ".join(words)
+    corpus = make_corpus({"paa_p": pivot, "tgt_t": target})
+    p = Pivot("paa", "paa_p", "piv", 1.0)
+    return corpus, PivotSet.scan(corpus, p, [p])
+
+
 class TestOracleAgreement:
     """The array miner equals the Counter oracle in tests/ngrams_oracle.py."""
 
@@ -474,6 +512,41 @@ class TestOracleAgreement:
             assert got.verses_scored == 4
             assert set(got.by_n) == set(range(n_min, n_max + 1))
         assert got.by_n[20] == []
+
+    # The miner keeps per-character values clipped to n_max + 1 in the
+    # smallest dtype that holds it: one byte to n_max 254 (126 were it
+    # signed), two beyond.
+    @pytest.mark.parametrize("n_range", [(1, 127), (120, 130), (250, 258)], ids=str)
+    def test_n_max_around_the_one_byte_limits(self, n_range):
+        rng = random.Random(n_range[1])
+        texts = [random_text(rng, "ab c", rng.randint(200, 320)) for _ in range(10)]
+        corpus, ps = marked_corpus(rng, texts)
+        got = assert_mining_agrees(corpus, "tgt_t", ps, w=4, n_range=n_range)
+        assert got.by_n[n_range[1]]
+
+    # the longest verse has 320 characters
+    @pytest.mark.parametrize("w", [0, 1, 319, 320, 321, 10**6])
+    def test_window_zero_and_wider_than_the_longest_verse(self, w):
+        rng = random.Random(w)
+        texts = [random_text(rng, "abc ", length) for length in (320, 40, 7, 1, 300, 90)]
+        corpus, ps = marked_corpus(rng, texts)
+        assert_mining_agrees(corpus, "tgt_t", ps, w=w, n_range=(1, 5), top=30)
+
+    def test_verses_longer_than_32767_characters(self):
+        rng = random.Random(8)
+        texts = [random_text(rng, "abcd ", length) for length in (40_000, 50, 33_000, 9)]
+        corpus, ps = marked_corpus(rng, texts)
+        got = assert_mining_agrees(corpus, "tgt_t", ps, w=30, n_range=(1, 4), top=20)
+        assert got.verses_positive == 2
+
+    def test_astral_code_points_and_dotted_capital_i(self):
+        rng = random.Random(6)
+        alphabet = "a i\u0130\u0307\U0001d538\U00010400\U0010ffff"
+        texts = [random_text(rng, alphabet, rng.randint(5, 60)) for _ in range(40)]
+        corpus, ps = marked_corpus(rng, texts)
+        got = assert_mining_agrees(corpus, "tgt_t", ps, w=5, n_range=(1, 4), top=50)
+        grams = {c.gram for cands in got.by_n.values() for c in cands}
+        assert {"\u0130", "\U0001d538", "\U0010ffff"} <= grams
 
     def test_top_larger_than_gram_count(self):
         corpus = make_corpus({"paa_p": {"00000001": "piv"}, "tgt_t": {"00000001": "abcabc"}})
@@ -523,6 +596,38 @@ class TestOracleAgreement:
             corpus, "tgt_t", ps, w=w, n_range=(n_min, n_min + n_extra), top=top,
             sigma=2.0, relative_positions=rels,
         )
+
+
+class TestScratchMemory:
+    """Mining one target holds at most 25 bytes of traced memory per
+    character of its joined text (the text itself included)."""
+
+    def test_marking24_targets(self):
+        corpus, truth = generate(preset_marking24())
+        corpus = corpus.select(len(corpus.verse_universe))
+        langs = truth["languages"]
+        particle = sorted(
+            iso for iso, info in langs.items()
+            if info["style"] == "particle" and iso != truth["query"]["iso3"]
+        )
+        members = [
+            Pivot(iso, langs[iso]["translation_id"], langs[iso]["markers"]["past"][0], 1.0)
+            for iso in particle[:12]
+        ]
+        ps = PivotSet.scan(corpus, members[0], members)
+        member_tids = {p.translation_id for p in members}
+        peaks = {}
+        for tid in sorted(set(corpus.translations) - member_tids):
+            chars = len(corpus.joined_text(tid))
+            tracemalloc.start()
+            try:
+                mine_ngrams(corpus, tid, ps, **mining())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            peaks[tid] = peak / chars
+        assert len(peaks) == 12
+        assert max(peaks.values()) <= 25, peaks
 
 
 class TestExactTopK:
