@@ -379,14 +379,13 @@ def train_pair(
     tgt_id: str,
     enc: PairEncoding,
     cfg: RunConfig,
-    cache_dir: str | Path | None,
     key: str,
 ) -> LexTable:
-    """Train (or load from cache) the lexical table of one pair, whose
-    verse pairs enc encodes; key is its _pair_cache_key."""
-    if cache_dir is None:
+    """Train (or load from cfg.cache_dir) the lexical table of one pair,
+    whose verse pairs enc encodes; key is its _pair_cache_key."""
+    if cfg.cache_dir is None:
         return train_alignment(enc, cfg)
-    cache_dir = Path(cache_dir)
+    cache_dir = Path(cfg.cache_dir)
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -407,7 +406,6 @@ def link_counts(
     source_translation_id: str,
     source_word: str,
     cfg: RunConfig,
-    cache_dir: str | Path | None,
     targets: list[str] | None = None,
     forms: frozenset[str] = frozenset(),
 ) -> dict[str, PairLinkStats]:
@@ -421,7 +419,7 @@ def link_counts(
     surface of the source (see TranslationEncoding.merged). Each side is
     encoded by corpus.encode, so a corpus with an encoding store
     (MultiCorpus.keeping_encodings) tokenizes each translation once. With
-    a cache_dir, each side's selected texts are hashed once per call
+    a cfg.cache_dir, each side's selected texts are hashed once per call
     (texts_digest) for the pair keys.
     """
     if source_translation_id not in corpus.translations:
@@ -438,7 +436,8 @@ def link_counts(
         return {}
     if targets is None:
         targets = [t for t in corpus.translations if t != source_translation_id]
-    src_digest = texts_digest(corpus, source_translation_id) if cache_dir is not None else b""
+    cached = cfg.cache_dir is not None
+    src_digest = texts_digest(corpus, source_translation_id) if cached else b""
     out: dict[str, PairLinkStats] = {}
     for tgt_id in sorted(targets):
         if tgt_id == source_translation_id:
@@ -452,11 +451,11 @@ def link_counts(
             )
             continue
         key = ""
-        if cache_dir is not None:
+        if cached:
             key = _pair_cache_key(
                 source_translation_id, tgt_id, cfg, merge, src_digest, texts_digest(corpus, tgt_id)
             )
-        lex = train_pair(source_translation_id, tgt_id, enc, cfg, cache_dir, key)
+        lex = train_pair(source_translation_id, tgt_id, enc, cfg, key)
         stats = _link_stats(lex, cfg, source_word)
         freq = tgt.frequencies()
         stats.target_frequencies = {w: freq[w] for w in stats.source_word_to_target}

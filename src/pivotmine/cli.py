@@ -5,7 +5,9 @@ writes a manifest there; `pipeline` chains the stages for one feature.
 All of them go through run_command, which loads the config, times each
 stage and writes the manifest around the subcommand's own body. Each
 input file is read once, by the reader that parses it, through
-run.rec.read, which records the bytes it returns in the manifest.
+run.rec.read, and each output is written by the writer that formats it,
+through run.rec.write_output; both record the sha256 of the bytes in hand
+in the manifest. A stage returns only its value.
 
 A subcommand imports only the stage modules it runs. Most of them import
 numpy, which costs each process about 0.1 s of start-up, and eval-mrr,
@@ -116,14 +118,14 @@ def _head_from_json(run: Run, corpus: MultiCorpus, path: str | Path) -> Pivot:
 # --- stages -----------------------------------------------------------------
 
 
-def stage_synth(run: Run, spec: SynthSpec) -> list[Path]:
-    return write_synth(spec, run.out)
+def stage_synth(run: Run, spec: SynthSpec) -> None:
+    write_synth(spec, run.out, run.rec.write_output)
 
 
-def stage_ingest(run: Run, corpus: MultiCorpus) -> list[Path]:
-    out = run.out
-    coverage = write_coverage_report(corpus, out / "coverage.tsv")
-    selection = write_lines(out / "selection.txt", corpus.selected_verses)
+def stage_ingest(run: Run, corpus: MultiCorpus) -> None:
+    out, write = run.out, run.rec.write_output
+    write_coverage_report(corpus, out / "coverage.tsv", write)
+    write_lines(out / "selection.txt", corpus.selected_verses, write)
     stats = {
         "n_translations": len(corpus.translations),
         "n_languages": len(corpus.languages()),
@@ -131,16 +133,13 @@ def stage_ingest(run: Run, corpus: MultiCorpus) -> list[Path]:
         "n_selected": len(corpus.selected_index),
         "malformed_lines": corpus.malformed_lines,
     }
-    return [coverage, selection, _write_json(out / "corpus_stats.json", stats)]
+    _write_json(out / "corpus_stats.json", stats, write)
 
 
-def stage_head(run: Run, corpus: MultiCorpus, feature: str) -> tuple[Pivot, list[Path]]:
-    cfg = run.cfg
+def stage_head(run: Run, corpus: MultiCorpus, feature: str) -> Pivot:
     query = _query_for(run, feature)
-    allowlist = read_allowlist(cfg.path("allowlist"), run.rec.read)
-    head = find_head_pivot(
-        corpus, query, allowlist, cfg, cfg.min_count, cfg.cache_dir
-    )
+    allowlist = read_allowlist(run.cfg.path("allowlist"), run.rec.read)
+    head = find_head_pivot(corpus, query, allowlist, run.cfg)
     doc = {
         "feature": feature,
         "iso3": head.iso3,
@@ -148,30 +147,25 @@ def stage_head(run: Run, corpus: MultiCorpus, feature: str) -> tuple[Pivot, list
         "surface": head.surface,
         "score": head.score,
     }
-    return head, [_write_json(run.out / "head.json", doc)]
+    _write_json(run.out / "head.json", doc, run.rec.write_output)
+    return head
 
 
-def stage_expand(
-    run: Run, corpus: MultiCorpus, feature: str, head: Pivot
-) -> tuple[PivotSet, list[Path]]:
-    cfg = run.cfg
-    ranking = rank_pivot_candidates(
-        corpus, head, cfg, cfg.min_count, cfg.cache_dir
-    )
-    pivot_set = expand_pivots(corpus, feature, head, cfg.k, ranking)
-    return pivot_set, [
-        write_pivots_tsv(pivot_set.members, run.out / "pivots.tsv"),
-        write_pivots_tsv(ranking, run.out / "ranking.tsv"),
-    ]
+def stage_expand(run: Run, corpus: MultiCorpus, feature: str, head: Pivot) -> PivotSet:
+    ranking = rank_pivot_candidates(corpus, head, run.cfg)
+    pivot_set = expand_pivots(corpus, feature, head, run.cfg.k, ranking)
+    write_pivots_tsv(pivot_set.members, run.out / "pivots.tsv", run.rec.write_output)
+    write_pivots_tsv(ranking, run.out / "ranking.tsv", run.rec.write_output)
+    return pivot_set
 
 
 def stage_mine(
     run: Run, corpus: MultiCorpus, pivot_set: PivotSet, targets: list[str] | None = None
-) -> list[Path]:
+) -> None:
     """Mine each target's n-grams into ngrams/, which then holds exactly
     those files: an earlier run's TSVs for other targets are removed, once
     every target is known to be in the corpus."""
-    cfg, out = run.cfg, run.out
+    cfg, out, write = run.cfg, run.out, run.rec.write_output
     ngram_dir = out / "ngrams"
     member_tids = {p.translation_id for p in pivot_set.members}
     if targets is None:
@@ -180,26 +174,24 @@ def stage_mine(
     if unknown:
         raise DataError(f"unknown translation {unknown[0]!r}")
     remove_stale(ngram_dir, "*.tsv", {ngram_dir / f"{tid}.tsv" for tid in targets})
-    written = []
     summary = {}
     for tid in sorted(targets):
         result = mine_ngrams(
             corpus, tid, pivot_set, sigma=cfg.sigma, w=cfg.window,
             n_range=(cfg.n_min, cfg.n_max), top=cfg.top,
         )
-        written.append(write_ngrams_tsv(result, ngram_dir / f"{tid}.tsv"))
+        write_ngrams_tsv(result, ngram_dir / f"{tid}.tsv", write)
         summary[tid] = {
             "verses_scored": result.verses_scored,
             "verses_positive": result.verses_positive,
             "overlap_flagged": result.overlap_flagged,
         }
-    written.append(_write_json(out / "mining_summary.json", summary))
-    return written
+    _write_json(out / "mining_summary.json", summary, write)
 
 
 def _family_metrics(
-    cfg: RunConfig, dm: DistanceMatrix, families: dict[str, str], path: Path
-) -> list[Path]:
+    run: Run, dm: DistanceMatrix, families: dict[str, str], path: Path
+) -> None:
     """Write the family metrics of dm to path when at least two of its
     labels carry a family; otherwise log why not and write nothing."""
     annotated = sum(label in families for label in dm.labels)
@@ -209,18 +201,16 @@ def _family_metrics(
             annotated,
             len(dm.labels),
         )
-        return []
-    metrics = evaluate_family_prediction(dm, families, cfg.jsd_threshold)
-    return [_write_json(path, metrics)]
+        return
+    metrics = evaluate_family_prediction(dm, families, run.cfg.jsd_threshold)
+    _write_json(path, metrics, run.rec.write_output)
 
 
-def stage_cluster_markers(run: Run, corpus: MultiCorpus, pivot_set: PivotSet) -> list[Path]:
-    out = run.out
+def stage_cluster_markers(run: Run, corpus: MultiCorpus, pivot_set: PivotSet) -> None:
+    out, write = run.out, run.rec.write_output
     dm = marker_distance_matrix(pivot_set.presence)
-    written = [
-        write_distance_tsv(dm, out / "markers_distance.tsv"),
-        write_text(out / "markers.nwk", to_newick(upgma(dm)) + "\n"),
-    ]
+    write_distance_tsv(dm, out / "markers_distance.tsv", write)
+    write_text(out / "markers.nwk", to_newick(upgma(dm)) + "\n", write)
     if corpus.families:
         # marker labels inherit the family of their language
         marker_families = {
@@ -228,37 +218,34 @@ def stage_cluster_markers(run: Run, corpus: MultiCorpus, pivot_set: PivotSet) ->
             for p in pivot_set.members
             if p.iso3 in corpus.families
         }
-        written += _family_metrics(
-            run.cfg, dm, marker_families, out / "marker_family_metrics.json"
-        )
-    return written
+        _family_metrics(run, dm, marker_families, out / "marker_family_metrics.json")
 
 
-def stage_map(run: Run, pivot_set: PivotSet) -> list[Path]:
-    cfg, out = run.cfg, run.out
+def stage_map(run: Run, pivot_set: PivotSet) -> None:
+    cfg, out, write = run.cfg, run.out, run.rec.write_output
     matrix = pivot_set.presence
     chosen, choices = select_splitting_pivots(
         matrix, pivot_set.head, cfg.map_rounds, cfg.map_policy
     )
-    written = [write_splitters_tsv(chosen, choices, out / "splitters.tsv")]
+    write_splitters_tsv(chosen, choices, out / "splitters.tsv", write)
     clusters = signature_clusters(matrix, chosen)
-    written.append(write_cluster_summary(clusters, out / "clusters.tsv"))
-    return written + write_cluster_verses(clusters, out / "clusters")
+    write_cluster_summary(clusters, out / "clusters.tsv", write)
+    write_cluster_verses(clusters, out / "clusters", write)
 
 
 def stage_project(
     run: Run, corpus: MultiCorpus, verse_ids: list[str], translation_id: str
-) -> list[Path]:
+) -> None:
     projected = project_cluster(corpus, verse_ids, translation_id)
     missing = sum(1 for _, text in projected if text is None)
     if missing:
         logger.warning(
             "%d of %d verses missing from %s", missing, len(projected), translation_id
         )
-    return [write_projection(projected, run.out / "projection.tsv")]
+    write_projection(projected, run.out / "projection.tsv", run.rec.write_output)
 
 
-def stage_eval_mrr(run: Run, ngram_dirs: list[tuple[str, Path]]) -> list[Path]:
+def stage_eval_mrr(run: Run, ngram_dirs: list[tuple[str, Path]]) -> None:
     """Score each feature's mined n-grams, read from its (feature, dir) pair."""
     gold = read_gold(run.cfg.path("gold"), run.rec.read)
     results = []
@@ -270,15 +257,15 @@ def stage_eval_mrr(run: Run, ngram_dirs: list[tuple[str, Path]]) -> list[Path]:
             raise DataError(f"no n-gram TSVs in {ngram_dir}")
         ranked = {p.stem: read_ngrams_tsv(p, run.rec.read) for p in paths}
         results.append(mrr(ranked, gold, feature, run.cfg.match_mode))
-    return [_write_json(run.out / "mrr.json", mrr_table(results))]
+    _write_json(run.out / "mrr.json", mrr_table(results), run.rec.write_output)
 
 
 def stage_cluster_languages(
     run: Run, corpus: MultiCorpus, features: list[str], from_dir: Path
-) -> list[Path]:
+) -> None:
     """Cluster languages by the top markers of each feature's head.json
     and ranking.tsv under from_dir."""
-    cfg, out = run.cfg, run.out
+    cfg, out, write = run.cfg, run.out, run.rec.write_output
     markers_by_feature = {}
     head_translations = {}
     for feature in features:
@@ -290,21 +277,18 @@ def stage_cluster_languages(
     dm, report = language_distance(
         corpus, markers_by_feature, cfg.min_shared_verses, head_translations
     )
-    written = [
-        write_distance_tsv(dm, out / "languages_distance.tsv"),
-        write_text(out / "languages.nwk", to_newick(upgma(dm)) + "\n"),
-        _write_json(out / "language_report.json", asdict(report)),
-    ]
+    write_distance_tsv(dm, out / "languages_distance.tsv", write)
+    write_text(out / "languages.nwk", to_newick(upgma(dm)) + "\n", write)
+    _write_json(out / "language_report.json", asdict(report), write)
     if corpus.families:
-        written += _family_metrics(cfg, dm, corpus.families, out / "family_metrics.json")
-    return written
+        _family_metrics(run, dm, corpus.families, out / "family_metrics.json")
 
 
-def stage_eval_family(run: Run, distances: str) -> list[Path]:
+def stage_eval_family(run: Run, distances: str) -> None:
     families = read_families(run.cfg.path("families"), run.rec.read)
     dm = read_distance_tsv(distances, run.rec.read)
     metrics = evaluate_family_prediction(dm, families, run.cfg.jsd_threshold)
-    return [_write_json(run.out / "family_metrics.json", metrics)]
+    _write_json(run.out / "family_metrics.json", metrics, run.rec.write_output)
 
 
 # --- the command runner -------------------------------------------------------
@@ -323,18 +307,14 @@ class Run:
         _bind(*self.args.modules)
 
     def stage(self, name: str, fn, *fn_args):
-        """Call fn(self, *fn_args) under the manifest timer `name`; record
-        the files it wrote.
+        """Return fn(self, *fn_args), called under the manifest timer `name`.
 
-        The output directory exists when fn runs. fn returns the paths it
-        wrote, or a (value, paths) pair whose value is passed back.
+        The output directory exists when fn runs. fn writes each file
+        through run.rec.write_output, which records it.
         """
         with self.rec.time_stage(name):
             self.out.mkdir(parents=True, exist_ok=True)
-            result = fn(self, *fn_args)
-        value, written = result if isinstance(result, tuple) else (None, result)
-        self.rec.add_outputs(written)
-        return value
+            return fn(self, *fn_args)
 
     def corpus(self) -> MultiCorpus:
         """The corpus of ingest's --corpus, else of corpus_dir, with its
@@ -369,10 +349,11 @@ def run_command(args: argparse.Namespace) -> int:
 
     Loads the config, resolves the output directory and removes its
     manifest, so that a directory holds a manifest only after a run that
-    finished. Then it runs the subcommand's body, with the stage modules
-    it names in `modules` bound (see Run), and writes the manifest. The
-    body times its stages through Run.stage, and records each input file
-    where it opens it.
+    finished; an output directory that is, or lies under, a file is a
+    ConfigError, raised before any stage runs. Then it runs the
+    subcommand's body, with the stage modules it names in `modules` bound
+    (see Run), and writes the manifest. The body times its stages through
+    Run.stage, and records each file where it reads or writes it.
     """
     rec = RunRecorder(args.command)
     if "config" in args:
@@ -381,7 +362,10 @@ def run_command(args: argparse.Namespace) -> int:
     else:  # synth, which takes no config file
         cfg = None
     run = Run(args, cfg, rec, _out_dir(args, cfg))
-    (run.out / MANIFEST_NAME).unlink(missing_ok=True)
+    try:
+        (run.out / MANIFEST_NAME).unlink(missing_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {run.out} is not usable: {exc}") from exc
     args.body(run)
     rec.write(run.out)
     return 0

@@ -21,7 +21,7 @@ import numpy as np
 from .corpus import MultiCorpus
 from .errors import DataError
 from .pivots import Pivot, PresenceMatrix, scan_pivots
-from .textio import Reader, read_bytes, read_lines, write_lines
+from .textio import Reader, Writer, read_bytes, read_lines, write_bytes, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -189,13 +189,16 @@ def to_newick(root: DendroNode) -> str:
     return f"({render(left, root.height)},{render(right, root.height)});"
 
 
-def write_distance_tsv(dm: DistanceMatrix, path: str | Path) -> Path:
-    """Square matrix TSV with a label header row and column."""
+def write_distance_tsv(
+    dm: DistanceMatrix, path: str | Path, write: Writer = write_bytes
+) -> Path:
+    """Square matrix TSV with a label header row and column, written
+    through write."""
     lines = ["\t".join(["label"] + dm.labels)]
     for i, lb in enumerate(dm.labels):
         row = [lb] + [format(v, ".10g") for v in dm.values[i]]
         lines.append("\t".join(row))
-    return write_lines(path, lines)
+    return write_lines(path, lines, write)
 
 
 def read_distance_tsv(path: str | Path, read: Reader = read_bytes) -> DistanceMatrix:

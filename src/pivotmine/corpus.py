@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .textio import Reader, read_bytes, read_lines, write_lines
+from .textio import Reader, Writer, read_bytes, read_lines, write_bytes, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -509,8 +509,11 @@ def coverage_counts(corpus: MultiCorpus) -> np.ndarray:
     return counts
 
 
-def write_coverage_report(corpus: MultiCorpus, path: str | Path) -> Path:
-    """Write ``verse_id<TAB>coverage`` for the whole universe, id-sorted."""
+def write_coverage_report(
+    corpus: MultiCorpus, path: str | Path, write: Writer = write_bytes
+) -> Path:
+    """Write ``verse_id<TAB>coverage`` for the whole universe, id-sorted,
+    through write."""
     counts = coverage_counts(corpus).tolist()
     lines = (f"{vid}\t{n}" for vid, n in zip(corpus.verse_universe, counts))
-    return write_lines(path, lines)
+    return write_lines(path, lines, write)

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import DataError
-from .textio import Reader, read_bytes, read_lines, write_lines
+from .textio import Reader, Writer, read_bytes, read_lines, write_bytes, write_lines
 
 if TYPE_CHECKING:
     from .ngrams import MiningResult
@@ -45,8 +45,11 @@ def unescape_gram(cell: str) -> str:
     return _ESCAPED_RE.sub(lambda m: _UNESCAPES[m.group(1)], cell)
 
 
-def write_ngrams_tsv(result: MiningResult, path: str | Path) -> Path:
-    """Write ``n rank gram pos neg chi2`` rows for every ranked gram."""
+def write_ngrams_tsv(
+    result: MiningResult, path: str | Path, write: Writer = write_bytes
+) -> Path:
+    """Write ``n rank gram pos neg chi2`` rows for every ranked gram,
+    through write."""
     lines = ["n\trank\tgram\tpos\tneg\tchi2"]
     for n in sorted(result.by_n):
         for cand in result.by_n[n]:
@@ -54,7 +57,7 @@ def write_ngrams_tsv(result: MiningResult, path: str | Path) -> Path:
                 f"{n}\t{cand.rank}\t{escape_gram(cand.gram)}\t"
                 f"{cand.pos_count}\t{cand.neg_count}\t{format(cand.score, '.10g')}"
             )
-    return write_lines(path, lines)
+    return write_lines(path, lines, write)
 
 
 def read_ngrams_tsv(path: str | Path, read: Reader = read_bytes) -> dict[int, list[str]]:

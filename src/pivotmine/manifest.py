@@ -3,6 +3,11 @@
 The manifest is the one artifact allowed to differ between reruns (it
 records start and finish times and stage durations); every other output
 of a stage is byte-reproducible given the same config and inputs.
+
+A run's RunRecorder hashes each file where it is read (read) or written
+(write_output), from the bytes in hand, so no file is opened twice. The
+manifest lists those inputs and outputs; alignment-cache tables and the
+manifest itself, written with plain textio.write_bytes, are not listed.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from .textio import read_bytes, write_json
+from .textio import read_bytes, write_bytes, write_json
 
 MANIFEST_NAME = "manifest.json"
 
@@ -24,14 +29,6 @@ MANIFEST_NAME = "manifest.json"
 def canonical_sha256(doc: dict) -> str:
     """sha256 of doc as canonical JSON: keys sorted, default separators."""
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
-
-
-def file_sha256(path: str | Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 class RunRecorder:
@@ -43,7 +40,7 @@ class RunRecorder:
         self.config_hash = ""
         self.started = time.time()
         self.inputs: dict[str, str] = {}
-        self.outputs: set[Path] = set()
+        self.outputs: dict[Path, str] = {}
         self.timings: dict[str, float] = {}
         self.peak_rss_kib: dict[str, int] = {}
         self.minor_faults: dict[str, int] = {}
@@ -66,8 +63,14 @@ class RunRecorder:
             self.inputs[str(p)] = hashlib.sha256(data).hexdigest()
         return data
 
-    def add_outputs(self, paths) -> None:
-        self.outputs.update(Path(p) for p in paths)
+    def write_output(self, path: str | Path, data: bytes) -> Path:
+        """Atomically replace the file at path with data
+        (textio.write_bytes), and only then record the sha256 of data as
+        an output. It is the one way a run writes and records an output:
+        each writer takes it as its write function."""
+        p = write_bytes(path, data)
+        self.outputs[p] = hashlib.sha256(data).hexdigest()
+        return p
 
     @contextmanager
     def time_stage(self, name: str):
@@ -92,13 +95,12 @@ class RunRecorder:
         out_dir.mkdir(parents=True, exist_ok=True)
         finished = time.time()
         outputs = {}
-        for p in sorted(self.outputs):
-            if p.is_file():
-                try:
-                    rel = str(p.relative_to(out_dir))
-                except ValueError:
-                    rel = str(p)
-                outputs[rel] = file_sha256(p)
+        for p, digest in self.outputs.items():
+            try:
+                rel = str(p.relative_to(out_dir))
+            except ValueError:
+                rel = str(p)
+            outputs[rel] = digest
         # numpy's version if this run imported numpy, else None; reading
         # the installed package's metadata would itself slow start-up
         numpy = sys.modules.get("numpy")

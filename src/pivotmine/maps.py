@@ -19,7 +19,7 @@ import numpy as np
 from .corpus import MultiCorpus
 from .errors import DataError
 from .pivots import Pivot, PresenceMatrix
-from .textio import remove_stale, write_lines, write_text
+from .textio import Writer, remove_stale, write_bytes, write_lines, write_text
 
 logger = logging.getLogger(__name__)
 
@@ -166,9 +166,11 @@ def project_cluster(
 
 
 def write_splitters_tsv(
-    chosen: list[Pivot], choices: list[SplitChoice], path: str | Path
+    chosen: list[Pivot], choices: list[SplitChoice], path: str | Path,
+    write: Writer = write_bytes,
 ) -> Path:
-    """Head first, then one row per round with its split diagnostics."""
+    """Head first, then one row per round with its split diagnostics,
+    written through write."""
     lines = ["round\tiso3\ttranslation\tsurface\tcluster_size\tfraction"]
     head = chosen[0]
     lines.append(f"0\t{head.iso3}\t{head.translation_id}\t{head.surface}\t\t")
@@ -178,35 +180,37 @@ def write_splitters_tsv(
             f"{rnd}\t{p.iso3}\t{p.translation_id}\t{p.surface}\t"
             f"{choice.cluster_size}\t{format(choice.fraction, '.6g')}"
         )
-    return write_lines(path, lines)
+    return write_lines(path, lines, write)
 
 
-def write_cluster_summary(clusters: list[SignatureCluster], path: str | Path) -> Path:
+def write_cluster_summary(
+    clusters: list[SignatureCluster], path: str | Path, write: Writer = write_bytes
+) -> Path:
     lines = ["signature\tsize"]
     for c in clusters:
         lines.append(f"{c.key}\t{c.size}")
-    return write_lines(path, lines)
+    return write_lines(path, lines, write)
 
 
-def write_cluster_verses(clusters: list[SignatureCluster], out_dir: str | Path) -> list[Path]:
-    """One ``{key}.txt`` of verse ids per cluster; returns the paths written.
+def write_cluster_verses(
+    clusters: list[SignatureCluster], out_dir: str | Path, write: Writer = write_bytes
+) -> None:
+    """One ``{key}.txt`` of verse ids per cluster, written through write.
 
     Other ``*.txt`` files in out_dir, say an earlier run's clusters, are
     removed first; files of any other kind are left alone.
     """
     out_dir = Path(out_dir)
     remove_stale(out_dir, "*.txt", {out_dir / f"{c.key}.txt" for c in clusters})
-    return [
-        write_text(out_dir / f"{c.key}.txt", "".join(f"{v}\n" for v in c.verse_ids))
-        for c in clusters
-    ]
+    for c in clusters:
+        write_text(out_dir / f"{c.key}.txt", "".join(f"{v}\n" for v in c.verse_ids), write)
 
 
 def write_projection(
-    projected: list[tuple[str, str | None]], path: str | Path
+    projected: list[tuple[str, str | None]], path: str | Path, write: Writer = write_bytes
 ) -> Path:
-    """``verse_id<TAB>text`` rows; verses missing from the translation are
-    written with an empty text field."""
+    """``verse_id<TAB>text`` rows, written through write; verses missing
+    from the translation are written with an empty text field."""
     return write_lines(
-        path, (f"{vid}\t{'' if text is None else text}" for vid, text in projected)
+        path, (f"{vid}\t{'' if text is None else text}" for vid, text in projected), write
     )

@@ -21,7 +21,7 @@ from .config import RunConfig
 from .corpus import DELIMITERS, MultiCorpus, tokenize_blocks
 from .errors import DataError
 from .stats import ContingencyTable, chi2
-from .textio import Reader, read_bytes, read_lines, write_lines
+from .textio import Reader, Writer, read_bytes, read_lines, write_bytes, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -204,18 +204,14 @@ def _check_query_merge(
 
 
 def find_head_pivot(
-    corpus: MultiCorpus,
-    query: Query,
-    allowlist: set[str],
-    cfg: RunConfig,
-    min_count: int,
-    cache_dir: str | Path | None,
+    corpus: MultiCorpus, query: Query, allowlist: set[str], cfg: RunConfig
 ) -> Pivot:
     """Find the best-associated allowlisted word for a feature query.
 
     The query forms are merged into one synthetic token in the query
     translation's encoding (see link_counts), which is aligned against the
-    allowlisted translations only. Raises DataError when no allowlisted
+    allowlisted translations only. Candidates below cfg.min_count are
+    skipped (score_candidates). Raises DataError when no allowlisted
     candidate has a positive score; the error then aligns every translation
     and lists the top-scoring candidates overall so the allowlist can be
     revisited.
@@ -229,10 +225,8 @@ def find_head_pivot(
     _check_query_merge(corpus, query.translation_id, forms, synthetic)
 
     def candidates_in(targets: list[str] | None) -> list[Pivot]:
-        stats = link_counts(
-            corpus, query.translation_id, synthetic, cfg, cache_dir, targets, forms
-        )
-        return score_candidates(corpus, stats, min_count)
+        stats = link_counts(corpus, query.translation_id, synthetic, cfg, targets, forms)
+        return score_candidates(corpus, stats, cfg.min_count)
 
     # Each target is scored on its own, so aligning only the allowlisted
     # ones finds the same head.
@@ -260,18 +254,11 @@ def find_head_pivot(
     return best
 
 
-def rank_pivot_candidates(
-    corpus: MultiCorpus,
-    head: Pivot,
-    cfg: RunConfig,
-    min_count: int,
-    cache_dir: str | Path | None,
-) -> list[Pivot]:
-    """Score candidates in every translation against the head pivot."""
-    stats = link_counts(
-        corpus, head.translation_id, head.surface, cfg, cache_dir
-    )
-    return score_candidates(corpus, stats, min_count)
+def rank_pivot_candidates(corpus: MultiCorpus, head: Pivot, cfg: RunConfig) -> list[Pivot]:
+    """Score candidates in every translation against the head pivot; those
+    below cfg.min_count are skipped (score_candidates)."""
+    stats = link_counts(corpus, head.translation_id, head.surface, cfg)
+    return score_candidates(corpus, stats, cfg.min_count)
 
 
 def expand_pivots(
@@ -353,8 +340,9 @@ def read_allowlist(path: str | Path, read: Reader = read_bytes) -> set[str]:
     return out
 
 
-def write_pivots_tsv(rows: list[Pivot], path: str | Path) -> Path:
-    """Write ``rank iso3 translation surface chi2``, one line per pivot.
+def write_pivots_tsv(rows: list[Pivot], path: str | Path, write: Writer = write_bytes) -> Path:
+    """Write ``rank iso3 translation surface chi2``, one line per pivot,
+    through write.
 
     Pivot sets and candidate rankings share this format.
     """
@@ -363,7 +351,7 @@ def write_pivots_tsv(rows: list[Pivot], path: str | Path) -> Path:
         lines.append(
             f"{rank}\t{p.iso3}\t{p.translation_id}\t{p.surface}\t{format(p.score, '.10g')}"
         )
-    return write_lines(path, lines)
+    return write_lines(path, lines, write)
 
 
 def read_pivots_tsv(

@@ -24,7 +24,7 @@ import numpy as np
 from .config import is_scalar, read_fields, read_json_object
 from .corpus import MultiCorpus, build_corpus
 from .errors import ConfigError
-from .textio import Reader, read_bytes, write_json, write_lines
+from .textio import Reader, Writer, read_bytes, write_bytes, write_json, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -347,9 +347,9 @@ def _generate(spec: SynthSpec) -> tuple[dict[str, dict[str, str]], dict]:
 # --- on-disk form ----------------------------------------------------------
 
 
-def write_synth(spec: SynthSpec, out_dir: str | Path) -> list[Path]:
-    """Generate and write corpus plus companion files under out_dir, and
-    return the paths written; it builds no MultiCorpus (generate does).
+def write_synth(spec: SynthSpec, out_dir: str | Path, write: Writer = write_bytes) -> None:
+    """Generate and write corpus plus companion files under out_dir,
+    through write; it builds no MultiCorpus (generate does).
 
     Layout: corpus/{iso3}_synth.txt, ground_truth.json, queries.tsv,
     allowlist.txt (non-query particle languages), gold.tsv (planted
@@ -359,26 +359,25 @@ def write_synth(spec: SynthSpec, out_dir: str | Path) -> list[Path]:
     out_dir = Path(out_dir)
     corpus_dir = out_dir / "corpus"
     corpus_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     for tid in sorted(verses):
         texts = verses[tid]
-        written.append(write_lines(
-            corpus_dir / f"{tid}.txt", (f"{vid}\t{texts[vid]}" for vid in sorted(texts))
-        ))
-    written.append(write_json(out_dir / "ground_truth.json", truth))
+        write_lines(
+            corpus_dir / f"{tid}.txt", (f"{vid}\t{texts[vid]}" for vid in sorted(texts)), write
+        )
+    write_json(out_dir / "ground_truth.json", truth, write)
     feature_names = [f for f, _ in spec.features]
     query = truth["query"]
     qlines = [
         f"{f}\t{query['translation_id']}\t{','.join(query['forms'][f])}"
         for f in feature_names
     ]
-    written.append(write_lines(out_dir / "queries.tsv", qlines))
+    write_lines(out_dir / "queries.tsv", qlines, write)
     allow = [
         l.iso3
         for l in spec.languages
         if l.style == "particle" and l.iso3 != spec.query_iso3
     ]
-    written.append(write_lines(out_dir / "allowlist.txt", allow))
+    write_lines(out_dir / "allowlist.txt", allow, write)
     glines = []
     for lang in spec.languages:
         info = truth["languages"][lang.iso3]
@@ -386,10 +385,9 @@ def write_synth(spec: SynthSpec, out_dir: str | Path) -> list[Path]:
             forms = info["markers"].get(f)
             if forms:
                 glines.append(f"{info['translation_id']}\t{f}\t{','.join(forms)}")
-    written.append(write_lines(out_dir / "gold.tsv", glines))
+    write_lines(out_dir / "gold.tsv", glines, write)
     flines = [f"{l.iso3}\t{l.family}" for l in spec.languages]
-    written.append(write_lines(out_dir / "families.tsv", flines))
-    return written
+    write_lines(out_dir / "families.tsv", flines, write)
 
 
 def _iso_series(letter: str, count: int) -> list[str]:

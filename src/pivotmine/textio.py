@@ -4,7 +4,10 @@ Reads turn a missing or undecodable file into DataError, so a bad input
 path is a data problem (exit code 3) rather than a traceback. Writes go to
 a temporary file in the destination directory that is then renamed over
 the destination, so a reader never sees a partly written file. Each file
-format keeps its own parse loop; only the file access lives here.
+format keeps its own parse and format loops; only the file access lives
+here. Every reader takes a Reader and every writer a Writer: read_bytes
+and write_bytes by default, a run's RunRecorder.read and write_output in
+the CLI, which record each input and output with the sha256 of its bytes.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from .errors import DataError
 
 # What a reader reads a file through: read_bytes, or a run's RunRecorder.read
 Reader = Callable[[str | Path], bytes]
+# What a writer writes a file through: write_bytes, or a run's
+# RunRecorder.write_output
+Writer = Callable[[str | Path, bytes], Path]
 
 
 def read_bytes(path: str | Path) -> bytes:
@@ -70,19 +76,20 @@ def write_bytes(path: str | Path, data: bytes) -> Path:
     return path
 
 
-def write_text(path: str | Path, text: str) -> Path:
-    """Atomically replace path with text (UTF-8)."""
-    return write_bytes(path, text.encode("utf-8"))
+def write_text(path: str | Path, text: str, write: Writer = write_bytes) -> Path:
+    """Replace path with text (UTF-8), written through write."""
+    return write(path, text.encode("utf-8"))
 
 
-def write_lines(path: str | Path, lines) -> Path:
-    """Write lines joined by newlines, with a final newline."""
-    return write_text(path, "\n".join(lines) + "\n")
+def write_lines(path: str | Path, lines, write: Writer = write_bytes) -> Path:
+    """Write lines joined by newlines, with a final newline, through write."""
+    return write_text(path, "\n".join(lines) + "\n", write)
 
 
-def write_json(path: str | Path, obj) -> Path:
-    """Write obj as indented, key-sorted JSON with a final newline."""
-    return write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def write_json(path: str | Path, obj, write: Writer = write_bytes) -> Path:
+    """Write obj as indented, key-sorted JSON with a final newline, through
+    write."""
+    return write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n", write)
 
 
 def remove_stale(directory: Path, pattern: str, keep: set[Path]) -> None:

@@ -17,8 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
+from helpers import file_sha256
 from pivotmine.cli import main
-from pivotmine.manifest import MANIFEST_NAME, file_sha256
+from pivotmine.manifest import MANIFEST_NAME
 
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
 

@@ -8,9 +8,11 @@ plain data types and encoders needed to build fixtures.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -20,6 +22,12 @@ from pivotmine.corpus import MultiCorpus, TranslationEncoding, build_corpus
 
 # The run parameters a test leaves alone, from the one place that defines them.
 CONFIG = RunConfig()
+
+
+def file_sha256(path: str | Path) -> str:
+    """sha256 of the file at path, read from disk; the manifest records
+    the sha256 of the bytes a run read or wrote, in memory."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def mining(**overrides) -> dict:

@@ -23,6 +23,7 @@ from helpers import (
     CONFIG,
     chi2_reference,
     encode_surface_pairs,
+    file_sha256,
     lex_rows,
     mining,
     tree_merges,
@@ -37,7 +38,7 @@ from pivotmine.cluster import (
     upgma,
 )
 from pivotmine.evaluation import gram_matches, mrr, mrr_table
-from pivotmine.manifest import MANIFEST_NAME, file_sha256
+from pivotmine.manifest import MANIFEST_NAME
 from pivotmine.maps import select_splitting_pivots, signature_clusters
 from pivotmine.ngrams import mine_ngrams
 from pivotmine.pivots import (
@@ -195,7 +196,7 @@ def marking(tmp_path_factory):
         for iso, info in truth["languages"].items()
         if info["style"] == "particle" and iso != "qaa"
     }
-    cache = tmp_path_factory.mktemp("align_cache")
+    cfg = replace(CONFIG, cache_dir=tmp_path_factory.mktemp("align_cache"))
     features = list(truth["features"])
     heads = {}
     sets = {}
@@ -206,8 +207,8 @@ def marking(tmp_path_factory):
             truth["query"]["translation_id"],
             frozenset(truth["query"]["forms"][feature]),
         )
-        head = find_head_pivot(corpus, query, allow, CONFIG, CONFIG.min_count, cache)
-        ranking = rank_pivot_candidates(corpus, head, CONFIG, CONFIG.min_count, cache)
+        head = find_head_pivot(corpus, query, allow, cfg)
+        ranking = rank_pivot_candidates(corpus, head, cfg)
         heads[feature] = head
         sets[feature] = expand_pivots(corpus, feature, head, 16, ranking)
     elapsed = time.perf_counter() - start

@@ -243,9 +243,9 @@ def cache_key(corpus, src_id: str, tgt_id: str, cfg: RunConfig, merge: tuple = (
     return _pair_cache_key(src_id, tgt_id, cfg, merge, *digests)
 
 
-def train_cached(corpus, src_id: str, tgt_id: str, enc: PairEncoding, cfg, cache_dir) -> LexTable:
+def train_cached(corpus, src_id: str, tgt_id: str, enc: PairEncoding, cfg) -> LexTable:
     """train_pair under the pair's cache key."""
-    return train_pair(src_id, tgt_id, enc, cfg, cache_dir, cache_key(corpus, src_id, tgt_id, cfg))
+    return train_pair(src_id, tgt_id, enc, cfg, cache_key(corpus, src_id, tgt_id, cfg))
 
 
 def cache_parts(path: Path) -> tuple[bytes, np.ndarray]:
@@ -307,9 +307,9 @@ class TestCache:
     ):
         # key, size and row sums all hold; only the cell count or the
         # cells digest gives the damage away
-        cfg = CONFIG
+        cfg = replace(CONFIG, cache_dir=tmp_path)
         enc = pair_encoding(pair_corpus)
-        first = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+        first = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg)
         (path,) = tmp_path.glob("*.lex")
         good = path.read_bytes()
         if damage == "swapped":
@@ -327,7 +327,7 @@ class TestCache:
         key = cache_key(pair_corpus, "aaa_src", "bbb_tgt", cfg)
         save_lex_table(foreign, path, key)
         with caplog.at_level(logging.WARNING):
-            again = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+            again = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg)
         assert corrupt_reason(caplog) == "cells differ from the pair's encoding"
         assert again.probs.tobytes() == first.probs.tobytes()
         assert path.read_bytes() == good
@@ -343,9 +343,9 @@ class TestCache:
 
     def test_previous_binary_format_is_a_silent_miss(self, pair_corpus, tmp_path, caplog):
         # a lex-bin-1 table under the current key is retrained, not corrupt
-        cfg = CONFIG
+        cfg = replace(CONFIG, cache_dir=tmp_path)
         enc = pair_encoding(pair_corpus)
-        first = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+        first = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg)
         (path,) = tmp_path.glob("*.lex")
         good = path.read_bytes()
         assert CACHE_FORMAT == "lex-bin-2" and good.startswith(b"# lex-bin-2 key=")
@@ -353,7 +353,7 @@ class TestCache:
         key = cache_key(pair_corpus, "aaa_src", "bbb_tgt", cfg)
         with caplog.at_level(logging.WARNING):
             assert load_lex_table(path, key, enc) is None
-            again = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+            again = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg)
         assert caplog.text == ""
         assert again.probs.tobytes() == first.probs.tobytes()
         assert path.read_bytes() == good
@@ -362,9 +362,9 @@ class TestCache:
     def test_damaged_cache_recomputed_with_warning(
         self, pair_corpus, tmp_path, caplog, damage
     ):
-        cfg = CONFIG
+        cfg = replace(CONFIG, cache_dir=tmp_path)
         enc = pair_encoding(pair_corpus)
-        first = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+        first = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg)
         (path,) = tmp_path.glob("*.lex")
         good = path.read_bytes()
         header, probs = cache_parts(path)
@@ -398,7 +398,7 @@ class TestCache:
             assert corrupt_reason(caplog) == f"{n_bytes} bytes of probabilities for {len(probs)} cells"
         caplog.clear()
         with caplog.at_level(logging.WARNING):
-            again = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+            again = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg)
         assert "corrupt" in caplog.text
         assert again.probs.tobytes() == first.probs.tobytes()
         assert again.log_likelihoods == first.log_likelihoods
@@ -412,9 +412,9 @@ class TestCache:
         assert load_lex_table(tmp_path / "absent.lex", "k1", lex.enc) is None
 
     def test_corrupt_cache_recomputed_with_warning(self, pair_corpus, tmp_path, caplog):
-        cfg = CONFIG
+        cfg = replace(CONFIG, cache_dir=tmp_path)
         enc = pair_encoding(pair_corpus)
-        first = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+        first = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg)
         (path,) = tmp_path.glob("*.lex")
         good = path.read_bytes()
         header, _ = cache_parts(path)
@@ -432,17 +432,17 @@ class TestCache:
             path.write_bytes(damaged)
             caplog.clear()
             with caplog.at_level(logging.WARNING):
-                again = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+                again = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg)
             assert "corrupt" in caplog.text, name
             assert again.probs.tobytes() == first.probs.tobytes(), name
             assert path.read_bytes() == good, name
 
     def test_cache_hit_equals_fresh_training(self, pair_corpus, tmp_path):
-        cfg = CONFIG
+        cfg = replace(CONFIG, cache_dir=tmp_path)
         enc = pair_encoding(pair_corpus)
-        fresh = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, None)
-        warm = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
-        hit = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg, tmp_path)
+        fresh = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, CONFIG)
+        warm = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg)
+        hit = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg)
         assert warm.probs.tobytes() == fresh.probs.tobytes()
         assert hit.probs.tobytes() == fresh.probs.tobytes()
         assert hit.log_likelihoods == fresh.log_likelihoods
@@ -450,7 +450,7 @@ class TestCache:
 
 class TestLinkCounts:
     def test_counts_line_up(self, pair_corpus):
-        stats = link_counts(pair_corpus, "aaa_src", "src0", CONFIG, CONFIG.cache_dir)
+        stats = link_counts(pair_corpus, "aaa_src", "src0", CONFIG)
         assert set(stats) == {"bbb_tgt"}
         st = stats["bbb_tgt"]
         assert st.source_word_to_target.most_common(1)[0][0] == "tgt0"
@@ -461,7 +461,7 @@ class TestLinkCounts:
     def test_absent_word_warns_empty(self, pair_corpus, caplog):
         with caplog.at_level(logging.WARNING):
             stats = link_counts(
-                pair_corpus, "aaa_src", "missing", CONFIG, CONFIG.cache_dir
+                pair_corpus, "aaa_src", "missing", CONFIG
             )
         assert stats == {}
         assert "absent" in caplog.text
@@ -474,13 +474,13 @@ class TestLinkCounts:
             }
         )
         with caplog.at_level(logging.WARNING):
-            stats = link_counts(corpus, "aaa_src", "x", CONFIG, CONFIG.cache_dir)
+            stats = link_counts(corpus, "aaa_src", "x", CONFIG)
         assert stats == {}
         assert "no shared selected verses" in caplog.text
 
     def test_unknown_translation(self, pair_corpus):
         with pytest.raises(DataError):
-            link_counts(pair_corpus, "zzz_nope", "x", CONFIG, CONFIG.cache_dir)
+            link_counts(pair_corpus, "zzz_nope", "x", CONFIG)
 
     def test_verse_pairs_keep_verses_with_tokens_on_both_sides(self):
         corpus = make_corpus(
@@ -510,13 +510,13 @@ class TestLinkCounts:
             return real(self, translation_id)
 
         monkeypatch.setattr(MultiCorpus, "encode", spy)
-        stats = link_counts(corpus, "aaa_src", "w0", CONFIG, CONFIG.cache_dir)
+        stats = link_counts(corpus, "aaa_src", "w0", CONFIG)
         assert len(stats) == 4
         assert built == ["aaa_src", *sorted(stats)]
 
     def test_target_frequencies_count_linked_words(self, pair_corpus):
         stats = link_counts(
-            pair_corpus, "aaa_src", "src0", CONFIG, CONFIG.cache_dir
+            pair_corpus, "aaa_src", "src0", CONFIG
         )["bbb_tgt"]
         freq = pair_corpus.encode("bbb_tgt").frequencies()
         assert stats.target_frequencies == {w: freq[w] for w in stats.source_word_to_target}
@@ -656,7 +656,7 @@ class TestOracleAgreement:
         word = max(freq.items(), key=lambda kv: (kv[1], kv[0]))[0]
         targets = targets or sorted(t for t in corpus.translations if t != query)
         cfg = CONFIG
-        stats = link_counts(corpus, query, word, cfg, CONFIG.cache_dir, targets)
+        stats = link_counts(corpus, query, word, cfg, targets)
         assert sorted(stats) == targets
         for tgt in targets:
             pairs = reference_pairs(corpus, query, tgt)
@@ -695,17 +695,18 @@ class TestProperties:
         corpus = random_corpus(seed, 1)
         cfg = CONFIG
         enc = pair_encoding(corpus, "aaa_src", "t00_tgt")
-        fresh = train_cached(corpus, "aaa_src", "t00_tgt", enc, cfg, CONFIG.cache_dir)
+        fresh = train_cached(corpus, "aaa_src", "t00_tgt", enc, cfg)
         with tempfile.TemporaryDirectory() as cache:
-            train_cached(corpus, "aaa_src", "t00_tgt", enc, cfg, cache)
+            cached = replace(cfg, cache_dir=cache)
+            train_cached(corpus, "aaa_src", "t00_tgt", enc, cached)
             (path,) = Path(cache).glob("*.lex")
             key = cache_key(corpus, "aaa_src", "t00_tgt", cfg)
             hit = load_lex_table(path, key, enc)
             assert hit is not None
             assert hit.probs.tobytes() == fresh.probs.tobytes()
             assert hit.log_likelihoods == fresh.log_likelihoods
-            stats = link_counts(corpus, "aaa_src", "w0", cfg, cache)
-        assert stats == link_counts(corpus, "aaa_src", "w0", cfg, CONFIG.cache_dir)
+            stats = link_counts(corpus, "aaa_src", "w0", cached)
+        assert stats == link_counts(corpus, "aaa_src", "w0", cfg)
 
     @given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
     @settings(max_examples=25, deadline=None)
@@ -715,8 +716,8 @@ class TestProperties:
         shuffled = list(targets)
         rnd.shuffle(shuffled)
         cfg = CONFIG
-        assert link_counts(corpus, "aaa_src", "w0", cfg, CONFIG.cache_dir, shuffled) == link_counts(
-            corpus, "aaa_src", "w0", cfg, CONFIG.cache_dir, targets
+        assert link_counts(corpus, "aaa_src", "w0", cfg, shuffled) == link_counts(
+            corpus, "aaa_src", "w0", cfg, targets
         )
 
 
@@ -1093,14 +1094,17 @@ class TestCacheKey:
             return path.name.split(".")[1]
 
         plain = key_of(
-            lambda cache: link_counts(corpus, query, forms["past"][0], cfg, cache, [tgt])
+            lambda cache: link_counts(
+                corpus, query, forms["past"][0], replace(cfg, cache_dir=cache), [tgt]
+            )
         )
         assert plain == encoding_oracle.pair_cache_key(corpus, query, tgt, cfg)[:16]
         merged = {}
         for feature in ("past", "present"):
             word = synthetic_query_token(feature)
             merged[feature] = key_of(lambda cache: link_counts(
-                corpus, query, word, cfg, cache, [tgt], frozenset(forms[feature])
+                corpus, query, word, replace(cfg, cache_dir=cache), [tgt],
+                frozenset(forms[feature])
             ))
             assert merged[feature] == encoding_oracle.pair_cache_key(
                 corpus, query, tgt, cfg, [sorted(forms[feature]), word]
@@ -1134,7 +1138,7 @@ def pairs_trained(corpus, cache, targets=None) -> int:
         return train_alignment(enc, cfg)
 
     with mock.patch.object(aligner_module, "train_alignment", spy):
-        link_counts(corpus, "aaa_src", "w", CONFIG, cache, targets)
+        link_counts(corpus, "aaa_src", "w", replace(CONFIG, cache_dir=cache), targets)
     return len(trained)
 
 
@@ -1143,12 +1147,12 @@ class TestCacheKeyDigests:
 
     def test_warm_rerun_hits_every_pair(self, tmp_path):
         corpus = random_corpus(5, 4)
-        cfg = CONFIG
-        cold = link_counts(corpus, "aaa_src", "w0", cfg, tmp_path)
+        cfg = replace(CONFIG, cache_dir=tmp_path)
+        cold = link_counts(corpus, "aaa_src", "w0", cfg)
         files = {p: p.read_bytes() for p in tmp_path.iterdir()}
         assert len(files) == len(cold) == 4
         with mock.patch.object(aligner_module, "train_alignment", side_effect=AssertionError):
-            assert link_counts(corpus, "aaa_src", "w0", cfg, tmp_path) == cold
+            assert link_counts(corpus, "aaa_src", "w0", cfg) == cold
         assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
 
     def test_each_translation_hashed_once_per_call(self, tmp_path, monkeypatch):
@@ -1161,10 +1165,10 @@ class TestCacheKeyDigests:
             return real(corpus, translation_id)
 
         monkeypatch.setattr(aligner_module, "texts_digest", spy)
-        stats = link_counts(corpus, "aaa_src", "w0", CONFIG, tmp_path)
+        stats = link_counts(corpus, "aaa_src", "w0", replace(CONFIG, cache_dir=tmp_path))
         assert hashed == ["aaa_src", *sorted(stats)]
         hashed.clear()
-        link_counts(corpus, "aaa_src", "w0", CONFIG, CONFIG.cache_dir)
+        link_counts(corpus, "aaa_src", "w0", CONFIG)
         assert hashed == []  # no cache, no key
 
     @pytest.mark.parametrize(

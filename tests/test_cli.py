@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy
 import pytest
 
-from helpers import verses_of
+from helpers import file_sha256, verses_of
 from pivotmine.aligner import link_counts, train_alignment, train_pair
 from pivotmine import cli as cli_module
 from pivotmine.cli import Run, _load_pivot_set, main
@@ -27,10 +27,9 @@ from pivotmine.evaluation import gram_matches, mrr, reciprocal_rank
 from pivotmine.maps import select_splitting_pivots
 from pivotmine.ngrams import mine_ngrams
 from pivotmine import corpus as corpus_module
-from pivotmine import manifest as manifest_module
 from pivotmine import pivots as pivots_module
 from pivotmine.errors import ConfigError, DataError
-from pivotmine.manifest import RunRecorder, canonical_sha256, file_sha256
+from pivotmine.manifest import RunRecorder, canonical_sha256
 from pivotmine.pivots import (
     Pivot, expand_pivots, find_head_pivot, rank_pivot_candidates, read_pivots_tsv, score_candidates,
     top_markers_by_language,
@@ -146,12 +145,12 @@ class TestConfig:
         assert config_sha256(RunConfig(k=3)) == config_sha256(RunConfig(k=3))
 
     # The parameter names under which library functions take RunConfig
-    # fields: the config itself for the aligner settings (cfg), cache_dir,
-    # min_count, k, the mining sigma, window (w), n_min/n_max (n_range) and
-    # top, map_rounds (rounds), map_policy (policy) and match_mode (mode).
+    # fields: the config itself (cfg, which also carries cache_dir for the
+    # aligner and pivot search), min_count, k, the mining sigma, window (w),
+    # n_min/n_max (n_range) and top, map_rounds (rounds), map_policy
+    # (policy) and match_mode (mode).
     RUN_PARAMETERS = {
-        "cfg", "cache_dir", "min_count", "k", "sigma", "w", "n_range", "top",
-        "rounds", "policy", "mode",
+        "cfg", "min_count", "k", "sigma", "w", "n_range", "top", "rounds", "policy", "mode",
     }
 
     @pytest.mark.parametrize("fn", [
@@ -408,6 +407,26 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "config error: cache_dir" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["ingest", "synth"])
+    @pytest.mark.parametrize("name", ["out", "out/sub"], ids=["file", "under-a-file"])
+    def test_out_blocked_by_a_file_is_config_error(
+        self, workspace, tmp_path, capsys, command, name
+    ):
+        _, cfg_path, _, _ = workspace
+        blocker = tmp_path / "out"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        out = tmp_path / name
+        argv = {
+            "ingest": ["ingest", "--config", str(cfg_path)],
+            "synth": ["synth", "--preset", "tiny8"],
+        }[command]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: output directory {out} is not usable")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+        assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
     @pytest.mark.parametrize(
         "config_key, argv",
@@ -1163,20 +1182,7 @@ class TestEveryReadIsRecorded:
             monkeypatch.setattr(Path, name, spy)
         return paths
 
-    @pytest.fixture
-    def hashed(self, monkeypatch) -> list[Path]:
-        """The paths hashed through manifest.file_sha256, which would read
-        an input a second time."""
-        paths = []
-
-        def spy(path, real=manifest_module.file_sha256):
-            paths.append(path)
-            return real(path)
-
-        monkeypatch.setattr(manifest_module, "file_sha256", spy)
-        return paths
-
-    def test_every_subcommand_lists_the_files_it_read(self, tiny8, tmp_path, opened, hashed):
+    def test_every_subcommand_lists_the_files_it_read(self, tiny8, tmp_path, opened):
         cache = tmp_path / "cache"
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(dict(tiny8, cache_dir=str(cache))), encoding="utf-8")
@@ -1222,7 +1228,6 @@ class TestEveryReadIsRecorded:
         unlisted = {}
         for argv in runs:
             opened.clear()
-            hashed.clear()
             assert main(argv) == 0, argv
             reads = [str(p) for p in opened]
             read = set(reads)
@@ -1231,7 +1236,6 @@ class TestEveryReadIsRecorded:
             inputs = set(manifest["inputs"])
             # each input is read from disk once, by the reader that parses it
             assert {k: reads.count(k) for k in inputs} == dict.fromkeys(inputs, 1), argv
-            assert not inputs & {str(p) for p in hashed}, argv
             if argv[0] in ("ingest", "pipeline"):
                 corpus = Path(argv[argv.index("--corpus") + 1] if "--corpus" in argv
                               else tiny8["corpus_dir"])
@@ -1294,6 +1298,32 @@ class TestPeakRss:
         assert list(faults) == list(sys_s) == list(doc["timings"])
         assert all(isinstance(v, int) and v >= 0 for v in faults.values())
         assert all(isinstance(v, float) and v >= 0 for v in sys_s.values())
+
+
+class TestRecordedOutputs:
+    """Each output is recorded by the write that puts it on disk, so the
+    recorder knows what a run wrote so far, also when a stage fails."""
+
+    def test_a_stage_that_raises_keeps_what_it_wrote(self, tmp_path):
+        rec = RunRecorder("test")
+        run = Run(argparse.Namespace(modules=()), None, rec, tmp_path / "o")
+
+        def stage(run):
+            run.rec.write_output(run.out / "a.txt", b"written\n")
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            run.stage("failing", stage)
+        path = tmp_path / "o" / "a.txt"
+        assert rec.outputs == {path: file_sha256(path)}
+        assert path.read_bytes() == b"written\n"
+
+    def test_a_write_that_raises_records_nothing(self, tmp_path):
+        rec = RunRecorder("test")
+        with pytest.raises(FileNotFoundError):
+            rec.write_output(tmp_path / "missing" / "a.txt", b"x")
+        assert rec.outputs == {}
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestClusterLanguagesFloor:

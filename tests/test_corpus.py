@@ -692,7 +692,7 @@ def head_search(verses: dict[str, str], forms: set[str]):
     """find_head_pivot of a past query of forms in aaa_t, allowlisting bbb."""
     corpus = make_corpus({"aaa_t": verses, "bbb_t": {vid: "z" for vid in verses}})
     query = Query("past", "aaa_t", frozenset(forms))
-    return find_head_pivot(corpus, query, {"bbb"}, CONFIG, CONFIG.min_count, None)
+    return find_head_pivot(corpus, query, {"bbb"}, CONFIG)
 
 
 class TestQueryMerge:
@@ -724,7 +724,7 @@ class TestQueryMerge:
         seen = []
 
         def spy(*args):
-            seen.append(args[6])
+            seen.append(args[5])
             return {}
 
         monkeypatch.setattr(pivots_module, "link_counts", spy)
@@ -800,7 +800,7 @@ class TestQueryMergeBlocks:
         assert corpus.selected_verses == ("00000001", "00000002")
         query = Query("past", "aaa_t", frozenset({"x"}))
         with pytest.raises(DataError, match="aaa_t verse 00000009$"):
-            find_head_pivot(corpus, query, {"bbb"}, CONFIG, CONFIG.min_count, None)
+            find_head_pivot(corpus, query, {"bbb"}, CONFIG)
 
 
 SCAN_ALPHABET = DELIMITERS + string.ascii_uppercase + "abİiΣσςé"
@@ -1036,9 +1036,9 @@ class TestScanOracle:
         for feature, forms in query["forms"].items():
             q = Query(feature, query["translation_id"], frozenset(forms))
             allow = {lang for lang, info in truth["languages"].items() if info["style"] == "particle"}
-            aligner = CONFIG
-            head = find_head_pivot(corpus, q, allow, aligner, 5, None)
-            ranking = rank_pivot_candidates(corpus, head, aligner, 5, None)
+            cfg = replace(CONFIG, min_count=5)
+            head = find_head_pivot(corpus, q, allow, cfg)
+            ranking = rank_pivot_candidates(corpus, head, cfg)
             members = expand_pivots(corpus, feature, head, 8, ranking).members
             by_translation: dict[str, list[str]] = {}
             for p in members:

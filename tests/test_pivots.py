@@ -30,9 +30,6 @@ from pivotmine.pivots import (
 )
 from pivotmine.synth import LanguageSpec, SynthSpec, generate
 
-# find_head_pivot's and rank_pivot_candidates' run parameters, from CONFIG
-SEARCH_PARAMS = (CONFIG, CONFIG.min_count, CONFIG.cache_dir)
-
 
 def planted_spec(n_particle: int, n_verses: int = 400, seed: int = 3) -> SynthSpec:
     langs = [LanguageSpec("qaa", "particle", "fq")]
@@ -205,13 +202,13 @@ class TestHeadPivot:
         q = truth["query"]
         query = Query("past", q["translation_id"], frozenset(q["forms"]["past"]))
         with pytest.raises(DataError):
-            find_head_pivot(corpus, query, set(), *SEARCH_PARAMS)
+            find_head_pivot(corpus, query, set(), CONFIG)
 
     def test_unknown_query_translation(self, planted):
         corpus, _ = planted
         query = Query("past", "zzz_none", frozenset({"x"}))
         with pytest.raises(DataError):
-            find_head_pivot(corpus, query, {"paa"}, *SEARCH_PARAMS)
+            find_head_pivot(corpus, query, {"paa"}, CONFIG)
 
     def test_planted_head_found(self, planted):
         corpus, truth = planted
@@ -221,7 +218,7 @@ class TestHeadPivot:
             if info["style"] == "particle" and iso != q["iso3"]
         }
         query = Query("past", q["translation_id"], frozenset(q["forms"]["past"]))
-        head = find_head_pivot(corpus, query, allow, *SEARCH_PARAMS)
+        head = find_head_pivot(corpus, query, allow, CONFIG)
         assert head.iso3 in allow
         assert head.surface in truth["languages"][head.iso3]["markers"]["past"]
         assert head.score > 0
@@ -234,17 +231,17 @@ class TestHeadPivot:
         seen = []
 
         def spy(*args, **kwargs):
-            seen.append(kwargs.get("targets", args[5] if len(args) > 5 else None))
+            seen.append(kwargs.get("targets", args[4] if len(args) > 4 else None))
             return link_counts(*args, **kwargs)
 
         monkeypatch.setattr(pivots_module, "link_counts", spy)
-        head = find_head_pivot(corpus, query, allow, *SEARCH_PARAMS)
+        head = find_head_pivot(corpus, query, allow, CONFIG)
         assert [sorted(t) for t in seen] == [["pba_synth", "pca_synth", "pda_synth"]]
 
         # the head is the one found by aligning every translation
         stats = link_counts(
             corpus, q["translation_id"], synthetic_query_token("past"),
-            CONFIG, CONFIG.cache_dir, None, query.forms,
+            CONFIG, None, query.forms,
         )
         best = next(
             c for c in score_candidates(corpus, stats, CONFIG.min_count)
@@ -261,7 +258,7 @@ class TestHeadPivot:
         q = truth["query"]
         query = Query("past", q["translation_id"], frozenset(q["forms"]["past"]))
         with pytest.raises(DataError) as err:
-            find_head_pivot(corpus, query, {"xxx"}, *SEARCH_PARAMS)
+            find_head_pivot(corpus, query, {"xxx"}, CONFIG)
         assert "top candidates overall" in str(err.value)
 
 
@@ -274,8 +271,8 @@ def head_and_ranking(planted):
         if info["style"] == "particle" and iso != q["iso3"]
     }
     query = Query("past", q["translation_id"], frozenset(q["forms"]["past"]))
-    head = find_head_pivot(corpus, query, allow, *SEARCH_PARAMS)
-    ranking = rank_pivot_candidates(corpus, head, *SEARCH_PARAMS)
+    head = find_head_pivot(corpus, query, allow, CONFIG)
+    ranking = rank_pivot_candidates(corpus, head, CONFIG)
     return head, ranking
 
 

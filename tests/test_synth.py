@@ -16,6 +16,7 @@ from pivotmine.corpus import load_corpus, read_families, tokenize_verse
 from pivotmine.errors import ConfigError
 from pivotmine.evaluation import read_gold
 from pivotmine.pivots import read_allowlist, read_queries
+from pivotmine.textio import write_bytes
 from pivotmine.synth import (
     CONTENT_CONSONANTS,
     MARKER_CONSONANTS,
@@ -253,7 +254,14 @@ class TestPresets:
 class TestOnDisk:
     def test_write_synth_round_trips_through_loaders(self, tmp_path):
         spec = small_spec()
-        written = write_synth(spec, tmp_path)
+        written = []
+
+        def write(path, data):
+            written.append(path)
+            return write_bytes(path, data)
+
+        write_synth(spec, tmp_path, write)
+        # every file goes through the given write, once
         assert sorted(written) == sorted(p for p in tmp_path.rglob("*") if p.is_file())
         corpus, truth = generate(spec)
         loaded = load_corpus(tmp_path / "corpus", CONFIG.families)
