@@ -172,13 +172,16 @@ def encode_pairs(src: TranslationEncoding, tgt: TranslationEncoding) -> PairEnco
 
     order = np.lexsort((shape[:, 1], shape[:, 0]))
     cuts = np.flatnonzero(np.any(np.diff(shape[order], axis=0), axis=1)) + 1
-    keys = np.empty(int((shape[:, 1] * (shape[:, 0] + 1)).sum()), dtype=np.int64)
+    # a key is below space: int32 keys while that fits, half the bytes
+    space = (len(src_vocab) + 1) * n_tgt
+    key_type = np.int32 if space < 2**31 else np.int64
+    keys = np.empty(int((shape[:, 1] * (shape[:, 0] + 1)).sum()), dtype=key_type)
     blocks = []
     offset = 0
     for rows in np.split(order, cuts):
         s_len, t_len = shape[rows[0]].tolist()
         size = len(rows) * t_len * (s_len + 1)
-        block_src = np.zeros((len(rows), s_len + 1), dtype=np.int64)
+        block_src = np.zeros((len(rows), s_len + 1), dtype=key_type)
         block_src[:, 1:] = src_ids[src_start[rows, None] + np.arange(s_len)]
         block_tgt = tgt_ids[tgt_start[rows, None] + np.arange(t_len)]
         np.add(
@@ -188,8 +191,10 @@ def encode_pairs(src: TranslationEncoding, tgt: TranslationEncoding) -> PairEnco
         )
         blocks.append((offset, len(rows), s_len, t_len))
         offset += size
-    # Cells are numbered in key order.
-    uniq, cells = dense_index(keys, (len(src_vocab) + 1) * n_tgt)
+    # Cells are numbered in key order; the keys are freed before the cell
+    # ids are widened.
+    uniq, cells = dense_index(keys, space)
+    del keys
     return PairEncoding(
         src_words=[None, *(src.vocab[i] for i in src_vocab.tolist())],
         tgt_words=[tgt.vocab[i] for i in tgt_vocab.tolist()],

@@ -90,14 +90,17 @@ def tokenize_blocks(texts: Sequence[str]) -> Iterator[tuple[int, tuple]]:
 
 @dataclass(frozen=True, eq=False)
 class TranslationEncoding:
-    """The tokens of one translation over a run of verses, as int32 arrays:
-    what alignment and the pivot scan read of them.
+    """The tokens of one translation over a run of verses: what alignment
+    and the pivot scan read of them.
 
     Row r holds the tokens ids[offsets[r]:offsets[r + 1]]; an id indexes
     vocab, which lists the surfaces in first-occurrence order. A verse the
     translation lacks is an empty row. span_sums holds each token's start
     plus end offset in its verse (twice its character midpoint), from which
-    the pivot scan takes the token's relative position.
+    the pivot scan takes the token's relative position. offsets is int32;
+    ids and span_sums each take the smallest unsigned dtype that holds
+    their largest value (np.min_scalar_type), as they are most of an
+    encoding store's bytes.
     """
 
     vocab: list[str]
@@ -118,7 +121,7 @@ class TranslationEncoding:
         matched = [i for i, surface in enumerate(self.vocab) if surface in forms]
         if not matched:
             return self
-        remap = np.arange(len(self.vocab), dtype=np.int32)
+        remap = np.arange(len(self.vocab), dtype=self.ids.dtype)
         remap[matched] = matched[0]
         vocab = list(self.vocab)
         vocab[matched[0]] = word
@@ -151,7 +154,9 @@ def dense_index(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     int32 index of each key among them: read from a presence table over
     the space when it is no larger than the keys, else by sorting them.
     Mining keeps this index int32, and aligner.encode_pairs widens only its
-    own: widening it for every caller raised peak RSS."""
+    own: widening it for every caller raised peak RSS. Sorting numbers the
+    sorted keys by an int32 cumulative sum of where they change, so no
+    intp inverse is built."""
     if space <= keys.size:
         present = np.zeros(space, dtype=bool)
         for _, part in _intp_slices(keys):
@@ -162,13 +167,29 @@ def dense_index(keys: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
         for at, part in _intp_slices(keys):
             out[at] = index[part]
         return np.flatnonzero(present), out
-    distinct, index = np.unique(keys, return_inverse=True)
-    return distinct, index.astype(np.int32).ravel()
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    distinct = ordered[new]
+    del ordered
+    rank = np.cumsum(new, dtype=np.int32)
+    del new
+    rank -= 1
+    out = np.empty(keys.size, dtype=np.int32)
+    out[order] = rank
+    return distinct, out
 
 
 def _concat(parts: list[np.ndarray]) -> np.ndarray:
     """The int32 arrays of parts end to end."""
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int32)
+
+
+def _narrowest(values: np.ndarray) -> np.ndarray:
+    """Non-negative values in the smallest dtype that holds their largest."""
+    return values.astype(np.min_scalar_type(values.max(initial=0)), copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,7 +318,9 @@ class MultiCorpus:
             counts.append(n)
         offsets = np.zeros(len(self.selected_index) + 1, dtype=np.int32)
         np.cumsum(_concat(counts), out=offsets[1:])
-        enc = TranslationEncoding(list(index), _concat(ids), offsets, _concat(sums))
+        enc = TranslationEncoding(
+            list(index), _narrowest(_concat(ids)), offsets, _narrowest(_concat(sums))
+        )
         if self.encodings is not None:
             self.encodings[translation_id] = enc
         return enc

@@ -55,12 +55,18 @@ def _profiles(
         # One bell per verse per round, and the verses' windows are
         # disjoint, so no position is added twice within a round.
         windows[bells] += kernel
-    scores = padded[np.arange(total) + np.repeat(pad, lengths)]
-    segment = np.repeat(np.arange(len(lengths)), lengths)
+    # The layout position of every verse position, int32 while the layout
+    # is short enough; numpy gathers with it without widening it.
+    at = np.repeat(pad.astype(np.int32 if len(padded) < 2**31 else np.int64), lengths)
+    at += np.arange(total, dtype=at.dtype)
+    scores = padded[at]
+    del padded, windows, at
 
     def leftmost(extreme: np.ndarray) -> np.ndarray:
-        hits = np.flatnonzero(scores == extreme[segment])
-        return hits[np.searchsorted(segment[hits], np.arange(len(lengths)))] - offsets
+        # every verse attains its extreme, so its first hit is the first
+        # at or after its offset
+        hits = np.flatnonzero(scores == np.repeat(extreme, lengths))
+        return hits[np.searchsorted(hits, offsets)] - offsets
 
     x_max = leftmost(np.maximum.reduceat(scores, offsets))
     x_min = leftmost(np.minimum.reduceat(scores, offsets))

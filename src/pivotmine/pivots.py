@@ -81,8 +81,10 @@ def _scan_translation(
     code = surface_of[enc.ids]
     hits = np.flatnonzero(code >= 0)
     rows = np.searchsorted(enc.offsets[1:], hits, side="right")
-    lengths = corpus.lengths(translation_id)[rows]
-    return rows, code[hits], enc.span_sums[hits] / 2.0 / lengths, ~corpus.presence(translation_id)
+    # span_sums may be as narrow as uint8; a float64 divisor keeps the
+    # midpoints float64, and doubling the length is exact
+    rel = enc.span_sums[hits] / (2.0 * corpus.lengths(translation_id)[rows])
+    return rows, code[hits], rel, ~corpus.presence(translation_id)
 
 
 def scan_pivots(

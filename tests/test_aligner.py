@@ -792,6 +792,13 @@ def encode_both_ways(src, tgt) -> dict[str, PairEncoding]:
     return out
 
 
+def encode_recording_keys(src, tgt) -> tuple[PairEncoding, np.dtype]:
+    """encode_pairs(src, tgt), and the dtype of the keys it numbers."""
+    with mock.patch.object(aligner_module, "dense_index", wraps=dense_index) as spy:
+        enc = encode_pairs(src, tgt)
+    return enc, spy.call_args.args[0].dtype
+
+
 class TestEncodePairsOracle:
     """encode_pairs against the np.unique encoder it replaced."""
 
@@ -817,11 +824,29 @@ class TestEncodePairsOracle:
         for tid in tids[1:]:
             tgt = corpus.encode(tid)
             want = encoding_oracle.encode_pairs(src, tgt)
-            with mock.patch.object(np, "unique", side_effect=AssertionError):
+            with mock.patch.object(np, "argsort", side_effect=AssertionError):
                 assert_encodings_equal(encode_pairs(src, tgt), want)
             for got in encode_both_ways(src, tgt).values():
                 assert got.cells.dtype == np.intp
                 assert_encodings_equal(got, want)
+
+    def test_keys_are_int32_while_the_key_space_fits(self):
+        corpus, _ = generate(preset_tiny8())
+        corpus = corpus.select(len(corpus.verse_universe))
+        src, tgt = (corpus.encode(tid) for tid in sorted(corpus.translations)[:2])
+        got, key_type = encode_recording_keys(src, tgt)
+        assert key_type == np.int32
+        assert_encodings_equal(got, encoding_oracle.encode_pairs(src, tgt))
+
+    def test_key_space_past_2_31_takes_int64_keys(self):
+        # every token distinct, so the key space (46,341 + 1) * 46,341
+        # passes 2**31 and int32 keys would wrap
+        n = 46_341
+        corpus = rows_corpus([(f"s{i}", f"t{i}") for i in range(n)])
+        src, tgt = corpus.encode("aaa_src"), corpus.encode("bbb_tgt")
+        got, key_type = encode_recording_keys(src, tgt)
+        assert (n + 1) * n >= 2**31 and key_type == np.int64
+        assert_encodings_equal(got, encoding_oracle.encode_pairs(src, tgt))
 
     @given(st.lists(st.integers(0, 9), min_size=1, max_size=40), st.integers(0, 5))
     @settings(max_examples=200, deadline=None)
@@ -838,7 +863,7 @@ class TestEncodePairsOracle:
     def test_dense_and_sorted_cells_agree(self, values, extra):
         keys = np.array(values, dtype=np.int64)
         space = max(values) + 1 + extra
-        with mock.patch.object(np, "unique", side_effect=AssertionError):
+        with mock.patch.object(np, "argsort", side_effect=AssertionError):
             uniq, cells = dense_index(keys, space)
         want_uniq, want_cells = dense_index_by_sorting(keys, space)
         assert uniq.tolist() == want_uniq.tolist() == sorted(set(values))

@@ -142,11 +142,17 @@ class TestBlockTokenizer:
 
 
 def assert_same_encoding(got, want) -> None:
+    """got holds the values of the int32 oracle encoding want; its offsets
+    are int32 too, and its ids and span sums take the smallest dtype that
+    holds their largest value."""
     assert got.vocab == want.vocab
     for name in ("ids", "offsets", "span_sums"):
         a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
-    assert got.ids.dtype == np.int32
+        assert a.tolist() == b.tolist(), name
+    assert got.offsets.dtype == want.offsets.dtype == np.int32
+    for name in ("ids", "span_sums"):
+        largest = getattr(want, name).max(initial=0)
+        assert getattr(got, name).dtype == np.min_scalar_type(largest), name
 
 
 def corpus_of(texts):
@@ -202,6 +208,20 @@ class TestEncodingOracle:
     def test_empty_selection(self):
         corpus = make_corpus({"aaa_t": {"00000001": "x"}}, select=False)
         assert_same_encoding(corpus.encode("aaa_t"), oracle.encode(corpus, "aaa_t"))
+
+    def test_more_than_65535_surfaces_take_uint32_ids(self):
+        words = [f"w{i}" for i in range(2**16 + 1)]
+        texts = [" ".join(words[lo : lo + 1000]) for lo in range(0, len(words), 1000)]
+        corpus = corpus_of(texts)
+        got = corpus.encode("aaa_t")
+        assert_same_encoding(got, oracle.encode(corpus, "aaa_t"))
+        assert got.ids.dtype == np.uint32 and got.span_sums.dtype == np.uint16
+
+    def test_verse_past_32767_characters_takes_uint32_span_sums(self):
+        corpus = corpus_of(["a " * 16400, "b"])
+        got = corpus.encode("aaa_t")
+        assert_same_encoding(got, oracle.encode(corpus, "aaa_t"))
+        assert got.ids.dtype == np.uint8 and got.span_sums.dtype == np.uint32
 
 
 class TestVerseIds:
@@ -843,11 +863,14 @@ class TestEncoding:
         missing = check_scan(corpus, ("aaa_t", "x")).presence.missing[:, 0]
         assert missing.tolist() == [False, True, False]
 
-    def test_encoding_arrays_are_int32(self):
+    def test_encoding_array_dtypes(self):
         enc = make_corpus({"aaa_t": {"00000001": "a b a"}}).encode("aaa_t")
-        for arr in (enc.ids, enc.offsets):
-            assert arr.dtype == np.int32
+        assert enc.offsets.dtype == np.int32
+        assert enc.ids.dtype == enc.span_sums.dtype == np.uint8
         assert enc.ids.tolist() == [0, 1, 0]
+        assert enc.span_sums.tolist() == [1, 5, 9]
+        # a merge keeps the ids' dtype
+        assert enc.merged(frozenset({"b"}), "q").ids.dtype == np.uint8
 
     def test_surface_lists(self):
         enc = encode_surfaces([["a", "B"], [], ["B", "c"]])
@@ -1079,6 +1102,15 @@ class TestCorpusMethods:
         assert corpus.encode("aaa_t") is not corpus.encode("aaa_t")
         # a new selection has other rows, so it starts without a store
         assert kept.select(1).encodings is None
+
+    def test_marking24_store_holds_two_bytes_per_token(self):
+        corpus, _ = generate(PRESETS["marking24"]())
+        kept = corpus.select(len(corpus.verse_universe)).keeping_encodings()
+        for tid in kept.translations:
+            kept.encode(tid)
+        tokens = sum(enc.ids.size for enc in kept.encodings.values())
+        held = sum(enc.ids.nbytes + enc.span_sums.nbytes for enc in kept.encodings.values())
+        assert tokens > 500_000 and held == 2 * tokens
 
     def test_encode_reads_the_current_translation(self):
         corpus = make_corpus({"aaa_t": {"00000001": "a b"}, "bbb_t": {"00000001": "c d"}})

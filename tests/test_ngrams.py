@@ -599,7 +599,7 @@ class TestOracleAgreement:
 
 
 class TestScratchMemory:
-    """Mining one target holds at most 25 bytes of traced memory per
+    """Mining one target holds at most 20 bytes of traced memory per
     character of its joined text (the text itself included)."""
 
     def test_marking24_targets(self):
@@ -627,7 +627,7 @@ class TestScratchMemory:
                 tracemalloc.stop()
             peaks[tid] = peak / chars
         assert len(peaks) == 12
-        assert max(peaks.values()) <= 25, peaks
+        assert max(peaks.values()) <= 20, peaks
 
 
 class TestExactTopK:
