@@ -23,6 +23,12 @@ main sets glibc malloc's policy (keep_freed_memory) before anything else
 runs, so that the temporaries each mining target and alignment pair frees
 are reused from the heap instead of faulted in again from the kernel.
 
+process_main is the process entry of `python -m pivotmine` and of the
+pivotmine console script. It ends the process with os._exit once main
+has returned, so CPython's teardown (a full garbage collection and the
+clearing of every module) is skipped after every output is written and
+closed. main itself returns its code, for callers in the same process.
+
 Exit codes: 0 success, 1 unexpected error, 2 configuration problems, 3 data
 problems.
 """
@@ -34,9 +40,11 @@ import ctypes
 import importlib
 import json
 import logging
+import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__
 from .config import RunConfig, load_config
@@ -374,11 +382,13 @@ def run_command(args: argparse.Namespace) -> int:
 # --- subcommand bodies --------------------------------------------------------
 
 
-def _features(args) -> list[str]:
-    features = [f for f in args.features.split(",") if f]
-    if not features:
-        raise ConfigError("no features given")
-    return features
+def _comma_list(text: str, what: str) -> list[str]:
+    """The comma-separated items of text in order, without empty items
+    and repeats; a ConfigError when none is left."""
+    items = list(dict.fromkeys(item for item in text.split(",") if item))
+    if not items:
+        raise ConfigError(f"no {what} given")
+    return items
 
 
 def _load_pivot_set(run: Run) -> tuple[MultiCorpus, PivotSet]:
@@ -440,8 +450,10 @@ def cmd_expand_pivots(run: Run) -> None:
 
 
 def cmd_mine_ngrams(run: Run) -> None:
+    targets = run.args.targets
+    if targets is not None:
+        targets = _comma_list(targets, "targets")
     corpus, pivot_set = _load_pivot_set(run)
-    targets = run.args.targets.split(",") if run.args.targets else None
     run.stage("mine-ngrams", stage_mine, corpus, pivot_set, targets)
 
 
@@ -452,7 +464,7 @@ def cmd_cluster_markers(run: Run) -> None:
 
 def cmd_cluster_languages(run: Run) -> None:
     corpus = run.corpus()
-    features = _features(run.args)
+    features = _comma_list(run.args.features, "features")
     run.stage(
         "cluster-languages", stage_cluster_languages, corpus, features, Path(run.args.from_dir)
     )
@@ -472,7 +484,8 @@ def cmd_project(run: Run) -> None:
 
 def cmd_eval_mrr(run: Run) -> None:
     from_dir = Path(run.args.from_dir)
-    ngram_dirs = [(f, from_dir / f / "ngrams") for f in _features(run.args)]
+    features = _comma_list(run.args.features, "features")
+    ngram_dirs = [(f, from_dir / f / "ngrams") for f in features]
     run.stage("eval-mrr", stage_eval_mrr, ngram_dirs)
 
 
@@ -645,5 +658,15 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def process_main() -> NoReturn:
+    """Run main and end the process with its code, skipping the
+    interpreter's teardown. Every output is written and closed by then,
+    and logging.shutdown is the one exit callback the package's imports
+    register, so it is called here and no byte of output changes. An
+    exception raised by main, SystemExit included (argparse's errors,
+    --help, --version), propagates and ends the process the usual way."""
+    code = main()
+    logging.shutdown()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)

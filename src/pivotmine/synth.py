@@ -136,8 +136,18 @@ def _sub_rng(seed: int, *tags: str) -> random.Random:
 
 
 def _draws(rng: random.Random, count: int) -> np.ndarray:
-    """The next count values of rng.random(), in order."""
-    return np.fromiter(iter(rng.random, None), np.float64, count)
+    """The next count values of rng.random(), in order, built in bulk.
+
+    random() takes two consecutive 32-bit outputs w0, w1 of the generator
+    and returns ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53. getrandbits(64 *
+    count) draws the same 2 * count outputs and returns them least
+    significant first, so the values and the generator's state after them
+    are those of count calls to random().
+    """
+    bits = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+    words = np.frombuffer(bits, dtype="<u4").astype(np.uint64).reshape(count, 2)
+    mantissas = (words[:, 0] >> 5 << 26) | (words[:, 1] >> 6)
+    return mantissas * 2.0**-53
 
 
 def translation_id_for(iso3: str) -> str:

@@ -1,7 +1,9 @@
 """CLI plumbing: config files, subcommands, stage handoffs, exit codes."""
 
 import argparse
+import ast
 import ctypes
+import importlib
 import inspect
 import json
 import mmap
@@ -1375,15 +1377,21 @@ class TestLoadTiming:
         assert set(timings) == {"load", command}
 
 
-def run_child(code: str, *args) -> subprocess.CompletedProcess:
-    """Run python code with args in a child process that imports the
-    package this test imported."""
+def run_python(*args) -> subprocess.CompletedProcess:
+    """Run python with args in a child process that imports the package
+    this test imported, its stdout and stderr piped."""
     src = str(Path(cli_module.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code, *map(str, args)],
+        [sys.executable, *map(str, args)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def run_child(code: str, *args) -> subprocess.CompletedProcess:
+    """Run python code with args in a child process that imports the
+    package this test imported."""
+    return run_python("-c", code, *args)
 
 
 # main(argv) in a child; its last line of output is the exit code and
@@ -1457,6 +1465,155 @@ class TestFailedRunManifest:
         assert "RuntimeError: boom" in proc.stderr
         assert not (out / "manifest.json").exists()
         assert (out / "ngrams" / "saa_synth.tsv").is_file()
+
+
+# `python -m pivotmine argv` in a child whose mine_ngrams raises an
+# unexpected error
+FAILING_MODULE_CHILD = (
+    "import runpy\n"
+    "from pivotmine import ngrams\n"
+    "def boom(*args, **kwargs):\n"
+    "    raise RuntimeError('boom')\n"
+    "ngrams.mine_ngrams = boom\n"
+    "runpy.run_module('pivotmine', run_name='__main__')\n"
+)
+
+
+class TestProcessEntry:
+    """`python -m pivotmine` ends its process without the interpreter's
+    teardown once main has returned; exit codes, outputs and every line
+    of output stay as main leaves them."""
+
+    @pytest.fixture
+    def mine_argv(self, workspace, expanded, tmp_path):
+        _, cfg_path, _, _ = workspace
+        return ["mine-ngrams", "--config", cfg_path, "--pivots", expanded / "pivots.tsv",
+                "--out", tmp_path / "o"]
+
+    def test_success_writes_outputs_and_their_manifest(self, mine_argv, tmp_path):
+        proc = run_python("-m", "pivotmine", *mine_argv)
+        assert proc.returncode == 0, proc.stderr
+        out = tmp_path / "o"
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert {"ngrams/naa_synth.tsv", "mining_summary.json"} <= set(outputs)
+        for rel, digest in outputs.items():
+            assert file_sha256(out / rel) == digest
+
+    def test_missing_config_exits_2(self, tmp_path):
+        proc = run_python("-m", "pivotmine", "ingest", "--config", tmp_path / "nope.json",
+                          "--out", tmp_path / "o")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr
+
+    def test_unknown_target_exits_3(self, mine_argv):
+        proc = run_python("-m", "pivotmine", *mine_argv, "--targets", "zzz_nope")
+        assert proc.returncode == 3
+        assert proc.stderr == "data error: unknown translation 'zzz_nope'\n"
+
+    def test_unexpected_error_exits_1_with_a_traceback(self, mine_argv, tmp_path):
+        proc = run_child(FAILING_MODULE_CHILD, *mine_argv)
+        assert proc.returncode == 1
+        assert "Traceback" in proc.stderr and "RuntimeError: boom" in proc.stderr
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_piped_help_is_whole(self):
+        proc = run_python("-m", "pivotmine", "--help")
+        assert proc.returncode == 0
+        assert proc.stdout == cli_module.build_parser().format_help()
+
+    def test_piped_log_ends_with_the_last_info_line(self, mine_argv):
+        proc = run_python("-m", "pivotmine", *mine_argv)
+        assert proc.returncode == 0
+        # targets are mined in order, and saa_synth is the last
+        last = proc.stderr.splitlines()[-1]
+        assert last.startswith("INFO pivotmine.ngrams: saa_synth: ")
+        assert proc.stderr.endswith(last + "\n")
+
+    def test_console_script_is_the_entry_of_python_m(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+        import pivotmine.__main__ as entry_module
+
+        root = Path(cli_module.__file__).resolve().parents[2]
+        with open(root / "pyproject.toml", "rb") as fh:
+            script = tomllib.load(fh)["project"]["scripts"]["pivotmine"]
+        module_name, _, attr = script.partition(":")
+        target = getattr(importlib.import_module(module_name), attr)
+        tree = ast.parse(inspect.getsource(entry_module))
+        called = [node.func.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+        assert called == [attr]
+        assert getattr(entry_module, attr) is target
+
+    def test_logging_is_the_only_exit_callback(self):
+        # what os._exit skips: the exit callbacks the package's imports add
+        code = (
+            "import atexit\n"
+            "before = atexit._ncallbacks()\n"
+            "import logging\n"
+            "with_logging = atexit._ncallbacks()\n"
+            "from pivotmine import cli\n"
+            "cli._bind(*cli.STAGE_NAMES)\n"
+            "import pivotmine.aligner\n"
+            "print(with_logging - before, atexit._ncallbacks() - with_logging)\n"
+        )
+        proc = run_child(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "0"]
+
+
+class TestTargetsList:
+    """mine-ngrams reads --targets as eval-mrr reads --features: empty
+    items and repeats are dropped, and an empty list is a config error."""
+
+    @pytest.fixture
+    def mine(self, workspace, expanded, tmp_path):
+        _, cfg_path, _, _ = workspace
+        out = tmp_path / "o"
+        argv = ["mine-ngrams", "--config", str(cfg_path), "--pivots",
+                str(expanded / "pivots.tsv"), "--out", str(out)]
+        return lambda targets: main([*argv, "--targets", targets]), out
+
+    def mined(self, out: Path) -> list[str]:
+        return sorted(json.loads((out / "mining_summary.json").read_text()))
+
+    def test_trailing_comma_is_dropped(self, mine):
+        run, out = mine
+        assert run("naa_synth,") == 0
+        assert self.mined(out) == ["naa_synth"]
+        assert [p.name for p in (out / "ngrams").iterdir()] == ["naa_synth.tsv"]
+
+    def test_empty_list_is_config_error(self, mine, capsys):
+        run, out = mine
+        for targets in ("", ",", ",,"):
+            assert run(targets) == 2
+            assert capsys.readouterr().err == "config error: no targets given\n"
+        assert not out.exists()
+
+    def test_repeated_id_is_mined_once(self, mine, monkeypatch):
+        calls = []
+        real = cli_module.mine_ngrams
+
+        def counting(corpus, tid, *args, **kwargs):
+            calls.append(tid)
+            return real(corpus, tid, *args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "mine_ngrams", counting)
+        run, out = mine
+        assert run("saa_synth,naa_synth,saa_synth") == 0
+        assert calls == ["naa_synth", "saa_synth"]
+        assert self.mined(out) == ["naa_synth", "saa_synth"]
+
+    def test_repeated_feature_is_scored_once(self, workspace, expanded, tmp_path):
+        _, cfg_path, _, _ = workspace
+        assert main(["mine-ngrams", "--config", str(cfg_path), "--pivots",
+                     str(expanded / "pivots.tsv"), "--out", str(tmp_path / "f" / "past")]) == 0
+        out = tmp_path / "mrr"
+        assert main(["eval-mrr", "--config", str(cfg_path), "--features", "past,,past",
+                     "--from", str(tmp_path / "f"), "--out", str(out)]) == 0
+        once = tmp_path / "mrr1"
+        assert main(["eval-mrr", "--config", str(cfg_path), "--features", "past",
+                     "--from", str(tmp_path / "f"), "--out", str(once)]) == 0
+        assert (out / "mrr.json").read_bytes() == (once / "mrr.json").read_bytes()
 
 
 class TestStageImports:

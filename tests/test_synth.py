@@ -5,6 +5,7 @@ import string
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from pivotmine.synth import (
     STYLES,
     VOWELS,
     SynthSpec,
+    _draws,
     _generate,
     _sub_rng,
     generate,
@@ -75,6 +77,21 @@ class TestDeterminism:
         assert _sub_rng(5, "labels").random() == _sub_rng(5, "labels").random()
         assert _sub_rng(5, "labels").random() != _sub_rng(5, "content").random()
         assert _sub_rng(5, "a", "b").random() != _sub_rng(5, "ab").random()
+
+
+class TestBulkDraws:
+    """_draws builds the values of rng.random() from one getrandbits call."""
+
+    @pytest.mark.parametrize("count", [0, 1, 7, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 41, 2**64 - 1])
+    def test_equals_one_call_per_value(self, seed, count):
+        rng, reference = _sub_rng(seed, "order", "qaa"), _sub_rng(seed, "order", "qaa")
+        values = _draws(rng, count)
+        assert values.dtype == np.float64 and values.shape == (count,)
+        assert values.tolist() == [reference.random() for _ in range(count)]
+        # and leaves the generator where count calls would
+        assert rng.getstate() == reference.getstate()
+        assert rng.random() == reference.random()
 
 
 class TestPlantedMarkers:
