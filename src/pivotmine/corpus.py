@@ -38,6 +38,22 @@ def is_verse_id(value: str) -> bool:
     return len(value) == 8 and value.isascii() and value.isdigit()
 
 
+def _token_spans(spaced: str) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 start and end offset of each maximal run of non-spaces
+    in spaced, from its code points."""
+    code = np.frombuffer(spaced.encode("utf-32-le", "surrogatepass"), "<u4")
+    space = np.ones(len(code) + 2, dtype=bool)
+    np.equal(code, ord(" "), out=space[1:-1])
+    edge = np.diff(space.view(np.int8))
+    return np.flatnonzero(edge == -1), np.flatnonzero(edge == 1)
+
+
+def _text_starts(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 length of each text, and its start in " ".join(texts)."""
+    text_len = np.fromiter(map(len, texts), np.int64, len(texts))
+    return text_len, np.cumsum(text_len + 1) - text_len - 1
+
+
 def tokenize_block(
     texts: Sequence[str],
 ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
@@ -57,14 +73,8 @@ def tokenize_block(
     space that bounds every token is neither cased nor case-ignorable.
     """
     spaced = " ".join(texts).translate(_TO_SPACE)
-    code = np.frombuffer(spaced.encode("utf-32-le", "surrogatepass"), "<u4")
-    space = np.ones(len(code) + 2, dtype=bool)
-    np.equal(code, ord(" "), out=space[1:-1])
-    edge = np.diff(space.view(np.int8))
-    start = np.flatnonzero(edge == -1)
-    end = np.flatnonzero(edge == 1)
-    text_len = np.fromiter(map(len, texts), np.int64, len(texts))
-    text_start = np.cumsum(text_len + 1) - text_len - 1
+    start, end = _token_spans(spaced)
+    _, text_start = _text_starts(texts)
     verse = np.searchsorted(text_start, start, side="right") - 1
     shift = text_start[verse]
     return (
@@ -73,6 +83,49 @@ def tokenize_block(
         (end - shift).astype(np.int32),
         np.bincount(verse, minlength=len(texts)).astype(np.int32),
     )
+
+
+def can_be_token(surface: str) -> bool:
+    """Whether some token can have surface: it is non-empty and holds no
+    delimiter."""
+    return bool(surface) and " " not in surface.translate(_TO_SPACE)
+
+
+def find_surfaces(
+    texts: Sequence[str], surfaces: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tokens of several verses (those of tokenize_block) whose
+    lowercased surface is one of surfaces, found without tokenizing: the
+    int64 verse index and surface index of each, and its float64 relative
+    character midpoint (midpoint over verse length), in text order.
+
+    The verses are joined, mapped to spaces and lowercased as
+    tokenize_block does, with a space before and after, and one pattern
+    finds each surface between two spaces. A surface no token can have
+    (can_be_token) matches nothing. Where lowercasing changes the
+    string's length (U+0130 becomes two characters), a hit is placed by
+    its token ordinal: it has the offsets of the token with the same
+    ordinal in the string before lowercasing.
+    """
+    wanted = [k for k, surface in enumerate(surfaces) if can_be_token(surface)]
+    spaced = " " + " ".join(texts).translate(_TO_SPACE) + " "
+    lowered = spaced.lower()
+    hits = []
+    if wanted:
+        pattern = " (?:" + "|".join(f"({re.escape(surfaces[k])})" for k in wanted) + ")(?= )"
+        hits = [(*m.span(), m.lastindex) for m in re.finditer(pattern, lowered)]
+    hit = np.array(hits, dtype=np.int64).reshape(-1, 3)
+    # a token spaced[a + 1:b + 1], matched with the space before it, is
+    # " ".join(texts)[a:b]
+    start, end = hit[:, 0], hit[:, 1] - 1
+    if len(lowered) != len(spaced):
+        ordinal = np.searchsorted(_token_spans(lowered)[0], start + 1)
+        start, end = (edges[ordinal] - 1 for edges in _token_spans(spaced))
+    text_len, text_start = _text_starts(texts)
+    verse = np.searchsorted(text_start, start, side="right") - 1
+    # doubling the length is exact, so this rounds the midpoint ratio once
+    rel = (start + end - 2 * text_start[verse]) / (2.0 * text_len[verse])
+    return verse, np.array(wanted, dtype=np.int64)[hit[:, 2] - 1], rel
 
 
 def tokenize_verse(text: str) -> tuple[list[str], list[int], list[int]]:
@@ -91,22 +144,19 @@ def tokenize_blocks(texts: Sequence[str]) -> Iterator[tuple[int, tuple]]:
 @dataclass(frozen=True, eq=False)
 class TranslationEncoding:
     """The tokens of one translation over a run of verses: what alignment
-    and the pivot scan read of them.
+    reads of them.
 
     Row r holds the tokens ids[offsets[r]:offsets[r + 1]]; an id indexes
     vocab, which lists the surfaces in first-occurrence order. A verse the
-    translation lacks is an empty row. span_sums holds each token's start
-    plus end offset in its verse (twice its character midpoint), from which
-    the pivot scan takes the token's relative position. offsets is int32;
-    ids and span_sums each take the smallest unsigned dtype that holds
-    their largest value (np.min_scalar_type), as they are most of an
-    encoding store's bytes.
+    translation lacks is an empty row. offsets is int32; ids take the
+    smallest unsigned dtype that holds their largest value
+    (np.min_scalar_type), as they are most of an encoding store's bytes.
+    The pivot scan reads no encoding: it searches the text (find_surfaces).
     """
 
     vocab: list[str]
     ids: np.ndarray
     offsets: np.ndarray
-    span_sums: np.ndarray
 
     def frequencies(self) -> dict[str, int]:
         """Token count of every surface."""
@@ -125,7 +175,7 @@ class TranslationEncoding:
         remap[matched] = matched[0]
         vocab = list(self.vocab)
         vocab[matched[0]] = word
-        return TranslationEncoding(vocab, remap[self.ids], self.offsets, self.span_sums)
+        return TranslationEncoding(vocab, remap[self.ids], self.offsets)
 
 
 def _vocabulary() -> defaultdict[str, int]:
@@ -310,17 +360,13 @@ class MultiCorpus:
             return self.encodings[translation_id]
         index = _vocabulary()
         ids = []
-        sums = []
         counts = []
-        for _, (surfaces, starts, ends, n) in tokenize_blocks(self.texts(translation_id)):
+        for _, (surfaces, _, _, n) in tokenize_blocks(self.texts(translation_id)):
             ids.append(np.fromiter(map(index.__getitem__, surfaces), np.int32, len(surfaces)))
-            sums.append(starts + ends)
             counts.append(n)
         offsets = np.zeros(len(self.selected_index) + 1, dtype=np.int32)
         np.cumsum(_concat(counts), out=offsets[1:])
-        enc = TranslationEncoding(
-            list(index), _narrowest(_concat(ids)), offsets, _narrowest(_concat(sums))
-        )
+        enc = TranslationEncoding(list(index), _narrowest(_concat(ids)), offsets)
         if self.encodings is not None:
             self.encodings[translation_id] = enc
         return enc

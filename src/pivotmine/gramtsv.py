@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import DataError
-from .textio import Reader, Writer, read_bytes, read_lines, write_bytes, write_lines
+from .textio import Reader, Writer, read_bytes, read_written_lines, write_bytes, write_lines
 
 if TYPE_CHECKING:
     from .ngrams import MiningResult
@@ -61,20 +61,24 @@ def write_ngrams_tsv(
 
 
 def read_ngrams_tsv(path: str | Path, read: Reader = read_bytes) -> dict[int, list[str]]:
-    """Ranked gram lists per n, as written by write_ngrams_tsv."""
-    lines = read_lines(path, read)
+    """Ranked gram lists per n, as written by write_ngrams_tsv.
+
+    Raises DataError, naming the path and the line, for a file without
+    its final newline (read_written_lines) or a row that is not six
+    cells with integer n, rank, pos and neg and a float chi2.
+    """
+    lines = read_written_lines(path, read)
     if not lines or not lines[0].startswith("n\t"):
         raise DataError(f"not an n-gram TSV: {path}")
     out: dict[int, list[str]] = {}
-    for raw in lines[1:]:
+    for number, raw in enumerate(lines[1:], start=2):
         if not raw:
             continue
-        parts = raw.split("\t")
-        if len(parts) != 6:
-            raise DataError(f"malformed n-gram line: {raw!r}")
         try:
-            n = int(parts[0])
+            n, rank, gram, pos, neg, chi2 = raw.split("\t")
+            n = int(n)
+            int(rank), int(pos), int(neg), float(chi2)  # checked, not kept
         except ValueError:
-            raise DataError(f"malformed n-gram line: {raw!r}") from None
-        out.setdefault(n, []).append(unescape_gram(parts[2]))
+            raise DataError(f"{path} line {number}: malformed n-gram line: {raw!r}") from None
+        out.setdefault(n, []).append(unescape_gram(gram))
     return out

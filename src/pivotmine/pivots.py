@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .aligner import PairLinkStats, link_counts
 from .config import RunConfig
-from .corpus import DELIMITERS, MultiCorpus, tokenize_blocks
+from .corpus import MultiCorpus, can_be_token, find_surfaces, tokenize_blocks
 from .errors import DataError
 from .stats import ContingencyTable, chi2
-from .textio import Reader, Writer, read_bytes, read_lines, write_bytes, write_lines
+from .textio import (
+    Reader, Writer, read_bytes, read_lines, read_written_lines, write_bytes, write_lines,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -72,19 +73,11 @@ def _scan_translation(
     corpus: MultiCorpus, translation_id: str, surfaces: list[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The tokens of several surfaces in a translation's selected verses,
-    read from its encoding (MultiCorpus.encode): the row, the surface index
-    and the relative character midpoint (midpoint / verse length) of each,
-    in text order, and the rows the translation lacks."""
-    enc = corpus.encode(translation_id)
-    index = {surface: k for k, surface in enumerate(surfaces)}
-    surface_of = np.fromiter(map(index.get, enc.vocab, repeat(-1)), np.int64, len(enc.vocab))
-    code = surface_of[enc.ids]
-    hits = np.flatnonzero(code >= 0)
-    rows = np.searchsorted(enc.offsets[1:], hits, side="right")
-    # span_sums may be as narrow as uint8; a float64 divisor keeps the
-    # midpoints float64, and doubling the length is exact
-    rel = enc.span_sums[hits] / (2.0 * corpus.lengths(translation_id)[rows])
-    return rows, code[hits], rel, ~corpus.presence(translation_id)
+    found by searching their text (find_surfaces): the row, the surface
+    index and the relative character midpoint (midpoint / verse length)
+    of each, in text order, and the rows the translation lacks."""
+    rows, which, rel = find_surfaces(corpus.texts(translation_id), surfaces)
+    return rows, which, rel, ~corpus.presence(translation_id)
 
 
 def scan_pivots(
@@ -326,7 +319,7 @@ def read_queries(path: str | Path, read: Reader = read_bytes) -> list[Query]:
         form_set = frozenset(f for f in forms.split(",") if f)
         if not form_set:
             raise DataError(f"query line has no forms: {raw!r}")
-        if any(ch in DELIMITERS for ch in synthetic_query_token(feature)):
+        if not can_be_token(synthetic_query_token(feature)):
             raise DataError(f"query feature {feature!r} contains a token delimiter")
         out.append(Query(feature, tid, form_set))
     return out
@@ -361,24 +354,29 @@ def read_pivots_tsv(
 ) -> list[Pivot]:
     """Pivots in rank order, as written by write_pivots_tsv.
 
-    Raises DataError for a malformed file or a translation the corpus
+    Raises DataError, naming the path and the line, for a file without
+    its final newline (read_written_lines), a malformed row, a surface
+    no token can have (corpus.can_be_token) or a translation the corpus
     lacks.
     """
-    lines = read_lines(path, read)
+    lines = read_written_lines(path, read)
     if not lines or not lines[0].startswith("rank\t"):
         raise DataError(f"not a rank TSV: {path}")
     pivots = []
-    for raw in lines[1:]:
+    for number, raw in enumerate(lines[1:], start=2):
         if not raw:
             continue
+        where = f"{path} line {number}"
         parts = raw.split("\t")
         if len(parts) != 5:
-            raise DataError(f"malformed rank line: {raw!r}")
+            raise DataError(f"{where}: malformed rank line: {raw!r}")
         _, iso3, tid, surface, score = parts
         if tid not in corpus.translations:
-            raise DataError(f"pivot references unknown translation {tid!r} in {path}")
+            raise DataError(f"{where}: pivot references unknown translation {tid!r}")
+        if not can_be_token(surface):
+            raise DataError(f"{where}: no token can have the surface {surface!r}")
         try:
             pivots.append(Pivot(iso3, tid, surface, float(score)))
         except ValueError:
-            raise DataError(f"malformed rank line: {raw!r}") from None
+            raise DataError(f"{where}: malformed rank line: {raw!r}") from None
     return pivots

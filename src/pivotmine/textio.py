@@ -56,6 +56,16 @@ def read_lines(path: str | Path, read: Reader = read_bytes) -> list[str]:
     return lines
 
 
+def read_written_lines(path: str | Path, read: Reader = read_bytes) -> list[str]:
+    """read_lines of a file that write_lines wrote, which always ends it
+    with a newline: DataError naming the path and its last line when the
+    file does not, so that a file cut short never reads as a whole one."""
+    lines = read_text(path, read).split("\n")
+    if lines.pop():
+        raise DataError(f"{path} line {len(lines) + 1}: no final newline, the file is cut short")
+    return lines
+
+
 def write_bytes(path: str | Path, data: bytes) -> Path:
     """Atomically replace path with data.
 

@@ -4,8 +4,9 @@ The oracles that MultiCorpus.encode, aligner.encode_pairs,
 aligner._pair_cache_key, the head-pivot query merge and the pivot scan
 are tested against: one regex match per token and one verse at a time,
 np.unique for word and cell numbering, one hash update per piece of each
-selected verse, a merge that rewrites the query text, and a scan that tokenizes
-the translation's text.
+selected verse, a merge that rewrites the query text, and a scan that
+tokenizes the translation's selected verses and looks every token up
+among the surfaces (the pivot scan searches the text instead).
 """
 
 from __future__ import annotations
@@ -38,18 +39,13 @@ def encode(corpus: MultiCorpus, translation_id: str) -> TranslationEncoding:
     index: defaultdict[str, int] = defaultdict()
     index.default_factory = index.__len__
     ids: list[int] = []
-    span_sums: list[int] = []
     offsets = [0]
     for vid in corpus.selected_verses:
         for m in _TOKEN_RE.finditer(verses.get(vid, "")):
             ids.append(index[m.group().lower()])
-            span_sums.append(m.start() + m.end())
         offsets.append(len(ids))
     return TranslationEncoding(
-        list(index),
-        np.array(ids, dtype=np.int32),
-        np.array(offsets, dtype=np.int32),
-        np.array(span_sums, dtype=np.int32),
+        list(index), np.array(ids, dtype=np.int32), np.array(offsets, dtype=np.int32)
     )
 
 
@@ -184,7 +180,9 @@ def scan_translation(
     corpus: MultiCorpus, translation_id: str, surfaces: list[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """pivots._scan_translation as one tokenize pass over the translation's
-    selected verses, looking each block's surfaces up among surfaces."""
+    selected verses, looking each block's surfaces up among surfaces: the
+    row, surface index and relative midpoint of each hit, in text order,
+    and the rows the translation lacks."""
     verses = verses_of(corpus, translation_id)
     texts = [verses.get(vid, "") for vid in corpus.selected_verses]
     lengths = np.fromiter(map(len, texts), np.int64, len(texts))

@@ -596,6 +596,63 @@ class TestExitCodes:
         assert "pivotmine" in capsys.readouterr().out
 
 
+class TestCutTables:
+    """A pipeline table cut short, or holding a surface no token can have,
+    is a data error that names the file and the line, never a valid input."""
+
+    def pivot_argv(self, workspace, expanded, command, pivots, out):
+        _, cfg_path, _, _ = workspace
+        return [command, "--config", str(cfg_path), "--pivots", str(pivots),
+                "--head", str(expanded / "head.json"), "--out", str(out)]
+
+    @pytest.mark.parametrize("command", ["mine-ngrams", "cluster-markers", "map"])
+    def test_pivots_cut_inside_the_last_score(
+        self, workspace, expanded, tmp_path, capsys, command
+    ):
+        text = (expanded / "pivots.tsv").read_text(encoding="utf-8")
+        pivots = tmp_path / "pivots.tsv"
+        pivots.write_text(text[:-2], encoding="utf-8")
+        capsys.readouterr()
+        argv = self.pivot_argv(workspace, expanded, command, pivots, tmp_path / "o")
+        assert main(argv) == 3
+        lines = len(text.splitlines())
+        assert f"data error: {pivots} line {lines}: no final newline" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("surface", ["", "ye x", "ye.", "'"])
+    @pytest.mark.parametrize("command", ["mine-ngrams", "cluster-markers", "map"])
+    def test_pivot_surface_no_token_can_have(
+        self, workspace, expanded, tmp_path, capsys, command, surface
+    ):
+        text = (expanded / "pivots.tsv").read_text(encoding="utf-8")
+        _, iso3, tid, _, score = text.splitlines()[-1].split("\t")
+        pivots = tmp_path / "pivots.tsv"
+        pivots.write_text(text + f"99\t{iso3}\t{tid}\t{surface}\t{score}\n", encoding="utf-8")
+        capsys.readouterr()
+        argv = self.pivot_argv(workspace, expanded, command, pivots, tmp_path / "o")
+        assert main(argv) == 3
+        line = len(text.splitlines()) + 1
+        err = capsys.readouterr().err
+        assert f"data error: {pivots} line {line}: no token can have the surface" in err
+
+    @pytest.mark.parametrize(
+        "cut", [lambda t: t[: t.rindex("\t") + 1], lambda t: t[:-1]],
+        ids=["after-the-fifth-tab", "before-the-newline"],
+    )
+    def test_ngrams_cut_short(self, workspace, expanded, tmp_path, capsys, cut):
+        _, cfg_path, _, _ = workspace
+        mined = tmp_path / "from" / "past"
+        argv = self.pivot_argv(workspace, expanded, "mine-ngrams", expanded / "pivots.tsv", mined)
+        assert main([*argv, "--targets", "saa_synth"]) == 0
+        path = mined / "ngrams" / "saa_synth.tsv"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(cut(text), encoding="utf-8")
+        capsys.readouterr()
+        argv = ["eval-mrr", "--config", str(cfg_path), "--features", "past",
+                "--from", str(tmp_path / "from"), "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        assert f"data error: {path} line {len(text.splitlines())}: " in capsys.readouterr().err
+
+
 class TestOutDirFallback:
     def test_config_out_dir_used(self, workspace, tmp_path):
         _, _, config, _ = workspace
@@ -947,7 +1004,8 @@ class TestPivotScans:
 
 class TestEncodingStore:
     """A pipeline tokenizes each translation once, from head-pivot to the
-    end of expand-pivots; a standalone subcommand keeps no store."""
+    end of expand-pivots; a standalone subcommand keeps no store, and the
+    pivot scan tokenizes nothing."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -996,9 +1054,27 @@ class TestEncodingStore:
         assert main(["expand-pivots", *argv, "--head", str(tmp_path / "head.json")]) == 0
         members = {tid for tid, _ in pivot_keys(tmp_path / "pivots.tsv")}
         assert stores == [None] * len(members)
-        # every translation is encoded to align it, and the members again
-        # to scan them
-        assert passes == ["encode"] * (8 + len(members))
+        # every translation is encoded once, to align it; the members'
+        # scan searches their text
+        assert passes == ["encode"] * 8
+
+    @pytest.mark.parametrize("command", ["mine-ngrams", "cluster-markers", "map"])
+    def test_pivot_input_commands_tokenize_nothing(
+        self, workspace, expanded, tmp_path, passes, monkeypatch, command
+    ):
+        encoded = []
+        real = MultiCorpus.encode
+
+        def spy(self, translation_id):
+            encoded.append(translation_id)
+            return real(self, translation_id)
+
+        monkeypatch.setattr(MultiCorpus, "encode", spy)
+        _, cfg_path, _, _ = workspace
+        argv = [command, "--config", str(cfg_path), "--pivots", str(expanded / "pivots.tsv"),
+                "--head", str(expanded / "head.json"), "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert (passes, encoded) == ([], [])
 
 
 class TestFeatureFlag:

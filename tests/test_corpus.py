@@ -143,16 +143,14 @@ class TestBlockTokenizer:
 
 def assert_same_encoding(got, want) -> None:
     """got holds the values of the int32 oracle encoding want; its offsets
-    are int32 too, and its ids and span sums take the smallest dtype that
-    holds their largest value."""
+    are int32 too, and its ids take the smallest dtype that holds their
+    largest value."""
     assert got.vocab == want.vocab
-    for name in ("ids", "offsets", "span_sums"):
+    for name in ("ids", "offsets"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.tolist() == b.tolist(), name
     assert got.offsets.dtype == want.offsets.dtype == np.int32
-    for name in ("ids", "span_sums"):
-        largest = getattr(want, name).max(initial=0)
-        assert getattr(got, name).dtype == np.min_scalar_type(largest), name
+    assert got.ids.dtype == np.min_scalar_type(want.ids.max(initial=0))
 
 
 def corpus_of(texts):
@@ -215,13 +213,7 @@ class TestEncodingOracle:
         corpus = corpus_of(texts)
         got = corpus.encode("aaa_t")
         assert_same_encoding(got, oracle.encode(corpus, "aaa_t"))
-        assert got.ids.dtype == np.uint32 and got.span_sums.dtype == np.uint16
-
-    def test_verse_past_32767_characters_takes_uint32_span_sums(self):
-        corpus = corpus_of(["a " * 16400, "b"])
-        got = corpus.encode("aaa_t")
-        assert_same_encoding(got, oracle.encode(corpus, "aaa_t"))
-        assert got.ids.dtype == np.uint8 and got.span_sums.dtype == np.uint32
+        assert got.ids.dtype == np.uint32
 
 
 class TestVerseIds:
@@ -866,9 +858,8 @@ class TestEncoding:
     def test_encoding_array_dtypes(self):
         enc = make_corpus({"aaa_t": {"00000001": "a b a"}}).encode("aaa_t")
         assert enc.offsets.dtype == np.int32
-        assert enc.ids.dtype == enc.span_sums.dtype == np.uint8
+        assert enc.ids.dtype == np.uint8
         assert enc.ids.tolist() == [0, 1, 0]
-        assert enc.span_sums.tolist() == [1, 5, 9]
         # a merge keeps the ids' dtype
         assert enc.merged(frozenset({"b"}), "q").ids.dtype == np.uint8
 
@@ -1027,7 +1018,7 @@ def assert_same_scan(corpus, translation_id: str, surfaces: list[str]) -> None:
 
 
 class TestScanOracle:
-    """The pivot scan reads the translation's encoding; the tokenizing scan
+    """The pivot scan searches the translation's text; the tokenizing scan
     it replaced is its oracle."""
 
     @given(
@@ -1037,7 +1028,9 @@ class TestScanOracle:
             max_size=10,
         ),
         st.lists(
-            st.sampled_from(["a", "b", "ab", "i̇", "σ", "ς", "aς", "é", "absent"]),
+            st.sampled_from(
+                ["a", "b", "ab", "i̇", "σ", "ς", "aς", "é", "absent", "", "a b", "A", "a."]
+            ),
             min_size=1,
             max_size=4,
             unique=True,
@@ -1049,6 +1042,35 @@ class TestScanOracle:
         corpus = corpus_of(texts)
         with mock.patch.object(corpus_module, "BLOCK_VERSES", block):
             assert_same_scan(corpus, "aaa_t", surfaces)
+
+    @pytest.mark.parametrize("surfaces", [[""], ["a b"], ["A"], ["", "a", "a b", "A", "b"]])
+    def test_surfaces_no_token_has(self, surfaces):
+        # an empty surface, one holding a delimiter and an upper-case one
+        # match nothing, while the other surfaces keep their indices
+        corpus = corpus_of(["a b A", "a  b", None, "A.a", ""])
+        assert_same_scan(corpus, "aaa_t", surfaces)
+        rows, which, _, _ = pivots_module._scan_translation(corpus, "aaa_t", surfaces)
+        if "a" not in surfaces:
+            assert rows.tolist() == []
+        else:
+            assert set(which.tolist()) == {surfaces.index("a"), surfaces.index("b")}
+
+    def test_adjacent_equal_tokens(self):
+        corpus = corpus_of(["a a", "a a a", "aa a", "a\ta"])
+        assert_same_scan(corpus, "aaa_t", ["a"])
+        rows, _, rel, _ = pivots_module._scan_translation(corpus, "aaa_t", ["a"])
+        assert rows.tolist() == [0, 0, 1, 1, 1, 2, 3, 3]
+        assert rel.tolist()[:2] == [1 / 6, 5 / 6]
+
+    def test_lowercasing_lengthens_the_text_before_a_hit(self):
+        # İ lowercases to two characters, i and a combining dot above, yet
+        # each hit keeps the offsets of its token in the original spelling
+        corpus = corpus_of(["İ a", "İİ x", "b İa a", "İ"])
+        assert_same_scan(corpus, "aaa_t", ["a", "i̇a"])
+        rows, which, rel, _ = pivots_module._scan_translation(corpus, "aaa_t", ["a", "i̇a"])
+        assert rows.tolist() == [0, 2, 2]
+        assert which.tolist() == [0, 1, 0]
+        assert rel.tolist() == [5 / 6, 6 / 12, 11 / 12]
 
     def test_pivot_sets_of_tiny8(self):
         # seven verses left out, so members lack some selected verses
@@ -1103,14 +1125,14 @@ class TestCorpusMethods:
         # a new selection has other rows, so it starts without a store
         assert kept.select(1).encodings is None
 
-    def test_marking24_store_holds_two_bytes_per_token(self):
+    def test_marking24_store_holds_one_byte_per_token(self):
         corpus, _ = generate(PRESETS["marking24"]())
         kept = corpus.select(len(corpus.verse_universe)).keeping_encodings()
         for tid in kept.translations:
             kept.encode(tid)
         tokens = sum(enc.ids.size for enc in kept.encodings.values())
-        held = sum(enc.ids.nbytes + enc.span_sums.nbytes for enc in kept.encodings.values())
-        assert tokens > 500_000 and held == 2 * tokens
+        held = sum(enc.ids.nbytes for enc in kept.encodings.values())
+        assert tokens > 500_000 and held == tokens
 
     def test_encode_reads_the_current_translation(self):
         corpus = make_corpus({"aaa_t": {"00000001": "a b"}, "bbb_t": {"00000001": "c d"}})

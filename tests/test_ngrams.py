@@ -737,3 +737,20 @@ class TestSerialization:
         worse.write_text("n\trank\tgram\tpos\tneg\tchi2\n2\t1\tka\n", encoding="utf-8")
         with pytest.raises(DataError):
             read_ngrams_tsv(worse)
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            ("2\t1\tka\t3\t1\t2.5", "line 3: no final newline"),
+            ("2\t1\tka\t3\t1\t\n", "line 3: malformed n-gram line"),
+            ("2\t1\tka\t3\tx\t2.5\n", "line 3: malformed n-gram line"),
+            ("2\t1\tka\t3.0\t1\t2.5\n", "line 3: malformed n-gram line"),
+            ("2\tfirst\tka\t3\t1\t2.5\n", "line 3: malformed n-gram line"),
+        ],
+    )
+    def test_tsv_rejects_cut_and_mistyped_rows(self, tmp_path, row, error):
+        path = tmp_path / "grams.tsv"
+        path.write_text("n\trank\tgram\tpos\tneg\tchi2\n2\t1\tko\t4\t0\t1e+01\n" + row,
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{path} {error}"):
+            read_ngrams_tsv(path)

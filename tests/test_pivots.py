@@ -404,3 +404,19 @@ class TestFiles:
                 read_pivots_tsv(corpus, bad)
         bad.write_text(header, encoding="utf-8")
         assert read_pivots_tsv(corpus, bad) == []
+
+    def test_pivots_tsv_rejects_cut_rows_and_impossible_surfaces(self, tmp_path):
+        corpus = make_corpus({"aaa_t": {"00000001": "x"}})
+        path = tmp_path / "pivots.tsv"
+        header = "rank\tiso3\ttranslation\tsurface\tchi2\n"
+        path.write_text(header + "1\taaa\taaa_t\tx\t3.5", encoding="utf-8")
+        with pytest.raises(DataError, match="line 2: no final newline"):
+            read_pivots_tsv(corpus, path)
+        for surface in ("", "a b", "x,", "a\u000bb"):
+            rows = f"1\taaa\taaa_t\tx\t3\n2\taaa\taaa_t\t{surface}\t1\n"
+            path.write_text(header + rows, encoding="utf-8")
+            with pytest.raises(DataError, match=f"{path} line 3: no token can have"):
+                read_pivots_tsv(corpus, path)
+        # upper case and non-breaking spaces are not delimiters
+        path.write_text(header + "1\taaa\taaa_t\tX\u00a0y\t3\n", encoding="utf-8")
+        assert read_pivots_tsv(corpus, path) == [Pivot("aaa", "aaa_t", "X\u00a0y", 3.0)]

@@ -8,7 +8,9 @@ import pytest
 
 from pivotmine import textio
 from pivotmine.errors import DataError
-from pivotmine.textio import read_bytes, read_lines, write_bytes, write_json, write_lines, write_text
+from pivotmine.textio import (
+    read_bytes, read_lines, read_written_lines, write_bytes, write_json, write_lines, write_text,
+)
 
 
 class TestRead:
@@ -51,6 +53,18 @@ class TestRead:
         path = tmp_path / "lines.txt"
         path.write_bytes(text.encode())
         assert read_lines(path) == lines
+
+    @pytest.mark.parametrize(
+        "text, lines",
+        [("", []), ("\n", [""]), ("a\n", ["a"]), ("a\r\n\n", ["a", ""])],
+    )
+    def test_written_lines_end_with_a_newline(self, text, lines):
+        assert read_written_lines("t.tsv", lambda path: text.encode()) == lines
+
+    @pytest.mark.parametrize("text, line", [("a", 1), ("a\nb", 2), ("a\n\nb\tc", 3)])
+    def test_written_lines_cut_short_are_a_data_error(self, text, line):
+        with pytest.raises(DataError, match=f"^t.tsv line {line}: no final newline"):
+            read_written_lines("t.tsv", lambda path: text.encode())
 
 
 def file_access_calls(tree: ast.AST) -> list[int]:
