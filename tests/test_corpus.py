@@ -1062,6 +1062,10 @@ class TestScanOracle:
         assert rows.tolist() == [0, 0, 1, 1, 1, 2, 3, 3]
         assert rel.tolist()[:2] == [1 / 6, 5 / 6]
 
+    def test_verse_past_32767_characters(self):
+        corpus = corpus_of(["a " * 16400 + "İ b", "b a"])
+        assert_same_scan(corpus, "aaa_t", ["b", "a"])
+
     def test_lowercasing_lengthens_the_text_before_a_hit(self):
         # İ lowercases to two characters, i and a combining dot above, yet
         # each hit keeps the offsets of its token in the original spelling
