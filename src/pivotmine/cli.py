@@ -52,7 +52,7 @@ from .errors import ConfigError, DataError
 from .evaluation import mrr, mrr_table, read_gold
 from .gramtsv import read_ngrams_tsv, write_ngrams_tsv
 from .manifest import MANIFEST_NAME, RunRecorder
-from .textio import read_lines, read_text, remove_stale, write_lines, write_text
+from .textio import read_table, read_text, remove_stale, write_lines, write_text
 # perfbench/tracing.py times artifact writes by wrapping cli._write_json
 from .textio import write_json as _write_json
 
@@ -119,7 +119,7 @@ def _head_from_json(run: Run, corpus: MultiCorpus, path: str | Path) -> Pivot:
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"cannot read head pivot from {path}: {exc}") from exc
     if tid not in corpus.translations:
-        raise DataError(f"head pivot references unknown translation {tid!r}")
+        raise DataError(f"{path}: head pivot references unknown translation {tid!r}")
     return Pivot(iso3, tid, surface, score)
 
 
@@ -477,8 +477,7 @@ def cmd_map(run: Run) -> None:
 
 def cmd_project(run: Run) -> None:
     corpus = run.corpus()
-    lines = read_lines(run.args.verses, run.rec.read)
-    verse_ids = [line.strip() for line in lines if line.strip()]
+    verse_ids = [vid for _, (vid,) in read_table(run.args.verses, 1, read=run.rec.read)[1]]
     run.stage("project", stage_project, corpus, verse_ids, run.args.translation)
 
 

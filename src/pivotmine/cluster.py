@@ -21,7 +21,7 @@ import numpy as np
 from .corpus import MultiCorpus
 from .errors import DataError
 from .pivots import Pivot, PresenceMatrix, scan_pivots
-from .textio import Reader, Writer, read_bytes, read_lines, write_bytes, write_lines
+from .textio import Reader, Writer, read_bytes, read_table, write_bytes, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -203,22 +203,20 @@ def write_distance_tsv(
 
 def read_distance_tsv(path: str | Path, read: Reader = read_bytes) -> DistanceMatrix:
     """Read write_distance_tsv's matrix: one row per header label, in
-    header order; anything else is a DataError."""
-    lines = read_lines(path, read)
-    if not lines or not lines[0].startswith("label\t"):
-        raise DataError(f"not a distance TSV: {path}")
-    labels = lines[0].split("\t")[1:]
-    if len(lines) != 1 + len(labels):
-        raise DataError(f"{path}: {len(lines) - 1} rows for {len(labels)} labels")
+    header order, of float cells; anything else is a DataError naming the
+    path and the line."""
+    head, table = read_table(path, None, "label", read)
+    labels = head[1:]
     rows = []
-    for label, raw in zip(labels, lines[1:]):
-        parts = raw.split("\t")
-        if len(parts) != len(labels) + 1 or parts[0] != label:
-            raise DataError(f"malformed distance row: {raw!r}")
+    for number, (label, *cells) in table:
+        if labels[len(rows) : len(rows) + 1] != [label]:
+            raise DataError(f"{path} line {number}: row {label!r} is out of the header's order")
         try:
-            rows.append([float(x) for x in parts[1:]])
-        except ValueError:
-            raise DataError(f"malformed distance row: {raw!r}") from None
+            rows.append([float(x) for x in cells])
+        except ValueError as exc:
+            raise DataError(f"{path} line {number}: malformed distance row: {exc}") from None
+    if len(rows) < len(labels):
+        raise DataError(f"{path} line {len(rows) + 2}: no row for {labels[len(rows)]!r}")
     return DistanceMatrix(labels, np.array(rows))
 
 

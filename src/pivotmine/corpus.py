@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .textio import Reader, Writer, read_bytes, read_lines, write_bytes, write_lines
+from .textio import Reader, Writer, read_bytes, read_table, write_bytes, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -556,16 +556,7 @@ def load_corpus(
 
 def read_families(path: str | Path, read: Reader = read_bytes) -> dict[str, str]:
     """Read an ``iso3<TAB>family`` metadata file."""
-    out: dict[str, str] = {}
-    for raw in read_lines(path, read):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        iso3, sep, family = line.partition("\t")
-        if not sep or not family.strip():
-            raise DataError(f"malformed family line: {raw!r}")
-        out[iso3.strip()] = family.strip()
-    return out
+    return dict(cells for _, cells in read_table(path, 2, read=read)[1])
 
 
 def coverage_counts(corpus: MultiCorpus) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataError
-from .textio import Reader, read_bytes, read_lines
+from .textio import Reader, read_bytes, read_table
 
 logger = logging.getLogger(__name__)
 
@@ -22,18 +22,12 @@ MATCH_MODES = ("both", "gold_in_gram", "gram_in_gold")
 
 
 def read_gold(path: str | Path, read: Reader = read_bytes) -> dict[tuple[str, str], set[str]]:
-    """Read ``translation_id<TAB>feature<TAB>gold1,gold2,...`` lines."""
+    """Read ``translation_id<TAB>feature<TAB>gold1,gold2,...`` rows."""
     out: dict[tuple[str, str], set[str]] = {}
-    for line in read_lines(path, read):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataError(f"malformed gold line: {line!r}")
-        tid, feature, golds = parts
+    for number, (tid, feature, golds) in read_table(path, 3, read=read)[1]:
         forms = {g for g in golds.split(",") if g}
         if not forms:
-            raise DataError(f"gold line without forms: {line!r}")
+            raise DataError(f"{path} line {number}: gold line without forms")
         out.setdefault((tid, feature), set()).update(forms)
     return out
 

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import DataError
-from .textio import Reader, Writer, read_bytes, read_written_lines, write_bytes, write_lines
+from .textio import Reader, Writer, read_bytes, read_table, write_bytes, write_lines
 
 if TYPE_CHECKING:
     from .ngrams import MiningResult
@@ -63,22 +63,15 @@ def write_ngrams_tsv(
 def read_ngrams_tsv(path: str | Path, read: Reader = read_bytes) -> dict[int, list[str]]:
     """Ranked gram lists per n, as written by write_ngrams_tsv.
 
-    Raises DataError, naming the path and the line, for a file without
-    its final newline (read_written_lines) or a row that is not six
-    cells with integer n, rank, pos and neg and a float chi2.
+    Raises DataError, naming the path and the line, for a table read_table
+    refuses or a row without integer n, rank, pos and neg and a float chi2.
     """
-    lines = read_written_lines(path, read)
-    if not lines or not lines[0].startswith("n\t"):
-        raise DataError(f"not an n-gram TSV: {path}")
     out: dict[int, list[str]] = {}
-    for number, raw in enumerate(lines[1:], start=2):
-        if not raw:
-            continue
+    for number, (n, rank, gram, pos, neg, chi2) in read_table(path, 6, "n", read)[1]:
         try:
-            n, rank, gram, pos, neg, chi2 = raw.split("\t")
             n = int(n)
             int(rank), int(pos), int(neg), float(chi2)  # checked, not kept
-        except ValueError:
-            raise DataError(f"{path} line {number}: malformed n-gram line: {raw!r}") from None
+        except ValueError as exc:
+            raise DataError(f"{path} line {number}: malformed n-gram line: {exc}") from None
         out.setdefault(n, []).append(unescape_gram(gram))
     return out

@@ -20,9 +20,7 @@ from .config import RunConfig
 from .corpus import MultiCorpus, can_be_token, find_surfaces, tokenize_blocks
 from .errors import DataError
 from .stats import ContingencyTable, chi2
-from .textio import (
-    Reader, Writer, read_bytes, read_lines, read_written_lines, write_bytes, write_lines,
-)
+from .textio import Reader, Writer, read_bytes, read_table, write_bytes, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -302,37 +300,28 @@ def top_markers_by_language(ranking: list[Pivot], head: Pivot) -> dict[str, Pivo
 
 
 def read_queries(path: str | Path, read: Reader = read_bytes) -> list[Query]:
-    """Read ``feature<TAB>translation_id<TAB>form1,form2,...`` lines.
+    """Read ``feature<TAB>translation_id<TAB>form1,form2,...`` rows.
 
-    Raises DataError for a line without three fields, without a form, or
-    whose feature would put a delimiter into its synthetic query token.
+    Raises DataError, naming the path and the line, for a table read_table
+    refuses, a row without a form, or a feature that would put a delimiter
+    into its synthetic query token.
     """
     out = []
-    for raw in read_lines(path, read):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DataError(f"malformed query line: {raw!r}")
-        feature, tid, forms = parts
+    for number, (feature, tid, forms) in read_table(path, 3, read=read)[1]:
         form_set = frozenset(f for f in forms.split(",") if f)
         if not form_set:
-            raise DataError(f"query line has no forms: {raw!r}")
+            raise DataError(f"{path} line {number}: query line has no forms")
         if not can_be_token(synthetic_query_token(feature)):
-            raise DataError(f"query feature {feature!r} contains a token delimiter")
+            raise DataError(
+                f"{path} line {number}: query feature {feature!r} contains a token delimiter"
+            )
         out.append(Query(feature, tid, form_set))
     return out
 
 
 def read_allowlist(path: str | Path, read: Reader = read_bytes) -> set[str]:
-    """Read one iso3 code per line; # comments and blanks ignored."""
-    out = set()
-    for raw in read_lines(path, read):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.add(line)
-    return out
+    """Read one iso3 code per line."""
+    return {iso3 for _, (iso3,) in read_table(path, 1, read=read)[1]}
 
 
 def write_pivots_tsv(rows: list[Pivot], path: str | Path, write: Writer = write_bytes) -> Path:
@@ -354,29 +343,19 @@ def read_pivots_tsv(
 ) -> list[Pivot]:
     """Pivots in rank order, as written by write_pivots_tsv.
 
-    Raises DataError, naming the path and the line, for a file without
-    its final newline (read_written_lines), a malformed row, a surface
-    no token can have (corpus.can_be_token) or a translation the corpus
-    lacks.
+    Raises DataError, naming the path and the line, for a table read_table
+    refuses, a score that is not a number, a surface no token can have
+    (corpus.can_be_token) or a translation the corpus lacks.
     """
-    lines = read_written_lines(path, read)
-    if not lines or not lines[0].startswith("rank\t"):
-        raise DataError(f"not a rank TSV: {path}")
     pivots = []
-    for number, raw in enumerate(lines[1:], start=2):
-        if not raw:
-            continue
+    for number, (_, iso3, tid, surface, score) in read_table(path, 5, "rank", read)[1]:
         where = f"{path} line {number}"
-        parts = raw.split("\t")
-        if len(parts) != 5:
-            raise DataError(f"{where}: malformed rank line: {raw!r}")
-        _, iso3, tid, surface, score = parts
         if tid not in corpus.translations:
             raise DataError(f"{where}: pivot references unknown translation {tid!r}")
         if not can_be_token(surface):
             raise DataError(f"{where}: no token can have the surface {surface!r}")
         try:
             pivots.append(Pivot(iso3, tid, surface, float(score)))
-        except ValueError:
-            raise DataError(f"{where}: malformed rank line: {raw!r}") from None
+        except ValueError as exc:
+            raise DataError(f"{where}: malformed rank line: {exc}") from None
     return pivots

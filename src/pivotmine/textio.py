@@ -3,18 +3,19 @@
 Reads turn a missing or undecodable file into DataError, so a bad input
 path is a data problem (exit code 3) rather than a traceback. Writes go to
 a temporary file in the destination directory that is then renamed over
-the destination, so a reader never sees a partly written file. Each file
-format keeps its own parse and format loops; only the file access lives
-here. Every reader takes a Reader and every writer a Writer: read_bytes
-and write_bytes by default, a run's RunRecorder.read and write_output in
-the CLI, which record each input and output with the sha256 of its bytes.
+the destination, so a reader never sees a partly written file. Every
+tab-separated table is parsed by read_table, so each reader keeps only the
+conversion of its cells. Every reader takes a Reader and every writer a
+Writer: read_bytes and write_bytes by default, a run's RunRecorder.read
+and write_output in the CLI, which record each input and output with the
+sha256 of its bytes.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
 from .errors import DataError
@@ -56,14 +57,54 @@ def read_lines(path: str | Path, read: Reader = read_bytes) -> list[str]:
     return lines
 
 
-def read_written_lines(path: str | Path, read: Reader = read_bytes) -> list[str]:
-    """read_lines of a file that write_lines wrote, which always ends it
-    with a newline: DataError naming the path and its last line when the
-    file does not, so that a file cut short never reads as a whole one."""
+def read_table(
+    path: str | Path, columns: int | None, header: str | None = None, read: Reader = read_bytes
+) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The header's cells and the rows of a tab-separated UTF-8 file, read
+    through read; each row is its line number and its cells.
+
+    With a header, the file is one the package wrote: line 1's first cell
+    must be header, the file must end with the newline its writer always
+    writes, and every later line is a row whose cells are kept as written.
+    Without one, the file is one that people write: no final newline is
+    needed, each line and each cell is stripped of surrounding whitespace,
+    and a line that is then empty or starts with # is skipped.
+
+    The header and every row must have columns cells, or as many as the
+    header when columns is None. Each DataError names the path and the
+    line. The header is checked at once, and each row as it is iterated, so
+    a reader converts the rows in the same single pass and holds no split
+    lines.
+    """
     lines = read_text(path, read).split("\n")
+    if header is None:
+        return [], _rows(path, enumerate(lines, 1), columns, True)
     if lines.pop():
         raise DataError(f"{path} line {len(lines) + 1}: no final newline, the file is cut short")
-    return lines
+    head = lines[0].split("\t") if lines else []
+    if head[:1] != [header]:
+        raise DataError(f"{path} line 1: not a table with the header {header!r}")
+    width = len(head) if columns is None else columns
+    if len(head) != width:
+        raise DataError(f"{path} line 1: expected {width} cells, found {len(head)}")
+    return head, _rows(path, enumerate(lines[1:], 2), width, False)
+
+
+def _rows(
+    path: str | Path, numbered: Iterable[tuple[int, str]], width: int, strip: bool
+) -> Iterator[tuple[int, list[str]]]:
+    """read_table's rows of numbered lines, split and checked one by one."""
+    for number, line in numbered:
+        if strip:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            cells = [cell.strip() for cell in line.split("\t")]
+        else:
+            cells = line.split("\t")
+        if len(cells) != width:
+            raise DataError(f"{path} line {number}: expected {width} cells, found {len(cells)}")
+        yield number, cells
 
 
 def write_bytes(path: str | Path, data: bytes) -> Path:

@@ -232,6 +232,23 @@ def expanded(workspace):
     return past
 
 
+@pytest.fixture(scope="module")
+def tables(workspace, expanded):
+    """A --from directory whose past feature is the expanded one, with the
+    n-grams of saa_synth mined from its pivots, and the
+    languages_distance.tsv that cluster-languages writes from it."""
+    root, cfg_path, _, _ = workspace
+    cfg = ["--config", str(cfg_path)]
+    past = root / "tables" / "past"
+    shutil.copytree(expanded, past)
+    argv = ["mine-ngrams", *cfg, "--pivots", str(past / "pivots.tsv"), "--targets", "saa_synth"]
+    assert main([*argv, "--out", str(past)]) == 0
+    languages = root / "languages"
+    argv = ["cluster-languages", *cfg, "--features", "past", "--from", str(past.parent)]
+    assert main([*argv, "--out", str(languages)]) == 0
+    return past.parent, languages / "languages_distance.tsv"
+
+
 class TestSynthCommand:
     def test_preset_writes_everything(self, tmp_path):
         out = tmp_path / "synth"
@@ -585,6 +602,41 @@ class TestExitCodes:
         argv = ["head-pivot", "--feature", feature, "--config", str(cfg)]
         assert main([*argv, "--out", str(tmp_path / "o")]) == 3
 
+    def test_head_with_an_unknown_translation_names_its_file(
+        self, workspace, expanded, tmp_path, capsys
+    ):
+        _, cfg_path, _, _ = workspace
+        doc = json.loads((expanded / "head.json").read_text(encoding="utf-8"))
+        head = tmp_path / "head.json"
+        head.write_text(json.dumps(dict(doc, translation_id="zzz_none")), encoding="utf-8")
+        capsys.readouterr()
+        argv = ["expand-pivots", "--config", str(cfg_path), "--feature", "past",
+                "--head", str(head), "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {head}: head pivot references unknown translation 'zzz_none'" in err
+
+    def test_verses_skip_comments(self, workspace, tmp_path):
+        _, cfg_path, _, _ = workspace
+        verses = tmp_path / "verses.txt"
+        verses.write_text("# picked by hand\n00000001\n\n  00000003 \n", encoding="utf-8")
+        argv = ["project", "--config", str(cfg_path), "--verses", str(verses),
+                "--translation", "saa_synth", "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        rows = (tmp_path / "o" / "projection.tsv").read_text(encoding="utf-8").splitlines()
+        assert [row.split("\t")[0] for row in rows] == ["00000001", "00000003"]
+
+    def test_verse_line_with_a_tab_is_data_error(self, workspace, tmp_path, capsys):
+        _, cfg_path, _, _ = workspace
+        verses = tmp_path / "verses.txt"
+        verses.write_text("00000001\n00000002\tbositonu\n", encoding="utf-8")
+        capsys.readouterr()
+        argv = ["project", "--config", str(cfg_path), "--verses", str(verses),
+                "--translation", "saa_synth", "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {verses} line 2: expected 1 cells, found 2" in err
+
     def test_no_out_anywhere(self, workspace):
         _, cfg_path, _, _ = workspace
         assert main(["ingest", "--config", str(cfg_path)]) == 2
@@ -651,6 +703,95 @@ class TestCutTables:
                 "--from", str(tmp_path / "from"), "--out", str(tmp_path / "o")]
         assert main(argv) == 3
         assert f"data error: {path} line {len(text.splitlines())}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cut", [lambda t: t[: t.rindex("\t") + 1], lambda t: t[:-1]],
+        ids=["after-the-last-tab", "before-the-newline"],
+    )
+    def test_distances_cut_short(self, workspace, tables, tmp_path, capsys, cut):
+        _, cfg_path, _, _ = workspace
+        text = tables[1].read_text(encoding="utf-8")
+        path = tmp_path / "languages_distance.tsv"
+        path.write_text(cut(text), encoding="utf-8")
+        capsys.readouterr()
+        argv = ["eval-family", "--config", str(cfg_path), "--distances", str(path),
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        assert f"data error: {path} line {len(text.splitlines())}: " in capsys.readouterr().err
+
+
+def _middle_line(data: bytes, edit) -> bytes:
+    lines = data.splitlines(keepends=True)
+    middle = len(lines) // 2
+    return b"".join(lines[:middle] + edit(lines[middle:middle + 1]) + lines[middle + 1:])
+
+
+def _middle_byte(data: bytes, edit) -> bytes:
+    middle = len(data) // 2
+    return data[:middle] + bytes([edit(data[middle])]) + data[middle + 1:] if data else data
+
+
+# Each mutation, applied to the bytes of one table
+DAMAGE = {
+    "emptied": lambda data: b"",
+    "cut-in-half": lambda data: data[: len(data) // 2],
+    "byte-flipped": lambda data: _middle_byte(data, lambda b: b ^ 0x01),
+    "invalid-utf8": lambda data: _middle_byte(data, lambda b: 0xFF),
+    "line-dropped": lambda data: _middle_line(data, lambda line: []),
+    "line-doubled": lambda data: _middle_line(data, lambda line: line * 2),
+    "column-dropped": lambda data: re.sub(rb"(?m)(?:^|\t)[^\t\n]*$", b"", data),
+    "column-added": lambda data: data.replace(b"\n", b"\tx\n"),
+}
+
+# Each table the readers parse, where it lies under the test's directory,
+# and the cheapest command that reads it
+DAMAGED_TABLES = {
+    "pivots": ("from/past/pivots.tsv",
+               ["map", "--feature", "past", "--pivots", "{dir}/from/past/pivots.tsv"]),
+    "ranking": ("from/past/ranking.tsv",
+                ["cluster-languages", "--features", "past", "--from", "{dir}/from"]),
+    "ngrams": ("from/past/ngrams/saa_synth.tsv",
+               ["eval-mrr", "--features", "past", "--from", "{dir}/from"]),
+    "distances": ("distances.tsv", ["eval-family", "--distances", "{dir}/distances.tsv"]),
+    "gold": ("gold.tsv", ["eval-mrr", "--features", "past", "--from", "{dir}/from"]),
+    "queries": ("queries.tsv", ["head-pivot", "--feature", "past"]),
+    "allowlist": ("allowlist.txt", ["head-pivot", "--feature", "past"]),
+    "families": ("families.tsv", ["eval-family", "--distances", "{dir}/distances.tsv"]),
+    "verses": ("verses.txt",
+               ["project", "--verses", "{dir}/verses.txt", "--translation", "saa_synth"]),
+}
+
+
+class TestDamagedTables:
+    """Every table a reader parses, damaged in a fixed list of ways, makes
+    its command succeed or fail with its error line, never a traceback.
+    Which damage a command accepts is not pinned here."""
+
+    @pytest.mark.parametrize("damage", DAMAGE)
+    @pytest.mark.parametrize("table", DAMAGED_TABLES)
+    def test_exit_codes_hold(self, workspace, tables, tmp_path, capsys, table, damage):
+        _, _, config, _ = workspace
+        from_dir, distances = tables
+        shutil.copytree(from_dir, tmp_path / "from")
+        shutil.copy(distances, tmp_path / "distances.tsv")
+        (tmp_path / "verses.txt").write_text("# chosen\n00000001\n00000002\n00000003\n",
+                                             encoding="utf-8")
+        config = dict(config)
+        for key in ("gold", "queries", "allowlist", "families"):
+            config[key] = shutil.copy(config[key], tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        name, argv = DAMAGED_TABLES[table]
+        path = tmp_path / name
+        path.write_bytes(DAMAGE[damage](path.read_bytes()))
+        capsys.readouterr()
+        argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+        code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+        assert code != 2 or "config error: " in err
+        assert code != 3 or "data error: " in err
 
 
 class TestOutDirFallback:

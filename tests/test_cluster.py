@@ -268,6 +268,26 @@ class TestDistanceTsv:
         with pytest.raises(DataError):
             read_distance_tsv(short)
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("label\tA\tB\nA\t0\t1\nB\t1\t0", "line 3: no final newline"),
+            ("label\tA\tB\nA\t0\t1\n", "line 3: no row for 'B'"),
+            ("label\tA\tB\nB\t1\t0\nA\t0\t1\n", "line 2: row 'B' is out of"),
+            ("label\tA\nA\t0\nA\t0\n", "line 3: row 'A' is out of"),
+            ("label\tA\tB\nA\t0\t1\n\nB\t1\t0\n", "line 3: expected 3 cells, found 1"),
+            ("label\tA\tB\nA\t0\t1\nB\t1\tnear\n", "line 3: malformed distance row"),
+            ("lab\tA\nA\t0\n", "line 1: not a table with the header 'label'"),
+        ],
+        ids=["cut", "missing-row", "out-of-order", "extra-row", "blank-line", "not-a-float",
+             "header"],
+    )
+    def test_errors_name_the_path_and_the_line(self, tmp_path, text, error):
+        path = tmp_path / "dist.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{path} {error}"):
+            read_distance_tsv(path)
+
 
 VIDS = [f"{i:08d}" for i in range(1, 7)]
 

@@ -385,6 +385,21 @@ class TestLoadCorpus:
         meta.write_text("# header\naaa\tfamA\n\n", encoding="utf-8")
         assert read_families(meta) == {"aaa": "famA"}
 
+    @pytest.mark.parametrize(
+        "text, line", [("aaa\tfamA\tfamB\n", 1), ("# c\naaa\tfamA\nbbb\t\tfamB\n", 3)],
+        ids=["first-line", "after-a-comment"],
+    )
+    def test_read_families_third_cell_is_a_data_error(self, tmp_path, text, line):
+        meta = tmp_path / "families.tsv"
+        meta.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{meta} line {line}: expected 2 cells, found 3$"):
+            read_families(meta)
+
+    def test_read_families_strips_cells(self, tmp_path):
+        meta = tmp_path / "families.tsv"
+        meta.write_text("\u00a0aaa \t\x85famA\u2028\n", encoding="utf-8")
+        assert read_families(meta) == {"aaa": "famA"}
+
 
 def load_both(root):
     """load_corpus and the parent loader (loader_oracle) of root: each

@@ -40,6 +40,24 @@ class TestReadGold:
         with pytest.raises(DataError):
             read_gold(empty_forms)
 
+    def test_cells_are_stripped_and_indented_hash_lines_are_comments(self, tmp_path):
+        path = tmp_path / "gold.tsv"
+        path.write_text("  # paa_t\tpast\tzz\n paa_t \tpast\t\u00a0ko,ka\u2028\n",
+                        encoding="utf-8")
+        assert read_gold(path) == {("paa_t", "past"): {"ko", "ka"}}
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [("# c\npaa_t\tpast\n", "line 2: expected 3 cells, found 2"),
+         ("\n\npaa_t\tpast\t,\n", "line 3: gold line without forms")],
+        ids=["width", "no-forms"],
+    )
+    def test_errors_name_the_path_and_the_line(self, tmp_path, text, error):
+        path = tmp_path / "gold.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{path} {error}$"):
+            read_gold(path)
+
 
 class TestGramMatches:
     def test_modes(self):

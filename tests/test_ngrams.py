@@ -701,6 +701,15 @@ class TestSerialization:
         path = write_ngrams_tsv(result, tmp_path / "grams.tsv")
         assert read_ngrams_tsv(path) == {4: grams}
 
+    def test_cells_with_whitespace_edges_read_back_unchanged(self, tmp_path):
+        # none of these is a tokenizer delimiter, so a mined gram can carry one
+        grams = ["\u00a0ka", "ka\u00a0", "\x85ko", "ko\x85", "\u2028ti", "ti\u2028"]
+        result = MiningResult(
+            "t", by_n={3: [NgramCandidate(g, 3, r, 1, 0, 1.0) for r, g in enumerate(grams, 1)]}
+        )
+        path = write_ngrams_tsv(result, tmp_path / "grams.tsv")
+        assert read_ngrams_tsv(path) == {3: grams}
+
     @given(st.text(alphabet=["\\", "t", GRAM_SPACE_ESCAPE, " ", "\t"], max_size=20))
     @settings(max_examples=300, deadline=None)
     def test_escape_round_trip_property(self, gram):
@@ -746,6 +755,7 @@ class TestSerialization:
             ("2\t1\tka\t3\tx\t2.5\n", "line 3: malformed n-gram line"),
             ("2\t1\tka\t3.0\t1\t2.5\n", "line 3: malformed n-gram line"),
             ("2\tfirst\tka\t3\t1\t2.5\n", "line 3: malformed n-gram line"),
+            ("\n2\t1\tka\t3\t1\t2.5\n", "line 3: expected 6 cells, found 1"),
         ],
     )
     def test_tsv_rejects_cut_and_mistyped_rows(self, tmp_path, row, error):

@@ -372,8 +372,29 @@ class TestFiles:
 
     def test_allowlist(self, tmp_path):
         path = tmp_path / "allow.txt"
-        path.write_text("# langs\npaa\n\npba\n", encoding="utf-8")
+        path.write_text("# langs\npaa\n\n  # indented\n pba\u00a0\n", encoding="utf-8")
         assert read_allowlist(path) == {"paa", "pba"}
+
+    def test_query_cells_are_stripped(self, tmp_path):
+        path = tmp_path / "queries.tsv"
+        path.write_text("past \tqaa_synth\t\u2028ti,wen\x85\n", encoding="utf-8")
+        assert read_queries(path) == [Query("past", "qaa_synth", frozenset({"ti", "wen"}))]
+
+    @pytest.mark.parametrize(
+        "read, text, error",
+        [
+            (read_queries, "# q\npast\tqaa_synth\n", "line 2: expected 3 cells, found 2"),
+            (read_queries, "\npast\tqaa_synth\t,\n", "line 2: query line has no forms"),
+            (read_queries, "past.\tqaa_synth\tti\n", "line 1: query feature 'past.' contains"),
+            (read_allowlist, "paa\n\npaa\tpba\n", "line 3: expected 1 cells, found 2"),
+        ],
+        ids=["query-width", "query-forms", "query-feature", "allowlist-tab"],
+    )
+    def test_user_file_errors_name_the_path_and_the_line(self, tmp_path, read, text, error):
+        path = tmp_path / "in.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{path} {error}"):
+            read(path)
 
     def test_pivots_tsv_round_trip(self, tmp_path):
         corpus = make_corpus(
@@ -420,3 +441,19 @@ class TestFiles:
         # upper case and non-breaking spaces are not delimiters
         path.write_text(header + "1\taaa\taaa_t\tX\u00a0y\t3\n", encoding="utf-8")
         assert read_pivots_tsv(corpus, path) == [Pivot("aaa", "aaa_t", "X\u00a0y", 3.0)]
+
+    def test_pivots_tsv_surface_edges_read_back_unchanged(self, tmp_path):
+        # none of these is a delimiter, so a mined surface can start or end with it
+        corpus = make_corpus({"aaa_t": {"00000001": "x"}})
+        surfaces = ["\u00a0ti", "ti\u00a0", "\x85ko", "ko\x85", "\u2028ka", "ka\u2028"]
+        pivots = [Pivot("aaa", "aaa_t", s, float(i)) for i, s in enumerate(surfaces, 1)]
+        path = write_pivots_tsv(pivots, tmp_path / "pivots.tsv")
+        assert read_pivots_tsv(corpus, path) == pivots
+
+    def test_pivots_tsv_blank_line_is_a_data_error(self, tmp_path):
+        corpus = make_corpus({"aaa_t": {"00000001": "x"}})
+        path = tmp_path / "pivots.tsv"
+        path.write_text("rank\tiso3\ttranslation\tsurface\tchi2\n1\taaa\taaa_t\tx\t3\n\n"
+                        "2\taaa\taaa_t\ty\t1\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{path} line 3: expected 5 cells, found 1$"):
+            read_pivots_tsv(corpus, path)

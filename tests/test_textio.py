@@ -9,7 +9,7 @@ import pytest
 from pivotmine import textio
 from pivotmine.errors import DataError
 from pivotmine.textio import (
-    read_bytes, read_lines, read_written_lines, write_bytes, write_json, write_lines, write_text,
+    read_bytes, read_lines, read_table, write_bytes, write_json, write_lines, write_text,
 )
 
 
@@ -59,12 +59,68 @@ class TestRead:
         [("", []), ("\n", [""]), ("a\n", ["a"]), ("a\r\n\n", ["a", ""])],
     )
     def test_written_lines_end_with_a_newline(self, text, lines):
-        assert read_written_lines("t.tsv", lambda path: text.encode()) == lines
+        head, rows = read_table("t.tsv", 1, "h", lambda path: ("h\n" + text).encode())
+        assert head == ["h"]
+        assert list(rows) == [(number, [line]) for number, line in enumerate(lines, 2)]
 
     @pytest.mark.parametrize("text, line", [("a", 1), ("a\nb", 2), ("a\n\nb\tc", 3)])
     def test_written_lines_cut_short_are_a_data_error(self, text, line):
         with pytest.raises(DataError, match=f"^t.tsv line {line}: no final newline"):
-            read_written_lines("t.tsv", lambda path: text.encode())
+            read_table("t.tsv", None, "a", lambda path: text.encode())
+
+
+# (text, columns, header, the header's cells, rows): a header marks a table
+# the package wrote, whose cells are kept as written; without one, lines and
+# cells are stripped, and blank and # lines are skipped but keep their numbers
+TABLES = [
+    ("h\tx\n1\t2\n", None, "h", ["h", "x"], [(2, ["1", "2"])]),
+    ("h\tx\r\n1\t2\r\n3\t4\r", None, "h", ["h", "x"], [(2, ["1", "2"]), (3, ["3", "4"])]),
+    ("h\tx\n \t1\u2028\n", 2, "h", ["h", "x"], [(2, [" ", "1\u2028"])]),
+    ("h\tx\n#\t\xa0a\x85\n", None, "h", ["h", "x"], [(2, ["#", "\xa0a\x85"])]),
+    ("# c\n\n  a\t b \n\t\n  # x\ty\nc\td", 2, None, [], [(3, ["a", "b"]), (6, ["c", "d"])]),
+    ("a\tb\r\n#\r\n\rc\td\r", 2, None, [], [(1, ["a", "b"]), (4, ["c", "d"])]),
+    ("\xa0a\u2028\t\x85b\u2028\n", 2, None, [], [(1, ["a", "b"])]),
+    ("", 1, None, [], []),
+]
+
+# (text, columns, header, error)
+REFUSED = [
+    ("", None, "h", "line 1: not a table with the header 'h'"),
+    ("x\th\n", None, "h", "line 1: not a table with the header 'h'"),
+    (" h\n", None, "h", "line 1: not a table with the header 'h'"),
+    ("h\n1\t2\n", 2, "h", "line 1: expected 2 cells, found 1"),
+    ("h\tx\n1\n", None, "h", "line 2: expected 2 cells, found 1"),
+    ("h\tx\n1\t2\n\n", None, "h", "line 3: expected 2 cells, found 1"),
+    ("h\tx\n# c\n", None, "h", "line 2: expected 2 cells, found 1"),
+    ("h\n1\t2\n", 1, "h", "line 2: expected 1 cells, found 2"),
+    ("# c\n\na\tb\tc\n", 2, None, "line 3: expected 2 cells, found 3"),
+    ("a\n\tb\tc\n", 1, None, "line 2: expected 1 cells, found 2"),
+]
+
+
+class TestReadTable:
+    @pytest.mark.parametrize("text, columns, header, head, rows", TABLES)
+    def test_rows(self, text, columns, header, head, rows):
+        read_head, read_rows = read_table("t.tsv", columns, header, lambda path: text.encode())
+        assert (read_head, list(read_rows)) == (head, rows)
+
+    @pytest.mark.parametrize("text, columns, header, error", REFUSED)
+    def test_refused(self, text, columns, header, error):
+        with pytest.raises(DataError, match=f"^t.tsv {error}$"):
+            list(read_table("t.tsv", columns, header, lambda path: text.encode())[1])
+
+    def test_rows_are_checked_as_they_are_read(self):
+        head, rows = read_table("t.tsv", None, "h", lambda path: b"h\tx\n1\t2\n3\n")
+        assert next(rows) == (2, ["1", "2"])
+        with pytest.raises(DataError, match="^t.tsv line 3: expected 2 cells, found 1$"):
+            next(rows)
+
+    def test_reads_through_the_given_read(self, tmp_path):
+        path = write_lines(tmp_path / "t.tsv", ["h\tx", "1\t2"])
+        head, rows = read_table(path, 2, "h")
+        assert (head, list(rows)) == (["h", "x"], [(2, ["1", "2"])])
+        with pytest.raises(DataError, match="^cannot read bad.tsv: 'utf-8' codec"):
+            read_table("bad.tsv", 1, read=lambda path: b"\xff")
 
 
 def file_access_calls(tree: ast.AST) -> list[int]:
