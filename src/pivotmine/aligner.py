@@ -427,8 +427,6 @@ def link_counts(
     a cfg.cache_dir, each side's selected texts are hashed once per call
     (texts_digest) for the pair keys.
     """
-    if source_translation_id not in corpus.translations:
-        raise DataError(f"unknown translation {source_translation_id!r}")
     src = corpus.encode(source_translation_id)
     merge = ()
     if forms:

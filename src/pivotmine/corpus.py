@@ -12,7 +12,7 @@ import bisect
 import logging
 import re
 from collections import defaultdict
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -54,34 +54,29 @@ def _text_starts(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     return text_len, np.cumsum(text_len + 1) - text_len - 1
 
 
-def tokenize_block(
-    texts: Sequence[str],
-) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+def tokenize_block(texts: Sequence[str]) -> tuple[list[str], np.ndarray]:
     """The tokens of several verses: maximal runs of non-delimiter characters.
 
-    Returns the lowercased surfaces of every token in order, the int32
-    start and end offsets of each in its own verse (so text[start:end]
-    recovers the original spelling), and the int32 token count of each
-    verse.
+    Returns the lowercased surfaces of every token in order, and the int64
+    token count of each verse. MultiCorpus.encode is the one caller: the
+    package tokenizes only to encode, and finds surfaces by searching
+    (find_surfaces).
 
     The verses are joined with spaces and every delimiter is mapped to a
-    space, so a token is a maximal run of non-spaces in that string; the
-    offsets come from its code points. The surfaces come from lowercasing
-    the whole string and splitting it at spaces. That equals lowercasing
-    each token on its own: the one context-dependent rule of str.lower,
-    the final sigma, only looks past case-ignorable characters, and the
-    space that bounds every token is neither cased nor case-ignorable.
+    space, so a token is a maximal run of non-spaces in that string; each
+    verse's count comes from where those runs start. The surfaces come from
+    lowercasing the whole string and splitting it at spaces. That equals
+    lowercasing each token on its own: the one context-dependent rule of
+    str.lower, the final sigma, only looks past case-ignorable characters,
+    and the space that bounds every token is neither cased nor
+    case-ignorable.
     """
     spaced = " ".join(texts).translate(_TO_SPACE)
-    start, end = _token_spans(spaced)
     _, text_start = _text_starts(texts)
-    verse = np.searchsorted(text_start, start, side="right") - 1
-    shift = text_start[verse]
+    verse = np.searchsorted(text_start, _token_spans(spaced)[0], side="right") - 1
     return (
         list(filter(None, spaced.lower().split(" "))),
-        (start - shift).astype(np.int32),
-        (end - shift).astype(np.int32),
-        np.bincount(verse, minlength=len(texts)).astype(np.int32),
+        np.bincount(verse, minlength=len(texts)),
     )
 
 
@@ -97,7 +92,8 @@ def find_surfaces(
     """The tokens of several verses (those of tokenize_block) whose
     lowercased surface is one of surfaces, found without tokenizing: the
     int64 verse index and surface index of each, and its float64 relative
-    character midpoint (midpoint over verse length), in text order.
+    character midpoint (midpoint over verse length), in text order. The
+    pivot scan and head-pivot's query check find surfaces this way.
 
     The verses are joined, mapped to spaces and lowercased as
     tokenize_block does, with a space before and after, and one pattern
@@ -126,19 +122,6 @@ def find_surfaces(
     # doubling the length is exact, so this rounds the midpoint ratio once
     rel = (start + end - 2 * text_start[verse]) / (2.0 * text_len[verse])
     return verse, np.array(wanted, dtype=np.int64)[hit[:, 2] - 1], rel
-
-
-def tokenize_verse(text: str) -> tuple[list[str], list[int], list[int]]:
-    """tokenize_block of one verse: its surfaces, starts and ends."""
-    surfaces, starts, ends, _ = tokenize_block([text])
-    return surfaces, starts.tolist(), ends.tolist()
-
-
-def tokenize_blocks(texts: Sequence[str]) -> Iterator[tuple[int, tuple]]:
-    """tokenize_block over texts, BLOCK_VERSES at a time: yields the index
-    of each block's first text and the block's tokens."""
-    for lo in range(0, len(texts), BLOCK_VERSES):
-        yield lo, tokenize_block(texts[lo : lo + BLOCK_VERSES])
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,8 +278,11 @@ class MultiCorpus:
     ) -> tuple[Translation, np.ndarray]:
         """The translation, and the file-order row of each verse of index
         (universe positions, the selection by default) in it: -1 where it
-        lacks the verse, or the position is -1 (outside the universe)."""
-        trans = self.translations[translation_id]
+        lacks the verse, or the position is -1 (outside the universe).
+        Raises DataError for a translation the corpus lacks."""
+        trans = self.translations.get(translation_id)
+        if trans is None:
+            raise DataError(f"unknown translation {translation_id!r}")
         where = np.full(len(self.verse_universe) + 1, -1, dtype=np.intp)
         where[trans.verse_index] = np.arange(len(trans.verse_index))
         return trans, where[self.selected_index if index is None else index]
@@ -361,7 +347,9 @@ class MultiCorpus:
         index = _vocabulary()
         ids = []
         counts = []
-        for _, (surfaces, _, _, n) in tokenize_blocks(self.texts(translation_id)):
+        texts = self.texts(translation_id)
+        for lo in range(0, len(texts), BLOCK_VERSES):
+            surfaces, n = tokenize_block(texts[lo : lo + BLOCK_VERSES])
             ids.append(np.fromiter(map(index.__getitem__, surfaces), np.int32, len(surfaces)))
             counts.append(n)
         offsets = np.zeros(len(self.selected_index) + 1, dtype=np.int32)

@@ -64,14 +64,23 @@ def read_ngrams_tsv(path: str | Path, read: Reader = read_bytes) -> dict[int, li
     """Ranked gram lists per n, as written by write_ngrams_tsv.
 
     Raises DataError, naming the path and the line, for a table read_table
-    refuses or a row without integer n, rank, pos and neg and a float chi2.
+    refuses, a row without integer n, rank, pos and neg and a float chi2,
+    an n below the row before's, or ranks that do not count up 1, 2, 3, ...
+    within each n (a doubled or dropped row).
     """
     out: dict[int, list[str]] = {}
     for number, (n, rank, gram, pos, neg, chi2) in read_table(path, 6, "n", read)[1]:
+        where = f"{path} line {number}"
         try:
-            n = int(n)
-            int(rank), int(pos), int(neg), float(chi2)  # checked, not kept
+            n, rank = int(n), int(rank)
+            int(pos), int(neg), float(chi2)  # checked, not kept
         except ValueError as exc:
-            raise DataError(f"{path} line {number}: malformed n-gram line: {exc}") from None
-        out.setdefault(n, []).append(unescape_gram(gram))
+            raise DataError(f"{where}: malformed n-gram line: {exc}") from None
+        last = next(reversed(out), n)  # the largest n so far
+        if n < last:
+            raise DataError(f"{where}: n {n} after n {last}")
+        grams = out.setdefault(n, [])
+        if rank != len(grams) + 1:
+            raise DataError(f"{where}: rank {rank} where {len(grams) + 1} was due")
+        grams.append(unescape_gram(gram))
     return out

@@ -154,8 +154,6 @@ def project_cluster(
     corpus: MultiCorpus, cluster_verses: list[str], translation_id: str
 ) -> list[tuple[str, str | None]]:
     """Texts of the cluster's verses in one translation; None if absent."""
-    if translation_id not in corpus.translations:
-        raise DataError(f"unknown translation {translation_id!r}")
     index = corpus.universe_index(cluster_verses)
     texts = corpus.texts(translation_id, index)
     has = corpus.presence(translation_id, index).tolist()

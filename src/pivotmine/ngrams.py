@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import MultiCorpus, dense_index
-from .errors import DataError
 from .pivots import PivotSet
 from .stats import ContingencyTable, chi2, gaussian_kernel
 
@@ -191,8 +190,6 @@ def mine_ngrams(
     negative window count) against the respective totals, ties broken
     lexicographically.
     """
-    if translation_id not in corpus.translations:
-        raise DataError(f"unknown translation {translation_id!r}")
     # Only non-empty verses are scored; owner numbers them.
     lengths = corpus.lengths(translation_id)
     scored = lengths > 0

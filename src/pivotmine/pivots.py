@@ -17,7 +17,7 @@ import numpy as np
 
 from .aligner import PairLinkStats, link_counts
 from .config import RunConfig
-from .corpus import MultiCorpus, can_be_token, find_surfaces, tokenize_blocks
+from .corpus import MultiCorpus, can_be_token, find_surfaces
 from .errors import DataError
 from .stats import ContingencyTable, chi2
 from .textio import Reader, Writer, read_bytes, read_table, write_bytes, write_lines
@@ -178,21 +178,20 @@ def score_candidates(
 def _check_query_merge(
     corpus: MultiCorpus, translation_id: str, forms: frozenset[str], synthetic: str
 ) -> None:
-    """One pass over every verse of the query translation, selected or
-    not: DataError naming the first verse in file order where synthetic
-    already occurs as a token (the merge would be ambiguous), and a
-    warning when no token is one of forms."""
+    """One search of every verse of the query translation, selected or
+    not (find_surfaces): DataError naming the first verse in file order
+    where synthetic already occurs as a token (the merge would be
+    ambiguous), and a warning when no token is one of forms."""
     index = corpus.translations[translation_id].verse_index
-    matched = False
-    for lo, (surfaces, _, _, counts) in tokenize_blocks(corpus.texts(translation_id, index)):
-        if synthetic in surfaces:
-            row = lo + np.searchsorted(np.cumsum(counts), surfaces.index(synthetic), side="right")
-            vid = corpus.verse_universe[index[row]]
-            raise DataError(
-                f"synthetic token {synthetic!r} already occurs in {translation_id} verse {vid}"
-            )
-        matched = matched or not forms.isdisjoint(surfaces)
-    if not matched:
+    texts = corpus.texts(translation_id, index)
+    verse, which, _ = find_surfaces(texts, [synthetic, *sorted(forms)])
+    clash = verse[which == 0]
+    if len(clash):
+        vid = corpus.verse_universe[index[clash[0]]]
+        raise DataError(
+            f"synthetic token {synthetic!r} already occurs in {translation_id} verse {vid}"
+        )
+    if not len(verse):
         logger.warning("query merge matched no tokens in %s", translation_id)
 
 
@@ -344,18 +343,22 @@ def read_pivots_tsv(
     """Pivots in rank order, as written by write_pivots_tsv.
 
     Raises DataError, naming the path and the line, for a table read_table
-    refuses, a score that is not a number, a surface no token can have
-    (corpus.can_be_token) or a translation the corpus lacks.
+    refuses, a rank or score that is not a number, a surface no token can
+    have (corpus.can_be_token), a translation the corpus lacks, or ranks
+    that do not count up 1, 2, 3, ... (a doubled or dropped row).
     """
     pivots = []
-    for number, (_, iso3, tid, surface, score) in read_table(path, 5, "rank", read)[1]:
+    for number, (rank, iso3, tid, surface, score) in read_table(path, 5, "rank", read)[1]:
         where = f"{path} line {number}"
         if tid not in corpus.translations:
             raise DataError(f"{where}: pivot references unknown translation {tid!r}")
         if not can_be_token(surface):
             raise DataError(f"{where}: no token can have the surface {surface!r}")
         try:
-            pivots.append(Pivot(iso3, tid, surface, float(score)))
+            rank, pivot = int(rank), Pivot(iso3, tid, surface, float(score))
         except ValueError as exc:
             raise DataError(f"{where}: malformed rank line: {exc}") from None
+        if rank != len(pivots) + 1:
+            raise DataError(f"{where}: rank {rank} where {len(pivots) + 1} was due")
+        pivots.append(pivot)
     return pivots

@@ -1,12 +1,14 @@
 """Per-verse and sorting references for the corpus and pair encoders.
 
 The oracles that MultiCorpus.encode, aligner.encode_pairs,
-aligner._pair_cache_key, the head-pivot query merge and the pivot scan
-are tested against: one regex match per token and one verse at a time,
-np.unique for word and cell numbering, one hash update per piece of each
-selected verse, a merge that rewrites the query text, and a scan that
-tokenizes the translation's selected verses and looks every token up
-among the surfaces (the pivot scan searches the text instead).
+aligner._pair_cache_key, the head-pivot query merge and its check, and
+the pivot scan are tested against: one regex match per token and one
+verse at a time, np.unique for word and cell numbering, one hash update
+per piece of each selected verse, a merge that rewrites the query text,
+and a scan that tokenizes the translation's selected verses and looks
+every token up among the surfaces (the package searches the text for the
+last two instead). Every oracle tokenizes with its own regex, never with
+the package's tokenizer.
 """
 
 from __future__ import annotations
@@ -17,14 +19,13 @@ import logging
 import re
 import struct
 from collections import defaultdict
-from itertools import repeat
 
 import numpy as np
 
 from pivotmine.aligner import CACHE_FORMAT, PairEncoding
 from helpers import verses_of
 from pivotmine.config import RunConfig
-from pivotmine.corpus import DELIMITERS, MultiCorpus, TranslationEncoding, tokenize_blocks
+from pivotmine.corpus import DELIMITERS, MultiCorpus, TranslationEncoding
 from pivotmine.errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -149,28 +150,21 @@ def apply_query_merge(
     norm_forms = {f.lower() for f in forms}
     new_verses: dict[str, str] = {}
     replaced = 0
-    items = list(verses_of(corpus, translation_id).items())
-    for lo, (surfaces, starts, ends, counts) in tokenize_blocks([text for _, text in items]):
-        block = items[lo : lo + len(counts)]
-        verse = np.repeat(np.arange(len(block)), counts).tolist()
-        if target in surfaces:
-            raise DataError(
-                f"synthetic token {synthetic!r} already occurs in "
-                f"{translation_id} verse {block[verse[surfaces.index(target)]][0]}"
-            )
-        spans = defaultdict(list)
-        for k, surface in enumerate(surfaces):
+    for vid, text in verses_of(corpus, translation_id).items():
+        parts: list[str] = []
+        prev = 0
+        for m in _TOKEN_RE.finditer(text):
+            surface = m.group().lower()
+            if surface == target:
+                raise DataError(
+                    f"synthetic token {synthetic!r} already occurs in {translation_id} verse {vid}"
+                )
             if surface in norm_forms:
-                spans[verse[k]].append((int(starts[k]), int(ends[k])))
+                parts += (text[prev : m.start()], synthetic)
+                prev = m.end()
                 replaced += 1
-        for v, (vid, text) in enumerate(block):
-            parts: list[str] = []
-            prev = 0
-            for start, end in spans.get(v, ()):
-                parts += (text[prev:start], synthetic)
-                prev = end
-            parts.append(text[prev:])
-            new_verses[vid] = "".join(parts)
+        parts.append(text[prev:])
+        new_verses[vid] = "".join(parts)
     if replaced == 0:
         logger.warning("query merge matched no tokens in %s", translation_id)
     return new_verses
@@ -179,19 +173,27 @@ def apply_query_merge(
 def scan_translation(
     corpus: MultiCorpus, translation_id: str, surfaces: list[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """pivots._scan_translation as one tokenize pass over the translation's
-    selected verses, looking each block's surfaces up among surfaces: the
-    row, surface index and relative midpoint of each hit, in text order,
-    and the rows the translation lacks."""
+    """pivots._scan_translation as a tokenizing loop over the translation's
+    selected verses, looking each token up among surfaces: the row,
+    surface index and relative midpoint of each hit, in text order, and
+    the rows the translation lacks."""
     verses = verses_of(corpus, translation_id)
-    texts = [verses.get(vid, "") for vid in corpus.selected_verses]
-    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
     index = {surface: k for k, surface in enumerate(surfaces)}
-    found = []
-    for lo, (tokens, starts, ends, counts) in tokenize_blocks(texts):
-        code = np.fromiter(map(index.get, tokens, repeat(-1)), np.int64, len(tokens))
-        hits = np.flatnonzero(code >= 0)
-        row = lo + np.searchsorted(np.cumsum(counts), hits, side="right")
-        found.append((row, code[hits], (starts[hits] + ends[hits]) / 2.0 / lengths[row]))
-    missing = np.fromiter((vid not in verses for vid in corpus.selected_verses), bool, len(texts))
-    return (*map(np.concatenate, zip(*found)), missing)
+    rows, which, rel = [], [], []
+    for row, vid in enumerate(corpus.selected_verses):
+        text = verses.get(vid, "")
+        for m in _TOKEN_RE.finditer(text):
+            k = index.get(m.group().lower())
+            if k is not None:
+                rows.append(row)
+                which.append(k)
+                rel.append((m.start() + m.end()) / (2.0 * len(text)))
+    missing = np.fromiter(
+        (vid not in verses for vid in corpus.selected_verses), bool, len(corpus.selected_verses)
+    )
+    return (
+        np.array(rows, dtype=np.int64),
+        np.array(which, dtype=np.int64),
+        np.array(rel, dtype=np.float64),
+        missing,
+    )

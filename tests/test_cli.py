@@ -413,6 +413,30 @@ class TestExitCodes:
         assert ("data error: synthetic token 'qtokpastq' already occurs in "
                 "qaa_synth verse 00009999") in capsys.readouterr().err
 
+    def test_synthetic_token_searched_in_every_verse_is_data_error(
+        self, workspace, tmp_path, capsys
+    ):
+        # an unselected verse in the middle of the query file, spelling the
+        # synthetic token in capitals before a comma
+        _, _, config, _ = workspace
+        corpus = tmp_path / "corpus"
+        shutil.copytree(config["corpus_dir"], corpus)
+        path = corpus / "qaa_synth.txt"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines.insert(len(lines) // 2, "00009998\tsome QTOKPASTQ, here\n")
+        path.write_text("".join(lines), encoding="utf-8")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(config, corpus_dir=str(corpus))), encoding="utf-8")
+        assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "i")]) == 0
+        assert "00009998" not in (tmp_path / "i" / "selection.txt").read_text().split()
+        capsys.readouterr()
+        code = main(["head-pivot", "--feature", "past", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err.endswith(
+            "data error: synthetic token 'qtokpastq' already occurs in qaa_synth verse 00009998\n"
+        )
+
     @pytest.mark.parametrize("name", ["cache", "cache/sub"], ids=["file", "under-a-file"])
     def test_cache_dir_blocked_by_a_file_is_config_error(
         self, workspace, tmp_path, capsys, name
@@ -767,9 +791,10 @@ class TestDamagedTables:
     its command succeed or fail with its error line, never a traceback.
     Which damage a command accepts is not pinned here."""
 
-    @pytest.mark.parametrize("damage", DAMAGE)
-    @pytest.mark.parametrize("table", DAMAGED_TABLES)
-    def test_exit_codes_hold(self, workspace, tables, tmp_path, capsys, table, damage):
+    @staticmethod
+    def run(workspace, tables, tmp_path, capsys, table, damage) -> tuple[int, str]:
+        """The exit code and stderr of the table's command after the
+        damage, every input copied under tmp_path."""
         _, _, config, _ = workspace
         from_dir, distances = tables
         shutil.copytree(from_dir, tmp_path / "from")
@@ -787,11 +812,26 @@ class TestDamagedTables:
         capsys.readouterr()
         argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
         code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
-        err = capsys.readouterr().err
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", DAMAGE)
+    @pytest.mark.parametrize("table", DAMAGED_TABLES)
+    def test_exit_codes_hold(self, workspace, tables, tmp_path, capsys, table, damage):
+        code, err = self.run(workspace, tables, tmp_path, capsys, table, damage)
         assert code in (0, 2, 3)
         assert "Traceback" not in err
         assert code != 2 or "config error: " in err
         assert code != 3 or "data error: " in err
+
+    @pytest.mark.parametrize("damage", ["line-dropped", "line-doubled"])
+    @pytest.mark.parametrize("table", ["pivots", "ranking", "ngrams"])
+    def test_ranks_out_of_sequence_exit_3(self, workspace, tables, tmp_path, capsys, table,
+                                          damage):
+        code, err = self.run(workspace, tables, tmp_path, capsys, table, damage)
+        path = tmp_path / DAMAGED_TABLES[table][0]
+        assert code == 3
+        assert re.fullmatch(rf"data error: {re.escape(str(path))} line \d+: rank \d+ where "
+                            rf"\d+ was due\n", err)
 
 
 class TestOutDirFallback:
@@ -1053,8 +1093,9 @@ class TestPartialFamilies:
     ):
         # the naa marker never fires, so only the head's label keeps a family
         pivots = tmp_path / "pivots.tsv"
-        extra = "9\tnaa\tnaa_synth\tnowhere\t1\n"
-        pivots.write_text((expanded / "pivots.tsv").read_text() + extra, encoding="utf-8")
+        text = (expanded / "pivots.tsv").read_text()
+        rank = len(text.splitlines())  # the header and the rows: the next rank
+        pivots.write_text(text + f"{rank}\tnaa\tnaa_synth\tnowhere\t1\n", encoding="utf-8")
         head = json.loads((expanded / "head.json").read_text())
         argv = ["cluster-markers", "--feature", "past", "--pivots", str(pivots),
                 "--head", str(expanded / "head.json")]
@@ -1145,20 +1186,41 @@ class TestPivotScans:
 
 class TestEncodingStore:
     """A pipeline tokenizes each translation once, from head-pivot to the
-    end of expand-pivots; a standalone subcommand keeps no store, and the
-    pivot scan tokenizes nothing."""
+    end of expand-pivots; a standalone subcommand keeps no store, and
+    neither head-pivot's query check nor the pivot scan tokenizes."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        # one entry per tokenize pass: "encode", or "query check" for the
-        # pass of head-pivot over the query translation's every verse
+        # one entry per call that tokenized, directly or through a call it
+        # made: "encode" for MultiCorpus.encode, "query check" for
+        # head-pivot's check of the query translation, "other" for a
+        # tokenize_block call outside both
         calls = []
-        for module, caller in ((corpus_module, "encode"), (pivots_module, "query check")):
-            def spy(texts, real=module.tokenize_blocks, caller=caller):
-                calls.append(caller)
-                return real(texts)
+        tokenized = []  # a flag per open encode or query check call
 
-            monkeypatch.setattr(module, "tokenize_blocks", spy)
+        def block(texts, real=corpus_module.tokenize_block):
+            if tokenized:
+                tokenized[-1] = True
+            else:
+                calls.append("other")
+            return real(texts)
+
+        def counted(caller, real):
+            def spy(*args):
+                tokenized.append(False)
+                try:
+                    return real(*args)
+                finally:
+                    if tokenized.pop():
+                        calls.append(caller)
+                        if tokenized:
+                            tokenized[-1] = True
+            return spy
+
+        monkeypatch.setattr(corpus_module, "tokenize_block", block)
+        monkeypatch.setattr(MultiCorpus, "encode", counted("encode", MultiCorpus.encode))
+        monkeypatch.setattr(pivots_module, "_check_query_merge",
+                            counted("query check", pivots_module._check_query_merge))
         return calls
 
     def test_pipeline_encodes_each_translation_once(self, tiny8, tmp_path, passes, monkeypatch):
@@ -1176,7 +1238,7 @@ class TestEncodingStore:
         # the query, the head and the members are each asked for more than once
         assert max(map(len, encoded.values())) > 1
         assert all(enc is encs[0] for encs in encoded.values() for enc in encs)
-        assert sorted(passes) == ["encode"] * 8 + ["query check"]
+        assert passes == ["encode"] * 8
 
     def test_standalone_expand_pivots_keeps_no_store(self, tiny8, tmp_path, passes, monkeypatch):
         cfg = tmp_path / "config.json"

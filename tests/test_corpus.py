@@ -1,6 +1,7 @@
 """Corpus loading, tokenization and encoding, verse selection, query merging."""
 
 import ast
+import contextlib
 import json
 import logging
 import os
@@ -16,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import encoding_oracle as oracle
@@ -41,7 +42,6 @@ from pivotmine.corpus import (
     load_corpus,
     read_families,
     tokenize_block,
-    tokenize_verse,
     write_coverage_report,
 )
 from pivotmine.errors import DataError
@@ -52,48 +52,39 @@ from pivotmine.pivots import (
 from pivotmine.synth import PRESETS, generate, write_synth
 
 
-def tokens(text: str) -> list[tuple[str, int, int]]:
-    """(surface, start, end) of each token of tokenize_verse."""
-    return list(zip(*tokenize_verse(text)))
+def verse_surfaces(text: str) -> list[str]:
+    """The surfaces of one verse's tokens, from tokenize_block."""
+    return tokenize_block([text])[0]
 
 
 class TestTokenize:
     def test_standard_delimiters(self):
-        assert tokenize_verse("Met! Manz en pe.")[0] == ["met", "manz", "en", "pe"]
-
-    def test_offsets_skip_delimiter_runs(self):
-        assert [(a, b) for _, a, b in tokens("a  b")] == [(0, 1), (3, 4)]
-
-    def test_offsets_index_original_text(self):
-        text = "Say: YES, twice."
-        for surface, start, end in tokens(text):
-            assert surface == text[start:end].lower()
+        assert verse_surfaces("Met! Manz en pe.") == ["met", "manz", "en", "pe"]
 
     def test_empty_text(self):
-        assert tokenize_verse("") == ([], [], [])
+        assert verse_surfaces("") == []
+        assert tokenize_block([""])[1].tolist() == [0]
 
     def test_all_delimiters(self):
-        assert tokenize_verse("... !?  ") == ([], [], [])
+        assert verse_surfaces("... !?  ") == []
 
     @given(st.text(alphabet=DELIMITERS + string.ascii_uppercase + "İßΣé", max_size=60))
     @settings(max_examples=300, deadline=None)
     def test_matches_character_loop_oracle(self, text):
-        assert tokens(text) == tokenize_reference(text)
+        assert verse_surfaces(text) == [tok for tok, _, _ in tokenize_reference(text)]
 
     @given(st.text(alphabet="ab .,!", max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_tokens_are_maximal_delimiter_free_runs(self, text):
         delims = set(DELIMITERS)
-        covered = set()
-        for _, start, end in tokens(text):
-            span = text[start:end]
-            assert span and not (set(span) & delims)
-            # maximality: neighbours are delimiters or edges
-            assert start == 0 or text[start - 1] in delims
-            assert end == len(text) or text[end] in delims
-            covered.update(range(start, end))
-        for i, ch in enumerate(text):
-            assert (i in covered) == (ch not in delims)
+        got = verse_surfaces(text)
+        assert all(tok and not (set(tok) & delims) for tok in got)
+        # maximality: one token per run, and together they hold every
+        # non-delimiter character
+        runs = sum(ch not in delims and (i == 0 or text[i - 1] in delims)
+                   for i, ch in enumerate(text))
+        assert len(got) == runs
+        assert "".join(got) == "".join(ch for ch in text if ch not in delims)
 
 
 # Texts that tell whole-string from per-token lowercasing and raw from
@@ -118,19 +109,14 @@ class TestBlockTokenizer:
     one verse at a time."""
 
     def check(self, texts):
-        surfaces, starts, ends, counts = tokenize_block(texts)
-        expected = [tokenize_reference(text) for text in texts]
-        assert list(zip(surfaces, starts.tolist(), ends.tolist())) == [
-            tok for row in expected for tok in row
-        ]
+        got, counts = tokenize_block(texts)
+        expected = [[tok for tok, _, _ in tokenize_reference(text)] for text in texts]
+        assert got == [tok for row in expected for tok in row]
         assert counts.tolist() == [len(row) for row in expected]
-        for arr in (starts, ends, counts):
-            assert arr.dtype == np.int32
 
     def test_tricky_texts(self):
         self.check(TRICKY_TEXTS)
-        surfaces = tokenize_block(["ΑΣ", "Α"])[0]
-        assert surfaces == ["ας", "α"]
+        assert tokenize_block(["ΑΣ", "Α"])[0] == ["ας", "α"]
 
     def test_no_texts(self):
         self.check([])
@@ -830,6 +816,68 @@ class TestQueryMergeBlocks:
             find_head_pivot(corpus, query, {"bbb"}, CONFIG)
 
 
+class Aligned(Exception):
+    """Raised in place of alignment: find_head_pivot got past its query
+    check."""
+
+
+def query_check_outcome(run, logger) -> tuple:
+    """What run, a query check, did: ("raise", its DataError's message) or
+    ("pass",), with the warnings it logged through logger."""
+    with mock.patch.object(logger, "warning") as warning:
+        try:
+            run()
+            outcome = ("pass",)
+        except DataError as exc:
+            outcome = ("raise", str(exc))
+    return outcome, [c.args[0] % c.args[1:] for c in warning.call_args_list]
+
+
+# İ lowercases to two code points, the sigmas lowercase by context, a
+# form is a prefix of another, and the synthetic token comes in any case;
+# drawn pieces run together into longer tokens unless a delimiter parts them
+CHECK_PIECES = st.sampled_from(
+    ["a", "ab", "İ", "i̇", "Σ", "σ", "ς", "x", "qtokpastq", "QtokPastQ", "qtokpast",
+     " ", ".", "'", ",\t", "  "]
+)
+CHECK_TEXT = st.lists(CHECK_PIECES, max_size=8).map("".join)
+
+
+class TestQueryCheckOracle:
+    """find_head_pivot's query check, which searches the query translation,
+    against the oracle merge, which tokenizes it verse by verse: both
+    raise naming one verse, warn, or pass."""
+
+    @given(
+        st.lists(st.tuples(st.one_of(st.none(), CHECK_TEXT), st.booleans()),
+                 min_size=1, max_size=8),
+        st.sets(st.sampled_from(["a", "ab", "i̇", "σ", "ς", "x", "A"]), min_size=1),
+        st.booleans(),
+        st.integers(0, 8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_merge_oracle(self, rows, forms, reverse, left_out):
+        # a verse the other translation lacks has the lower coverage, so
+        # the selection leaves such query verses out first
+        query = {f"{i:08d}": text for i, (text, _) in enumerate(rows, 1) if text is not None}
+        other = {f"{i:08d}": "z" for i, (_, has) in enumerate(rows, 1) if has}
+        if reverse:
+            query = dict(reversed(query.items()))
+        assume(query)
+        corpus = make_corpus({"aaa_t": query, "bbb_t": other}, select=False)
+        corpus = corpus.select(max(1, len(corpus.verse_universe) - left_out))
+
+        def search():
+            with mock.patch.object(pivots_module, "link_counts", side_effect=Aligned), \
+                    contextlib.suppress(Aligned):
+                find_head_pivot(corpus, Query("past", "aaa_t", frozenset(forms)), {"bbb"}, CONFIG)
+
+        want = query_check_outcome(
+            lambda: oracle.apply_query_merge(corpus, "aaa_t", forms, "qtokpastq"), oracle.logger
+        )
+        assert query_check_outcome(search, pivots_module.logger) == want
+
+
 SCAN_ALPHABET = DELIMITERS + string.ascii_uppercase + "abİiΣσςé"
 
 
@@ -1158,6 +1206,12 @@ class TestCorpusMethods:
         copy = with_translation(corpus, "aaa_t", {"00000001": "x y"})
         assert copy.encode("aaa_t").vocab == ["x", "y"]
         assert corpus.encode("aaa_t").vocab == ["a", "b"]
+
+    @pytest.mark.parametrize("method", ["texts", "presence", "lengths", "encode"])
+    def test_unknown_translation_is_a_data_error(self, method):
+        corpus = make_corpus({"aaa_t": {"00000001": "a b"}}).keeping_encodings()
+        with pytest.raises(DataError, match="^unknown translation 'zzz_t'$"):
+            getattr(corpus, method)("zzz_t")
 
 
 class TestDenseIndex:

@@ -764,3 +764,21 @@ class TestSerialization:
                         encoding="utf-8")
         with pytest.raises(DataError, match=f"^{path} {error}"):
             read_ngrams_tsv(path)
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            ([(2, 1), (2, 2), (2, 2), (3, 1)], "line 4: rank 2 where 3 was due"),
+            ([(2, 1), (2, 3), (3, 1)], "line 3: rank 3 where 2 was due"),
+            ([(2, 1), (3, 2)], "line 3: rank 2 where 1 was due"),
+            ([(3, 1), (2, 1)], "line 3: n 2 after n 3"),
+            ([(2, 1), (3, 1), (2, 2)], "line 4: n 2 after n 3"),
+        ],
+        ids=["doubled", "dropped", "first-of-n-dropped", "n-down", "n-back"],
+    )
+    def test_tsv_ranks_count_up_per_n(self, tmp_path, rows, error):
+        path = tmp_path / "grams.tsv"
+        body = "".join(f"{n}\t{rank}\tg{k}\t3\t1\t2.5\n" for k, (n, rank) in enumerate(rows))
+        path.write_text("n\trank\tgram\tpos\tneg\tchi2\n" + body, encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{path} {error}$"):
+            read_ngrams_tsv(path)

@@ -450,6 +450,23 @@ class TestFiles:
         path = write_pivots_tsv(pivots, tmp_path / "pivots.tsv")
         assert read_pivots_tsv(corpus, path) == pivots
 
+    @pytest.mark.parametrize(
+        "ranks, error",
+        [
+            ([1, 2, 2, 3], "line 4: rank 2 where 3 was due"),
+            ([1, 3], "line 3: rank 3 where 2 was due"),
+            ([2, 3], "line 2: rank 2 where 1 was due"),
+        ],
+        ids=["doubled", "dropped", "first-dropped"],
+    )
+    def test_pivots_tsv_ranks_count_up(self, tmp_path, ranks, error):
+        corpus = make_corpus({"aaa_t": {"00000001": "x"}})
+        path = tmp_path / "pivots.tsv"
+        rows = "".join(f"{r}\taaa\taaa_t\tx{r}\t{9 - r}\n" for r in ranks)
+        path.write_text("rank\tiso3\ttranslation\tsurface\tchi2\n" + rows, encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{path} {error}$"):
+            read_pivots_tsv(corpus, path)
+
     def test_pivots_tsv_blank_line_is_a_data_error(self, tmp_path):
         corpus = make_corpus({"aaa_t": {"00000001": "x"}})
         path = tmp_path / "pivots.tsv"

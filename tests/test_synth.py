@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import synth_oracle
 from helpers import CONFIG, verses_of
 from pivotmine.cli import main
-from pivotmine.corpus import load_corpus, read_families, tokenize_verse
+from pivotmine.corpus import load_corpus, read_families, tokenize_block
 from pivotmine.errors import ConfigError
 from pivotmine.evaluation import read_gold
 from pivotmine.pivots import read_allowlist, read_queries
@@ -132,7 +132,7 @@ class TestPlantedMarkers:
         for iso3, info in truth["languages"].items():
             marks = {m for forms in info["markers"].values() for m in forms}
             for text in verses_of(corpus, info["translation_id"]).values():
-                for word in tokenize_verse(text)[0]:
+                for word in tokenize_block([text])[0]:
                     if info["style"] == "suffix":
                         for m in marks:
                             if word.endswith(m):
