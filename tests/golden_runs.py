@@ -74,12 +74,17 @@ COMMANDS = (
         "--pivots", "tiny8_runs/past/pivots.tsv", "--head", "tiny8_runs/past/head.json",
         "--out", "tiny8_mine",
     ),
+    # a past cluster into a translation that lacks 2 of its 53 verses
+    (
+        "project", "--config", "@tiny8", "--verses", "tiny8_runs/past/clusters/1011.txt",
+        "--translation", "saa_synth", "--out", "tiny8_project",
+    ),
     ("synth", "--preset", "marking24", "--out", "marking24"),
     ("pipeline", "--config", "@marking24", "--feature", "past", "--out", "marking24_run"),
 )
 
 PATH_KEYS = ("corpus_dir", "queries", "allowlist", "gold", "families", "cache_dir")
-PATH_FLAGS = ("--out", "--from", "--distances", "--pivots", "--head")
+PATH_FLAGS = ("--out", "--from", "--distances", "--pivots", "--head", "--verses")
 
 
 def versions() -> dict[str, str]:
