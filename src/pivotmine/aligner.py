@@ -295,13 +295,14 @@ def _link_stats(lex: LexTable, cfg: RunConfig, source_word: str) -> PairLinkStat
 
 
 def texts_digest(corpus: MultiCorpus, translation_id: str) -> bytes:
-    """sha256 of a translation's selected verses: the length of each in
-    characters as a little-endian int64, -1 for a verse the translation
-    lacks (so a missing verse differs from an empty one), and then their
-    texts end to end in UTF-8."""
-    lengths = np.where(corpus.presence(translation_id), corpus.lengths(translation_id), -1)
+    """sha256 of a translation's view of the selected verses
+    (MultiCorpus.verses), byte for byte: the length of each in characters
+    as a little-endian int64, -1 for a verse the translation lacks (so a
+    missing verse differs from an empty one), and then their texts end to
+    end in UTF-8."""
+    text, lengths = corpus.verses(translation_id)
     h = hashlib.sha256(lengths.astype("<i8").tobytes())
-    h.update(corpus.joined_text(translation_id).encode("utf-8", "surrogatepass"))
+    h.update(text.encode("utf-8", "surrogatepass"))
     return h.digest()
 
 

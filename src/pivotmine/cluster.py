@@ -252,7 +252,7 @@ def language_distance(
     if not features:
         raise DataError("no features given")
 
-    present = functools.cache(corpus.presence)
+    present = functools.cache(lambda tid: corpus.verses(tid)[1] >= 0)
 
     excluded: dict[str, str] = {}
     langs: list[str] = []

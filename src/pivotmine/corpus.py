@@ -48,14 +48,21 @@ def _token_spans(spaced: str) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(edge == -1), np.flatnonzero(edge == 1)
 
 
-def _text_starts(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 length of each text, and its start in " ".join(texts)."""
-    text_len = np.fromiter(map(len, texts), np.int64, len(texts))
-    return text_len, np.cumsum(text_len + 1) - text_len - 1
+def _spaced(text: str, lengths: np.ndarray) -> tuple[str, np.ndarray, np.ndarray]:
+    """The verses of a view (MultiCorpus.verses: a lacking verse reads as
+    empty) joined with spaces, every delimiter mapped to a space; and the
+    int64 length and start of each verse in that string."""
+    size = np.maximum(lengths, 0)
+    end = np.cumsum(size)
+    start = end - size
+    joined = " ".join([text[a:b] for a, b in zip(start.tolist(), end.tolist())])
+    return joined.translate(_TO_SPACE), size, start + np.arange(len(size))
 
 
-def tokenize_block(texts: Sequence[str]) -> tuple[list[str], np.ndarray]:
-    """The tokens of several verses: maximal runs of non-delimiter characters.
+def tokenize_block(text: str, lengths: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The tokens of several verses, given as a view (text and lengths, as
+    MultiCorpus.verses returns them): maximal runs of non-delimiter
+    characters.
 
     Returns the lowercased surfaces of every token in order, and the int64
     token count of each verse. MultiCorpus.encode is the one caller: the
@@ -71,12 +78,11 @@ def tokenize_block(texts: Sequence[str]) -> tuple[list[str], np.ndarray]:
     and the space that bounds every token is neither cased nor
     case-ignorable.
     """
-    spaced = " ".join(texts).translate(_TO_SPACE)
-    _, text_start = _text_starts(texts)
-    verse = np.searchsorted(text_start, _token_spans(spaced)[0], side="right") - 1
+    spaced, _, verse_start = _spaced(text, lengths)
+    verse = np.searchsorted(verse_start, _token_spans(spaced)[0], side="right") - 1
     return (
         list(filter(None, spaced.lower().split(" "))),
-        np.bincount(verse, minlength=len(texts)),
+        np.bincount(verse, minlength=len(lengths)),
     )
 
 
@@ -87,13 +93,15 @@ def can_be_token(surface: str) -> bool:
 
 
 def find_surfaces(
-    texts: Sequence[str], surfaces: Sequence[str]
+    text: str, lengths: np.ndarray, surfaces: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tokens of several verses (those of tokenize_block) whose
-    lowercased surface is one of surfaces, found without tokenizing: the
-    int64 verse index and surface index of each, and its float64 relative
-    character midpoint (midpoint over verse length), in text order. The
-    pivot scan and head-pivot's query check find surfaces this way.
+    """The tokens of several verses, given as a view (text and lengths, as
+    MultiCorpus.verses returns them), whose lowercased surface is one of
+    surfaces, found without tokenizing: the int64 verse index and surface
+    index of each, and its float64 relative character midpoint (midpoint
+    over verse length), in text order. The tokens are those of
+    tokenize_block. The pivot scan and head-pivot's query check find
+    surfaces this way.
 
     The verses are joined, mapped to spaces and lowercased as
     tokenize_block does, with a space before and after, and one pattern
@@ -104,7 +112,8 @@ def find_surfaces(
     ordinal in the string before lowercasing.
     """
     wanted = [k for k, surface in enumerate(surfaces) if can_be_token(surface)]
-    spaced = " " + " ".join(texts).translate(_TO_SPACE) + " "
+    spaced, text_len, text_start = _spaced(text, lengths)
+    spaced = f" {spaced} "
     lowered = spaced.lower()
     hits = []
     if wanted:
@@ -112,12 +121,11 @@ def find_surfaces(
         hits = [(*m.span(), m.lastindex) for m in re.finditer(pattern, lowered)]
     hit = np.array(hits, dtype=np.int64).reshape(-1, 3)
     # a token spaced[a + 1:b + 1], matched with the space before it, is
-    # " ".join(texts)[a:b]
+    # at [a, b) in the verses joined with spaces
     start, end = hit[:, 0], hit[:, 1] - 1
     if len(lowered) != len(spaced):
         ordinal = np.searchsorted(_token_spans(lowered)[0], start + 1)
         start, end = (edges[ordinal] - 1 for edges in _token_spans(spaced))
-    text_len, text_start = _text_starts(texts)
     verse = np.searchsorted(text_start, start, side="right") - 1
     # doubling the length is exact, so this rounds the midpoint ratio once
     rel = (start + end - 2 * text_start[verse]) / (2.0 * text_len[verse])
@@ -233,9 +241,9 @@ class Translation:
     text[offsets[i]:offsets[i + 1]] (int64 offsets, one more than the
     verses, so offsets[1:] are the verses' ends), and verse_index[i]
     (int32) is its position in the corpus's sorted verse_universe. A
-    translation keeps no object per verse: read its selected verses
-    through MultiCorpus.texts, .joined_text, .presence and .lengths.
-    Treated as immutable.
+    translation keeps no object per verse, and no module but this one
+    reads text: read verses through MultiCorpus.verses. Treated as
+    immutable.
     """
 
     translation_id: str
@@ -251,12 +259,14 @@ class MultiCorpus:
 
     selected_index holds the verse_universe position of each selected
     verse, in verse-id order; it is empty until select() is applied, and
-    selected_verses names the same verses. texts, joined_text, presence
-    and lengths read one translation over the selection: they gather from
-    its text and arrays on each call and cache nothing. encode() tokenizes a
-    translation each time it is called, unless the corpus keeps an
-    encoding store (keeping_encodings()): then it tokenizes each
-    translation once and returns the stored encoding after that.
+    selected_verses names the same verses. verses() is the one read path
+    of a translation's text: it gathers the view of the selection (or of
+    given verses) from the text and arrays on each call and caches
+    nothing. A lacking verse has length -1, so that it differs from an
+    empty one. encode() tokenizes a translation each time it is called,
+    unless the corpus keeps an encoding store (keeping_encodings()): then
+    it tokenizes each translation once and returns the stored encoding
+    after that.
     """
 
     translations: dict[str, Translation]
@@ -273,61 +283,31 @@ class MultiCorpus:
         universe's strings on each call)."""
         return tuple(map(self.verse_universe.__getitem__, self.selected_index.tolist()))
 
-    def _rows(
-        self, translation_id: str, index: np.ndarray | None
-    ) -> tuple[Translation, np.ndarray]:
-        """The translation, and the file-order row of each verse of index
-        (universe positions, the selection by default) in it: -1 where it
-        lacks the verse, or the position is -1 (outside the universe).
-        Raises DataError for a translation the corpus lacks."""
+    def verses(
+        self, translation_id: str, index: np.ndarray | None = None
+    ) -> tuple[str, np.ndarray]:
+        """The translation's view of the selected verses, or of each verse
+        of index (universe positions; -1 stands outside the universe): their
+        texts end to end, cut as one slice of its text per run of
+        consecutive file rows, and the int64 length of each, -1 where the
+        translation lacks the verse. Every reader of verse text reads it
+        here. Raises DataError for a translation the corpus lacks."""
         trans = self.translations.get(translation_id)
         if trans is None:
             raise DataError(f"unknown translation {translation_id!r}")
         where = np.full(len(self.verse_universe) + 1, -1, dtype=np.intp)
         where[trans.verse_index] = np.arange(len(trans.verse_index))
-        return trans, where[self.selected_index if index is None else index]
-
-    def _spans(
-        self, translation_id: str, index: np.ndarray | None
-    ) -> tuple[str, np.ndarray, np.ndarray]:
-        """The translation's text and the int64 start and end in it of each
-        verse of index (see _rows); both 0 where it lacks the verse."""
-        trans, rows = self._rows(translation_id, index)
+        rows = where[self.selected_index if index is None else index]
         has = rows >= 0
-        start = np.zeros(len(rows), dtype=np.int64)
-        end = np.zeros(len(rows), dtype=np.int64)
-        start[has] = trans.offsets[rows[has]]
-        end[has] = trans.offsets[rows[has] + 1]
-        return trans.text, start, end
-
-    def texts(self, translation_id: str, index: np.ndarray | None = None) -> list[str]:
-        """The translation's text of each selected verse ("" where it lacks
-        the verse), or of each verse of index (universe positions)."""
-        text, start, end = self._spans(translation_id, index)
-        return [text[a:b] for a, b in zip(start.tolist(), end.tolist())]
-
-    def joined_text(self, translation_id: str) -> str:
-        """The translation's text of the selected verses end to end, that
-        is "".join(self.texts(translation_id)): one slice of its text per
-        run of consecutive file rows."""
-        trans, rows = self._rows(translation_id, None)
-        rows = rows[rows >= 0]
+        rows = rows[has]
+        lengths = np.full(len(has), -1, dtype=np.int64)
+        lengths[has] = trans.offsets[rows + 1] - trans.offsets[rows]
         if not len(rows):
-            return ""
+            return "", lengths
         breaks = np.flatnonzero(np.diff(rows) != 1) + 1
         starts = trans.offsets[rows[np.r_[0, breaks]]].tolist()
         ends = trans.offsets[rows[np.r_[breaks - 1, len(rows) - 1]] + 1].tolist()
-        return "".join([trans.text[a:b] for a, b in zip(starts, ends)])
-
-    def presence(self, translation_id: str, index: np.ndarray | None = None) -> np.ndarray:
-        """Which selected verses (or verses of index) the translation has."""
-        return self._rows(translation_id, index)[1] >= 0
-
-    def lengths(self, translation_id: str) -> np.ndarray:
-        """The int64 length of each selected verse's text, 0 where the
-        translation lacks the verse."""
-        _, start, end = self._spans(translation_id, None)
-        return end - start
+        return "".join([trans.text[a:b] for a, b in zip(starts, ends)]), lengths
 
     def universe_index(self, verse_ids: Sequence[str]) -> np.ndarray:
         """The verse_universe position of each verse id, -1 for an id the
@@ -347,9 +327,13 @@ class MultiCorpus:
         index = _vocabulary()
         ids = []
         counts = []
-        texts = self.texts(translation_id)
-        for lo in range(0, len(texts), BLOCK_VERSES):
-            surfaces, n = tokenize_block(texts[lo : lo + BLOCK_VERSES])
+        text, lengths = self.verses(translation_id)
+        at = 0  # where the block's texts start in text
+        for lo in range(0, len(lengths), BLOCK_VERSES):
+            block = lengths[lo : lo + BLOCK_VERSES]
+            size = int(np.maximum(block, 0).sum())
+            surfaces, n = tokenize_block(text[at : at + size], block)
+            at += size
             ids.append(np.fromiter(map(index.__getitem__, surfaces), np.int32, len(surfaces)))
             counts.append(n)
         offsets = np.zeros(len(self.selected_index) + 1, dtype=np.int32)

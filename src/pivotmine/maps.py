@@ -154,10 +154,12 @@ def project_cluster(
     corpus: MultiCorpus, cluster_verses: list[str], translation_id: str
 ) -> list[tuple[str, str | None]]:
     """Texts of the cluster's verses in one translation; None if absent."""
-    index = corpus.universe_index(cluster_verses)
-    texts = corpus.texts(translation_id, index)
-    has = corpus.presence(translation_id, index).tolist()
-    return [(vid, text if h else None) for vid, text, h in zip(cluster_verses, texts, has)]
+    text, lengths = corpus.verses(translation_id, corpus.universe_index(cluster_verses))
+    end = np.cumsum(np.maximum(lengths, 0)).tolist()
+    return [
+        (vid, None if n < 0 else text[b - n : b])
+        for vid, n, b in zip(cluster_verses, lengths.tolist(), end)
+    ]
 
 
 # --- file formats ---------------------------------------------------------

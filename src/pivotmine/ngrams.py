@@ -190,8 +190,9 @@ def mine_ngrams(
     negative window count) against the respective totals, ties broken
     lexicographically.
     """
-    # Only non-empty verses are scored; owner numbers them.
-    lengths = corpus.lengths(translation_id)
+    # Only non-empty verses are scored; owner numbers them. The verses
+    # lacking or empty add nothing to the text.
+    joined, lengths = corpus.verses(translation_id)
     scored = lengths > 0
     lengths = lengths[scored]
     keep = scored[pivot_set.rows]
@@ -225,8 +226,6 @@ def mine_ngrams(
             result.overlap_flagged,
             result.verses_positive,
         )
-    # the verses lacking or empty add nothing
-    joined = corpus.joined_text(translation_id)
     # Per character, clipped to [0, cap] in the smallest dtype that holds
     # cap: the room left in its verse, and the smallest n at which a gram
     # starting there counts positive and negative (cap for none). A gram of

@@ -67,28 +67,18 @@ class PresenceMatrix:
     missing: np.ndarray  # bool, verses x pivots
 
 
-def _scan_translation(
-    corpus: MultiCorpus, translation_id: str, surfaces: list[str]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The tokens of several surfaces in a translation's selected verses,
-    found by searching their text (find_surfaces): the row, the surface
-    index and the relative character midpoint (midpoint / verse length)
-    of each, in text order, and the rows the translation lacks."""
-    rows, which, rel = find_surfaces(corpus.texts(translation_id), surfaces)
-    return rows, which, rel, ~corpus.presence(translation_id)
-
-
 def scan_pivots(
     corpus: MultiCorpus, pivots: list[Pivot]
 ) -> tuple[np.ndarray, np.ndarray, PresenceMatrix]:
     """The pivots' token positions over the selected verses, and their
     presence matrix with one column per pivot, in order.
 
-    Each translation is scanned once for all of its pivots' surfaces; a
-    pivot listed twice fills two identical columns. The positions are two
-    flat arrays, the selected-verse row of each token and its relative
-    midpoint, ordered by row, then pivot order, then text order. Raises
-    DataError when the corpus has no verse selection.
+    Each translation's selected verses are searched once for all of its
+    pivots' surfaces (find_surfaces); a pivot listed twice fills two
+    identical columns, and a verse the translation lacks is missing. The
+    positions are two flat arrays, the selected-verse row of each token
+    and its relative midpoint, ordered by row, then pivot order, then
+    text order. Raises DataError when the corpus has no verse selection.
     """
     if not len(corpus.selected_index):
         raise DataError("presence matrix needs a verse selection")
@@ -100,12 +90,13 @@ def scan_pivots(
     missing = np.zeros(shape, dtype=bool)
     found = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
     for tid, by_surface in columns.items():
-        rows, which, rel, lacks = _scan_translation(corpus, tid, list(by_surface))
+        text, lengths = corpus.verses(tid)
+        rows, which, rel = find_surfaces(text, lengths, list(by_surface))
         for k, surface_cols in enumerate(by_surface.values()):
             hit = which == k
             for col in surface_cols:
                 found.append((rows[hit], np.full(hit.sum(), col), rel[hit]))
-                missing[:, col] = lacks
+                missing[:, col] = lengths < 0
     rows, cols, rel = map(np.concatenate, zip(*found))
     matrix[rows, cols] = 1
     order = np.lexsort((cols, rows))
@@ -183,8 +174,9 @@ def _check_query_merge(
     where synthetic already occurs as a token (the merge would be
     ambiguous), and a warning when no token is one of forms."""
     index = corpus.translations[translation_id].verse_index
-    texts = corpus.texts(translation_id, index)
-    verse, which, _ = find_surfaces(texts, [synthetic, *sorted(forms)])
+    verse, which, _ = find_surfaces(
+        *corpus.verses(translation_id, index), [synthetic, *sorted(forms)]
+    )
     clash = verse[which == 0]
     if len(clash):
         vid = corpus.verse_universe[index[clash[0]]]

@@ -78,7 +78,7 @@ def read_table(
     """
     lines = read_text(path, read).split("\n")
     if header is None:
-        return [], _rows(path, enumerate(lines, 1), columns, True)
+        return [], _table_rows(path, enumerate(lines, 1), columns, True)
     if lines.pop():
         raise DataError(f"{path} line {len(lines) + 1}: no final newline, the file is cut short")
     head = lines[0].split("\t") if lines else []
@@ -87,10 +87,10 @@ def read_table(
     width = len(head) if columns is None else columns
     if len(head) != width:
         raise DataError(f"{path} line 1: expected {width} cells, found {len(head)}")
-    return head, _rows(path, enumerate(lines[1:], 2), width, False)
+    return head, _table_rows(path, enumerate(lines[1:], 2), width, False)
 
 
-def _rows(
+def _table_rows(
     path: str | Path, numbered: Iterable[tuple[int, str]], width: int, strip: bool
 ) -> Iterator[tuple[int, list[str]]]:
     """read_table's rows of numbered lines, split and checked one by one."""

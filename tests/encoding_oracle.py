@@ -173,7 +173,8 @@ def apply_query_merge(
 def scan_translation(
     corpus: MultiCorpus, translation_id: str, surfaces: list[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """pivots._scan_translation as a tokenizing loop over the translation's
+    """What pivots.scan_pivots reads of one translation, as a tokenizing
+    loop over the translation's
     selected verses, looking each token up among surfaces: the row,
     surface index and relative midpoint of each hit, in text order, and
     the rows the translation lacks."""

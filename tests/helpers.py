@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+import pivotmine.pivots as pivots_module
 from pivotmine.aligner import LexTable, PairEncoding, encode_pairs
 from pivotmine.config import RunConfig
 from pivotmine.corpus import MultiCorpus, TranslationEncoding, build_corpus
@@ -248,12 +249,63 @@ def make_corpus(verses_by_tid: dict[str, dict[str, str]], iso3=None, select=True
     return corpus
 
 
+def verse_texts(
+    corpus: MultiCorpus, translation_id: str, index: np.ndarray | None = None
+) -> list[str | None]:
+    """The translation's text of each selected verse, or of each verse of
+    index (universe positions), None where it lacks the verse: read verse
+    by verse from its text and offsets, the reference for
+    MultiCorpus.verses."""
+    trans = corpus.translations[translation_id]
+    row = {v: r for r, v in enumerate(trans.verse_index.tolist())}
+    offsets = trans.offsets.tolist()
+    out = []
+    for i in (corpus.selected_index if index is None else index).tolist():
+        r = row.get(i)
+        out.append(None if r is None else trans.text[offsets[r] : offsets[r + 1]])
+    return out
+
+
+def view_of(texts: list[str | None]) -> tuple[str, np.ndarray]:
+    """Verse texts, None for a verse the translation lacks, as the view
+    MultiCorpus.verses returns: the texts end to end and the int64 length
+    of each, -1 for None."""
+    lengths = [-1 if text is None else len(text) for text in texts]
+    return "".join(filter(None, texts)), np.array(lengths, dtype=np.int64)
+
+
 def verses_of(corpus: MultiCorpus, translation_id: str) -> dict[str, str]:
     """{verse_id: text} of every verse of a translation, in file order: a
     readable view for tests."""
     index = corpus.translations[translation_id].verse_index
     verse_ids = map(corpus.verse_universe.__getitem__, index.tolist())
-    return dict(zip(verse_ids, corpus.texts(translation_id, index)))
+    return dict(zip(verse_ids, verse_texts(corpus, translation_id, index)))
+
+
+def spy_scans(monkeypatch) -> list[tuple[str, list[str], MultiCorpus]]:
+    """Record the pivot scan's passes: one (translation id, surfaces,
+    corpus) entry per find_surfaces call of pivots on a translation's
+    view of the selected verses (the query check reads given verses, so
+    it is not recorded)."""
+    calls = []
+    viewed = []  # (lengths array, corpus, translation id) of each selection view
+    real_verses, real_find = MultiCorpus.verses, pivots_module.find_surfaces
+
+    def verses(self, translation_id, index=None):
+        view = real_verses(self, translation_id, index)
+        if index is None:
+            viewed.append((view[1], self, translation_id))
+        return view
+
+    def find(text, lengths, surfaces):
+        for seen, corpus, translation_id in viewed:
+            if seen is lengths:
+                calls.append((translation_id, list(surfaces), corpus))
+        return real_find(text, lengths, surfaces)
+
+    monkeypatch.setattr(MultiCorpus, "verses", verses)
+    monkeypatch.setattr(pivots_module, "find_surfaces", find)
+    return calls
 
 
 def corpus_state(corpus: MultiCorpus) -> dict:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy
 import pytest
 
-from helpers import file_sha256, verses_of
+from helpers import file_sha256, spy_scans, verses_of
 from pivotmine.aligner import link_counts, train_alignment, train_pair
 from pivotmine import cli as cli_module
 from pivotmine.cli import Run, _load_pivot_set, main
@@ -1113,16 +1113,13 @@ class TestPivotScans:
 
     @pytest.fixture
     def scans(self, monkeypatch):
-        # one (translation, *surfaces) entry per pass
-        calls = []
-        real = pivots_module._scan_translation
+        # one (translation, surfaces, corpus) entry per pass
+        return spy_scans(monkeypatch)
 
-        def spy(corpus, translation_id, surfaces):
-            calls.append((translation_id, *surfaces))
-            return real(corpus, translation_id, surfaces)
-
-        monkeypatch.setattr(pivots_module, "_scan_translation", spy)
-        return calls
+    @staticmethod
+    def keys(scans) -> list[tuple[str, ...]]:
+        """(translation, *surfaces) of each pass, sorted."""
+        return sorted((tid, *surfaces) for tid, surfaces, _ in scans)
 
     def test_pipeline_scans_each_member_once(self, workspace, tmp_path, scans):
         _, cfg_path, _, _ = workspace
@@ -1132,7 +1129,7 @@ class TestPivotScans:
         for name in ("mining_summary.json", "markers_distance.tsv", "splitters.tsv"):
             assert (out / name).is_file()
         members = pivot_keys(out / "pivots.tsv")
-        assert sorted(scans) == sorted(members)
+        assert self.keys(scans) == sorted(members)
 
     @pytest.mark.parametrize("command", ["mine-ngrams", "cluster-markers", "map"])
     def test_subcommand_scans_each_member_once(
@@ -1142,7 +1139,7 @@ class TestPivotScans:
         argv = [command, "--feature", "past", "--pivots", str(expanded / "pivots.tsv"),
                 "--head", str(expanded / "head.json")]
         assert main([*argv, "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
-        assert sorted(scans) == sorted(pivot_keys(expanded / "pivots.tsv"))
+        assert self.keys(scans) == sorted(pivot_keys(expanded / "pivots.tsv"))
 
     def test_cluster_languages_scans_each_marker_once(
         self, workspace, expanded, tmp_path, scans
@@ -1162,7 +1159,7 @@ class TestPivotScans:
                 markers.setdefault(iso3, (tid, surface))
         langs = json.loads((out / "language_report.json").read_text())["languages"]
         assert len(langs) >= 3
-        assert sorted(scans) == sorted(markers[iso3] for iso3 in langs)
+        assert self.keys(scans) == sorted(markers[iso3] for iso3 in langs)
 
     def test_cluster_languages_scans_each_translation_once(self, tiny8, tmp_path, scans):
         cfg = tmp_path / "config.json"
@@ -1198,12 +1195,12 @@ class TestEncodingStore:
         calls = []
         tokenized = []  # a flag per open encode or query check call
 
-        def block(texts, real=corpus_module.tokenize_block):
+        def block(text, lengths, real=corpus_module.tokenize_block):
             if tokenized:
                 tokenized[-1] = True
             else:
                 calls.append("other")
-            return real(texts)
+            return real(text, lengths)
 
         def counted(caller, real):
             def spy(*args):
@@ -1245,18 +1242,11 @@ class TestEncodingStore:
         cfg.write_text(json.dumps(tiny8), encoding="utf-8")
         argv = ["--config", str(cfg), "--feature", "past", "--out", str(tmp_path)]
         assert main(["head-pivot", *argv]) == 0
-        stores = []
-        real = pivots_module._scan_translation
-
-        def spy(corpus, translation_id, surfaces):
-            stores.append(corpus.encodings)
-            return real(corpus, translation_id, surfaces)
-
-        monkeypatch.setattr(pivots_module, "_scan_translation", spy)
+        scans = spy_scans(monkeypatch)
         passes.clear()
         assert main(["expand-pivots", *argv, "--head", str(tmp_path / "head.json")]) == 0
         members = {tid for tid, _ in pivot_keys(tmp_path / "pivots.tsv")}
-        assert stores == [None] * len(members)
+        assert [corpus.encodings for *_, corpus in scans] == [None] * len(members)
         # every translation is encoded once, to align it; the members'
         # scan searches their text
         assert passes == ["encode"] * 8

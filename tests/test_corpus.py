@@ -27,7 +27,7 @@ import pivotmine.corpus as corpus_module
 import pivotmine.pivots as pivots_module
 from helpers import (
     CONFIG, assert_encodings_equal, corpus_state, encode_surfaces, make_corpus, positions_by_verse,
-    tokenize_reference, verses_of, with_translation,
+    spy_scans, tokenize_reference, verse_texts, verses_of, view_of, with_translation,
 )
 from pivotmine.aligner import encode_pairs
 from pivotmine.cli import main
@@ -38,6 +38,7 @@ from pivotmine.corpus import (
     MultiCorpus,
     coverage_counts,
     dense_index,
+    find_surfaces,
     is_verse_id,
     load_corpus,
     read_families,
@@ -54,7 +55,7 @@ from pivotmine.synth import PRESETS, generate, write_synth
 
 def verse_surfaces(text: str) -> list[str]:
     """The surfaces of one verse's tokens, from tokenize_block."""
-    return tokenize_block([text])[0]
+    return tokenize_block(*view_of([text]))[0]
 
 
 class TestTokenize:
@@ -63,7 +64,7 @@ class TestTokenize:
 
     def test_empty_text(self):
         assert verse_surfaces("") == []
-        assert tokenize_block([""])[1].tolist() == [0]
+        assert tokenize_block(*view_of([""]))[1].tolist() == [0]
 
     def test_all_delimiters(self):
         assert verse_surfaces("... !?  ") == []
@@ -109,14 +110,14 @@ class TestBlockTokenizer:
     one verse at a time."""
 
     def check(self, texts):
-        got, counts = tokenize_block(texts)
+        got, counts = tokenize_block(*view_of(texts))
         expected = [[tok for tok, _, _ in tokenize_reference(text)] for text in texts]
         assert got == [tok for row in expected for tok in row]
         assert counts.tolist() == [len(row) for row in expected]
 
     def test_tricky_texts(self):
         self.check(TRICKY_TEXTS)
-        assert tokenize_block(["ΑΣ", "Α"])[0] == ["ας", "α"]
+        assert tokenize_block(*view_of(["ΑΣ", "Α"]))[0] == ["ας", "α"]
 
     def test_no_texts(self):
         self.check([])
@@ -524,9 +525,15 @@ def verse_id_loops(tree: ast.AST) -> list[int]:
     return lines
 
 
+def text_reads(tree: ast.AST) -> list[int]:
+    """Lines that read an attribute named text: a translation's string,
+    which only corpus.py may read (MultiCorpus.verses is the read path)."""
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "text"]
+
+
 class TestCompactLayout:
-    """A loaded corpus keeps one string per translation, and no package
-    module reads texts verse id by verse id."""
+    """A loaded corpus keeps one string per translation, no package module
+    reads texts verse id by verse id, and only corpus.py reads that string."""
 
     def test_a_translation_holds_no_object_per_verse(self, tmp_path):
         write_synth(PRESETS["tiny8"](), tmp_path)
@@ -545,11 +552,9 @@ class TestCompactLayout:
     def test_accessors_cache_nothing(self):
         corpus = make_corpus({"aaa_t": {"00000001": "a b", "00000003": ""}, "bbb_t": {"00000002": "c"}})
         before = corpus_state(corpus)
-        texts = corpus.texts("aaa_t")
-        assert texts == ["a b", "", ""] and corpus.texts("aaa_t") is not texts
-        assert corpus.presence("aaa_t").tolist() == [True, False, True]
-        assert corpus.lengths("aaa_t").tolist() == [3, 0, 0]
-        assert corpus.joined_text("aaa_t") == "a b"
+        text, lengths = corpus.verses("aaa_t")
+        assert text == "a b" and lengths.tolist() == [3, -1, 0]
+        assert corpus.verses("aaa_t")[1] is not lengths
         corpus.encode("aaa_t")
         assert corpus_state(corpus) == before
         assert set(vars(corpus)) == {f.name for f in fields(MultiCorpus)}
@@ -558,13 +563,19 @@ class TestCompactLayout:
         package = Path(corpus_module.__file__).parent
         for path in sorted(package.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
+            called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
             verses = [
                 n.lineno for n in ast.walk(tree)
                 if isinstance(n, ast.Attribute) and n.attr == "verses"
-                # the --verses option of project is a path
+                # MultiCorpus.verses() is the read path, and the --verses
+                # option of project is a path
+                and id(n) not in called
                 and not (isinstance(n.value, ast.Attribute) and n.value.attr == "args")
             ]
             assert verses == [], f"{path.name} reads a per-verse mapping at lines {verses}"
+            if path.name != "corpus.py":
+                reads = text_reads(tree)
+                assert reads == [], f"{path.name} reads a translation's text at lines {reads}"
             if path.name in HOT_PATH_MODULES:
                 loops = verse_id_loops(tree)
                 assert loops == [], f"{path.name} loops over verse ids at lines {loops}"
@@ -579,10 +590,31 @@ has = list(map(verses.__contains__, corpus.selected_verses))
 """
         assert sorted(verse_id_loops(ast.parse(code))) == [3, 4, 5]
 
+    def test_guard_finds_a_text_read(self):
+        # a read of a translation's string past the view, which the guard
+        # must reject
+        code = """
+trans = corpus.translations[tid]
+verse = trans.text[trans.offsets[0]:trans.offsets[1]]
+text, lengths = corpus.verses(tid)
+"""
+        assert text_reads(ast.parse(code)) == [3]
+
+
+def assert_view_matches_the_per_verse_texts(corpus, translation_id, index=None) -> None:
+    """verses() is the texts of the reference (helpers.verse_texts) end to
+    end, and their lengths, -1 for a verse the translation lacks."""
+    text, lengths = corpus.verses(translation_id, index)
+    want = verse_texts(corpus, translation_id, index)
+    assert text == "".join(filter(None, want)), (translation_id, index)
+    assert lengths.dtype == np.int64
+    assert lengths.tolist() == [-1 if t is None else len(t) for t in want], (translation_id, index)
+
 
 class TestJoinedText:
-    """joined_text is the selected verses' texts end to end, as texts
-    gives them one by one."""
+    """verses() is the selected verses' texts end to end (one slice per run
+    of consecutive file rows) and their lengths, as the per-verse
+    reference gives them."""
 
     # file order is not verse-id order; 00000004 is missing, 00000005 empty
     VERSES = {
@@ -600,7 +632,7 @@ class TestJoinedText:
         corpus = make_corpus(self.VERSES)
         picked = replace(corpus, selected_index=np.array(selected, dtype=np.intp))
         for tid in self.VERSES:
-            assert picked.joined_text(tid) == "".join(picked.texts(tid)), (tid, selected)
+            assert_view_matches_the_per_verse_texts(picked, tid)
 
     def test_random_selections(self):
         rng = random.Random(5)
@@ -614,8 +646,14 @@ class TestJoinedText:
             }
             corpus = make_corpus(verses, select=False)
             corpus = corpus.select(rng.randrange(len(corpus.verse_universe) + 1))
+            # universe positions in any order, repeated, or -1 (outside it)
+            index = np.array(
+                [rng.randrange(-1, len(corpus.verse_universe)) for _ in range(rng.randrange(8))],
+                dtype=np.intp,
+            )
             for tid in verses:
-                assert corpus.joined_text(tid) == "".join(corpus.texts(tid))
+                assert_view_matches_the_per_verse_texts(corpus, tid)
+                assert_view_matches_the_per_verse_texts(corpus, tid, index)
 
 
 class TestSelection:
@@ -989,15 +1027,7 @@ class TestPivotScan:
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        calls = []
-        real = pivots_module._scan_translation
-
-        def spy(corpus, translation_id, surfaces):
-            calls.append((translation_id, list(surfaces)))
-            return real(corpus, translation_id, surfaces)
-
-        monkeypatch.setattr(pivots_module, "_scan_translation", spy)
-        return calls
+        return spy_scans(monkeypatch)
 
     def test_surfaces_of_one_translation_in_one_pass(self, passes):
         corpus = make_corpus(
@@ -1008,7 +1038,7 @@ class TestPivotScan:
         )
         lookups = [("aaa_t", "ti"), ("bbb_t", "ti"), ("aaa_t", "ko"), ("bbb_t", "ko")]
         ps = check_scan(corpus, *lookups)
-        assert passes == [("aaa_t", ["ti", "ko"]), ("bbb_t", ["ti", "ko"])]
+        assert [pass_[:2] for pass_ in passes] == [("aaa_t", ["ti", "ko"]), ("bbb_t", ["ti", "ko"])]
         # by verse, then lookup order, then text order
         assert ps.rows.tolist() == [0, 0, 0, 0, 0, 1, 1, 2]
         assert ps.rel.tolist() == [1 / 8, 7 / 8, 4 / 5, 4 / 8, 1 / 5, 1 / 5, 4 / 5, 0.5]
@@ -1017,7 +1047,7 @@ class TestPivotScan:
     def test_same_pivot_twice_fills_two_columns(self, passes):
         corpus = make_corpus({"aaa_t": {"00000001": "ti ko ti", "00000002": "ko"}})
         ps = check_scan(corpus, ("aaa_t", "ti"), ("aaa_t", "ko"), ("aaa_t", "ti"))
-        assert passes == [("aaa_t", ["ti", "ko"])]
+        assert [pass_[:2] for pass_ in passes] == [("aaa_t", ["ti", "ko"])]
         assert ps.presence.matrix.tolist() == [[1, 1, 1], [0, 1, 0]]
         assert ps.rows.tolist() == [0] * 5 + [1]
         assert ps.rel.tolist() == [1 / 8, 7 / 8, 0.5, 1 / 8, 7 / 8, 0.5]
@@ -1030,7 +1060,7 @@ class TestPivotScan:
             }
         )
         ps = check_scan(corpus, ("bbb_t", "ko"), ("aaa_t", "ti"), ("bbb_t", "ti"))
-        assert [tid for tid, _ in passes] == ["bbb_t", "aaa_t"]
+        assert [tid for tid, *_ in passes] == ["bbb_t", "aaa_t"]
         assert ps.presence.missing.tolist() == [
             [True, False, True], [False, True, False], [True, False, True], [False, True, False]
         ]
@@ -1070,11 +1100,19 @@ class TestPivotScan:
             check_scan(corpus, *lookups)
 
 
+def scan_translation(corpus, translation_id: str, surfaces: list[str]):
+    """What scan_pivots reads of one translation: find_surfaces over its
+    view of the selected verses (rows, surface index and relative
+    midpoints), and the rows it lacks."""
+    text, lengths = corpus.verses(translation_id)
+    return (*find_surfaces(text, lengths, surfaces), lengths < 0)
+
+
 def assert_same_scan(corpus, translation_id: str, surfaces: list[str]) -> None:
     """The pivot scan of surfaces in a translation equals the tokenizing
     oracle's bit for bit: rows, surface index, relative midpoints and the
     missing mask, with their dtypes."""
-    got = pivots_module._scan_translation(corpus, translation_id, surfaces)
+    got = scan_translation(corpus, translation_id, surfaces)
     want = oracle.scan_translation(corpus, translation_id, surfaces)
     for name, a, b in zip(("rows", "surface", "rel", "missing"), got, want):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
@@ -1112,7 +1150,7 @@ class TestScanOracle:
         # match nothing, while the other surfaces keep their indices
         corpus = corpus_of(["a b A", "a  b", None, "A.a", ""])
         assert_same_scan(corpus, "aaa_t", surfaces)
-        rows, which, _, _ = pivots_module._scan_translation(corpus, "aaa_t", surfaces)
+        rows, which, _, _ = scan_translation(corpus, "aaa_t", surfaces)
         if "a" not in surfaces:
             assert rows.tolist() == []
         else:
@@ -1121,7 +1159,7 @@ class TestScanOracle:
     def test_adjacent_equal_tokens(self):
         corpus = corpus_of(["a a", "a a a", "aa a", "a\ta"])
         assert_same_scan(corpus, "aaa_t", ["a"])
-        rows, _, rel, _ = pivots_module._scan_translation(corpus, "aaa_t", ["a"])
+        rows, _, rel, _ = scan_translation(corpus, "aaa_t", ["a"])
         assert rows.tolist() == [0, 0, 1, 1, 1, 2, 3, 3]
         assert rel.tolist()[:2] == [1 / 6, 5 / 6]
 
@@ -1134,7 +1172,7 @@ class TestScanOracle:
         # each hit keeps the offsets of its token in the original spelling
         corpus = corpus_of(["İ a", "İİ x", "b İa a", "İ"])
         assert_same_scan(corpus, "aaa_t", ["a", "i̇a"])
-        rows, which, rel, _ = pivots_module._scan_translation(corpus, "aaa_t", ["a", "i̇a"])
+        rows, which, rel, _ = scan_translation(corpus, "aaa_t", ["a", "i̇a"])
         assert rows.tolist() == [0, 2, 2]
         assert which.tolist() == [0, 1, 0]
         assert rel.tolist() == [5 / 6, 6 / 12, 11 / 12]
@@ -1207,7 +1245,7 @@ class TestCorpusMethods:
         assert copy.encode("aaa_t").vocab == ["x", "y"]
         assert corpus.encode("aaa_t").vocab == ["a", "b"]
 
-    @pytest.mark.parametrize("method", ["texts", "presence", "lengths", "encode"])
+    @pytest.mark.parametrize("method", ["verses", "encode"])
     def test_unknown_translation_is_a_data_error(self, method):
         corpus = make_corpus({"aaa_t": {"00000001": "a b"}}).keeping_encodings()
         with pytest.raises(DataError, match="^unknown translation 'zzz_t'$"):

@@ -618,7 +618,7 @@ class TestScratchMemory:
         member_tids = {p.translation_id for p in members}
         peaks = {}
         for tid in sorted(set(corpus.translations) - member_tids):
-            chars = len(corpus.joined_text(tid))
+            chars = len(corpus.verses(tid)[0])
             tracemalloc.start()
             try:
                 mine_ngrams(corpus, tid, ps, **mining())

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synth_oracle
-from helpers import CONFIG, verses_of
+from helpers import CONFIG, verses_of, view_of
 from pivotmine.cli import main
 from pivotmine.corpus import load_corpus, read_families, tokenize_block
 from pivotmine.errors import ConfigError
@@ -132,7 +132,7 @@ class TestPlantedMarkers:
         for iso3, info in truth["languages"].items():
             marks = {m for forms in info["markers"].values() for m in forms}
             for text in verses_of(corpus, info["translation_id"]).values():
-                for word in tokenize_block([text])[0]:
+                for word in tokenize_block(*view_of([text]))[0]:
                     if info["style"] == "suffix":
                         for m in marks:
                             if word.endswith(m):
