@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from . import __version__
-from .config import RunConfig, load_config
+from .config import RunConfig, is_scalar, load_config
 from .errors import ConfigError, DataError
 from .evaluation import mrr, mrr_table, read_gold
 from .gramtsv import read_ngrams_tsv, write_ngrams_tsv
@@ -63,7 +63,9 @@ STAGE_NAMES = {
         "marker_distance_matrix", "marker_label", "read_distance_tsv", "to_newick",
         "upgma", "write_distance_tsv",
     ),
-    "corpus": ("MultiCorpus", "load_corpus", "read_families", "write_coverage_report"),
+    "corpus": (
+        "MultiCorpus", "is_verse_id", "load_corpus", "read_families", "write_coverage_report",
+    ),
     "maps": (
         "project_cluster", "select_splitting_pivots", "signature_clusters",
         "write_cluster_summary", "write_cluster_verses", "write_projection",
@@ -71,9 +73,9 @@ STAGE_NAMES = {
     ),
     "ngrams": ("mine_ngrams",),
     "pivots": (
-        "Pivot", "PivotSet", "expand_pivots", "find_head_pivot", "rank_pivot_candidates",
-        "read_allowlist", "read_pivots_tsv", "read_queries", "top_markers_by_language",
-        "write_pivots_tsv",
+        "Pivot", "PivotSet", "check_pivot", "expand_pivots", "find_head_pivot",
+        "rank_pivot_candidates", "read_allowlist", "read_pivots_tsv", "read_queries",
+        "top_markers_by_language", "write_pivots_tsv",
     ),
     "synth": ("PRESETS", "SynthSpec", "spec_from_json", "write_synth"),
 }
@@ -112,15 +114,24 @@ def _query_for(run: Run, feature: str):
 
 
 def _head_from_json(run: Run, corpus: MultiCorpus, path: str | Path) -> Pivot:
+    """The head pivot in path, checked as head-pivot writes it: a JSON
+    object whose iso3, translation_id and surface are strings that
+    check_pivot accepts, and whose score is a number. DataError naming
+    path otherwise."""
     try:
         doc = json.loads(read_text(path, run.rec.read))
-        iso3, tid, surface = doc["iso3"], doc["translation_id"], doc["surface"]
-        score = float(doc["score"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise DataError(f"cannot read head pivot from {path}: {exc}") from exc
-    if tid not in corpus.translations:
-        raise DataError(f"{path}: head pivot references unknown translation {tid!r}")
-    return Pivot(iso3, tid, surface, score)
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: head pivot is not a JSON object")
+    for key in ("iso3", "translation_id", "surface"):
+        if not is_scalar(doc.get(key), "str"):
+            raise DataError(f"{path}: head pivot {key} is not a string: {doc.get(key)!r}")
+    if not is_scalar(doc.get("score"), "float"):
+        raise DataError(f"{path}: head pivot score is not a number: {doc.get('score')!r}")
+    iso3, tid, surface = doc["iso3"], doc["translation_id"], doc["surface"]
+    check_pivot(corpus, str(path), "head pivot", iso3, tid, surface)
+    return Pivot(iso3, tid, surface, float(doc["score"]))
 
 
 # --- stages -----------------------------------------------------------------
@@ -477,7 +488,11 @@ def cmd_map(run: Run) -> None:
 
 def cmd_project(run: Run) -> None:
     corpus = run.corpus()
-    verse_ids = [vid for _, (vid,) in read_table(run.args.verses, 1, read=run.rec.read)[1]]
+    path, verse_ids = run.args.verses, []
+    for number, (vid,) in read_table(path, 1, read=run.rec.read)[1]:
+        if not is_verse_id(vid):
+            raise DataError(f"{path} line {number}: {vid!r} is not a verse id")
+        verse_ids.append(vid)
     run.stage("project", stage_project, corpus, verse_ids, run.args.translation)
 
 

@@ -329,23 +329,35 @@ def write_pivots_tsv(rows: list[Pivot], path: str | Path, write: Writer = write_
     return write_lines(path, lines, write)
 
 
+def check_pivot(
+    corpus: MultiCorpus, where: str, what: str, iso3: str, translation_id: str, surface: str
+) -> None:
+    """DataError, prefixed with where, for a pivot read from a file (what
+    names it) whose translation the corpus lacks, whose iso3 is not that
+    translation's, or whose surface no token can have (can_be_token)."""
+    trans = corpus.translations.get(translation_id)
+    if trans is None:
+        raise DataError(f"{where}: {what} references unknown translation {translation_id!r}")
+    if iso3 != trans.iso3:
+        raise DataError(f"{where}: {what} iso3 {iso3!r} is not {translation_id}'s {trans.iso3!r}")
+    if not can_be_token(surface):
+        raise DataError(f"{where}: no token can have the surface {surface!r}")
+
+
 def read_pivots_tsv(
     corpus: MultiCorpus, path: str | Path, read: Reader = read_bytes
 ) -> list[Pivot]:
     """Pivots in rank order, as written by write_pivots_tsv.
 
     Raises DataError, naming the path and the line, for a table read_table
-    refuses, a rank or score that is not a number, a surface no token can
-    have (corpus.can_be_token), a translation the corpus lacks, or ranks
-    that do not count up 1, 2, 3, ... (a doubled or dropped row).
+    refuses, a rank or score that is not a number, a pivot check_pivot
+    refuses, or ranks that do not count up 1, 2, 3, ... (a doubled or
+    dropped row).
     """
     pivots = []
     for number, (rank, iso3, tid, surface, score) in read_table(path, 5, "rank", read)[1]:
         where = f"{path} line {number}"
-        if tid not in corpus.translations:
-            raise DataError(f"{where}: pivot references unknown translation {tid!r}")
-        if not can_be_token(surface):
-            raise DataError(f"{where}: no token can have the surface {surface!r}")
+        check_pivot(corpus, where, "pivot", iso3, tid, surface)
         try:
             rank, pivot = int(rank), Pivot(iso3, tid, surface, float(score))
         except ValueError as exc:

@@ -640,6 +640,55 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"data error: {head}: head pivot references unknown translation 'zzz_none'" in err
 
+    @pytest.mark.parametrize("command", ["expand-pivots", "map"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"surface": 5}, {"translation_id": ["a"]}, {"surface": "a b"}, {"surface": ""},
+            {"surface": None}, {"iso3": None}, {"iso3": "zzz"}, {"score": True},
+            {"score": "1.5"}, None,
+        ],
+        ids=[
+            "surface-number", "translation-list", "surface-with-a-space", "surface-empty",
+            "surface-null", "iso3-null", "iso3-of-another-language", "score-bool",
+            "score-string", "not-an-object",
+        ],
+    )
+    def test_head_fields_checked_as_written(
+        self, workspace, expanded, tmp_path, capsys, command, edit
+    ):
+        # None wraps the document in a list
+        _, cfg_path, _, _ = workspace
+        doc = json.loads((expanded / "head.json").read_text(encoding="utf-8"))
+        head = tmp_path / "head.json"
+        head.write_text(json.dumps([doc] if edit is None else dict(doc, **edit)), encoding="utf-8")
+        argv = {
+            "expand-pivots": ["expand-pivots", "--feature", "past"],
+            "map": ["map", "--pivots", str(expanded / "pivots.tsv")],
+        }[command]
+        capsys.readouterr()
+        code = main([*argv, "--head", str(head), "--config", str(cfg_path),
+                     "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"data error: {head}: " in err and "Traceback" not in err
+
+    def test_pivot_row_with_another_languages_iso3_is_data_error(
+        self, workspace, expanded, tmp_path, capsys
+    ):
+        _, cfg_path, _, _ = workspace
+        lines = (expanded / "pivots.tsv").read_text(encoding="utf-8").splitlines()
+        rank, iso3, tid, surface, score = lines[2].split("\t")
+        lines[2] = "\t".join([rank, "zzz", tid, surface, score])
+        pivots = tmp_path / "pivots.tsv"
+        pivots.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        argv = ["cluster-markers", "--pivots", str(pivots), "--head", str(expanded / "head.json"),
+                "--config", str(cfg_path), "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {pivots} line 3: pivot iso3 'zzz' is not {tid}'s '{iso3}'" in err
+
     def test_verses_skip_comments(self, workspace, tmp_path):
         _, cfg_path, _, _ = workspace
         verses = tmp_path / "verses.txt"
@@ -660,6 +709,18 @@ class TestExitCodes:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert f"data error: {verses} line 2: expected 1 cells, found 2" in err
+
+    def test_verse_line_not_a_verse_id_is_data_error(self, workspace, tmp_path, capsys):
+        _, cfg_path, _, _ = workspace
+        verses = tmp_path / "verses.txt"
+        verses.write_text("00000001\nabc\n", encoding="utf-8")
+        capsys.readouterr()
+        argv = ["project", "--config", str(cfg_path), "--verses", str(verses),
+                "--translation", "saa_synth", "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {verses} line 2: 'abc' is not a verse id" in err
+        assert not (tmp_path / "o" / "projection.tsv").exists()
 
     def test_no_out_anywhere(self, workspace):
         _, cfg_path, _, _ = workspace
@@ -767,8 +828,10 @@ DAMAGE = {
     "column-added": lambda data: data.replace(b"\n", b"\tx\n"),
 }
 
-# Each table the readers parse, where it lies under the test's directory,
-# and the cheapest command that reads it
+# Each table the readers parse, and the other files a command reads (the
+# head pivot, a pivot member's corpus file and the config), where it lies
+# under the test's directory, and the cheapest command that reads it;
+# {member} is the translation of the first row of pivots.tsv
 DAMAGED_TABLES = {
     "pivots": ("from/past/pivots.tsv",
                ["map", "--feature", "past", "--pivots", "{dir}/from/past/pivots.tsv"]),
@@ -783,12 +846,18 @@ DAMAGED_TABLES = {
     "families": ("families.tsv", ["eval-family", "--distances", "{dir}/distances.tsv"]),
     "verses": ("verses.txt",
                ["project", "--verses", "{dir}/verses.txt", "--translation", "saa_synth"]),
+    "head": ("from/past/head.json",
+             ["map", "--pivots", "{dir}/from/past/pivots.tsv",
+              "--head", "{dir}/from/past/head.json"]),
+    "corpus": ("corpus/{member}.txt", ["map", "--pivots", "{dir}/from/past/pivots.tsv"]),
+    "config": ("cfg.json", ["map", "--pivots", "{dir}/from/past/pivots.tsv"]),
 }
 
 
 class TestDamagedTables:
-    """Every table a reader parses, damaged in a fixed list of ways, makes
-    its command succeed or fail with its error line, never a traceback.
+    """Every table a reader parses, and the head pivot, a member's corpus
+    file and the config, damaged in a fixed list of ways, makes its
+    command succeed or fail with its error line, never a traceback.
     Which damage a command accepts is not pinned here."""
 
     @staticmethod
@@ -804,10 +873,13 @@ class TestDamagedTables:
         config = dict(config)
         for key in ("gold", "queries", "allowlist", "families"):
             config[key] = shutil.copy(config[key], tmp_path)
+        if table == "corpus":
+            config["corpus_dir"] = str(shutil.copytree(config["corpus_dir"], tmp_path / "corpus"))
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config), encoding="utf-8")
+        cfg.write_text(json.dumps(config, indent=1), encoding="utf-8")
         name, argv = DAMAGED_TABLES[table]
-        path = tmp_path / name
+        pivots = (tmp_path / "from" / "past" / "pivots.tsv").read_text(encoding="utf-8")
+        path = tmp_path / name.replace("{member}", pivots.split("\n")[1].split("\t")[2])
         path.write_bytes(DAMAGE[damage](path.read_bytes()))
         capsys.readouterr()
         argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
