@@ -75,7 +75,7 @@ STAGE_NAMES = {
     "pivots": (
         "Pivot", "PivotSet", "check_pivot", "expand_pivots", "find_head_pivot",
         "rank_pivot_candidates", "read_allowlist", "read_pivots_tsv", "read_queries",
-        "top_markers_by_language", "write_pivots_tsv",
+        "scan_pivots", "top_markers_by_language", "write_pivots_tsv",
     ),
     "synth": ("PRESETS", "SynthSpec", "spec_from_json", "write_synth"),
 }
@@ -227,7 +227,7 @@ def _family_metrics(
 
 def stage_cluster_markers(run: Run, corpus: MultiCorpus, pivot_set: PivotSet) -> None:
     out, write = run.out, run.rec.write_output
-    dm = marker_distance_matrix(pivot_set.presence)
+    dm = marker_distance_matrix(pivot_set)
     write_distance_tsv(dm, out / "markers_distance.tsv", write)
     write_text(out / "markers.nwk", to_newick(upgma(dm)) + "\n", write)
     if corpus.families:
@@ -240,14 +240,12 @@ def stage_cluster_markers(run: Run, corpus: MultiCorpus, pivot_set: PivotSet) ->
         _family_metrics(run, dm, marker_families, out / "marker_family_metrics.json")
 
 
-def stage_map(run: Run, pivot_set: PivotSet) -> None:
+def stage_map(run: Run, corpus: MultiCorpus, pivot_set: PivotSet, head: int) -> None:
     cfg, out, write = run.cfg, run.out, run.rec.write_output
-    matrix = pivot_set.presence
-    chosen, choices = select_splitting_pivots(
-        matrix, pivot_set.head, cfg.map_rounds, cfg.map_policy
-    )
-    write_splitters_tsv(chosen, choices, out / "splitters.tsv", write)
-    clusters = signature_clusters(matrix, chosen)
+    choices = select_splitting_pivots(pivot_set, head, cfg.map_rounds, cfg.map_policy)
+    write_splitters_tsv(pivot_set.members, head, choices, out / "splitters.tsv", write)
+    columns = [head, *(c.column for c in choices)]
+    clusters = signature_clusters(pivot_set, corpus.selected_verses, columns)
     write_cluster_summary(clusters, out / "clusters.tsv", write)
     write_cluster_verses(clusters, out / "clusters", write)
 
@@ -402,26 +400,30 @@ def _comma_list(text: str, what: str) -> list[str]:
     return items
 
 
-def _load_pivot_set(run: Run) -> tuple[MultiCorpus, PivotSet]:
-    """The selected corpus and the --pivots set, its members scanned once.
+def _load_pivot_set(run: Run) -> tuple[MultiCorpus, PivotSet, int]:
+    """The selected corpus, the --pivots set scanned once, and the head's
+    column.
 
-    --head names the head member; member order does not encode it, because
-    scores against the query and against the head live on different
-    scales. Without --head the top-ranked member is the head.
+    --head names the head member: the first whose translation and surface
+    match. Member order does not encode it, because scores against the
+    query and against the head live on different scales. Without --head
+    the top-ranked member, column 0, is the head.
     """
     corpus = run.corpus()
     path = run.args.pivots
     members = read_pivots_tsv(corpus, path, run.rec.read)
     if not members:
         raise DataError(f"empty pivots TSV: {path}")
-    if not run.args.head:
-        return corpus, PivotSet.scan(corpus, members[0], members)
-    head = _head_from_json(run, corpus, run.args.head)
-    key = (head.translation_id, head.surface)
-    for p in members:
-        if (p.translation_id, p.surface) == key:
-            return corpus, PivotSet.scan(corpus, p, members)
-    raise DataError(f"head {key!r} not among pivots in {path}")
+    head = 0
+    if run.args.head:
+        pivot = _head_from_json(run, corpus, run.args.head)
+        key = (pivot.translation_id, pivot.surface)
+        head = next(
+            (i for i, p in enumerate(members) if (p.translation_id, p.surface) == key), None
+        )
+        if head is None:
+            raise DataError(f"head {key!r} not among pivots in {path}")
+    return corpus, scan_pivots(corpus, members), head
 
 
 def cmd_synth(run: Run) -> None:
@@ -464,12 +466,12 @@ def cmd_mine_ngrams(run: Run) -> None:
     targets = run.args.targets
     if targets is not None:
         targets = _comma_list(targets, "targets")
-    corpus, pivot_set = _load_pivot_set(run)
+    corpus, pivot_set, _ = _load_pivot_set(run)
     run.stage("mine-ngrams", stage_mine, corpus, pivot_set, targets)
 
 
 def cmd_cluster_markers(run: Run) -> None:
-    corpus, pivot_set = _load_pivot_set(run)
+    corpus, pivot_set, _ = _load_pivot_set(run)
     run.stage("cluster-markers", stage_cluster_markers, corpus, pivot_set)
 
 
@@ -482,8 +484,8 @@ def cmd_cluster_languages(run: Run) -> None:
 
 
 def cmd_map(run: Run) -> None:
-    _, pivot_set = _load_pivot_set(run)
-    run.stage("map", stage_map, pivot_set)
+    corpus, pivot_set, head = _load_pivot_set(run)
+    run.stage("map", stage_map, corpus, pivot_set, head)
 
 
 def cmd_project(run: Run) -> None:
@@ -519,7 +521,7 @@ def cmd_pipeline(run: Run) -> None:
     del aligning
     run.stage("mine-ngrams", stage_mine, corpus, pivot_set)
     run.stage("cluster-markers", stage_cluster_markers, corpus, pivot_set)
-    run.stage("map", stage_map, pivot_set)
+    run.stage("map", stage_map, corpus, pivot_set, pivot_set.members.index(head))
     if run.cfg.gold:
         # its n-gram TSVs are this run's outputs, so not recorded as inputs
         run.stage("eval-mrr", stage_eval_mrr, [(feature, run.out / "ngrams")])

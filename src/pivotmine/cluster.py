@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import MultiCorpus
 from .errors import DataError
-from .pivots import Pivot, PresenceMatrix, scan_pivots
+from .pivots import Pivot, PivotSet, scan_pivots
 from .textio import Reader, Writer, read_bytes, read_table, write_bytes, write_lines
 
 logger = logging.getLogger(__name__)
@@ -70,28 +70,28 @@ def _presence_jsd(matrix: np.ndarray, missing: np.ndarray) -> np.ndarray:
     return out
 
 
-def marker_distance_matrix(matrix: PresenceMatrix) -> DistanceMatrix:
+def marker_distance_matrix(pivot_set: PivotSet) -> DistanceMatrix:
     """Distance matrix over a pivot set's presence columns.
 
     The shared support is the verses present in every member's
     translation; markers that never fire on it are dropped with a log
     line rather than failing the whole comparison.
     """
-    support = ~matrix.missing.any(axis=1)
+    support = ~pivot_set.missing.any(axis=1)
     if not support.any():
         raise DataError("no verse is shared by every pivot translation")
-    columns = matrix.matrix[support]
+    columns = pivot_set.matrix[support]
     fires = columns.any(axis=0)
     for idx in np.flatnonzero(~fires):
         logger.warning(
             "marker %s excluded: no marked verse on the shared support",
-            marker_label(matrix.pivots[idx]),
+            marker_label(pivot_set.members[idx]),
         )
     if fires.sum() < 2:
         raise DataError("fewer than two markers left after exclusions")
     columns = columns[:, fires]
     return DistanceMatrix(
-        [marker_label(p) for p, keep in zip(matrix.pivots, fires) if keep],
+        [marker_label(p) for p, keep in zip(pivot_set.members, fires) if keep],
         _presence_jsd(columns, np.zeros(columns.shape, dtype=bool)),
     )
 
@@ -289,13 +289,13 @@ def language_distance(
     # one scan of each marker translation for every feature's surface; the
     # columns run feature by feature, each over langs
     markers = [markers_by_feature[f][iso3] for f in features for iso3 in langs]
-    pm = scan_pivots(corpus, markers)[2]
+    scan = scan_pivots(corpus, markers)
     cols = [slice(i * len(langs), (i + 1) * len(langs)) for i in range(len(features))]
 
     # features on the last, contiguous axis: np.mean then sums each pair's
     # features in the order (and with the pairwise grouping) of a 1-D mean
     per_feature = np.stack(
-        [_presence_jsd(pm.matrix[:, c], pm.missing[:, c]) for c in cols], axis=-1
+        [_presence_jsd(scan.matrix[:, c], scan.missing[:, c]) for c in cols], axis=-1
     )
     silent = np.isnan(per_feature)
     per_feature[silent] = 1.0

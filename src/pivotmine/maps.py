@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import MultiCorpus
 from .errors import DataError
-from .pivots import Pivot, PresenceMatrix
+from .pivots import Pivot, PivotSet
 from .textio import Writer, remove_stale, write_bytes, write_lines, write_text
 
 logger = logging.getLogger(__name__)
@@ -26,30 +26,22 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class SplitChoice:
-    """One round's decision, kept for the run log."""
+    """One round's decision, kept for the run log: a pivot set column."""
 
-    pivot: Pivot
+    column: int
     cluster_size: int
     fraction: float
     score: float
 
 
-def _member_index(matrix: PresenceMatrix, pivot: Pivot) -> int:
-    for idx, p in enumerate(matrix.pivots):
-        if (p.translation_id, p.surface) == (pivot.translation_id, pivot.surface):
-            return idx
-    raise DataError(
-        f"pivot {pivot.iso3}:{pivot.surface} is not a column of the matrix"
-    )
-
-
 def select_splitting_pivots(
-    matrix: PresenceMatrix,
-    head: Pivot,
+    pivot_set: PivotSet,
+    head: int,
     rounds: int,
     policy: str,
-) -> tuple[list[Pivot], list[SplitChoice]]:
-    """Pick the head plus `rounds` pivots that evenly split verse clusters.
+) -> list[SplitChoice]:
+    """Pick `rounds` columns of the pivot set that, after the head column,
+    evenly split verse clusters.
 
     Split score of a pivot on a cluster is |presence fraction - 0.5|; the
     minimal score wins, ties broken by higher chi-square, then iso3, then
@@ -60,19 +52,17 @@ def select_splitting_pivots(
     part if a split leaves the chain empty). Stops early, with a warning,
     if pivots run out.
     """
-    head_idx = _member_index(matrix, head)
-    verses = np.arange(len(matrix.verse_ids))
-    head_col = matrix.matrix[:, head_idx].astype(bool)
-    start = verses[head_col]
+    matrix, members = pivot_set.matrix, pivot_set.members
+    verses = np.arange(len(matrix))
+    start = verses[matrix[:, head].astype(bool)]
     if start.size == 0:
         raise DataError("head pivot marks no selected verse; nothing to map")
-    chosen = [head]
-    used = {head_idx}
+    used = {head}
     choices: list[SplitChoice] = []
     clusters: list[np.ndarray] = [start]
     chain = 0
     for _ in range(rounds):
-        candidates = [i for i in range(len(matrix.pivots)) if i not in used]
+        candidates = [i for i in range(len(members)) if i not in used]
         if not candidates:
             logger.warning("ran out of splitting pivots after %d rounds", len(choices))
             break
@@ -84,21 +74,16 @@ def select_splitting_pivots(
         cluster = clusters[target]
         best = None
         for idx in candidates:
-            col = matrix.matrix[cluster, idx]
-            frac = float(col.mean())
-            p = matrix.pivots[idx]
+            frac = float(matrix[cluster, idx].mean())
+            p = members[idx]
             key = (abs(frac - 0.5), -p.score, p.iso3, p.surface)
             if best is None or key < best[0]:
                 best = (key, idx, frac)
         assert best is not None
         key, idx, frac = best
-        pivot = matrix.pivots[idx]
-        chosen.append(pivot)
         used.add(idx)
-        choices.append(
-            SplitChoice(pivot, int(cluster.size), frac, float(key[0]))
-        )
-        col = matrix.matrix[cluster, idx].astype(bool)
+        choices.append(SplitChoice(idx, int(cluster.size), frac, float(key[0])))
+        col = matrix[cluster, idx].astype(bool)
         with_pivot = cluster[col]
         without = cluster[~col]
         # cluster is non-empty, so at least one part survives the filter
@@ -107,7 +92,7 @@ def select_splitting_pivots(
         # chain tracks the with-pivot part, which lands at `target` when
         # present; an empty with-pivot part leaves the remainder there
         chain = target
-    return chosen, choices
+    return choices
 
 
 @dataclass
@@ -127,20 +112,20 @@ class SignatureCluster:
 
 
 def signature_clusters(
-    matrix: PresenceMatrix, pivots: list[Pivot]
+    pivot_set: PivotSet, verse_ids: list[str], columns: list[int]
 ) -> list[SignatureCluster]:
-    """Partition all selected verses by their signature over the pivots.
+    """Partition the selected verses, whose ids verse_ids lists in row
+    order, by their signature over the pivot set's columns.
 
     Sorted by descending size, then signature. Only observed signatures
     appear; when every verse carries some pivot there is no all-zeros
     cluster.
     """
-    if not pivots:
+    if not columns:
         raise ValueError("need at least one pivot")
-    idxs = [_member_index(matrix, p) for p in pivots]
-    cols = matrix.matrix[:, idxs]
+    cols = pivot_set.matrix[:, columns]
     buckets: dict[tuple[int, ...], list[str]] = {}
-    for row, vid in enumerate(matrix.verse_ids):
+    for row, vid in enumerate(verse_ids):
         sig = tuple(int(x) for x in cols[row])
         buckets.setdefault(sig, []).append(vid)
     out = [
@@ -166,16 +151,16 @@ def project_cluster(
 
 
 def write_splitters_tsv(
-    chosen: list[Pivot], choices: list[SplitChoice], path: str | Path,
+    members: list[Pivot], head: int, choices: list[SplitChoice], path: str | Path,
     write: Writer = write_bytes,
 ) -> Path:
-    """Head first, then one row per round with its split diagnostics,
-    written through write."""
+    """The head member first, then one row per round with its split
+    diagnostics, written through write."""
     lines = ["round\tiso3\ttranslation\tsurface\tcluster_size\tfraction"]
-    head = chosen[0]
-    lines.append(f"0\t{head.iso3}\t{head.translation_id}\t{head.surface}\t\t")
+    p = members[head]
+    lines.append(f"0\t{p.iso3}\t{p.translation_id}\t{p.surface}\t\t")
     for rnd, choice in enumerate(choices, start=1):
-        p = choice.pivot
+        p = members[choice.column]
         lines.append(
             f"{rnd}\t{p.iso3}\t{p.translation_id}\t{p.surface}\t"
             f"{choice.cluster_size}\t{format(choice.fraction, '.6g')}"

@@ -57,35 +57,41 @@ class Pivot:
     score: float
 
 
-@dataclass
-class PresenceMatrix:
-    """Verse-by-pivot presence with a parallel missing-data mask."""
+@dataclass(frozen=True, eq=False)
+class PivotSet:
+    """A pivot set and one scan of it over the selected verses of a corpus
+    (scan_pivots), which mining, marker clustering and maps share.
 
-    verse_ids: tuple[str, ...]
-    pivots: list[Pivot]
-    matrix: np.ndarray  # uint8, verses x pivots
-    missing: np.ndarray  # bool, verses x pivots
+    members are the pivots, one per column; expand_pivots orders them by
+    descending score, one per language, head included. Whoever needs the
+    head names it by its column. rows and rel are the members' token
+    positions: the selected-verse row of each token and its relative
+    midpoint, ordered by row, then column, then text order. matrix
+    (uint8) and missing (bool) are verses x members: whether the member
+    occurs in the verse, and whether its translation lacks the verse.
+    """
+
+    members: list[Pivot]
+    rows: np.ndarray
+    rel: np.ndarray
+    matrix: np.ndarray
+    missing: np.ndarray
 
 
-def scan_pivots(
-    corpus: MultiCorpus, pivots: list[Pivot]
-) -> tuple[np.ndarray, np.ndarray, PresenceMatrix]:
-    """The pivots' token positions over the selected verses, and their
-    presence matrix with one column per pivot, in order.
+def scan_pivots(corpus: MultiCorpus, members: list[Pivot]) -> PivotSet:
+    """The pivot set of members, scanned over the selected verses.
 
     Each translation's selected verses are searched once for all of its
-    pivots' surfaces (find_surfaces); a pivot listed twice fills two
-    identical columns, and a verse the translation lacks is missing. The
-    positions are two flat arrays, the selected-verse row of each token
-    and its relative midpoint, ordered by row, then pivot order, then
-    text order. Raises DataError when the corpus has no verse selection.
+    members' surfaces (find_surfaces); a pivot listed twice fills two
+    identical columns, and a verse the translation lacks is missing.
+    Raises DataError when the corpus has no verse selection.
     """
     if not len(corpus.selected_index):
         raise DataError("presence matrix needs a verse selection")
     columns: dict[str, dict[str, list[int]]] = {}
-    for col, p in enumerate(pivots):
+    for col, p in enumerate(members):
         columns.setdefault(p.translation_id, {}).setdefault(p.surface, []).append(col)
-    shape = (len(corpus.selected_index), len(pivots))
+    shape = (len(corpus.selected_index), len(members))
     matrix = np.zeros(shape, dtype=np.uint8)
     missing = np.zeros(shape, dtype=bool)
     found = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))]
@@ -100,31 +106,7 @@ def scan_pivots(
     rows, cols, rel = map(np.concatenate, zip(*found))
     matrix[rows, cols] = 1
     order = np.lexsort((cols, rows))
-    return rows[order], rel[order], PresenceMatrix(
-        tuple(corpus.selected_verses), list(pivots), matrix, missing
-    )
-
-
-@dataclass
-class PivotSet:
-    """Head pivot plus expansion, ordered by descending score.
-
-    At most one pivot per language. rows and rel are the members' token
-    positions and presence their PresenceMatrix, over the selected verses
-    of the corpus the set was built on (see scan_pivots), so that mining,
-    marker clustering and maps share one scan.
-    """
-
-    head: Pivot
-    members: list[Pivot]
-    rows: np.ndarray
-    rel: np.ndarray
-    presence: PresenceMatrix
-
-    @classmethod
-    def scan(cls, corpus: MultiCorpus, head: Pivot, members: list[Pivot]) -> "PivotSet":
-        """The set of members, with each translation scanned once (scan_pivots)."""
-        return cls(head, list(members), *scan_pivots(corpus, members))
+    return PivotSet(list(members), rows[order], rel[order], matrix, missing)
 
 
 def contingency_from_links(stats: PairLinkStats, target_word: str) -> ContingencyTable:
@@ -252,8 +234,7 @@ def expand_pivots(
 
     Walks the ranking (rank_pivot_candidates) in order, skipping languages
     already represented and zero scores; warns when fewer than k members
-    are reachable. The set comes with its members' positions (see
-    PivotSet.scan).
+    are reachable. The set comes scanned (scan_pivots).
     """
     members = [head]
     taken = {head.iso3}
@@ -269,7 +250,7 @@ def expand_pivots(
             "pivot set for %s stopped at %d of %d requested", feature, len(members), k
         )
     members.sort(key=lambda p: (-p.score, p.iso3, p.surface, p.translation_id))
-    return PivotSet.scan(corpus, head, members)
+    return scan_pivots(corpus, members)
 
 
 def top_markers_by_language(ranking: list[Pivot], head: Pivot) -> dict[str, Pivot]:

@@ -13,7 +13,7 @@ import numpy as np
 
 from pivotmine.cluster import DendroNode, DistanceMatrix, marker_label
 from pivotmine.errors import DataError
-from pivotmine.pivots import PresenceMatrix
+from pivotmine.pivots import PivotSet
 from pivotmine.stats import jsd
 
 
@@ -40,14 +40,14 @@ def distance_matrix(labeled: list[tuple[str, np.ndarray]]) -> DistanceMatrix:
     return DistanceMatrix([lb for lb, _ in labeled], values)
 
 
-def marker_distance_matrix(matrix: PresenceMatrix) -> DistanceMatrix:
+def marker_distance_matrix(pivot_set: PivotSet) -> DistanceMatrix:
     """Normalized columns on the verses every member has, silent ones dropped."""
-    support = ~matrix.missing.any(axis=1)
+    support = ~pivot_set.missing.any(axis=1)
     if not support.any():
         raise DataError("no verse is shared by every pivot translation")
     labeled = []
-    for idx, pivot in enumerate(matrix.pivots):
-        col = matrix.matrix[support, idx].astype(float)
+    for idx, pivot in enumerate(pivot_set.members):
+        col = pivot_set.matrix[support, idx].astype(float)
         if col.sum() <= 0:
             continue
         labeled.append((marker_label(pivot), normalize(col)))
@@ -56,7 +56,7 @@ def marker_distance_matrix(matrix: PresenceMatrix) -> DistanceMatrix:
     return distance_matrix(labeled)
 
 
-def language_pair_distances(presence: list[PresenceMatrix]) -> tuple[np.ndarray, int]:
+def language_pair_distances(presence: list[PivotSet]) -> tuple[np.ndarray, int]:
     """Mean per-feature JSD of every pair of columns, each feature on the
     verses both columns have; a pair a column leaves unmarked there scores
     1.0 and is counted. Returns the matrix and that count."""

@@ -401,3 +401,14 @@ def with_positions(corpus: MultiCorpus, pivot_set, rels: dict[str, list[float]])
     rows = [r for r, found in by_row for _ in found]
     rel = [x for _, found in by_row for x in found]
     return replace(pivot_set, rows=np.array(rows, dtype=np.int64), rel=np.array(rel, dtype=float))
+
+
+def presence_set(members, matrix, missing=None) -> pivots_module.PivotSet:
+    """A PivotSet of members with the given presence (verses x members)
+    and missing mask (no verse missing when None), and no token
+    positions: for code that reads only presence."""
+    matrix = np.asarray(matrix, dtype=np.uint8)
+    if missing is None:
+        missing = np.zeros(matrix.shape, dtype=bool)
+    empty = np.zeros(0, dtype=np.int64)
+    return pivots_module.PivotSet(list(members), empty, empty.astype(float), matrix, missing)

@@ -26,6 +26,7 @@ from helpers import (
     file_sha256,
     lex_rows,
     mining,
+    presence_set,
     tree_merges,
     upgma_reference,
 )
@@ -43,7 +44,6 @@ from pivotmine.maps import select_splitting_pivots, signature_clusters
 from pivotmine.ngrams import mine_ngrams
 from pivotmine.pivots import (
     Pivot,
-    PresenceMatrix,
     Query,
     expand_pivots,
     find_head_pivot,
@@ -442,18 +442,13 @@ def _planted_matrix():
     for iso, surface, bits, score in spec:
         pivots.append(Pivot(iso, f"{iso}_t", surface, score))
         cols.append(bits)
-    matrix = PresenceMatrix(
-        tuple(f"v{i:04d}" for i in range(n)),
-        pivots,
-        np.stack(cols, axis=1),
-        np.zeros((n, len(pivots)), dtype=bool),
-    )
-    return matrix, labels
+    verse_ids = tuple(f"v{i:04d}" for i in range(n))
+    return presence_set(pivots, np.stack(cols, axis=1)), verse_ids, labels
 
 
 def _replay_splits(matrix, head_idx, rounds):
     """Re-run the largest-cluster walk, scoring every candidate each round."""
-    verses = np.arange(len(matrix.verse_ids))
+    verses = np.arange(len(matrix.matrix))
     clusters = [verses[matrix.matrix[:, head_idx].astype(bool)]]
     used = {head_idx}
     replay = []
@@ -461,7 +456,7 @@ def _replay_splits(matrix, head_idx, rounds):
         target = max(range(len(clusters)), key=lambda ci: len(clusters[ci]))
         cluster = clusters[target]
         scores = {}
-        for idx in range(len(matrix.pivots)):
+        for idx in range(len(matrix.members)):
             if idx in used:
                 continue
             frac = float(matrix.matrix[cluster, idx].mean())
@@ -470,9 +465,9 @@ def _replay_splits(matrix, head_idx, rounds):
             scores,
             key=lambda idx: (
                 scores[idx],
-                -matrix.pivots[idx].score,
-                matrix.pivots[idx].iso3,
-                matrix.pivots[idx].surface,
+                -matrix.members[idx].score,
+                matrix.members[idx].iso3,
+                matrix.members[idx].surface,
             ),
         )
         replay.append((pick, scores, int(cluster.size)))
@@ -485,16 +480,16 @@ def _replay_splits(matrix, head_idx, rounds):
 
 @pytest.mark.acceptance(9, "splitting-pivot verse map")
 def test_splitters_minimal_and_clusters_pure():
-    matrix, labels = _planted_matrix()
-    head = matrix.pivots[0]
-    chosen, choices = select_splitting_pivots(matrix, head, 5, "largest")
-    assert [p.surface for p in chosen] == ["head", "p1", "p2", "p3", "p4", "p5"]
+    matrix, verse_ids, labels = _planted_matrix()
+    choices = select_splitting_pivots(matrix, 0, 5, "largest")
+    chosen = [0, *(c.column for c in choices)]
+    assert [matrix.members[c].surface for c in chosen] == ["head", "p1", "p2", "p3", "p4", "p5"]
 
     replay = _replay_splits(matrix, 0, rounds=5)
     assert len(choices) == len(replay) == 5
     for choice, (pick, scores, cluster_size) in zip(choices, replay):
-        picked = matrix.pivots[pick]
-        assert (choice.pivot.translation_id, choice.pivot.surface) == (
+        picked, pivot = matrix.members[pick], matrix.members[choice.column]
+        assert (pivot.translation_id, pivot.surface) == (
             picked.translation_id,
             picked.surface,
         )
@@ -503,8 +498,8 @@ def test_splitters_minimal_and_clusters_pure():
         # minimality holds over every unused candidate, exhaustively
         assert all(choice.score <= s for s in scores.values())
 
-    clusters = signature_clusters(matrix, chosen)
-    label_of = dict(zip(matrix.verse_ids, labels))
+    clusters = signature_clusters(matrix, verse_ids, chosen)
+    label_of = dict(zip(verse_ids, labels))
     assert sum(c.size for c in clusters) == len(labels)
     agreement = sum(
         max(Counter(label_of[vid] for vid in c.verse_ids).values())

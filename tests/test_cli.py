@@ -939,11 +939,11 @@ class TestPivotSetHead:
         return _load_pivot_set(Run(args, load_config(cfg_path), rec, Path()))
 
     def test_head_member_need_not_be_rank_one(self, workspace, expanded, tmp_path):
-        corpus, ps = self.load(workspace, expanded / "pivots.tsv", None)
+        corpus, ps, head = self.load(workspace, expanded / "pivots.tsv", None)
         members = read_pivots_tsv(corpus, expanded / "pivots.tsv")
         assert len(members) >= 2
         assert ps.members == members
-        assert ps.head is ps.members[0]
+        assert head == 0
 
         second = members[1]
         head = tmp_path / "head.json"
@@ -951,9 +951,9 @@ class TestPivotSetHead:
             "iso3": second.iso3, "translation_id": second.translation_id,
             "surface": second.surface, "score": 0.5,
         }), encoding="utf-8")
-        _, ps = self.load(workspace, expanded / "pivots.tsv", head)
+        _, ps, column = self.load(workspace, expanded / "pivots.tsv", head)
         assert ps.members == members
-        assert ps.head is ps.members[1]
+        assert column == 1
 
     def test_head_outside_the_set_rejected(self, workspace, expanded, tmp_path):
         doc = json.loads((expanded / "head.json").read_text(encoding="utf-8"))

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cluster_oracle
-from helpers import make_corpus, newick_leaf_depths, parse_newick, tree_merges, upgma_reference
+from helpers import (
+    make_corpus, newick_leaf_depths, parse_newick, presence_set, tree_merges, upgma_reference,
+)
 from pivotmine.cluster import (
     DistanceMatrix,
     evaluate_family_prediction,
@@ -21,11 +23,11 @@ from pivotmine.cluster import (
     write_distance_tsv,
 )
 from pivotmine.errors import DataError
-from pivotmine.pivots import Pivot, PresenceMatrix, scan_pivots
+from pivotmine.pivots import Pivot, scan_pivots
 
 
 def presence(cols, missing=None):
-    """PresenceMatrix of ("iso_surface", column) pairs; missing maps a
+    """PivotSet of ("iso_surface", column) pairs; missing maps a
     name to the rows its translation lacks."""
     n = len(cols[0][1])
     pivots = []
@@ -36,8 +38,7 @@ def presence(cols, missing=None):
         mat[:, idx] = col
         if missing and name in missing:
             miss[missing[name], idx] = True
-    vids = tuple(f"{i + 1:08d}" for i in range(n))
-    return PresenceMatrix(vids, pivots, mat, miss)
+    return presence_set(pivots, mat, miss)
 
 
 def random_presence(rng, n_verses, n_markers, missing_rate, density):
@@ -46,8 +47,7 @@ def random_presence(rng, n_verses, n_markers, missing_rate, density):
     miss = rng.random((n_verses, n_markers)) < missing_rate
     mat[miss] = 0
     pivots = [Pivot(f"m{k:02d}", f"m{k:02d}_t", "ka", 1.0) for k in range(n_markers)]
-    vids = tuple(f"{i + 1:08d}" for i in range(n_verses))
-    return PresenceMatrix(vids, pivots, mat, miss)
+    return presence_set(pivots, mat, miss)
 
 
 def assert_same_matrix(got: DistanceMatrix, want: DistanceMatrix):
@@ -393,7 +393,7 @@ class TestLanguageDistance:
             corpus, markers, min_shared_verses=1, head_translations={}
         )
         scans = [
-            scan_pivots(corpus, [markers[f][iso] for iso in dm.labels])[2]
+            scan_pivots(corpus, [markers[f][iso] for iso in dm.labels])
             for f in sorted(markers)
         ]
         values, zero_support_pairs = cluster_oracle.language_pair_distances(scans)

@@ -48,7 +48,7 @@ from pivotmine.corpus import (
 from pivotmine.errors import DataError
 from pivotmine.pivots import (
     Pivot, PivotSet, Query, expand_pivots, find_head_pivot, rank_pivot_candidates,
-    synthetic_query_token,
+    scan_pivots, synthetic_query_token,
 )
 from pivotmine.synth import PRESETS, generate, write_synth
 
@@ -953,7 +953,7 @@ class TestEncoding:
             {"aaa_t": {"00000001": "", "00000003": "x"}, "bbb_t": {"00000002": "y"}}
         )
         assert corpus.encode("aaa_t").offsets.tolist() == [0, 0, 0, 1]
-        missing = check_scan(corpus, ("aaa_t", "x")).presence.missing[:, 0]
+        missing = check_scan(corpus, ("aaa_t", "x")).missing[:, 0]
         assert missing.tolist() == [False, True, False]
 
     def test_encoding_array_dtypes(self):
@@ -977,12 +977,12 @@ def check_scan(corpus, *lookups: tuple[str, str]) -> PivotSet:
     surface and the verses the translation lacks, and the relative midpoint
     of every token, by verse and then in lookup and text order."""
     pivots = [Pivot(tid[:3], tid, surface, 1.0) for tid, surface in lookups]
-    ps = PivotSet.scan(corpus, pivots[0], pivots)
+    ps = scan_pivots(corpus, pivots)
     for col, (tid, surface) in enumerate(lookups):
         presence, missing = ngrams_oracle.token_presence_vector(corpus, tid, surface)
-        assert ps.presence.missing.dtype == missing.dtype
-        assert ps.presence.missing[:, col].tolist() == missing.tolist()
-        assert ps.presence.matrix[:, col].tolist() == presence.tolist()
+        assert ps.missing.dtype == missing.dtype
+        assert ps.missing[:, col].tolist() == missing.tolist()
+        assert ps.matrix[:, col].tolist() == presence.tolist()
     assert ps.rows.tolist() == sorted(ps.rows.tolist())
     assert positions_by_verse(corpus, ps) == ngrams_oracle.token_relative_positions(corpus, ps)
     return ps
@@ -1007,7 +1007,7 @@ class TestSurfaceSpans:
         )
         ps = check_scan(corpus, ("aaa_t", "x"))
         assert (ps.rows.tolist(), ps.rel.tolist()) == ([0], [0.5])
-        assert ps.presence.missing[:, 0].tolist() == [False, True, False]
+        assert ps.missing[:, 0].tolist() == [False, True, False]
 
     @given(
         st.lists(st.text(alphabet=SCAN_ALPHABET, max_size=40), min_size=1, max_size=4),
@@ -1042,13 +1042,13 @@ class TestPivotScan:
         # by verse, then lookup order, then text order
         assert ps.rows.tolist() == [0, 0, 0, 0, 0, 1, 1, 2]
         assert ps.rel.tolist() == [1 / 8, 7 / 8, 4 / 5, 4 / 8, 1 / 5, 1 / 5, 4 / 5, 0.5]
-        assert ps.presence.matrix.tolist() == [[1, 1, 1, 1], [0, 0, 1, 0], [0, 1, 0, 0]]
+        assert ps.matrix.tolist() == [[1, 1, 1, 1], [0, 0, 1, 0], [0, 1, 0, 0]]
 
     def test_same_pivot_twice_fills_two_columns(self, passes):
         corpus = make_corpus({"aaa_t": {"00000001": "ti ko ti", "00000002": "ko"}})
         ps = check_scan(corpus, ("aaa_t", "ti"), ("aaa_t", "ko"), ("aaa_t", "ti"))
         assert [pass_[:2] for pass_ in passes] == [("aaa_t", ["ti", "ko"])]
-        assert ps.presence.matrix.tolist() == [[1, 1, 1], [0, 1, 0]]
+        assert ps.matrix.tolist() == [[1, 1, 1], [0, 1, 0]]
         assert ps.rows.tolist() == [0] * 5 + [1]
         assert ps.rel.tolist() == [1 / 8, 7 / 8, 0.5, 1 / 8, 7 / 8, 0.5]
 
@@ -1061,7 +1061,7 @@ class TestPivotScan:
         )
         ps = check_scan(corpus, ("bbb_t", "ko"), ("aaa_t", "ti"), ("bbb_t", "ti"))
         assert [tid for tid, *_ in passes] == ["bbb_t", "aaa_t"]
-        assert ps.presence.missing.tolist() == [
+        assert ps.missing.tolist() == [
             [True, False, True], [False, True, False], [True, False, True], [False, True, False]
         ]
         assert ps.rows.tolist() == [0, 1, 2, 3]

@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from helpers import CONFIG, make_corpus
+from helpers import CONFIG, make_corpus, presence_set
 from pivotmine.config import SPLIT_POLICIES, RunConfig
 from pivotmine.errors import DataError
 from pivotmine.maps import (
@@ -17,7 +17,7 @@ from pivotmine.maps import (
     write_projection,
     write_splitters_tsv,
 )
-from pivotmine.pivots import Pivot, PresenceMatrix
+from pivotmine.pivots import Pivot
 
 
 def make_pm(columns, scores=None):
@@ -29,8 +29,23 @@ def make_pm(columns, scores=None):
         score = scores[idx] if scores else 1.0
         mat[:, idx] = bits
         pivots.append(Pivot(iso3, f"{iso3}_t", surface, score))
-    vids = tuple(f"{i + 1:08d}" for i in range(n))
-    return PresenceMatrix(vids, pivots, mat, np.zeros((n, len(columns)), bool))
+    return presence_set(pivots, mat)
+
+
+def verse_ids(pm):
+    return tuple(f"{i + 1:08d}" for i in range(len(pm.matrix)))
+
+
+def splits(pm, rounds, policy):
+    """The head, column 0, and the members select_splitting_pivots chose
+    after it, in order; and its choices."""
+    choices = select_splitting_pivots(pm, 0, rounds, policy)
+    return [pm.members[col] for col in (0, *(c.column for c in choices))], choices
+
+
+def clusters_of(pm):
+    """signature_clusters over every column of pm."""
+    return signature_clusters(pm, verse_ids(pm), list(range(len(pm.members))))
 
 
 def bits(marked, n):
@@ -47,7 +62,7 @@ class TestSelection:
                 ("ddd", "rare", bits({0}, 8)),
             ]
         )
-        chosen, choices = select_splitting_pivots(pm, pm.pivots[0], 1, CONFIG.map_policy)
+        chosen, choices = splits(pm, 1, CONFIG.map_policy)
         assert [p.surface for p in chosen] == ["head", "even"]
         assert choices[0].cluster_size == 8
         assert choices[0].fraction == 0.5
@@ -63,7 +78,7 @@ class TestSelection:
             ],
             scores=[9.0, 1.0, 5.0],
         )
-        chosen, _ = select_splitting_pivots(pm, pm.pivots[0], 1, CONFIG.map_policy)
+        chosen, _ = splits(pm, 1, CONFIG.map_policy)
         assert chosen[1].surface == "y"
 
         pm_eq = make_pm(
@@ -75,7 +90,7 @@ class TestSelection:
             ],
             scores=[9.0, 2.0, 2.0, 2.0],
         )
-        chosen, _ = select_splitting_pivots(pm_eq, pm_eq.pivots[0], 1, CONFIG.map_policy)
+        chosen, _ = splits(pm_eq, 1, CONFIG.map_policy)
         assert (chosen[1].iso3, chosen[1].surface) == ("bbb", "a")
 
     def test_policy_divergence_on_third_round(self):
@@ -86,15 +101,15 @@ class TestSelection:
             ("ddd", "p3", bits({4, 5}, 8)),
         ]
         pm = make_pm(cols)
-        _, largest = select_splitting_pivots(pm, pm.pivots[0], 3, "largest")
-        _, chain = select_splitting_pivots(pm, pm.pivots[0], 3, "head-containing-chain")
+        _, largest = splits(pm, 3, "largest")
+        _, chain = splits(pm, 3, "head-containing-chain")
         assert [c.cluster_size for c in largest] == [8, 4, 4]
         assert [c.cluster_size for c in chain] == [8, 4, 2]
 
     def test_zero_rounds(self):
         pm = make_pm([("aaa", "head", bits(range(4), 4))])
-        chosen, choices = select_splitting_pivots(pm, pm.pivots[0], 0, CONFIG.map_policy)
-        assert chosen == [pm.pivots[0]]
+        chosen, choices = splits(pm, 0, CONFIG.map_policy)
+        assert chosen == [pm.members[0]]
         assert choices == []
 
     def test_runs_out_with_warning(self, caplog):
@@ -102,7 +117,7 @@ class TestSelection:
             [("aaa", "head", bits(range(4), 4)), ("bbb", "p", bits({0}, 4))]
         )
         with caplog.at_level(logging.WARNING):
-            chosen, choices = select_splitting_pivots(pm, pm.pivots[0], 3, CONFIG.map_policy)
+            chosen, choices = splits(pm, 3, CONFIG.map_policy)
         assert len(chosen) == 2
         assert len(choices) == 1
         assert "ran out of splitting pivots" in caplog.text
@@ -114,14 +129,11 @@ class TestSelection:
         assert set(SPLIT_POLICIES) == {"largest", "head-containing-chain"}
         for policy in SPLIT_POLICIES:
             RunConfig(map_policy=policy, map_rounds=0)
-        stranger = Pivot("zzz", "zzz_t", "q", 1.0)
-        with pytest.raises(DataError):
-            select_splitting_pivots(pm, stranger, CONFIG.map_rounds, CONFIG.map_policy)
 
     def test_head_marks_nothing(self):
         pm = make_pm([("aaa", "head", bits(set(), 4)), ("bbb", "p", bits({0}, 4))])
         with pytest.raises(DataError):
-            select_splitting_pivots(pm, pm.pivots[0], CONFIG.map_rounds, CONFIG.map_policy)
+            select_splitting_pivots(pm, 0, CONFIG.map_rounds, CONFIG.map_policy)
 
 
 class TestSignatures:
@@ -132,7 +144,7 @@ class TestSignatures:
                 ("bbb", "b", [1, 0, 0, 0]),
             ]
         )
-        clusters = signature_clusters(pm, pm.pivots)
+        clusters = clusters_of(pm)
         assert [(c.key, c.size) for c in clusters] == [
             ("10", 2),
             ("00", 1),
@@ -145,13 +157,13 @@ class TestSignatures:
 
     def test_all_marked_single_cluster(self):
         pm = make_pm([("aaa", "a", [1, 1, 1])])
-        clusters = signature_clusters(pm, pm.pivots)
+        clusters = clusters_of(pm)
         assert [(c.key, c.size) for c in clusters] == [("1", 3)]
 
     def test_needs_pivots(self):
         pm = make_pm([("aaa", "a", [1])])
         with pytest.raises(ValueError):
-            signature_clusters(pm, [])
+            signature_clusters(pm, verse_ids(pm), [])
 
 
 class TestProjection:
@@ -177,9 +189,9 @@ class TestWriters:
                 ("bbb", "even", bits({0, 1, 2, 3}, 8)),
             ]
         )
-        chosen, choices = select_splitting_pivots(pm, pm.pivots[0], 1, CONFIG.map_policy)
+        chosen, choices = splits(pm, 1, CONFIG.map_policy)
         path = tmp_path / "splitters.tsv"
-        write_splitters_tsv(chosen, choices, path)
+        write_splitters_tsv(pm.members, 0, choices, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "round\tiso3\ttranslation\tsurface\tcluster_size\tfraction"
         assert lines[1] == "0\taaa\taaa_t\thead\t\t"
@@ -187,7 +199,7 @@ class TestWriters:
 
     def test_cluster_summary_and_verses(self, tmp_path):
         pm = make_pm([("aaa", "a", [1, 1, 0, 1]), ("bbb", "b", [1, 0, 0, 0])])
-        clusters = signature_clusters(pm, pm.pivots)
+        clusters = clusters_of(pm)
         summary = tmp_path / "clusters.tsv"
         write_cluster_summary(clusters, summary)
         assert summary.read_text(encoding="utf-8") == (
@@ -206,7 +218,7 @@ class TestWriters:
         verses_dir.mkdir()
         for name in ("1.txt", "01.txt", "notes.md"):
             (verses_dir / name).write_text("old\n", encoding="utf-8")
-        write_cluster_verses(signature_clusters(pm, pm.pivots), verses_dir)
+        write_cluster_verses(clusters_of(pm), verses_dir)
         assert sorted(p.name for p in verses_dir.iterdir()) == ["0.txt", "1.txt", "notes.md"]
         assert (verses_dir / "1.txt").read_text() == "00000001\n00000002\n00000004\n"
         assert (verses_dir / "notes.md").read_text() == "old\n"

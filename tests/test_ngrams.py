@@ -21,7 +21,7 @@ from pivotmine.gramtsv import (
     GRAM_SPACE_ESCAPE, escape_gram, read_ngrams_tsv, unescape_gram, write_ngrams_tsv,
 )
 from pivotmine.ngrams import MiningResult, NgramCandidate, _gram_ids, _profiles, mine_ngrams
-from pivotmine.pivots import Pivot, PivotSet
+from pivotmine.pivots import Pivot, PivotSet, scan_pivots
 from pivotmine.synth import generate, preset_marking24, preset_tiny8
 
 PEAK = 1.0 / (6.0 * math.sqrt(2.0 * math.pi))
@@ -103,7 +103,7 @@ class TestProfile:
             }
         )
         pivot = Pivot("paa", "paa_t", "ko", 1.0)
-        ps = PivotSet.scan(corpus, pivot, [pivot])
+        ps = scan_pivots(corpus, [pivot])
         result = mine_ngrams(corpus, "tgt_t", ps, **mining(n_range=(1, 1)))
         assert (result.verses_scored, result.verses_positive) == (1, 1)
 
@@ -249,14 +249,14 @@ class TestRelativePositions:
     def test_token_midpoints(self):
         corpus = make_corpus({"paa_t": {"00000001": "aa ko bb"}})
         pivot = Pivot("paa", "paa_t", "ko", 1.0)
-        ps = PivotSet.scan(corpus, pivot, [pivot])
+        ps = scan_pivots(corpus, [pivot])
         rels = positions_by_verse(corpus, ps)
         assert rels == {"00000001": [0.5]}
 
     def test_repeated_token_counts_twice(self):
         corpus = make_corpus({"paa_t": {"00000001": "ko ko"}})
         pivot = Pivot("paa", "paa_t", "ko", 1.0)
-        rels = positions_by_verse(corpus, PivotSet.scan(corpus, pivot, [pivot]))
+        rels = positions_by_verse(corpus, scan_pivots(corpus, [pivot]))
         assert rels == {"00000001": [0.2, 0.8]}
 
     def test_matches_token_cache_and_caches_nothing(self):
@@ -277,7 +277,7 @@ class TestRelativePositions:
             Pivot("pbb", "pbb_t", "t", 1.0),
         ]
         before = corpus_state(corpus)
-        ps = PivotSet.scan(corpus, members[0], members)
+        ps = scan_pivots(corpus, members)
         assert corpus_state(corpus) == before
         rels = positions_by_verse(corpus, ps)
         assert rels == oracle.token_relative_positions(corpus, ps)
@@ -295,7 +295,7 @@ class TestRelativePositions:
         verses = {f"{i:08d}": t for i, t in enumerate(texts, 1)}
         corpus = make_corpus({"paa_t": verses, "pbb_t": {"00000009": "x"}})
         pivot = Pivot("paa", "paa_t", surface, 1.0)
-        ps = PivotSet.scan(corpus, pivot, [pivot])
+        ps = scan_pivots(corpus, [pivot])
         assert positions_by_verse(corpus, ps) == oracle.token_relative_positions(
             corpus, ps
         )
@@ -311,7 +311,7 @@ def particle_pivot_set(corpus, truth, feature: str) -> PivotSet:
     info = truth["languages"]["paa"]
     surface = info["markers"][feature][0]
     pivot = Pivot("paa", info["translation_id"], surface, 1.0)
-    return PivotSet.scan(corpus, pivot, [pivot])
+    return scan_pivots(corpus, [pivot])
 
 
 class TestMining:
@@ -355,7 +355,7 @@ class TestMining:
             {"paa_t": {"00000001": "aa ko bb"}, "tgt_t": {}}
         )
         pivot = Pivot("paa", "paa_t", "ko", 1.0)
-        ps = PivotSet.scan(corpus, pivot, [pivot])
+        ps = scan_pivots(corpus, [pivot])
         with caplog.at_level(logging.WARNING):
             result = mine_ngrams(corpus, "tgt_t", ps, **mining())
         assert result.verses_scored == 0
@@ -370,7 +370,7 @@ class TestMining:
             }
         )
         pivot = Pivot("paa", "paa_t", "ko", 1.0)
-        ps = PivotSet.scan(corpus, pivot, [pivot])
+        ps = scan_pivots(corpus, [pivot])
         with caplog.at_level(logging.WARNING):
             result = mine_ngrams(corpus, "tgt_t", ps, **mining())
         assert result.verses_positive == 0
@@ -420,7 +420,7 @@ def random_corpus(rng: random.Random, alphabet: str, n_verses: int, max_len: int
         pivot[vid] = " ".join(words)
     corpus = make_corpus({"paa_p": pivot, "tgt_t": target})
     p = Pivot("paa", "paa_p", "piv", 1.0)
-    return corpus, PivotSet.scan(corpus, p, [p])
+    return corpus, scan_pivots(corpus, [p])
 
 
 MINING_SETTINGS = [
@@ -450,7 +450,7 @@ def shuffled_letters_corpus():
             pivots[vid] = "y y y y y y"
     corpus = make_corpus({"paa_p": pivots, "tgt_t": verses})
     p = Pivot("paa", "paa_p", "piv", 1.0)
-    return corpus, PivotSet.scan(corpus, p, [p])
+    return corpus, scan_pivots(corpus, [p])
 
 
 def random_text(rng: random.Random, alphabet: str, length: int) -> str:
@@ -470,7 +470,7 @@ def marked_corpus(rng: random.Random, texts: list[str]):
         pivot[vid] = " ".join(words)
     corpus = make_corpus({"paa_p": pivot, "tgt_t": target})
     p = Pivot("paa", "paa_p", "piv", 1.0)
-    return corpus, PivotSet.scan(corpus, p, [p])
+    return corpus, scan_pivots(corpus, [p])
 
 
 class TestOracleAgreement:
@@ -506,7 +506,7 @@ class TestOracleAgreement:
             }
         )
         p = Pivot("paa", "paa_p", "piv", 1.0)
-        ps = PivotSet.scan(corpus, p, [p])
+        ps = scan_pivots(corpus, [p])
         for w, (n_min, n_max) in ((0, (1, 8)), (2, (3, 20))):
             got = assert_mining_agrees(corpus, "tgt_t", ps, w=w, n_range=(n_min, n_max))
             assert got.verses_scored == 4
@@ -551,7 +551,7 @@ class TestOracleAgreement:
     def test_top_larger_than_gram_count(self):
         corpus = make_corpus({"paa_p": {"00000001": "piv"}, "tgt_t": {"00000001": "abcabc"}})
         p = Pivot("paa", "paa_p", "piv", 1.0)
-        ps = PivotSet.scan(corpus, p, [p])
+        ps = scan_pivots(corpus, [p])
         got = assert_mining_agrees(corpus, "tgt_t", ps, n_range=(2, 3), top=100)
         assert [c.gram for c in got.by_n[2]] == ["ab", "bc", "ca"]
 
@@ -591,7 +591,7 @@ class TestOracleAgreement:
                 if found:
                     rels[vid] = found
         corpus = make_corpus({"tgt_t": texts, "zzz_t": {f"{i:08d}": "x" for i in range(1, 11)}})
-        ps = PivotSet.scan(corpus, Pivot("zzz", "zzz_t", "y", 1.0), [])
+        ps = scan_pivots(corpus, [])
         assert_mining_agrees(
             corpus, "tgt_t", ps, w=w, n_range=(n_min, n_min + n_extra), top=top,
             sigma=2.0, relative_positions=rels,
@@ -614,7 +614,7 @@ class TestScratchMemory:
             Pivot(iso, langs[iso]["translation_id"], langs[iso]["markers"]["past"][0], 1.0)
             for iso in particle[:12]
         ]
-        ps = PivotSet.scan(corpus, members[0], members)
+        ps = scan_pivots(corpus, members)
         member_tids = {p.translation_id for p in members}
         peaks = {}
         for tid in sorted(set(corpus.translations) - member_tids):
@@ -666,7 +666,7 @@ class TestExactTopK:
             }
         )
         p = Pivot("paa", "paa_p", "piv", 1.0)
-        ps = PivotSet.scan(corpus, p, [p])
+        ps = scan_pivots(corpus, [p])
         with mock.patch.object(ngrams_module, "chi2", side_effect=AssertionError):
             for top in (1, 3, 100):
                 got = assert_mining_agrees(corpus, "tgt_t", ps, w=100, n_range=(1, 3), top=top)

@@ -13,7 +13,6 @@ from pivotmine.config import RunConfig
 from pivotmine.errors import ConfigError, DataError
 from pivotmine.pivots import (
     Pivot,
-    PivotSet,
     Query,
     contingency_from_links,
     expand_pivots,
@@ -116,7 +115,7 @@ class TestPresence:
         corpus = make_corpus(
             {"aaa_t": {"00000001": "ti ko", "00000002": "ko"}, "bbb_t": {"00000003": "x"}}
         )
-        pm = scan_pivots(corpus, [Pivot("aaa", "aaa_t", "ti", 1.0)])[2]
+        pm = scan_pivots(corpus, [Pivot("aaa", "aaa_t", "ti", 1.0)])
         assert pm.matrix[:, 0].tolist() == [1, 0, 0]
         assert pm.missing[:, 0].tolist() == [False, False, True]
 
@@ -141,7 +140,7 @@ class TestPresence:
         ]
         before = corpus_state(corpus)
         pivots = [Pivot(tid[:3], tid, surface, 1.0) for tid, surface in lookups]
-        pm = scan_pivots(corpus, pivots)[2]
+        pm = scan_pivots(corpus, pivots)
         assert corpus_state(corpus) == before
         assert (pm.matrix.dtype, pm.missing.dtype) == (np.uint8, bool)
         for col, (tid, surface) in enumerate(lookups):
@@ -154,7 +153,7 @@ class TestPresence:
         corpus = make_corpus({"aaa_t": {"00000001": "ti"}}, select=False)
         pivot = Pivot("aaa", "aaa_t", "ti", 1.0)
         with pytest.raises(DataError):
-            PivotSet.scan(corpus, pivot, [pivot])
+            scan_pivots(corpus, [pivot])
 
     def test_matrix_shape_and_missing_rows(self):
         corpus = make_corpus(
@@ -165,18 +164,19 @@ class TestPresence:
         )
         a = Pivot("aaa", "aaa_t", "ti", 2.0)
         b = Pivot("bbb", "bbb_t", "x", 1.0)
-        mat = PivotSet.scan(corpus, a, [a, b]).presence
-        assert mat.verse_ids == ("00000001", "00000002")
-        assert mat.pivots == [a, b]
-        assert mat.matrix.dtype == np.uint8
-        assert mat.matrix.tolist() == [[1, 0], [0, 1]]
-        assert mat.missing.tolist() == [[False, True], [False, False]]
+        ps = scan_pivots(corpus, [a, b])
+        # one row per selected verse, in order
+        assert corpus.selected_verses == ("00000001", "00000002")
+        assert ps.members == [a, b]
+        assert ps.matrix.dtype == np.uint8
+        assert ps.matrix.tolist() == [[1, 0], [0, 1]]
+        assert ps.missing.tolist() == [[False, True], [False, False]]
 
     def test_no_members(self):
         corpus = make_corpus({"aaa_t": {"00000001": "ti"}, "bbb_t": {"00000002": "x"}})
-        ps = PivotSet.scan(corpus, Pivot("aaa", "aaa_t", "ti", 1.0), [])
-        assert ps.rows.size == ps.rel.size == 0 and ps.presence.pivots == []
-        assert ps.presence.matrix.shape == ps.presence.missing.shape == (2, 0)
+        ps = scan_pivots(corpus, [])
+        assert ps.rows.size == ps.rel.size == 0 and ps.members == []
+        assert ps.matrix.shape == ps.missing.shape == (2, 0)
 
     def test_member_lacking_verses(self):
         # the one scan gives the positions and the matrix column alike
@@ -187,13 +187,13 @@ class TestPresence:
             }
         )
         pivot = Pivot("aaa", "aaa_t", "ti", 1.0)
-        ps = PivotSet.scan(corpus, pivot, [pivot])
+        ps = scan_pivots(corpus, [pivot])
         presence, missing = oracle.token_presence_vector(corpus, "aaa_t", "ti")
         assert ps.rows.tolist() == [0, 0, 3]
         assert ps.rel.tolist() == [1 / 8, 7 / 8, 0.5]
         assert missing.tolist() == [False, True, False, False, True]
-        assert ps.presence.matrix[:, 0].tolist() == presence.tolist() == [1, 0, 0, 1, 0]
-        assert ps.presence.missing[:, 0].tolist() == missing.tolist()
+        assert ps.matrix[:, 0].tolist() == presence.tolist() == [1, 0, 0, 1, 0]
+        assert ps.missing[:, 0].tolist() == missing.tolist()
 
 
 class TestHeadPivot:
