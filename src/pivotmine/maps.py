@@ -194,8 +194,9 @@ def write_cluster_verses(
 def write_projection(
     projected: list[tuple[str, str | None]], path: str | Path, write: Writer = write_bytes
 ) -> Path:
-    """``verse_id<TAB>text`` rows, written through write; verses missing
-    from the translation are written with an empty text field."""
+    """``verse_id<TAB>text`` rows, written through write. A verse the
+    translation lacks (text None) has no row, as in a corpus file; an
+    empty verse has an empty text field."""
     return write_lines(
-        path, (f"{vid}\t{'' if text is None else text}" for vid, text in projected), write
+        path, (f"{vid}\t{text}" for vid, text in projected if text is not None), write
     )

@@ -225,5 +225,5 @@ class TestWriters:
 
     def test_projection_file(self, tmp_path):
         path = tmp_path / "proj.tsv"
-        write_projection([("00000001", "ein"), ("00000002", None)], path)
-        assert path.read_text(encoding="utf-8") == "00000001\tein\n00000002\t\n"
+        write_projection([("00000001", "ein"), ("00000002", None), ("00000003", "")], path)
+        assert path.read_text(encoding="utf-8") == "00000001\tein\n00000003\t\n"
