@@ -38,7 +38,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import importlib
-import json
 import logging
 import os
 import sys
@@ -52,7 +51,7 @@ from .errors import ConfigError, DataError
 from .evaluation import mrr, mrr_table, read_gold
 from .gramtsv import read_ngrams_tsv, write_ngrams_tsv
 from .manifest import MANIFEST_NAME, RunRecorder
-from .textio import read_table, read_text, remove_stale, write_lines, write_text
+from .textio import read_json, read_table, remove_stale, write_lines, write_text
 # perfbench/tracing.py times artifact writes by wrapping cli._write_json
 from .textio import write_json as _write_json
 
@@ -114,12 +113,12 @@ def _query_for(run: Run, feature: str):
 
 
 def _head_from_json(run: Run, corpus: MultiCorpus, path: str | Path) -> Pivot:
-    """The head pivot in path, checked as head-pivot writes it: a JSON
-    object whose iso3, translation_id and surface are strings that
-    check_pivot accepts, and whose score is a number. DataError naming
-    path otherwise."""
+    """The head pivot in path, checked as head-pivot writes it: a standard
+    JSON object (read_json) whose iso3, translation_id and surface are
+    strings that check_pivot accepts, and whose score is a number.
+    DataError naming path otherwise."""
     try:
-        doc = json.loads(read_text(path, run.rec.read))
+        doc = read_json(path, run.rec.read)
     except ValueError as exc:
         raise DataError(f"cannot read head pivot from {path}: {exc}") from exc
     if not isinstance(doc, dict):

@@ -8,13 +8,12 @@ ignore, so typos never masquerade as defaults.
 
 from __future__ import annotations
 
-import json
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError, DataError
 from .evaluation import MATCH_MODES
-from .textio import Reader, read_bytes, read_text
+from .textio import Reader, read_bytes, read_json
 
 # Which cluster each map round splits: the globally largest, or the chain
 # of clusters in which every pivot chosen so far is present.
@@ -32,12 +31,13 @@ _SCALARS = {
 
 def read_json_object(path: str | Path, what: str, read: Reader = read_bytes) -> dict:
     """The JSON object in path; ConfigError when it is unreadable, not
-    JSON or not an object. what names the file in errors."""
+    standard JSON (read_json) or not an object. what names the file in
+    errors."""
     try:
-        raw = json.loads(read_text(path, read))
+        raw = read_json(path, read)
     except DataError as exc:
         raise ConfigError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} must be a JSON object")

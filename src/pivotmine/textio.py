@@ -5,7 +5,8 @@ path is a data problem (exit code 3) rather than a traceback. Writes go to
 a temporary file in the destination directory that is then renamed over
 the destination, so a reader never sees a partly written file. Every
 tab-separated table is parsed by read_table, so each reader keeps only the
-conversion of its cells. Every reader takes a Reader and every writer a
+conversion of its cells, and every JSON input (a config, a synth spec,
+head.json) by read_json. Every reader takes a Reader and every writer a
 Writer: read_bytes and write_bytes by default, a run's RunRecorder.read
 and write_output in the CLI, which record each input and output with the
 sha256 of its bytes.
@@ -14,6 +15,7 @@ sha256 of its bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
@@ -43,6 +45,46 @@ def read_text(path: str | Path, read: Reader = read_bytes) -> str:
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"number {literal} overflows a float")
+    return value
+
+
+def _float_sized_int(literal: str) -> int:
+    value = int(literal)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"an integer of {len(literal)} digits overflows a float") from None
+    return value
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} given twice")
+        obj[key] = value
+    return obj
+
+
+def read_json(path: str | Path, read: Reader = read_bytes):
+    """The JSON value in a UTF-8 file, read through read_text, held to
+    standard JSON (RFC 8259): ValueError for text that is not JSON, for
+    NaN, Infinity and -Infinity, for a number a float cannot hold, and for
+    an object that gives a key twice."""
+    return json.loads(
+        read_text(path, read), parse_float=_finite_float, parse_int=_float_sized_int,
+        parse_constant=_refuse_constant, object_pairs_hook=_unique_keys,
+    )
 
 
 def read_lines(path: str | Path, read: Reader = read_bytes) -> list[str]:

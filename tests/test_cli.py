@@ -673,6 +673,77 @@ class TestExitCodes:
         assert code == 3
         assert f"data error: {head}: " in err and "Traceback" not in err
 
+    # Values that Python's json module reads but standard JSON refuses,
+    # each given to a float field; None gives a key of the file's own twice
+    NONSTANDARD_JSON = {
+        "nan": "NaN",
+        "infinity": "Infinity",
+        "minus-infinity": "-Infinity",
+        "float-overflow": "1e999",
+        "integer-overflow": "1" + "0" * 400,
+        "key-twice": None,
+    }
+
+    @staticmethod
+    def spliced(path: Path, doc: dict, case: str, field: str, twice: str) -> Path:
+        """path holding doc with the case's member spliced in first: field
+        with the case's value (doc's own field dropped), or the member
+        twice, whose key doc also has."""
+        value = TestExitCodes.NONSTANDARD_JSON[case]
+        member = twice if value is None else f'"{field}": {value}'
+        if value is not None:
+            doc = {k: v for k, v in doc.items() if k != field}
+        path.write_text("{" + member + ", " + json.dumps(doc)[1:], encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("case", list(NONSTANDARD_JSON))
+    def test_config_json_is_standard(self, workspace, tmp_path, capsys, case):
+        _, _, config, _ = workspace
+        cfg = self.spliced(
+            tmp_path / "cfg.json", config, case, field="sigma", twice='"k": -5'
+        )
+        capsys.readouterr()
+        assert main(["ingest", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config {cfg} is not valid JSON: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", list(NONSTANDARD_JSON))
+    def test_spec_json_is_standard(self, tmp_path, capsys, case):
+        spec = {
+            "n_verses": 40,
+            "features": [["past", 0.4]],
+            "languages": [
+                {"iso3": "qaa", "style": "particle", "family": "fa"},
+                {"iso3": "paa", "style": "particle", "family": "fb"},
+            ],
+            "query_iso3": "qaa",
+        }
+        path = self.spliced(
+            tmp_path / "spec.json", spec, case, field="marker_drop", twice='"n_verses": 0'
+        )
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["synth", "--spec", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: synth spec {path} is not valid JSON: ")
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("case", list(NONSTANDARD_JSON))
+    def test_head_json_is_standard(self, workspace, expanded, tmp_path, capsys, case):
+        _, cfg_path, _, _ = workspace
+        doc = json.loads((expanded / "head.json").read_text(encoding="utf-8"))
+        head = self.spliced(
+            tmp_path / "head.json", doc, case, field="score", twice='"surface": "nope"'
+        )
+        capsys.readouterr()
+        code = main(["map", "--pivots", str(expanded / "pivots.tsv"), "--head", str(head),
+                     "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(f"data error: cannot read head pivot from {head}: ")
+        assert "Traceback" not in err
+
     def test_pivot_row_with_another_languages_iso3_is_data_error(
         self, workspace, expanded, tmp_path, capsys
     ):
