@@ -31,7 +31,7 @@ from pivotmine.ngrams import mine_ngrams
 from pivotmine import corpus as corpus_module
 from pivotmine import pivots as pivots_module
 from pivotmine.errors import ConfigError, DataError
-from pivotmine.manifest import RunRecorder, canonical_sha256
+from pivotmine.manifest import MANIFEST_NAME, RunRecorder, canonical_sha256
 from pivotmine.pivots import (
     Pivot, expand_pivots, find_head_pivot, rank_pivot_candidates, read_pivots_tsv, score_candidates,
     top_markers_by_language,
@@ -928,8 +928,9 @@ DAMAGED_TABLES = {
 class TestDamagedTables:
     """Every table a reader parses, and the head pivot, a member's corpus
     file and the config, damaged in a fixed list of ways, makes its
-    command succeed or fail with its error line, never a traceback.
-    Which damage a command accepts is not pinned here."""
+    command succeed or fail with its error line, never a traceback, and
+    a failed command leaves no manifest. Which damage a command accepts
+    is not pinned here."""
 
     @staticmethod
     def run(workspace, tables, tmp_path, capsys, table, damage) -> tuple[int, str]:
@@ -965,6 +966,8 @@ class TestDamagedTables:
         assert "Traceback" not in err
         assert code != 2 or "config error: " in err
         assert code != 3 or "data error: " in err
+        # only a run that finished leaves a manifest
+        assert (tmp_path / "o" / MANIFEST_NAME).is_file() == (code == 0)
 
     @pytest.mark.parametrize("damage", ["line-dropped", "line-doubled"])
     @pytest.mark.parametrize("table", ["pivots", "ranking", "ngrams"])
@@ -2088,14 +2091,20 @@ class TestStageImports:
 
             monkeypatch.setattr(cli_module, name, wrapper)
 
-        spy("mine_ngrams")
-        spy("write_distance_tsv")
+        # the names perfbench/tracing.py times mining, clustering and maps by
+        for name in ("mine_ngrams", "write_distance_tsv", "select_splitting_pivots",
+                     "signature_clusters"):
+            spy(name)
         _, cfg_path, _, _ = workspace
         pivots = ["--config", str(cfg_path), "--pivots", str(expanded / "pivots.tsv")]
         assert main(["mine-ngrams", *pivots, "--targets", "saa_synth",
                      "--out", str(tmp_path / "m")]) == 0
         assert main(["cluster-markers", *pivots, "--out", str(tmp_path / "c")]) == 0
-        assert calls == ["mine_ngrams", "write_distance_tsv"]
+        assert main(["map", *pivots, "--head", str(expanded / "head.json"),
+                     "--out", str(tmp_path / "p")]) == 0
+        assert calls == [
+            "mine_ngrams", "write_distance_tsv", "select_splitting_pivots", "signature_clusters",
+        ]
 
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError):

@@ -10,11 +10,14 @@ manifest lists what its run wrote.
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import PurePosixPath
 
 import pytest
 
-from golden_runs import CONFIGS, read_golden, run_commands, versions
+from golden_runs import CONFIGS, PATH_KEYS, read_golden, run_commands, versions
+from helpers import file_sha256
+from pivotmine.cli import main
 from pivotmine.manifest import MANIFEST_NAME
 
 
@@ -60,3 +63,54 @@ def test_manifests_list_every_file_their_runs_wrote(golden_run):
     }
     assert len(written) < len(on_disk)  # the cache tables are there, unlisted
     assert listed == written
+
+
+def _flip_digest_byte(data: bytes) -> bytes:
+    at = data.index(b" digest=") + len(b" digest=")
+    return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1 :]
+
+
+# Damage to three alignment-cache tables, each of a kind the cache must
+# notice. A flipped byte in the float body is not among them: flipping a
+# low mantissa bit moves a row sum by about 1e-16, within the row-sum
+# tolerance, so such a table is served as it is.
+CACHE_DAMAGE = {
+    "cut-in-half": lambda data: data[: len(data) // 2],
+    "emptied": lambda data: b"",
+    "digest-byte-flipped": _flip_digest_byte,
+}
+
+
+def test_damaged_cache_tables_are_retrained_to_the_golden_bytes(golden_run, tmp_path):
+    """A tiny8 past pipeline over a copy of the golden corpus and cache,
+    three of whose tables the run reads are damaged, exits 0 and writes
+    the golden bytes: its outputs, and the three tables retrained."""
+    out, _ = golden_run
+    root = tmp_path / "out"
+    cfg = CONFIGS["tiny8"]
+    for name in ("tiny8", cfg["cache_dir"]):
+        shutil.copytree(out / name, root / name)
+    # the head pairs: expand-pivots aligns the head's translation with every other
+    head = json.loads((out / "tiny8_runs" / "past" / "head.json").read_text(encoding="utf-8"))
+    tables = sorted((root / cfg["cache_dir"]).glob(f"{head['translation_id']}__*.lex"))
+    for path, damage in zip(tables, CACHE_DAMAGE.values()):
+        path.write_bytes(damage(path.read_bytes()))
+    config = tmp_path / "tiny8.json"
+    config.write_text(json.dumps(
+        {k: str(root / v) if k in PATH_KEYS else v for k, v in cfg.items()}
+    ), encoding="utf-8")
+    run = root / "tiny8_runs" / "past"
+    argv = ["pipeline", "--config", str(config), "--feature", "past", "--out", str(run)]
+    assert main(argv) == 0
+    golden = read_golden()["files"]
+    written = {
+        path.relative_to(root).as_posix(): file_sha256(path)
+        for path in [*run.rglob("*"), *tables[: len(CACHE_DAMAGE)]]
+        if path.is_file() and path.name != MANIFEST_NAME
+    }
+    want = {
+        rel: digest for rel, digest in golden.items()
+        if rel.startswith("tiny8_runs/past/") or rel in written
+    }
+    assert len(written) > len(CACHE_DAMAGE)
+    assert written == want
