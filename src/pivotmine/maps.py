@@ -112,7 +112,7 @@ class SignatureCluster:
 
 
 def signature_clusters(
-    pivot_set: PivotSet, verse_ids: list[str], columns: list[int]
+    pivot_set: PivotSet, verse_ids: tuple[str, ...], columns: list[int]
 ) -> list[SignatureCluster]:
     """Partition the selected verses, whose ids verse_ids lists in row
     order, by their signature over the pivot set's columns.
