@@ -40,12 +40,12 @@ from .textio import read_bytes, write_bytes
 
 logger = logging.getLogger(__name__)
 
-# Surface of the null source word in the cache's cells digest. Real
+# Surface of the null source word in the cache's table digest. Real
 # tokens are never empty, so the empty string is unambiguous there;
 # in memory the null word is source id 0.
 NULL_SURFACE = ""
 
-CACHE_FORMAT = "lex-bin-2"
+CACHE_FORMAT = "lex-bin-3"
 
 # A cached table whose rows do not sum to 1 within this is corrupt.
 ROW_SUM_TOLERANCE = 1e-9
@@ -329,30 +329,32 @@ def _pair_cache_key(
     return h.hexdigest()
 
 
-def _cells_digest(enc: PairEncoding) -> str:
-    """sha256 of the cell identity of enc: its source words (the null word
-    as NULL_SURFACE) and then its target words, joined by newlines, followed
-    by the little-endian int32 bytes of cell_src and of cell_tgt."""
-    words = "\n".join([NULL_SURFACE, *enc.src_words[1:], *enc.tgt_words]).encode()
-    cells = [a.astype("<i4", copy=False).tobytes() for a in (enc.cell_src, enc.cell_tgt)]
-    return hashlib.sha256(b"".join([words, *cells])).hexdigest()
+def _cells_digest(enc: PairEncoding, lls: bytes, body: bytes) -> str:
+    """sha256 of a cached table: the cell identity of enc (its source words,
+    the null word as NULL_SURFACE, and then its target words, joined by
+    newlines, followed by the little-endian int32 bytes of cell_src and of
+    cell_tgt), then the header's lls field as written, then the body."""
+    h = hashlib.sha256("\n".join([NULL_SURFACE, *enc.src_words[1:], *enc.tgt_words]).encode())
+    for part in (enc.cell_src.astype("<i4"), enc.cell_tgt.astype("<i4"), lls, body):
+        h.update(part)
+    return h.hexdigest()
 
 
 def save_lex_table(lex: LexTable, path: Path, key: str) -> None:
     """Write the table: a text header line with the key, the EM
-    log-likelihoods, the cell count and the cells digest, then every cell's
-    probability, in cell order, as little-endian float64."""
+    log-likelihoods and the table digest, then every cell's probability,
+    in cell order, as little-endian float64."""
     lls = ",".join(repr(x) for x in lex.log_likelihoods)
-    digest = _cells_digest(lex.enc)
-    header = f"# {CACHE_FORMAT} key={key} lls={lls} cells={len(lex.probs)} digest={digest}\n"
-    write_bytes(path, header.encode() + lex.probs.astype("<f8", copy=False).tobytes())
+    body = lex.probs.astype("<f8", copy=False).tobytes()
+    digest = _cells_digest(lex.enc, lls.encode(), body)
+    write_bytes(path, f"# {CACHE_FORMAT} key={key} lls={lls} digest={digest}\n".encode() + body)
 
 
 def load_lex_table(path: Path, key: str, enc: PairEncoding) -> LexTable | None:
     """Load the cached table of enc's pair, or None when missing, stale or
     corrupt. A file is corrupt, and a warning logged, when its header does
-    not parse, its body is not 8 bytes per cell of the header's count, that
-    count or the cells digest is not enc's, or a row does not sum to 1."""
+    not parse, its digest is not that of enc's cells, its own lls field
+    and its body, or a row does not sum to 1."""
     try:
         data = read_bytes(path)
     except DataError:
@@ -361,15 +363,12 @@ def load_lex_table(path: Path, key: str, enc: PairEncoding) -> LexTable | None:
     if not data.startswith(prefix):
         return None
     try:
-        # an unterminated header leaves an empty body, which fits no pair
+        # an unterminated header leaves an empty body, which no table has
         header, _, body = data.partition(b"\n")
-        lls_text, cells, digest = header[len(prefix) :].decode().split(" ")
-        lls = [float(x) for x in lls_text.split(",")] if lls_text else []
-        n = int(cells.removeprefix("cells="))
-        if len(body) != 8 * n:
-            raise ValueError(f"{len(body)} bytes of probabilities for {n} cells")
-        if n != len(enc.cell_src) or digest != f"digest={_cells_digest(enc)}":
-            raise ValueError("cells differ from the pair's encoding")
+        lls_field, digest = header[len(prefix) :].split(b" ")
+        lls = [float(x) for x in lls_field.decode().split(",")] if lls_field else []
+        if digest != f"digest={_cells_digest(enc, lls_field, body)}".encode():
+            raise ValueError("digest differs from the pair's table")
         probs = np.frombuffer(body, "<f8").astype(np.float64)
         sums = np.bincount(enc.cell_src, probs)
         if not np.all(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE):

@@ -255,6 +255,17 @@ def cache_parts(path: Path) -> tuple[bytes, np.ndarray]:
     return header + b"\n", np.frombuffer(body, "<f8")
 
 
+def cell_identity(enc: PairEncoding) -> bytes:
+    """The cell identity of enc as the cache digests it: its words, the
+    null word empty, and the int32 source and target ids of its cells."""
+    identity = "\n".join(["", *enc.src_words[1:], *enc.tgt_words]).encode()
+    return identity + enc.cell_src.astype("<i4").tobytes() + enc.cell_tgt.astype("<i4").tobytes()
+
+
+# The reason a table whose bytes are not the pair's saved table is corrupt
+DIGEST_DIFFERS = "digest differs from the pair's table"
+
+
 def corrupt_reason(caplog) -> str:
     """The reason of the one corrupt-cache warning logged."""
     (record,) = [r for r in caplog.records if "corrupt alignment cache" in r.getMessage()]
@@ -272,19 +283,16 @@ class TestCache:
         assert loaded.probs.tobytes() == lex.probs.tobytes()
         assert loaded.probs.dtype == np.float64 and loaded.probs.flags.writeable
 
-    def test_round_trip_keeps_log_likelihoods_and_counts_cells_in_the_header(self, tmp_path):
+    def test_round_trip_keeps_log_likelihoods_and_digests_the_table_in_the_header(self, tmp_path):
         lex = train(TOY_PAIRS)
         path = tmp_path / "pair.lex"
         save_lex_table(lex, path, "k1")
         header, probs = cache_parts(path)
-        enc = lex.enc
-        assert enc.src_words == [None, "the", "house", "flower"]
-        identity = "\n".join(["", "the", "house", "flower", *enc.tgt_words]).encode()
-        identity += enc.cell_src.astype("<i4").tobytes() + enc.cell_tgt.astype("<i4").tobytes()
+        assert lex.enc.src_words == [None, "the", "house", "flower"]
         lls = ",".join(repr(x) for x in lex.log_likelihoods)
+        table = cell_identity(lex.enc) + lls.encode() + lex.probs.tobytes()
         assert header.decode() == (
-            f"# {CACHE_FORMAT} key=k1 lls={lls} cells={len(lex.probs)} "
-            f"digest={hashlib.sha256(identity).hexdigest()}\n"
+            f"# {CACHE_FORMAT} key=k1 lls={lls} digest={hashlib.sha256(table).hexdigest()}\n"
         )
         assert probs.tobytes() == lex.probs.tobytes()
         loaded = load_lex_table(path, "k1", lex.enc)
@@ -305,8 +313,8 @@ class TestCache:
     def test_pair_cache_with_foreign_cells_retrained(
         self, pair_corpus, tmp_path, caplog, damage
     ):
-        # key, size and row sums all hold; only the cell count or the
-        # cells digest gives the damage away
+        # key, header and row sums all hold; only the digest gives the
+        # damage away
         cfg = replace(CONFIG, cache_dir=tmp_path)
         enc = pair_encoding(pair_corpus)
         first = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg)
@@ -328,7 +336,7 @@ class TestCache:
         save_lex_table(foreign, path, key)
         with caplog.at_level(logging.WARNING):
             again = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg)
-        assert corrupt_reason(caplog) == "cells differ from the pair's encoding"
+        assert corrupt_reason(caplog) == DIGEST_DIFFERS
         assert again.probs.tobytes() == first.probs.tobytes()
         assert path.read_bytes() == good
 
@@ -342,23 +350,31 @@ class TestCache:
         assert caplog.text == ""
 
     def test_previous_binary_format_is_a_silent_miss(self, pair_corpus, tmp_path, caplog):
-        # a lex-bin-1 table under the current key is retrained, not corrupt
+        # a lex-bin-2 table, and a lex-bin-1 header, under the current key
+        # are retrained, not corrupt
         cfg = replace(CONFIG, cache_dir=tmp_path)
         enc = pair_encoding(pair_corpus)
         first = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg)
         (path,) = tmp_path.glob("*.lex")
         good = path.read_bytes()
-        assert CACHE_FORMAT == "lex-bin-2" and good.startswith(b"# lex-bin-2 key=")
-        path.write_bytes(good.replace(b"# lex-bin-2 ", b"# lex-bin-1 ", 1))
+        assert CACHE_FORMAT == "lex-bin-3" and good.startswith(b"# lex-bin-3 key=")
         key = cache_key(pair_corpus, "aaa_src", "bbb_tgt", cfg)
-        with caplog.at_level(logging.WARNING):
-            assert load_lex_table(path, key, enc) is None
-            again = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg)
-        assert caplog.text == ""
-        assert again.probs.tobytes() == first.probs.tobytes()
-        assert path.read_bytes() == good
+        lls = ",".join(repr(x) for x in first.log_likelihoods)
+        cells = hashlib.sha256(cell_identity(enc)).hexdigest()
+        header = f"# lex-bin-2 key={key} lls={lls} cells={len(first.probs)} digest={cells}\n"
+        previous = header.encode() + first.probs.tobytes()
+        for earlier in (previous, previous.replace(b"# lex-bin-2 ", b"# lex-bin-1 ", 1)):
+            path.write_bytes(earlier)
+            with caplog.at_level(logging.WARNING):
+                assert load_lex_table(path, key, enc) is None
+                again = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg)
+            assert caplog.text == ""
+            assert again.probs.tobytes() == first.probs.tobytes()
+            assert path.read_bytes() == good
 
-    @pytest.mark.parametrize("damage", ["cut-mid-number", "cut-at-row", "digits-dropped", "nan"])
+    @pytest.mark.parametrize(
+        "damage", ["cut-mid-number", "cut-at-row", "digits-dropped", "nan", "body-bit-flipped"]
+    )
     def test_damaged_cache_recomputed_with_warning(
         self, pair_corpus, tmp_path, caplog, damage
     ):
@@ -373,29 +389,27 @@ class TestCache:
         k = next(k for k, p in enumerate(probs.tolist()) if p - math.floor(p * 100) / 100 > 1e-6)
         changed = probs.copy()
         changed[k] = math.floor(probs[k] * 100) / 100
-        # a NaN makes its row sum NaN, which no tolerance comparison passes
         nan = probs.copy()
         nan[k] = math.nan
-        # a cut between two source rows leaves every row summing to 1;
-        # only the cell count shows it
+        # a cut between two source rows leaves every row summing to 1, and
+        # a flipped low mantissa bit moves its row sum by about 1e-16,
+        # well within the row-sum tolerance
         row_start = next(
             m for m in range(len(probs) // 2, len(probs)) if enc.cell_src[m] != enc.cell_src[m - 1]
         )
+        at = len(header) + 8 * k
         damaged = {
-            "cut-mid-number": good[: len(header) + 8 * k + 4],
+            "cut-mid-number": good[: at + 4],
             "cut-at-row": good[: len(header) + 8 * row_start],
             "digits-dropped": header + changed.tobytes(),
             "nan": header + nan.tobytes(),
+            "body-bit-flipped": good[:at] + bytes([good[at] ^ 0x01]) + good[at + 1 :],
         }[damage]
         path.write_bytes(damaged)
         with caplog.at_level(logging.WARNING):
             key = cache_key(pair_corpus, "aaa_src", "bbb_tgt", cfg)
             assert load_lex_table(path, key, enc) is None
-        if damage in ("digits-dropped", "nan"):
-            assert corrupt_reason(caplog) == "a row does not sum to 1"
-        else:
-            n_bytes = len(damaged) - len(header)
-            assert corrupt_reason(caplog) == f"{n_bytes} bytes of probabilities for {len(probs)} cells"
+        assert corrupt_reason(caplog) == DIGEST_DIFFERS
         caplog.clear()
         with caplog.at_level(logging.WARNING):
             again = train_cached(pair_corpus, "aaa_src", "bbb_tgt", enc, cfg)
@@ -403,6 +417,18 @@ class TestCache:
         assert again.probs.tobytes() == first.probs.tobytes()
         assert again.log_likelihoods == first.log_likelihoods
         assert path.read_bytes() == good
+
+    @pytest.mark.parametrize("probs", ["scaled", "nan"])
+    def test_saved_rows_that_do_not_sum_to_one_are_corrupt(self, tmp_path, caplog, probs):
+        # the digest vouches for the bytes as saved; the row sums for what
+        # they say
+        lex = train(TOY_PAIRS)
+        bad = lex.probs * 1.5 if probs == "scaled" else np.full_like(lex.probs, math.nan)
+        path = tmp_path / "pair.lex"
+        save_lex_table(LexTable(lex.enc, bad, lex.log_likelihoods), path, "k1")
+        with caplog.at_level(logging.WARNING):
+            assert load_lex_table(path, "k1", lex.enc) is None
+        assert corrupt_reason(caplog) == "a row does not sum to 1"
 
     def test_stale_key_misses(self, tmp_path):
         lex = train(TOY_PAIRS)
@@ -421,9 +447,9 @@ class TestCache:
         body = good[len(header) :]
         garbled = {
             "log-likelihood": header.replace(b" lls=", b" lls=x,") + body,
-            "cell count": header.replace(b" cells=", b" cells=x") + body,
+            "cell count": header.replace(b" digest=", b" cells=12 digest=") + body,
             "field dropped": header.replace(b" digest=", b" ") + body,
-            "field added": header.replace(b" cells=", b" more cells=") + body,
+            "field added": header.replace(b" digest=", b" more digest=") + body,
             "undecodable": header.replace(b" digest=", b" digest=\xff") + body,
             "unterminated": header[:-1],
             "cut in header": header[: len(header) // 2],

@@ -70,21 +70,27 @@ def _flip_digest_byte(data: bytes) -> bytes:
     return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1 :]
 
 
-# Damage to three alignment-cache tables, each of a kind the cache must
-# notice. A flipped byte in the float body is not among them: flipping a
-# low mantissa bit moves a row sum by about 1e-16, within the row-sum
-# tolerance, so such a table is served as it is.
+def _flip_body_bit(data: bytes) -> bytes:
+    """The low bit of the middle probability's first byte flipped: its
+    lowest mantissa bit, which moves its row sum by about 1e-16."""
+    header = data.index(b"\n") + 1
+    at = header + 8 * ((len(data) - header) // 16)
+    return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1 :]
+
+
+# Damage to alignment-cache tables, each of a kind the cache must notice
 CACHE_DAMAGE = {
     "cut-in-half": lambda data: data[: len(data) // 2],
     "emptied": lambda data: b"",
     "digest-byte-flipped": _flip_digest_byte,
+    "body-bit-flipped": _flip_body_bit,
 }
 
 
 def test_damaged_cache_tables_are_retrained_to_the_golden_bytes(golden_run, tmp_path):
     """A tiny8 past pipeline over a copy of the golden corpus and cache,
-    three of whose tables the run reads are damaged, exits 0 and writes
-    the golden bytes: its outputs, and the three tables retrained."""
+    four of whose tables the run reads are damaged, exits 0 and writes
+    the golden bytes: its outputs, and the four tables retrained."""
     out, _ = golden_run
     root = tmp_path / "out"
     cfg = CONFIGS["tiny8"]
