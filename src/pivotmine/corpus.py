@@ -527,8 +527,16 @@ def load_corpus(
 
 
 def read_families(path: str | Path, read: Reader = read_bytes) -> dict[str, str]:
-    """Read an ``iso3<TAB>family`` metadata file."""
-    return dict(cells for _, cells in read_table(path, 2, read=read)[1])
+    """Read an ``iso3<TAB>family`` metadata file; DataError naming the path
+    and both lines for an iso3 listed twice."""
+    families, lines = {}, {}
+    for number, (iso3, family) in read_table(path, 2, read=read)[1]:
+        if iso3 in lines:
+            raise DataError(
+                f"{path} lines {lines[iso3]} and {number}: iso3 {iso3!r} listed twice"
+            )
+        families[iso3], lines[iso3] = family, number
+    return families
 
 
 def coverage_counts(corpus: MultiCorpus) -> np.ndarray:

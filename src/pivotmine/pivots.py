@@ -276,9 +276,10 @@ def read_queries(path: str | Path, read: Reader = read_bytes) -> list[Query]:
 
     Raises DataError, naming the path and the line, for a table read_table
     refuses, a row without a form, or a feature that would put a delimiter
-    into its synthetic query token.
+    into its synthetic query token, and naming both lines for a feature
+    listed twice.
     """
-    out = []
+    out, lines = [], {}
     for number, (feature, tid, forms) in read_table(path, 3, read=read)[1]:
         form_set = frozenset(f for f in forms.split(",") if f)
         if not form_set:
@@ -287,6 +288,12 @@ def read_queries(path: str | Path, read: Reader = read_bytes) -> list[Query]:
             raise DataError(
                 f"{path} line {number}: query feature {feature!r} contains a token delimiter"
             )
+        if feature in lines:
+            raise DataError(
+                f"{path} lines {lines[feature]} and {number}: "
+                f"query feature {feature!r} listed twice"
+            )
+        lines[feature] = number
         out.append(Query(feature, tid, form_set))
     return out
 

@@ -387,6 +387,12 @@ class TestLoadCorpus:
         meta.write_text("\u00a0aaa \t\x85famA\u2028\n", encoding="utf-8")
         assert read_families(meta) == {"aaa": "famA"}
 
+    def test_read_families_iso3_listed_twice_is_a_data_error(self, tmp_path):
+        meta = tmp_path / "families.tsv"
+        meta.write_text("# c\naaa\tfamA\nbbb\tfamB\n\n aaa\tfamC\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{meta} lines 2 and 5: iso3 'aaa' listed twice$"):
+            read_families(meta)
+
 
 def load_both(root):
     """load_corpus and the parent loader (loader_oracle) of root: each

@@ -370,6 +370,13 @@ class TestFiles:
         with pytest.raises(DataError):
             read_queries(path)
 
+    def test_query_feature_listed_twice_is_a_data_error(self, tmp_path):
+        path = tmp_path / "queries.tsv"
+        path.write_text("past\tqaa_synth\tti\n# c\npast\tqbb_synth\twen\n", encoding="utf-8")
+        error = f"^{path} lines 1 and 3: query feature 'past' listed twice$"
+        with pytest.raises(DataError, match=error):
+            read_queries(path)
+
     def test_allowlist(self, tmp_path):
         path = tmp_path / "allow.txt"
         path.write_text("# langs\npaa\n\n  # indented\n pba\u00a0\n", encoding="utf-8")
