@@ -57,6 +57,7 @@ def select_splitting_pivots(
     start = verses[matrix[:, head].astype(bool)]
     if start.size == 0:
         raise DataError("head pivot marks no selected verse; nothing to map")
+    ties = [(-p.score, p.iso3, p.surface) for p in members]
     used = {head}
     choices: list[SplitChoice] = []
     clusters: list[np.ndarray] = [start]
@@ -72,17 +73,11 @@ def select_splitting_pivots(
             target = chain
         # every cluster is non-empty: splits keep only non-empty parts
         cluster = clusters[target]
-        best = None
-        for idx in candidates:
-            frac = float(matrix[cluster, idx].mean())
-            p = members[idx]
-            key = (abs(frac - 0.5), -p.score, p.iso3, p.surface)
-            if best is None or key < best[0]:
-                best = (key, idx, frac)
-        assert best is not None
-        key, idx, frac = best
+        # sums of 0/1 are exact, so each fraction is its column's mean
+        fractions = (matrix[cluster].sum(axis=0) / cluster.size).tolist()
+        idx = min(candidates, key=lambda i: (abs(fractions[i] - 0.5), ties[i]))
         used.add(idx)
-        choices.append(SplitChoice(idx, int(cluster.size), frac, float(key[0])))
+        choices.append(SplitChoice(idx, cluster.size, fractions[idx], abs(fractions[idx] - 0.5)))
         col = matrix[cluster, idx].astype(bool)
         with_pivot = cluster[col]
         without = cluster[~col]
