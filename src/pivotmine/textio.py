@@ -87,18 +87,6 @@ def read_json(path: str | Path, read: Reader = read_bytes):
     )
 
 
-def read_lines(path: str | Path, read: Reader = read_bytes) -> list[str]:
-    """Lines of a UTF-8 file, read through read, without their line endings.
-
-    A line ends at LF, CRLF or CR. Other characters that str.splitlines
-    breaks at, such as U+2028 or a form feed, stay inside the line.
-    """
-    lines = read_text(path, read).split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
-
-
 def read_table(
     path: str | Path, columns: int | None, header: str | None = None, read: Reader = read_bytes
 ) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:

@@ -20,6 +20,7 @@ import pivotmine.pivots as pivots_module
 from pivotmine.aligner import LexTable, PairEncoding, encode_pairs
 from pivotmine.config import RunConfig
 from pivotmine.corpus import MultiCorpus, TranslationEncoding, build_corpus
+from pivotmine.textio import read_text
 
 # The run parameters a test leaves alone, from the one place that defines them.
 CONFIG = RunConfig()
@@ -29,6 +30,17 @@ def file_sha256(path: str | Path) -> str:
     """sha256 of the file at path, read from disk; the manifest records
     the sha256 of the bytes a run read or wrote, in memory."""
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """Lines of a UTF-8 file, read through read_text, without their line
+    endings. A line ends at LF, CRLF or CR. Other characters that
+    str.splitlines breaks at, such as U+2028 or a form feed, stay inside
+    the line."""
+    lines = read_text(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def mining(**overrides) -> dict:

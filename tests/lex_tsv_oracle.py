@@ -14,9 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
+from helpers import read_lines
 from pivotmine.aligner import NULL_SURFACE, ROW_SUM_TOLERANCE, LexTable, PairEncoding
 from pivotmine.errors import DataError
-from pivotmine.textio import read_lines, write_lines
+from pivotmine.textio import write_lines
 
 TSV_FORMAT = "lex-tsv-2"
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 import logging
 from pathlib import Path
 
+from helpers import read_lines
 from pivotmine.corpus import FILENAME_RE, is_verse_id
 from pivotmine.errors import DataError
-from pivotmine.textio import read_lines
 
 logger = logging.getLogger("pivotmine.corpus")
 

@@ -226,7 +226,8 @@ class TestVerseIds:
         ],
     )
     def test_matches_the_eight_digit_pattern(self, value):
-        # "$" also matches before a final newline; read_lines leaves none.
+        # "$" also matches before a final newline; a line split from its
+        # file has none.
         assert is_verse_id(value) == bool(re.match(r"^[0-9]{8}$", value))
 
 

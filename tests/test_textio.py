@@ -9,18 +9,18 @@ import pytest
 from pivotmine import textio
 from pivotmine.errors import DataError
 from pivotmine.textio import (
-    read_bytes, read_lines, read_table, write_bytes, write_json, write_lines, write_text,
+    read_bytes, read_table, read_text, write_bytes, write_json, write_lines, write_text,
 )
 
 
 class TestRead:
     def test_missing_and_undecodable_files_are_data_errors(self, tmp_path):
         with pytest.raises(DataError):
-            read_lines(tmp_path / "absent.txt")
+            read_text(tmp_path / "absent.txt")
         latin1 = tmp_path / "latin1.txt"
         latin1.write_bytes("caf\xe9\n".encode("latin-1"))
         with pytest.raises(DataError):
-            read_lines(latin1)
+            read_text(latin1)
 
     def test_missing_binary_file_is_a_data_error(self, tmp_path):
         with pytest.raises(DataError):
@@ -31,7 +31,7 @@ class TestRead:
     def test_lines_end_only_at_newlines(self, tmp_path):
         path = tmp_path / "lines.txt"
         path.write_bytes("a\u2028b\x85c\vd\fe\x1cf\x1dg\x1eh\u2029i\nj\r\nk\rl".encode())
-        assert read_lines(path) == ["a\u2028b\x85c\vd\fe\x1cf\x1dg\x1eh\u2029i", "j", "k", "l"]
+        assert read_text(path) == "a\u2028b\x85c\vd\fe\x1cf\x1dg\x1eh\u2029i\nj\nk\nl"
 
     def test_lines_are_read_through_the_given_read(self):
         calls = []
@@ -40,19 +40,10 @@ class TestRead:
             calls.append(path)
             return b"a\r\nb\rc\n"
 
-        assert read_lines("any.txt", read) == ["a", "b", "c"]
+        assert read_text("any.txt", read) == "a\nb\nc\n"
         assert calls == ["any.txt"]
         with pytest.raises(DataError, match="^cannot read bad.txt: 'utf-8' codec"):
-            read_lines("bad.txt", lambda path: b"\xff")
-
-    @pytest.mark.parametrize(
-        "text, lines",
-        [("", []), ("\n", [""]), ("a", ["a"]), ("a\n", ["a"]), ("a\n\n", ["a", ""])],
-    )
-    def test_final_newline_ends_the_last_line(self, tmp_path, text, lines):
-        path = tmp_path / "lines.txt"
-        path.write_bytes(text.encode())
-        assert read_lines(path) == lines
+            read_text("bad.txt", lambda path: b"\xff")
 
     @pytest.mark.parametrize(
         "text, lines",
