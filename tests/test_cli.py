@@ -900,9 +900,11 @@ DAMAGE = {
 }
 
 # Each table the readers parse, and the other files a command reads (the
-# head pivot, a pivot member's corpus file and the config), where it lies
-# under the test's directory, and the cheapest command that reads it;
-# {member} is the translation of the first row of pivots.tsv
+# head pivot, three corpus files and the config), where it lies under the
+# test's directory, and the cheapest command that reads it; {member} is
+# the translation of the first row of pivots.tsv, {outsider} the first
+# translation that pivots.tsv does not list and {query} the past query's
+# translation
 DAMAGED_TABLES = {
     "pivots": ("from/past/pivots.tsv",
                ["map", "--feature", "past", "--pivots", "{dir}/from/past/pivots.tsv"]),
@@ -921,13 +923,17 @@ DAMAGED_TABLES = {
              ["map", "--pivots", "{dir}/from/past/pivots.tsv",
               "--head", "{dir}/from/past/head.json"]),
     "corpus": ("corpus/{member}.txt", ["map", "--pivots", "{dir}/from/past/pivots.tsv"]),
+    "outsider-corpus": ("corpus/{outsider}.txt",
+                        ["mine-ngrams", "--pivots", "{dir}/from/past/pivots.tsv",
+                         "--targets", "{outsider}"]),
+    "query-corpus": ("corpus/{query}.txt", ["head-pivot", "--feature", "past"]),
     "config": ("cfg.json", ["map", "--pivots", "{dir}/from/past/pivots.tsv"]),
 }
 
 
 class TestDamagedTables:
-    """Every table a reader parses, and the head pivot, a member's corpus
-    file and the config, damaged in a fixed list of ways, makes its
+    """Every table a reader parses, and the head pivot, three corpus files
+    and the config, damaged in a fixed list of ways, makes its
     command succeed or fail with its error line, never a traceback, and
     a failed command leaves no manifest. Which damage a command accepts
     is not pinned here."""
@@ -945,16 +951,29 @@ class TestDamagedTables:
         config = dict(config)
         for key in ("gold", "queries", "allowlist", "families"):
             config[key] = shutil.copy(config[key], tmp_path)
-        if table == "corpus":
+        name, argv = DAMAGED_TABLES[table]
+        if name.startswith("corpus/"):
             config["corpus_dir"] = str(shutil.copytree(config["corpus_dir"], tmp_path / "corpus"))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config, indent=1), encoding="utf-8")
-        name, argv = DAMAGED_TABLES[table]
         pivots = (tmp_path / "from" / "past" / "pivots.tsv").read_text(encoding="utf-8")
-        path = tmp_path / name.replace("{member}", pivots.split("\n")[1].split("\t")[2])
+        members = [row.split("\t")[2] for row in pivots.splitlines()[1:]]
+        translations = sorted(p.stem for p in Path(config["corpus_dir"]).glob("*.txt"))
+        outsider = next(t for t in translations if t not in members)
+        queries = Path(config["queries"]).read_text(encoding="utf-8")
+        (query,) = [row.split("\t")[1] for row in queries.splitlines() if row.startswith("past\t")]
+        names = {"{dir}": str(tmp_path), "{member}": members[0], "{outsider}": outsider,
+                 "{query}": query}
+
+        def fill(text: str) -> str:
+            for placeholder, value in names.items():
+                text = text.replace(placeholder, value)
+            return text
+
+        path = tmp_path / fill(name)
         path.write_bytes(DAMAGE[damage](path.read_bytes()))
         capsys.readouterr()
-        argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+        argv = [fill(a) for a in argv]
         code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
         return code, capsys.readouterr().err
 
