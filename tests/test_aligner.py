@@ -445,9 +445,10 @@ class TestCache:
         good = path.read_bytes()
         header, _ = cache_parts(path)
         body = good[len(header) :]
+        cells = b" cells=%d digest=" % (len(body) // 8)
         garbled = {
             "log-likelihood": header.replace(b" lls=", b" lls=x,") + body,
-            "cell count": header.replace(b" digest=", b" cells=12 digest=") + body,
+            "cell count": header.replace(b" digest=", cells) + body,
             "field dropped": header.replace(b" digest=", b" ") + body,
             "field added": header.replace(b" digest=", b" more digest=") + body,
             "undecodable": header.replace(b" digest=", b" digest=\xff") + body,
