@@ -962,18 +962,11 @@ class TestDamagedTables:
         outsider = next(t for t in translations if t not in members)
         queries = Path(config["queries"]).read_text(encoding="utf-8")
         (query,) = [row.split("\t")[1] for row in queries.splitlines() if row.startswith("past\t")]
-        names = {"{dir}": str(tmp_path), "{member}": members[0], "{outsider}": outsider,
-                 "{query}": query}
-
-        def fill(text: str) -> str:
-            for placeholder, value in names.items():
-                text = text.replace(placeholder, value)
-            return text
-
-        path = tmp_path / fill(name)
+        names = dict(dir=str(tmp_path), member=members[0], outsider=outsider, query=query)
+        path = tmp_path / name.format(**names)
         path.write_bytes(DAMAGE[damage](path.read_bytes()))
         capsys.readouterr()
-        argv = [fill(a) for a in argv]
+        argv = [a.format(**names) for a in argv]
         code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
         return code, capsys.readouterr().err
 
