@@ -51,7 +51,7 @@ from .errors import ConfigError, DataError
 from .evaluation import mrr, mrr_table, read_gold
 from .gramtsv import read_ngrams_tsv, write_ngrams_tsv
 from .manifest import MANIFEST_NAME, RunRecorder
-from .textio import read_json, read_table, remove_stale, write_lines, write_text
+from .textio import read_json, remove_stale, write_lines, write_text
 # perfbench/tracing.py times artifact writes by wrapping cli._write_json
 from .textio import write_json as _write_json
 
@@ -63,12 +63,12 @@ STAGE_NAMES = {
         "upgma", "write_distance_tsv",
     ),
     "corpus": (
-        "MultiCorpus", "is_verse_id", "load_corpus", "read_families", "write_coverage_report",
+        "MultiCorpus", "load_corpus", "read_families", "read_verse_ids", "write_coverage_report",
+        "write_verses",
     ),
     "maps": (
         "project_cluster", "select_splitting_pivots", "signature_clusters",
-        "write_cluster_summary", "write_cluster_verses", "write_projection",
-        "write_splitters_tsv",
+        "write_cluster_summary", "write_cluster_verses", "write_splitters_tsv",
     ),
     "ngrams": ("mine_ngrams",),
     "pivots": (
@@ -253,12 +253,12 @@ def stage_project(
     run: Run, corpus: MultiCorpus, verse_ids: list[str], translation_id: str
 ) -> None:
     projected = project_cluster(corpus, verse_ids, translation_id)
-    missing = sum(1 for _, text in projected if text is None)
-    if missing:
-        logger.warning(
-            "%d of %d verses missing from %s", missing, len(projected), translation_id
-        )
-    write_projection(projected, run.out / "projection.tsv", run.rec.write_output)
+    # a verse the translation lacks has no row, as in a corpus file
+    present = [(vid, text) for vid, text in projected if text is not None]
+    if len(present) < len(projected):
+        missing = len(projected) - len(present)
+        logger.warning("%d of %d verses missing from %s", missing, len(projected), translation_id)
+    write_verses(run.out / "projection.tsv", present, run.rec.write_output)
 
 
 def stage_eval_mrr(run: Run, ngram_dirs: list[tuple[str, Path]]) -> None:
@@ -489,11 +489,7 @@ def cmd_map(run: Run) -> None:
 
 def cmd_project(run: Run) -> None:
     corpus = run.corpus()
-    path, verse_ids = run.args.verses, []
-    for number, (vid,) in read_table(path, 1, read=run.rec.read)[1]:
-        if not is_verse_id(vid):
-            raise DataError(f"{path} line {number}: {vid!r} is not a verse id")
-        verse_ids.append(vid)
+    verse_ids = read_verse_ids(run.args.verses, run.rec.read)
     run.stage("project", stage_project, corpus, verse_ids, run.args.translation)
 
 
@@ -512,8 +508,8 @@ def cmd_pipeline(run: Run) -> None:
     feature = run.args.feature
     corpus = run.corpus()
     run.stage("ingest", stage_ingest, corpus)
-    # head-pivot, the alignments of expand-pivots and its member scan
-    # share one encoding of each translation; mining does not read them
+    # head-pivot and the alignments of expand-pivots share one encoding of
+    # each translation; the member scan and mining read none
     aligning = corpus.keeping_encodings()
     head = run.stage("head-pivot", stage_head, aligning, feature)
     pivot_set = run.stage("expand-pivots", stage_expand, aligning, feature, head)

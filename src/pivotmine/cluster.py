@@ -175,18 +175,15 @@ def _newick_label(label: str) -> str:
 def to_newick(root: DendroNode) -> str:
     """Serialize with branch lengths (parent height minus child height)."""
 
-    def render(node: DendroNode, parent_height: float) -> str:
-        branch = format(parent_height - node.height, ".12g")
+    def render(node: DendroNode) -> str:
         if node.is_leaf:
-            return f"{_newick_label(node.label or '')}:{branch}"
-        left, right = node.children
-        inner = f"({render(left, node.height)},{render(right, node.height)})"
-        return f"{inner}:{branch}"
+            return _newick_label(node.label or "")
+        return "(" + ",".join(
+            f"{render(child)}:{format(node.height - child.height, '.12g')}"
+            for child in node.children
+        ) + ")"
 
-    if root.is_leaf:
-        return f"{_newick_label(root.label or '')};"
-    left, right = root.children
-    return f"({render(left, root.height)},{render(right, root.height)});"
+    return render(root) + ";"
 
 
 def write_distance_tsv(
@@ -244,7 +241,8 @@ def language_distance(
     markers_by_feature maps feature -> iso3 -> top marker pivot. A
     language participates only when it has a marker for every feature and
     its marker translations each share at least min_shared_verses selected
-    verses with that feature's head translation. Distances for one pair
+    verses with that feature's head translation, head_translations[f]: the
+    floor always applies. Distances for one pair
     use the verses present in both marker translations; a marker silent on
     that pairwise support contributes the maximal divergence of 1.0.
     """
@@ -264,11 +262,8 @@ def language_distance(
             continue
         floor_fail = None
         for f in features:
-            head_tid = head_translations.get(f)
-            if head_tid is None:
-                continue
             tid = markers_by_feature[f][iso3].translation_id
-            shared = int(np.count_nonzero(present(tid) & present(head_tid)))
+            shared = int(np.count_nonzero(present(tid) & present(head_translations[f])))
             shared_counts.append(shared)
             if shared < min_shared_verses:
                 floor_fail = f

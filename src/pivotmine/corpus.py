@@ -12,7 +12,7 @@ import bisect
 import logging
 import re
 from collections import defaultdict
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -467,15 +467,16 @@ def load_corpus(
     iso_metadata: str | Path | None,
     read: Reader = read_bytes,
 ) -> MultiCorpus:
-    """Load every well-formed translation file directly under root.
+    """Load every translation file directly under root.
 
     Only ``*.txt`` files are looked at, and those not matching
     ``{iso3}_{name}.txt`` are skipped with a warning. Each one that
     matches, and the iso_metadata file, is read once, through read (a
     run passes its recorder's).
     Malformed lines are counted and skipped; duplicate verse ids within a
-    file keep the first occurrence. Raises DataError if a translation
-    file cannot be read or is not UTF-8, or if none is usable.
+    file keep the first occurrence. Raises DataError naming the file if a
+    translation file cannot be read, is not UTF-8 or holds no verse line,
+    and DataError if no file matches.
     """
     root = Path(root)
     if not root.is_dir():
@@ -501,8 +502,7 @@ def load_corpus(
                 duplicates,
             )
         if not len(keys):
-            logger.warning("skipping %s: no well-formed verse lines", path.name)
-            continue
+            raise DataError(f"{path}: no well-formed verse line")
         parsed.append((translation_id, m.group("iso3"), text, lengths, keys))
     if not parsed:
         raise DataError(f"no usable translation files under {root}")
@@ -524,6 +524,26 @@ def load_corpus(
         families=families,
         malformed_lines=malformed,
     )
+
+
+def write_verses(
+    path: str | Path, verses: Iterable[tuple[str, str]], write: Writer = write_bytes
+) -> Path:
+    """Write (verse_id, text) pairs in order, through write, as the lines
+    load_corpus reads: corpus files and projections. No text holds CR or LF."""
+    return write_lines(path, (f"{vid}\t{text}" for vid, text in verses), write)
+
+
+def read_verse_ids(path: str | Path, read: Reader = read_bytes) -> list[str]:
+    """The ids of a verse-id list (selection.txt, clusters/*.txt, --verses),
+    read through read as a file people write (read_table); DataError naming
+    the path and the line for a line with a tab or that is not a verse id."""
+    ids = []
+    for number, (vid,) in read_table(path, 1, read=read)[1]:
+        if not is_verse_id(vid):
+            raise DataError(f"{path} line {number}: {vid!r} is not a verse id")
+        ids.append(vid)
+    return ids
 
 
 def read_families(path: str | Path, read: Reader = read_bytes) -> dict[str, str]:

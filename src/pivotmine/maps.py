@@ -19,7 +19,7 @@ import numpy as np
 from .corpus import MultiCorpus
 from .errors import DataError
 from .pivots import Pivot, PivotSet
-from .textio import Writer, remove_stale, write_bytes, write_lines, write_text
+from .textio import Writer, remove_stale, write_bytes, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -183,15 +183,4 @@ def write_cluster_verses(
     out_dir = Path(out_dir)
     remove_stale(out_dir, "*.txt", {out_dir / f"{c.key}.txt" for c in clusters})
     for c in clusters:
-        write_text(out_dir / f"{c.key}.txt", "".join(f"{v}\n" for v in c.verse_ids), write)
-
-
-def write_projection(
-    projected: list[tuple[str, str | None]], path: str | Path, write: Writer = write_bytes
-) -> Path:
-    """``verse_id<TAB>text`` rows, written through write. A verse the
-    translation lacks (text None) has no row, as in a corpus file; an
-    empty verse has an empty text field."""
-    return write_lines(
-        path, (f"{vid}\t{text}" for vid, text in projected if text is not None), write
-    )
+        write_lines(out_dir / f"{c.key}.txt", c.verse_ids, write)

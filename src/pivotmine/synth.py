@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import is_scalar, read_fields, read_json_object
-from .corpus import MultiCorpus, build_corpus
+from .corpus import MultiCorpus, build_corpus, write_verses
 from .errors import ConfigError
 from .textio import Reader, Writer, read_bytes, write_bytes, write_json, write_lines
 
@@ -371,9 +371,7 @@ def write_synth(spec: SynthSpec, out_dir: str | Path, write: Writer = write_byte
     corpus_dir.mkdir(parents=True, exist_ok=True)
     for tid in sorted(verses):
         texts = verses[tid]
-        write_lines(
-            corpus_dir / f"{tid}.txt", (f"{vid}\t{texts[vid]}" for vid in sorted(texts)), write
-        )
+        write_verses(corpus_dir / f"{tid}.txt", ((vid, texts[vid]) for vid in sorted(texts)), write)
     write_json(out_dir / "ground_truth.json", truth, write)
     feature_names = [f for f, _ in spec.features]
     query = truth["query"]

@@ -3,7 +3,8 @@
 It reads a file line by line and keeps {verse_id: text} per translation,
 with one string per verse id shared by every translation. load_corpus is
 tested against it: the same verses in the same order, the same universe,
-malformed count and warnings.
+malformed count and warnings. Like load_corpus, it raises DataError for
+a file whose name matches but that holds no verse line.
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ def load_corpus(root: str | Path) -> tuple[dict[str, tuple[str, dict[str, str]]]
                 "%s: %d duplicate verse ids, first occurrence kept", translation_id, duplicates
             )
         if not verses:
-            logger.warning("skipping %s: no well-formed verse lines", path.name)
-            continue
+            raise DataError(f"{path}: no well-formed verse line")
         translations[translation_id] = (m.group("iso3"), verses)
     if not translations:
         raise DataError(f"no usable translation files under {root}")

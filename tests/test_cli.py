@@ -939,9 +939,9 @@ class TestDamagedTables:
     is not pinned here."""
 
     @staticmethod
-    def run(workspace, tables, tmp_path, capsys, table, damage) -> tuple[int, str]:
+    def run(workspace, tables, tmp_path, capsys, table, damage) -> tuple[int, str, Path]:
         """The exit code and stderr of the table's command after the
-        damage, every input copied under tmp_path."""
+        damage, every input copied under tmp_path, and the damaged file."""
         _, _, config, _ = workspace
         from_dir, distances = tables
         shutil.copytree(from_dir, tmp_path / "from")
@@ -968,12 +968,12 @@ class TestDamagedTables:
         capsys.readouterr()
         argv = [a.format(**names) for a in argv]
         code = main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")])
-        return code, capsys.readouterr().err
+        return code, capsys.readouterr().err, path
 
     @pytest.mark.parametrize("damage", DAMAGE)
     @pytest.mark.parametrize("table", DAMAGED_TABLES)
     def test_exit_codes_hold(self, workspace, tables, tmp_path, capsys, table, damage):
-        code, err = self.run(workspace, tables, tmp_path, capsys, table, damage)
+        code, err, _ = self.run(workspace, tables, tmp_path, capsys, table, damage)
         assert code in (0, 2, 3)
         assert "Traceback" not in err
         assert code != 2 or "config error: " in err
@@ -985,11 +985,19 @@ class TestDamagedTables:
     @pytest.mark.parametrize("table", ["pivots", "ranking", "ngrams"])
     def test_ranks_out_of_sequence_exit_3(self, workspace, tables, tmp_path, capsys, table,
                                           damage):
-        code, err = self.run(workspace, tables, tmp_path, capsys, table, damage)
-        path = tmp_path / DAMAGED_TABLES[table][0]
+        code, err, path = self.run(workspace, tables, tmp_path, capsys, table, damage)
         assert code == 3
         assert re.fullmatch(rf"data error: {re.escape(str(path))} line \d+: rank \d+ where "
                             rf"\d+ was due\n", err)
+
+    @pytest.mark.parametrize("damage", ["emptied", "column-dropped"])
+    @pytest.mark.parametrize("table", ["corpus", "outsider-corpus", "query-corpus"])
+    def test_corpus_file_without_a_verse_exits_3(self, workspace, tables, tmp_path, capsys,
+                                                 table, damage):
+        # every line of a column-dropped corpus file lacks its tab
+        code, err, path = self.run(workspace, tables, tmp_path, capsys, table, damage)
+        assert code == 3
+        assert err == f"data error: {path}: no well-formed verse line\n"
 
 
 class TestOutDirFallback:
@@ -1218,6 +1226,32 @@ class TestStagewiseFlow:
         assert metrics["n_pairs"] == len(report["languages"]) * (
             len(report["languages"]) - 1
         ) // 2
+
+
+class TestProjectionFile:
+    def test_projection_of_the_selection_loads_back(self, tiny8, tmp_path):
+        # --verses takes the selection.txt that ingest writes, and
+        # projection.tsv is a corpus file of the listed verses the
+        # translation has
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny8), encoding="utf-8")
+        cfg = ["--config", str(cfg_path)]
+        assert main(["ingest", *cfg, "--out", str(tmp_path / "i")]) == 0
+        corpus = load_corpus(tiny8["corpus_dir"], None)
+        selected = set(corpus.select(tiny8["coverage_target"]).selected_verses)
+        lacking = [tid for tid in sorted(corpus.translations)
+                   if not selected <= set(verses_of(corpus, tid))]
+        assert lacking
+        tid = lacking[0]
+        assert main(["project", *cfg, "--verses", str(tmp_path / "i" / "selection.txt"),
+                     "--translation", tid, "--out", str(tmp_path / "p")]) == 0
+        back = tmp_path / "back"
+        back.mkdir()
+        shutil.copy(tmp_path / "p" / "projection.tsv", back / f"{tid}.txt")
+        loaded = load_corpus(back, None)
+        assert loaded.malformed_lines == 0
+        want = [(vid, text) for vid, text in verses_of(corpus, tid).items() if vid in selected]
+        assert list(verses_of(loaded, tid).items()) == want
 
 
 class TestPartialFamilies:
@@ -1568,7 +1602,7 @@ class TestManifestInputs:
     def test_ingest_corpus_override_lists_the_loaded_corpus(self, workspace, tmp_path):
         """The corpus files listed are those load_corpus read: not a file
         that is not *.txt, nor one in a subdirectory, nor a *.txt whose
-        name is no translation's, but a translation file with no verse."""
+        name is no translation's, but every translation file."""
         _, cfg_path, config, _ = workspace
         other = tmp_path / "other" / "corpus"
         write_synth(preset_tiny8(), other.parent)
@@ -1577,16 +1611,16 @@ class TestManifestInputs:
         (other / "notes.txt").write_text("00000001\tnot a translation\n", encoding="utf-8")
         (other / "old").mkdir()
         shutil.copy(other / "naa_synth.txt", other / "old" / "naa_synth.txt")
-        (other / "zzz_empty.txt").write_text("no verse here\n", encoding="utf-8")
+        (other / "zzz_one.txt").write_text("no verse here\n00000001\tone\n", encoding="utf-8")
         out = tmp_path / "o"
         assert main(["ingest", "--config", str(cfg_path), "--corpus", str(other),
                      "--out", str(out)]) == 0
         stats = json.loads((out / "corpus_stats.json").read_text())
-        assert stats["n_translations"] == 8
-        assert stats["malformed_lines"] == 1  # zzz_empty.txt was read
+        assert stats["n_translations"] == 9
+        assert stats["malformed_lines"] == 1  # zzz_one.txt was read
         inputs = json.loads((out / "manifest.json").read_text())["inputs"]
         assert sorted(k for k in inputs if k.startswith(str(other))) == sorted(
-            [*translations, str(other / "zzz_empty.txt")]
+            [*translations, str(other / "zzz_one.txt")]
         )
         assert not [k for k in inputs if k.startswith(config["corpus_dir"])]
 
@@ -2121,6 +2155,34 @@ class TestStageImports:
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError):
             cli_module.no_such_stage_function
+
+
+# the hooks of perfbench/tracing.py whose target is gone, as installed
+TRACER_MISSING_HOOKS = [
+    "pivotmine.corpus.MultiCorpus.tokenized", "pivotmine.corpus.tokenize_verse",
+    "pivotmine.aligner.viterbi_align", "pivotmine.pivots.presence_vector",
+    "pivotmine.cli.presence_vector", "pivotmine.cli.pivot_relative_positions",
+    "pivotmine.ngrams.pivot_relative_positions", "pivotmine.manifest.file_sha256",
+    "pivotmine.cli._write_ranking_tsv",
+]
+
+
+class TestTracerHooks:
+    def test_only_the_known_hooks_are_missing(self):
+        # a renamed or moved function that the tracer patches would zero
+        # its per-layer figure; the child keeps the patches to itself
+        code = (
+            "import json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import tracing\n"
+            "tracer = tracing.Tracer()\n"
+            "tracing.install_hooks(tracer)\n"
+            "print(json.dumps(tracer.missing))\n"
+        )
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        proc = run_child(code, perfbench)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == TRACER_MISSING_HOOKS
 
 
 # main(argv) in a child, with the malloc policy left as it is

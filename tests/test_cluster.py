@@ -311,6 +311,10 @@ def lang_corpus():
     )
 
 
+# the head translation of the past feature in lang_corpus
+HEAD = {"past": "aaa_t"}
+
+
 def cand(iso3, surface):
     return Pivot(iso3, f"{iso3}_t", surface, 1.0)
 
@@ -322,7 +326,7 @@ class TestLanguageDistance:
             "past": {"aaa": cand("aaa", "ma"), "bbb": cand("bbb", "mb"),
                      "ccc": cand("ccc", "mc")}
         }
-        dm, report = language_distance(corpus, markers, min_shared_verses=1, head_translations={})
+        dm, report = language_distance(corpus, markers, min_shared_verses=6, head_translations=HEAD)
         assert dm.labels == ["aaa", "bbb", "ccc"]
         assert dm.of("aaa", "bbb") == 0.0
         assert dm.of("aaa", "ccc") == pytest.approx(1.0, abs=1e-12)
@@ -335,7 +339,10 @@ class TestLanguageDistance:
                      "ccc": cand("ccc", "mc")},
             "future": {"aaa": cand("aaa", "ma"), "bbb": cand("bbb", "mb")},
         }
-        dm, report = language_distance(corpus, markers, min_shared_verses=1, head_translations={})
+        dm, report = language_distance(
+            corpus, markers, min_shared_verses=6,
+            head_translations={"past": "aaa_t", "future": "aaa_t"},
+        )
         assert dm.labels == ["aaa", "bbb"]
         assert report.excluded == {"ccc": "no marker for future"}
 
@@ -369,7 +376,7 @@ class TestLanguageDistance:
         }
         with caplog.at_level(logging.WARNING):
             dm, report = language_distance(
-                corpus, markers, min_shared_verses=1, head_translations={}
+                corpus, markers, min_shared_verses=6, head_translations=HEAD
             )
         assert dm.of("aaa", "bbb") == 1.0
         assert report.zero_support_pairs == 1
@@ -379,7 +386,7 @@ class TestLanguageDistance:
         corpus = lang_corpus()
         markers = {"past": {"aaa": cand("aaa", "ma")}}
         with pytest.raises(DataError):
-            language_distance(corpus, markers, min_shared_verses=1, head_translations={})
+            language_distance(corpus, markers, min_shared_verses=6, head_translations=HEAD)
 
     @pytest.mark.parametrize(
         "seed, n_verses, n_features", [(0, 40, 1), (1, 300, 3), (2, 300, 9), (3, 2000, 3)]
@@ -389,9 +396,12 @@ class TestLanguageDistance:
         # support; rare markers leave some pairs without marking support;
         # nine features take np.mean past its sequential range
         corpus, markers = random_marker_corpus(seed, n_verses, n_features)
+        # every language shares a verse with the first one
+        heads = {f: "l00_t" for f in markers}
         dm, report = language_distance(
-            corpus, markers, min_shared_verses=1, head_translations={}
+            corpus, markers, min_shared_verses=1, head_translations=heads
         )
+        assert len(dm.labels) == 12
         scans = [
             scan_pivots(corpus, [markers[f][iso] for iso in dm.labels])
             for f in sorted(markers)

@@ -44,6 +44,7 @@ from pivotmine.corpus import (
     read_families,
     tokenize_block,
     write_coverage_report,
+    write_verses,
 )
 from pivotmine.errors import DataError
 from pivotmine.pivots import (
@@ -229,6 +230,21 @@ class TestVerseIds:
         # "$" also matches before a final newline; a line split from its
         # file has none.
         assert is_verse_id(value) == bool(re.match(r"^[0-9]{8}$", value))
+
+
+class TestVerseFiles:
+    def test_written_verses_load_back(self, tmp_path):
+        # in the given order, an empty text kept, and a tab, U+2028 and
+        # U+0085 inside a text kept as written
+        verses = [("00000003", "ein"), ("00000001", ""), ("00000007", "a\tb\u2028c\x85\u00e9")]
+        (tmp_path / "corpus").mkdir()
+        path = write_verses(tmp_path / "corpus" / "aaa_t.txt", verses)
+        assert path.read_text(encoding="utf-8") == (
+            "00000003\tein\n00000001\t\n00000007\ta\tb\u2028c\x85\u00e9\n"
+        )
+        corpus = load_corpus(tmp_path / "corpus", None)
+        assert corpus.malformed_lines == 0
+        assert list(verses_of(corpus, "aaa_t").items()) == verses
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import CONFIG, make_corpus, presence_set
 from pivotmine.config import SPLIT_POLICIES, RunConfig
+from pivotmine.corpus import read_verse_ids
 from pivotmine.errors import DataError
 from pivotmine.maps import (
     project_cluster,
@@ -14,7 +15,6 @@ from pivotmine.maps import (
     signature_clusters,
     write_cluster_summary,
     write_cluster_verses,
-    write_projection,
     write_splitters_tsv,
 )
 from pivotmine.pivots import Pivot
@@ -223,7 +223,9 @@ class TestWriters:
         assert (verses_dir / "1.txt").read_text() == "00000001\n00000002\n00000004\n"
         assert (verses_dir / "notes.md").read_text() == "old\n"
 
-    def test_projection_file(self, tmp_path):
-        path = tmp_path / "proj.tsv"
-        write_projection([("00000001", "ein"), ("00000002", None), ("00000003", "")], path)
-        assert path.read_text(encoding="utf-8") == "00000001\tein\n00000003\t\n"
+    def test_cluster_verses_read_back_as_verse_lists(self, tmp_path):
+        pm = make_pm([("aaa", "a", [1, 1, 0, 1]), ("bbb", "b", [1, 0, 0, 0])])
+        clusters = clusters_of(pm)
+        write_cluster_verses(clusters, tmp_path)
+        for c in clusters:
+            assert read_verse_ids(tmp_path / f"{c.key}.txt") == list(c.verse_ids)
