@@ -21,7 +21,7 @@ import numpy as np
 from .corpus import MultiCorpus
 from .errors import DataError
 from .pivots import Pivot, PivotSet, scan_pivots
-from .textio import Reader, Writer, read_bytes, read_table, write_bytes, write_lines
+from .textio import Reader, Writer, read_bytes, read_table, write_bytes, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -191,11 +191,8 @@ def write_distance_tsv(
 ) -> Path:
     """Square matrix TSV with a label header row and column, written
     through write."""
-    lines = ["\t".join(["label"] + dm.labels)]
-    for i, lb in enumerate(dm.labels):
-        row = [lb] + [format(v, ".10g") for v in dm.values[i]]
-        lines.append("\t".join(row))
-    return write_lines(path, lines, write)
+    rows = ([lb] + [format(v, ".10g") for v in dm.values[i]] for i, lb in enumerate(dm.labels))
+    return write_table(path, rows, ["label", *dm.labels], write)
 
 
 def read_distance_tsv(path: str | Path, read: Reader = read_bytes) -> DistanceMatrix:

@@ -19,11 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .textio import Reader, Writer, read_bytes, read_table, write_bytes, write_lines
+from .textio import Reader, Writer, read_bytes, read_table, write_bytes, write_lines, write_table
 
 logger = logging.getLogger(__name__)
 
-FILENAME_RE = re.compile(r"^(?P<iso3>[a-z]{3})_(?P<name>.+)\.txt$")
+# a translation id is a table cell, so its name holds no tab, CR or LF
+FILENAME_RE = re.compile(r"^(?P<iso3>[a-z]{3})_(?P<name>[^\t\r\n]+)\.txt$")
 
 # Whitespace plus the punctuation stripped around tokens.
 DELIMITERS = " \t\r\n\f\v.,;:!?()[]\"'"
@@ -575,5 +576,4 @@ def write_coverage_report(
     """Write ``verse_id<TAB>coverage`` for the whole universe, id-sorted,
     through write."""
     counts = coverage_counts(corpus).tolist()
-    lines = (f"{vid}\t{n}" for vid, n in zip(corpus.verse_universe, counts))
-    return write_lines(path, lines, write)
+    return write_table(path, zip(corpus.verse_universe, counts), write=write)

@@ -109,13 +109,8 @@ def mrr_table(results: list[MrrResult]) -> dict:
     tids = sorted({tid for r in results for tid in r.per_translation})
     rows = {}
     for tid in tids:
-        row: dict[str, float | None] = {}
-        scored = []
-        for r in results:
-            val = r.per_translation.get(tid)
-            row[r.feature] = val
-            if val is not None:
-                scored.append(val)
+        row = {r.feature: r.per_translation.get(tid) for r in results}
+        scored = [val for val in row.values() if val is not None]
         row["all"] = sum(scored) / len(scored) if scored else None
         rows[tid] = row
     aggregates = {r.feature: r.aggregate for r in results}

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import DataError
-from .textio import Reader, Writer, read_bytes, read_table, write_bytes, write_lines
+from .textio import Reader, Writer, read_bytes, read_table, write_bytes, write_table
 
 if TYPE_CHECKING:
     from .ngrams import MiningResult
@@ -50,14 +50,12 @@ def write_ngrams_tsv(
 ) -> Path:
     """Write ``n rank gram pos neg chi2`` rows for every ranked gram,
     through write."""
-    lines = ["n\trank\tgram\tpos\tneg\tchi2"]
-    for n in sorted(result.by_n):
-        for cand in result.by_n[n]:
-            lines.append(
-                f"{n}\t{cand.rank}\t{escape_gram(cand.gram)}\t"
-                f"{cand.pos_count}\t{cand.neg_count}\t{format(cand.score, '.10g')}"
-            )
-    return write_lines(path, lines, write)
+    rows = (
+        (n, cand.rank, escape_gram(cand.gram), cand.pos_count, cand.neg_count,
+         format(cand.score, ".10g"))
+        for n in sorted(result.by_n) for cand in result.by_n[n]
+    )
+    return write_table(path, rows, ["n", "rank", "gram", "pos", "neg", "chi2"], write)
 
 
 def read_ngrams_tsv(path: str | Path, read: Reader = read_bytes) -> dict[int, list[str]]:

@@ -19,7 +19,7 @@ import numpy as np
 from .corpus import MultiCorpus
 from .errors import DataError
 from .pivots import Pivot, PivotSet
-from .textio import Writer, remove_stale, write_bytes, write_lines
+from .textio import Writer, remove_stale, write_bytes, write_lines, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -151,25 +151,19 @@ def write_splitters_tsv(
 ) -> Path:
     """The head member first, then one row per round with its split
     diagnostics, written through write."""
-    lines = ["round\tiso3\ttranslation\tsurface\tcluster_size\tfraction"]
     p = members[head]
-    lines.append(f"0\t{p.iso3}\t{p.translation_id}\t{p.surface}\t\t")
+    rows = [(0, p.iso3, p.translation_id, p.surface, "", "")]
     for rnd, choice in enumerate(choices, start=1):
-        p = members[choice.column]
-        lines.append(
-            f"{rnd}\t{p.iso3}\t{p.translation_id}\t{p.surface}\t"
-            f"{choice.cluster_size}\t{format(choice.fraction, '.6g')}"
-        )
-    return write_lines(path, lines, write)
+        p, size, fraction = members[choice.column], choice.cluster_size, choice.fraction
+        rows.append((rnd, p.iso3, p.translation_id, p.surface, size, format(fraction, ".6g")))
+    header = ["round", "iso3", "translation", "surface", "cluster_size", "fraction"]
+    return write_table(path, rows, header, write)
 
 
 def write_cluster_summary(
     clusters: list[SignatureCluster], path: str | Path, write: Writer = write_bytes
 ) -> Path:
-    lines = ["signature\tsize"]
-    for c in clusters:
-        lines.append(f"{c.key}\t{c.size}")
-    return write_lines(path, lines, write)
+    return write_table(path, ((c.key, c.size) for c in clusters), ["signature", "size"], write)
 
 
 def write_cluster_verses(

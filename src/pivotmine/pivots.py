@@ -20,7 +20,7 @@ from .config import RunConfig
 from .corpus import MultiCorpus, can_be_token, find_surfaces
 from .errors import DataError
 from .stats import ContingencyTable, chi2
-from .textio import Reader, Writer, read_bytes, read_table, write_bytes, write_lines
+from .textio import Reader, Writer, read_bytes, read_table, write_bytes, write_table
 
 logger = logging.getLogger(__name__)
 
@@ -309,12 +309,11 @@ def write_pivots_tsv(rows: list[Pivot], path: str | Path, write: Writer = write_
 
     Pivot sets and candidate rankings share this format.
     """
-    lines = ["rank\tiso3\ttranslation\tsurface\tchi2"]
-    for rank, p in enumerate(rows, start=1):
-        lines.append(
-            f"{rank}\t{p.iso3}\t{p.translation_id}\t{p.surface}\t{format(p.score, '.10g')}"
-        )
-    return write_lines(path, lines, write)
+    table = (
+        (rank, p.iso3, p.translation_id, p.surface, format(p.score, ".10g"))
+        for rank, p in enumerate(rows, start=1)
+    )
+    return write_table(path, table, ["rank", "iso3", "translation", "surface", "chi2"], write)
 
 
 def check_pivot(

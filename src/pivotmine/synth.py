@@ -22,9 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import is_scalar, read_fields, read_json_object
-from .corpus import MultiCorpus, build_corpus, write_verses
+from .corpus import MultiCorpus, build_corpus, can_be_token, write_verses
 from .errors import ConfigError
-from .textio import Reader, Writer, read_bytes, write_bytes, write_json, write_lines
+from .textio import (
+    Reader, Writer, can_be_cell, read_bytes, write_bytes, write_json, write_lines, write_table,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -55,7 +57,9 @@ class SynthSpec:
     """Full recipe for one synthetic corpus; the seed fixes everything.
 
     A SynthSpec is checked when it is built, dataclasses.replace included:
-    a bad value raises ConfigError.
+    a bad value raises ConfigError, as does one its tables misread: a
+    feature or marker form no token can have, a feature starting with #,
+    a family that is empty, padded or holds a tab, CR or LF.
     """
 
     n_verses: int
@@ -82,6 +86,9 @@ class SynthSpec:
             raise ConfigError("features' probabilities must be positive and sum to <= 1")
         if len({f for f, _ in self.features}) != len(self.features):
             raise ConfigError("features names a feature twice")
+        for f, _ in self.features:
+            if not can_be_token(f) or f.startswith("#"):
+                raise ConfigError(f"features: no token can be {f!r}, or it starts with #")
         if not self.languages:
             raise ConfigError("languages must hold at least one language")
         if len(self.languages) > len(CONTENT_CONSONANTS) * len(VOWELS):
@@ -98,9 +105,13 @@ class SynthSpec:
             seen.add(lang.iso3)
             if lang.style not in STYLES:
                 raise ConfigError(f"unknown style {lang.style!r}")
-        query = next(
-            (l for l in self.languages if l.iso3 == self.query_iso3), None
-        )
+            family = lang.family
+            if not (family and family == family.strip() and can_be_cell(family)):
+                raise ConfigError(f"family {family!r} is empty, padded or holds a tab, CR or LF")
+            bad = [m for _, forms in lang.markers or () for m in forms if not can_be_token(m)]
+            if bad:
+                raise ConfigError(f"markers: {lang.iso3}'s form {bad[0]!r} is not a token")
+        query = next((l for l in self.languages if l.iso3 == self.query_iso3), None)
         if query is None:
             raise ConfigError(f"query_iso3 {self.query_iso3!r} is not in languages")
         if query.style != "particle":
@@ -375,27 +386,18 @@ def write_synth(spec: SynthSpec, out_dir: str | Path, write: Writer = write_byte
     write_json(out_dir / "ground_truth.json", truth, write)
     feature_names = [f for f, _ in spec.features]
     query = truth["query"]
-    qlines = [
-        f"{f}\t{query['translation_id']}\t{','.join(query['forms'][f])}"
-        for f in feature_names
-    ]
-    write_lines(out_dir / "queries.tsv", qlines, write)
-    allow = [
-        l.iso3
-        for l in spec.languages
-        if l.style == "particle" and l.iso3 != spec.query_iso3
-    ]
+    queries = [(f, query["translation_id"], ",".join(query["forms"][f])) for f in feature_names]
+    write_table(out_dir / "queries.tsv", queries, write=write)
+    allow = [l.iso3 for l in spec.languages if l.style == "particle" and l.iso3 != spec.query_iso3]
     write_lines(out_dir / "allowlist.txt", allow, write)
-    glines = []
-    for lang in spec.languages:
-        info = truth["languages"][lang.iso3]
-        for f in feature_names:
-            forms = info["markers"].get(f)
-            if forms:
-                glines.append(f"{info['translation_id']}\t{f}\t{','.join(forms)}")
-    write_lines(out_dir / "gold.tsv", glines, write)
-    flines = [f"{l.iso3}\t{l.family}" for l in spec.languages]
-    write_lines(out_dir / "families.tsv", flines, write)
+    gold = [
+        (info["translation_id"], f, ",".join(info["markers"][f]))
+        for info in truth["languages"].values()  # in spec order
+        for f in feature_names if info["markers"].get(f)
+    ]
+    write_table(out_dir / "gold.tsv", gold, write=write)
+    families = [(l.iso3, l.family) for l in spec.languages]
+    write_table(out_dir / "families.tsv", families, write=write)
 
 
 def _iso_series(letter: str, count: int) -> list[str]:

@@ -4,12 +4,12 @@ Reads turn a missing or undecodable file into DataError, so a bad input
 path is a data problem (exit code 3) rather than a traceback. Writes go to
 a temporary file in the destination directory that is then renamed over
 the destination, so a reader never sees a partly written file. Every
-tab-separated table is parsed by read_table, so each reader keeps only the
-conversion of its cells, and every JSON input (a config, a synth spec,
-head.json) by read_json. Every reader takes a Reader and every writer a
-Writer: read_bytes and write_bytes by default, a run's RunRecorder.read
-and write_output in the CLI, which record each input and output with the
-sha256 of its bytes.
+tab-separated table is parsed by read_table and written by write_table, so
+each reader and writer keeps only the conversion of its cells, and every
+JSON input (a config, a synth spec, head.json) is parsed by read_json.
+Every reader takes a Reader and every writer a Writer: read_bytes and
+write_bytes by default, a run's RunRecorder.read and write_output in the
+CLI, which record each input and output with the sha256 of its bytes.
 """
 
 from __future__ import annotations
@@ -165,6 +165,20 @@ def write_text(path: str | Path, text: str, write: Writer = write_bytes) -> Path
 def write_lines(path: str | Path, lines, write: Writer = write_bytes) -> Path:
     """Write lines joined by newlines, with a final newline, through write."""
     return write_text(path, "\n".join(lines) + "\n", write)
+
+
+def can_be_cell(value: str) -> bool:
+    """Whether read_table reads value back as one cell: it holds no tab, CR or LF."""
+    return not any(c in value for c in "\t\r\n")
+
+
+def write_table(path: str | Path, rows, header=None, write: Writer = write_bytes) -> Path:
+    """Write the table read_table reads, through write: header's cells when
+    given, then each row's cells (str() of each) joined by tabs, one line per
+    row, with a final newline. No cell holds a tab, CR or LF (can_be_cell):
+    values are checked where they enter the package, not here."""
+    table = rows if header is None else [header, *rows]
+    return write_lines(path, ("\t".join(map(str, row)) for row in table), write)
 
 
 def write_json(path: str | Path, obj, write: Writer = write_bytes) -> Path:

@@ -295,11 +295,16 @@ class TestLoadCorpus:
         assert proc.stdout.strip() == "False"
 
     def test_bad_filename_skipped_with_warning(self, corpus_dir, caplog):
-        (corpus_dir / "notaname.txt").write_text("00000001\tx\n", encoding="utf-8")
+        # a translation id is a cell of pivots.tsv and ranking.tsv, which a
+        # tab or CR would split
+        names = ["notaname", "aaa_x\ty", "aaa_x\ry", "aaa_\t", "aaa_x\r"]
+        for name in names:
+            (corpus_dir / f"{name}.txt").write_text("00000001\tx\n", encoding="utf-8")
         with caplog.at_level(logging.WARNING):
             corpus = load_corpus(corpus_dir, CONFIG.families)
-        assert "notaname.txt" in caplog.text
-        assert "notaname" not in corpus.translations
+        for name in names:
+            assert f"skipping {name}.txt: name does not match iso3_name.txt" in caplog.text
+            assert name not in corpus.translations
 
     def test_malformed_lines_counted(self, corpus_dir, caplog):
         (corpus_dir / "ccc_third.txt").write_text(
@@ -451,14 +456,28 @@ def assert_loads_like_the_oracle(root) -> None:
 
 VERSE_IDS = [f"{i:08d}" for i in (1, 2, 3, 40001001, 99999999)]
 LOADER_TEXT = st.text(alphabet="ab \tΣé\u2028\x85\x0b\x1c", max_size=8)
+LOADER_VERSE = st.tuples(st.sampled_from(VERSE_IDS), LOADER_TEXT).map("\t".join)
 LOADER_LINE = st.one_of(
-    st.tuples(st.sampled_from(VERSE_IDS), LOADER_TEXT).map("\t".join),
+    LOADER_VERSE,
     # malformed or empty: short, long or non-ASCII ids, no tab, nothing
     st.text(alphabet="0123456789\t x\u0664\uff14", max_size=12),
 )
+
+
+@st.composite
+def loader_lines(draw) -> list[str]:
+    """Up to eight lines. Most hold a verse line at a drawn place: a file
+    whose name matches but that holds no verse line fails the whole load,
+    and corpora that load are the ones whose verses are compared."""
+    lines = draw(st.lists(LOADER_LINE, max_size=7))
+    if draw(st.sampled_from([True] * 4 + [False])):
+        lines.insert(draw(st.integers(0, len(lines))), draw(LOADER_VERSE))
+    return lines
+
+
 LOADER_FILE = st.tuples(
     st.sampled_from(["aaa_one", "bbb_two", "ccc_x", "ccc_y", "Abc_bad", "zz_bad", "ddd_"]),
-    st.lists(LOADER_LINE, max_size=8),
+    loader_lines(),
     st.sampled_from(["\n", "\r\n", "\r"]),
     st.booleans(),
 )
@@ -494,6 +513,8 @@ class TestLoaderOracle:
                           ("ccc_blank", ["", ""], "\n", True)], id="empty-files"),
             pytest.param([("aaa_t", ["00000001\ta"], "\n", True), ("notaname", ["00000001\tb"], "\n", True),
                           ("AAA_t", ["00000001\tb"], "\n", True)], id="bad-names"),
+            pytest.param([("aaa_t", ["00000001\ta"], "\n", True), ("aaa_x\ty", ["00000001\tb"], "\n", True),
+                          ("aaa_x\ry", ["00000001\tb"], "\r\n", True)], id="tab-or-cr-in-name"),
             pytest.param([("aaa_cr", ["00000001\ta b", "00000002\tc"], "\r", True),
                           ("bbb_crlf", ["00000002\td", "00000003\te"], "\r\n", False)], id="cr-crlf"),
             pytest.param([("aaa_t", ["00000009\tnine", "00000002\ttwo", "00000005\tfive"],

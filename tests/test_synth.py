@@ -221,6 +221,14 @@ class TestValidation:
             dict(vocabulary_size=5),
             dict(query_forms=0),
             dict(jitter=-1.0),
+            # values the written tables would not read back as written
+            dict(features=(("", 0.4),)),
+            dict(features=(("past.", 0.4),)),
+            dict(languages=(LanguageSpec("qaa", "particle", "fa\n"),)),
+            dict(languages=(LanguageSpec("qaa", "particle", "fa\r"),)),
+            dict(languages=(LanguageSpec("qaa", "particle", "fa\u2028"),)),
+            dict(languages=(LanguageSpec("qaa", "particle", "fa", (("past", ("ka", "")),)),)),
+            dict(languages=(LanguageSpec("qaa", "particle", "fa", (("past", ("k a",)),)),)),
         ]
         for overrides in cases:
             with pytest.raises(ConfigError):
@@ -305,6 +313,42 @@ class TestOnDisk:
 
         ledger = json.loads((tmp_path / "ground_truth.json").read_text())
         assert ledger == truth
+
+    @pytest.mark.parametrize("spec", [
+        preset_tiny8(),
+        small_spec(
+            features=(("past", 0.3), ("Fut-2", 0.3)),
+            languages=(
+                LanguageSpec(
+                    "qaa", "particle", "#fam a", (("Fut-2", ("ka", "kó")), ("past", ("ku",)))
+                ),
+                LanguageSpec("paa", "particle", "fb", (("Fut-2", ("xe",)), ("past", ("xu", "xa")))),
+                LanguageSpec("saa", "suffix", "fc", (("Fut-2", ("ce",)), ("past", ("cu",)))),
+                LanguageSpec("naa", "none", "fd", (("past", ("ya",)),)),
+            ),
+        ),
+    ], ids=["tiny8", "explicit-markers"])
+    def test_tables_read_back_as_the_ledger(self, tmp_path, spec):
+        # each companion table, read by its reader, says what
+        # ground_truth.json records (whose keys are sorted)
+        write_synth(spec, tmp_path)
+        truth = json.loads((tmp_path / "ground_truth.json").read_text(encoding="utf-8"))
+        query, languages = truth["query"], truth["languages"]
+        queries = read_queries(tmp_path / "queries.tsv")
+        assert sorted((q.feature, q.translation_id, q.forms) for q in queries) == [
+            (f, query["translation_id"], frozenset(query["forms"][f])) for f in truth["features"]
+        ]
+        assert read_allowlist(tmp_path / "allowlist.txt") == {
+            iso3 for iso3, info in languages.items()
+            if info["style"] == "particle" and iso3 != query["iso3"]
+        }
+        assert read_gold(tmp_path / "gold.tsv") == {
+            (info["translation_id"], f): set(info["markers"][f])
+            for info in languages.values() for f in truth["features"] if info["markers"].get(f)
+        }
+        assert read_families(tmp_path / "families.tsv") == {
+            iso3: info["family"] for iso3, info in languages.items()
+        }
 
     def test_spec_from_json_round_trip(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -402,6 +446,27 @@ class TestSpecExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
         assert not (tmp_path / "out" / "gold.tsv").exists()
+
+    @pytest.mark.parametrize("change, key", [
+        ({"features": [["#past", 0.4]]}, "features"),
+        ({"features": [["past tense", 0.4]]}, "features"),
+        ({"languages": [SPEC["languages"][0], {**SPEC["languages"][1], "family": " famA"}]},
+         "family"),
+        ({"languages": [SPEC["languages"][0], {**SPEC["languages"][1], "family": "fam\tA"}]},
+         "family"),
+        ({"languages": [SPEC["languages"][0], {**SPEC["languages"][1], "family": ""}]}, "family"),
+        ({"languages": [SPEC["languages"][0], {**SPEC["languages"][1],
+                                               "markers": {"past": ["ka,kb"]}}]}, "markers"),
+    ], ids=["comment-feature", "spaced-feature", "padded-family", "tab-family", "empty-family",
+            "comma-marker"])
+    def test_values_its_tables_misread_exit_2(self, tmp_path, capsys, change, key):
+        # each was written and then read back otherwise: a feature skipped
+        # as a comment or refused by every head-pivot, a family stripped or
+        # split, a marker form split in two
+        assert self.run(tmp_path, {**self.SPEC, **change}) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_vocabulary_size_is_one_per_spec(self, tmp_path, capsys):
         # a language's own vocabulary_size is an unknown key

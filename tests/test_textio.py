@@ -1,15 +1,19 @@
-"""Shared text I/O: data errors on read, atomic replacement on write."""
+"""Shared text I/O: data errors on read, atomic replacement on write, and
+tables written by write_table that read_table reads back."""
 
 import ast
 import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pivotmine import textio
 from pivotmine.errors import DataError
 from pivotmine.textio import (
-    read_bytes, read_table, read_text, write_bytes, write_json, write_lines, write_text,
+    can_be_cell, read_bytes, read_table, read_text, write_bytes, write_json, write_lines,
+    write_table, write_text,
 )
 
 
@@ -112,6 +116,63 @@ class TestReadTable:
         assert (head, list(rows)) == (["h", "x"], [(2, ["1", "2"])])
         with pytest.raises(DataError, match="^cannot read bad.tsv: 'utf-8' codec"):
             read_table("bad.tsv", 1, read=lambda path: b"\xff")
+
+
+# any text write_table can write as a cell: UTF-8 without tab, CR or LF
+CELL = st.text(st.characters(codec="utf-8", exclude_characters="\t\r\n"), max_size=6)
+# a cell of a file people write, which read_table strips: stripped already
+# and not empty
+PEOPLE_CELL = CELL.map(str.strip).filter(bool)
+
+
+@st.composite
+def tables(draw, cell) -> tuple[list[str], list[list[str]]]:
+    """A header and rows of one width, all of cells drawn from cell."""
+    width = draw(st.integers(1, 4))
+    row = st.lists(cell, min_size=width, max_size=width)
+    return draw(row), draw(st.lists(row, max_size=5))
+
+
+def written(rows, header=None) -> bytes:
+    """The bytes write_table writes for rows and header."""
+    out = []
+    write_table("t.tsv", rows, header, lambda path, data: out.append(data))
+    return out[0]
+
+
+class TestWriteTable:
+    def test_bytes(self, tmp_path):
+        rows = [(1, "a", 2.5), ["", " b ", "#"]]
+        path = write_table(tmp_path / "t.tsv", rows, ["h", "x", "y"])
+        assert path.read_bytes() == b"h\tx\ty\n1\ta\t2.5\n\t b \t#\n"
+        assert written(iter(rows)) == b"1\ta\t2.5\n\t b \t#\n"
+        assert written([]) == b"\n"
+        assert written([], ["h"]) == b"h\n"
+
+    @pytest.mark.parametrize("value, ok", [
+        ("", True), (" a b\u2028\x85\x0b#", True), ("a\tb", False), ("a\r", False), ("\n", False),
+    ])
+    def test_can_be_cell(self, value, ok):
+        assert can_be_cell(value) is ok
+
+    @given(tables(CELL))
+    @settings(max_examples=200, deadline=None)
+    def test_tables_with_a_header_read_back(self, table):
+        # the kind the package writes: every cell kept as written
+        header, rows = table
+        data = written(rows, header)
+        head, read_rows = read_table("t.tsv", len(header), header[0], lambda path: data)
+        assert (head, [cells for _, cells in read_rows]) == (header, rows)
+
+    @given(tables(PEOPLE_CELL).filter(lambda table: not any(
+        row[0].startswith("#") for row in table[1])))
+    @settings(max_examples=200, deadline=None)
+    def test_tables_without_a_header_read_back(self, table):
+        # the kind people write, read stripped with # lines skipped: rows
+        # of stripped, non-empty cells whose first does not start with #
+        _, rows = table
+        read_rows = read_table("t.tsv", len(table[0]), read=lambda path: written(rows))[1]
+        assert [cells for _, cells in read_rows] == rows
 
 
 def file_access_calls(tree: ast.AST) -> list[int]:
